@@ -28,7 +28,7 @@ PORT ?= 8080
 #: Parallel chase workers per session round for `make serve` (1 = serial).
 SERVE_WORKERS ?= 1
 
-.PHONY: test test-chaos lint bench bench-quick bench-gate bench-exhibits coverage stats docs-check serve bench-service
+.PHONY: test test-chaos test-determinism lint bench bench-quick bench-gate bench-exhibits coverage stats docs-check serve bench-service
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -42,6 +42,13 @@ test-chaos:
 	$(PYTHON) -m pytest tests/chase/test_chaos.py -x -q
 	CHASE_CHAOS_SEED=$(CHAOS_SEED) $(PYTHON) -m pytest \
 		tests/chase/test_parallel.py tests/chase/test_checkpoint.py -x -q
+
+# Chase output must not depend on hashing: interned terms hash by identity
+# (memory addresses) and strings by PYTHONHASHSEED.  The guard chases one
+# corpus slice in two fresh interpreters under different hash seeds and
+# compares derivations and instance digests.
+test-determinism:
+	$(PYTHON) -m pytest tests/integration/test_determinism.py -q
 
 # Ruff (config in pyproject.toml).  The offline dev container does not ship
 # ruff; skip with a note there instead of failing — CI installs it and gets

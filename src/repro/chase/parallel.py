@@ -17,21 +17,19 @@ the duration of a round.  :class:`ParallelMatcher` exploits that:
   created *per round*, after the round's ``(tgds, instance, delta)`` triple
   is parked in a module global, so forked workers inherit the instance and
   its indexes by memory snapshot instead of by pickling.  Only the
-  discovered triggers travel back (they pickle via ``Trigger.__reduce__``).
-  A threaded executor (shared memory, no pickling, persistent across
-  rounds) is the fallback wherever ``fork`` is unavailable or the pool
-  cannot start, and ``workers=1`` (or sub-threshold rounds) short-circuits
-  to the serial :func:`seminaive_triggers` — all three paths produce the
-  same list.
+  discovered triggers travel back, as compact ``(tgd_index, values,
+  birth)`` rows.  A threaded executor (shared memory, no pickling,
+  persistent across rounds) is the fallback wherever ``fork`` is
+  unavailable or the pool cannot start, and ``workers=1`` (or
+  sub-threshold rounds) short-circuits to the serial
+  :func:`seminaive_triggers` — all three paths produce the same list.
 
-* **Merging** — workers return ``(birth, trigger)`` pairs; the merge keeps
-  the *maximum* birth per :attr:`Trigger.key` (a trigger reachable through
-  several pivots surfaces, in the step engine, at the application completing
-  its body image) and sorts by ``(birth, canonical_key)``.  Because worker
-  results only ever join through this commutative max-merge and the final
-  sort is total, the merged list — and therefore the worklist order, the
-  instance, the verdict, and the derivation — is byte-identical to the
-  serial semi-naive engine, regardless of pool scheduling.
+* **Merging** — chunks partition the pivot hits, and each trigger
+  surfaces at exactly one hit, already at its birth
+  (:func:`repro.chase.trigger.match_pivot_bucket`).  The merge
+  concatenates the rows and sorts by the total ``(birth, canonical_key)``
+  order, so the result is byte-identical to the serial pass regardless of
+  pool scheduling.
 
 The second parallel tier — the deciders' *independent chases* over
 divergence-suspect databases — uses :func:`parallel_map`: ordered fan-out
@@ -48,7 +46,12 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import Instance
-from repro.chase.trigger import Trigger, match_pivot_bucket, seminaive_triggers
+from repro.chase.trigger import (
+    Trigger,
+    in_birth_order,
+    match_pivot_bucket,
+    seminaive_triggers,
+)
 from repro.errors import ParallelDiscoveryError, ResultIntegrityError
 from repro.obs import clock, metrics, trace
 from repro.obs.log import get_logger
@@ -87,63 +90,30 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _body_order(tgd: TGD, cache: Dict[TGD, tuple]) -> tuple:
-    """Body variables in name order — the wire ordering for compact rows.
-
-    ``cache`` is call-scoped (one dict per worker task / per merge), so
-    nothing outlives the round: a long-lived process analyzing many TGD
-    sets never accumulates stale entries.
-    """
-    order = cache.get(tgd)
-    if order is None:
-        order = cache[tgd] = tuple(
-            sorted(tgd.body_variables(), key=lambda v: v.name)
-        )
-    return order
-
-
 def _match_chunks(
     tgds: Sequence[TGD], instance: Instance, delta, chunks
 ) -> List[tuple]:
-    """Run one task's chunk specs; returns deduplicated compact rows.
+    """Run one task's chunk specs; returns compact rows.
 
     The worker body, shared by every backend: each chunk binds one
     ``(tgd, pivot)`` pair to a slice of the pivot predicate's delta bucket
     and matches through :func:`match_pivot_bucket` — the exact code the
     serial pass runs.  Bucket slices are recomputed from the delta (chunk
-    specs stay index-pairs, cheap to ship); per-predicate listing is cached
-    across the task's chunks.
-
-    Results travel as ``(tgd_index, values, birth)`` rows, where ``values``
-    is the trigger's body binding in :func:`_body_order` — triggers are
-    *not* pickled whole, since a join trigger rediscovered once per pivot
-    would ship once per pivot; rows dedupe worker-side and the master
-    rebuilds each unique trigger exactly once.
+    specs stay index-pairs, cheap to ship).  Rows are ``(tgd_index,
+    values, birth)``, ``values`` the body binding in :attr:`TGD.body_order`.
     """
-    births: Dict[tuple, int] = {}
-    found: Dict[tuple, Trigger] = {}
     buckets: Dict[str, list] = {}
+    rows = []
     for tgd_index, pivot_index, lo, hi in chunks:
         tgd = tgds[tgd_index]
         predicate = tgd.body[pivot_index].predicate
         bucket = buckets.get(predicate)
         if bucket is None:
             bucket = buckets[predicate] = list(delta.with_predicate(predicate))
-        match_pivot_bucket(
-            tgd, pivot_index, bucket[lo:hi], delta, instance, births, found
-        )
-    # First-wins index map: TGD equality ignores the name, but null naming
-    # (digest_prefix) includes it, so duplicate-equal rules under different
-    # names must all resolve to the first index — exactly the trigger the
-    # serial pass's first-wins dedup keeps.
-    tgd_indexes: Dict[TGD, int] = {}
-    for index, tgd in enumerate(tgds):
-        tgd_indexes.setdefault(tgd, index)
-    orders: Dict[TGD, tuple] = {}
-    rows = []
-    for key, trigger in found.items():
-        values = tuple(trigger.h[v] for v in _body_order(trigger.tgd, orders))
-        rows.append((tgd_indexes[trigger.tgd], values, births[key]))
+        hits: List[tuple] = []
+        match_pivot_bucket(tgd, pivot_index, bucket[lo:hi], delta, instance, hits)
+        for birth, trigger in hits:
+            rows.append((tgd_index, tuple(trigger.h[v] for v in tgd.body_order), birth))
     return rows
 
 
@@ -186,13 +156,12 @@ def _validate_rows(tgds: Sequence[TGD], rows) -> None:
     run (or a genuinely corrupted pipe) can hand the master garbage, and a
     bad row would silently poison the ``(birth, canonical_key)`` merge.
     Shape-checks every row: ``(tgd_index, values, birth)`` with a valid TGD
-    index and the binding arity that TGD's :func:`_body_order` demands.
+    index and the binding arity that TGD's :attr:`TGD.body_order` demands.
     """
     if not isinstance(rows, list):
         raise ResultIntegrityError(
             f"worker returned {type(rows).__name__}, expected a row list"
         )
-    orders: Dict[TGD, tuple] = {}
     for row in rows:
         if not (isinstance(row, tuple) and len(row) == 3):
             raise ResultIntegrityError(f"malformed worker row {row!r}")
@@ -202,7 +171,7 @@ def _validate_rows(tgds: Sequence[TGD], rows) -> None:
         if not isinstance(birth, int):
             raise ResultIntegrityError(f"worker row has bad birth {birth!r}")
         if not isinstance(values, tuple) or len(values) != len(
-            _body_order(tgds[tgd_index], orders)
+            tgds[tgd_index].body_order
         ):
             raise ResultIntegrityError(
                 f"worker row binding {values!r} does not match the body "
@@ -250,6 +219,12 @@ class ParallelMatcher:
         if backend not in ("process", "thread", "serial"):
             raise ValueError(f"unknown parallel backend {backend!r}")
         self.tgds: Tuple[TGD, ...] = tuple(tgds)
+        # Of several equal TGDs only the first is matched, as in the serial
+        # pass (equality ignores the name; a trigger's key does too).
+        first: Dict[TGD, int] = {}
+        for index, tgd in enumerate(self.tgds):
+            first.setdefault(tgd, index)
+        self._distinct: List[int] = sorted(first.values())
         self.workers = max(1, int(workers))
         if self.workers == 1:
             backend = "serial"
@@ -309,8 +284,8 @@ class ParallelMatcher:
         """
         pairs = []
         total = 0
-        for tgd_index, tgd in enumerate(self.tgds):
-            for pivot_index, pivot in enumerate(tgd.body):
+        for tgd_index in self._distinct:
+            for pivot_index, pivot in enumerate(self.tgds[tgd_index].body):
                 size = len(delta.with_predicate(pivot.predicate))
                 if size:
                     pairs.append((tgd_index, pivot_index, size))
@@ -504,28 +479,18 @@ class ParallelMatcher:
 
 
 def _merge(tgds: Sequence[TGD], results: List[list]) -> List[Trigger]:
-    """Max-merge per-task rows; rebuild triggers; sort like the serial pass.
+    """Concatenate per-task rows; rebuild triggers; sort like the serial pass.
 
-    The max over per-row births is commutative and associative, and the
-    final ``(birth, canonical_key)`` sort is total, so the merged list is
-    independent of task scheduling — and equal to the serial pass, which
-    computes the same maxima pivot by pivot.
+    Tasks partition the pivot hits and each trigger surfaces at exactly one
+    hit, so no row repeats another; the ``(birth, canonical_key)`` sort is
+    total, so the merged list is independent of task scheduling.
     """
-    births: Dict[tuple, int] = {}
+    hits = []
     for rows in results:
         for tgd_index, values, birth in rows:
-            key = (tgd_index, values)
-            previous = births.get(key)
-            if previous is None or birth > previous:
-                births[key] = birth
-    orders: Dict[TGD, tuple] = {}
-    merged = []
-    for (tgd_index, values), birth in births.items():
-        tgd = tgds[tgd_index]
-        trigger = Trigger(tgd, dict(zip(_body_order(tgd, orders), values)))
-        merged.append((birth, trigger))
-    merged.sort(key=lambda row: (row[0], row[1].canonical_key))
-    return [trigger for _, trigger in merged]
+            tgd = tgds[tgd_index]
+            hits.append((birth, Trigger(tgd, dict(zip(tgd.body_order, values)))))
+    return in_birth_order(hits)
 
 
 def parallel_map(fn, payloads, workers: int = 1, backend: str = "process") -> list:

@@ -19,12 +19,11 @@ is unique and byte-identical regardless of application order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set
 
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
-from repro.core.terms import Null, Term, Variable
-from repro.chase.trigger import Trigger
+from repro.core.terms import Null, Term, Variable, intern_term
 from repro.core.homomorphism import homomorphisms
 from repro.tgds.tgd import TGD
 
@@ -34,25 +33,23 @@ class SkolemTerm(Null):
 
     Behaves as a labeled null everywhere (homomorphisms may map it
     anywhere); additionally exposes its function symbol and arguments so
-    cyclicity checks can walk the term tree.  Equality/hash go through the
-    rendered name, which uniquely encodes the tree.
+    cyclicity checks can walk the term tree.  Interned by the rendered
+    name, which uniquely encodes the tree (like every term, equal skolem
+    terms are one object).
     """
 
     __slots__ = ("function", "args")
 
-    def __init__(self, function: str, args: Iterable[Term]):
+    def __new__(cls, function: str, args: Iterable[Term]):
         args = tuple(args)
         for arg in args:
             if not isinstance(arg, Term):
                 raise TypeError(f"skolem arguments must be terms, got {arg!r}")
         rendered = f"{function}({','.join(t.name for t in args)})"
-        # Bypass __setattr__ (this class is immutable, unlike plain Null).
-        object.__setattr__(self, "name", rendered)
-        object.__setattr__(self, "function", function)
-        object.__setattr__(self, "args", args)
+        return intern_term(cls, rendered, function=function, args=args)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SkolemTerm is immutable")
+    def __reduce__(self):
+        return (type(self), (self.function, self.args))
 
     def depth(self) -> int:
         """Nesting depth of the term tree (constants have depth 0)."""

@@ -39,26 +39,22 @@ def _trigger_digest(tgd: TGD, body_binding: Sequence[Tuple[Variable, Term]]) -> 
 class Trigger:
     """A trigger ``(σ, h)``; ``h`` is stored restricted to the body variables."""
 
-    __slots__ = ("tgd", "h", "_result", "_key", "_frontier_binding", "_canonical")
+    __slots__ = ("tgd", "h", "_result", "_key", "_frontier", "_canonical")
 
     def __init__(self, tgd: TGD, h):
-        mapping = {}
-        missing = []
-        for variable in tgd.body_variables():
-            try:
-                mapping[variable] = h[variable]
-            except KeyError:
-                missing.append(variable)
-        if missing:
-            raise ValueError(f"homomorphism misses body variables {missing}")
+        try:
+            # Body variables in name order: exactly the canonical item order
+            # (a TGD body holds variables only, and names are unique).
+            items = tuple([(variable, h[variable]) for variable in tgd.body_order])
+        except KeyError:
+            missing = [v for v in tgd.body_order if v not in h]
+            raise ValueError(f"homomorphism misses body variables {missing}") from None
         object.__setattr__(self, "tgd", tgd)
-        object.__setattr__(self, "h", Substitution(mapping))
+        object.__setattr__(self, "h", Substitution(dict(items)))
         object.__setattr__(self, "_result", None)
-        object.__setattr__(self, "_key", (tgd, self.h.canonical_items()))
+        object.__setattr__(self, "_key", (tgd, items))
         object.__setattr__(
-            self,
-            "_frontier_binding",
-            {v: mapping[v] for v in tgd.frontier_order},
+            self, "_frontier", tuple([h[v] for v in tgd.frontier_order])
         )
         object.__setattr__(self, "_canonical", None)
 
@@ -67,11 +63,8 @@ class Trigger:
 
     def __reduce__(self):
         # The immutable __setattr__ defeats default slot unpickling; rebuild
-        # through __init__ (caches re-derive lazily).  Consumer: the
-        # parallel_map tier — suspect-scan workers return PumpWitness
-        # certificates whose Derivation.steps are triggers.  (Round-level
-        # discovery workers do NOT use this: they ship compact
-        # (tgd_index, values, birth) rows instead — see chase/parallel.py.)
+        # through __init__.  Consumer: suspect-scan workers of parallel_map,
+        # whose PumpWitness derivations hold triggers.
         return (type(self), (self.tgd, dict(self.h.items())))
 
     @property
@@ -93,22 +86,13 @@ class Trigger:
             object.__setattr__(self, "_canonical", cached)
         return cached
 
-    def frontier_substitution(self) -> Substitution:
-        """``h|fr(σ)``."""
-        return self.h.restrict(self.tgd.frontier)
-
     def frontier_binding(self) -> Dict[Variable, Term]:
-        """``h|fr(σ)`` as a plain dict, cached at construction.
-
-        Treat as read-only: ``is_active`` and the head-witness cache consult
-        it on every check.
-        """
-        return self._frontier_binding
+        """``h|fr(σ)`` as a plain dict (built per call)."""
+        return dict(zip(self.tgd.frontier_order, self._frontier))
 
     def frontier_tuple(self) -> Tuple[Term, ...]:
         """The frontier image in ``tgd.frontier_order`` — the witness-cache key."""
-        binding = self._frontier_binding
-        return tuple(binding[v] for v in self.tgd.frontier_order)
+        return self._frontier
 
     def body_image(self) -> List[Atom]:
         """``h(body(σ))``: the atoms of the instance this trigger matched."""
@@ -123,15 +107,14 @@ class Trigger:
         cached = self._result
         if cached is not None:
             return cached
-        binding = sorted(self.h.items(), key=lambda kv: kv[0].name)
-        digest = _trigger_digest(self.tgd, binding)
-        mapping: Dict[Term, Term] = {}
-        for var in self.tgd.head.variables():
-            if var in self.tgd.frontier:
-                mapping[var] = self.h[var]
-            else:
+        tgd = self.tgd
+        items = self._key[1]
+        mapping: Dict[Term, Term] = dict(items)
+        if tgd.existential_variables:
+            digest = _trigger_digest(tgd, items)
+            for var in tgd.existential_variables:
                 mapping[var] = Null(f"{digest}.{var.name}")
-        atom = self.tgd.head.apply(mapping)
+        atom = tgd.head.apply(mapping)
         object.__setattr__(self, "_result", atom)
         return atom
 
@@ -228,8 +211,7 @@ def match_pivot_bucket(
     bucket,
     delta,
     instance: Instance,
-    births: Dict[tuple, int],
-    found: Dict[tuple, Trigger],
+    hits: List[Tuple[int, Trigger]],
 ) -> None:
     """Match one ``(tgd, pivot)`` pair against a slice of the round's delta.
 
@@ -238,32 +220,65 @@ def match_pivot_bucket(
     :mod:`repro.chase.parallel` — one code path is what makes the
     serial-vs-parallel equivalence an accounting argument rather than a
     re-proof.  ``bucket`` is any iterable of delta atoms under the pivot's
-    predicate (the whole per-predicate bucket, or a chunk of it); results
-    accumulate into ``births``/``found`` keyed by :attr:`Trigger.key`, with
-    ``births`` keeping the *maximum* delta position over every pivot hit.
+    predicate (the whole per-predicate bucket, or a chunk of it).
+
+    Exactly-once split: with the pivot bound to the delta atom at position
+    ``p``, body atoms *before* the pivot may bind only old atoms or delta
+    atoms at positions ``< p``, and body atoms *after* it old atoms or
+    delta atoms at positions ``<= p``.  A homomorphism therefore surfaces
+    at exactly one pivot — the first body atom whose image is the latest
+    delta atom of the body image — with ``birth = p``, the maximum delta
+    position of its image.  Every hit is appended to ``hits`` as
+    ``(birth, trigger)``; no two hits share a trigger key.
     """
     pivot = tgd.body[pivot_index]
-    rest = [a for i, a in enumerate(tgd.body) if i != pivot_index]
+    # (body atom, 1 if it must be strictly older than the pivot atom else 0)
+    rest = [
+        (atom, 1 if j < pivot_index else 0)
+        for j, atom in enumerate(tgd.body)
+        if j != pivot_index
+    ]
+    positions = delta.positions()
     for pivot_atom in bucket:
-        base = match_atom(pivot, pivot_atom)
-        if base is None:
-            continue
-        birth = delta.position(pivot_atom)
-        if rest:
-            matches = homomorphisms(rest, instance, partial=base)
-        else:
-            # Single-atom body: the pivot binding is the whole
-            # homomorphism — skip the join machinery.
-            matches = (base,)
-        for h in matches:
-            trigger = Trigger(tgd, h)
-            key = trigger.key
-            previous = births.get(key)
-            if previous is None:
-                found[key] = trigger
-                births[key] = birth
-            elif birth > previous:
-                births[key] = birth
+        binding = match_atom(pivot, pivot_atom)
+        if binding is not None:
+            _join(tgd, rest, binding, instance, positions, positions[pivot_atom], hits)
+
+
+def _join(tgd, rest, binding, instance, positions, birth, hits) -> None:
+    """Extend ``binding`` over the ``rest`` body atoms; append complete hits.
+
+    Fail-first like :func:`repro.core.homomorphism.homomorphisms`: each
+    level matches the remaining atom with the smallest candidate bucket.
+    Candidates newer than the atom's delta limit are skipped before
+    matching.  Module-level recursion: no per-call closure, hence no
+    reference cycle keeping a round's instance alive.
+    """
+    if not rest:
+        hits.append((birth, Trigger(tgd, binding)))
+        return
+    best = None
+    for k, (atom, _) in enumerate(rest):
+        candidates = candidate_atoms(instance, atom, binding)
+        if best is None or len(candidates) < len(best):
+            best, best_k = candidates, k
+            if not candidates:
+                return
+    atom, strict = rest[best_k]
+    remaining = rest[:best_k] + rest[best_k + 1:]
+    limit = birth - strict
+    for candidate in best:
+        position = positions.get(candidate)
+        if position is None or position <= limit:
+            extended = match_atom(atom, candidate, binding)
+            if extended is not None:
+                _join(tgd, remaining, extended, instance, positions, birth, hits)
+
+
+def in_birth_order(hits: List[Tuple[int, Trigger]]) -> List[Trigger]:
+    """The triggers of ``(birth, trigger)`` hits in ``(birth, canonical_key)`` order."""
+    hits.sort(key=lambda hit: (hit[0], hit[1].canonical_key))
+    return [trigger for _, trigger in hits]
 
 
 def seminaive_triggers(
@@ -286,24 +301,25 @@ def seminaive_triggers(
     engine enqueues the same triggers (a trigger surfaces at the application
     that completes its body image, and each per-application batch is
     canonically sorted), which is what keeps round-based runs byte-identical
-    to step-at-a-time runs.
-
-    :class:`repro.chase.parallel.ParallelMatcher` computes the same list by
-    fanning the ``(tgd, pivot)`` × delta-chunk grid over a worker pool and
-    max-merging the per-chunk ``births``.
+    to step-at-a-time runs.  :func:`match_pivot_bucket` surfaces each
+    trigger once, already at that birth.  Of several equal TGDs (equality
+    ignores the rule name, as does :attr:`Trigger.key`) only the first is
+    matched.  :class:`repro.chase.parallel.ParallelMatcher` computes the
+    same list over a worker pool.
     """
     if not delta:
         return []
-    births: Dict[tuple, int] = {}
-    found: Dict[tuple, Trigger] = {}
+    hits: List[Tuple[int, Trigger]] = []
+    matched = set()
     for tgd in tgds:
-        for pivot_index, pivot in enumerate(tgd.body):
-            bucket = delta.with_predicate(pivot.predicate)
-            if not bucket:
-                continue
-            match_pivot_bucket(
-                tgd, pivot_index, bucket, delta, instance, births, found
-            )
-    return sorted(
-        found.values(), key=lambda t: (births[t.key], t.canonical_key)
-    )
+        buckets = [
+            (pivot_index, delta.with_predicate(pivot.predicate))
+            for pivot_index, pivot in enumerate(tgd.body)
+        ]
+        buckets = [(index, bucket) for index, bucket in buckets if bucket]
+        if not buckets or tgd in matched:
+            continue
+        matched.add(tgd)
+        for pivot_index, bucket in buckets:
+            match_pivot_bucket(tgd, pivot_index, bucket, delta, instance, hits)
+    return in_birth_order(hits)

@@ -24,7 +24,7 @@ re-scores (and prunes) the rest of the body.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
@@ -50,18 +50,14 @@ def match_atom(
     unified under the homomorphism rules (constants and frozen terms are
     rigid; other terms bind consistently).  ``partial`` is not mutated.
     """
-    if pattern.predicate != target.predicate or pattern.arity != target.arity:
+    if pattern.predicate != target.predicate or len(pattern.terms) != len(target.terms):
         return None
     binding: Dict[Term, Term] = dict(partial) if partial else {}
     for source_term, target_term in zip(pattern.terms, target.terms):
         if isinstance(source_term, Constant) or source_term in frozen:
-            if source_term != target_term:
+            if source_term is not target_term:
                 return None
-            continue
-        bound = binding.get(source_term)
-        if bound is None:
-            binding[source_term] = target_term
-        elif bound != target_term:
+        elif binding.setdefault(source_term, target_term) is not target_term:
             return None
     return binding
 
@@ -102,71 +98,47 @@ def homomorphisms(
     target,
     partial: Optional[Dict[Term, Term]] = None,
     frozen: Iterable[Term] = (),
-    order: str = "fail-first",
 ) -> Iterator[Dict[Term, Term]]:
     """Generate every homomorphism from ``source`` into ``target``.
 
     ``partial`` is a pre-existing binding that every generated homomorphism
     must extend; ``frozen`` lists non-constant terms that must map to
     themselves.  Yields plain dicts (term -> term); each yielded dict is an
-    independent copy.
-
-    ``order`` selects the atom ordering: ``"fail-first"`` (default — the
-    dynamic most-constrained-atom order, re-scored as bindings accumulate),
-    ``"given"`` (take the source in its written order, with indexed
-    candidate lookup), or ``"scan"`` (written order over plain predicate
-    buckets; the pre-index ablation baseline).
+    independent copy.  Atoms are matched in the dynamic most-constrained
+    order, re-scored as bindings accumulate.
     """
-    source_atoms = list(source)
-    index = _as_index(target)
-    frozen_set = frozenset(frozen)
     start: Dict[Term, Term] = dict(partial) if partial else {}
+    return _search(list(source), start, _as_index(target), frozenset(frozen))
 
-    if order == "fail-first":
 
-        def search(remaining: List[Atom], binding: Dict[Term, Term]) -> Iterator[Dict[Term, Term]]:
-            if not remaining:
-                yield dict(binding)
-                return
-            # Dynamic most-constrained-atom choice: the remaining pattern
-            # with the smallest candidate bucket under the current binding.
-            best_j = 0
-            best_candidates = None
-            for j, pattern_atom in enumerate(remaining):
-                candidates = candidate_atoms(index, pattern_atom, binding, frozen_set)
-                if best_candidates is None or len(candidates) < len(best_candidates):
-                    best_j = j
-                    best_candidates = candidates
-                    if not candidates:
-                        return
-            pattern = remaining[best_j]
-            rest = remaining[:best_j] + remaining[best_j + 1:]
-            for candidate in best_candidates:
-                extended = match_atom(pattern, candidate, binding, frozen_set)
-                if extended is not None:
-                    yield from search(rest, extended)
+def _search(
+    remaining: List[Atom], binding: Dict[Term, Term], index: Instance, frozen: frozenset
+) -> Iterator[Dict[Term, Term]]:
+    """The fail-first backtracking join behind :func:`homomorphisms`.
 
-        yield from search(source_atoms, start)
+    Module-level (not a closure per call), so a search allocates no
+    reference cycle that would keep its target instance alive.
+    """
+    if not remaining:
+        yield dict(binding)
         return
-
-    if order == "given":
-        pick = lambda pattern, binding: candidate_atoms(index, pattern, binding, frozen_set)
-    elif order == "scan":
-        pick = lambda pattern, binding: index.with_predicate(pattern.predicate)
-    else:
-        raise ValueError(f"unknown atom order {order!r}")
-
-    def sequential(i: int, binding: Dict[Term, Term]) -> Iterator[Dict[Term, Term]]:
-        if i == len(source_atoms):
-            yield dict(binding)
-            return
-        pattern = source_atoms[i]
-        for candidate in pick(pattern, binding):
-            extended = match_atom(pattern, candidate, binding, frozen_set)
-            if extended is not None:
-                yield from sequential(i + 1, extended)
-
-    yield from sequential(0, start)
+    # Dynamic most-constrained-atom choice: the remaining pattern with the
+    # smallest candidate bucket under the current binding.
+    best_j = 0
+    best_candidates = None
+    for j, pattern_atom in enumerate(remaining):
+        candidates = candidate_atoms(index, pattern_atom, binding, frozen)
+        if best_candidates is None or len(candidates) < len(best_candidates):
+            best_j = j
+            best_candidates = candidates
+            if not candidates:
+                return
+    pattern = remaining[best_j]
+    rest = remaining[:best_j] + remaining[best_j + 1:]
+    for candidate in best_candidates:
+        extended = match_atom(pattern, candidate, binding, frozen)
+        if extended is not None:
+            yield from _search(rest, extended, index, frozen)
 
 
 def find_homomorphism(
@@ -189,11 +161,6 @@ def has_homomorphism(
 ) -> bool:
     """True iff some homomorphism from ``source`` into ``target`` exists."""
     return find_homomorphism(source, target, partial, frozen) is not None
-
-
-def apply_homomorphism(h: Dict[Term, Term], atoms: Iterable[Atom]) -> List[Atom]:
-    """Apply a binding dict to a collection of atoms."""
-    return [atom.apply(h) for atom in atoms]
 
 
 def is_homomorphism(h: Dict[Term, Term], source: Iterable[Atom], target) -> bool:
@@ -238,11 +205,3 @@ def are_isomorphic(left: Iterable[Atom], right: Iterable[Atom]) -> bool:
             return True
     return False
 
-
-def endomorphism_onto(source: Instance, subset: Set[Atom]) -> Optional[Dict[Term, Term]]:
-    """A homomorphism from ``source`` into ``subset`` of itself, if any.
-
-    Utility for core computations / redundancy checks (used when studying
-    how much smaller restricted-chase results are than oblivious ones).
-    """
-    return find_homomorphism(source.atoms(), Instance(subset))

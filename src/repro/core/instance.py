@@ -79,19 +79,19 @@ class Delta:
             if not bucket:
                 del self._by_predicate[atom.predicate]
 
-    def position(self, atom: Atom) -> int:
-        """The atom's birth position within the round (insertion counter)."""
-        return self._positions[atom]
+    def positions(self) -> Dict[Atom, int]:
+        """Atom -> birth position within the round (insertion counter).
+
+        The live mapping; treat as read-only.
+        """
+        return self._positions
 
     def snapshot(self) -> list:
         """``(atom, birth position)`` pairs in insertion order.
 
-        The pickle-friendly export backing ``__reduce__``; :meth:`_restore`
-        rebuilds an identical delta (per-predicate buckets re-derived, birth
-        counters preserved) from it.  The current pool backends hand deltas
-        to workers by fork snapshot or shared memory, so this wire format is
-        for deltas embedded in *pickled* payloads — spawn-based pools or
-        future persistent-worker protocols that ship per-round deltas.
+        What a :class:`repro.chase.checkpoint.ChaseCheckpoint` carries for
+        a suspended round; :meth:`_restore` rebuilds an identical delta
+        (per-predicate buckets re-derived, birth counters preserved).
         """
         return list(self._positions.items())
 
@@ -103,9 +103,6 @@ class Delta:
             delta._by_predicate.setdefault(atom.predicate, {})[atom] = None
         delta._counter = counter
         return delta
-
-    def __reduce__(self):
-        return (type(self)._restore, (self.snapshot(), self._counter))
 
     def atoms(self) -> list:
         """The recorded atoms in insertion order."""

@@ -8,63 +8,101 @@ queries.
 Terms are immutable, hashable, and totally ordered (constants < nulls <
 variables, then by name) so that canonical serializations of atoms,
 substitutions, and triggers are deterministic.
+
+Terms are *hash-consed*: constructing a term looks its ``(class, name)``
+up in a per-class intern table first, so two equal terms are always the
+same object.  Equality and hashing are therefore object identity, which
+every dict, set, index key, and ``Atom`` hash evaluates in C without
+calling back into Python.  The tables hold weak references only: a term
+no longer referenced anywhere (say, a null of a deleted service session)
+drops out of its table when it is collected.  Pickling, ``copy``, and
+``deepcopy`` re-intern through ``__reduce__``, so a round trip returns the
+identical object.  Because identity hashes follow memory addresses, set
+iteration order over terms is arbitrary run to run; everything whose
+output order matters sorts by :meth:`Term.sort_key` first.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Union
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
+from typing import Dict, Union
+
+#: Serializes intern-table misses (re-entrant: a collection inside the
+#: critical section may run arbitrary finalizers).
+_INTERN_LOCK = threading.RLock()
 
 
+def _forget(ref: weakref.KeyedRef) -> None:
+    """Weakref callback: drop a collected term's entry, unless a newer
+    live term under the same name has replaced it meanwhile."""
+    cls, name = ref.key
+    _remove_dead_weakref(cls._interned, name)
+
+
+def intern_term(cls, name: str, **fields):
+    """The live ``cls`` term named ``name``, created with ``fields`` on a
+    miss; concurrent misses agree on one object."""
+    with _INTERN_LOCK:
+        ref = cls._interned.get(name)
+        term = ref() if ref is not None else None
+        if term is None:
+            term = object.__new__(cls)
+            object.__setattr__(term, "name", name)
+            for field, value in fields.items():
+                object.__setattr__(term, field, value)
+            cls._interned[name] = weakref.KeyedRef(term, _forget, (cls, name))
+        return term
+
+
+@functools.total_ordering
 class Term:
     """Base class for all terms.
 
-    Subclasses are value objects: two terms are equal iff they have the same
-    kind and the same name.
+    Subclasses are interned value objects: two terms are equal iff they
+    have the same kind and the same name, and then they are one object.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "__weakref__")
 
     #: Rank used for the total order between term kinds.
     _KIND_RANK = -1
 
-    def __init__(self, name: str):
+    #: Per-class intern table: name -> weak reference to the live term.
+    _interned: Dict[str, weakref.KeyedRef] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._interned = {}
+
+    def __new__(cls, name: str):
+        ref = cls._interned.get(name)
+        if ref is not None:
+            term = ref()
+            if term is not None:
+                return term
         if not isinstance(name, str) or not name:
             raise ValueError(f"term name must be a non-empty string, got {name!r}")
-        self.name = name
+        return intern_term(cls, name)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # Re-intern on unpickling/copying: the round trip yields this object.
+        return (type(self), (self.name,))
 
     def sort_key(self) -> tuple:
         """Key realizing the total order on terms (kind rank, then name)."""
         return (self._KIND_RANK, self.name)
 
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.name == other.name
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
-    def __hash__(self) -> int:
-        return hash((self._KIND_RANK, self.name))
-
     def __lt__(self, other: "Term") -> bool:
         if not isinstance(other, Term):
             return NotImplemented
         return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Term") -> bool:
-        if not isinstance(other, Term):
-            return NotImplemented
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "Term") -> bool:
-        if not isinstance(other, Term):
-            return NotImplemented
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "Term") -> bool:
-        if not isinstance(other, Term):
-            return NotImplemented
-        return self.sort_key() >= other.sort_key()
 
     @property
     def is_constant(self) -> bool:

@@ -34,6 +34,7 @@ class TGD:
         "name",
         "_frontier",
         "_frontier_order",
+        "_body_order",
         "_existential",
         "_hash",
         "_repr",
@@ -57,6 +58,9 @@ class TGD:
         object.__setattr__(self, "_frontier", frontier)
         object.__setattr__(
             self, "_frontier_order", tuple(sorted(frontier, key=lambda v: v.name))
+        )
+        object.__setattr__(
+            self, "_body_order", tuple(sorted(body_vars, key=lambda v: v.name))
         )
         object.__setattr__(self, "_existential", existential)
         object.__setattr__(self, "_hash", hash((body, head)))
@@ -100,6 +104,15 @@ class TGD:
         Frontier-binding tuples (head-witness cache keys) use this order.
         """
         return self._frontier_order
+
+    @property
+    def body_order(self) -> Tuple[Variable, ...]:
+        """The body variables in canonical (name) order.
+
+        Trigger keys and the parallel workers' compact rows list a body
+        binding in this order.
+        """
+        return self._body_order
 
     @property
     def existential_variables(self) -> FrozenSet[Variable]:

@@ -17,10 +17,12 @@ the pool instead of short-circuiting to the serial path.
 import logging
 import os
 import pickle
+import random
 
 import pytest
 
 from repro.core.atoms import Atom
+from repro.core.homomorphism import homomorphisms
 from repro.core.instance import Database, Delta, Instance
 from repro.core.parsing import parse_database
 from repro.core.substitution import Substitution
@@ -28,8 +30,8 @@ from repro.core.terms import Constant, Variable
 from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
-from repro.chase.trigger import Trigger, seminaive_triggers
-from repro.chase import parallel
+from repro.chase.trigger import Trigger, match_pivot_bucket, seminaive_triggers
+from repro.chase import parallel, trigger as trigger_module
 from repro.chase.parallel import ParallelMatcher, parallel_map
 from repro.guarded.decision import candidate_databases, decide_guarded
 from repro.termination.analyzer import TerminationAnalyzer
@@ -123,15 +125,18 @@ class TestPickling:
         assert back.sorted_atoms() == db.sorted_atoms()
 
     def test_delta_snapshot_round_trip(self):
+        # Deltas cross process boundaries only inside checkpoints, as an
+        # explicit snapshot (see chase/checkpoint.py).
         instance = Instance()
         delta = instance.track_delta()
         atoms = [Atom("R", [Constant(f"c{i}")]) for i in range(3)]
         for atom in atoms:
             instance.add(atom)
         instance.take_delta()
-        back = pickle.loads(pickle.dumps(delta))
+        items, counter = pickle.loads(pickle.dumps((delta.snapshot(), len(delta))))
+        back = Delta._restore(items, counter)
         assert back.atoms() == atoms
-        assert [back.position(a) for a in atoms] == [0, 1, 2]
+        assert [back.positions()[a] for a in atoms] == [0, 1, 2]
         assert list(back.with_predicate("R")) == atoms
 
     def test_delta_snapshot_export(self):
@@ -248,6 +253,78 @@ class TestMatcherDiscovery:
         matcher = ParallelMatcher(renamed, workers=2)
         with pytest.raises(ValueError):
             ChaseEngine(ring_database(3), tgds, matcher=matcher)
+
+
+#: Triangle and 4-cycle closing rules: every cycle through the delta is
+#: reachable from several pivots, which is what exactly-once must collapse.
+CYCLE_TGDS = parse_tgds(
+    [
+        "F(x,y), F(y,z), F(z,x) -> T(x,y,z)",
+        "F(x,y), F(y,z), F(z,w), F(w,x) -> Q(x,y,z,w)",
+    ]
+)
+
+
+def cycle_round(seed: int, nodes: int = 6, old: int = 8, new: int = 10):
+    """A random digraph (self-loops allowed): ``old`` edges, then a delta."""
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(nodes) for b in range(nodes)]
+    edges = [
+        Atom("F", [Constant(f"v{a}"), Constant(f"v{b}")])
+        for a, b in rng.sample(pairs, old + new)
+    ]
+    instance = Instance(edges[:old])
+    delta = instance.track_delta()
+    for edge in edges[old:]:
+        instance.add(edge)
+    instance.take_delta()
+    return instance, delta
+
+
+class TestExactlyOnceDiscovery:
+    """Each trigger surfaces at one pivot hit, already at its final birth."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_trigger_per_unique_trigger_at_max_birth(self, seed, monkeypatch):
+        instance, delta = cycle_round(seed)
+        built = []
+
+        class CountingTrigger(Trigger):
+            def __init__(self, tgd, h):
+                super().__init__(tgd, h)
+                built.append(self)
+
+        monkeypatch.setattr(trigger_module, "Trigger", CountingTrigger)
+        hits = []
+        for tgd in CYCLE_TGDS:
+            for pivot_index, pivot in enumerate(tgd.body):
+                bucket = delta.with_predicate(pivot.predicate)
+                match_pivot_bucket(tgd, pivot_index, bucket, delta, instance, hits)
+        keys = [trigger.key for _, trigger in hits]
+        assert len(built) == len(hits) == len(set(keys))
+        expected = {
+            Trigger(tgd, h).key
+            for tgd in CYCLE_TGDS
+            for h in homomorphisms(tgd.body, instance)
+            if any(atom.apply(h) in delta for atom in tgd.body)
+        }
+        assert expected and set(keys) == expected
+        for birth, trigger in hits:
+            image = [atom for atom in trigger.body_image() if atom in delta]
+            assert birth == max(delta.positions()[atom] for atom in image)
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_parallel_equals_serial_elementwise(self, workers):
+        for seed in range(4):
+            instance, delta = cycle_round(seed)
+            serial = seminaive_triggers(CYCLE_TGDS, instance, delta)
+            with ParallelMatcher(
+                CYCLE_TGDS, workers=workers, min_parallel_work=0
+            ) as matcher:
+                fanned = matcher.discover(instance, delta)
+                assert matcher.rounds_parallel == 1
+            assert [t.key for t in fanned] == [t.key for t in serial]
+            assert [t.result() for t in fanned] == [t.result() for t in serial]
 
 
 class TestCorpusEquivalence:

@@ -143,7 +143,7 @@ class TestDeltaTracking:
         for atom in atoms:
             instance.add(atom)
         assert delta.atoms() == atoms
-        assert [delta.position(a) for a in atoms] == [0, 1, 2]
+        assert [delta.positions()[a] for a in atoms] == [0, 1, 2]
         assert instance.take_delta() is delta
 
     def test_duplicates_and_discards(self):

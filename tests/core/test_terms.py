@@ -1,6 +1,14 @@
 """Unit tests for repro.core.terms."""
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+
 import pytest
+
+from repro.chase.skolem import SkolemTerm
 
 from repro.core.terms import (
     Constant,
@@ -38,6 +46,71 @@ class TestTermIdentity:
     def test_non_string_name_rejected(self):
         with pytest.raises(ValueError):
             Constant(3)  # type: ignore[arg-type]
+
+
+class TestInterning:
+    """Equal terms are one object; every copy path returns that object."""
+
+    def test_equal_terms_are_identical(self):
+        assert Constant("a") is Constant("a")
+        assert SkolemTerm("f", [Constant("a")]) is SkolemTerm("f", [Constant("a")])
+
+    def test_kinds_are_distinct_objects(self):
+        assert Null("a") is not Constant("a")
+        assert Variable("a") is not Null("a")
+        assert SkolemTerm("f", [Constant("a")]) is not Null("f(a)")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Constant("a"),
+            lambda: Null("n1"),
+            lambda: Variable("x"),
+            lambda: SkolemTerm("g", [SkolemTerm("f", [Constant("a")]), Null("n")]),
+        ],
+    )
+    def test_copies_return_the_same_object(self, make):
+        term = make()
+        assert pickle.loads(pickle.dumps(term)) is term
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+        assert copy.deepcopy([term, (term,)])[1][0] is term
+
+    def test_terms_are_immutable(self):
+        with pytest.raises(AttributeError):
+            Constant("a").name = "b"  # type: ignore[misc]
+
+    def test_concurrent_construction_agrees_on_one_object(self):
+        # Threads racing to create the same new terms must all get the one
+        # published object (a lost update would hand out duplicates).
+        names = [f"race-{i}" for i in range(400)]
+        workers = 8
+        barrier = threading.Barrier(workers)
+        results = []
+
+        def build():
+            barrier.wait(timeout=10)
+            results.append([Null(name) for name in names])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == workers
+        for built in results[1:]:
+            assert all(a is b for a, b in zip(results[0], built))
+
+    def test_unreferenced_terms_leave_the_table(self):
+        Null("transient-null")
+        gc.collect()
+        assert "transient-null" not in Null._interned
 
 
 class TestOrdering:

@@ -10,12 +10,14 @@ suspension and continuation, checkpoint round-trips, store bookkeeping,
 and the stats counters the obs layer validates.
 """
 
+import gc
 import pickle
 
 import pytest
 
 from repro.core.instance import Instance
 from repro.core.parsing import parse_atoms
+from repro.core.terms import Null
 from repro.chase import parallel
 from repro.chase.checkpoint import Budget
 from repro.chase.oblivious import oblivious_chase
@@ -235,6 +237,25 @@ class TestChaseService:
             service.get(sid)
         assert err.value.status == 404
         service.close()
+
+    def test_deleted_session_releases_its_interned_nulls(self):
+        # Terms are interned through weak tables: a long-lived service must
+        # not pin the nulls of sessions it has closed.
+        service = ChaseService(default_wall_seconds=None)
+        sid = service.create_session(
+            CHAIN_TGDS, parse_atoms("E(gc1,gc2), E(gc2,gc3)", data=True)
+        )["session"]
+        names = [
+            term.name
+            for atom in service.get(sid).engine.instance
+            for term in atom.terms
+            if isinstance(term, Null)
+        ]
+        assert names and all(name in Null._interned for name in names)
+        service.delete(sid)
+        service.close()
+        gc.collect()
+        assert not [name for name in names if name in Null._interned]
 
     def test_sessions_are_isolated(self):
         service = ChaseService(default_wall_seconds=None)
