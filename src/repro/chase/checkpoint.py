@@ -33,20 +33,23 @@ have seen.
 from __future__ import annotations
 
 import logging
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
-from repro.core.instance import Delta, Instance
+from repro.core.instance import Instance
+from repro.chase.derivation import Derivation
 from repro.chase.engine import ChaseEngine
 from repro.chase.trigger import Trigger
-from repro.errors import CheckpointError
+from repro.errors import ChaseInterrupted, CheckpointError
 from repro.obs import clock, metrics, trace
 from repro.obs.log import get_logger, log_event
 from repro.tgds.tgd import TGD
 
 _LOGGER = get_logger(__name__)
 
-#: Bumped when the snapshot layout changes; restore refuses other versions.
-CHECKPOINT_VERSION = 1
+#: Bumped when the snapshot layout or counter meaning changes; restore
+#: refuses other versions.  Version 2: ``rounds`` counts rounds *started*,
+#: so a semi-naive checkpoint cut mid-round counts its cut round.
+CHECKPOINT_VERSION = 2
 
 
 class Budget:
@@ -229,8 +232,8 @@ class ChaseCheckpoint:
         #: Applied triggers so far, in order (the derivation log prefix).
         self.derivation_steps = derivation_steps
         self.steps = steps
-        #: Completed rounds (an interrupted round is *not* counted; its
-        #: completion on resume charges it exactly once).
+        #: Rounds started (an interrupted round is counted already; its
+        #: continuation on resume does not count it again).
         self.rounds = rounds
         self.applications = applications
         self.track_witnesses = track_witnesses
@@ -259,15 +262,15 @@ class ChaseCheckpoint:
 
     @classmethod
     def capture(
-        cls,
-        engine: ChaseEngine,
-        kind: str,
-        derivation=None,
-        steps: int = 0,
-        rounds: int = 0,
-        applications: int = 0,
+        cls, engine: ChaseEngine, kind: Optional[str] = None, applications: int = 0
     ) -> "ChaseCheckpoint":
-        """Snapshot a (possibly mid-round) engine plus its loop counters."""
+        """Snapshot a (possibly mid-round) engine plus its loop counters.
+
+        ``kind`` defaults to the entry point that opened the engine; the
+        derivation log, step count, and round count come from the engine.
+        """
+        kind = kind if kind is not None else engine.kind
+        derivation = engine.derivation
         delta = engine._round_delta
         with trace.span("checkpoint.capture", atoms=len(engine.instance)):
             checkpoint = cls(
@@ -283,8 +286,8 @@ class ChaseCheckpoint:
                 derivation_steps=(
                     list(derivation.steps) if derivation is not None else None
                 ),
-                steps=steps,
-                rounds=rounds,
+                steps=len(derivation) if derivation is not None else 0,
+                rounds=engine.rounds,
                 applications=applications,
                 track_witnesses=engine.witnesses is not None,
             )
@@ -341,23 +344,8 @@ class ChaseCheckpoint:
                 "checkpoint was taken for a different TGD set "
                 "(digest prefixes differ)"
             )
-        delta = None
-        if self.delta is not None:
-            items, counter = self.delta
-            delta = Delta._restore(items, counter)
         with trace.span("checkpoint.restore", atoms=len(self.atoms)):
-            engine = ChaseEngine._restore(
-                tgds=tgds,
-                atoms=self.atoms,
-                pending=self.pending,
-                seen=self.seen,
-                round_delta=delta,
-                track_witnesses=self.track_witnesses,
-                matcher=matcher,
-                stats=stats,
-                assessor=assessor,
-                backend=backend,
-            )
+            engine = ChaseEngine._restore(self, tgds, matcher, stats, assessor, backend)
         if stats is not None:
             stats.checkpoints_restored += 1
         if metrics.ENABLED:
@@ -373,10 +361,8 @@ class ChaseCheckpoint:
         )
         return engine
 
-    def restore_derivation(self):
+    def restore_derivation(self) -> Derivation:
         """Rebuild the derivation log prefix recorded in this checkpoint."""
-        from repro.chase.derivation import Derivation
-
         if self.initial_atoms is None:
             raise CheckpointError(
                 f"{self.kind!r} checkpoints carry no derivation log"
@@ -389,3 +375,21 @@ class ChaseCheckpoint:
             f"ChaseCheckpoint({self.kind}, {len(self.atoms)} atoms, "
             f"{len(self.pending)} pending, {mid}, steps={self.steps})"
         )
+
+
+def interrupt(engine: ChaseEngine, reason: str, applications: int = 0) -> NoReturn:
+    """Raise :class:`ChaseInterrupted` for an entry point a budget has cut.
+
+    Records the cut on the engine's stats and carries the partial instance
+    plus a resume checkpoint of the engine as it stands (a mid-round
+    suspension included).
+    """
+    if engine.stats is not None:
+        engine.stats.record_cut(reason)
+    checkpoint = ChaseCheckpoint.capture(engine, applications=applications)
+    raise ChaseInterrupted(
+        reason,
+        checkpoint=checkpoint,
+        instance=engine.instance,
+        partial={key: getattr(checkpoint, key) for key in ("steps", "rounds", "applications")},
+    )

@@ -35,18 +35,27 @@ module owns the fast implementations of all three:
   ``(birth, canonical)`` order, which replays the step-at-a-time engine's
   enqueue order exactly — round-based and step-based runs produce
   byte-identical instances, verdicts, and derivations.
+
+* :meth:`ChaseEngine.drive` — the one round driver: ``run_round`` to a
+  fixpoint or the first limit.  ``seminaive_chase``, the semi-naive
+  ``oblivious_chase``, and the service's sessions all run on it, and
+  :meth:`ChaseEngine.open` / :meth:`ChaseEngine.close` are their shared
+  setup and teardown.
 """
 
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.backends import make_instance
 from repro.core.atoms import Atom
 from repro.core.homomorphism import match_atom
-from repro.core.instance import Instance
+from repro.core.instance import Delta, Instance
 from repro.core.terms import Term
+from repro.chase import chaos
+from repro.chase.derivation import Derivation
 from repro.chase.trigger import (
     Trigger,
     new_triggers,
@@ -301,28 +310,23 @@ class ChaseEngine:
         #: cut and the call that completes the round — the suspended state a
         #: checkpoint carries and ``run_round`` continues from.
         self._round_delta = None
+        #: Rounds :meth:`drive` started; a suspended round counts once.
+        self.rounds = 0
+        #: The entry point that opened the engine (checkpoint ``kind``), and
+        #: the derivation log :meth:`drive` appends to (None: no log).
+        self.kind: Optional[str] = None
+        self.derivation: Optional[Derivation] = None
         self._enqueue(triggers_on(self.live, self.instance))
 
     @classmethod
-    def _restore(
-        cls,
-        tgds: Tuple[TGD, ...],
-        atoms,
-        pending,
-        seen,
-        round_delta,
-        track_witnesses: bool,
-        matcher=None,
-        stats=None,
-        assessor=None,
-        backend=None,
-    ) -> "ChaseEngine":
+    def _restore(cls, checkpoint, tgds, matcher, stats, assessor, backend) -> "ChaseEngine":
         """Rebuild a (possibly mid-round) engine from checkpoint state.
 
-        Bypasses ``__init__``'s seeding discovery: the worklist and dedup
-        set arrive from the snapshot.  The head-witness cache and the
-        instance indexes are pure functions of the insertion-ordered atom
-        list, so rebuilding them lands on index-identical state — see
+        Bypasses ``__init__``'s seeding discovery: the worklist, dedup set,
+        live delta, round count, and derivation log arrive from the
+        snapshot.  The head-witness cache and the instance indexes are pure
+        functions of the insertion-ordered atom list, so rebuilding them
+        lands on index-identical state — see
         chase/checkpoint.py for the byte-identity argument.  ``backend``
         selects the storage backend of the rebuilt instance; checkpoints
         are backend-portable (they carry the atom list, not the storage),
@@ -333,24 +337,93 @@ class ChaseEngine:
         _check_matcher(matcher, tgds)
         engine.matcher = matcher
         engine.stats = stats
-        engine.instance = make_instance(backend, atoms=atoms)
+        engine.instance = make_instance(backend, atoms=checkpoint.atoms)
         # Predicates derivable mid-run are heads of live rules, so the
         # reachable closure — hence the live subset — matches the fresh
         # engine's even though the restored instance has grown.
         engine.live = _live_subset(tgds, assessor, engine.instance)
         engine.witnesses = (
-            HeadWitnessIndex(tgds, engine.instance) if track_witnesses else None
+            HeadWitnessIndex(tgds, engine.instance) if checkpoint.track_witnesses else None
         )
-        engine._seen = set(seen)
-        engine.pending = list(pending)
-        engine._round_delta = round_delta
-        if round_delta is not None:
-            engine.instance.resume_delta(round_delta)
+        engine._seen = set(checkpoint.seen)
+        engine.pending = list(checkpoint.pending)
+        engine._round_delta = None
+        if checkpoint.delta is not None:
+            engine._round_delta = Delta._restore(*checkpoint.delta)
+            engine.instance.resume_delta(engine._round_delta)
+        engine.rounds = checkpoint.rounds
+        engine.kind = checkpoint.kind
+        engine.derivation = (
+            None if checkpoint.initial_atoms is None else checkpoint.restore_derivation()
+        )
         if stats is not None:
             # The snapshot's worklist enters this run's accounting as
             # discovered work, keeping fired <= discovered on resume.
             stats.triggers_discovered += len(engine.pending)
         return engine
+
+    @classmethod
+    def open(
+        cls,
+        database,
+        tgds: Sequence[TGD],
+        kind: str,
+        resume=None,
+        workers: int = 1,
+        stats=None,
+        prune: bool = True,
+        backend=None,
+    ) -> "ChaseEngine":
+        """The chase entry points' engine, fresh or resumed.
+
+        Builds the discovery pool (``workers > 1``, through
+        :func:`repro.chase.chaos.build_matcher`) and the pruning assessor
+        (``prune``), then either a fresh engine over ``database`` or the
+        engine the ``resume`` checkpoint suspended (its ``kind`` must
+        match).  ``"oblivious"`` engines run witness-free; every other kind
+        records its derivation on :attr:`derivation`.  :meth:`running` (or
+        :meth:`close`) is the matching teardown.
+        """
+        if resume is not None:
+            resume.require_kind(kind)
+        if stats is not None and not stats.kind:
+            stats.kind = kind
+        matcher = chaos.build_matcher(tgds, workers=workers) if workers > 1 else None
+        assessor = build_assessor(tgds) if prune else None
+        if resume is not None:
+            engine = resume.restore_engine(tgds, matcher, stats, assessor, backend)
+        else:
+            oblivious = kind == "oblivious"
+            engine = cls(database, tgds, not oblivious, matcher, stats, assessor, backend)
+            if not oblivious:
+                engine.derivation = Derivation(engine.instance)
+        engine.kind = kind
+        return engine
+
+    @contextmanager
+    def running(self):
+        """Wrap one entry point's run: span, stats wall clock, and teardown.
+
+        The ``chase.run`` span and ``stats.wall_seconds`` cover the body;
+        :meth:`close` runs on the way out, a raise included.
+        """
+        start = clock.perf_counter() if self.stats is not None else 0.0
+        try:
+            with trace.span("chase.run", kind=self.kind):
+                yield self
+        finally:
+            if self.stats is not None:
+                self.stats.wall_seconds += clock.perf_counter() - start
+            self.close()
+
+    def close(self) -> None:
+        """Fold the engine's counters into its stats; shut the pool down."""
+        if self.stats is not None:
+            self.stats.absorb_engine(self)
+            if self.matcher is not None:
+                self.stats.absorb_matcher(self.matcher)
+        if self.matcher is not None:
+            self.matcher.close()
 
     def mid_round(self) -> bool:
         """Is a budget-cut round suspended (delta live, discovery pending)?"""
@@ -592,6 +665,66 @@ class ChaseEngine:
         return RoundResult(
             applied, added, discovered, cut=False, vacuous=vacuous
         )
+
+    def drive(
+        self,
+        max_applications: Optional[int] = None,
+        max_atoms: Optional[int] = None,
+        max_rounds: Optional[int] = None,
+        budget=None,
+    ) -> Tuple[Optional[str], int, int]:
+        """Run :meth:`run_round` to a fixpoint or the first limit.
+
+        Returns ``(reason, applied, added)``: the limit that stopped the
+        run (None at a fixpoint), and the triggers applied and atoms added
+        by this call.  A limit never raises — the engine stays suspended
+        (tail re-queued, a cut round's delta live) and the next call goes
+        on from there; what a cut *means* is the caller's business.
+
+        Before every round (and every continuation of a cut one) the checks
+        run in a fixed order: the ceilings — ``max_rounds`` (rounds
+        started, :attr:`rounds`), ``max_atoms`` (instance size), and
+        ``max_applications`` (applications this call) — then
+        ``budget.rounds_exhausted()``, then ``budget.exceeded()``.  Inside a
+        round, :meth:`run_round` enforces the same application, atom, and
+        budget limits per application.  A round counts when it starts; the
+        call that continues a suspended round does not count it again.
+        Applied triggers are appended to :attr:`derivation` when the engine
+        keeps one.
+        """
+        if budget is not None:
+            budget.start()
+        applied = added = 0
+        while self.pending or self._round_delta is not None:
+            starting = self._round_delta is None
+            if max_rounds is not None and starting and self.rounds >= max_rounds:
+                return "max_rounds", applied, added
+            if max_atoms is not None and len(self.instance) > max_atoms:
+                return "max_atoms", applied, added
+            if max_applications is not None and applied >= max_applications:
+                return "max_applications", applied, added
+            if budget is not None:
+                if budget.rounds_exhausted():
+                    return "budget:rounds", applied, added
+                reason = budget.exceeded(len(self.instance))
+                if reason is not None:
+                    return reason, applied, added
+            if starting:
+                self.rounds += 1
+            result = self.run_round(
+                None if max_applications is None else max_applications - applied,
+                max_atoms,
+                budget,
+            )
+            applied += len(result.applied)
+            added += len(result.delta)
+            if self.derivation is not None:
+                self.derivation.steps.extend(result.applied)
+            if result.cut:
+                return result.reason, applied, added
+            if budget is not None:
+                budget.charge_round()
+        return None, applied, added
 
     def undo(self, token: ApplyToken) -> None:
         """Revert one :meth:`apply` (strict LIFO discipline).

@@ -4,9 +4,8 @@ The oblivious chase of ``D`` w.r.t. ``T`` is the ⊆-minimal instance that
 contains ``D`` and is closed under (active or not) trigger applications.
 Null invention is deterministic per trigger (Definition 3.1's
 ``c_x^{σ,h}``), so the fixpoint is unique and order-independent: we compute
-it round by round on the shared kernel, draining the engine's worklist one
-batch per round (activity checks are skipped entirely — the engine runs
-with the witness cache disabled).
+it round by round on the shared driver, :meth:`ChaseEngine.drive`, with
+the witness cache disabled (activity checks are skipped entirely).
 
 Although the fixpoint is order-independent, the *run* is still
 deterministic — digest-named nulls, ``(birth, canonical_key)`` batch
@@ -20,10 +19,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.instance import Instance
-from repro.chase.checkpoint import Budget, ChaseCheckpoint
-from repro.chase.engine import ChaseEngine, build_assessor
-from repro.errors import ChaseInterrupted
-from repro.obs import clock, trace
+from repro.chase.checkpoint import Budget, ChaseCheckpoint, interrupt
+from repro.chase.engine import ChaseEngine
 from repro.tgds.tgd import TGD
 
 
@@ -65,7 +62,6 @@ def oblivious_chase(
     max_rounds: int = 10_000,
     strategy: str = "semi_naive",
     workers: int = 1,
-    parallel_backend: str = "process",
     budget: Optional[Budget] = None,
     resume: Optional[ChaseCheckpoint] = None,
     stats=None,
@@ -81,9 +77,9 @@ def oblivious_chase(
     ``strategy`` selects how a round is evaluated — the fixpoint is
     order-independent, so both produce identical results round for round:
 
-    * ``"semi_naive"`` (default) — :meth:`ChaseEngine.run_round`: one
-      batched discovery pass per round against the round's delta; with
-      ``workers > 1`` that pass fans out over a
+    * ``"semi_naive"`` (default) — :meth:`ChaseEngine.drive`, which also
+      owns the ``max_rounds``/``max_atoms`` ceilings and the round count;
+      with ``workers > 1`` each round's discovery pass fans out over a
       :class:`repro.chase.parallel.ParallelMatcher` pool (byte-identical
       rounds — the merge replays the serial order);
     * ``"per_trigger"`` — the pre-batching loop: one discovery pass per
@@ -97,92 +93,29 @@ def oblivious_chase(
     :func:`repro.backends.make_instance`); the fixpoint is byte-identical
     across backends.
     """
+    if strategy not in ("semi_naive", "per_trigger"):
+        raise ValueError(f"unknown oblivious strategy {strategy!r}")
     if (budget is not None or resume is not None) and strategy != "semi_naive":
         raise ValueError(
             "budgets and resume require the semi_naive oblivious strategy"
         )
-    matcher = None
-    if strategy == "semi_naive" and workers > 1:
-        from repro.chase.chaos import build_matcher
-
-        matcher = build_matcher(tgds, workers=workers, backend=parallel_backend)
-    if stats is not None and not stats.kind:
-        stats.kind = "oblivious"
-    assessor = build_assessor(tgds) if prune else None
-    if resume is not None:
-        resume.require_kind("oblivious")
-        engine = resume.restore_engine(
-            tgds, matcher=matcher, stats=stats, assessor=assessor, backend=backend
-        )
-        applications = resume.applications
-        rounds = resume.rounds
-    else:
-        engine = ChaseEngine(
-            database,
-            tgds,
-            track_witnesses=False,
-            matcher=matcher,
-            stats=stats,
-            assessor=assessor,
-            backend=backend,
-        )
-        applications = 0
-        rounds = 0
-    if budget is not None:
-        budget.start()
+    pooled = workers if strategy == "semi_naive" else 1
+    engine = ChaseEngine.open(
+        database, tgds, "oblivious", resume, pooled, stats, prune, backend
+    )
+    applications = resume.applications if resume is not None else 0
     if strategy == "semi_naive":
-
-        def interrupt(reason: str):
-            if stats is not None:
-                stats.record_cut(reason)
-            raise ChaseInterrupted(
-                reason,
-                checkpoint=ChaseCheckpoint.capture(
-                    engine, "oblivious", rounds=rounds, applications=applications
-                ),
-                instance=engine.instance,
-                partial={"rounds": rounds, "applications": applications},
+        with engine.running():
+            reason, _, added = engine.drive(
+                max_atoms=max_atoms, max_rounds=max_rounds, budget=budget
             )
-
-        run_start = clock.perf_counter() if stats is not None else 0.0
-        try:
-            with trace.span("chase.run", kind="oblivious"):
-                while engine.pending or engine.mid_round():
-                    if rounds >= max_rounds or len(engine.instance) > max_atoms:
-                        return ObliviousResult(
-                            engine.instance, False, rounds, applications, stats=stats
-                        )
-                    if budget is not None:
-                        if budget.rounds_exhausted():
-                            interrupt("budget:rounds")
-                        reason = budget.exceeded(len(engine.instance))
-                        if reason is not None:
-                            interrupt(reason)
-                    if not engine.mid_round():
-                        # A resumed mid-round continuation was already counted
-                        # by the call that started the round.
-                        rounds += 1
-                    round_result = engine.run_round(max_atoms=max_atoms, budget=budget)
-                    applications += len(round_result.delta)
-                    if round_result.cut:
-                        if round_result.reason == "max_atoms":
-                            return ObliviousResult(
-                                engine.instance, False, rounds, applications, stats=stats
-                            )
-                        interrupt(round_result.reason)
-                    if budget is not None:
-                        budget.charge_round()
-            return ObliviousResult(engine.instance, True, rounds, applications, stats=stats)
-        finally:
-            if stats is not None:
-                stats.wall_seconds += clock.perf_counter() - run_start
-                stats.absorb_engine(engine)
-                if matcher is not None:
-                    stats.absorb_matcher(matcher)
-            if matcher is not None:
-                matcher.close()
-    if strategy != "per_trigger":
-        raise ValueError(f"unknown oblivious strategy {strategy!r}")
+            applications += added
+            if reason not in (None, "max_rounds", "max_atoms"):
+                interrupt(engine, reason, applications)
+        return ObliviousResult(
+            engine.instance, reason is None, engine.rounds, applications, stats=stats
+        )
+    rounds = 0
     while engine.pending:
         if rounds >= max_rounds or len(engine.instance) > max_atoms:
             return ObliviousResult(

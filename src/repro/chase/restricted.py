@@ -11,11 +11,10 @@ Strategies:
 * ``fifo``   — oldest discovered trigger first (level-ish, fair-biased);
 * ``lifo``   — newest first (depth-first, divergence-biased);
 * ``random`` — uniformly random among pending, seeded;
-* ``semi_naive`` — set-at-a-time rounds on :meth:`ChaseEngine.run_round`:
-  each round applies the whole pending batch and discovers the next batch
-  in one semi-naive pass over the round's delta.  Produces byte-identical
-  results to ``fifo`` (same instance, same derivation, same verdict) while
-  paying discovery once per round instead of once per application — the
+* ``semi_naive`` — set-at-a-time rounds on :meth:`ChaseEngine.drive`
+  (see :func:`seminaive_chase`).  Produces byte-identical results to
+  ``fifo`` (same instance, same derivation, same verdict) while paying
+  discovery once per round instead of once per application — the
   preferred mode for the deciders' many independent chases;
 * a callable ``(pending: list[Trigger], instance) -> index`` for custom
   orders (the caterpillar replayer uses this).
@@ -41,12 +40,11 @@ import random
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.core.instance import Instance
-from repro.chase.checkpoint import Budget, ChaseCheckpoint
+from repro.chase.checkpoint import Budget, ChaseCheckpoint, interrupt
 from repro.chase.derivation import Derivation
-from repro.chase.engine import ChaseEngine, build_assessor
+from repro.chase.engine import ChaseEngine
 from repro.chase.trigger import Trigger, active_triggers_on
-from repro.errors import ChaseInterrupted, SearchBudgetExceeded
-from repro.obs import clock, trace
+from repro.errors import SearchBudgetExceeded
 from repro.tgds.tgd import TGD
 
 StrategyFn = Callable[[List[Trigger], Instance], int]
@@ -78,7 +76,8 @@ class ChaseResult:
         self.terminated = terminated
         #: Number of trigger applications performed.
         self.steps = steps
-        #: Completed semi-naive rounds (None for step-at-a-time strategies).
+        #: Semi-naive rounds started, a cut one included (None for
+        #: step-at-a-time strategies).
         self.rounds = rounds
         #: The :class:`repro.obs.stats.ChaseStats` sink the caller passed
         #: in, echoed back filled (None when the run carried no telemetry).
@@ -111,7 +110,6 @@ def restricted_chase(
     max_steps: int = 10_000,
     seed: Optional[int] = None,
     workers: int = 1,
-    parallel_backend: str = "process",
     budget: Optional[Budget] = None,
     resume: Optional[ChaseCheckpoint] = None,
     stats=None,
@@ -124,9 +122,9 @@ def restricted_chase(
     ``max_steps`` applications happened with active triggers remaining
     (the derivation is then a proper prefix).
 
-    ``workers``/``parallel_backend`` only apply to ``strategy="semi_naive"``
-    (per-application discovery of the step strategies has nothing to fan
-    out): with ``workers > 1`` each round's discovery batch runs on a
+    ``workers`` only applies to ``strategy="semi_naive"`` (per-application
+    discovery of the step strategies has nothing to fan out): with
+    ``workers > 1`` each round's discovery batch runs on a
     :class:`repro.chase.parallel.ParallelMatcher` pool, with results —
     instance, verdict, derivation — byte-identical to ``workers=1``.
 
@@ -155,7 +153,6 @@ def restricted_chase(
             tgds,
             max_steps=max_steps,
             workers=workers,
-            parallel_backend=parallel_backend,
             budget=budget,
             resume=resume,
             stats=stats,
@@ -169,69 +166,42 @@ def restricted_chase(
             f"budgets and resume require a deterministic strategy "
             f"{RESUMABLE_STRATEGIES}, got {strategy!r}"
         )
-    kind = f"restricted:{strategy}"
-    if stats is not None and not stats.kind:
-        stats.kind = kind
     choose = _resolve_strategy(strategy, seed)
-    assessor = build_assessor(tgds) if prune else None
-    if resume is not None:
-        resume.require_kind(kind)
-        engine = resume.restore_engine(
-            tgds, stats=stats, assessor=assessor, backend=backend
-        )
-        derivation = resume.restore_derivation()
-        steps = resume.steps
-    else:
-        engine = ChaseEngine(
-            database, tgds, stats=stats, assessor=assessor, backend=backend
-        )
-        derivation = Derivation(engine.instance)
-        steps = 0
+    engine = ChaseEngine.open(
+        database, tgds, f"restricted:{strategy}", resume, 1, stats, prune, backend
+    )
+    derivation = engine.derivation
+    steps = len(derivation)
     if budget is not None:
         budget.start()
-    run_start = clock.perf_counter() if stats is not None else 0.0
-    try:
-        with trace.span("chase.run", kind=kind):
-            while engine.pending:
-                if steps >= max_steps:
-                    return ChaseResult(
-                        engine.instance,
-                        derivation,
-                        terminated=False,
-                        steps=steps,
-                        stats=stats,
-                    )
-                if budget is not None:
-                    reason = budget.exceeded(len(engine.instance))
-                    if reason is not None:
-                        if stats is not None:
-                            stats.record_cut(reason)
-                        raise ChaseInterrupted(
-                            reason,
-                            checkpoint=ChaseCheckpoint.capture(
-                                engine, kind, derivation=derivation, steps=steps
-                            ),
-                            instance=engine.instance,
-                            partial={"steps": steps},
-                        )
-                index = choose(engine.pending, engine.instance)
-                trigger = engine.pending.pop(index)
-                if not engine.is_active(trigger):
-                    if stats is not None:
-                        stats.triggers_vacuous += 1
-                    continue
-                engine.apply(trigger)
-                derivation.append(trigger)
-                steps += 1
-                if budget is not None:
-                    budget.charge_application()
-        return ChaseResult(
-            engine.instance, derivation, terminated=True, steps=steps, stats=stats
-        )
-    finally:
-        if stats is not None:
-            stats.wall_seconds += clock.perf_counter() - run_start
-            stats.absorb_engine(engine)
+    with engine.running():
+        while engine.pending:
+            if steps >= max_steps:
+                return ChaseResult(
+                    engine.instance,
+                    derivation,
+                    terminated=False,
+                    steps=steps,
+                    stats=stats,
+                )
+            if budget is not None:
+                reason = budget.exceeded(len(engine.instance))
+                if reason is not None:
+                    interrupt(engine, reason)
+            index = choose(engine.pending, engine.instance)
+            trigger = engine.pending.pop(index)
+            if not engine.is_active(trigger):
+                if stats is not None:
+                    stats.triggers_vacuous += 1
+                continue
+            engine.apply(trigger)
+            derivation.append(trigger)
+            steps += 1
+            if budget is not None:
+                budget.charge_application()
+    return ChaseResult(
+        engine.instance, derivation, terminated=True, steps=steps, stats=stats
+    )
 
 
 def seminaive_chase(
@@ -239,7 +209,6 @@ def seminaive_chase(
     tgds: Sequence[TGD],
     max_steps: int = 10_000,
     workers: int = 1,
-    parallel_backend: str = "process",
     budget: Optional[Budget] = None,
     resume: Optional[ChaseCheckpoint] = None,
     stats=None,
@@ -248,18 +217,18 @@ def seminaive_chase(
 ) -> ChaseResult:
     """The set-at-a-time restricted chase (``strategy="semi_naive"``).
 
-    Round-based semi-naive evaluation on :meth:`ChaseEngine.run_round`:
-    each round applies every still-active trigger of the pending batch in
-    batch order and discovers the next batch with one delta-restricted
-    matching pass.  The result — instance, derivation, verdict, step count
-    — is byte-identical to ``restricted_chase(..., strategy="fifo")``; see
-    the round lifecycle notes in ``docs/ARCHITECTURE.md`` for why the
-    orders coincide.
+    Runs on :meth:`ChaseEngine.drive` (the round loop, its limit checks,
+    and its round counting are documented there).  The result — instance,
+    derivation, verdict, step count — is byte-identical to
+    ``restricted_chase(..., strategy="fifo")``; see the round lifecycle
+    notes in ``docs/ARCHITECTURE.md`` for why the orders coincide.
+    ``rounds`` counts the rounds started, a round cut by ``max_steps``
+    included.
 
     With ``workers > 1`` the per-round discovery pass fans out over a
-    :class:`repro.chase.parallel.ParallelMatcher` pool (process-based by
-    default, threaded fallback); the merged batches replay the serial order
-    exactly, so the result stays byte-identical across worker counts.
+    :class:`repro.chase.parallel.ParallelMatcher` pool (process-based,
+    degrading to threads by itself); the merged batches replay the serial
+    order exactly, so the result stays byte-identical across worker counts.
     (When ``CHASE_CHAOS_SEED`` is set, the pool runs under the
     fault-injection harness of :mod:`repro.chase.chaos` — results must
     still come back byte-identical, which is what the chaos CI job checks.)
@@ -269,90 +238,23 @@ def seminaive_chase(
     continues such a checkpoint byte-identically — same instance insertion
     order, same derivation log, same verdict as the uninterrupted run.
     """
-    matcher = None
-    if workers > 1:
-        from repro.chase.chaos import build_matcher
-
-        matcher = build_matcher(tgds, workers=workers, backend=parallel_backend)
-    if stats is not None and not stats.kind:
-        stats.kind = "semi_naive"
-    assessor = build_assessor(tgds) if prune else None
-    if resume is not None:
-        resume.require_kind("semi_naive")
-        engine = resume.restore_engine(
-            tgds, matcher=matcher, stats=stats, assessor=assessor, backend=backend
+    engine = ChaseEngine.open(
+        database, tgds, "semi_naive", resume, workers, stats, prune, backend
+    )
+    with engine.running():
+        reason, _, _ = engine.drive(
+            max_applications=max_steps - len(engine.derivation), budget=budget
         )
-        derivation = resume.restore_derivation()
-        steps = resume.steps
-        rounds = resume.rounds
-    else:
-        engine = ChaseEngine(
-            database, tgds, matcher=matcher, stats=stats, assessor=assessor,
-            backend=backend,
-        )
-        derivation = Derivation(engine.instance)
-        steps = 0
-        rounds = 0
-    if budget is not None:
-        budget.start()
-
-    def interrupt(reason: str):
-        if stats is not None:
-            stats.record_cut(reason)
-        raise ChaseInterrupted(
-            reason,
-            checkpoint=ChaseCheckpoint.capture(
-                engine, "semi_naive", derivation=derivation, steps=steps, rounds=rounds
-            ),
-            instance=engine.instance,
-            partial={"steps": steps, "rounds": rounds},
-        )
-
-    run_start = clock.perf_counter() if stats is not None else 0.0
-    try:
-        with trace.span("chase.run", kind="semi_naive"):
-            while engine.pending or engine.mid_round():
-                if budget is not None:
-                    if budget.rounds_exhausted():
-                        interrupt("budget:rounds")
-                    reason = budget.exceeded(len(engine.instance))
-                    if reason is not None:
-                        interrupt(reason)
-                round_result = engine.run_round(
-                    max_applications=max_steps - steps, budget=budget
-                )
-                for trigger in round_result.applied:
-                    derivation.append(trigger)
-                steps += len(round_result.applied)
-                if round_result.cut:
-                    if round_result.reason == "max_applications":
-                        return ChaseResult(
-                            engine.instance,
-                            derivation,
-                            terminated=False,
-                            steps=steps,
-                            stats=stats,
-                        )
-                    interrupt(round_result.reason)
-                rounds += 1
-                if budget is not None:
-                    budget.charge_round()
-        return ChaseResult(
-            engine.instance,
-            derivation,
-            terminated=True,
-            steps=steps,
-            rounds=rounds,
-            stats=stats,
-        )
-    finally:
-        if stats is not None:
-            stats.wall_seconds += clock.perf_counter() - run_start
-            stats.absorb_engine(engine)
-            if matcher is not None:
-                stats.absorb_matcher(matcher)
-        if matcher is not None:
-            matcher.close()
+        if reason not in (None, "max_applications"):
+            interrupt(engine, reason)
+    return ChaseResult(
+        engine.instance,
+        engine.derivation,
+        terminated=reason is None,
+        steps=len(engine.derivation),
+        rounds=engine.rounds,
+        stats=stats,
+    )
 
 
 def restricted_chase_naive(

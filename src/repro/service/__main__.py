@@ -30,12 +30,6 @@ def main(argv=None) -> int:
         help="parallel chase workers per session round (1 = serial)",
     )
     parser.add_argument(
-        "--parallel-backend",
-        default="process",
-        choices=("process", "thread"),
-        help="pool backend when --workers > 1",
-    )
-    parser.add_argument(
         "--max-atoms",
         type=int,
         default=DEFAULT_MAX_ATOMS,
@@ -70,7 +64,6 @@ def main(argv=None) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        parallel_backend=args.parallel_backend,
         max_atoms=args.max_atoms,
         max_rounds=args.max_rounds,
         default_wall_seconds=args.wall_seconds,

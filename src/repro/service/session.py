@@ -6,7 +6,8 @@ delta of newly derived atoms.  The increment is computed by resuming the
 finished chase through the existing semi-naive machinery — the engine's
 worklist/delta state survives between requests, so a post pays for the
 triggers its facts enable (:meth:`repro.chase.engine.ChaseEngine.inject_atoms`
-plus ``run_round`` to the next fixpoint) and nothing else.
+plus :meth:`~repro.chase.engine.ChaseEngine.drive` to the next fixpoint —
+the same round driver ``oblivious_chase`` runs on) and nothing else.
 
 Sessions serve the **oblivious closure** (Section 3.1), not a restricted
 chase result, and that choice is what makes the increments honest: the
@@ -164,11 +165,20 @@ class ChaseSession:
         tgds: Sequence[TGD],
         base_facts: Iterable[Atom],
         workers: int = 1,
-        parallel_backend: str = "process",
         max_atoms: int = DEFAULT_MAX_ATOMS,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         backend=None,
     ):
+        self._open(
+            session_id, tgds, workers, max_atoms, max_rounds, backend,
+            database=Instance(base_facts),
+        )
+
+    def _open(
+        self, session_id, tgds, workers, max_atoms, max_rounds, backend,
+        database=None, checkpoint=None,
+    ) -> None:
+        """The one field setup behind ``__init__`` and :meth:`from_checkpoint`."""
         self.session_id = session_id
         self.tgds = tuple(tgds)
         #: The verdict-cache key of this session's rule set.
@@ -178,31 +188,21 @@ class ChaseSession:
         self.max_rounds = max_rounds
         #: The resolved storage backend of this session's instance.
         self.backend = BackendSpec.parse(backend)
-        self._matcher = None
-        if workers > 1:
-            from repro.chase.chaos import build_matcher
-
-            self._matcher = build_matcher(
-                self.tgds, workers=workers, backend=parallel_backend
-            )
         # Unpruned, witness-free: the oblivious closure (see module
         # docstring for why sessions must serve the confluent semantics).
-        self.engine = ChaseEngine(
-            Instance(base_facts),
-            self.tgds,
-            track_witnesses=False,
-            matcher=self._matcher,
-            backend=self.backend,
+        self.engine = ChaseEngine.open(
+            database, self.tgds, "oblivious", checkpoint, workers,
+            prune=False, backend=self.backend,
         )
-        #: Completed saturation rounds / atom-producing applications, the
-        #: same accounting ``oblivious_chase`` reports.
-        self.rounds = 0
-        self.applications = 0
+        #: Atom-producing applications, the same accounting
+        #: ``oblivious_chase`` reports (rounds live on the engine).
+        self.applications = checkpoint.applications if checkpoint is not None else 0
         #: Facts accepted over the session's lifetime (posted + base).
-        self.facts_accepted = len(self.engine.instance)
+        self.facts_accepted = len(self.engine.instance) if checkpoint is None else 0
         #: Requests served (the create counts as the first increment).
         self.increments = 0
-        #: The cut reason of a suspended saturation (None at a fixpoint).
+        #: The cut reason of this process's last request (None at a
+        #: fixpoint, and on a restored session before its first request).
         self.suspended_reason: Optional[str] = None
         self.closed = False
         self.lock = threading.Lock()
@@ -216,7 +216,6 @@ class ChaseSession:
         tgds: Sequence[TGD],
         checkpoint: ChaseCheckpoint,
         workers: int = 1,
-        parallel_backend: str = "process",
         max_atoms: int = DEFAULT_MAX_ATOMS,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         backend=None,
@@ -226,52 +225,34 @@ class ChaseSession:
         Checkpoints are backend-portable, so ``backend`` may differ from
         the backend the checkpointed session ran on.
         """
-        checkpoint.require_kind("oblivious")
         session = cls.__new__(cls)
-        session.session_id = session_id
-        session.tgds = tuple(tgds)
-        session.digest = tgd_set_digest(session.tgds)
-        session.workers = workers
-        session.max_atoms = max_atoms
-        session.max_rounds = max_rounds
-        session.backend = BackendSpec.parse(backend)
-        session._matcher = None
-        if workers > 1:
-            from repro.chase.chaos import build_matcher
-
-            session._matcher = build_matcher(
-                session.tgds, workers=workers, backend=parallel_backend
-            )
-        session.engine = checkpoint.restore_engine(
-            session.tgds, matcher=session._matcher, backend=session.backend
+        session._open(
+            session_id, tgds, workers, max_atoms, max_rounds, backend,
+            checkpoint=checkpoint,
         )
-        session.rounds = checkpoint.rounds
-        session.applications = checkpoint.applications
-        session.facts_accepted = 0
-        session.increments = 0
-        session.suspended_reason = None
-        session.closed = False
-        session.lock = threading.Lock()
         return session
 
     def checkpoint(self) -> ChaseCheckpoint:
         """The session's persistence snapshot (mid-round suspensions included)."""
         with self.lock:
-            return ChaseCheckpoint.capture(
-                self.engine,
-                "oblivious",
-                rounds=self.rounds,
-                applications=self.applications,
-            )
+            return ChaseCheckpoint.capture(self.engine, applications=self.applications)
+
+    @property
+    def rounds(self) -> int:
+        """Saturation rounds started over the session's lifetime."""
+        return self.engine.rounds
 
     # -- the increment loop --------------------------------------------------
 
     def post_facts(self, facts: Iterable[Atom], budget: Optional[Budget] = None) -> dict:
         """Inject facts, resume to the next fixpoint, report the delta.
 
-        An empty ``facts`` list continues a budget-suspended saturation.
-        The response's ``derived`` atoms are exactly the atoms this request
-        added *beyond* the posted facts themselves, in insertion order.
+        Saturation is :meth:`ChaseEngine.drive` under the session's
+        ceilings and ``budget``; a cut leaves the engine suspended in place,
+        answers ``status=timeout``, and the next request (an empty
+        ``facts`` list will do) continues it.  The response's ``derived``
+        atoms are exactly the atoms this request added *beyond* the posted
+        facts themselves, in insertion order.
         """
         with self.lock:
             if self.closed:
@@ -285,7 +266,11 @@ class ChaseSession:
             except ValueError as error:
                 raise ServiceError(str(error)) from error
             self.facts_accepted += len(added)
-            reason = self._saturate(budget)
+            reason, _, applications = engine.drive(
+                max_atoms=self.max_atoms, max_rounds=self.max_rounds, budget=budget
+            )
+            self.applications += applications
+            self.suspended_reason = reason
             self.increments += 1
             new_atoms = list(
                 itertools.islice(engine.instance, start, len(engine.instance))
@@ -301,49 +286,9 @@ class ChaseSession:
                 "facts_added": len(added),
                 "derived": derived,
                 "atoms": len(engine.instance),
-                "rounds": self.rounds,
+                "rounds": engine.rounds,
                 "applications": self.applications,
             }
-
-    def _saturate(self, budget: Optional[Budget]) -> Optional[str]:
-        """Run rounds to the fixpoint or the first cut (lock held).
-
-        Mirrors the semi-naive ``oblivious_chase`` loop on the held engine;
-        a cut leaves the engine suspended in place (delta live, tail
-        re-queued) instead of raising, so the session continues on the next
-        request.  Returns the cut reason, or None at a fixpoint.
-        """
-        engine = self.engine
-        if budget is not None:
-            budget.start()
-        while engine.pending or engine.mid_round():
-            if self.rounds >= self.max_rounds:
-                self.suspended_reason = "max_rounds"
-                return "max_rounds"
-            if len(engine.instance) > self.max_atoms:
-                self.suspended_reason = "max_atoms"
-                return "max_atoms"
-            if budget is not None:
-                if budget.rounds_exhausted():
-                    self.suspended_reason = "budget:rounds"
-                    return "budget:rounds"
-                reason = budget.exceeded(len(engine.instance))
-                if reason is not None:
-                    self.suspended_reason = reason
-                    return reason
-            if not engine.mid_round():
-                # A resumed mid-round continuation was already counted by
-                # the request that started the round.
-                self.rounds += 1
-            result = engine.run_round(max_atoms=self.max_atoms, budget=budget)
-            self.applications += len(result.delta)
-            if result.cut:
-                self.suspended_reason = result.reason
-                return result.reason
-            if budget is not None:
-                budget.charge_round()
-        self.suspended_reason = None
-        return None
 
     # -- views ---------------------------------------------------------------
 
@@ -369,16 +314,15 @@ class ChaseSession:
                 "increments": self.increments,
                 "workers": self.workers,
                 "backend": self.backend.describe(),
-                "suspended": self.suspended_reason is not None,
+                # Read off the engine, so a restored suspension reports too.
+                "suspended": bool(self.engine.pending) or self.engine.mid_round(),
                 "suspended_reason": self.suspended_reason,
             }
 
     def close(self) -> None:
         with self.lock:
             self.closed = True
-            if self._matcher is not None:
-                self._matcher.close()
-                self._matcher = None
+            self.engine.close()
             # Disk-backed instances release their connections (and a
             # session-private temp file) promptly rather than at GC time.
             instance_close = getattr(self.engine.instance, "close", None)
@@ -405,7 +349,6 @@ class ChaseService:
     def __init__(
         self,
         workers: int = 1,
-        parallel_backend: str = "process",
         max_atoms: int = DEFAULT_MAX_ATOMS,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         default_wall_seconds: Optional[float] = DEFAULT_WALL_SECONDS,
@@ -414,7 +357,6 @@ class ChaseService:
         backend=None,
     ):
         self.workers = workers
-        self.parallel_backend = parallel_backend
         self.max_atoms = max_atoms
         self.max_rounds = max_rounds
         self.default_wall_seconds = default_wall_seconds
@@ -451,7 +393,6 @@ class ChaseService:
             tgds,
             [],
             workers=self.workers,
-            parallel_backend=self.parallel_backend,
             max_atoms=self.max_atoms,
             max_rounds=self.max_rounds,
             backend=spec,
@@ -516,11 +457,7 @@ class ChaseService:
         entry (the acceptance-gate assertion) and ``cached`` is true.
         """
         run_stats = ChaseStats()
-        portfolio = TerminationPortfolio(
-            workers=self.workers,
-            parallel_backend=self.parallel_backend,
-            cache=self.cache,
-        )
+        portfolio = TerminationPortfolio(workers=self.workers, cache=self.cache)
         verdict = portfolio.analyze(tgds, budget=budget, stats=run_stats)
         trail = list(run_stats.portfolio)
         cached = bool(trail) and trail[0]["stage"] == CACHE_STAGE and (

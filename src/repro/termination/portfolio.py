@@ -143,7 +143,6 @@ class TerminationPortfolio:
         layer_max_atoms: int = LAYER_MAX_ATOMS,
         layer_max_rounds: int = LAYER_MAX_ROUNDS,
         analyzer: Optional[TerminationAnalyzer] = None,
-        parallel_backend: str = "process",
         cache=None,
         backend=None,
     ):
@@ -153,7 +152,6 @@ class TerminationPortfolio:
         self.analyzer = analyzer or TerminationAnalyzer(
             workers=workers, backend=backend
         )
-        self.parallel_backend = parallel_backend
         self.cache = cache
         self.backend = backend
 
@@ -294,12 +292,7 @@ class TerminationPortfolio:
         else:
             from repro.chase.parallel import parallel_map
 
-            results = parallel_map(
-                _check_layer,
-                payloads,
-                workers=self.workers,
-                backend=self.parallel_backend,
-            )
+            results = parallel_map(_check_layer, payloads, workers=self.workers)
         certificates: List[dict] = []
         for layer, (outcome, certificate) in zip(layers, results):
             if outcome == _TIMEOUT:

@@ -235,13 +235,14 @@ class TestAccuracy:
 
     def test_pool_rounds_and_efficiency(self, monkeypatch):
         monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+        # No fork: the matcher drops to its thread pool by itself.
+        monkeypatch.setattr(parallel, "_fork_available", lambda: False)
         stats = ChaseStats()
         result = restricted_chase(
             ring_database(10),
             JOIN_TGDS,
             strategy="semi_naive",
             workers=2,
-            parallel_backend="thread",
             stats=stats,
         )
         assert result.terminated
@@ -310,6 +311,7 @@ class TestTraceSpans:
 
     def test_pooled_run_emits_pool_spans(self, tmp_path, monkeypatch):
         monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "_fork_available", lambda: False)
         path = tmp_path / "trace.json"
         trace.start_trace(str(path))
         try:
@@ -318,7 +320,6 @@ class TestTraceSpans:
                 JOIN_TGDS,
                 strategy="semi_naive",
                 workers=2,
-                parallel_backend="thread",
             )
         finally:
             trace.stop_trace()

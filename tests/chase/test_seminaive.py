@@ -109,6 +109,19 @@ class TestCorpusEquivalence:
             assert not semi.terminated
             assert_identical_runs(fifo, semi)
 
+    def test_max_steps_cut_reports_rounds(self):
+        # One trigger per round on the diverging chain: five steps are five
+        # rounds, and a cut run still reports them.
+        result = restricted_chase(
+            parse_database("R(a,b)"),
+            parse_tgds(["R(x,y) -> R(y,z)"]),
+            strategy="semi_naive",
+            max_steps=5,
+        )
+        assert not result.terminated
+        assert result.steps == 5
+        assert result.rounds == 5
+
 
 class TestObliviousEquivalence:
     @pytest.mark.parametrize("family", FAMILIES)

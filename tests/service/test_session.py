@@ -208,6 +208,22 @@ class TestCheckpointRoundTrip:
         b = restored.post_facts([], budget=Budget(max_rounds=2))
         assert [repr(x) for x in a["derived"]] == [repr(x) for x in b["derived"]]
 
+    def test_restored_suspension_reports_suspended(self):
+        tgds = parse_tgds(["R(x,y) -> R(y,z)"])
+        session = ChaseSession("s", tgds, [])
+        session.post_facts(parse_atoms("R(a,b)", data=True), budget=Budget(max_rounds=3))
+        assert session.info()["suspended"]
+        restored = ChaseSession.from_checkpoint(
+            "s2", tgds, pickle.loads(pickle.dumps(session.checkpoint()))
+        )
+        assert restored.info()["suspended"]
+        assert restored.rounds == session.rounds == 3
+        finished = make_session(CHAIN_TGDS, parse_atoms("E(a,b)", data=True))
+        assert not finished.info()["suspended"]
+        assert not ChaseSession.from_checkpoint(
+            "s3", CHAIN_TGDS, finished.checkpoint()
+        ).info()["suspended"]
+
     def test_wrong_tgds_rejected(self):
         session = make_session(CHAIN_TGDS, parse_atoms("E(a,b)", data=True))
         with pytest.raises(CheckpointError):
