@@ -56,11 +56,13 @@ from repro.core.instance import Delta, Instance
 from repro.core.terms import Term
 from repro.chase import chaos
 from repro.chase.derivation import Derivation
+from repro.chase.plans import discovery_rows, discovery_table
 from repro.chase.trigger import (
     Trigger,
+    in_birth_order,
+    materialize,
     new_triggers,
     satisfies_head,
-    seminaive_triggers,
     triggers_on,
 )
 from repro.obs import clock, metrics, trace
@@ -301,6 +303,9 @@ class ChaseEngine:
         #: ``self.tgds`` stays the full set: checkpoints, matcher digest
         #: checks, and null naming all key off the caller's rule list.
         self.live: Tuple[TGD, ...] = _live_subset(self.tgds, assessor, self.instance)
+        #: The discovery table of ``live`` (:mod:`repro.chase.plans`),
+        #: built at the first serial discovery pass.
+        self._table = None
         self.witnesses: Optional[HeadWitnessIndex] = (
             HeadWitnessIndex(self.tgds, self.instance) if track_witnesses else None
         )
@@ -342,6 +347,7 @@ class ChaseEngine:
         # reachable closure — hence the live subset — matches the fresh
         # engine's even though the restored instance has grown.
         engine.live = _live_subset(tgds, assessor, engine.instance)
+        engine._table = None
         engine.witnesses = (
             HeadWitnessIndex(tgds, engine.instance) if checkpoint.track_witnesses else None
         )
@@ -643,12 +649,23 @@ class ChaseEngine:
             # failure the suspended state survives for a retry.
             with trace.span("round.discover", delta=len(delta)):
                 if self.matcher is not None:
-                    batch = self.matcher.discover(self.instance, delta)
+                    tgds = self.matcher.tgds
+                    rows = self.matcher.rows(self.instance, delta)
                 else:
-                    batch = seminaive_triggers(self.live, self.instance, delta)
-            discovered = self._enqueue(batch, presorted=True)
+                    if self._table is None:
+                        self._table = discovery_table(self.live)
+                    tgds = self.live
+                    rows = discovery_rows(self._table, self.instance, delta)
+                if stats is not None:
+                    joined = clock.perf_counter()
+                    stats.discover_join_seconds += joined - stamp
+                hits = materialize(tgds, rows)
+                if stats is not None:
+                    stamp = clock.perf_counter()
+                    stats.discover_materialize_seconds += stamp - joined
+                discovered = self._enqueue(in_birth_order(hits), presorted=True)
             if stats is not None:
-                stats.discover_seconds += clock.perf_counter() - stamp
+                stats.discover_order_seconds += clock.perf_counter() - stamp
         if stats is not None:
             # A cut-then-continued round tallies once, with the *whole*
             # round's delta, at the call that completes it.

@@ -6,30 +6,36 @@ into independent match tasks whose only shared inputs — the TGD set, the
 instance's term-position indexes, and the round's delta — are read-only for
 the duration of a round.  :class:`ParallelMatcher` exploits that:
 
-* **Planning** — the grid is cut into chunk specs ``(tgd_index,
-  pivot_index, lo, hi)`` over each pivot's per-predicate delta bucket,
-  coalesced into tasks of roughly equal work (``~chunks_per_worker`` tasks
-  per worker).  Wide deltas are split across tasks; narrow ones share a
-  task — both directions keep every worker busy.
+* **Planning** — the grid, walked from the delta's predicates through the
+  same predicate table the serial pass uses
+  (:func:`repro.chase.plans.discovery_table`), is cut into chunk specs
+  ``(tgd_index, pivot_index, lo, hi)`` over each pivot's per-predicate
+  delta bucket, coalesced into tasks of roughly equal work
+  (``~chunks_per_worker`` tasks per worker).  Wide deltas are split
+  across tasks; narrow ones share a task — both directions keep every
+  worker busy.
 
 * **Execution** — tasks run on a ``concurrent.futures``
   ``ProcessPoolExecutor`` built from the ``fork`` start method: the pool is
   created *per round*, after the round's ``(tgds, instance, delta)`` triple
   is parked in a module global, so forked workers inherit the instance and
-  its indexes by memory snapshot instead of by pickling.  Only the
-  discovered triggers travel back, as compact ``(tgd_index, values,
-  birth)`` rows.  A threaded executor (shared memory, no pickling,
+  its indexes by memory snapshot instead of by pickling.  Each worker runs
+  the compiled join plans of :mod:`repro.chase.plans` — the serial pass's
+  kernel — and only the compact ``(tgd_index, values, birth)`` rows they
+  emit travel back.  A threaded executor (shared memory, no pickling,
   persistent across rounds) is the fallback wherever ``fork`` is
   unavailable or the pool cannot start, and ``workers=1`` (or
   sub-threshold rounds) short-circuits to the serial
-  :func:`seminaive_triggers` — all three paths produce the same list.
+  :func:`repro.chase.plans.discovery_rows` — all three paths produce the
+  same rows.
 
 * **Merging** — chunks partition the pivot hits, and each trigger
-  surfaces at exactly one hit, already at its birth
-  (:func:`repro.chase.trigger.match_pivot_bucket`).  The merge
-  concatenates the rows and sorts by the total ``(birth, canonical_key)``
-  order, so the result is byte-identical to the serial pass regardless of
-  pool scheduling.
+  surfaces at exactly one hit, already at its birth.  The merge
+  concatenates the rows; :func:`repro.chase.trigger.materialize` and
+  :func:`repro.chase.trigger.in_birth_order` — the serial pass's own
+  row -> Trigger step and total ``(birth, canonical_key)`` sort — finish
+  the list, so it is byte-identical to the serial pass regardless of pool
+  scheduling.
 
 The second parallel tier — the deciders' *independent chases* over
 divergence-suspect databases — uses :func:`parallel_map`: ordered fan-out
@@ -46,12 +52,8 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import Instance
-from repro.chase.trigger import (
-    Trigger,
-    in_birth_order,
-    match_pivot_bucket,
-    seminaive_triggers,
-)
+from repro.chase.plans import discovery_rows, discovery_table
+from repro.chase.trigger import Trigger, in_birth_order, materialize
 from repro.errors import ParallelDiscoveryError, ResultIntegrityError
 from repro.obs import clock, metrics, trace
 from repro.obs.log import get_logger
@@ -97,23 +99,21 @@ def _match_chunks(
 
     The worker body, shared by every backend: each chunk binds one
     ``(tgd, pivot)`` pair to a slice of the pivot predicate's delta bucket
-    and matches through :func:`match_pivot_bucket` — the exact code the
-    serial pass runs.  Bucket slices are recomputed from the delta (chunk
-    specs stay index-pairs, cheap to ship).  Rows are ``(tgd_index,
-    values, birth)``, ``values`` the body binding in :attr:`TGD.body_order`.
+    and runs that pair's compiled :class:`repro.chase.plans.JoinPlan` —
+    the exact code the serial pass runs.  Bucket slices are recomputed
+    from the delta (chunk specs stay index-pairs, cheap to ship).  Rows are
+    ``(tgd_index, values, birth)``, ``values`` the body binding in
+    :attr:`TGD.body_order`.
     """
     buckets: Dict[str, list] = {}
-    rows = []
+    positions = delta.positions()
+    rows: List[tuple] = []
     for tgd_index, pivot_index, lo, hi in chunks:
-        tgd = tgds[tgd_index]
-        predicate = tgd.body[pivot_index].predicate
-        bucket = buckets.get(predicate)
+        plan = tgds[tgd_index].join_plans()[pivot_index]
+        bucket = buckets.get(plan.predicate)
         if bucket is None:
-            bucket = buckets[predicate] = list(delta.with_predicate(predicate))
-        hits: List[tuple] = []
-        match_pivot_bucket(tgd, pivot_index, bucket[lo:hi], delta, instance, hits)
-        for birth, trigger in hits:
-            rows.append((tgd_index, tuple(trigger.h[v] for v in tgd.body_order), birth))
+            bucket = buckets[plan.predicate] = list(delta.with_predicate(plan.predicate))
+        plan.match(bucket[lo:hi], instance, positions, tgd_index, rows)
     return rows
 
 
@@ -182,12 +182,14 @@ def _validate_rows(tgds: Sequence[TGD], rows) -> None:
 class ParallelMatcher:
     """Fan semi-naive discovery batches out over a worker pool.
 
-    Drop-in replacement for the serial discovery pass: ``discover(instance,
-    delta)`` returns exactly ``seminaive_triggers(tgds, instance, delta)``,
-    computed by ``workers`` processes (or threads).  Plug one into
-    :class:`repro.chase.engine.ChaseEngine` (the ``matcher`` parameter) or
-    let ``restricted_chase(..., strategy="semi_naive", workers=N)`` build
-    one per run.
+    Drop-in replacement for the serial discovery pass: ``rows(instance,
+    delta)`` returns the rows of the serial
+    :func:`repro.chase.plans.discovery_rows` (in some order), computed by
+    ``workers`` processes (or threads), and ``discover(instance, delta)``
+    returns exactly ``seminaive_triggers(tgds, instance, delta)``.  Plug
+    one into :class:`repro.chase.engine.ChaseEngine` (the ``matcher``
+    parameter) or let ``restricted_chase(..., strategy="semi_naive",
+    workers=N)`` build one per run.
 
     ``backend`` is ``"process"`` (default; requires the ``fork`` start
     method, silently degrading to threads where it is missing),
@@ -219,12 +221,8 @@ class ParallelMatcher:
         if backend not in ("process", "thread", "serial"):
             raise ValueError(f"unknown parallel backend {backend!r}")
         self.tgds: Tuple[TGD, ...] = tuple(tgds)
-        # Of several equal TGDs only the first is matched, as in the serial
-        # pass (equality ignores the name; a trigger's key does too).
-        first: Dict[TGD, int] = {}
-        for index, tgd in enumerate(self.tgds):
-            first.setdefault(tgd, index)
-        self._distinct: List[int] = sorted(first.values())
+        #: The discovery table of ``tgds``, built at the first discovery.
+        self._table = None
         self.workers = max(1, int(workers))
         if self.workers == 1:
             backend = "serial"
@@ -253,7 +251,8 @@ class ParallelMatcher:
         self.backend_fallbacks = 0
         #: Profile counters, folded into :class:`repro.obs.stats.ChaseStats`
         #: by ``absorb_matcher``: summed worker-side task durations, the
-        #: master wall spent draining pools, and the merge wall.
+        #: master wall spent draining pools, and the wall spent
+        #: concatenating the pooled tasks' rows.
         self.busy_seconds = 0.0
         self.pool_wall_seconds = 0.0
         self.merge_seconds = 0.0
@@ -274,22 +273,29 @@ class ParallelMatcher:
 
     # -- planning ----------------------------------------------------------
 
+    def _discovery_table(self):
+        if self._table is None:
+            self._table = discovery_table(self.tgds)
+        return self._table
+
     def _plan(self, delta) -> Tuple[List[list], int]:
         """Cut the (tgd, pivot) × delta grid into balanced task lists.
 
         Returns ``(tasks, total_work)`` where each task is a list of chunk
         specs ``(tgd_index, pivot_index, lo, hi)`` and work is measured in
-        pivot atoms.  The plan is a pure function of (tgds, delta), so every
-        backend — and every rerun after a fallback — partitions identically.
+        pivot atoms.  The pairs come from the delta's predicates through the
+        serial pass's predicate table (equal rules after the first dropped).
+        The plan is a pure function of (tgds, delta), so every backend — and
+        every rerun after a fallback — partitions identically.
         """
+        table = self._discovery_table()
         pairs = []
         total = 0
-        for tgd_index in self._distinct:
-            for pivot_index, pivot in enumerate(self.tgds[tgd_index].body):
-                size = len(delta.with_predicate(pivot.predicate))
-                if size:
-                    pairs.append((tgd_index, pivot_index, size))
-                    total += size
+        for predicate in delta.predicates():
+            size = len(delta.with_predicate(predicate))
+            for tgd_index, pivot_index, _ in table.get(predicate, ()):
+                pairs.append((tgd_index, pivot_index, size))
+                total += size
         if not pairs:
             return [], 0
         slots = self.workers * self.chunks_per_worker
@@ -423,11 +429,20 @@ class ParallelMatcher:
         Byte-identical to ``seminaive_triggers(self.tgds, instance, delta)``
         on every backend, including after a mid-run fallback.
         """
+        return in_birth_order(materialize(self.tgds, self.rows(instance, delta)))
+
+    def rows(self, instance: Instance, delta) -> List[tuple]:
+        """The round's discovery rows ``(tgd_index, values, birth)``.
+
+        The same rows as the serial pass over ``self.tgds`` on every
+        backend; only their order depends on the task partition, and
+        :func:`repro.chase.trigger.in_birth_order` erases it.
+        """
         if not delta:
             return []
         if self.backend == "serial":
             self.rounds_serial += 1
-            return seminaive_triggers(self.tgds, instance, delta)
+            return discovery_rows(self._discovery_table(), instance, delta)
         with trace.span("round.plan"):
             tasks, total = self._plan(delta)
         if not tasks:
@@ -435,7 +450,7 @@ class ParallelMatcher:
             return []
         if total < self.min_parallel_work or len(tasks) < 2:
             self.rounds_serial += 1
-            return seminaive_triggers(self.tgds, instance, delta)
+            return discovery_rows(self._discovery_table(), instance, delta)
         results: Optional[List[list]] = None
         pool_start = clock.perf_counter()
         with trace.span("round.exec", tasks=len(tasks), work=total):
@@ -471,26 +486,13 @@ class ParallelMatcher:
         self.rounds_parallel += 1
         if metrics.ENABLED:
             metrics.counter("chase.pool.rounds")
+        # Tasks partition the pivot hits and each trigger surfaces at
+        # exactly one hit, so no row repeats another.
         merge_start = clock.perf_counter()
         with trace.span("round.merge", tasks=len(results)):
-            merged = _merge(self.tgds, results)
+            merged = [row for rows in results for row in rows]
         self.merge_seconds += clock.perf_counter() - merge_start
         return merged
-
-
-def _merge(tgds: Sequence[TGD], results: List[list]) -> List[Trigger]:
-    """Concatenate per-task rows; rebuild triggers; sort like the serial pass.
-
-    Tasks partition the pivot hits and each trigger surfaces at exactly one
-    hit, so no row repeats another; the ``(birth, canonical_key)`` sort is
-    total, so the merged list is independent of task scheduling.
-    """
-    hits = []
-    for rows in results:
-        for tgd_index, values, birth in rows:
-            tgd = tgds[tgd_index]
-            hits.append((birth, Trigger(tgd, dict(zip(tgd.body_order, values)))))
-    return in_birth_order(hits)
 
 
 def parallel_map(fn, payloads, workers: int = 1, backend: str = "process") -> list:

@@ -26,6 +26,7 @@ from repro.core.homomorphism import candidate_atoms, homomorphisms, match_atom
 from repro.core.instance import Instance
 from repro.core.substitution import Substitution
 from repro.core.terms import Null, Term, Variable
+from repro.chase.plans import discovery_rows, discovery_table
 from repro.tgds.tgd import TGD
 
 
@@ -39,7 +40,7 @@ def _trigger_digest(tgd: TGD, body_binding: Sequence[Tuple[Variable, Term]]) -> 
 class Trigger:
     """A trigger ``(σ, h)``; ``h`` is stored restricted to the body variables."""
 
-    __slots__ = ("tgd", "h", "_result", "_key", "_frontier", "_canonical")
+    __slots__ = ("tgd", "_h", "_result", "_key", "_frontier", "_canonical")
 
     def __init__(self, tgd: TGD, h):
         try:
@@ -49,14 +50,32 @@ class Trigger:
         except KeyError:
             missing = [v for v in tgd.body_order if v not in h]
             raise ValueError(f"homomorphism misses body variables {missing}") from None
+        mapping = dict(items)
         object.__setattr__(self, "tgd", tgd)
-        object.__setattr__(self, "h", Substitution(dict(items)))
+        object.__setattr__(self, "_h", Substitution(mapping))
         object.__setattr__(self, "_result", None)
         object.__setattr__(self, "_key", (tgd, items))
         object.__setattr__(
-            self, "_frontier", tuple([h[v] for v in tgd.frontier_order])
+            self, "_frontier", tuple([mapping[v] for v in tgd.frontier_order])
         )
         object.__setattr__(self, "_canonical", None)
+
+    @classmethod
+    def from_row(cls, tgd: TGD, values: Tuple[Term, ...]) -> "Trigger":
+        """The trigger of a discovery row: ``values`` binds ``tgd.body_order``.
+
+        Rows come from matching instance atoms, so their values are terms
+        already; ``h`` is built on first access.
+        """
+        trigger = cls.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(trigger, "tgd", tgd)
+        setattr_(trigger, "_h", None)
+        setattr_(trigger, "_result", None)
+        setattr_(trigger, "_key", (tgd, tuple(zip(tgd.body_order, values))))
+        setattr_(trigger, "_frontier", tuple([values[i] for i in tgd.frontier_slots]))
+        setattr_(trigger, "_canonical", None)
+        return trigger
 
     def __setattr__(self, name, value):
         raise AttributeError("Trigger is immutable")
@@ -65,7 +84,16 @@ class Trigger:
         # The immutable __setattr__ defeats default slot unpickling; rebuild
         # through __init__.  Consumer: suspect-scan workers of parallel_map,
         # whose PumpWitness derivations hold triggers.
-        return (type(self), (self.tgd, dict(self.h.items())))
+        return (type(self), (self.tgd, dict(self._key[1])))
+
+    @property
+    def h(self) -> Substitution:
+        """The homomorphism restricted to the body variables, cached."""
+        cached = self._h
+        if cached is None:
+            cached = Substitution(dict(self._key[1]))
+            object.__setattr__(self, "_h", cached)
+        return cached
 
     @property
     def key(self) -> tuple:
@@ -205,74 +233,18 @@ def new_triggers(
                         yield trigger
 
 
-def match_pivot_bucket(
-    tgd: TGD,
-    pivot_index: int,
-    bucket,
-    delta,
-    instance: Instance,
-    hits: List[Tuple[int, Trigger]],
-) -> None:
-    """Match one ``(tgd, pivot)`` pair against a slice of the round's delta.
+def materialize(tgds: Sequence[TGD], rows) -> List[Tuple[int, Trigger]]:
+    """``(birth, trigger)`` hits from discovery rows ``(tgd_index, values, birth)``.
 
-    The inner loop of semi-naive discovery, shared verbatim by the serial
-    pass (:func:`seminaive_triggers`) and the parallel workers of
-    :mod:`repro.chase.parallel` — one code path is what makes the
-    serial-vs-parallel equivalence an accounting argument rather than a
-    re-proof.  ``bucket`` is any iterable of delta atoms under the pivot's
-    predicate (the whole per-predicate bucket, or a chunk of it).
-
-    Exactly-once split: with the pivot bound to the delta atom at position
-    ``p``, body atoms *before* the pivot may bind only old atoms or delta
-    atoms at positions ``< p``, and body atoms *after* it old atoms or
-    delta atoms at positions ``<= p``.  A homomorphism therefore surfaces
-    at exactly one pivot — the first body atom whose image is the latest
-    delta atom of the body image — with ``birth = p``, the maximum delta
-    position of its image.  Every hit is appended to ``hits`` as
-    ``(birth, trigger)``; no two hits share a trigger key.
+    The one row -> Trigger step behind serial and pooled discovery alike
+    (:func:`repro.chase.plans.discovery_rows`,
+    :meth:`repro.chase.parallel.ParallelMatcher.rows`).  Rows never repeat
+    a trigger: each surfaces at exactly one pivot hit, already at its birth.
     """
-    pivot = tgd.body[pivot_index]
-    # (body atom, 1 if it must be strictly older than the pivot atom else 0)
-    rest = [
-        (atom, 1 if j < pivot_index else 0)
-        for j, atom in enumerate(tgd.body)
-        if j != pivot_index
+    return [
+        (birth, Trigger.from_row(tgds[tgd_index], values))
+        for tgd_index, values, birth in rows
     ]
-    positions = delta.positions()
-    for pivot_atom in bucket:
-        binding = match_atom(pivot, pivot_atom)
-        if binding is not None:
-            _join(tgd, rest, binding, instance, positions, positions[pivot_atom], hits)
-
-
-def _join(tgd, rest, binding, instance, positions, birth, hits) -> None:
-    """Extend ``binding`` over the ``rest`` body atoms; append complete hits.
-
-    Fail-first like :func:`repro.core.homomorphism.homomorphisms`: each
-    level matches the remaining atom with the smallest candidate bucket.
-    Candidates newer than the atom's delta limit are skipped before
-    matching.  Module-level recursion: no per-call closure, hence no
-    reference cycle keeping a round's instance alive.
-    """
-    if not rest:
-        hits.append((birth, Trigger(tgd, binding)))
-        return
-    best = None
-    for k, (atom, _) in enumerate(rest):
-        candidates = candidate_atoms(instance, atom, binding)
-        if best is None or len(candidates) < len(best):
-            best, best_k = candidates, k
-            if not candidates:
-                return
-    atom, strict = rest[best_k]
-    remaining = rest[:best_k] + rest[best_k + 1:]
-    limit = birth - strict
-    for candidate in best:
-        position = positions.get(candidate)
-        if position is None or position <= limit:
-            extended = match_atom(atom, candidate, binding)
-            if extended is not None:
-                _join(tgd, remaining, extended, instance, positions, birth, hits)
 
 
 def in_birth_order(hits: List[Tuple[int, Trigger]]) -> List[Trigger]:
@@ -291,9 +263,10 @@ def seminaive_triggers(
     committed to ``instance``).  Each TGD body is rewritten semi-naively —
     one body atom (the pivot) is bound to a delta atom through the delta's
     per-predicate snapshot, the rest match against the full term-position
-    indexes — so a round pays one pass over ``tgds × pivots`` with empty
-    predicate buckets skipped wholesale, instead of one full pass per added
-    atom.
+    indexes — through the compiled join plans of :mod:`repro.chase.plans`,
+    reached from the delta's predicates, so rules the delta does not touch
+    cost nothing.  The predicate table is built per call; the engine and
+    the matcher keep theirs across rounds.
 
     The returned list is ordered by ``(birth, canonical_key)`` where
     ``birth`` is the delta position of the *latest* body-image atom drawn
@@ -301,25 +274,15 @@ def seminaive_triggers(
     engine enqueues the same triggers (a trigger surfaces at the application
     that completes its body image, and each per-application batch is
     canonically sorted), which is what keeps round-based runs byte-identical
-    to step-at-a-time runs.  :func:`match_pivot_bucket` surfaces each
-    trigger once, already at that birth.  Of several equal TGDs (equality
-    ignores the rule name, as does :attr:`Trigger.key`) only the first is
-    matched.  :class:`repro.chase.parallel.ParallelMatcher` computes the
-    same list over a worker pool.
+    to step-at-a-time runs.  The plans surface each trigger once, already
+    at that birth.  Of several equal TGDs (equality ignores the rule name,
+    as does :attr:`Trigger.key`) only the first is matched.
+    :class:`repro.chase.parallel.ParallelMatcher` computes the same list
+    over a worker pool.
     """
     if not delta:
         return []
-    hits: List[Tuple[int, Trigger]] = []
-    matched = set()
-    for tgd in tgds:
-        buckets = [
-            (pivot_index, delta.with_predicate(pivot.predicate))
-            for pivot_index, pivot in enumerate(tgd.body)
-        ]
-        buckets = [(index, bucket) for index, bucket in buckets if bucket]
-        if not buckets or tgd in matched:
-            continue
-        matched.add(tgd)
-        for pivot_index, bucket in buckets:
-            match_pivot_bucket(tgd, pivot_index, bucket, delta, instance, hits)
-    return in_birth_order(hits)
+    if not isinstance(tgds, Sequence):
+        tgds = tuple(tgds)
+    rows = discovery_rows(discovery_table(tgds), instance, delta)
+    return in_birth_order(materialize(tgds, rows))

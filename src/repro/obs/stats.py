@@ -55,7 +55,9 @@ class ChaseStats:
         "worker_busy_seconds",
         "parallel_wall_seconds",
         "apply_seconds",
-        "discover_seconds",
+        "discover_join_seconds",
+        "discover_materialize_seconds",
+        "discover_order_seconds",
         "merge_seconds",
         "wall_seconds",
         "suspects",
@@ -114,9 +116,15 @@ class ChaseStats:
         self.worker_busy_seconds = 0.0
         self.parallel_wall_seconds = 0.0
         #: Master-side phase accounting (only collected when stats ride
-        #: along — never on the bare hot path).
+        #: along — never on the bare hot path).  Discovery splits into its
+        #: layers: the join plans producing rows (serial or pooled), rows
+        #: -> Triggers, and the ``(birth, canonical)`` sort plus worklist
+        #: dedup; :attr:`discover_seconds` is their sum.
         self.apply_seconds = 0.0
-        self.discover_seconds = 0.0
+        self.discover_join_seconds = 0.0
+        self.discover_materialize_seconds = 0.0
+        self.discover_order_seconds = 0.0
+        #: Master-side wall concatenating pooled tasks' rows.
         self.merge_seconds = 0.0
         #: Whole-run wall time as seen by the entry point.
         self.wall_seconds = 0.0
@@ -139,6 +147,15 @@ class ChaseStats:
         self.increment_sizes: List[int] = []
 
     # -- derived -----------------------------------------------------------
+
+    @property
+    def discover_seconds(self) -> float:
+        """Whole discovery wall: join + materialize + order."""
+        return (
+            self.discover_join_seconds
+            + self.discover_materialize_seconds
+            + self.discover_order_seconds
+        )
 
     @property
     def cache_misses(self) -> int:
@@ -275,6 +292,11 @@ class ChaseStats:
             "parallel_efficiency": self.parallel_efficiency(),
             "apply_seconds": round(self.apply_seconds, 6),
             "discover_seconds": round(self.discover_seconds, 6),
+            "discover_join_seconds": round(self.discover_join_seconds, 6),
+            "discover_materialize_seconds": round(
+                self.discover_materialize_seconds, 6
+            ),
+            "discover_order_seconds": round(self.discover_order_seconds, 6),
             "merge_seconds": round(self.merge_seconds, 6),
             "wall_seconds": round(self.wall_seconds, 6),
             "suspects": list(self.suspects),
@@ -297,6 +319,12 @@ class ChaseStats:
         rate = self.cache_hit_rate()
         if rate is not None:
             parts.append(f"cache_hit_rate={rate:.3f}")
+        if self.discover_seconds > 0:
+            parts.append(
+                f"discover_ms=join:{self.discover_join_seconds * 1e3:.3f}"
+                f",materialize:{self.discover_materialize_seconds * 1e3:.3f}"
+                f",order:{self.discover_order_seconds * 1e3:.3f}"
+            )
         efficiency = self.parallel_efficiency()
         if efficiency is not None:
             parts.append(f"parallel_efficiency={efficiency:.3f}")

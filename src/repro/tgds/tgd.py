@@ -35,10 +35,12 @@ class TGD:
         "_frontier",
         "_frontier_order",
         "_body_order",
+        "_frontier_slots",
         "_existential",
         "_hash",
         "_repr",
         "_digest_prefix",
+        "_join_plans",
     )
 
     def __init__(self, body: Iterable[Atom], head: Atom, name: Optional[str] = None):
@@ -56,16 +58,18 @@ class TGD:
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "name", name or self._default_name(body, head))
         object.__setattr__(self, "_frontier", frontier)
+        frontier_order = tuple(sorted(frontier, key=lambda v: v.name))
+        body_order = tuple(sorted(body_vars, key=lambda v: v.name))
+        object.__setattr__(self, "_frontier_order", frontier_order)
+        object.__setattr__(self, "_body_order", body_order)
         object.__setattr__(
-            self, "_frontier_order", tuple(sorted(frontier, key=lambda v: v.name))
-        )
-        object.__setattr__(
-            self, "_body_order", tuple(sorted(body_vars, key=lambda v: v.name))
+            self, "_frontier_slots", tuple(body_order.index(v) for v in frontier_order)
         )
         object.__setattr__(self, "_existential", existential)
         object.__setattr__(self, "_hash", hash((body, head)))
         object.__setattr__(self, "_repr", None)
         object.__setattr__(self, "_digest_prefix", None)
+        object.__setattr__(self, "_join_plans", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TGD is immutable")
@@ -115,6 +119,14 @@ class TGD:
         return self._body_order
 
     @property
+    def frontier_slots(self) -> Tuple[int, ...]:
+        """Where each :attr:`frontier_order` variable sits in :attr:`body_order`.
+
+        Reads a frontier binding off a body binding in body order.
+        """
+        return self._frontier_slots
+
+    @property
     def existential_variables(self) -> FrozenSet[Variable]:
         """Head variables that do not occur in the body (the ``z̄``)."""
         return self._existential
@@ -129,6 +141,21 @@ class TGD:
         if cached is None:
             cached = self.name + "\x1f" + repr(self) + "\x1e"
             object.__setattr__(self, "_digest_prefix", cached)
+        return cached
+
+    def join_plans(self) -> tuple:
+        """One compiled semi-naive join plan per body atom (the pivot), cached.
+
+        Built on first discovery, never at parse time; see
+        :mod:`repro.chase.plans`.
+        """
+        cached = self._join_plans
+        if cached is None:
+            # The chase layer sits above this one: import on first use.
+            from repro.chase.plans import JoinPlan
+
+            cached = tuple(JoinPlan(self, index) for index in range(len(self.body)))
+            object.__setattr__(self, "_join_plans", cached)
         return cached
 
     def body_variables(self) -> Set[Variable]:

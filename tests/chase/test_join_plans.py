@@ -1,0 +1,287 @@
+"""Compiled join plans ≡ the per-atom reference, on bodies the corpus lacks.
+
+Semi-naive discovery runs one compiled :class:`repro.chase.plans.JoinPlan`
+per ``(tgd, pivot)``.  These tests check ``seminaive_triggers`` against
+the per-atom :func:`repro.chase.trigger.new_triggers` — in set, in the
+step-at-a-time ``(birth, canonical)`` order, and in the rule each trigger
+resolves to — on body shapes the generator corpus does not produce:
+constants in body atoms, a variable repeated inside one atom (at the pivot
+and at a later step), self-joins where the strict/non-strict delta limit
+decides, equal rules under different names, and delta predicates no rule
+body uses.  Instances come from the default backend, so the tier-1
+``CHASE_BACKEND=sqlite`` job runs the same checks on disk; the pool tests
+fan out at the widths in ``CHASE_EQUIV_WORKERS``.
+"""
+
+import os
+import random
+
+import pytest
+
+from repro.backends import make_instance
+from repro.core.atoms import Atom
+from repro.core.instance import Instance
+from repro.core.terms import Constant, Variable
+from repro.chase.parallel import ParallelMatcher
+from repro.chase.plans import discovery_rows, discovery_table
+from repro.chase.trigger import new_triggers, seminaive_triggers
+from repro.tgds.tgd import TGD
+
+WORKERS = [
+    int(w) for w in os.environ.get("CHASE_EQUIV_WORKERS", "2,4").split(",")
+]
+
+NODES = [Constant(name) for name in "abcd"]
+x, y, z, w = (Variable(name) for name in "xyzw")
+a, b = NODES[:2]
+
+#: Predicates rule bodies draw from, with arities; ``V`` only ever shows
+#: up in deltas.
+SCHEMA = {"R": 2, "S": 2, "U": 1}
+
+
+def R(*terms):
+    return Atom("R", terms)
+
+
+def S(*terms):
+    return Atom("S", terms)
+
+
+def U(*terms):
+    return Atom("U", terms)
+
+
+def rule(body, head, name):
+    """A TGD over ``body``, which may hold constants.
+
+    TGDs are constant-free by construction; the plans still check
+    constants by identity, so this builds one past the constructor's
+    check: body constants become placeholder variables, then the real
+    body is swapped in with the state derived from it.
+    """
+    placeholders = {}
+    stand_in = [
+        Atom(
+            atom.predicate,
+            [
+                term
+                if isinstance(term, Variable)
+                else placeholders.setdefault(term, Variable(f"k{len(placeholders)}"))
+                for term in atom.terms
+            ],
+        )
+        for atom in body
+    ]
+    tgd = TGD(stand_in, head, name=name)
+    body = tuple(body)
+    variables = {v for atom in body for v in atom.variables()}
+    body_order = tuple(sorted(variables, key=lambda v: v.name))
+    object.__setattr__(tgd, "body", body)
+    object.__setattr__(tgd, "_body_order", body_order)
+    object.__setattr__(
+        tgd, "_frontier_slots", tuple(body_order.index(v) for v in tgd.frontier_order)
+    )
+    object.__setattr__(tgd, "_hash", hash((body, tgd.head)))
+    return tgd
+
+
+#: One hand-written rule set per edge case.
+CASES = {
+    "constants": [
+        rule([R(x, a)], U(x), "c1"),
+        rule([R(x, y), S(y, b)], Atom("H", [x, z]), "c2"),
+        rule([S(a, y), R(y, a)], U(y), "c3"),
+    ],
+    "repeat_at_pivot": [
+        rule([R(x, x), S(x, y)], Atom("H", [x, y]), "p1"),
+        rule([S(y, y)], Atom("H", [y, z]), "p2"),
+    ],
+    "repeat_at_step": [
+        rule([U(x), R(x, x)], Atom("H", [x, z]), "s1"),
+        rule([R(x, y), S(y, y)], Atom("H", [x, y]), "s2"),
+        rule([R(x, y), S(z, z)], Atom("H", [x, z]), "s3"),
+    ],
+    "self_joins": [
+        rule([R(x, y), R(y, z)], Atom("H", [x, z]), "j1"),
+        rule([R(x, y), R(y, x)], Atom("H", [x, w]), "j2"),
+        rule([R(x, y), R(y, z), R(z, x)], Atom("T", [x, y, z]), "j3"),
+        rule([S(x, y), R(y, z), S(z, w)], Atom("H", [x, w]), "j4"),
+    ],
+    "equal_rules_renamed": [
+        rule([R(x, y), S(y, z)], Atom("H", [x, w]), "first"),
+        rule([R(x, y), S(y, z)], Atom("H", [x, w]), "second"),
+        rule([R(x, y)], U(x), "other"),
+        rule([R(x, y)], U(x), "again"),
+    ],
+    "unused_delta_predicates": [
+        rule([R(x, y), S(y, z)], Atom("H", [x, z]), "u1"),
+    ],
+}
+
+
+def random_atom(rng, predicate):
+    if predicate == "V":
+        return Atom("V", [rng.choice(NODES), rng.choice(NODES)])
+    return Atom(predicate, [rng.choice(NODES) for _ in range(SCHEMA[predicate])])
+
+
+def random_round(seed, old=10, new=10):
+    """``(instance, delta, delta atoms)``: ``old`` facts, then a delta of
+    ``new`` facts — self-loops and body-less ``V`` facts included."""
+    rng = random.Random(seed)
+    predicates = list(SCHEMA) + ["V"]
+    facts = []
+    while len(facts) < old + new:
+        atom = random_atom(rng, rng.choice(predicates))
+        if atom not in facts:
+            facts.append(atom)
+    instance = make_instance(None, atoms=facts[:old])
+    delta = instance.track_delta()
+    for atom in facts[old:]:
+        instance.add(atom)
+    instance.take_delta()
+    return instance, delta, facts
+
+
+def random_rules(seed, count=3):
+    """Random bodies over a small variable pool (joins, self-joins and
+    repeats come naturally), constants mixed in, one rule duplicated under
+    another name."""
+    rng = random.Random(f"rules:{seed}")
+    pool = [x, y, z]
+    rules = []
+    for index in range(count):
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            predicate = rng.choice(list(SCHEMA))
+            body.append(
+                Atom(
+                    predicate,
+                    [
+                        rng.choice(NODES[:2]) if rng.random() < 0.15 else rng.choice(pool)
+                        for _ in range(SCHEMA[predicate])
+                    ],
+                )
+            )
+        variables = sorted(
+            {v for atom in body for v in atom.variables()}, key=lambda v: v.name
+        )
+        head = Atom("H", variables[:1] + [w])
+        rules.append(rule(body, head, f"r{index}"))
+    twin = rng.choice(rules)
+    rules.append(rule(twin.body, twin.head, twin.name + "_twin"))
+    return rules
+
+
+def step_replay(tgds, facts, old):
+    """The reference order: add the delta one atom at a time, discover
+    per atom with ``new_triggers``, canonically sort each batch."""
+    partial = Instance(facts[:old])
+    seen = set()
+    expected = []
+    for atom in facts[old:]:
+        if not partial.add(atom):
+            continue
+        batch = sorted(
+            (t for t in new_triggers(tgds, partial, [atom]) if t.key not in seen),
+            key=lambda t: t.canonical_key,
+        )
+        seen.update(t.key for t in batch)
+        expected.extend(batch)
+    return expected
+
+
+def identity(triggers):
+    """What byte-identity needs: key, the rule resolved to, result atom."""
+    return [(t.key, t.tgd.name, t.result()) for t in triggers]
+
+
+def close(instance):
+    closer = getattr(instance, "close", None)
+    if closer is not None:
+        closer()
+
+
+def assert_matches_reference(tgds, seed, old=10, new=10):
+    instance, delta, facts = random_round(seed, old, new)
+    try:
+        got = seminaive_triggers(tgds, instance, delta)
+        per_atom = {t.key for t in new_triggers(tgds, instance, delta.atoms())}
+        assert {t.key for t in got} == per_atom
+        assert identity(got) == identity(step_replay(tgds, facts, old))
+        return got
+    finally:
+        close(instance)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("seed", range(8))
+def test_edge_case_bodies(case, seed):
+    assert_matches_reference(CASES[case], seed)
+
+
+def test_edge_cases_are_exercised():
+    """The cases are not vacuous: each discovers something on some seed."""
+    for case, tgds in CASES.items():
+        found = set()
+        for seed in range(8):
+            found |= {t.tgd.name for t in assert_matches_reference(tgds, seed)}
+        assert found, case
+    # Equal rules resolve to the first of each pair.
+    names = set()
+    for seed in range(8):
+        names |= {
+            t.tgd.name
+            for t in assert_matches_reference(CASES["equal_rules_renamed"], seed)
+        }
+    assert names == {"first", "other"}
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_bodies(seed):
+    assert_matches_reference(random_rules(seed), seed, old=12, new=14)
+
+
+def test_delta_without_rule_predicates_discovers_nothing():
+    instance = make_instance(None, atoms=[R(a, b)])
+    try:
+        delta = instance.track_delta()
+        instance.add(Atom("V", [a, b]))
+        instance.take_delta()
+        tgds = CASES["unused_delta_predicates"]
+        assert discovery_rows(discovery_table(tgds), instance, delta) == []
+        assert seminaive_triggers(tgds, instance, delta) == []
+    finally:
+        close(instance)
+
+
+def test_plan_order_prefers_bound_positions():
+    # Pivot R(x,y) binds x and y: S(y,z) has one bound position, R(z,x)
+    # one, U(w) none — ties break on body index.
+    tgd = rule([R(x, y), U(w), R(z, x), S(y, z)], Atom("H", [x]), "o")
+    assert [plan.order for plan in tgd.join_plans()] == [
+        (0, 2, 3, 1),
+        (1, 0, 2, 3),
+        (2, 0, 3, 1),
+        (3, 0, 2, 1),
+    ]
+    assert tgd.join_plans() is tgd.join_plans()
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_pool_runs_the_same_plans(workers):
+    for seed in range(3):
+        for case in ("constants", "repeat_at_step", "self_joins", "equal_rules_renamed"):
+            tgds = CASES[case] + random_rules(seed)
+            instance, delta, _ = random_round(seed, old=12, new=14)
+            try:
+                serial = seminaive_triggers(tgds, instance, delta)
+                with ParallelMatcher(
+                    tgds, workers=workers, min_parallel_work=0
+                ) as matcher:
+                    fanned = matcher.discover(instance, delta)
+                    assert matcher.rounds_parallel == 1
+                assert identity(fanned) == identity(serial)
+            finally:
+                close(instance)

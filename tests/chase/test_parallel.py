@@ -30,7 +30,7 @@ from repro.core.terms import Constant, Variable
 from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
-from repro.chase.trigger import Trigger, match_pivot_bucket, seminaive_triggers
+from repro.chase.trigger import Trigger, materialize, seminaive_triggers
 from repro.chase import parallel, trigger as trigger_module
 from repro.chase.parallel import ParallelMatcher, parallel_map
 from repro.guarded.decision import candidate_databases, decide_guarded
@@ -290,18 +290,22 @@ class TestExactlyOnceDiscovery:
         built = []
 
         class CountingTrigger(Trigger):
-            def __init__(self, tgd, h):
-                super().__init__(tgd, h)
-                built.append(self)
+            @classmethod
+            def from_row(cls, tgd, values):
+                trigger = super().from_row(tgd, values)
+                built.append(trigger)
+                return trigger
 
         monkeypatch.setattr(trigger_module, "Trigger", CountingTrigger)
-        hits = []
-        for tgd in CYCLE_TGDS:
-            for pivot_index, pivot in enumerate(tgd.body):
-                bucket = delta.with_predicate(pivot.predicate)
-                match_pivot_bucket(tgd, pivot_index, bucket, delta, instance, hits)
+        rows = []
+        for tgd_index, tgd in enumerate(CYCLE_TGDS):
+            for plan in tgd.join_plans():
+                bucket = delta.with_predicate(plan.predicate)
+                plan.match(bucket, instance, delta.positions(), tgd_index, rows)
+        assert not built  # the join emits rows; Triggers come from materialize
+        hits = materialize(CYCLE_TGDS, rows)
         keys = [trigger.key for _, trigger in hits]
-        assert len(built) == len(hits) == len(set(keys))
+        assert len(built) == len(hits) == len(rows) == len(set(keys))
         expected = {
             Trigger(tgd, h).key
             for tgd in CYCLE_TGDS

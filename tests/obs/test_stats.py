@@ -137,6 +137,39 @@ class TestRendering:
         assert "oblivious" in repr(stats)
 
 
+class TestDiscoveryLayers:
+    def test_discover_seconds_is_the_sum_of_the_layers(self):
+        stats = ChaseStats()
+        assert stats.discover_seconds == 0.0
+        assert "discover_ms" not in stats.summary()
+        stats.discover_join_seconds = 0.004
+        stats.discover_materialize_seconds = 0.002
+        stats.discover_order_seconds = 0.001
+        assert abs(stats.discover_seconds - 0.007) < 1e-12
+        rendered = stats.as_dict()
+        assert rendered["discover_join_seconds"] == 0.004
+        assert rendered["discover_materialize_seconds"] == 0.002
+        assert rendered["discover_order_seconds"] == 0.001
+        assert rendered["discover_seconds"] == 0.007
+        assert "discover_ms=join:4.000,materialize:2.000,order:1.000" in stats.summary()
+
+    def test_a_round_based_chase_fills_every_layer(self):
+        from repro.chase.restricted import restricted_chase
+        from repro.core.parsing import parse_database
+        from repro.tgds.tgd import parse_tgds
+
+        stats = ChaseStats()
+        restricted_chase(
+            parse_database("E(a,b), E(b,c), E(c,a)"),
+            parse_tgds(["E(x,y) -> F(x,y)", "F(x,y), F(y,z) -> G(x,z)"]),
+            strategy="semi_naive",
+            stats=stats,
+        )
+        assert stats.discover_join_seconds > 0
+        assert stats.discover_materialize_seconds > 0
+        assert stats.discover_order_seconds > 0
+
+
 class TestAbsorb:
     def test_absorb_engine_folds_witness_counters(self):
         class Witnesses:
