@@ -20,10 +20,16 @@ module owns the fast implementations of all three:
   canonical order per discovery batch; the worklist itself is purely
   insertion-ordered (list position is the monotone insertion counter), so
   no caller ever re-sorts trigger lists with string keys.  ``apply`` adds the
-  result atom, feeds the witness cache, and incrementally discovers the
-  triggers the new atom enables; it returns an :class:`ApplyToken` that
-  ``undo`` can revert, which is what lets the derivation DFS explore
-  alternative orderings without deep-copying the instance or its indexes.
+  result atom, feeds the witness cache, and discovers the triggers the new
+  atom enables; it returns an :class:`ApplyToken` that ``undo`` can revert,
+  which is what lets the derivation DFS explore alternative orderings
+  without deep-copying the instance or its indexes.
+
+* One discovery kernel: every trigger the engine enqueues comes from the
+  compiled join plans of :mod:`repro.chase.plans`.  A round's batched pass
+  runs them over the round's delta; seeding, ``apply`` and
+  ``inject_atoms`` run them over a delta of just the atoms they added
+  (all seed atoms, one result atom, the injected atoms).
 
 * :meth:`ChaseEngine.run_round` — the *semi-naive, set-at-a-time* evaluation
   mode: instead of popping one trigger per step, a round drains the whole
@@ -57,14 +63,7 @@ from repro.core.terms import Term
 from repro.chase import chaos
 from repro.chase.derivation import Derivation
 from repro.chase.plans import discovery_rows, discovery_table
-from repro.chase.trigger import (
-    Trigger,
-    in_birth_order,
-    materialize,
-    new_triggers,
-    satisfies_head,
-    triggers_on,
-)
+from repro.chase.trigger import Trigger, in_birth_order, materialize, satisfies_head
 from repro.obs import clock, metrics, trace
 from repro.obs.log import get_logger, log_event
 from repro.tgds.tgd import TGD
@@ -103,6 +102,14 @@ def _live_subset(tgds: Tuple[TGD, ...], assessor, instance: Instance) -> Tuple[T
     ]:
         raise ValueError("assessor was built for a different TGD set")
     return tuple(tgds[i] for i in assessor.live_indices(instance.predicates()))
+
+
+def _delta_of(atoms: Iterable[Atom]) -> Delta:
+    """A delta of atoms already in the instance, born 0..n-1 in order."""
+    delta = Delta()
+    for atom in atoms:
+        delta.record(atom)
+    return delta
 
 
 def build_assessor(tgds: Sequence[TGD]):
@@ -321,7 +328,7 @@ class ChaseEngine:
         #: the derivation log :meth:`drive` appends to (None: no log).
         self.kind: Optional[str] = None
         self.derivation: Optional[Derivation] = None
-        self._enqueue(triggers_on(self.live, self.instance))
+        self._discover(_delta_of(seed_atoms))
 
     @classmethod
     def _restore(cls, checkpoint, tgds, matcher, stats, assessor, backend) -> "ChaseEngine":
@@ -452,12 +459,52 @@ class ChaseEngine:
             self.stats.triggers_discovered += len(batch)
         return batch
 
+    def _discover(self, delta: Delta, round_pass: bool = False) -> List[Trigger]:
+        """Enqueue the triggers whose body image uses an atom of ``delta``.
+
+        The engine's one discovery step: the join plans of
+        :mod:`repro.chase.plans` (or, on a round pass, the matcher's pool
+        running the same plans), :func:`materialize`, then the worklist.
+        A round pass enqueues in ``(birth, canonical)`` order; every other
+        batch (seeding, ``apply``, ``inject_atoms``) is sorted canonically.
+        """
+        stats = self.stats
+        if stats is not None:
+            stamp = clock.perf_counter()
+        if round_pass and self.matcher is not None:
+            tgds = self.matcher.tgds
+            rows = self.matcher.rows(self.instance, delta)
+        else:
+            if self._table is None:
+                self._table = discovery_table(self.live)
+            tgds = self.live
+            rows = discovery_rows(self._table, self.instance, delta)
+        if stats is not None:
+            joined = clock.perf_counter()
+            stats.discover_join_seconds += joined - stamp
+        hits = materialize(tgds, rows)
+        if stats is not None:
+            stamp = clock.perf_counter()
+            stats.discover_materialize_seconds += stamp - joined
+        if round_pass:
+            batch = self._enqueue(in_birth_order(hits), presorted=True)
+        else:
+            batch = self._enqueue(trigger for _, trigger in hits)
+        if stats is not None:
+            stats.discover_order_seconds += clock.perf_counter() - stamp
+        return batch
+
     def active_pending(self) -> List[Trigger]:
         """The active pending triggers in canonical order (a snapshot)."""
         return sorted(
             (t for t in self.pending if self.is_active(t)),
             key=lambda t: t.canonical_key,
         )
+
+    def _has_active_pending(self) -> bool:
+        """Is a pending trigger still active?  (Every one is, witness-free.)"""
+        witnesses = self.witnesses
+        return witnesses is None or not all(map(witnesses.witnessed, self.pending))
 
     def take_pending(self) -> List[Trigger]:
         """Drain the worklist (round-based engines consume whole batches)."""
@@ -482,16 +529,18 @@ class ChaseEngine:
         by strategy index; the DFS pops and later re-inserts).  Returns an
         :class:`ApplyToken` that :meth:`undo` can revert.
         """
+        stats = self.stats
+        if stats is not None:
+            stamp = clock.perf_counter()
         atom = trigger.result()
         added = self.instance.add(atom)
         witness_entries: List[Tuple[TGD, Tuple[Term, ...]]] = []
-        discovered: List[Trigger] = []
-        if added:
-            if self.witnesses is not None:
-                witness_entries = self.witnesses.note(atom)
-            discovered = self._enqueue(new_triggers(self.live, self.instance, [atom]))
-        if self.stats is not None:
-            self.stats.record_fired(trigger)
+        if added and self.witnesses is not None:
+            witness_entries = self.witnesses.note(atom)
+        if stats is not None:
+            stats.apply_seconds += clock.perf_counter() - stamp
+            stats.record_fired(trigger)
+        discovered = self._discover(_delta_of((atom,))) if added else []
         return ApplyToken(trigger, atom, added, witness_entries, discovered)
 
     # -- external facts ----------------------------------------------------
@@ -504,13 +553,13 @@ class ChaseEngine:
         ``run_round`` calls saturate over them — no cold restart.  Returns
         the atoms that were actually new to the instance, in input order.
 
-        At a round boundary the new atoms' triggers are discovered
-        per-atom (:func:`repro.chase.trigger.new_triggers`) and enqueued
-        canonically, exactly as ``apply`` does for derived atoms.  Mid
-        round (a budget cut left the delta live) the atoms are recorded
-        into the live delta instead, so the round-completing discovery
-        pass covers them — either way every trigger touching the new
-        atoms is found exactly once.
+        At a round boundary the join plans run once over the new atoms as
+        a delta, and the triggers they find are enqueued canonically
+        sorted, as ``apply`` does for a derived atom.  Mid round (a budget
+        cut left the delta live) the atoms are recorded into the live
+        delta instead, so the round-completing discovery pass covers them
+        — either way every trigger touching the new atoms is found
+        exactly once.
 
         Requires the full rule set live: the engine's dependency-pruned
         subset (``prune=True``) is fixed from the *seed* instance's
@@ -533,7 +582,7 @@ class ChaseEngine:
                 if self.witnesses is not None:
                     self.witnesses.note(atom)
         if added and not self.mid_round():
-            self._enqueue(new_triggers(self.live, self.instance, added))
+            self._discover(_delta_of(added))
         return added
 
     # -- semi-naive rounds -------------------------------------------------
@@ -549,7 +598,8 @@ class ChaseEngine:
         Drains the worklist, then (1) walks the batch in its enqueue order,
         re-checking each trigger's activity against the head-witness cache
         *at application time* (earlier applications of the same round may
-        deactivate later batch members) and applying the still-active ones;
+        deactivate later batch members), before any limit, and applying the
+        still-active ones;
         with the cache disabled (oblivious mode) every batch trigger is
         applied and set semantics deduplicates.  (2) The atoms the round
         added are collected as the instance's tracked delta, and (3) one
@@ -593,6 +643,9 @@ class ChaseEngine:
         witnesses = self.witnesses
         with trace.span("round.apply", batch=len(batch)):
             for index, trigger in enumerate(batch):
+                if witnesses is not None and witnesses.witnessed(trigger):
+                    vacuous += 1
+                    continue
                 if max_applications is not None and len(applied) >= max_applications:
                     self.pending = batch[index:] + self.pending
                     cut, reason = True, "max_applications"
@@ -603,9 +656,6 @@ class ChaseEngine:
                         self.pending = batch[index:] + self.pending
                         cut = True
                         break
-                if witnesses is not None and witnesses.witnessed(trigger):
-                    vacuous += 1
-                    continue
                 atom = trigger.result()
                 if self.instance.add(atom) and witnesses is not None:
                     witnesses.note(atom)
@@ -643,29 +693,10 @@ class ChaseEngine:
             )
         discovered: List[Trigger] = []
         if delta:
-            if stats is not None:
-                stamp = clock.perf_counter()
             # Discover while the delta is still attached: on a matcher
             # failure the suspended state survives for a retry.
             with trace.span("round.discover", delta=len(delta)):
-                if self.matcher is not None:
-                    tgds = self.matcher.tgds
-                    rows = self.matcher.rows(self.instance, delta)
-                else:
-                    if self._table is None:
-                        self._table = discovery_table(self.live)
-                    tgds = self.live
-                    rows = discovery_rows(self._table, self.instance, delta)
-                if stats is not None:
-                    joined = clock.perf_counter()
-                    stats.discover_join_seconds += joined - stamp
-                hits = materialize(tgds, rows)
-                if stats is not None:
-                    stamp = clock.perf_counter()
-                    stats.discover_materialize_seconds += stamp - joined
-                discovered = self._enqueue(in_birth_order(hits), presorted=True)
-            if stats is not None:
-                stats.discover_order_seconds += clock.perf_counter() - stamp
+                discovered = self._discover(delta, round_pass=True)
         if stats is not None:
             # A cut-then-continued round tallies once, with the *whole*
             # round's delta, at the call that completes it.
@@ -701,7 +732,9 @@ class ChaseEngine:
         Before every round (and every continuation of a cut one) the checks
         run in a fixed order: the ceilings — ``max_rounds`` (rounds
         started, :attr:`rounds`), ``max_atoms`` (instance size), and
-        ``max_applications`` (applications this call) — then
+        ``max_applications`` (applications this call; it binds only while
+        a pending trigger is active, so a fixpoint reached exactly at the
+        cap is reported as one) — then
         ``budget.rounds_exhausted()``, then ``budget.exceeded()``.  Inside a
         round, :meth:`run_round` enforces the same application, atom, and
         budget limits per application.  A round counts when it starts; the
@@ -718,7 +751,11 @@ class ChaseEngine:
                 return "max_rounds", applied, added
             if max_atoms is not None and len(self.instance) > max_atoms:
                 return "max_atoms", applied, added
-            if max_applications is not None and applied >= max_applications:
+            if (
+                max_applications is not None
+                and applied >= max_applications
+                and self._has_active_pending()
+            ):
                 return "max_applications", applied, added
             if budget is not None:
                 if budget.rounds_exhausted():

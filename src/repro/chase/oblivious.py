@@ -60,7 +60,6 @@ def oblivious_chase(
     tgds: Sequence[TGD],
     max_atoms: int = 100_000,
     max_rounds: int = 10_000,
-    strategy: str = "semi_naive",
     workers: int = 1,
     budget: Optional[Budget] = None,
     resume: Optional[ChaseCheckpoint] = None,
@@ -72,65 +71,35 @@ def oblivious_chase(
 
     Applies every trigger (active or not); set semantics deduplicates
     results.  A round applies the triggers discovered from the atoms of
-    the previous round (the engine's pending batch).
-
-    ``strategy`` selects how a round is evaluated — the fixpoint is
-    order-independent, so both produce identical results round for round:
-
-    * ``"semi_naive"`` (default) — :meth:`ChaseEngine.drive`, which also
-      owns the ``max_rounds``/``max_atoms`` ceilings and the round count;
-      with ``workers > 1`` each round's discovery pass fans out over a
-      :class:`repro.chase.parallel.ParallelMatcher` pool (byte-identical
-      rounds — the merge replays the serial order);
-    * ``"per_trigger"`` — the pre-batching loop: one discovery pass per
-      applied trigger (kept as the ablation baseline).
+    the previous round (the engine's pending batch).  The rounds run on
+    :meth:`ChaseEngine.drive`, which also owns the ``max_rounds`` and
+    ``max_atoms`` ceilings and the round count.  With ``workers > 1``
+    each round's discovery pass fans out over a
+    :class:`repro.chase.parallel.ParallelMatcher` pool (byte-identical
+    rounds: the merge replays the serial order).
 
     ``budget`` exhaustion raises :class:`repro.errors.ChaseInterrupted`
     with a resume checkpoint; ``resume`` continues one byte-identically
-    (``database`` is then ignored).  Both require ``"semi_naive"``.
+    (``database`` is then ignored).
 
     ``backend`` selects the instance storage backend (see
     :func:`repro.backends.make_instance`); the fixpoint is byte-identical
     across backends.
     """
-    if strategy not in ("semi_naive", "per_trigger"):
-        raise ValueError(f"unknown oblivious strategy {strategy!r}")
-    if (budget is not None or resume is not None) and strategy != "semi_naive":
-        raise ValueError(
-            "budgets and resume require the semi_naive oblivious strategy"
-        )
-    pooled = workers if strategy == "semi_naive" else 1
     engine = ChaseEngine.open(
-        database, tgds, "oblivious", resume, pooled, stats, prune, backend
+        database, tgds, "oblivious", resume, workers, stats, prune, backend
     )
     applications = resume.applications if resume is not None else 0
-    if strategy == "semi_naive":
-        with engine.running():
-            reason, _, added = engine.drive(
-                max_atoms=max_atoms, max_rounds=max_rounds, budget=budget
-            )
-            applications += added
-            if reason not in (None, "max_rounds", "max_atoms"):
-                interrupt(engine, reason, applications)
-        return ObliviousResult(
-            engine.instance, reason is None, engine.rounds, applications, stats=stats
+    with engine.running():
+        reason, _, added = engine.drive(
+            max_atoms=max_atoms, max_rounds=max_rounds, budget=budget
         )
-    rounds = 0
-    while engine.pending:
-        if rounds >= max_rounds or len(engine.instance) > max_atoms:
-            return ObliviousResult(
-                engine.instance, False, rounds, applications, stats=stats
-            )
-        rounds += 1
-        for trigger in engine.take_pending():
-            token = engine.apply(trigger)
-            if token.added:
-                applications += 1
-            if len(engine.instance) > max_atoms:
-                return ObliviousResult(
-                    engine.instance, False, rounds, applications, stats=stats
-                )
-    return ObliviousResult(engine.instance, True, rounds, applications, stats=stats)
+        applications += added
+        if reason not in (None, "max_rounds", "max_atoms"):
+            interrupt(engine, reason, applications)
+    return ObliviousResult(
+        engine.instance, reason is None, engine.rounds, applications, stats=stats
+    )
 
 
 def oblivious_chase_terminates(

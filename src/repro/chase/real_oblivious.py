@@ -26,7 +26,7 @@ from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.terms import Term
 from repro.chase.checkpoint import Budget
-from repro.chase.trigger import Trigger, new_triggers, seminaive_triggers, triggers_on
+from repro.chase.trigger import Trigger, seminaive_triggers, triggers_on
 from repro.errors import ChaseInterrupted
 from repro.tgds.guardedness import guard_of
 from repro.tgds.tgd import TGD
@@ -86,26 +86,13 @@ class RealObliviousChase:
         tgds: Sequence[TGD],
         max_nodes: int = 5_000,
         max_depth: int = 8,
-        strategy: str = "semi_naive",
         budget: Optional[Budget] = None,
     ):
-        """``strategy`` selects the per-round trigger discovery:
-
-        ``"semi_naive"`` (default) matches TGD bodies against the round's
-        delta snapshot in one batched pass; ``"per_atom"`` pivots on each
-        new atom separately.  Both find the same trigger *set* per round,
-        so the node sets coincide whenever the build is not cut by
-        ``max_nodes`` (depth-bounded builds included).  A ``max_nodes``
-        cut lands mid-round at a strategy-dependent point — the two
-        discovery orders assign different sequence numbers, so truncated
-        prefixes may keep different nodes.
+        """Build the prefix of ``ochase(database, tgds)`` within the bounds.
 
         A ``budget`` wall/round limit binding at a round boundary raises
         :class:`repro.errors.ChaseInterrupted` (partial records the node
         count built so far)."""
-        if strategy not in ("semi_naive", "per_atom"):
-            raise ValueError(f"unknown discovery strategy {strategy!r}")
-        self.strategy = strategy
         self.tgds = tuple(tgds)
         self.nodes: List[OChaseNode] = []
         self._node_keys: Set[tuple] = set()
@@ -125,8 +112,11 @@ class RealObliviousChase:
             budget.start()
         atom_index = Instance()
         nodes_by_atom: Dict[Atom, List[int]] = {}
-        # Triggers are discovered incrementally (full enumeration once, then
-        # only pivots on atoms the previous round added).  Each entry keeps
+        # Triggers are discovered incrementally: full enumeration once,
+        # then the semi-naive pass over the atoms the previous round added.
+        # The first round's enumeration order numbers the triggers, which
+        # fixes node ids and, on a build cut by max_nodes, which nodes are
+        # kept.  Each entry keeps
         # its body image, and an inverted image-atom -> triggers index lets
         # a round gather exactly the triggers whose image touches the
         # frontier instead of scanning the full trigger history.
@@ -152,12 +142,8 @@ class RealObliviousChase:
             atom_index.track_delta()
             if first_round:
                 found = triggers_on(self.tgds, atom_index)
-            elif delta and self.strategy == "semi_naive":
-                found = seminaive_triggers(self.tgds, atom_index, delta)
-            elif delta:
-                found = new_triggers(self.tgds, atom_index, delta.atoms())
             else:
-                found = ()
+                found = seminaive_triggers(self.tgds, atom_index, delta)
             for trigger in found:
                 if trigger.key not in triggers:
                     image = trigger.body_image()

@@ -120,13 +120,16 @@ def restricted_chase(
 
     Returns a :class:`ChaseResult`; ``terminated`` is False when
     ``max_steps`` applications happened with active triggers remaining
-    (the derivation is then a proper prefix).
+    (the derivation is then a proper prefix).  Stale pending triggers are
+    skipped before the cap binds, so a run that reaches its fixpoint at
+    exactly ``max_steps`` reports ``terminated``.
 
-    ``workers`` only applies to ``strategy="semi_naive"`` (per-application
-    discovery of the step strategies has nothing to fan out): with
+    ``workers`` only applies to ``strategy="semi_naive"``: with
     ``workers > 1`` each round's discovery batch runs on a
     :class:`repro.chase.parallel.ParallelMatcher` pool, with results —
-    instance, verdict, derivation — byte-identical to ``workers=1``.
+    instance, verdict, derivation — byte-identical to ``workers=1``.  The
+    step strategies discover serially: each application runs the join
+    plans over a one-atom delta, too little work to fan out.
 
     ``budget`` adds a :class:`repro.chase.checkpoint.Budget` envelope on
     top of ``max_steps``: exhaustion raises
@@ -176,6 +179,16 @@ def restricted_chase(
         budget.start()
     with engine.running():
         while engine.pending:
+            # Stale triggers go first: a limit stops the run only while an
+            # active trigger is left, so a fixpoint reached exactly at
+            # max_steps reports terminated.
+            index = choose(engine.pending, engine.instance)
+            trigger = engine.pending[index]
+            if not engine.is_active(trigger):
+                del engine.pending[index]
+                if stats is not None:
+                    stats.triggers_vacuous += 1
+                continue
             if steps >= max_steps:
                 return ChaseResult(
                     engine.instance,
@@ -188,12 +201,7 @@ def restricted_chase(
                 reason = budget.exceeded(len(engine.instance))
                 if reason is not None:
                     interrupt(engine, reason)
-            index = choose(engine.pending, engine.instance)
-            trigger = engine.pending.pop(index)
-            if not engine.is_active(trigger):
-                if stats is not None:
-                    stats.triggers_vacuous += 1
-                continue
+            del engine.pending[index]
             engine.apply(trigger)
             derivation.append(trigger)
             steps += 1

@@ -211,9 +211,11 @@ def new_triggers(
 ) -> Iterator[Trigger]:
     """Triggers whose image uses at least one atom of ``new_atoms``.
 
-    The incremental step of the chase engines: after adding atoms, only
-    triggers touching them can be new.  May yield a trigger reachable via
-    several pivots only once.
+    The interpreted per-atom reference: it pivots every body atom of every
+    TGD on each new atom.  The chase engines discover through the compiled
+    join plans instead (:mod:`repro.chase.plans`); tests compare them
+    against this.  May yield a trigger reachable via several pivots only
+    once.
     """
     new_set = set(new_atoms)
     if not new_set:

@@ -32,13 +32,7 @@ from repro.chase.checkpoint import Budget
 from repro.chase.derivation import Derivation
 from repro.chase.engine import HeadWitnessIndex
 from repro.errors import ChaseInterrupted
-from repro.chase.trigger import (
-    Trigger,
-    is_active,
-    new_triggers,
-    seminaive_triggers,
-    triggers_on,
-)
+from repro.chase.trigger import Trigger, is_active, seminaive_triggers
 from repro.core.homomorphism import is_homomorphism
 from repro.tgds.guardedness import guard_of
 from repro.tgds.tgd import TGD
@@ -89,22 +83,16 @@ class WeaklyRestrictedChase:
         self,
         roots: Iterable[Tuple[Atom, int]],
         tgds: Sequence[TGD],
-        strategy: str = "semi_naive",
     ):
         """``roots``: (atom, depth) pairs — the multiset database ``D_ac``
 
         with the ``depth`` labels of the treeification construction (use 0
         when depths are irrelevant).
 
-        ``strategy`` selects the per-round trigger discovery:
-        ``"semi_naive"`` (default) matches bodies against the round's delta
-        snapshot (:func:`seminaive_triggers`); ``"per_atom"`` is the
-        pre-batching pass (:func:`new_triggers`).  Both discover the same
-        trigger set — active-trigger selection sorts canonically either
-        way, so runs are identical."""
-        if strategy not in ("semi_naive", "per_atom"):
-            raise ValueError(f"unknown discovery strategy {strategy!r}")
-        self.strategy = strategy
+        Triggers are discovered by :func:`seminaive_triggers`: over the
+        roots as one delta here, then over each round's committed atoms.
+        Active-trigger selection sorts canonically, so discovery order
+        never shows in a run."""
         self.tgds = tuple(tgds)
         self.occurrences: List[WROccurrence] = []
         self._applied: Set[tuple] = set()
@@ -112,14 +100,10 @@ class WeaklyRestrictedChase:
         self._occ_ids_by_atom: Dict[Atom, List[int]] = {}
         self._witnesses = HeadWitnessIndex(self.tgds)
         self._triggers: Dict[tuple, Trigger] = {}
-        for atom, depth in roots:
-            occ = WROccurrence(len(self.occurrences), atom, 0, None, None, depth)
-            self.occurrences.append(occ)
-            self._occ_ids_by_atom.setdefault(atom, []).append(occ.occ_id)
-            if self._atom_view.add(atom):
-                self._witnesses.note(atom)
-        for trigger in triggers_on(self.tgds, self._atom_view):
-            self._triggers.setdefault(trigger.key, trigger)
+        self._commit(
+            WROccurrence(index, atom, 0, None, None, depth)
+            for index, (atom, depth) in enumerate(roots)
+        )
 
     def _anchor_index(self, tgd: TGD) -> int:
         """Body index of the anchor atom: the guard when guarded, else 0."""
@@ -199,7 +183,7 @@ class WeaklyRestrictedChase:
                 budget.charge_round()
         return False
 
-    def _commit(self, new_occurrences: List[WROccurrence]) -> None:
+    def _commit(self, new_occurrences: Iterable[WROccurrence]) -> None:
         delta = self._atom_view.track_delta()
         for occ in new_occurrences:
             self.occurrences.append(occ)
@@ -207,15 +191,8 @@ class WeaklyRestrictedChase:
             if self._atom_view.add(occ.atom):
                 self._witnesses.note(occ.atom)
         self._atom_view.take_delta()
-        if delta:
-            if self.strategy == "semi_naive":
-                found: Iterable[Trigger] = seminaive_triggers(
-                    self.tgds, self._atom_view, delta
-                )
-            else:
-                found = new_triggers(self.tgds, self._atom_view, delta.atoms())
-            for trigger in found:
-                self._triggers.setdefault(trigger.key, trigger)
+        for trigger in seminaive_triggers(self.tgds, self._atom_view, delta):
+            self._triggers.setdefault(trigger.key, trigger)
 
     def anchor_descendants(self, occ_id: int) -> Set[int]:
         """All occurrences whose anchor-ancestor chain passes ``occ_id``."""

@@ -286,15 +286,6 @@ class TestGuardRails:
                 resume=excinfo.value.checkpoint,
             )
 
-    def test_oblivious_rejects_budget_on_per_trigger(self):
-        with pytest.raises(ValueError, match="semi_naive"):
-            oblivious_chase(
-                chain_database(2),
-                CHAIN_TGDS,
-                strategy="per_trigger",
-                budget=Budget(max_rounds=1),
-            )
-
     def test_kind_mismatch_is_a_checkpoint_error(self):
         with pytest.raises(ChaseInterrupted) as excinfo:
             seminaive_chase(

@@ -1,14 +1,17 @@
 """Compiled join plans ≡ the per-atom reference, on bodies the corpus lacks.
 
-Semi-naive discovery runs one compiled :class:`repro.chase.plans.JoinPlan`
-per ``(tgd, pivot)``.  These tests check ``seminaive_triggers`` against
-the per-atom :func:`repro.chase.trigger.new_triggers` — in set, in the
-step-at-a-time ``(birth, canonical)`` order, and in the rule each trigger
-resolves to — on body shapes the generator corpus does not produce:
-constants in body atoms, a variable repeated inside one atom (at the pivot
-and at a later step), self-joins where the strict/non-strict delta limit
-decides, equal rules under different names, and delta predicates no rule
-body uses.  Instances come from the default backend, so the tier-1
+Every trigger the chase engines discover comes from one compiled
+:class:`repro.chase.plans.JoinPlan` per ``(tgd, pivot)``.  These tests
+check the plans against the per-atom
+:func:`repro.chase.trigger.new_triggers` — in set, in the step-at-a-time
+``(birth, canonical)`` order, and in the rule each trigger resolves to —
+on body shapes the generator corpus does not produce: constants in body
+atoms, a variable repeated inside one atom (at the pivot and at a later
+step), self-joins where the strict/non-strict delta limit decides, equal
+rules under different names, and delta predicates no rule body uses.
+They do so for a round's delta (``seminaive_triggers``) and for the
+deltas outside a round: the engine's seeding, each ``apply``, and
+``inject_atoms``.  Instances come from the default backend, so the tier-1
 ``CHASE_BACKEND=sqlite`` job runs the same checks on disk; the pool tests
 fan out at the widths in ``CHASE_EQUIV_WORKERS``.
 """
@@ -22,6 +25,7 @@ from repro.backends import make_instance
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.terms import Constant, Variable
+from repro.chase.engine import ChaseEngine
 from repro.chase.parallel import ParallelMatcher
 from repro.chase.plans import discovery_rows, discovery_table
 from repro.chase.trigger import new_triggers, seminaive_triggers
@@ -285,3 +289,81 @@ def test_pool_runs_the_same_plans(workers):
                 assert identity(fanned) == identity(serial)
             finally:
                 close(instance)
+
+
+def engine_batches(tgds, seed_facts, injected, steps=12):
+    """Seed an engine, inject ``injected``, then apply ``steps`` pending
+    triggers in FIFO order; after each of the three, check the enqueued
+    batch against the canonically sorted ``new_triggers`` of the added
+    atoms minus the keys enqueued before.  Returns the batches."""
+    engine = ChaseEngine(seed_facts, tgds, track_witnesses=False)
+    seen = set()
+    batches = []
+
+    def check(batch, added):
+        expected = sorted(
+            (t for t in new_triggers(tgds, engine.instance, added) if t.key not in seen),
+            key=lambda t: t.canonical_key,
+        )
+        assert identity(batch) == identity(expected)
+        seen.update(t.key for t in batch)
+        batches.append(batch)
+
+    try:
+        check(list(engine.pending), list(engine.instance))
+        before = len(engine.pending)
+        added = engine.inject_atoms(injected)
+        check(engine.pending[before:], added)
+        for _ in range(steps):
+            if not engine.pending:
+                break
+            token = engine.apply(engine.pending.pop(0))
+            assert engine.pending[len(engine.pending) - len(token.discovered):] == (
+                token.discovered
+            )
+            check(token.discovered, [token.atom] if token.added else [])
+        return batches
+    finally:
+        close(engine.instance)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("seed", range(4))
+def test_engine_deltas_edge_case_bodies(case, seed):
+    _, _, facts = random_round(seed, old=8, new=6)
+    engine_batches(CASES[case], facts[:8], facts[8:])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_engine_deltas_random_bodies(seed):
+    _, _, facts = random_round(seed, old=8, new=6)
+    engine_batches(random_rules(seed), facts[:8], facts[8:])
+
+
+def test_one_atom_self_join_surfaces_once():
+    # Applying the loop rule adds R(a,a), which is both body atoms of
+    # R(x,y), R(y,x): one trigger, found at the first pivot only.
+    loop = rule([U(x)], R(x, x), "loop")
+    mirror = rule([R(x, y), R(y, x)], Atom("H", [x, w]), "mirror")
+    seeded, injected, applied = engine_batches(
+        [loop, mirror], [U(a), R(b, a)], [], steps=1
+    )
+    assert [t.tgd.name for t in seeded] == ["loop"]
+    assert injected == []
+    assert [(t.tgd.name, t.h[x], t.h[y]) for t in applied] == [("mirror", a, a)]
+
+
+def test_injected_atoms_completing_one_body_surface_once():
+    join = rule([R(x, y), S(y, z)], Atom("H", [x, z]), "join")
+    batches = engine_batches([join], [U(a)], [R(a, b), S(b, a)])
+    assert batches[0] == []
+    assert [(t.h[x], t.h[y], t.h[z]) for t in batches[1]] == [(a, b, a)]
+
+
+def test_seed_fires_one_rule_at_several_pivots():
+    path = rule([R(x, y), R(y, z)], Atom("H", [x, z]), "path")
+    c = NODES[2]
+    batches = engine_batches([path], [R(a, b), R(b, c), R(c, a), R(a, a)], [])
+    assert sorted((t.h[x], t.h[y], t.h[z]) for t in batches[0]) == sorted(
+        [(a, b, c), (b, c, a), (c, a, b), (c, a, a), (a, a, b), (a, a, a)]
+    )

@@ -9,6 +9,7 @@ from repro.chase.restricted import (
     chase_terminates,
     exists_derivation_of_length,
     restricted_chase,
+    restricted_chase_naive,
 )
 from repro.chase.oblivious import satisfies_all
 from repro.tgds.tgd import parse_tgds
@@ -41,6 +42,19 @@ class TestBasicRuns:
     def test_derivation_recorded_and_valid(self, example_32_tgds, example_32_database):
         result = restricted_chase(example_32_database, example_32_tgds)
         result.derivation.validate(example_32_tgds, require_terminal=True)
+
+    @pytest.mark.parametrize("strategy", ["fifo", "lifo", "semi_naive"])
+    def test_fixpoint_exactly_at_max_steps_terminates(self, strategy):
+        # One step applies R(a,b)'s trigger; its S(a,z) makes R(a,c)'s
+        # trigger stale, so the run is at a fixpoint when the cap binds.
+        database = parse_database("R(a,b), R(a,c)")
+        tgds = parse_tgds(["R(x,y) -> S(x,z)"])
+        result = restricted_chase(database, tgds, strategy=strategy, max_steps=1)
+        reference = restricted_chase_naive(database, tgds, max_steps=1)
+        assert reference.terminated
+        assert result.terminated
+        assert result.steps == reference.steps == 1
+        assert len(result.instance) == len(reference.instance) == 3
 
     def test_chase_terminates_helper(self, intro_tgds, intro_database):
         assert chase_terminates(intro_database, intro_tgds)

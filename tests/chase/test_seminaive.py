@@ -25,7 +25,7 @@ from repro.chase.multihead import (
 )
 from repro.chase.oblivious import oblivious_chase, satisfies_all
 from repro.chase.restricted import restricted_chase, seminaive_chase
-from repro.chase.trigger import new_triggers, seminaive_triggers
+from repro.chase.trigger import new_triggers, seminaive_triggers, triggers_on
 from repro.chase.weakly_restricted import WeaklyRestrictedChase, extract_derivation
 from repro.guarded.decision import candidate_databases
 from repro.tgds.generators import GeneratorProfile, corpus
@@ -123,29 +123,52 @@ class TestCorpusEquivalence:
         assert result.rounds == 5
 
 
+def naive_oblivious_rounds(database, tgds, max_atoms, max_rounds):
+    """The oblivious chase by re-enumeration: ``(terminated, rounds,
+    applications, instance)``.
+
+    Each round applies every ``triggers_on`` trigger not applied before,
+    in step order (the birth of its latest body-image atom, then the
+    canonical key); the checks mirror ``oblivious_chase``: ``max_rounds``
+    and ``max_atoms`` before a round, ``max_atoms`` after each addition.
+    """
+    instance = Instance(database.atoms())
+    births = {atom: (0, 0) for atom in instance}
+    applied = set()
+    rounds = applications = 0
+    while True:
+        batch = sorted(
+            (t for t in triggers_on(tgds, instance) if t.key not in applied),
+            key=lambda t: (max(births[a] for a in t.body_image()), t.canonical_key),
+        )
+        if not batch:
+            return True, rounds, applications, instance
+        if rounds >= max_rounds or len(instance) > max_atoms:
+            return False, rounds, applications, instance
+        rounds += 1
+        for trigger in batch:
+            applied.add(trigger.key)
+            atom = trigger.result()
+            if instance.add(atom):
+                births[atom] = (rounds, applications)
+                applications += 1
+            if len(instance) > max_atoms:
+                return False, rounds, applications, instance
+
+
 class TestObliviousEquivalence:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_corpus_fixpoints(self, family):
         for tgds in corpus(family, 3, base_seed=11, profile=PROFILE):
             for database in candidate_databases(tgds):
-                semi = oblivious_chase(
-                    database, tgds, max_atoms=300, max_rounds=6, strategy="semi_naive"
+                semi = oblivious_chase(database, tgds, max_atoms=300, max_rounds=6)
+                terminated, rounds, applications, instance = naive_oblivious_rounds(
+                    database, tgds, max_atoms=300, max_rounds=6
                 )
-                per = oblivious_chase(
-                    database, tgds, max_atoms=300, max_rounds=6, strategy="per_trigger"
-                )
-                assert semi.terminated == per.terminated
-                assert semi.rounds == per.rounds
-                assert semi.applications == per.applications
-                assert semi.instance == per.instance
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            oblivious_chase(
-                parse_database("R(a,b)"),
-                parse_tgds(["R(x,y) -> S(x)"]),
-                strategy="bogus",
-            )
+                assert semi.terminated == terminated
+                assert semi.rounds == rounds
+                assert semi.applications == applications
+                assert semi.instance == instance
 
 
 class TestDeltaTracking:
@@ -326,25 +349,50 @@ class TestRunRound:
 
 class TestOtherLoops:
     def test_weakly_restricted_discovery_strategies_agree(self):
+        """Golden occurrences and ``Extract`` steps, cross-checked between
+        the semi-naive and per-atom discovery when they were recorded."""
         tgds = parse_tgds(["R(x,y) -> R(y,z)", "R(x,y) -> S(x)"])
         roots = [(Atom("R", [Constant("a"), Constant("b")]), 0)]
-        runs = {}
-        for strategy in ("semi_naive", "per_atom"):
-            chase = WeaklyRestrictedChase(roots, tgds, strategy=strategy)
-            chase.run(4, max_occurrences=400)
-            runs[strategy] = chase
-        semi, per = runs["semi_naive"], runs["per_atom"]
+        chase = WeaklyRestrictedChase(roots, tgds)
+        assert not chase.run(4, max_occurrences=400)
+        z1, z2, z3, z4 = (
+            f"?{digest}.z"
+            for digest in (
+                "df295816423c96e07c",
+                "6d00c0d8c57028ff76",
+                "feb4f01554ab5ad2e4",
+                "f2fc45ddd014384319",
+            )
+        )
         assert [
-            (o.atom, o.round_index, o.anchor_parent) for o in semi.occurrences
-        ] == [(o.atom, o.round_index, o.anchor_parent) for o in per.occurrences]
-        assert semi.atom_view() == per.atom_view()
-        assert [t.key for t in extract_derivation(semi).steps] == [
-            t.key for t in extract_derivation(per).steps
+            (repr(o.atom), o.round_index, o.anchor_parent) for o in chase.occurrences
+        ] == [
+            ("R(a,b)", 0, None),
+            ("S(a)", 1, 0),
+            (f"R(b,{z1})", 1, 0),
+            ("S(b)", 2, 2),
+            (f"R({z1},{z2})", 2, 2),
+            (f"S({z1})", 3, 4),
+            (f"R({z2},{z3})", 3, 4),
+            (f"S({z2})", 4, 6),
+            (f"R({z3},{z4})", 4, 6),
         ]
-
-    def test_weakly_restricted_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            WeaklyRestrictedChase([], parse_tgds(["R(x,y) -> S(x)"]), strategy="nope")
+        assert len(chase.atom_view()) == 9
+        steps = [
+            (t.tgd.name, tuple(repr(term) for _, term in t.key[1]))
+            for t in extract_derivation(chase).steps
+        ]
+        names = [tgd.name for tgd in tgds]
+        assert steps == [
+            (names[1], ("a", "b")),
+            (names[0], ("a", "b")),
+            (names[1], ("b", z1)),
+            (names[0], ("b", z1)),
+            (names[1], (z1, z2)),
+            (names[0], (z1, z2)),
+            (names[1], (z2, z3)),
+            (names[0], (z2, z3)),
+        ]
 
     def test_multihead_seminaive_reaches_fair_fixpoint(self):
         # Example B.1: every fair derivation is finite; set-at-a-time rounds
@@ -358,22 +406,29 @@ class TestOtherLoops:
         assert active_multihead_triggers_on(tgds, result.instance) == []
 
     def test_real_oblivious_strategies_build_the_same_graph(self):
+        """A golden node list, cross-checked between the semi-naive and
+        per-atom discovery when it was recorded."""
         from repro.chase.real_oblivious import RealObliviousChase
 
         database = parse_database("R(a,b), S(b,c)")
         tgds = parse_tgds(["R(x,y), S(y,z) -> T(x,z)", "T(x,y) -> R(y,w)"])
-        semi = RealObliviousChase(
-            database, tgds, max_nodes=200, max_depth=4, strategy="semi_naive"
-        )
-        per = RealObliviousChase(
-            database, tgds, max_nodes=200, max_depth=4, strategy="per_atom"
-        )
-        assert semi.complete == per.complete
-        key = lambda chase: {
-            (n.atom, None if n.trigger is None else n.trigger.key, n.parents)
+        chase = RealObliviousChase(database, tgds, max_nodes=200, max_depth=4)
+        assert chase.complete
+        assert [
+            (
+                n.node_id,
+                repr(n.atom),
+                None if n.trigger is None else n.trigger.tgd.name,
+                n.parents,
+                n.depth,
+            )
             for n in chase.nodes
-        }
-        assert key(semi) == key(per)
+        ] == [
+            (0, "R(a,b)", None, (), 0),
+            (1, "S(b,c)", None, (), 0),
+            (2, "T(a,c)", tgds[0].name, (0, 1), 1),
+            (3, "R(c,?4ec3d177070f5f11dd.w)", tgds[1].name, (2,), 2),
+        ]
 
 
 class TestDecidersStayGreen:

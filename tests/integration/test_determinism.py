@@ -17,13 +17,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Chases a slice of the generator corpus plus a cycle-join workload under
-#: the restricted (step and semi-naive) and oblivious engines; prints one
-#: JSON list of (derivation keys, instance digest) per run.
+#: the restricted (fifo, lifo and semi-naive) and oblivious engines, runs a
+#: session-style engine (seed half the facts, inject the rest, drive) and
+#: builds a real oblivious chase; prints one JSON list of (keys, digest)
+#: per run, where the keys are a derivation, a pending list or a node list.
 SCRIPT = r"""
 import hashlib
 import json
 
+from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
+from repro.chase.real_oblivious import RealObliviousChase
 from repro.chase.restricted import restricted_chase
 from repro.core.parsing import parse_database
 from repro.guarded.decision import candidate_databases
@@ -43,12 +47,28 @@ runs = []
 for family in ("linear", "guarded", "weakly-acyclic"):
     for tgds in corpus(family, 2, base_seed=11, profile=profile):
         for database in candidate_databases(tgds)[:2]:
-            for strategy in ("fifo", "semi_naive"):
+            for strategy in ("fifo", "lifo", "semi_naive"):
                 run = restricted_chase(database, tgds, strategy=strategy, max_steps=40)
                 keys = [t.canonical_key for t in run.derivation.steps]
                 runs.append([keys, digest(run.instance)])
             run = oblivious_chase(database, tgds, max_atoms=300, max_rounds=6)
             runs.append([[], digest(run.instance)])
+            atoms = database.sorted_atoms()
+            half = len(atoms) // 2
+            engine = ChaseEngine.open(atoms[:half], tgds, "oblivious", prune=False)
+            engine.drive(max_atoms=150, max_rounds=2)
+            engine.inject_atoms(atoms[half:])
+            keys = [t.canonical_key for t in engine.pending]
+            engine.drive(max_atoms=300, max_rounds=6)
+            keys += [t.canonical_key for t in engine.pending]
+            runs.append([keys, digest(engine.instance)])
+            engine.close()
+            graph = RealObliviousChase(database, tgds, max_nodes=60, max_depth=5)
+            nodes = [
+                [repr(n.atom), n.trigger and n.trigger.canonical_key, list(n.parents)]
+                for n in graph.nodes
+            ]
+            runs.append([nodes, ""])
 cycles = parse_tgds([
     "E(x,y) -> F(x,y)",
     "F(x,y), F(y,z), F(z,x) -> T(x,y,z)",

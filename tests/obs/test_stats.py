@@ -169,6 +169,23 @@ class TestDiscoveryLayers:
         assert stats.discover_materialize_seconds > 0
         assert stats.discover_order_seconds > 0
 
+    def test_a_step_chase_reports_apply_and_discovery(self):
+        from repro.chase.restricted import restricted_chase
+        from repro.core.parsing import parse_database
+        from repro.tgds.tgd import parse_tgds
+
+        stats = ChaseStats()
+        restricted_chase(
+            parse_database("E(a,b), E(b,c), E(c,a)"),
+            parse_tgds(["E(x,y) -> F(x,y)", "F(x,y), F(y,z) -> G(x,z)"]),
+            strategy="fifo",
+            stats=stats,
+        )
+        assert stats.apply_seconds > 0
+        assert stats.discover_seconds > 0
+        assert stats.discover_join_seconds > 0
+        assert stats.discover_materialize_seconds > 0
+
 
 class TestAbsorb:
     def test_absorb_engine_folds_witness_counters(self):
