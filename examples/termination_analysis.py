@@ -44,7 +44,7 @@ def main() -> None:
     print(
         "\nNotes: the sticky route is the complete Büchi procedure of "
         "Theorem 6.1; weak/joint acyclicity and the critical-database "
-        "oblivious check are sound certificates; 'unknown' is only "
+        "chase are sound certificates; 'unknown' is only "
         "reported outside the decidable classes or past search bounds."
     )
 

@@ -44,7 +44,6 @@ from repro.chase.multihead import (
     multihead_restricted_chase,
 )
 from repro.chase.oblivious import ObliviousResult, oblivious_chase, satisfies_all
-from repro.chase.skolem import SkolemResult, SkolemTerm, skolem_chase
 from repro.chase.real_oblivious import OChaseNode, RealObliviousChase
 from repro.chase.restricted import (
     ChaseResult,
@@ -86,8 +85,7 @@ from repro.sticky.caterpillar import CaterpillarPrefix, prefix_from_witness
 from repro.sticky.decision import CaterpillarWitness, decide_sticky, witness_from_lasso
 from repro.sticky.extraction import TermGenealogy, extract_proto_caterpillar
 from repro.termination.analyzer import Classification, TerminationAnalyzer
-from repro.termination.critical import critical_database, critical_oblivious_verdict
-from repro.termination.mfa import mfa_check, mfa_verdict
+from repro.termination.critical import critical_chase, critical_database, critical_verdict
 from repro.termination.verdict import Status, Verdict
 from repro.tgds.acyclicity import (
     is_jointly_acyclic,
@@ -128,7 +126,6 @@ __all__ = [
     "exists_derivation_of_length",
     "all_derivations_terminate", "SearchBudgetExceeded",
     "oblivious_chase", "ObliviousResult", "satisfies_all",
-    "skolem_chase", "SkolemResult", "SkolemTerm",
     "RealObliviousChase", "OChaseNode", "Derivation", "DerivationError",
     "make_fair", "fairness_round", "FairnessError",
     "MultiHeadTrigger", "multihead_restricted_chase", "example_b1_tgds",
@@ -145,6 +142,5 @@ __all__ = [
     "extract_proto_caterpillar", "TermGenealogy",
     # termination
     "TerminationAnalyzer", "Classification", "Verdict", "Status",
-    "critical_database", "critical_oblivious_verdict",
-    "mfa_check", "mfa_verdict",
+    "critical_database", "critical_chase", "critical_verdict",
 ]

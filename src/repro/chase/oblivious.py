@@ -102,16 +102,6 @@ def oblivious_chase(
     )
 
 
-def oblivious_chase_terminates(
-    database: Instance,
-    tgds: Sequence[TGD],
-    max_atoms: int = 100_000,
-    max_rounds: int = 10_000,
-) -> bool:
-    """Did the oblivious chase reach its fixpoint within the bounds?"""
-    return oblivious_chase(database, tgds, max_atoms, max_rounds).terminated
-
-
 def satisfies_all(instance: Instance, tgds: Sequence[TGD]) -> bool:
     """Model check ``I |= T`` (Section 2): every trigger is non-active."""
     from repro.chase.trigger import active_triggers_on

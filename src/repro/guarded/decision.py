@@ -8,8 +8,10 @@ procedure over exactly the objects the reduction quantifies over.
 Termination side (all answers sound):
 
 * syntactic certificates — full TGDs, weak acyclicity, joint acyclicity;
-* the critical-database oblivious certificate (a finite oblivious chase on
-  ``D*`` bounds every restricted derivation of every database).
+* the critical-database certificate of
+  :func:`repro.termination.critical.critical_chase` (a finite
+  semi-oblivious chase of ``D*`` bounds every restricted derivation of
+  every database).
 
 Non-termination side (all answers carry a replayed witness):
 
@@ -43,7 +45,7 @@ from repro.errors import ChaseInterrupted
 from repro.obs import clock, trace
 from repro.chase.trigger import Trigger, is_active
 from repro.core.homomorphism import is_homomorphism
-from repro.termination.critical import critical_oblivious_verdict
+from repro.termination.critical import critical_verdict
 from repro.termination.verdict import Status, Verdict
 from repro.tgds.acyclicity import terminating_certificate
 from repro.tgds.guardedness import check_guarded_set
@@ -390,18 +392,20 @@ def scan_suspects(
     return None
 
 
-def budget_verdict(interrupted: ChaseInterrupted, method: str) -> Verdict:
-    """Render an interrupted suspect scan as an honest ``TIMEOUT`` verdict."""
-    partial = dict(interrupted.partial or {})
-    completed = partial.get("completed", 0)
-    total = partial.get("total", "?")
+def budget_verdict(interrupted: ChaseInterrupted, method: str, total: int) -> Verdict:
+    """Render an interrupted decider run as an honest ``TIMEOUT`` verdict.
+
+    A cut inside the critical-database chase comes before any of the
+    ``total`` suspect chases, so it reports none of them completed.
+    """
+    partial = {"completed": 0, "total": total, **interrupted.partial}
     return Verdict(
         Status.TIMEOUT,
         method=method,
         certificate=partial,
         detail=(
             f"budget exhausted ({interrupted.reason}) after "
-            f"{completed}/{total} suspect chases completed"
+            f"{partial['completed']}/{partial['total']} suspect chases completed"
         ),
     )
 
@@ -423,10 +427,10 @@ def decide_guarded(
     databases from observed behaviour).  ``workers > 1`` fans the
     independent suspect chases out over a process pool with deterministic
     (candidate-order) result selection — verdicts are identical to serial.
-    A ``budget`` wall limit turns exhaustion into a ``TIMEOUT`` verdict
-    recording how many suspect chases completed, never an engine error.
-    ``stats`` collects the per-suspect outcome/duration entries (see
-    :func:`scan_suspects`).
+    A ``budget`` bounds the critical-database chase and the suspect scan
+    alike; exhaustion becomes a ``TIMEOUT`` verdict recording how many
+    suspect chases completed, never an engine error.  ``stats`` collects
+    the per-suspect outcome/duration entries (see :func:`scan_suspects`).
     """
     tgd_list = list(tgds)
     if stats is not None and not stats.kind:
@@ -441,18 +445,13 @@ def decide_guarded(
             method=certificate,
             detail=f"syntactic termination certificate: {certificate}",
         )
-    from repro.termination.mfa import mfa_verdict
-
-    mfa = mfa_verdict(tgd_list)
-    if mfa is not None:
-        return mfa
-    critical = critical_oblivious_verdict(tgd_list)
-    if critical is not None:
-        return critical
     candidates: List[Instance] = list(candidate_databases(tgd_list))
     if extra_candidates:
         candidates.extend(extra_candidates)
     try:
+        critical = critical_verdict(tgd_list, budget)
+        if critical is not None:
+            return critical
         hit = scan_suspects(
             candidates,
             tgd_list,
@@ -464,7 +463,7 @@ def decide_guarded(
             backend=backend,
         )
     except ChaseInterrupted as interrupted:
-        return budget_verdict(interrupted, method="guarded-budget")
+        return budget_verdict(interrupted, "guarded-budget", len(candidates))
     if hit is not None:
         database, pump = hit
         return Verdict(
@@ -482,8 +481,8 @@ def decide_guarded(
         Status.UNKNOWN,
         method="guarded-bounded-search",
         detail=(
-            "no syntactic certificate applies, the oblivious chase on D* "
-            "diverges, and no candidate database produced a certified pump "
-            f"within {max_steps} steps"
+            "no syntactic certificate applies, the critical-database chase "
+            "does not settle, and no candidate database produced a certified "
+            f"pump within {max_steps} steps"
         ),
     )

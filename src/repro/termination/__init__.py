@@ -12,8 +12,11 @@
 * :mod:`repro.termination.verdict` — certifying
   :class:`~repro.termination.verdict.Verdict` objects; ``TIMEOUT`` is a
   budget answer, distinct from ``UNKNOWN`` (a bounds answer).
-* :mod:`repro.termination.critical` / :mod:`repro.termination.mfa` — the
-  critical-database oblivious baseline and the MFA-style certificate.
+* :mod:`repro.termination.critical` — the critical database ``D*`` and
+  :func:`~repro.termination.critical.critical_chase`, the one chase of it:
+  a semi-oblivious run under a nesting monitor whose fixpoint certifies
+  termination (the decider fall-through and the portfolio's per-layer
+  check both call it).
 
 Every analysis entry point is deterministic: verdicts are identical at
 every worker count, with or without ``stats`` attached, and budget

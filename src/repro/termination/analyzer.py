@@ -7,7 +7,7 @@ dispatches to the strongest applicable procedure:
 * guarded sets → the certifying procedure of :mod:`repro.guarded.decision`
   (Theorem 5.1 modulo the documented MSOL substitution);
 * anything else → syntactic certificates and the critical-database
-  oblivious certificate only, since ``CT_res_∀∀`` is undecidable in general
+  chase certificate only, since ``CT_res_∀∀`` is undecidable in general
   (Theorem 3.6) — plus the same replay-certified divergence search, whose
   positive answers remain sound for arbitrary single-head TGDs.
 
@@ -25,9 +25,14 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.chase.checkpoint import Budget
 from repro.errors import ChaseInterrupted
-from repro.guarded.decision import budget_verdict, decide_guarded
+from repro.guarded.decision import (
+    budget_verdict,
+    candidate_databases,
+    decide_guarded,
+    scan_suspects,
+)
 from repro.sticky.decision import decide_sticky
-from repro.termination.critical import critical_oblivious_verdict
+from repro.termination.critical import critical_verdict
 from repro.termination.verdict import Status, Verdict
 from repro.tgds.acyclicity import (
     is_jointly_acyclic,
@@ -96,11 +101,11 @@ class TerminationAnalyzer:
         """Decide / semi-decide membership in ``CT_res_∀∀``.
 
         ``budget`` is a per-run :class:`repro.chase.checkpoint.Budget`
-        threaded into the divergence-suspect scans; wall-clock exhaustion
-        yields a ``TIMEOUT`` verdict recording the completed suspect count
-        instead of an exception.  ``stats`` is an optional
-        :class:`repro.obs.stats.ChaseStats` threaded the same way; the
-        suspect scans fill its ``suspects`` entries (strictly passive —
+        threaded into the critical-database chase and the divergence-suspect
+        scans; exhaustion yields a ``TIMEOUT`` verdict recording the
+        completed suspect count instead of an exception.  ``stats`` is an
+        optional :class:`repro.obs.stats.ChaseStats` threaded the same way;
+        the suspect scans fill its ``suspects`` entries (strictly passive —
         verdicts are identical with or without it).
         """
         tgd_list = list(tgds)
@@ -129,22 +134,16 @@ class TerminationAnalyzer:
                 method=certificate,
                 detail=f"syntactic termination certificate: {certificate}",
             )
-        from repro.termination.mfa import mfa_verdict
-
-        mfa = mfa_verdict(tgd_list)
-        if mfa is not None:
-            return mfa
-        critical = critical_oblivious_verdict(tgd_list)
-        if critical is not None:
-            return critical
-        from repro.guarded.decision import candidate_databases, scan_suspects
-
+        candidates = candidate_databases(tgd_list)
         # The suspect scan (lifo probe + semi-naive rerun + pump replay per
         # candidate) runs as independent pool tasks when workers > 1, with
         # candidate-order selection keeping the verdict serial-identical.
         try:
+            critical = critical_verdict(tgd_list, budget)
+            if critical is not None:
+                return critical
             hit = scan_suspects(
-                candidate_databases(tgd_list),
+                candidates,
                 tgd_list,
                 self.guarded_max_steps,
                 self.replays,
@@ -154,7 +153,7 @@ class TerminationAnalyzer:
                 backend=self.backend,
             )
         except ChaseInterrupted as interrupted:
-            return budget_verdict(interrupted, method="general-budget")
+            return budget_verdict(interrupted, "general-budget", len(candidates))
         if hit is not None:
             _, pump = hit
             return Verdict(

@@ -19,12 +19,12 @@ when none of them fires:
    (arXiv 2005.05423): each topological layer (SCC) certified
    independently — and in parallel via
    :func:`repro.chase.parallel.parallel_map` — by a per-layer certificate
-   or a bounded oblivious chase on the layer's critical database;
+   or :func:`repro.termination.critical.critical_chase` on the layer;
 4. **decider** — the unchanged ``TerminationAnalyzer.analyze`` fallthrough.
 
 Soundness: cheap stages only ever answer ``ALL_TERMINATING`` or pass.  The
 layered stages are sound because every per-layer condition used here
-(full TGDs, weak/joint acyclicity, a finite oblivious chase on ``D*``)
+(full TGDs, weak/joint acyclicity, a finite semi-oblivious chase of ``D*``)
 bounds the layer's *semi-oblivious* chase, whose firing relation is
 witness-independent and therefore composes over the condensation DAG:
 saturating layer by layer in topological order yields a finite closure
@@ -48,24 +48,14 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.chase.checkpoint import Budget
-from repro.chase.oblivious import oblivious_chase
 from repro.errors import ChaseInterrupted
-from repro.guarded.decision import release
 from repro.obs import clock
 from repro.termination.analyzer import TerminationAnalyzer
-from repro.termination.critical import critical_database
+from repro.termination.critical import CRITICAL_METHOD, critical_chase
 from repro.termination.dependencies import RuleDependencyGraph
 from repro.termination.verdict import Status, Verdict
 from repro.tgds.acyclicity import is_weakly_acyclic, terminating_certificate
 from repro.tgds.tgd import TGD
-
-#: Per-layer bounds for the hierarchical stage's critical-database
-#: oblivious runs.  Deliberately far below the decider's own
-#: ``critical_oblivious_verdict`` bounds (50k atoms / 2k rounds): the
-#: portfolio is the *cheap* tier — a layer still growing at these bounds
-#: falls through to the decider rather than being chased harder here.
-LAYER_MAX_ATOMS = 5_000
-LAYER_MAX_ROUNDS = 200
 
 #: Cascade stage names, in order (the ``stage`` keys of
 #: ``ChaseStats.portfolio`` entries and the bench histogram).
@@ -87,36 +77,20 @@ _TIMEOUT = "timeout"
 def _check_layer(payload) -> Tuple[str, Optional[str]]:
     """Certify one layer; module-level so it ships to process pools.
 
-    ``payload`` is ``(layer_tgds, max_atoms, max_rounds, wall_seconds)``
-    with ``wall_seconds`` = remaining wall budget or None, optionally
-    followed by an instance-backend spec (see ``repro.backends``).
-    Returns ``(outcome, certificate)`` with outcome ``"settled"`` /
-    ``"undecided"`` / ``"timeout"``.  Only conditions that bound the
-    layer's semi-oblivious chase are used (see module docstring).
+    ``payload`` is ``(layer_tgds, budget)``.  Returns ``(outcome, detail)``:
+    ``("settled", certificate)``, ``("undecided", None)`` or
+    ``("timeout", reason)``.  Only conditions that bound the layer's
+    semi-oblivious chase are used (see module docstring).
     """
-    layer, max_atoms, max_rounds, wall_seconds = payload[:4]
-    backend = payload[4] if len(payload) > 4 else None
+    layer, budget = payload
     certificate = terminating_certificate(layer)
     if certificate is not None:
         return _SETTLED, certificate
-    budget = Budget(wall_seconds=wall_seconds) if wall_seconds is not None else None
     try:
-        result = oblivious_chase(
-            critical_database(layer),
-            layer,
-            max_atoms=max_atoms,
-            max_rounds=max_rounds,
-            budget=budget,
-            backend=backend,
-        )
+        settled = critical_chase(layer, budget).settled
     except ChaseInterrupted as interrupted:
-        # Disk-backed scratch instances are closed here, in the worker
-        # that owns them — pool teardown never runs finalizers.
-        release(interrupted.instance)
-        return _TIMEOUT, None
-    outcome = (_SETTLED, "critical-oblivious") if result.terminated else (_UNDECIDED, None)
-    release(result.instance)
-    return outcome
+        return _TIMEOUT, interrupted.reason
+    return (_SETTLED, CRITICAL_METHOD) if settled else (_UNDECIDED, None)
 
 
 class TerminationPortfolio:
@@ -125,7 +99,8 @@ class TerminationPortfolio:
     ``workers`` parallelizes the hierarchical stage's independent layer
     checks (and is forwarded to the fallthrough analyzer's suspect tier);
     verdicts are identical at every worker count.  ``analyzer`` defaults
-    to a fresh :class:`TerminationAnalyzer` sharing ``workers``.
+    to a fresh :class:`TerminationAnalyzer` sharing ``workers`` and
+    ``backend`` (the layer checks themselves always run in memory).
 
     ``cache`` is an optional digest-keyed verdict memo (duck-typed against
     :class:`repro.service.cache.VerdictCache`: ``get_verdict(digest)`` /
@@ -140,20 +115,15 @@ class TerminationPortfolio:
     def __init__(
         self,
         workers: int = 1,
-        layer_max_atoms: int = LAYER_MAX_ATOMS,
-        layer_max_rounds: int = LAYER_MAX_ROUNDS,
         analyzer: Optional[TerminationAnalyzer] = None,
         cache=None,
         backend=None,
     ):
         self.workers = workers
-        self.layer_max_atoms = layer_max_atoms
-        self.layer_max_rounds = layer_max_rounds
         self.analyzer = analyzer or TerminationAnalyzer(
             workers=workers, backend=backend
         )
         self.cache = cache
-        self.backend = backend
 
     # -- the cascade -------------------------------------------------------
 
@@ -272,37 +242,24 @@ class TerminationPortfolio:
 
     def _stage_hierarchical(self, tgds, graph, budget) -> Optional[Verdict]:
         layers = graph.layers()
-        remaining = budget.remaining_seconds() if budget is not None else None
-        # The backend rides along only when set, so pickled payload shapes
-        # (and their digests in older transcripts) are unchanged without it.
-        tail = (self.backend,) if self.backend is not None else ()
-        payloads = [
-            (layer, self.layer_max_atoms, self.layer_max_rounds, remaining)
-            + tail
-            for layer in layers
-        ]
+        payloads = [(layer, budget) for layer in layers]
         if self.workers <= 1:
-            results = []
-            for payload in payloads:
-                if budget is not None and budget.out_of_time():
-                    raise ChaseInterrupted("budget:wall")
-                # Serial layer chases share the caller's budget directly, so
-                # application/atom limits cut inside the stage too.
-                results.append(self._check_layer_serial(payload, budget))
+            # Lazy, so the serial scan stops at the first unsettled layer.
+            results = map(_check_layer, payloads)
         else:
             from repro.chase.parallel import parallel_map
 
             results = parallel_map(_check_layer, payloads, workers=self.workers)
         certificates: List[dict] = []
-        for layer, (outcome, certificate) in zip(layers, results):
+        for layer, (outcome, detail) in zip(layers, results):
             if outcome == _TIMEOUT:
-                return self._timeout("hierarchical", "budget:wall")
+                return self._timeout("hierarchical", detail)
             if outcome == _UNDECIDED:
                 return None
             certificates.append(
                 {
                     "tgds": [tgd.name for tgd in layer],
-                    "certificate": certificate,
+                    "certificate": detail,
                 }
             )
         return Verdict(
@@ -314,36 +271,6 @@ class TerminationPortfolio:
                 "carry a semi-oblivious-bounding certificate"
             ),
         )
-
-    def _check_layer_serial(self, payload, budget) -> Tuple[str, Optional[str]]:
-        """The serial twin of :func:`_check_layer`, sharing ``budget``.
-
-        A :class:`ChaseInterrupted` from the layer chase propagates to the
-        cascade loop, which renders it as the ``TIMEOUT`` verdict.
-        """
-        layer, max_atoms, max_rounds = payload[:3]
-        certificate = terminating_certificate(layer)
-        if certificate is not None:
-            return _SETTLED, certificate
-        try:
-            result = oblivious_chase(
-                critical_database(layer),
-                layer,
-                max_atoms=max_atoms,
-                max_rounds=max_rounds,
-                budget=budget,
-                backend=self.backend,
-            )
-        except ChaseInterrupted as interrupted:
-            release(interrupted.instance)
-            raise
-        outcome = (
-            (_SETTLED, "critical-oblivious")
-            if result.terminated
-            else (_UNDECIDED, None)
-        )
-        release(result.instance)
-        return outcome
 
     # -- bookkeeping -------------------------------------------------------
 

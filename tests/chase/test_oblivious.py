@@ -3,7 +3,7 @@
 from repro.core.atoms import Atom
 from repro.core.parsing import parse_database
 from repro.core.terms import Constant
-from repro.chase.oblivious import oblivious_chase, oblivious_chase_terminates, satisfies_all
+from repro.chase.oblivious import oblivious_chase, satisfies_all
 from repro.chase.restricted import restricted_chase
 from repro.tgds.tgd import parse_tgds
 
@@ -60,7 +60,7 @@ class TestBounds:
 
     def test_terminates_helper(self):
         tgds = parse_tgds(["P(x) -> Q(x)"])
-        assert oblivious_chase_terminates(parse_database("P(a)"), tgds)
+        assert oblivious_chase(parse_database("P(a)"), tgds).terminated
 
     def test_empty_database(self, intro_tgds):
         result = oblivious_chase(parse_database([]), intro_tgds)

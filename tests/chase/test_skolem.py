@@ -1,105 +1,74 @@
-"""Tests for the skolem (semi-oblivious) chase."""
+"""The skolem (semi-oblivious) chase, as the critical chase runs it on D*.
 
-import pytest
+:func:`repro.termination.critical.critical_chase` gets skolem semantics
+from the oblivious engine by routing each existential rule through a
+reserved ``F_σ(frontier)`` atom: triggers that agree on the frontier
+share one null-inventing trigger, hence one set of nulls.
+"""
 
-from repro.core.atoms import Atom
-from repro.core.parsing import parse_database
-from repro.core.terms import Constant, Term
-from repro.chase.skolem import (
-    SkolemTerm,
-    skolem_chase,
-    skolem_function_name,
-    skolemize_trigger,
-)
-from repro.tgds.tgd import TGD, parse_tgds
+from repro.core.terms import Constant
+from repro.termination.critical import REPEAT_LIMIT, critical_chase
+from repro.tgds.tgd import parse_tgds
 
 
-class TestSkolemTerm:
-    def test_structure_and_name(self):
-        term = SkolemTerm("f", [Constant("a"), Constant("b")])
-        assert term.function == "f"
-        assert term.name == "f(a,b)"
-        assert term.is_null
-
-    def test_equality_by_structure(self):
-        assert SkolemTerm("f", [Constant("a")]) == SkolemTerm("f", [Constant("a")])
-        assert SkolemTerm("f", [Constant("a")]) != SkolemTerm("g", [Constant("a")])
-
-    def test_depth(self):
-        inner = SkolemTerm("f", [Constant("a")])
-        outer = SkolemTerm("g", [inner])
-        assert inner.depth() == 1
-        assert outer.depth() == 2
-
-    def test_functions_inside(self):
-        nested = SkolemTerm("g", [SkolemTerm("f", [Constant("a")])])
-        assert nested.functions_inside() == {"f", "g"}
-        assert nested.contains_function("f")
-        assert not nested.contains_function("h")
-
-    def test_immutable(self):
-        term = SkolemTerm("f", [Constant("a")])
-        with pytest.raises(AttributeError):
-            term.function = "g"  # type: ignore[misc]
-
-    def test_non_term_args_rejected(self):
-        with pytest.raises(TypeError):
-            SkolemTerm("f", ["a"])  # type: ignore[list-item]
+def user_atoms(result, predicate):
+    """The ``predicate`` atoms of a run (the ``F_σ`` bookkeeping left out)."""
+    return [atom for atom in result.instance if atom.predicate == predicate]
 
 
 class TestSkolemizeTrigger:
     def test_frontier_determines_term(self):
-        tgd = TGD.parse("R(x,y) -> S(x,z)")
-        from repro.core.terms import Variable
-
-        binding = {Variable("x"): Constant("a")}
-        atom1 = skolemize_trigger(tgd, binding)
-        atom2 = skolemize_trigger(tgd, binding)
-        assert atom1 == atom2
-        assert isinstance(atom1[2], SkolemTerm)
+        # R(c,c) and R(c,n) both bind the frontier x to c: one S null.
+        tgds = parse_tgds(["P(x) -> R(x,y)", "R(x,y) -> S(x,z)"])
+        result = critical_chase(tgds)
+        assert result.settled
+        invented = [a for a in user_atoms(result, "S") if a.terms[1].is_null]
+        assert len(invented) == 1
+        assert invented[0].terms[0] == Constant("c")
 
     def test_function_name_per_variable(self):
-        tgd = TGD.parse("R(x,y) -> S(x,z,w)")
-        assert skolem_function_name(tgd, next(iter(tgd.existential_variables))).startswith("f[")
+        result = critical_chase(parse_tgds(["R(x,y) -> S(x,z,w)"]))
+        (invented,) = [a for a in user_atoms(result, "S") if a.terms[1].is_null]
+        assert invented.terms[1] != invented.terms[2]
+        assert invented.terms[2].is_null
 
 
 class TestSkolemChase:
-    def test_semi_oblivious_collapses_intro_example(self, intro_tgds, intro_database):
+    def test_semi_oblivious_collapses_intro_example(self, intro_tgds):
         """Unlike the oblivious chase, the skolem chase terminates on the
         intro example: triggers agreeing on the frontier coincide."""
-        result = skolem_chase(intro_database, intro_tgds)
-        assert result.terminated
-        assert len(result.instance) == 2  # R(a,b) + R(a, f(a))
-        assert result.cyclic_term is None
+        result = critical_chase(intro_tgds)
+        assert result.settled and result.stop is None
+        assert len(user_atoms(result, "R")) == 2  # R(c,c) + R(c, n)
+        assert result.repeats == 1
 
     def test_diverging_chain_cut_off_with_cycle(self, diverging_linear):
-        result = skolem_chase(
-            parse_database("R(a,b)"), diverging_linear, max_rounds=10, max_atoms=50
-        )
-        assert result.cyclic_term is not None
+        result = critical_chase(diverging_linear)
+        assert not result.settled
+        assert result.stop == "nesting"
+        assert result.repeats == REPEAT_LIMIT + 1
 
     def test_stop_on_cycle_aborts_early(self, diverging_linear):
-        result = skolem_chase(
-            parse_database("R(a,b)"),
-            diverging_linear,
-            max_rounds=50,
-            stop_on_cycle=True,
-        )
-        assert not result.terminated
-        assert result.cyclic_term is not None
-        assert result.rounds <= 3
+        # One new null per two rounds (fire, invent): the monitor stops the
+        # chain as soon as it nests past the limit.
+        result = critical_chase(diverging_linear)
+        assert result.rounds <= 2 * (REPEAT_LIMIT + 1)
+        assert len(result.instance) <= 2 * (REPEAT_LIMIT + 2)
 
     def test_weakly_acyclic_fixpoint(self):
         tgds = parse_tgds(["P(x) -> Q(x,y)", "Q(x,y) -> S(y)"])
-        result = skolem_chase(parse_database("P(a), P(b)"), tgds)
-        assert result.terminated
-        assert result.cyclic_term is None
-        assert len(result.instance) == 6
+        result = critical_chase(tgds)
+        assert result.settled
+        assert result.repeats == 1
+        # D* (3 atoms) + Q(c,n) + S(n).
+        assert len(user_atoms(result, "Q")) + len(user_atoms(result, "S")) == 4
 
     def test_skolem_atoms_reused_across_bodies(self):
-        # Both body atoms feed the same frontier -> one skolem witness.
-        tgds = parse_tgds(["R(x,y) -> S(x,z)"])
-        result = skolem_chase(parse_database("R(a,b), R(a,c)"), tgds)
-        assert result.terminated
-        s_atoms = [a for a in result.instance if a.predicate == "S"]
-        assert len(s_atoms) == 1
+        # Body images {R(c,c)} and {R(c,n), R(n,c)} feed the same frontier
+        # x = c -> one skolem witness; x = n gets its own.
+        tgds = parse_tgds(
+            ["P(x) -> R(x,y)", "R(x,y) -> R(y,x)", "R(x,y), R(y,x) -> S(x,z)"]
+        )
+        result = critical_chase(tgds)
+        assert result.settled
+        assert len(user_atoms(result, "S")) == 3  # S(c,c), S(c,m), S(n,m')

@@ -19,8 +19,11 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: Chases a slice of the generator corpus plus a cycle-join workload under
 #: the restricted (fifo, lifo and semi-naive) and oblivious engines, runs a
 #: session-style engine (seed half the facts, inject the rest, drive) and
-#: builds a real oblivious chase; prints one JSON list of (keys, digest)
-#: per run, where the keys are a derivation, a pending list or a node list.
+#: builds a real oblivious chase; per TGD set it also runs the critical
+#: chase (digest-named nulls) and the portfolio and analyzer verdicts.
+#: Prints one JSON list of (keys, digest) per run, where the keys are a
+#: derivation, a pending list, a node list or a verdict's status and
+#: method, and a verdict's digest covers its certificate repr.
 SCRIPT = r"""
 import hashlib
 import json
@@ -31,6 +34,9 @@ from repro.chase.real_oblivious import RealObliviousChase
 from repro.chase.restricted import restricted_chase
 from repro.core.parsing import parse_database
 from repro.guarded.decision import candidate_databases
+from repro.termination.analyzer import TerminationAnalyzer
+from repro.termination.critical import critical_chase
+from repro.termination.portfolio import TerminationPortfolio
 from repro.tgds.generators import GeneratorProfile, corpus
 from repro.tgds.tgd import parse_tgds
 
@@ -46,6 +52,13 @@ profile = GeneratorProfile(
 runs = []
 for family in ("linear", "guarded", "weakly-acyclic"):
     for tgds in corpus(family, 2, base_seed=11, profile=profile):
+        runs.append([[], digest(critical_chase(tgds).instance)])
+        for decide in (TerminationPortfolio().analyze, TerminationAnalyzer().analyze):
+            verdict = decide(tgds)
+            text = repr(verdict.certificate)
+            runs.append(
+                [[verdict.status, verdict.method], hashlib.sha256(text.encode()).hexdigest()]
+            )
         for database in candidate_databases(tgds)[:2]:
             for strategy in ("fifo", "lifo", "semi_naive"):
                 run = restricted_chase(database, tgds, strategy=strategy, max_steps=40)

@@ -145,6 +145,25 @@ class TestBudgets:
         assert verdict.method == "portfolio-certificate"
 
 
+class TestPooledLayerBudgets:
+    def test_pool_layer_checks_honour_the_whole_budget(self):
+        # Two diverging layers, so the pool really forks; each worker's
+        # critical chase trips the same atom cap the serial path does.
+        tgds = parse_tgds(["R(x,y) -> R(y,z)", "S(x,y) -> S(y,z)"])
+        verdicts = [
+            TerminationPortfolio(workers=workers).analyze(
+                tgds, budget=Budget(max_atoms=2)
+            )
+            for workers in (1, 2)
+        ]
+        for verdict in verdicts:
+            assert verdict.status == Status.TIMEOUT
+            assert verdict.certificate == {
+                "stage": "hierarchical",
+                "reason": "budget:atoms",
+            }
+
+
 #: Generated sets pinned by (profile, family, seed) — reproducible by
 #: construction — that the whole-set certificates of stage 1 miss but the
 #: later cheap stages settle (the decider settles both via MFA, so the
@@ -186,7 +205,7 @@ class TestLaterStagesSettle:
         certs = [layer["certificate"] for layer in verdict.certificate["layers"]]
         # At least one layer needed the bounded critical-database chase —
         # this set is genuinely beyond the syntactic certificates.
-        assert "critical-oblivious" in certs
+        assert "critical-chase" in certs
         assert stats.portfolio[-1]["stage"] == "hierarchical"
         assert stats.portfolio[-1]["outcome"] == "settled"
 
