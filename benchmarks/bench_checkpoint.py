@@ -6,7 +6,7 @@ resumed to completion — must land within ``CHECKPOINT_OVERHEAD_THRESHOLD``
 (≤ 10% overhead) of the uninterrupted cold run, with a byte-identical
 final instance and derivation.  The checkpoint stays cheap because it
 ships only the canonical chase state (atoms in insertion order, the
-worklist, the seen set, the derivation log); witnesses and term-position
+worklist as trigger rows, the derivation log); witnesses and term-position
 indexes are rebuilt on restore as pure functions of that state.
 
 The workload is ``bench_parallel``'s join-heavy digraph: most of the work

@@ -311,7 +311,7 @@ class SQLiteInstance(Instance):
     def add(self, atom: Atom) -> bool:
         if not isinstance(atom, Atom):
             raise TypeError(f"instances contain atoms, got {atom!r}")
-        if atom.variables():
+        if not atom.is_ground:
             raise ValueError(f"instances contain ground atoms only, got {atom}")
         conn = self._connection()
         before = conn.total_changes
@@ -337,7 +337,7 @@ class SQLiteInstance(Instance):
         return True
 
     def discard(self, atom: Atom) -> bool:
-        if not isinstance(atom, Atom) or atom.variables():
+        if not isinstance(atom, Atom) or not atom.is_ground:
             return False
         conn = self._connection()
         row = conn.execute(

@@ -13,8 +13,7 @@ resume") has two halves:
 * :class:`ChaseCheckpoint` — a picklable snapshot of everything a
   deterministic chase needs to continue byte-identically: the instance's
   insertion-ordered atom list (index-identical rebuild, like
-  ``Instance.__reduce__``), the pending worklist in order, the dedup-seen
-  trigger keys, a mid-round delta (atoms with birth positions plus the
+  ``Instance.__reduce__``), the pending worklist in order, a mid-round delta (atoms with birth positions plus the
   insertion counter) when the cut fell inside a round, and the loop
   counters (derivation steps, rounds, applications).  Everything else the
   engine holds — the head-witness cache, the per-predicate indexes — is a
@@ -48,8 +47,10 @@ _LOGGER = get_logger(__name__)
 
 #: Bumped when the snapshot layout or counter meaning changes; restore
 #: refuses other versions.  Version 2: ``rounds`` counts rounds *started*,
-#: so a semi-naive checkpoint cut mid-round counts its cut round.
-CHECKPOINT_VERSION = 2
+#: so a semi-naive checkpoint cut mid-round counts its cut round.  Version
+#: 3: no seen-key set (discovery surfaces each trigger exactly once), and
+#: pending triggers pickle as their rows ``(tgd, values)``.
+CHECKPOINT_VERSION = 3
 
 
 class Budget:
@@ -188,7 +189,6 @@ class ChaseCheckpoint:
         "tgd_digests",
         "atoms",
         "pending",
-        "seen",
         "delta",
         "initial_atoms",
         "derivation_steps",
@@ -204,7 +204,6 @@ class ChaseCheckpoint:
         tgd_digests: List[str],
         atoms: list,
         pending: List[Trigger],
-        seen: list,
         delta: Optional[Tuple[list, int]],
         initial_atoms: Optional[list],
         derivation_steps: Optional[List[Trigger]],
@@ -221,8 +220,6 @@ class ChaseCheckpoint:
         self.atoms = atoms
         #: The worklist, in order.
         self.pending = pending
-        #: Keys of every trigger ever enqueued (the dedup set).
-        self.seen = seen
         #: ``(snapshot items, counter)`` of a live mid-round delta, or None
         #: when the checkpoint sits on a round boundary.
         self.delta = delta
@@ -246,7 +243,6 @@ class ChaseCheckpoint:
                 self.tgd_digests,
                 self.atoms,
                 self.pending,
-                self.seen,
                 self.delta,
                 self.initial_atoms,
                 self.derivation_steps,
@@ -278,7 +274,6 @@ class ChaseCheckpoint:
                 tgd_digests=[t.digest_prefix() for t in engine.tgds],
                 atoms=list(engine.instance),
                 pending=list(engine.pending),
-                seen=list(engine._seen),
                 delta=(delta.snapshot(), delta._counter) if delta is not None else None,
                 initial_atoms=(
                     list(derivation.initial) if derivation is not None else None

@@ -8,16 +8,19 @@ module owns the fast implementations of all three:
 * :class:`HeadWitnessIndex` — the per-TGD *head-witness cache* that makes
   ``is_active`` O(few).  For every atom added to the instance it records,
   per TGD whose head matches the atom, the frontier-binding tuple the atom
-  witnesses.  A trigger is then active iff its frontier tuple is absent.
-  Because chase steps only ever *add* atoms, deactivation is monotone: a
-  cache hit is permanent, and no entry ever needs revalidation.  (The only
-  consumer that removes atoms — the derivation DFS — undoes additions in
-  strict LIFO order, for which :meth:`HeadWitnessIndex.forget` reverts
-  exactly the entries the mirrored :meth:`note` created.)
+  witnesses, read off the atom by the TGD's compiled
+  :class:`repro.chase.plans.HeadKernel`.  A trigger is then active iff its
+  frontier tuple is absent.  Because chase steps only ever *add* atoms,
+  deactivation is monotone: a cache hit is permanent, and no entry ever
+  needs revalidation.  (The only consumer that removes atoms — the
+  derivation DFS — undoes additions in strict LIFO order, for which
+  :meth:`HeadWitnessIndex.forget` reverts exactly the entries the mirrored
+  :meth:`note` created.)
 
-* :class:`ChaseEngine` — instance + witness cache + a deduplicated trigger
-  worklist.  Triggers are enqueued once (keyed by ``Trigger.key``) in
-  canonical order per discovery batch; the worklist itself is purely
+* :class:`ChaseEngine` — instance + witness cache + a trigger worklist.
+  Discovery surfaces every trigger exactly once (the join plans' delta
+  limits), so the worklist keeps no seen-set: each discovery batch is
+  enqueued in canonical order, and the worklist itself is purely
   insertion-ordered (list position is the monotone insertion counter), so
   no caller ever re-sorts trigger lists with string keys.  ``apply`` adds the
   result atom, feeds the witness cache, and discovers the triggers the new
@@ -141,7 +144,9 @@ class HeadWitnessIndex:
 
     def __init__(self, tgds: Iterable[TGD], instance: Optional[Instance] = None):
         self._witnessed: Dict[TGD, Set[Tuple[Term, ...]]] = {}
-        self._tgds_by_head: Dict[str, List[TGD]] = {}
+        #: ``head predicate -> [(tgd, witnessed set, head kernel), ...]``;
+        #: equal TGDs share one entry (and one set).
+        self._tgds_by_head: Dict[str, list] = {}
         #: Telemetry: probes answered / probes answered "already witnessed"
         #: (a hit deactivates a trigger — work the cache saved).  Plain
         #: ints, folded into :class:`repro.obs.stats.ChaseStats` at run end.
@@ -150,8 +155,10 @@ class HeadWitnessIndex:
         for tgd in tgds:
             if tgd in self._witnessed:
                 continue
-            self._witnessed[tgd] = set()
-            self._tgds_by_head.setdefault(tgd.head.predicate, []).append(tgd)
+            witnessed = self._witnessed[tgd] = set()
+            self._tgds_by_head.setdefault(tgd.head.predicate, []).append(
+                (tgd, witnessed, tgd.head_kernel())
+            )
         if instance is not None:
             for atom in instance:
                 self.note(atom)
@@ -162,12 +169,14 @@ class HeadWitnessIndex:
         The returned list is the undo token for :meth:`forget`.
         """
         added: List[Tuple[TGD, Tuple[Term, ...]]] = []
-        for tgd in self._tgds_by_head.get(atom.predicate, ()):
-            binding = match_atom(tgd.head, atom)
-            if binding is None:
+        terms = atom.terms
+        for tgd, bucket, kernel in self._tgds_by_head.get(atom.predicate, ()):
+            if len(terms) != kernel.arity:
                 continue
-            key = tuple(binding[v] for v in tgd.frontier_order)
-            bucket = self._witnessed[tgd]
+            twins = kernel.twins
+            if twins is not None and twins[0](terms) != twins[1](terms):
+                continue
+            key = kernel.witness(terms)
             if key not in bucket:
                 bucket.add(key)
                 added.append((tgd, key))
@@ -260,7 +269,7 @@ class RoundResult:
 
 
 class ChaseEngine:
-    """Instance + head-witness cache + deduplicated trigger worklist.
+    """Instance + head-witness cache + trigger worklist.
 
     ``pending`` is the insertion-ordered worklist (FIFO pops index 0, LIFO
     the last index — exactly the strategy contract of ``restricted_chase``).
@@ -316,7 +325,6 @@ class ChaseEngine:
         self.witnesses: Optional[HeadWitnessIndex] = (
             HeadWitnessIndex(self.tgds, self.instance) if track_witnesses else None
         )
-        self._seen: Set[tuple] = set()
         self.pending: List[Trigger] = []
         #: The live delta of a round in progress.  Non-None between a budget
         #: cut and the call that completes the round — the suspended state a
@@ -334,7 +342,7 @@ class ChaseEngine:
     def _restore(cls, checkpoint, tgds, matcher, stats, assessor, backend) -> "ChaseEngine":
         """Rebuild a (possibly mid-round) engine from checkpoint state.
 
-        Bypasses ``__init__``'s seeding discovery: the worklist, dedup set,
+        Bypasses ``__init__``'s seeding discovery: the worklist, the
         live delta, round count, and derivation log arrive from the
         snapshot.  The head-witness cache and the instance indexes are pure
         functions of the insertion-ordered atom list, so rebuilding them
@@ -358,7 +366,6 @@ class ChaseEngine:
         engine.witnesses = (
             HeadWitnessIndex(tgds, engine.instance) if checkpoint.track_witnesses else None
         )
-        engine._seen = set(checkpoint.seen)
         engine.pending = list(checkpoint.pending)
         engine._round_delta = None
         if checkpoint.delta is not None:
@@ -444,16 +451,9 @@ class ChaseEngine:
 
     # -- worklist ----------------------------------------------------------
 
-    def _enqueue(self, triggers: Iterable[Trigger], presorted: bool = False) -> List[Trigger]:
-        if presorted:
-            batch = [t for t in triggers if t.key not in self._seen]
-        else:
-            batch = sorted(
-                (t for t in triggers if t.key not in self._seen),
-                key=lambda t: t.canonical_key,
-            )
-        for trigger in batch:
-            self._seen.add(trigger.key)
+    def _enqueue(self, batch: List[Trigger], presorted: bool = False) -> List[Trigger]:
+        if not presorted:
+            batch.sort(key=lambda t: t.canonical_key)
         self.pending.extend(batch)
         if self.stats is not None:
             self.stats.triggers_discovered += len(batch)
@@ -489,7 +489,7 @@ class ChaseEngine:
         if round_pass:
             batch = self._enqueue(in_birth_order(hits), presorted=True)
         else:
-            batch = self._enqueue(trigger for _, trigger in hits)
+            batch = self._enqueue([trigger for _, trigger in hits])
         if stats is not None:
             stats.discover_order_seconds += clock.perf_counter() - stamp
         return batch
@@ -792,9 +792,8 @@ class ChaseEngine:
             self.stats.undos += 1
         if not token.added:
             return
-        for _ in token.discovered:
-            trigger = self.pending.pop()
-            self._seen.discard(trigger.key)
+        if token.discovered:
+            del self.pending[-len(token.discovered):]
         if self.witnesses is not None:
             self.witnesses.forget(token.witness_entries)
         self.instance.discard(token.atom)

@@ -36,14 +36,21 @@ Plans emit compact rows ``(tgd_index, values, birth)``.  The serial pass
 (:func:`discovery_rows`) and the pool workers of
 :mod:`repro.chase.parallel` run the same :meth:`JoinPlan.match`; both hand
 their rows to :func:`repro.chase.trigger.materialize`.
+
+The head side is compiled too: a :class:`HeadKernel` per TGD (cached as
+:meth:`repro.tgds.tgd.TGD.head_kernel`) reads the frontier tuple an atom
+witnesses, builds ``result(σ,h)`` from a row's values and names the
+canonical key, all with getters and preformatted strings.
 """
 
 from __future__ import annotations
 
+import hashlib
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.terms import Variable
+from repro.core.atoms import Atom
+from repro.core.terms import Null, Variable
 
 #: ``predicate -> ((tgd_index, pivot_index, plan), ...)`` over one rule list.
 DiscoveryTable = Dict[str, Tuple[tuple, ...]]
@@ -67,6 +74,10 @@ def _tuple_getter(indices: Sequence[int]):
     if list(indices) == list(range(first, first + len(indices))):
         return itemgetter(slice(first, first + len(indices)))
     return itemgetter(*indices)
+
+
+#: Reads the empty tuple off any tuple (a getter over no indices).
+_EMPTY = itemgetter(slice(0, 0))
 
 
 def _compile_atom(atom, slots: Dict) -> tuple:
@@ -148,8 +159,7 @@ class JoinPlan:
             )
             self.order += (j,)
         self.steps = tuple(steps)
-        body_slots = [slots[v] for v in tgd.body_order]
-        self.values = _tuple_getter(body_slots) if body_slots else itemgetter(slice(0, 0))
+        self.values = _tuple_getter([slots[v] for v in tgd.body_order]) or _EMPTY
 
     def match(self, bucket, instance, positions, tgd_index: int, rows: list) -> None:
         """Join every pivot atom of ``bucket`` into ``instance``.
@@ -220,6 +230,68 @@ def _extend(steps, depth, binding, instance, positions, birth, tgd_index, values
             rows.append((tgd_index, values(extended), birth))
         else:
             _extend(steps, depth + 1, extended, instance, positions, birth, tgd_index, values, rows)
+
+
+class HeadKernel:
+    """The compiled head of one TGD.
+
+    * **Witness key** — ``arity``, ``twins`` (the getter pair checking a
+      variable repeated in the head) and ``witness``, which reads the
+      frontier tuple (in ``tgd.frontier_order``) off a matching atom's
+      terms; ``frontier`` reads the same tuple off a row's values.
+    * **Result builder** — :meth:`result` extends the values by the
+      trigger's digest-named nulls and reads the head's terms off them
+      with one getter.
+    * **Canonical template** — ``canonical % values`` equals
+      ``repr(trigger.key)``, and ``digest % values`` is the null-naming
+      digest payload; ``%`` in the fixed parts is escaped.
+    """
+
+    __slots__ = (
+        "predicate", "arity", "twins", "witness", "frontier", "terms",
+        "suffixes", "digest", "canonical",
+    )
+
+    def __init__(self, tgd):
+        head = tgd.head
+        body_order = tgd.body_order
+        existentials = sorted(tgd.existential_variables, key=lambda v: v.name)
+        first: Dict = {}
+        twins_first, twins_again = [], []
+        for index, term in enumerate(head.terms):
+            if term in first:
+                twins_first.append(first[term])
+                twins_again.append(index)
+            else:
+                first[term] = index
+        self.predicate = head.predicate
+        self.arity = head.arity
+        self.twins = (_getter(twins_first), _getter(twins_again)) if twins_again else None
+        self.witness = _tuple_getter([first[v] for v in tgd.frontier_order]) or _EMPTY
+        self.frontier = _tuple_getter(tgd.frontier_slots) or _EMPTY
+        slots = {v: i for i, v in enumerate(body_order + tuple(existentials))}
+        self.terms = _tuple_getter([slots[t] for t in head.terms]) or _EMPTY
+        self.suffixes = tuple("." + z.name for z in existentials)
+        prefix = tgd.digest_prefix().replace("%", "%%")
+        names = [v.name.replace("%", "%%") for v in body_order]
+        self.digest = prefix + "\x1e".join(name + "\x1f%r" for name in names)
+        pairs = [f"({name}, %r)" for name in names]
+        items = "(" + ", ".join(pairs) + ("," if len(pairs) == 1 else "") + ")"
+        self.canonical = "(" + repr(tgd).replace("%", "%%") + ", " + items + ")"
+
+    def result(self, values: tuple) -> Atom:
+        """``result(σ,h)`` for the trigger whose body binding is ``values``.
+
+        Each existential ``z`` takes the null ``<digest>.z``, the digest
+        naming ``(σ, h)``: every application of one trigger invents the
+        same nulls.
+        """
+        suffixes = self.suffixes
+        if suffixes:
+            payload = (self.digest % values).encode()
+            digest = hashlib.blake2b(payload, digest_size=9).hexdigest()
+            values = values + tuple([Null(digest + suffix) for suffix in suffixes])
+        return Atom(self.predicate, self.terms(values))
 
 
 def discovery_table(tgds: Sequence) -> DiscoveryTable:

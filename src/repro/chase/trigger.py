@@ -11,116 +11,109 @@ unambiguously.
 
 Null names are derived from a cryptographic digest of the trigger's
 canonical serialization, so two applications of the same trigger (in any
-order, in any run) invent the *same* nulls.  The TGD part of the digest
-payload is cached on the TGD itself (:meth:`repro.tgds.tgd.TGD.digest_prefix`),
-so repeated ``result()`` paths never re-serialize the rule.
+order, in any run) invent the *same* nulls.
+
+A :class:`Trigger` is the discovery row it came from: the rule and the
+values of its body variables.  Its key, ``h`` and canonical key are
+derived on first use; ``result()``, the canonical key and the frontier
+tuple the head-witness cache looks up run the rule's compiled
+:class:`repro.chase.plans.HeadKernel`, so no path re-serializes the rule
+or interprets its head per trigger.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.core.atoms import Atom
 from repro.core.homomorphism import candidate_atoms, homomorphisms, match_atom
 from repro.core.instance import Instance
 from repro.core.substitution import Substitution
-from repro.core.terms import Null, Term, Variable
+from repro.core.terms import Term, Variable
 from repro.chase.plans import discovery_rows, discovery_table
 from repro.tgds.tgd import TGD
 
 
-def _trigger_digest(tgd: TGD, body_binding: Sequence[Tuple[Variable, Term]]) -> str:
-    """A short stable digest identifying ``(σ, h|body-vars)``."""
-    payload = tgd.digest_prefix()
-    payload += "\x1e".join(f"{v.name}\x1f{t!r}" for v, t in body_binding)
-    return hashlib.blake2b(payload.encode(), digest_size=9).hexdigest()
-
-
 class Trigger:
-    """A trigger ``(σ, h)``; ``h`` is stored restricted to the body variables."""
+    """A trigger ``(σ, h)``, stored as the row it came from.
 
-    __slots__ = ("tgd", "_h", "_result", "_key", "_frontier", "_canonical")
+    ``values`` binds :attr:`TGD.body_order` (``h`` restricted to the body
+    variables); ``h``, ``key`` and ``canonical_key`` are derived from it
+    on first use, and ``result()`` runs the TGD's compiled
+    :class:`repro.chase.plans.HeadKernel`.
+    """
+
+    __slots__ = ("tgd", "values", "_h", "_result", "_canonical")
 
     def __init__(self, tgd: TGD, h):
         try:
-            # Body variables in name order: exactly the canonical item order
-            # (a TGD body holds variables only, and names are unique).
-            items = tuple([(variable, h[variable]) for variable in tgd.body_order])
+            values = tuple([h[variable] for variable in tgd.body_order])
         except KeyError:
             missing = [v for v in tgd.body_order if v not in h]
             raise ValueError(f"homomorphism misses body variables {missing}") from None
-        mapping = dict(items)
-        object.__setattr__(self, "tgd", tgd)
-        object.__setattr__(self, "_h", Substitution(mapping))
-        object.__setattr__(self, "_result", None)
-        object.__setattr__(self, "_key", (tgd, items))
-        object.__setattr__(
-            self, "_frontier", tuple([mapping[v] for v in tgd.frontier_order])
-        )
-        object.__setattr__(self, "_canonical", None)
+        self._fill(tgd, values)
 
     @classmethod
     def from_row(cls, tgd: TGD, values: Tuple[Term, ...]) -> "Trigger":
-        """The trigger of a discovery row: ``values`` binds ``tgd.body_order``.
-
-        Rows come from matching instance atoms, so their values are terms
-        already; ``h`` is built on first access.
-        """
+        """The trigger of a discovery row: ``values`` binds ``tgd.body_order``."""
         trigger = cls.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(trigger, "tgd", tgd)
-        setattr_(trigger, "_h", None)
-        setattr_(trigger, "_result", None)
-        setattr_(trigger, "_key", (tgd, tuple(zip(tgd.body_order, values))))
-        setattr_(trigger, "_frontier", tuple([values[i] for i in tgd.frontier_slots]))
-        setattr_(trigger, "_canonical", None)
+        trigger._fill(tgd, values)
         return trigger
+
+    def _fill(self, tgd: TGD, values: Tuple[Term, ...]) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "tgd", tgd)
+        setattr_(self, "values", values)
+        setattr_(self, "_h", None)
+        setattr_(self, "_result", None)
+        setattr_(self, "_canonical", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Trigger is immutable")
 
     def __reduce__(self):
-        # The immutable __setattr__ defeats default slot unpickling; rebuild
-        # through __init__.  Consumer: suspect-scan workers of parallel_map,
-        # whose PumpWitness derivations hold triggers.
-        return (type(self), (self.tgd, dict(self._key[1])))
+        # The immutable __setattr__ defeats default slot unpickling; ship
+        # the row.  Consumers: checkpoints (pending worklist, derivation
+        # log) and suspect-scan workers of parallel_map.
+        return (type(self).from_row, (self.tgd, self.values))
 
     @property
     def h(self) -> Substitution:
         """The homomorphism restricted to the body variables, cached."""
         cached = self._h
         if cached is None:
-            cached = Substitution(dict(self._key[1]))
+            cached = Substitution(dict(zip(self.tgd.body_order, self.values)))
             object.__setattr__(self, "_h", cached)
         return cached
 
     @property
     def key(self) -> tuple:
-        """Hashable identity of the trigger: ``(σ, h)`` up to representation."""
-        return self._key
+        """Hashable identity of the trigger: ``(σ, h)`` up to representation.
+
+        ``(tgd, ((variable, term), ...))`` over :attr:`TGD.body_order`.
+        """
+        return (self.tgd, tuple(zip(self.tgd.body_order, self.values)))
 
     @property
     def canonical_key(self) -> str:
         """A deterministic total-order key for this trigger, cached.
 
         The string equals ``repr(self.key)`` (the ordering the engines have
-        always used), but is computed once per trigger instead of once per
-        comparison site, so canonical enqueue ordering stays cheap.
+        always used), filled into the head kernel's preformatted template.
         """
         cached = self._canonical
         if cached is None:
-            cached = repr(self._key)
+            cached = self.tgd.head_kernel().canonical % self.values
             object.__setattr__(self, "_canonical", cached)
         return cached
 
     def frontier_binding(self) -> Dict[Variable, Term]:
         """``h|fr(σ)`` as a plain dict (built per call)."""
-        return dict(zip(self.tgd.frontier_order, self._frontier))
+        return dict(zip(self.tgd.frontier_order, self.frontier_tuple()))
 
     def frontier_tuple(self) -> Tuple[Term, ...]:
         """The frontier image in ``tgd.frontier_order`` — the witness-cache key."""
-        return self._frontier
+        return self.tgd.head_kernel().frontier(self.values)
 
     def body_image(self) -> List[Atom]:
         """``h(body(σ))``: the atoms of the instance this trigger matched."""
@@ -133,18 +126,10 @@ class Trigger:
         ``z`` takes the null ``c_z^{σ,h}`` named from the trigger digest.
         """
         cached = self._result
-        if cached is not None:
-            return cached
-        tgd = self.tgd
-        items = self._key[1]
-        mapping: Dict[Term, Term] = dict(items)
-        if tgd.existential_variables:
-            digest = _trigger_digest(tgd, items)
-            for var in tgd.existential_variables:
-                mapping[var] = Null(f"{digest}.{var.name}")
-        atom = tgd.head.apply(mapping)
-        object.__setattr__(self, "_result", atom)
-        return atom
+        if cached is None:
+            cached = self.tgd.head_kernel().result(self.values)
+            object.__setattr__(self, "_result", cached)
+        return cached
 
     def result_frontier_terms(self) -> Set[Term]:
         """``fr(result(σ,h))``: terms at the head's frontier positions."""
@@ -152,10 +137,15 @@ class Trigger:
         return {result[i] for i in self.tgd.frontier_head_positions()}
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Trigger) and self._key == other._key
+        # Equal TGDs share their body order, so equal rows are equal keys.
+        return (
+            isinstance(other, Trigger)
+            and self.values == other.values
+            and self.tgd == other.tgd
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.tgd, self.values))
 
     def __repr__(self) -> str:
         return f"Trigger({self.tgd.name}, {self.h!r})"

@@ -21,18 +21,23 @@ class Atom:
     1-based in the public helpers, matching the paper's ``(R, i)`` notation.
     """
 
-    __slots__ = ("predicate", "terms", "_hash")
+    __slots__ = ("predicate", "terms", "_hash", "is_ground")
 
     def __init__(self, predicate: str, terms: Iterable[Term]):
         if not isinstance(predicate, str) or not predicate:
             raise ValueError(f"predicate must be a non-empty string, got {predicate!r}")
         terms = tuple(terms)
+        ground = True
         for t in terms:
             if not isinstance(t, Term):
                 raise TypeError(f"atom arguments must be terms, got {t!r}")
+            if isinstance(t, Variable):
+                ground = False
         object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", hash((predicate, terms)))
+        #: True iff no argument is a variable (constants and nulls only).
+        object.__setattr__(self, "is_ground", ground)
 
     def __setattr__(self, name, value):
         raise AttributeError("Atom is immutable")
@@ -61,11 +66,6 @@ class Atom:
     def is_fact(self) -> bool:
         """True iff every argument is a constant."""
         return all(isinstance(t, Constant) for t in self.terms)
-
-    @property
-    def is_ground(self) -> bool:
-        """True iff no argument is a variable (constants and nulls only)."""
-        return not any(isinstance(t, Variable) for t in self.terms)
 
     def variables(self) -> set:
         """The set of variables occurring in this atom."""

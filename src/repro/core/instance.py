@@ -204,7 +204,7 @@ class Instance:
         """Insert ``atom``; returns True iff it was not already present."""
         if not isinstance(atom, Atom):
             raise TypeError(f"instances contain atoms, got {atom!r}")
-        if atom.variables():
+        if not atom.is_ground:
             raise ValueError(f"instances contain ground atoms only, got {atom}")
         if atom in self._atoms:
             return False

@@ -75,7 +75,7 @@ class ChaseStats:
         self.kind = kind
         #: Completed semi-naive rounds.
         self.rounds = 0
-        #: Triggers that entered the worklist (post-dedup), including the
+        #: Triggers that entered the worklist, including the
         #: seed batch and, on resume, the checkpoint's pending worklist.
         self.triggers_discovered = 0
         #: Triggers applied (the chase's step count contribution).
@@ -119,7 +119,7 @@ class ChaseStats:
         #: along — never on the bare hot path).  Discovery splits into its
         #: layers: the join plans producing rows (serial or pooled), rows
         #: -> Triggers, and the ``(birth, canonical)`` sort plus worklist
-        #: dedup; :attr:`discover_seconds` is their sum.
+        #: append; :attr:`discover_seconds` is their sum.
         self.apply_seconds = 0.0
         self.discover_join_seconds = 0.0
         self.discover_materialize_seconds = 0.0

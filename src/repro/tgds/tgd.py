@@ -41,6 +41,7 @@ class TGD:
         "_repr",
         "_digest_prefix",
         "_join_plans",
+        "_head_kernel",
     )
 
     def __init__(self, body: Iterable[Atom], head: Atom, name: Optional[str] = None):
@@ -70,6 +71,7 @@ class TGD:
         object.__setattr__(self, "_repr", None)
         object.__setattr__(self, "_digest_prefix", None)
         object.__setattr__(self, "_join_plans", None)
+        object.__setattr__(self, "_head_kernel", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TGD is immutable")
@@ -156,6 +158,20 @@ class TGD:
 
             cached = tuple(JoinPlan(self, index) for index in range(len(self.body)))
             object.__setattr__(self, "_join_plans", cached)
+        return cached
+
+    def head_kernel(self):
+        """The compiled head (witness key, result builder, canonical key), cached.
+
+        Built on first use, like :meth:`join_plans`; see
+        :class:`repro.chase.plans.HeadKernel`.
+        """
+        cached = self._head_kernel
+        if cached is None:
+            from repro.chase.plans import HeadKernel
+
+            cached = HeadKernel(self)
+            object.__setattr__(self, "_head_kernel", cached)
         return cached
 
     def body_variables(self) -> Set[Variable]:

@@ -329,6 +329,20 @@ class TestGuardRails:
         with pytest.raises(CheckpointError, match="version"):
             seminaive_chase(None, CHAIN_TGDS, resume=checkpoint)
 
+    def test_version_2_blob_is_refused(self):
+        # Version 3 dropped the seen-key set; a blob stamped with the old
+        # version is refused by the version check, not resumed.
+        with pytest.raises(ChaseInterrupted) as excinfo:
+            seminaive_chase(
+                chain_database(3), CHAIN_TGDS, budget=Budget(max_applications=1)
+            )
+        checkpoint = excinfo.value.checkpoint
+        assert checkpoint.version == 3 and not hasattr(checkpoint, "seen")
+        checkpoint.version = 2
+        blob = pickle.dumps(checkpoint)
+        with pytest.raises(CheckpointError, match="version 2 is not supported"):
+            seminaive_chase(None, CHAIN_TGDS, resume=pickle.loads(blob))
+
     def test_negative_budget_limits_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             Budget(wall_seconds=-1)

@@ -25,10 +25,16 @@ from repro.backends import make_instance
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.terms import Constant, Variable
+from repro.chase import parallel
 from repro.chase.engine import ChaseEngine
+from repro.chase.oblivious import oblivious_chase
 from repro.chase.parallel import ParallelMatcher
 from repro.chase.plans import discovery_rows, discovery_table
+from repro.chase.restricted import exists_derivation_of_length, restricted_chase
 from repro.chase.trigger import new_triggers, seminaive_triggers
+from repro.errors import SearchBudgetExceeded
+from repro.guarded.decision import candidate_databases
+from repro.tgds.generators import GeneratorProfile, corpus
 from repro.tgds.tgd import TGD
 
 WORKERS = [
@@ -367,3 +373,107 @@ def test_seed_fires_one_rule_at_several_pivots():
     assert sorted((t.h[x], t.h[y], t.h[z]) for t in batches[0]) == sorted(
         [(a, b, c), (b, c, a), (c, a, b), (c, a, a), (a, a, b), (a, a, a)]
     )
+
+
+# -- exactly once, with no runtime dedup ------------------------------------
+
+#: The generator corpus' dense-existential profile (as the parallel suite's).
+PROFILE = GeneratorProfile(
+    num_predicates=2, max_arity=2, num_tgds=3, existential_probability=0.8
+)
+
+
+def corpus_runs():
+    """``(tgds, database)`` pairs: a corpus slice per family, plus the
+    hand-written self-join rules, whose one-atom images the strict delta
+    limit keeps from surfacing at two pivots."""
+    runs = []
+    for family in ("linear", "guarded", "sticky", "weakly-acyclic"):
+        for tgds in corpus(family, 3, base_seed=5, profile=PROFILE):
+            runs += [(tgds, db) for db in candidate_databases(tgds)[:2]]
+    loops = [rule([U(x)], R(x, x), "loop"), rule([R(x, y)], S(y, x), "flip")]
+    self_joins = CASES["self_joins"] + loops
+    runs.append((self_joins, Instance([U(a), R(a, b), S(b, a), R(b, a)])))
+    return runs
+
+
+class EnqueueLog:
+    """Every trigger key each engine enqueues, minus those ``undo`` takes
+    back; a key enqueued while still live fails the test on the spot."""
+
+    def __init__(self, monkeypatch):
+        self.live = {}
+        self.enqueued = self.undone = 0
+        enqueue, undo = ChaseEngine._enqueue, ChaseEngine.undo
+
+        def recording_enqueue(engine, batch, presorted=False):
+            batch = enqueue(engine, batch, presorted)
+            keys = self.live.setdefault(engine, set())
+            for trigger in batch:
+                assert trigger.key not in keys, f"enqueued twice: {trigger.canonical_key}"
+                keys.add(trigger.key)
+            self.enqueued += len(batch)
+            return batch
+
+        def recording_undo(engine, token):
+            if token.added:
+                self.live[engine].difference_update(t.key for t in token.discovered)
+                self.undone += len(token.discovered)
+            undo(engine, token)
+
+        monkeypatch.setattr(ChaseEngine, "_enqueue", recording_enqueue)
+        monkeypatch.setattr(ChaseEngine, "undo", recording_undo)
+
+
+@pytest.mark.parametrize("strategy", ["fifo", "lifo", "semi_naive"])
+def test_no_key_enqueued_twice_seeding_steps_and_rounds(strategy, monkeypatch):
+    log = EnqueueLog(monkeypatch)
+    for tgds, database in corpus_runs():
+        restricted_chase(database, tgds, strategy=strategy, max_steps=40, prune=False)
+    assert log.enqueued > 100
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_no_key_enqueued_twice_on_the_pool(workers, monkeypatch):
+    monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+    log = EnqueueLog(monkeypatch)
+    for tgds, database in corpus_runs()[::3]:
+        restricted_chase(
+            database, tgds, strategy="semi_naive", max_steps=40, workers=workers
+        )
+        oblivious_chase(database, tgds, max_atoms=200, max_rounds=4, workers=workers)
+    assert log.enqueued > 100
+
+
+def test_no_key_enqueued_twice_with_injected_atoms(monkeypatch):
+    log = EnqueueLog(monkeypatch)
+    suspended = 0
+    for tgds, database in corpus_runs():
+        atoms = database.sorted_atoms()
+        half = len(atoms) // 2
+        # At a round boundary: the injected atoms run as their own delta.
+        engine = ChaseEngine.open(atoms[:half], tgds, "oblivious", prune=False)
+        engine.drive(max_atoms=150, max_rounds=2)
+        engine.inject_atoms(atoms[half:])
+        engine.drive(max_atoms=300, max_rounds=5)
+        engine.close()
+        # Mid round: a cut leaves the delta live and the injected atoms
+        # join it, so the round-completing pass covers them.
+        engine = ChaseEngine.open(atoms[:half], tgds, "oblivious", prune=False)
+        engine.run_round(max_applications=1)
+        suspended += engine.mid_round()
+        engine.inject_atoms(atoms[half:])
+        engine.drive(max_atoms=300, max_rounds=5)
+        engine.close()
+    assert suspended and log.enqueued > 100
+
+
+def test_no_key_enqueued_twice_across_dfs_undo(monkeypatch):
+    log = EnqueueLog(monkeypatch)
+    for tgds, database in corpus_runs():
+        try:
+            exists_derivation_of_length(database, tgds, 8, max_nodes=60)
+        except SearchBudgetExceeded:
+            pass
+    # Re-applying after an undo re-discovers what the undo took back.
+    assert log.undone > 0 and log.enqueued > log.undone

@@ -6,8 +6,13 @@ memory addresses, and string hashes follow ``PYTHONHASHSEED``.  Neither
 may leak into results: the same inputs chased in two fresh interpreters
 with different hash seeds must produce the same derivation, trigger by
 ``canonical_key``, and the same instance, atom by atom in insertion order.
+
+The output is also pinned across commits: its sha256 must equal
+:data:`PINNED_SHA256`, so a change that moves a canonical key, a null name
+or an insertion order fails here even when it is hash-seed independent.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +20,10 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: sha256 of :data:`SCRIPT`'s standard output.  Re-pin only for a change
+#: that is meant to alter chase results, and say so in the change log.
+PINNED_SHA256 = "ea4d68e44aad1d0b61129ff4aa3fd8b6265102273802a23a9b1a0259177f4a63"
 
 #: Chases a slice of the generator corpus plus a cycle-join workload under
 #: the restricted (fifo, lifo and semi-naive) and oblivious engines, runs a
@@ -96,7 +105,7 @@ print(json.dumps(runs))
 """
 
 
-def chase_under_hash_seed(seed: str) -> list:
+def chase_under_hash_seed(seed: str) -> str:
     env = dict(os.environ, PYTHONHASHSEED=seed)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -109,12 +118,14 @@ def chase_under_hash_seed(seed: str) -> list:
         timeout=300,
         check=True,
     )
-    return json.loads(completed.stdout)
+    return completed.stdout
 
 
 def test_results_independent_of_hash_seed_and_addresses():
-    first = chase_under_hash_seed("0")
-    second = chase_under_hash_seed("4242")
+    output = chase_under_hash_seed("0")
+    first = json.loads(output)
+    second = json.loads(chase_under_hash_seed("4242"))
     assert len(first) > 20
     assert any(keys for keys, _ in first)
     assert first == second
+    assert hashlib.sha256(output.encode()).hexdigest() == PINNED_SHA256

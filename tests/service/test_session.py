@@ -261,13 +261,17 @@ class TestChaseService:
         sid = service.create_session(
             CHAIN_TGDS, parse_atoms("E(gc1,gc2), E(gc2,gc3)", data=True)
         )["session"]
-        names = [
-            term.name
+        # Hold the session's nulls, not only their names, while it lives:
+        # on a disk backend nothing else in memory need keep them interned.
+        nulls = [
+            term
             for atom in service.get(sid).engine.instance
             for term in atom.terms
             if isinstance(term, Null)
         ]
+        names = [null.name for null in nulls]
         assert names and all(name in Null._interned for name in names)
+        del nulls
         service.delete(sid)
         service.close()
         gc.collect()
