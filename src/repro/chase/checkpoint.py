@@ -172,6 +172,13 @@ class Budget:
         return f"Budget({limits or 'unlimited'})"
 
 
+def _refuse(version) -> NoReturn:
+    raise CheckpointError(
+        f"checkpoint version {version!r} is not supported "
+        f"(expected {CHECKPOINT_VERSION})"
+    )
+
+
 class ChaseCheckpoint:
     """A picklable, resumable snapshot of one chase run.
 
@@ -197,6 +204,17 @@ class ChaseCheckpoint:
         "applications",
         "track_witnesses",
     )
+
+    def __new__(cls, *fields, **named):
+        # Positional fields come from a pickled blob (``capture`` passes
+        # keywords), and every version's blob lists them version last:
+        # refuse another version or field count here, before a stale shape
+        # reaches __init__ as a TypeError.
+        if fields and (
+            len(fields) != len(cls.__slots__) or fields[-1] != CHECKPOINT_VERSION
+        ):
+            _refuse(fields[-1])
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -329,10 +347,7 @@ class ChaseCheckpoint:
         both directions.
         """
         if self.version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint version {self.version} is not supported "
-                f"(expected {CHECKPOINT_VERSION})"
-            )
+            _refuse(self.version)
         tgds = tuple(tgds)
         if [t.digest_prefix() for t in tgds] != list(self.tgd_digests):
             raise CheckpointError(

@@ -99,7 +99,7 @@ def _match_chunks(
 
     The worker body, shared by every backend: each chunk binds one
     ``(tgd, pivot)`` pair to a slice of the pivot predicate's delta bucket
-    and runs that pair's compiled :class:`repro.chase.plans.JoinPlan` —
+    and runs that pair's generated kernel (``plan.match``) —
     the exact code the serial pass runs.  Bucket slices are recomputed
     from the delta (chunk specs stay index-pairs, cheap to ship).  Rows are
     ``(tgd_index, values, birth)``, ``values`` the body binding in

@@ -5,24 +5,30 @@ binds one body atom of a TGD — the *pivot* — to an atom of the round's
 delta and joins the other body atoms against the whole instance.  The
 shape of that join depends only on the rule and the pivot, so it is
 compiled once per ``(tgd, pivot_index)`` into a :class:`JoinPlan` and
-cached on the TGD (:meth:`repro.tgds.tgd.TGD.join_plans`):
+cached on the TGD (:meth:`repro.tgds.tgd.TGD.join_plans`).
 
-* **slots** — the binding is a flat tuple that grows left to right: the
-  body's constants first, then each variable in the order the plan binds
-  it.  A plan's ``values`` getter reads it back in :attr:`TGD.body_order`.
-* **pivot ops** — bind the pivot atom's variables, check a variable
-  repeated inside the atom, check a constant by identity.
-* **steps** — the other body atoms in an order fixed at compile time
-  (most bound positions first, then body index).  Each step records its
-  predicate, its delta limit, the bound positions it may probe, and its
-  check and bind ops.
+A plan fixes the pivot, the order of the other body atoms (most bound
+positions first, then body index), each atom's delta limit and the bound
+positions it may probe, and generates one Python function from them: a
+nested ``for`` loop per body atom, in plan order.  Each loop probes the
+smallest of its bound-position buckets (``with_term_at``;
+``with_predicate`` when nothing is bound), checks a candidate's arity and
+bound or repeated positions with ``is not`` — terms are interned, so
+identity is equality (:mod:`repro.core.terms`) — and its delta limit,
+then binds the candidate's fresh variables to locals.  The innermost loop
+appends the row.  ``plan.source`` holds the generated text::
 
-At run time a step probes the smallest of its bound-position buckets
-(``with_term_at``; ``with_predicate`` when nothing is bound), checks the
-bound positions of each candidate in one getter comparison (none when the
-only bound position is the probed one) and its repeated variables in
-another, skips candidates newer than its delta limit, and extends the
-binding tuple by the candidate's fresh variables.
+    print(tgd.join_plans()[0].source)
+
+Predicates and constants enter only as parameters of the generated
+factory ``make(p1, …, k0, …)``, never as source text, so the source
+depends on the plan's *shape* alone — each atom's arity, delta limit and
+pattern of bound, repeated and fresh terms, in plan order — and a cache
+keyed by the shape generates and compiles each shape once: equal shapes
+share one code object.  CPython refuses more than 20 statically nested
+blocks, so a body longer than :data:`LOOPS_PER_FUNCTION` atoms continues
+in chained functions, each receiving the locals bound so far.  The generated function receives the
+instance and the delta positions per call and captures neither.
 
 Exactly-once split: with the pivot bound to the delta atom at position
 ``p``, body atoms *before* the pivot may bind only old atoms or delta
@@ -32,10 +38,10 @@ surfaces at exactly one pivot — the first body atom whose image is the
 latest delta atom of the body image — with ``birth = p``, the maximum
 delta position of its image.
 
-Plans emit compact rows ``(tgd_index, values, birth)``.  The serial pass
-(:func:`discovery_rows`) and the pool workers of
-:mod:`repro.chase.parallel` run the same :meth:`JoinPlan.match`; both hand
-their rows to :func:`repro.chase.trigger.materialize`.
+Plans emit compact rows ``(tgd_index, values, birth)``, ``values`` in
+:attr:`TGD.body_order`.  The serial pass (:func:`discovery_rows`) and the
+pool workers of :mod:`repro.chase.parallel` run the same ``plan.match``;
+both hand their rows to :func:`repro.chase.trigger.materialize`.
 
 The head side is compiled too: a :class:`HeadKernel` per TGD (cached as
 :meth:`repro.tgds.tgd.TGD.head_kernel`) reads the frontier tuple an atom
@@ -46,6 +52,7 @@ canonical key, all with getters and preformatted strings.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
@@ -80,156 +87,156 @@ def _tuple_getter(indices: Sequence[int]):
 _EMPTY = itemgetter(slice(0, 0))
 
 
-def _compile_atom(atom, slots: Dict) -> tuple:
-    """The ops matching ``atom`` once the terms in ``slots`` are bound.
+#: ``for`` loops one generated function nests at most.  CPython refuses
+#: more than 20 statically nested blocks, so a longer plan continues in a
+#: chained function that receives the locals bound so far.
+LOOPS_PER_FUNCTION = 10
 
-    Returns ``(probes, expect, check, bind, twins)``: the 1-based bound
-    positions with the slot holding their value; getters for the bound
-    values (over the binding) and the candidate's terms at those
-    positions (over the atom); a getter for the candidate's fresh
-    variables, in slot order; and a getter pair for the later occurrences
-    of a fresh variable repeated inside the atom and their first
-    occurrence.  Assigns the fresh variables their slots.
+
+@lru_cache(maxsize=1024)
+def _kernel(shape: tuple) -> tuple:
+    """``(source, make)`` for a plan shape: each shape is generated and
+    compiled once, and plans of one shape share one code object per
+    generated function."""
+    source = _source(*shape)
+    namespace: Dict = {}
+    exec(compile(source, "<join plan>", "exec"), namespace)
+    return source, namespace["make"]
+
+
+def _source(pattern: tuple, values: tuple) -> str:
+    """The factory source of a plan shape (see :class:`JoinPlan`): the
+    ``(strict, term codes)`` of each body atom in plan order and the codes
+    of the row's values.
+
+    Generates ``make(p1, …, k0, …)``, which returns the plan's ``match``:
+    the step predicates are parameters ``p1``, ``p2``, …, the body
+    constants ``k0``, ``k1``, … and the variables locals ``v0``, ``v1``, …
+    in binding order, so no predicate or constant text enters the source.
     """
-    probes, bound_slots, bound_positions = [], [], []
-    fresh: Dict = {}
-    twins_first, twins_again = [], []
-    for index, term in enumerate(atom.terms):
-        slot = slots.get(term)
-        if slot is not None:
-            probes.append((index + 1, slot))
-            bound_slots.append(slot)
-            bound_positions.append(index)
-        elif term in fresh:
-            twins_first.append(fresh[term])
-            twins_again.append(index)
-        else:
-            fresh[term] = index
-    for term in fresh:
-        slots[term] = len(slots)
-    twins = None
-    if twins_again:
-        twins = (_getter(twins_first), _getter(twins_again))
-    return (
-        tuple(probes),
-        _getter(bound_slots),
-        _getter(bound_positions),
-        _tuple_getter(list(fresh.values())),
-        twins,
-    )
+    def name(code: int) -> str:
+        return f"v{code}" if code >= 0 else f"k{~code}"
+
+    bound = 0
+    functions: List[list] = []
+    lines = [
+        "def match(bucket, instance, positions, tgd_index, rows):",
+        "    with_term_at = instance.with_term_at",
+        "    with_predicate = instance.with_predicate",
+        "    get = positions.get",
+        "    append = rows.append",
+    ]
+    indent, loops = "    ", 0
+    for step, (strict, terms) in enumerate(pattern):
+        # Constants (negative codes) and variables bound so far.
+        probes = [(index, name(code)) for index, code in enumerate(terms) if code < bound]
+        skip = None
+        if step:
+            if loops == LOOPS_PER_FUNCTION:
+                params = ", ".join(
+                    ["with_term_at", "with_predicate", "get", "append", "tgd_index", "birth"]
+                    + [f"v{code}" for code in range(bound)]
+                )
+                lines.append(f"{indent}part{len(functions) + 1}({params})")
+                functions.append(lines)
+                lines = [f"def part{len(functions)}({params}):"]
+                indent, loops = "    ", 0
+            fail = "continue" if loops else "return"
+            if not probes:
+                lines.append(f"{indent}c{step} = with_predicate(p{step})")
+            else:
+                index, term = probes[0]
+                lines.append(f"{indent}c{step} = with_term_at(p{step}, {index + 1}, {term})")
+                for index, term in probes[1:]:
+                    lines.append(f"{indent}if not c{step}: {fail}")
+                    lines.append(f"{indent}d = with_term_at(p{step}, {index + 1}, {term})")
+                    lines.append(f"{indent}if len(d) < len(c{step}): c{step} = d")
+                if len(probes) == 1:
+                    # The one bound position is the probed bucket's key.
+                    skip = probes[0][0]
+        lines.append(f"{indent}for a{step} in {f'c{step}' if step else 'bucket'}:")
+        indent += "    "
+        loops += 1
+        lines.append(f"{indent}t{step} = a{step}.terms")
+        lines.append(f"{indent}if len(t{step}) != {len(terms)}: continue")
+        fresh: Dict = {}
+        for index, code in enumerate(terms):
+            if code < bound:
+                if index != skip:
+                    lines.append(f"{indent}if t{step}[{index}] is not {name(code)}: continue")
+            elif code in fresh:
+                lines.append(f"{indent}if t{step}[{index}] is not t{step}[{fresh[code]}]: continue")
+            else:
+                fresh[code] = index
+        if step:
+            limit = "birth - 1" if strict else "birth"
+            lines.append(f"{indent}if get(a{step}, -1) > {limit}: continue")
+        for code, index in fresh.items():
+            lines.append(f"{indent}v{code} = t{step}[{index}]")
+        bound += len(fresh)
+        if not step:
+            lines.append(f"{indent}birth = positions[a0]")
+    row = ", ".join(name(code) for code in values) + ("," if len(values) == 1 else "")
+    lines.append(f"{indent}append((tgd_index, ({row}), birth))")
+    functions.append(lines)
+    constants = len({code for _, terms in pattern for code in terms if code < 0})
+    params = [f"p{step}" for step in range(1, len(pattern))]
+    params += [f"k{index}" for index in range(constants)]
+    source = [f"def make({', '.join(params)}):"]
+    for function in functions:
+        source += ["    " + line for line in function]
+    source.append("    return match")
+    return "\n".join(source) + "\n"
 
 
 class JoinPlan:
-    """The compiled semi-naive join of one ``(tgd, pivot_index)`` pair."""
+    """The compiled semi-naive join of one ``(tgd, pivot_index)`` pair.
 
-    __slots__ = ("predicate", "arity", "start", "pivot", "steps", "values", "order")
+    ``match(bucket, instance, positions, tgd_index, rows)`` joins every
+    pivot atom of ``bucket`` into ``instance``: ``bucket`` holds delta
+    atoms under the pivot predicate (the whole per-predicate bucket or a
+    slice of it), ``positions`` is the delta's atom -> birth map.  It
+    appends one ``(tgd_index, values, birth)`` row per homomorphism whose
+    latest delta atom is a pivot atom of ``bucket``; no two rows share a
+    binding.  ``source`` is the generated factory ``match`` came from.
+    """
+
+    __slots__ = ("predicate", "order", "source", "match")
 
     def __init__(self, tgd, pivot_index: int):
         body = tgd.body
-        pivot = body[pivot_index]
-        # Constants are slots bound before the pivot: checking one is
-        # checking a bound position.
-        slots: Dict = {}
+        # The plan's shape numbers its terms: constants -1, -2, … in body
+        # order (bound before the pivot: checking one is checking a bound
+        # position), variables 0, 1, … in binding order.
+        codes: Dict = {}
         for atom in body:
             for term in atom.terms:
-                if not isinstance(term, Variable):
-                    slots.setdefault(term, len(slots))
-        self.start = tuple(slots)
-        self.predicate = pivot.predicate
-        self.arity = pivot.arity
-        _, expect, check, bind, twins = _compile_atom(pivot, slots)
-        expected = expect(self.start) if expect is not None else None
-        self.pivot = (check, expected, bind, twins)
+                if not isinstance(term, Variable) and term not in codes:
+                    codes[term] = ~len(codes)
+        constants = tuple(codes)
+        bound = set(constants) | set(body[pivot_index].terms)
         rest = [j for j in range(len(body)) if j != pivot_index]
-        steps = []
-        #: Body indices in match order, pivot first (for inspection).
-        self.order = (pivot_index,)
+        order = [pivot_index]
         while rest:
             # Most bound positions first, then body index.
-            j = max(rest, key=lambda k: (sum(t in slots for t in body[k].terms), -k))
+            j = max(rest, key=lambda k: (sum(t in bound for t in body[k].terms), -k))
             rest.remove(j)
-            atom = body[j]
-            strict = 1 if j < pivot_index else 0
-            probes, expect, check, bind, twins = _compile_atom(atom, slots)
-            if len(probes) == 1:
-                # The one bound position is the probed bucket's key.
-                expect = check = None
-            steps.append(
-                (atom.predicate, atom.arity, strict, probes, expect, check, bind, twins)
-            )
-            self.order += (j,)
-        self.steps = tuple(steps)
-        self.values = _tuple_getter([slots[v] for v in tgd.body_order]) or _EMPTY
-
-    def match(self, bucket, instance, positions, tgd_index: int, rows: list) -> None:
-        """Join every pivot atom of ``bucket`` into ``instance``.
-
-        ``bucket`` holds delta atoms under the pivot predicate (the whole
-        per-predicate bucket or a slice of it), ``positions`` is the
-        delta's atom -> birth map.  Appends one ``(tgd_index, values,
-        birth)`` row per homomorphism whose latest delta atom is a pivot
-        atom of ``bucket``; no two rows share a binding.
-        """
-        check, expected, bind, twins = self.pivot
-        arity = self.arity
-        start = self.start
-        steps = self.steps
-        values = self.values
-        for atom in bucket:
-            terms = atom.terms
-            if len(terms) != arity:
-                continue
-            if check is not None and check(terms) != expected:
-                continue
-            if twins is not None and twins[0](terms) != twins[1](terms):
-                continue
-            binding = start + bind(terms) if bind is not None else start
-            birth = positions[atom]
-            if steps:
-                _extend(steps, 0, binding, instance, positions, birth, tgd_index, values, rows)
-            else:
-                rows.append((tgd_index, values(binding), birth))
+            order.append(j)
+            bound.update(body[j].terms)
+        pattern = []
+        for j in order:
+            for term in body[j].terms:
+                codes.setdefault(term, len(codes) - len(constants))
+            pattern.append((j < pivot_index, tuple([codes[t] for t in body[j].terms])))
+        shape = (tuple(pattern), tuple([codes[v] for v in tgd.body_order]))
+        self.predicate = body[pivot_index].predicate
+        #: Body indices in match order, pivot first.
+        self.order = tuple(order)
+        self.source, make = _kernel(shape)
+        self.match = make(*[body[j].predicate for j in order[1:]], *constants)
 
     def __repr__(self) -> str:
         return f"JoinPlan({self.predicate}, order={self.order})"
-
-
-def _extend(steps, depth, binding, instance, positions, birth, tgd_index, values, rows):
-    """Run step ``depth`` of a plan under ``binding``; emit complete rows.
-
-    Module-level recursion: no per-call closure, hence no reference cycle
-    keeping a round's instance alive.
-    """
-    predicate, arity, strict, probes, expect, check, bind, twins = steps[depth]
-    if probes:
-        bucket = None
-        for position, slot in probes:
-            candidates = instance.with_term_at(predicate, position, binding[slot])
-            if bucket is None or len(candidates) < len(bucket):
-                bucket = candidates
-                if not bucket:
-                    return
-        if expect is not None:
-            expected = expect(binding)
-    else:
-        bucket = instance.with_predicate(predicate)
-    limit = birth - strict
-    last = depth + 1 == len(steps)
-    for atom in bucket:
-        terms = atom.terms
-        if len(terms) != arity:
-            continue
-        if check is not None and check(terms) != expected:
-            continue
-        if twins is not None and twins[0](terms) != twins[1](terms):
-            continue
-        if positions.get(atom, -1) > limit:
-            continue
-        extended = binding + bind(terms) if bind is not None else binding
-        if last:
-            rows.append((tgd_index, values(extended), birth))
-        else:
-            _extend(steps, depth + 1, extended, instance, positions, birth, tgd_index, values, rows)
 
 
 class HeadKernel:

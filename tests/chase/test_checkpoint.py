@@ -19,7 +19,7 @@ from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.terms import Constant
 from repro.chase import parallel
-from repro.chase.checkpoint import Budget, ChaseCheckpoint
+from repro.chase.checkpoint import CHECKPOINT_VERSION, Budget, ChaseCheckpoint
 from repro.chase.engine import ChaseEngine
 from repro.chase.multihead import example_b1_tgds, multihead_restricted_chase
 from repro.chase.oblivious import oblivious_chase
@@ -342,6 +342,24 @@ class TestGuardRails:
         blob = pickle.dumps(checkpoint)
         with pytest.raises(CheckpointError, match="version 2 is not supported"):
             seminaive_chase(None, CHAIN_TGDS, resume=pickle.loads(blob))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            # The version-2 code pickled 13 constructor arguments, the
+            # seen-key set before the version.
+            ("semi_naive", [], [], [], [], None, [], [], 0, 1, 0, True, 2),
+            # The current version with one field too many.
+            ("semi_naive", [], [], [], None, [], [], 0, 1, 0, True, [], CHECKPOINT_VERSION),
+        ],
+    )
+    def test_blob_of_another_shape_is_refused(self, fields):
+        class Blob:
+            def __reduce__(self):
+                return (ChaseCheckpoint, fields)
+
+        with pytest.raises(CheckpointError, match=f"version {fields[-1]} is not supported"):
+            pickle.loads(pickle.dumps(Blob()))
 
     def test_negative_budget_limits_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

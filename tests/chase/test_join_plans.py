@@ -1,8 +1,8 @@
 """Compiled join plans ≡ the per-atom reference, on bodies the corpus lacks.
 
-Every trigger the chase engines discover comes from one compiled
-:class:`repro.chase.plans.JoinPlan` per ``(tgd, pivot)``.  These tests
-check the plans against the per-atom
+Every trigger the chase engines discover comes from the generated kernel
+of one :class:`repro.chase.plans.JoinPlan` per ``(tgd, pivot)``.  These
+tests check the plans against the per-atom
 :func:`repro.chase.trigger.new_triggers` — in set, in the step-at-a-time
 ``(birth, canonical)`` order, and in the rule each trigger resolves to —
 on body shapes the generator corpus does not produce: constants in body
@@ -11,9 +11,13 @@ step), self-joins where the strict/non-strict delta limit decides, equal
 rules under different names, and delta predicates no rule body uses.
 They do so for a round's delta (``seminaive_triggers``) and for the
 deltas outside a round: the engine's seeding, each ``apply``, and
-``inject_atoms``.  Instances come from the default backend, so the tier-1
-``CHASE_BACKEND=sqlite`` job runs the same checks on disk; the pool tests
-fan out at the widths in ``CHASE_EQUIV_WORKERS``.
+``inject_atoms``.  Long bodies (a 25-atom chain, a 40-atom closed walk)
+check the chain of generated functions a plan deeper than CPython's
+nested-block limit compiles into; rules renamed to awkward predicate and
+constant names check that no name reaches the generated source and that
+equal shapes share one kernel.  Instances come from the default backend,
+so the tier-1 ``CHASE_BACKEND=sqlite`` job runs the same checks on disk;
+the pool tests fan out at the widths in ``CHASE_EQUIV_WORKERS``.
 """
 
 import os
@@ -29,7 +33,7 @@ from repro.chase import parallel
 from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.parallel import ParallelMatcher
-from repro.chase.plans import discovery_rows, discovery_table
+from repro.chase.plans import LOOPS_PER_FUNCTION, discovery_rows, discovery_table
 from repro.chase.restricted import exists_derivation_of_length, restricted_chase
 from repro.chase.trigger import new_triggers, seminaive_triggers
 from repro.errors import SearchBudgetExceeded
@@ -136,22 +140,34 @@ def random_atom(rng, predicate):
     return Atom(predicate, [rng.choice(NODES) for _ in range(SCHEMA[predicate])])
 
 
-def random_round(seed, old=10, new=10):
-    """``(instance, delta, delta atoms)``: ``old`` facts, then a delta of
-    ``new`` facts — self-loops and body-less ``V`` facts included."""
-    rng = random.Random(seed)
-    predicates = list(SCHEMA) + ["V"]
-    facts = []
-    while len(facts) < old + new:
-        atom = random_atom(rng, rng.choice(predicates))
-        if atom not in facts:
-            facts.append(atom)
+def build_round(facts, old):
+    """``(instance, delta)``: the first ``old`` facts, then the rest as a
+    round's delta."""
     instance = make_instance(None, atoms=facts[:old])
     delta = instance.track_delta()
     for atom in facts[old:]:
         instance.add(atom)
     instance.take_delta()
-    return instance, delta, facts
+    return instance, delta
+
+
+def random_facts(seed, count):
+    """``count`` distinct random facts — self-loops and body-less ``V``
+    facts included."""
+    rng = random.Random(seed)
+    predicates = list(SCHEMA) + ["V"]
+    facts = []
+    while len(facts) < count:
+        atom = random_atom(rng, rng.choice(predicates))
+        if atom not in facts:
+            facts.append(atom)
+    return facts
+
+
+def random_round(seed, old=10, new=10):
+    """``(instance, delta)``: ``old`` random facts, then a delta of ``new``
+    more."""
+    return build_round(random_facts(seed, old + new), old)
 
 
 def random_rules(seed, count=3):
@@ -214,7 +230,11 @@ def close(instance):
 
 
 def assert_matches_reference(tgds, seed, old=10, new=10):
-    instance, delta, facts = random_round(seed, old, new)
+    return assert_round_matches_reference(tgds, random_facts(seed, old + new), old)
+
+
+def assert_round_matches_reference(tgds, facts, old):
+    instance, delta = build_round(facts, old)
     try:
         got = seminaive_triggers(tgds, instance, delta)
         per_atom = {t.key for t in new_triggers(tgds, instance, delta.atoms())}
@@ -284,7 +304,7 @@ def test_pool_runs_the_same_plans(workers):
     for seed in range(3):
         for case in ("constants", "repeat_at_step", "self_joins", "equal_rules_renamed"):
             tgds = CASES[case] + random_rules(seed)
-            instance, delta, _ = random_round(seed, old=12, new=14)
+            instance, delta = random_round(seed, old=12, new=14)
             try:
                 serial = seminaive_triggers(tgds, instance, delta)
                 with ParallelMatcher(
@@ -336,13 +356,13 @@ def engine_batches(tgds, seed_facts, injected, steps=12):
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("seed", range(4))
 def test_engine_deltas_edge_case_bodies(case, seed):
-    _, _, facts = random_round(seed, old=8, new=6)
+    facts = random_facts(seed, 14)
     engine_batches(CASES[case], facts[:8], facts[8:])
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_engine_deltas_random_bodies(seed):
-    _, _, facts = random_round(seed, old=8, new=6)
+    facts = random_facts(seed, 14)
     engine_batches(random_rules(seed), facts[:8], facts[8:])
 
 
@@ -373,6 +393,145 @@ def test_seed_fires_one_rule_at_several_pivots():
     assert sorted((t.h[x], t.h[y], t.h[z]) for t in batches[0]) == sorted(
         [(a, b, c), (b, c, a), (c, a, b), (c, a, a), (a, a, b), (a, a, a)]
     )
+
+
+# -- long bodies ---------------------------------------------------------
+
+#: ``x0``, ``x1``, … for the long bodies.
+XS = [Variable(f"x{i}") for i in range(40)]
+
+
+def chain(length):
+    """``R(x0,x1), R(x1,x2), …`` — ``length`` atoms, self-joins all."""
+    return [R(XS[i], XS[i + 1]) for i in range(length)]
+
+
+#: A 25-atom chain: more nested joins than CPython compiles in one function.
+CHAIN_25 = TGD(chain(25), Atom("H", [XS[0], XS[25]]), name="chain25")
+#: 40 atoms: a closed 39-step R walk (self-joins) with ``S(x19,x19)`` (a
+#: repeated variable) in the middle.
+CLOSED_40 = TGD(
+    chain(38) + [Atom("S", [XS[19], XS[19]]), Atom("R", [XS[38], XS[0]])],
+    Atom("C", [XS[0], XS[19]]),
+    name="closed40",
+)
+LONG = [CHAIN_25, CLOSED_40]
+
+
+def figure_eight():
+    """R edges of a 3-cycle and a 5-cycle through ``n0``, in a fixed
+    shuffled order, plus ``S`` loops on ``n0`` and ``n4``: walks of every
+    long length, no blow-up."""
+    n = [Constant(f"n{i}") for i in range(7)]
+    cycles = [[n[0], n[1], n[2]], [n[0], n[3], n[4], n[5], n[6]]]
+    edges = [R(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]
+    random.Random(0).shuffle(edges)
+    return edges + [S(n[0], n[0]), S(n[4], n[4])]
+
+
+def test_long_bodies_compile_into_chained_functions():
+    plans = CHAIN_25.join_plans() + CLOSED_40.join_plans()
+    assert all(len(plan.order) > LOOPS_PER_FUNCTION for plan in plans)
+    assert all("def part1(" in plan.source for plan in plans)
+    assert "def part3(" in CLOSED_40.join_plans()[0].source
+
+
+@pytest.mark.parametrize("old", [3, 6])
+def test_long_bodies_match_the_reference(old):
+    found = assert_round_matches_reference(LONG, figure_eight(), old)
+    assert {t.tgd.name for t in found} == {"chain25", "closed40"}
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_long_bodies_on_the_pool(workers):
+    instance, delta = build_round(figure_eight(), 3)
+    try:
+        serial = seminaive_triggers(LONG, instance, delta)
+        with ParallelMatcher(LONG, workers=workers, min_parallel_work=0) as matcher:
+            fanned = matcher.discover(instance, delta)
+            assert matcher.rounds_parallel == 1
+        assert serial and identity(fanned) == identity(serial)
+    finally:
+        close(instance)
+
+
+@pytest.mark.parametrize("workers", [1] + WORKERS)
+def test_long_bodies_chase_semi_naive(workers, monkeypatch):
+    # R arrives through a copy rule, so the long bodies join a delta of
+    # atoms with distinct births in the second round.
+    monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+    copy = TGD([Atom("E", [x, y])], R(x, y), name="copy")
+    tgds = [copy] + LONG
+    database = Instance(
+        [Atom("E", atom.terms) if atom.predicate == "R" else atom for atom in figure_eight()]
+    )
+    semi = restricted_chase(database, tgds, strategy="semi_naive", workers=workers)
+    fifo = restricted_chase(database, tgds, strategy="fifo")
+    assert semi.terminated and semi.rounds == 2
+    semi.derivation.validate(tgds, require_terminal=True)
+    assert identity(semi.derivation.steps) == identity(fifo.derivation.steps)
+    assert {a.predicate for a in semi.instance} == {"E", "R", "S", "H", "C"}
+
+
+# -- generated source ------------------------------------------------------
+
+#: Predicate and constant names a careless code generator would break on.
+AWKWARD = ["it's", 'say "hi"', "back\\slash", "new\nline", "100%s%%", "naïve→ü", "None", "lambda"]
+
+
+def awkward(tgds, facts):
+    """``tgds`` and ``facts`` with every predicate and constant renamed to
+    an :data:`AWKWARD` name (injectively, so shapes are kept)."""
+    predicates = dict(zip(["R", "S", "U", "V", "H"], AWKWARD))
+    constants = dict(zip(NODES, (Constant(name) for name in AWKWARD[5:] + AWKWARD[:1])))
+
+    def rename(atom):
+        terms = [constants.get(term, term) for term in atom.terms]
+        return Atom(predicates.get(atom.predicate, atom.predicate), terms)
+
+    renamed = [rule([rename(a) for a in t.body], rename(t.head), t.name) for t in tgds]
+    return renamed, [rename(atom) for atom in facts]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_awkward_names_match_the_reference(case):
+    found = []
+    for seed in range(4):
+        tgds, facts = awkward(CASES[case] + random_rules(seed), random_facts(seed, 20))
+        found += assert_round_matches_reference(tgds, facts, 10)
+        for tgd in tgds:
+            for plan in tgd.join_plans():
+                assert not [name for name in AWKWARD if name in plan.source]
+    assert found
+
+
+def test_equal_shapes_share_one_code_object():
+    for case, tgds in CASES.items():
+        renamed, _ = awkward(tgds, [])
+        for tgd, other in zip(tgds, renamed):
+            assert tgd.body != other.body
+            for p, q in zip(tgd.join_plans(), other.join_plans()):
+                assert p.source == q.source
+                assert p.match.__code__ is q.match.__code__
+    # A different shape is a different kernel.
+    p, q = CASES["self_joins"][0].join_plans()[0], CASES["self_joins"][1].join_plans()[0]
+    assert p.match.__code__ is not q.match.__code__
+
+
+def test_zero_arity_pivot_emits_empty_values():
+    # The critical chase's F#i() when a rule's frontier is empty.
+    fired = Atom("F#0", [])
+    tgds = [
+        TGD([fired], Atom("H", [z, w]), name="fire"),
+        TGD([fired, R(x, y)], Atom("H", [x, w]), name="join"),
+    ]
+    rows = []
+    tgds[0].join_plans()[0].match([fired], Instance([fired]), {fired: 0}, 0, rows)
+    assert rows == [(0, (), 0)]
+    found = assert_round_matches_reference(tgds, [R(a, b), R(b, a), fired], 1)
+    assert [(t.tgd.name, t.values) for t in found] == [
+        ("fire", ()), ("join", (a, b)), ("join", (b, a)),
+    ]
 
 
 # -- exactly once, with no runtime dedup ------------------------------------
