@@ -56,6 +56,11 @@ canonical digests of the big closure, and an RSS-capped subprocess pair
 while the sqlite backend completes the identical closure beyond the
 in-memory high-water mark.
 
+It also times the sticky decider (the ``sticky_decider`` section):
+``decide_sticky`` on a diverging arity-6 set and a terminating one, with
+wall time, the automaton states the decision explored and the verdict.
+The section is a trajectory record, not a gate.
+
 ``benchmarks/check_regression.py`` turns the written report into a CI
 gate; see ``docs/CI.md``.
 
@@ -96,6 +101,8 @@ from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase, restricted_chase_naive
 from repro.obs import trace
 from repro.obs.stats import ChaseStats, bench_stats_row
+from repro.sticky.automaton import CaterpillarAutomatonFamily
+from repro.sticky.decision import decide_sticky
 from repro.tgds.tgd import parse_tgds
 
 from bench_checkpoint import (
@@ -397,6 +404,59 @@ def run_oblivious(sizes, repeats: int):
     return rows
 
 
+def _shift_rules(arity: int) -> list:
+    """``R(x̄) → ∃z R(x̄'z)``, ``R(x̄) → ∃z S(x̄'z)``, ``S(x̄) → ∃z R(x̄'z)``,
+    x̄' being x̄ shifted by one: diverging."""
+    args = ",".join(f"x{i}" for i in range(arity))
+    shifted = ",".join(f"x{i}" for i in range(1, arity)) + ",z"
+    return [
+        f"R({args}) -> R({shifted})",
+        f"R({args}) -> S({shifted})",
+        f"S({args}) -> R({shifted})",
+    ]
+
+
+#: The ``sticky_decider`` sets: name -> rules.  The terminating one is the
+#: paper's introductory rule widened to arity 6 (every new atom keeps the
+#: first five terms, so its predecessor always stops it).
+STICKY_DECIDER_SETS = {
+    "shift-6 (diverging)": _shift_rules(6),
+    "keep-prefix-6 (terminating)": ["R(x1,x2,x3,x4,x5,x6) -> R(x1,x2,x3,x4,x5,z)"],
+}
+
+
+def _explored_states(tgds) -> int:
+    """States the decision's emptiness search explores: every component up
+    to and including the first that accepts."""
+    family = CaterpillarAutomatonFamily(tgds)
+    total = 0
+    for etype, pi0 in family.start_pairs():
+        automaton = family.component(etype, pi0)
+        total += len(automaton.explore())
+        if automaton.find_lasso() is not None:
+            break
+    return total
+
+
+def measure_sticky_decider(repeats: int) -> list:
+    """The ``sticky_decider`` rows: best-of-``repeats`` ``decide_sticky``."""
+    rows = []
+    for name, rules in STICKY_DECIDER_SETS.items():
+        tgds = parse_tgds(rules)
+        seconds, verdict = _time(decide_sticky, tgds, repeats=repeats)
+        rows.append(
+            {
+                "workload": "sticky_decider",
+                "set": name,
+                "seconds": round(seconds, 6),
+                "explored_states": _explored_states(tgds),
+                "status": verdict.status,
+                "method": verdict.method,
+            }
+        )
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller sizes, fewer repeats")
@@ -486,6 +546,7 @@ def main(argv=None) -> int:
         service_clients, service_requests, service_batch
     )
     persistent_section = measure_persistent(persistent_width, persistent_depth)
+    sticky_decider_rows = measure_sticky_decider(repeats)
 
     # Worker/CPU provenance on every entry (single-threaded kernels are
     # workers=1), so trajectory diffs never compare across pool widths or
@@ -639,6 +700,7 @@ def main(argv=None) -> int:
         "portfolio": portfolio_section,
         "service": service_section,
         "persistent": persistent_section,
+        "sticky_decider": sticky_decider_rows,
         "acceptance": verdict,
     }
     Path(args.out).write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
@@ -711,6 +773,11 @@ def main(argv=None) -> int:
         f"memory_oom={persistent_section['memory_oom_under_cap']}, "
         f"sqlite_completes={persistent_section['sqlite_completes_under_cap']}"
     )
+    for r in sticky_decider_rows:
+        print(
+            f"{'sticky_decider':<16} {r['set']}: {r['seconds']:.4f}s, "
+            f"{r['explored_states']} states explored, {r['status']}"
+        )
     parallel_note = (
         f"{verdict['min_parallel_speedup_at_largest']}x "
         f"(threshold {PARALLEL_SPEEDUP_THRESHOLD}x, workers={args.workers}, "

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import StateBudgetExceeded
+from repro.errors import ChaseInterrupted, StateBudgetExceeded
 from repro.util import graphs
 
 __all__ = ["StateBudgetExceeded", "Lasso", "BuchiAutomaton"]
+
+#: Newly explored states between two checks of an exploration's budget.
+BUDGET_CHECK_STATES = 64
 
 
 class Lasso:
@@ -43,7 +46,12 @@ class BuchiAutomaton:
 
     ``transition(state, symbol)`` returns the successor state or None (dead);
     ``is_accepting(state)`` marks the Büchi acceptance set.  The alphabet is
-    a finite list of hashable symbols.
+    a finite list of hashable symbols.  An optional ``budget``
+    (:class:`repro.chase.checkpoint.Budget`) is checked every
+    :data:`BUDGET_CHECK_STATES` newly explored states.
+
+    Everything the emptiness check returns depends only on the order the
+    states were explored in and on their ``repr``, never on how they hash.
     """
 
     def __init__(
@@ -53,23 +61,26 @@ class BuchiAutomaton:
         transition: Callable[[Hashable, Hashable], Optional[Hashable]],
         is_accepting: Callable[[Hashable], bool],
         max_states: int = 200_000,
+        budget=None,
     ):
         self.initial = initial
         self.alphabet = list(alphabet)
         self.transition = transition
         self.is_accepting = is_accepting
         self.max_states = max_states
+        self.budget = budget
         self._explored: Optional[Dict[Hashable, List[Tuple[Hashable, Hashable]]]] = None
 
     def explore(self) -> Dict[Hashable, List[Tuple[Hashable, Hashable]]]:
         """Materialize all reachable states: state -> [(symbol, successor)].
 
-        Raises :class:`StateBudgetExceeded` past ``max_states``.
+        Raises :class:`StateBudgetExceeded` past ``max_states`` and
+        :class:`repro.errors.ChaseInterrupted` when the budget runs out.
         """
         if self._explored is not None:
             return self._explored
+        budget = self.budget
         edges: Dict[Hashable, List[Tuple[Hashable, Hashable]]] = {}
-        frontier: List[Hashable] = [self.initial]
         edges[self.initial] = []
         pending = [self.initial]
         while pending:
@@ -87,6 +98,10 @@ class BuchiAutomaton:
                         )
                     edges[successor] = []
                     pending.append(successor)
+                    if budget is not None and len(edges) % BUDGET_CHECK_STATES == 0:
+                        reason = budget.exceeded()
+                        if reason is not None:
+                            raise ChaseInterrupted(reason, partial={"states": len(edges)})
             edges[state] = out
         self._explored = edges
         return edges
@@ -104,10 +119,14 @@ class BuchiAutomaton:
     def find_lasso(self) -> Optional[Lasso]:
         """A witness ``u v^ω`` with an accepting state on the cycle, or None."""
         edges = self.explore()
+        # Successors in edge order (a dict, not a set), so the search's
+        # repr-sorted visits break repr ties by exploration order.
         graph: Dict = {
-            state: {succ for _, succ in out} for state, out in edges.items()
+            state: dict.fromkeys(succ for _, succ in out)
+            for state, out in edges.items()
         }
         components = graphs.strongly_connected_components(graph)
+        order = {state: index for index, state in enumerate(edges)}
         target: Optional[Hashable] = None
         for component in components:
             has_cycle = len(component) > 1 or any(
@@ -115,11 +134,9 @@ class BuchiAutomaton:
             )
             if not has_cycle:
                 continue
-            accepting = sorted(
-                (s for s in component if self.is_accepting(s)), key=repr
-            )
+            accepting = [s for s in component if self.is_accepting(s)]
             if accepting:
-                target = accepting[0]
+                target = min(accepting, key=lambda s: (repr(s), order[s]))
                 component_set = set(component)
                 break
         else:

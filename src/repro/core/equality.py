@@ -130,6 +130,8 @@ class EqualityType:
         )
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, EqualityType)
             and self.predicate == other.predicate
@@ -233,6 +235,8 @@ class LabeledEqualityType:
         return LabeledEqualityType(etype, labels)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, LabeledEqualityType)
             and self.etype == other.etype

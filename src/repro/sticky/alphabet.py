@@ -20,15 +20,17 @@ class CaterpillarSymbol:
 
     ``tgd_index`` / ``body_index`` address into the TGD set, keeping symbols
     hashable and compact; ``passes_on`` is the (possibly empty) frozen
-    position set ``P``.
+    position set ``P``.  The hash is computed once: symbols key the
+    automaton's step table.
     """
 
-    __slots__ = ("tgd_index", "body_index", "passes_on")
+    __slots__ = ("tgd_index", "body_index", "passes_on", "_hash")
 
     def __init__(self, tgd_index: int, body_index: int, passes_on: FrozenSet[int]):
         self.tgd_index = tgd_index
         self.body_index = body_index
         self.passes_on = frozenset(passes_on)
+        self._hash = hash((tgd_index, body_index, self.passes_on))
 
     def tgd(self, tgds: Sequence[TGD]) -> TGD:
         return tgds[self.tgd_index]
@@ -41,6 +43,8 @@ class CaterpillarSymbol:
         return bool(self.passes_on)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, CaterpillarSymbol)
             and self.tgd_index == other.tgd_index
@@ -49,7 +53,7 @@ class CaterpillarSymbol:
         )
 
     def __hash__(self) -> int:
-        return hash((self.tgd_index, self.body_index, self.passes_on))
+        return self._hash
 
     def __repr__(self) -> str:
         marks = "" if not self.passes_on else f", P={sorted(self.passes_on)}"

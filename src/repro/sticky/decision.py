@@ -16,6 +16,9 @@ of the same pass-on window.
 
 Every witness is replay-validated: the produced trigger sequence must be a
 genuine restricted chase derivation (each trigger active when applied).
+
+A caller's :class:`repro.chase.checkpoint.Budget` bounds the automaton
+search; exhaustion answers ``TIMEOUT`` (method ``sticky-budget``).
 """
 
 from __future__ import annotations
@@ -23,16 +26,18 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.automata.buchi import Lasso, StateBudgetExceeded
+from repro.chase.checkpoint import Budget
 from repro.core.atoms import Atom
 from repro.core.equality import EqualityType
 from repro.core.instance import Instance
 from repro.core.terms import Constant, Term, Variable
 from repro.chase.derivation import Derivation, DerivationError
 from repro.chase.trigger import Trigger
+from repro.errors import ChaseInterrupted
 from repro.sticky.alphabet import CaterpillarSymbol
 from repro.sticky.automaton import CaterpillarAutomatonFamily
 from repro.termination.verdict import Status, Verdict
-from repro.tgds.stickiness import check_sticky_set
+from repro.tgds.stickiness import StickinessAnalysis
 from repro.tgds.tgd import TGD
 
 
@@ -159,6 +164,8 @@ def decide_sticky(
     tgds: Sequence[TGD],
     max_states: int = 100_000,
     witness_cycles: int = 3,
+    budget: Optional[Budget] = None,
+    marking: Optional[StickinessAnalysis] = None,
 ) -> Verdict:
     """The full ``CT_res_∀∀(S)`` decision (Theorem 6.1).
 
@@ -166,17 +173,37 @@ def decide_sticky(
       some caterpillar automaton component accepts;
     * ``ALL_TERMINATING`` when every component is empty (``L(A_T) = ∅``);
     * ``UNKNOWN`` only if the state budget is exhausted (the construction
-      is elementary but exponential in the arity).
+      is elementary but exponential in the arity);
+    * ``TIMEOUT`` (method ``sticky-budget``) when ``budget`` runs out
+      during the automaton search.
+
+    ``marking`` is the set's :class:`StickinessAnalysis` when the caller
+    already has it (the analyzer's classification does); it is computed
+    here otherwise.
     """
-    check_sticky_set(list(tgds))
-    family = CaterpillarAutomatonFamily(tgds, max_states=max_states)
+    if marking is None:
+        marking = StickinessAnalysis(tgds)
+    marking.check()
+    if budget is not None:
+        budget.start()
+    family = CaterpillarAutomatonFamily(tgds, max_states=max_states, marking=marking)
     try:
-        counterexample = family.find_counterexample()
+        counterexample = family.find_counterexample(budget)
     except StateBudgetExceeded as error:
         return Verdict(
             Status.UNKNOWN,
             method="sticky-buchi",
             detail=f"state budget exhausted: {error}",
+        )
+    except ChaseInterrupted as interrupted:
+        return Verdict(
+            Status.TIMEOUT,
+            method="sticky-budget",
+            certificate=dict(interrupted.partial),
+            detail=(
+                f"budget exhausted ({interrupted.reason}) after "
+                f"{interrupted.partial['components']} empty automaton components"
+            ),
         )
     if counterexample is None:
         return Verdict(

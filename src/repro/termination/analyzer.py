@@ -21,6 +21,7 @@ in front of this analyzer; see ``docs/TERMINATION.md``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from repro.chase.checkpoint import Budget
@@ -40,20 +41,44 @@ from repro.tgds.acyclicity import (
     terminating_certificate,
 )
 from repro.tgds.guardedness import is_guarded, is_linear
-from repro.tgds.stickiness import is_sticky
+from repro.tgds.stickiness import StickinessAnalysis
 from repro.tgds.tgd import TGD
 
 
 class Classification:
-    """Syntactic class membership of a TGD set."""
+    """Syntactic class membership of a TGD set.
+
+    Each property is computed when it is first read, so the analyzer's
+    dispatch pays only for the classes it asks about.
+    """
 
     def __init__(self, tgds: Sequence[TGD]):
-        tgd_list = list(tgds)
-        self.linear = is_linear(tgd_list)
-        self.guarded = is_guarded(tgd_list)
-        self.sticky = is_sticky(tgd_list)
-        self.weakly_acyclic = is_weakly_acyclic(tgd_list)
-        self.jointly_acyclic = is_jointly_acyclic(tgd_list)
+        self.tgds = list(tgds)
+
+    @cached_property
+    def linear(self) -> bool:
+        return is_linear(self.tgds)
+
+    @cached_property
+    def guarded(self) -> bool:
+        return is_guarded(self.tgds)
+
+    @cached_property
+    def stickiness(self) -> StickinessAnalysis:
+        """The marking behind :attr:`sticky`, shared with the sticky decider."""
+        return StickinessAnalysis(self.tgds)
+
+    @cached_property
+    def sticky(self) -> bool:
+        return self.stickiness.is_sticky
+
+    @cached_property
+    def weakly_acyclic(self) -> bool:
+        return is_weakly_acyclic(self.tgds)
+
+    @cached_property
+    def jointly_acyclic(self) -> bool:
+        return is_jointly_acyclic(self.tgds)
 
     def labels(self) -> List[str]:
         out = []
@@ -101,9 +126,9 @@ class TerminationAnalyzer:
         """Decide / semi-decide membership in ``CT_res_∀∀``.
 
         ``budget`` is a per-run :class:`repro.chase.checkpoint.Budget`
-        threaded into the critical-database chase and the divergence-suspect
-        scans; exhaustion yields a ``TIMEOUT`` verdict recording the
-        completed suspect count instead of an exception.  ``stats`` is an
+        threaded into the sticky automaton search, the critical-database
+        chase and the divergence-suspect scans; exhaustion yields a
+        ``TIMEOUT`` verdict instead of an exception.  ``stats`` is an
         optional :class:`repro.obs.stats.ChaseStats` threaded the same way;
         the suspect scans fill its ``suspects`` entries (strictly passive —
         verdicts are identical with or without it).
@@ -113,7 +138,12 @@ class TerminationAnalyzer:
             stats.kind = "decider"
         classification = self.classify(tgd_list)
         if classification.sticky:
-            verdict = decide_sticky(tgd_list, max_states=self.sticky_max_states)
+            verdict = decide_sticky(
+                tgd_list,
+                max_states=self.sticky_max_states,
+                budget=budget,
+                marking=classification.stickiness,
+            )
             if not verdict.is_unknown:
                 return verdict
         if classification.guarded:

@@ -77,15 +77,18 @@ _TIMEOUT = "timeout"
 def _check_layer(payload) -> Tuple[str, Optional[str]]:
     """Certify one layer; module-level so it ships to process pools.
 
-    ``payload`` is ``(layer_tgds, budget)``.  Returns ``(outcome, detail)``:
+    ``payload`` is ``(layer_tgds, budget, uncertified)``; ``uncertified``
+    says the syntactic certificates are already known to fail on the
+    layer, so only the critical chase runs.  Returns ``(outcome, detail)``:
     ``("settled", certificate)``, ``("undecided", None)`` or
     ``("timeout", reason)``.  Only conditions that bound the layer's
     semi-oblivious chase are used (see module docstring).
     """
-    layer, budget = payload
-    certificate = terminating_certificate(layer)
-    if certificate is not None:
-        return _SETTLED, certificate
+    layer, budget, uncertified = payload
+    if not uncertified:
+        certificate = terminating_certificate(layer)
+        if certificate is not None:
+            return _SETTLED, certificate
     try:
         settled = critical_chase(layer, budget).settled
     except ChaseInterrupted as interrupted:
@@ -225,10 +228,14 @@ class TerminationPortfolio:
             detail=f"whole-set syntactic termination certificate: {certificate}",
         )
 
+    # The stages after ``certificate`` run only when it found no certificate
+    # for the whole set, so a layer that is the whole set is known to be
+    # neither full, nor weakly nor jointly acyclic.
+
     def _stage_stratification(self, tgds, graph, budget) -> Optional[Verdict]:
         layers = graph.layers()
         for layer in layers:
-            if not is_weakly_acyclic(layer):
+            if len(layer) == len(tgds) or not is_weakly_acyclic(layer):
                 return None
         return Verdict(
             Status.ALL_TERMINATING,
@@ -242,7 +249,7 @@ class TerminationPortfolio:
 
     def _stage_hierarchical(self, tgds, graph, budget) -> Optional[Verdict]:
         layers = graph.layers()
-        payloads = [(layer, budget) for layer in layers]
+        payloads = [(layer, budget, len(layer) == len(tgds)) for layer in layers]
         if self.workers <= 1:
             # Lazy, so the serial scan stops at the first unsettled layer.
             results = map(_check_layer, payloads)

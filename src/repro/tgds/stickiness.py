@@ -105,6 +105,16 @@ class StickinessAnalysis:
         """The class ``S`` membership test."""
         return not self.sticky_violations()
 
+    def check(self) -> None:
+        """Raise ``ValueError`` describing the first stickiness violation, if any."""
+        violations = self.sticky_violations()
+        if violations:
+            idx, var = violations[0]
+            raise ValueError(
+                f"set is not sticky: marked variable {var.name!r} occurs twice "
+                f"in the body of {self.tgds[idx]}"
+            )
+
     def is_immortal_position(self, tgd_index: int, head_position: int) -> bool:
         """Is the ``head_position``-th position of ``head(σ)`` immortal?
 
@@ -140,11 +150,4 @@ def is_sticky(tgds: Iterable[TGD]) -> bool:
 
 def check_sticky_set(tgds: Sequence[TGD]) -> None:
     """Raise ``ValueError`` describing the first stickiness violation, if any."""
-    analysis = StickinessAnalysis(tgds)
-    violations = analysis.sticky_violations()
-    if violations:
-        idx, var = violations[0]
-        raise ValueError(
-            f"set is not sticky: marked variable {var.name!r} occurs twice "
-            f"in the body of {analysis.tgds[idx]}"
-        )
+    StickinessAnalysis(tgds).check()

@@ -10,6 +10,11 @@ with different hash seeds must produce the same derivation, trigger by
 The output is also pinned across commits: its sha256 must equal
 :data:`PINNED_SHA256`, so a change that moves a canonical key, a null name
 or an insertion order fails here even when it is hash-seed independent.
+
+A second script, :data:`STICKY_SCRIPT`, pins the sticky decider's outputs
+the same way (:data:`PINNED_STICKY_SHA256`): the automaton's ``Θ`` is a
+frozenset of types whose hash follows string hashes, so nothing derived
+while iterating it may leak into a verdict, a lasso or a witness.
 """
 
 import hashlib
@@ -105,13 +110,71 @@ print(json.dumps(runs))
 """
 
 
-def chase_under_hash_seed(seed: str) -> str:
+#: sha256 of :data:`STICKY_SCRIPT`'s standard output.  Re-pin only for a
+#: change that is meant to alter sticky verdicts, lassos or witnesses.
+PINNED_STICKY_SHA256 = "c68e2c41e096453ccf3819cf1492c2a292c98d2d0097563e82e050dc599f3003"
+
+#: Decides the ``sticky`` generator family (two profiles), the sticky
+#: templates of the benchmarks under fixed renamings and a small arity
+#: ladder with ``decide_sticky`` and the portfolio.  Prints one JSON list
+#: per verdict: status, method, detail, the lasso's start pair and symbols,
+#: and the witness's initial atoms (insertion order) and derivation
+#: ``canonical_key``s.
+STICKY_SCRIPT = r"""
+import json
+
+from repro.sticky.decision import decide_sticky
+from repro.termination.portfolio import TerminationPortfolio
+from repro.tgds.generators import GeneratorProfile, corpus
+from repro.tgds.tgd import parse_tgds
+
+sets = corpus("sticky", 12, base_seed=5)
+sets += corpus(
+    "sticky",
+    12,
+    base_seed=31,
+    profile=GeneratorProfile(
+        num_predicates=2, max_arity=3, num_tgds=3, existential_probability=0.6
+    ),
+)
+templates = [
+    ["R(x,y) -> R(x,z)"],
+    ["Edge7(u,v) -> Edge7(v,w)"],
+    ["Rq(a,b) -> Sq(b,c)", "Sq(d,e) -> Rq(e,f)"],
+    ["Rr(x1,y1) -> Ar(y1)", "Ar(x2) -> Rr(x2,y2)"],
+    ["P(x) -> R(x,y)", "R(x,y) -> R(y,x)"],
+    ["T(x,y,z) -> S(y,w)", "R(x,y), P(y,z) -> T(x,y,w)"],
+]
+for arity in (2, 3, 4):
+    args = ",".join(f"x{i}" for i in range(arity))
+    shifted = ",".join(f"x{i}" for i in range(1, arity)) + ",z"
+    templates.append([f"R({args}) -> R({shifted})"])
+sets += [parse_tgds(rules) for rules in templates]
+runs = []
+for tgds in sets:
+    for decide in (decide_sticky, TerminationPortfolio().analyze):
+        verdict = decide(tgds)
+        row = [verdict.status, verdict.method, verdict.detail]
+        witness = (verdict.certificate or {}).get("witness")
+        if witness is not None and hasattr(witness, "lasso"):
+            row.append(repr(witness.start_etype))
+            row.append(sorted(witness.start_positions))
+            row.append([repr(s) for s in witness.lasso.prefix])
+            row.append([repr(s) for s in witness.lasso.cycle])
+            row.append([repr(atom) for atom in witness.initial])
+            row.append([t.canonical_key for t in witness.derivation.steps])
+        runs.append(row)
+print(json.dumps(runs))
+"""
+
+
+def run_under_hash_seed(script: str, seed: str) -> str:
     env = dict(os.environ, PYTHONHASHSEED=seed)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
     completed = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
@@ -122,10 +185,47 @@ def chase_under_hash_seed(seed: str) -> str:
 
 
 def test_results_independent_of_hash_seed_and_addresses():
-    output = chase_under_hash_seed("0")
+    output = run_under_hash_seed(SCRIPT, "0")
     first = json.loads(output)
-    second = json.loads(chase_under_hash_seed("4242"))
+    second = json.loads(run_under_hash_seed(SCRIPT, "4242"))
     assert len(first) > 20
     assert any(keys for keys, _ in first)
     assert first == second
     assert hashlib.sha256(output.encode()).hexdigest() == PINNED_SHA256
+
+
+def test_sticky_verdicts_independent_of_hash_seed():
+    output = run_under_hash_seed(STICKY_SCRIPT, "0")
+    first = json.loads(output)
+    second = json.loads(run_under_hash_seed(STICKY_SCRIPT, "4242"))
+    assert sum(len(row) > 3 for row in first) >= 10
+    assert first == second
+    assert hashlib.sha256(output.encode()).hexdigest() == PINNED_STICKY_SHA256
+
+
+#: A diverging sticky set whose automaton has accepting states with equal
+#: reprs: the lasso must not depend on which of them a set yields first.
+LADDER_SCRIPT = r"""
+import json
+
+from repro.sticky.decision import decide_sticky
+from repro.tgds.tgd import parse_tgds
+
+verdict = decide_sticky(parse_tgds([
+    "R(x0,x1,x2,x3) -> R(x1,x2,x3,z)",
+    "R(x0,x1,x2,x3) -> S(x1,x2,x3,z)",
+    "S(x0,x1,x2,x3) -> R(x1,x2,x3,z)",
+]))
+witness = verdict.certificate["witness"]
+print(json.dumps([
+    verdict.detail,
+    [repr(s) for s in witness.lasso.prefix],
+    [repr(s) for s in witness.lasso.cycle],
+    [t.canonical_key for t in witness.derivation.steps],
+]))
+"""
+
+
+def test_sticky_lasso_ties_independent_of_hash_seed():
+    outputs = {seed: run_under_hash_seed(LADDER_SCRIPT, seed) for seed in ("0", "2", "4")}
+    assert len(set(outputs.values())) == 1, outputs

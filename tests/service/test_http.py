@@ -199,6 +199,24 @@ class TestAnalyzeAndStatz:
         assert second["verdict"] == first["verdict"]
         assert [e["stage"] for e in second["portfolio"]] == ["cache"]
 
+    def test_analyze_budget_cut_is_an_uncached_timeout(self, server):
+        # A diverging sticky set whose automaton search takes about half a
+        # second unbudgeted (arity 7); a 0.1 s request budget cuts it.
+        args = ",".join(f"x{i}" for i in range(7))
+        shifted = ",".join(f"x{i}" for i in range(1, 7)) + ",z"
+        tgds = [
+            f"Rb({args}) -> Rb({shifted})",
+            f"Rb({args}) -> Sb({shifted})",
+            f"Sb({args}) -> Rb({shifted})",
+        ]
+        payload = {"tgds": tgds, "budget": {"wall_seconds": 0.1}}
+        for _ in range(2):
+            status, data = request(server, "POST", "/v1/analyze", payload)
+            assert status == 200
+            assert data["verdict"]["status"] == "timeout"
+            assert data["verdict"]["method"] in ("sticky-budget", "portfolio-budget")
+            assert not data["cached"]
+
     def test_statz_counters_consistent(self, server):
         status, data = request(server, "GET", "/statz")
         assert status == 200

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.chase.checkpoint import Budget
 from repro.chase.restricted import restricted_chase
+from repro.obs import clock
 from repro.sticky.decision import decide_sticky, instantiate_lasso, witness_from_lasso
 from repro.termination.verdict import Status
 from repro.tgds.tgd import parse_tgds
+
+from tests.sticky.test_reference_oracle import ladder
 
 
 class TestKnownTerminating:
@@ -99,3 +103,75 @@ class TestNonStickyRejected:
         _, non_sticky = sticky_pair
         with pytest.raises(ValueError, match="not sticky"):
             decide_sticky(non_sticky)
+
+
+class TickingClock(clock.FakeClock):
+    """A fake clock that moves one second forward on every reading."""
+
+    def monotonic(self) -> float:
+        now = self.now
+        self.now += 1.0
+        return now
+
+
+@pytest.fixture
+def ticking_clock():
+    fake = TickingClock()
+    previous = clock.set_clock(fake)
+    try:
+        yield fake
+    finally:
+        clock.set_clock(previous)
+
+
+class TestBudget:
+    """The automaton search honours the caller's budget (``sticky-budget``).
+
+    Under :class:`TickingClock` every budget check costs one second.  Arming
+    the budget reads the clock once; then it is checked before each start
+    pair and every 64 newly explored states.  On the arity-4 ladder the
+    first start pair's component has one state and the second's 255.
+    """
+
+    def test_cut_between_components(self, ticking_clock):
+        verdict = decide_sticky(parse_tgds(ladder(4)), budget=Budget(wall_seconds=0.5))
+        assert verdict.status == Status.TIMEOUT
+        assert verdict.method == "sticky-budget"
+        assert verdict.certificate == {"components": 0}
+        assert verdict.detail == (
+            "budget exhausted (budget:wall) after 0 empty automaton components"
+        )
+
+    def test_cut_inside_a_component(self, ticking_clock):
+        verdict = decide_sticky(parse_tgds(ladder(4)), budget=Budget(wall_seconds=3.5))
+        assert verdict.status == Status.TIMEOUT
+        assert verdict.method == "sticky-budget"
+        # Checks at readings 1 (first pair), 2 (second pair), 3 (64 states)
+        # pass; reading 4, at 128 states, is past the deadline.
+        assert verdict.certificate == {"components": 1, "states": 128}
+
+    def test_generous_budget_matches_unbudgeted(self, ticking_clock):
+        tgds = parse_tgds(ladder(4))
+        budgeted = decide_sticky(tgds, budget=Budget(wall_seconds=1000))
+        unbudgeted = decide_sticky(tgds)
+        assert budgeted.status == Status.NOT_ALL_TERMINATING
+        assert (budgeted.status, budgeted.method, budgeted.detail) == (
+            unbudgeted.status,
+            unbudgeted.method,
+            unbudgeted.detail,
+        )
+
+    def test_wall_budget_bounds_a_wide_set(self):
+        # Unbudgeted, the arity-7 ladder takes about half a second on a
+        # 2-CPU container; a 0.05 s budget cuts the search.
+        started = clock.perf_counter()
+        verdict = decide_sticky(parse_tgds(ladder(7)), budget=Budget(wall_seconds=0.05))
+        assert clock.perf_counter() - started < 0.5
+        assert verdict.status == Status.TIMEOUT
+        assert verdict.method == "sticky-budget"
+
+    def test_analyzer_threads_its_budget(self, ticking_clock):
+        from repro.termination.analyzer import TerminationAnalyzer
+
+        verdict = TerminationAnalyzer().analyze(parse_tgds(ladder(4)), budget=Budget(wall_seconds=0.5))
+        assert verdict.method == "sticky-budget"
