@@ -66,11 +66,18 @@ def chain_database(width: int) -> Database:
 
 
 def canonical_digest(instance) -> str:
-    """SHA-256 of the canonical serialization — byte-identity across processes."""
+    """SHA-256 of the canonical serialization — byte-identity across processes.
+
+    Atoms sort by predicate first, so digesting one sorted predicate
+    bucket at a time hashes exactly the ``sorted_atoms`` serialization
+    while holding one bucket, not the whole closure, in memory — the
+    capped children's peak is the chase's, not the digest's.
+    """
     digest = hashlib.sha256()
-    for atom in instance.sorted_atoms():
-        digest.update(repr(atom).encode())
-        digest.update(b"\n")
+    for predicate in sorted(instance.predicates()):
+        for atom in sorted(instance.with_predicate(predicate), key=Atom.sort_key):
+            digest.update(repr(atom).encode())
+            digest.update(b"\n")
     return digest.hexdigest()
 
 

@@ -47,6 +47,14 @@ the perf floors regress:
   counters) — a violation means the instrumentation itself is buggy, so
   it is treated like an equivalence failure (never skippable); rows
   without a ``stats`` key are fine (older snapshots);
+* ``gc_tracked_per_chase`` — the GC-tracked objects one
+  ``seminaive_dense`` chase leaves alive — must not grow more than
+  ``GC_TRACKED_GROWTH`` (10%) over the accepted count in
+  ``GC_TRACKED_ACCEPTED`` for the interpreter the report was measured on.
+  The accepted counts live in this file, not in the refreshed report, so
+  only an explicit edit here raises them.  The count is deterministic,
+  so the noise margin does not scale this ceiling; a report without the
+  count, or from an interpreter with no accepted count, only earns a note;
 * every engine pair must have produced identical instances (and, where
   recorded, identical derivations) — an equivalence failure is never
   skippable.
@@ -75,6 +83,16 @@ import json
 import os
 import sys
 from pathlib import Path
+
+#: The accepted ``gc_tracked_per_chase`` objects, per interpreter
+#: (``major.minor``) the count was taken on: object layouts differ between
+#: CPython versions, so a count only compares with one from the same
+#: version.  A change that lowers a count may lower it here; raising one
+#: takes an explicit edit of this line, never just a refreshed report.
+GC_TRACKED_ACCEPTED = {"3.11": 5213}
+
+#: Allowed growth of ``gc_tracked_per_chase`` over the accepted count.
+GC_TRACKED_GROWTH = 1.10
 
 
 def stats_violations(stats: dict, context: str) -> list:
@@ -129,6 +147,31 @@ def stats_violations(stats: dict, context: str) -> list:
                 f"({stats[name]})"
             )
     return problems
+
+
+def gc_tracked_violations(report: dict, accepted: dict = GC_TRACKED_ACCEPTED) -> list:
+    """The allocation-count gate: the report's count against ``accepted``."""
+    measured = report.get("gc_tracked_per_chase")
+    if measured is None:
+        return [
+            "note: report has no gc_tracked_per_chase count — "
+            "allocation gate not applied"
+        ]
+    count, python = measured["objects"], measured["python"]
+    reference = accepted.get(python)
+    if reference is None:
+        return [
+            f"note: no accepted gc_tracked_per_chase count for Python {python} "
+            "— allocation gate not applied"
+        ]
+    ceiling = int(reference * GC_TRACKED_GROWTH)
+    if count > ceiling:
+        return [
+            f"gc_tracked_per_chase: {count} objects alive after one chase, "
+            f"above {ceiling} (the accepted {reference} on Python {python} "
+            f"plus {round((GC_TRACKED_GROWTH - 1) * 100)}%)"
+        ]
+    return []
 
 
 def gate(report: dict, margin: float) -> list:
@@ -370,6 +413,7 @@ def gate(report: dict, margin: float) -> list:
                         stats, f"{row.get('workload', section)} n={row.get('size')}"
                     )
                 )
+    failures.extend(gc_tracked_violations(report))
     return failures
 
 

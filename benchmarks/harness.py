@@ -56,6 +56,13 @@ canonical digests of the big closure, and an RSS-capped subprocess pair
 while the sqlite backend completes the identical closure beyond the
 in-memory high-water mark.
 
+It also counts ``gc_tracked_per_chase``: the GC-tracked objects one
+``seminaive_dense`` chase at n=32 leaves alive, result held (a
+``gc.get_objects()`` diff with the collector off), recorded with the
+interpreter's ``major.minor`` version.  Unlike the timed ratios the count
+is deterministic, so ``check_regression.py`` gates it against the count
+it accepts for that version.
+
 It also times the sticky decider (the ``sticky_decider`` section):
 ``decide_sticky`` on a diverging arity-6 set and a terminating one, with
 wall time, the automaton states the decision explored and the verdict.
@@ -79,6 +86,7 @@ or ``make bench`` / ``make bench-quick`` (``WORKERS=N`` forwards
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -289,6 +297,42 @@ def run_seminaive_kernel(sizes, repeats: int, max_steps: int = 1_000_000):
             }
         )
     return rows, speedups
+
+
+#: The ``seminaive_dense`` size the allocation count is taken at.
+GC_TRACKED_SIZE = 32
+
+
+def measure_gc_tracked(n: int = GC_TRACKED_SIZE) -> int:
+    """GC-tracked objects alive after one ``seminaive_dense`` chase at ``n``.
+
+    A warm-up chase first fills the process-wide caches (compiled plans
+    and head kernels, interned terms), so the count is what one chase
+    itself leaves alive: its result — instance, indexes, derivation — and
+    whatever it left for the cyclic collector, which is off meanwhile.
+    """
+    tgds = dense_tgds()
+    database = dense_database(n)
+
+    def chase():
+        return restricted_chase(
+            database, tgds, strategy="semi_naive", max_steps=1_000_000, prune=False
+        )
+
+    warm = chase()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = chase()
+        after = len(gc.get_objects())
+    finally:
+        if enabled:
+            gc.enable()
+    if not (warm.terminated and result.terminated):
+        raise RuntimeError(f"seminaive_dense n={n}: a run was cut off")
+    return after - before
 
 
 def run_parallel_kernel(sizes, repeats: int, workers: int, max_steps: int = 1_000_000):
@@ -547,6 +591,7 @@ def main(argv=None) -> int:
     )
     persistent_section = measure_persistent(persistent_width, persistent_depth)
     sticky_decider_rows = measure_sticky_decider(repeats)
+    gc_tracked_per_chase = measure_gc_tracked()
 
     # Worker/CPU provenance on every entry (single-threaded kernels are
     # workers=1), so trajectory diffs never compare across pool widths or
@@ -701,6 +746,10 @@ def main(argv=None) -> int:
         "service": service_section,
         "persistent": persistent_section,
         "sticky_decider": sticky_decider_rows,
+        "gc_tracked_per_chase": {
+            "objects": gc_tracked_per_chase,
+            "python": "%d.%d" % sys.version_info[:2],
+        },
         "acceptance": verdict,
     }
     Path(args.out).write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
@@ -778,6 +827,10 @@ def main(argv=None) -> int:
             f"{'sticky_decider':<16} {r['set']}: {r['seconds']:.4f}s, "
             f"{r['explored_states']} states explored, {r['status']}"
         )
+    print(
+        f"{'gc_tracked':<16} {gc_tracked_per_chase} objects alive after one "
+        f"seminaive_dense chase at n={GC_TRACKED_SIZE}"
+    )
     parallel_note = (
         f"{verdict['min_parallel_speedup_at_largest']}x "
         f"(threshold {PARALLEL_SPEEDUP_THRESHOLD}x, workers={args.workers}, "

@@ -371,6 +371,9 @@ class SQLiteInstance(Instance):
             (predicate,),
         )
 
+    def index_position(self, predicate: str, position: int) -> None:
+        """A no-op: the ``buckets`` table indexes every position already."""
+
     def with_term_at(self, predicate: str, position: int, term: Term) -> _SQLiteView:
         params = (predicate, position, encode_term(term))
         return _SQLiteView(

@@ -107,6 +107,25 @@ def _live_subset(tgds: Tuple[TGD, ...], assessor, instance: Instance) -> Tuple[T
     return tuple(tgds[i] for i in assessor.live_indices(instance.predicates()))
 
 
+def _bind_rows(triggers: Iterable[Trigger], tgds: Tuple[TGD, ...]) -> List[Trigger]:
+    """``triggers`` with each rule swapped for the ``tgds`` rule of its digest.
+
+    Restored checkpoint rows carry unpickled *copies* of the rules.  Bound
+    to the caller's own rule objects, the head-witness lookup takes its
+    identity fast path and every row shares its rule's compiled head
+    kernel.  Matching is by digest prefix, as the restore check is; a row
+    whose rule matches none keeps its own.
+    """
+    by_digest: Dict[str, TGD] = {}
+    for tgd in tgds:
+        by_digest.setdefault(tgd.digest_prefix(), tgd)
+    rows = []
+    for trigger in triggers:
+        tgd = by_digest.get(trigger.tgd.digest_prefix(), trigger.tgd)
+        rows.append(trigger if tgd is trigger.tgd else Trigger.from_row(tgd, trigger.values))
+    return rows
+
+
 def _delta_of(atoms: Iterable[Atom]) -> Delta:
     """A delta of atoms already in the instance, born 0..n-1 in order."""
     delta = Delta()
@@ -347,8 +366,10 @@ class ChaseEngine:
         snapshot.  The head-witness cache and the instance indexes are pure
         functions of the insertion-ordered atom list, so rebuilding them
         lands on index-identical state — see
-        chase/checkpoint.py for the byte-identity argument.  ``backend``
-        selects the storage backend of the rebuilt instance; checkpoints
+        chase/checkpoint.py for the byte-identity argument.  Worklist rows
+        and derivation steps are rebound to the ``tgds`` objects
+        (:func:`_bind_rows`).  ``backend`` selects the storage backend of
+        the rebuilt instance; checkpoints
         are backend-portable (they carry the atom list, not the storage),
         so a memory run can resume on sqlite and vice versa.
         """
@@ -366,16 +387,17 @@ class ChaseEngine:
         engine.witnesses = (
             HeadWitnessIndex(tgds, engine.instance) if checkpoint.track_witnesses else None
         )
-        engine.pending = list(checkpoint.pending)
+        engine.pending = _bind_rows(checkpoint.pending, tgds)
         engine._round_delta = None
         if checkpoint.delta is not None:
             engine._round_delta = Delta._restore(*checkpoint.delta)
             engine.instance.resume_delta(engine._round_delta)
         engine.rounds = checkpoint.rounds
         engine.kind = checkpoint.kind
-        engine.derivation = (
-            None if checkpoint.initial_atoms is None else checkpoint.restore_derivation()
-        )
+        engine.derivation = None
+        if checkpoint.initial_atoms is not None:
+            engine.derivation = checkpoint.restore_derivation()
+            engine.derivation.steps = _bind_rows(engine.derivation.steps, tgds)
         if stats is not None:
             # The snapshot's worklist enters this run's accounting as
             # discovered work, keeping fired <= discovered on resume.

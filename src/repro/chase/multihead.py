@@ -187,7 +187,7 @@ def multihead_restricted_chase(
     if budget is not None:
         budget.start()
     rng = random.Random(seed)
-    instance = Instance(database.atoms())
+    instance = Instance(database)
     applied: List[MultiHeadTrigger] = []
     tgd_list = list(tgds)
     while len(applied) < max_steps:
@@ -234,7 +234,7 @@ def _seminaive_multihead_chase(
     """
     if budget is not None:
         budget.start()
-    instance = Instance(database.atoms())
+    instance = Instance(database)
     applied: List[MultiHeadTrigger] = []
     tgd_list = list(tgds)
     while len(applied) < max_steps:
@@ -295,7 +295,7 @@ def multihead_exists_derivation_of_length(
         failed_at[state] = max(failed_at.get(state, -1), len(steps))
         return None
 
-    return dfs(Instance(database.atoms()), [])
+    return dfs(Instance(database), [])
 
 
 def example_b1_tgds() -> List[MultiHeadTGD]:

@@ -327,6 +327,13 @@ class ParallelMatcher:
 
     def _run_process(self, instance: Instance, delta, tasks) -> List[list]:
         global _FORK_STATE
+        # Position buckets are built on first probe; one built in a forked
+        # worker dies with it.  Build every position the round's plans may
+        # probe here, once, so the workers inherit them.
+        pairs = {(chunk[0], chunk[1]): None for task in tasks for chunk in task}
+        for tgd_index, pivot_index in pairs:
+            for predicate, position in self.tgds[tgd_index].join_plans()[pivot_index].probes:
+                instance.index_position(predicate, position)
         context = multiprocessing.get_context("fork")
         with _FORK_LOCK:
             _FORK_STATE = (self.tgds, instance, delta)

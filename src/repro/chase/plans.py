@@ -95,19 +95,20 @@ LOOPS_PER_FUNCTION = 10
 
 @lru_cache(maxsize=1024)
 def _kernel(shape: tuple) -> tuple:
-    """``(source, make)`` for a plan shape: each shape is generated and
-    compiled once, and plans of one shape share one code object per
-    generated function."""
-    source = _source(*shape)
+    """``(source, make, positions)`` for a plan shape: each shape is
+    generated and compiled once, and plans of one shape share one code
+    object per generated function."""
+    source, positions = _source(*shape)
     namespace: Dict = {}
     exec(compile(source, "<join plan>", "exec"), namespace)
-    return source, namespace["make"]
+    return source, namespace["make"], positions
 
 
-def _source(pattern: tuple, values: tuple) -> str:
+def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
     """The factory source of a plan shape (see :class:`JoinPlan`): the
     ``(strict, term codes)`` of each body atom in plan order and the codes
-    of the row's values.
+    of the row's values.  Also returns, per step after the pivot, the
+    1-based positions the generated code may probe.
 
     Generates ``make(p1, …, k0, …)``, which returns the plan's ``match``:
     the step predicates are parameters ``p1``, ``p2``, …, the body
@@ -118,6 +119,7 @@ def _source(pattern: tuple, values: tuple) -> str:
         return f"v{code}" if code >= 0 else f"k{~code}"
 
     bound = 0
+    probed: List[tuple] = []
     functions: List[list] = []
     lines = [
         "def match(bucket, instance, positions, tgd_index, rows):",
@@ -142,6 +144,7 @@ def _source(pattern: tuple, values: tuple) -> str:
                 lines = [f"def part{len(functions)}({params}):"]
                 indent, loops = "    ", 0
             fail = "continue" if loops else "return"
+            probed.append(tuple([index + 1 for index, _ in probes]))
             if not probes:
                 lines.append(f"{indent}c{step} = with_predicate(p{step})")
             else:
@@ -186,7 +189,7 @@ def _source(pattern: tuple, values: tuple) -> str:
     for function in functions:
         source += ["    " + line for line in function]
     source.append("    return match")
-    return "\n".join(source) + "\n"
+    return "\n".join(source) + "\n", tuple(probed)
 
 
 class JoinPlan:
@@ -201,7 +204,7 @@ class JoinPlan:
     binding.  ``source`` is the generated factory ``match`` came from.
     """
 
-    __slots__ = ("predicate", "order", "source", "match")
+    __slots__ = ("predicate", "order", "source", "match", "_predicates", "_positions")
 
     def __init__(self, tgd, pivot_index: int):
         body = tgd.body
@@ -232,8 +235,19 @@ class JoinPlan:
         self.predicate = body[pivot_index].predicate
         #: Body indices in match order, pivot first.
         self.order = tuple(order)
-        self.source, make = _kernel(shape)
-        self.match = make(*[body[j].predicate for j in order[1:]], *constants)
+        self.source, make, self._positions = _kernel(shape)
+        self._predicates = [body[j].predicate for j in order[1:]]
+        self.match = make(*self._predicates, *constants)
+
+    @property
+    def probes(self) -> Tuple[Tuple[str, int], ...]:
+        """The ``(predicate, position)`` pairs ``match`` may probe with
+        ``with_term_at``: every bound position of every non-pivot step."""
+        return tuple(
+            (predicate, position)
+            for predicate, positions in zip(self._predicates, self._positions)
+            for position in positions
+        )
 
     def __repr__(self) -> str:
         return f"JoinPlan({self.predicate}, order={self.order})"

@@ -279,7 +279,7 @@ def restricted_chase_naive(
     two engines is measured by ``benchmarks/harness.py`` and
     ``benchmarks/bench_ablation_engine.py``.
     """
-    instance = Instance(database.atoms())
+    instance = Instance(database)
     derivation = Derivation(instance)
     steps = 0
     while steps < max_steps:
@@ -365,7 +365,7 @@ def exists_derivation_of_length(
     found = dfs([])
     if found is None:
         return None
-    return Derivation(Instance(database.atoms()), found)
+    return Derivation(Instance(database), found)
 
 
 def all_derivations_terminate(

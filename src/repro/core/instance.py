@@ -9,22 +9,38 @@ distinct; :class:`MultisetInstance` models those via tagged occurrences.
 Indexing
 --------
 
-Instances keep two inverted indexes, both maintained incrementally by
-``add``/``discard``/``copy``:
+Instances keep two inverted indexes:
 
-* a per-predicate index (``with_predicate``), and
+* a per-predicate index (``with_predicate``), maintained by every
+  ``add``/``discard``, and
 * a term-position index ``(predicate, position, term) → atoms``
-  (``with_term_at``, positions 1-based as in the paper's ``(R, i)``).
+  (``with_term_at``, positions 1-based as in the paper's ``(R, i)``),
+  built on demand.
 
-The homomorphism engine intersects term-position buckets to prune its
-candidate sets; the per-predicate bucket is only the fallback for patterns
-with no bound position.  All buckets are insertion-ordered (plain dicts), so
-iteration order is deterministic for a deterministic insertion sequence —
-the chase engines rely on this for reproducible derivations.
+The term-position index is demand-driven.  A ``(predicate, position)``
+pair gets its buckets the first time a probe asks for it: one scan of
+the predicate bucket, skipping atoms too short to have that position.
+From then on ``add`` and ``discard`` maintain the positions already
+indexed, and no others.  Rules whose bodies are single atoms never probe,
+so a chase over them builds no position bucket at all.  ``copy`` carries
+the indexed positions; a pickled instance ships its atom list only.
+
+All buckets are insertion-ordered (plain dicts), so iteration order is
+deterministic for a deterministic insertion sequence — the chase engines
+rely on this for reproducible derivations.  A lazy bucket has the order
+an eagerly maintained one would have had: the predicate bucket it is
+built from is in insertion order, and from then on ``add`` appends to
+both and ``discard`` removes from both.
+
+Probes may come from several threads at once (the parallel matcher's
+threaded fallback).  A position's buckets are built off to the side
+under a lock and published before the position is marked indexed, so a
+reader never sees a partial bucket.  Mutation stays single-threaded.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, Iterator, KeysView, Optional, Set, Tuple
 
 from repro.core.atoms import Atom
@@ -137,7 +153,8 @@ class Instance:
 
     The indexes make homomorphism search and active-trigger checks cheap:
     candidates for a body atom are the intersection of the buckets of its
-    bound positions instead of a scan over the whole instance.
+    bound positions instead of a scan over the whole instance.  Position
+    buckets are built on first probe (see the module docstring).
 
     This class is the *memory backend* of the instance contract; the
     disk-backed :class:`repro.backends.sqlite.SQLiteInstance` implements
@@ -153,6 +170,12 @@ class Instance:
         self._atoms: Dict[Atom, None] = {}
         self._by_predicate: Dict[str, Dict[Atom, None]] = {}
         self._by_position: Dict[Tuple[str, int, Term], Dict[Atom, None]] = {}
+        #: predicate -> the positions whose buckets exist, in probe order.
+        self._indexed: Dict[str, Tuple[int, ...]] = {}
+        #: Serializes first-probe builds.  Per instance, not per process: a
+        #: process-wide lock held by one thread while another forks a pool
+        #: would stay locked forever in the forked workers.
+        self._index_lock = threading.Lock()
         self._delta: Optional[Delta] = None
         if atoms is not None:
             for atom in atoms:
@@ -160,13 +183,13 @@ class Instance:
 
     def __reduce__(self):
         # Pickle as the insertion-ordered atom list; __init__ re-derives the
-        # predicate and term-position buckets on the other side.  Bucket
-        # iteration order — which the chase engines rely on — is a function
-        # of the insertion sequence, so the rebuilt instance is
-        # index-identical, not just set-equal.  A mid-round delta is
-        # deliberately not carried across: instances only cross process
-        # boundaries in whole-task payloads (parallel_map suspects), never
-        # mid-round.
+        # predicate buckets on the other side, and position buckets are
+        # rebuilt on demand.  Bucket iteration order — which the chase
+        # engines rely on — is a function of the insertion sequence, so the
+        # rebuilt instance is index-identical, not just set-equal.  A
+        # mid-round delta is deliberately not carried across: instances
+        # only cross process boundaries in whole-task payloads
+        # (parallel_map suspects), never mid-round.
         return (type(self), (list(self._atoms),))
 
     # -- round-delta tracking (semi-naive evaluation) ----------------------
@@ -209,11 +232,15 @@ class Instance:
         if atom in self._atoms:
             return False
         self._atoms[atom] = None
-        self._by_predicate.setdefault(atom.predicate, {})[atom] = None
-        by_position = self._by_position
         predicate = atom.predicate
-        for i, term in enumerate(atom.terms, start=1):
-            by_position.setdefault((predicate, i, term), {})[atom] = None
+        self._by_predicate.setdefault(predicate, {})[atom] = None
+        positions = self._indexed.get(predicate)
+        if positions:
+            by_position = self._by_position
+            terms = atom.terms
+            for i in positions:
+                if i <= len(terms):
+                    by_position.setdefault((predicate, i, terms[i - 1]), {})[atom] = None
         if self._delta is not None:
             self._delta.record(atom)
         return True
@@ -234,11 +261,12 @@ class Instance:
                 del self._by_predicate[atom.predicate]
         by_position = self._by_position
         predicate = atom.predicate
-        for i, term in enumerate(atom.terms, start=1):
-            key = (predicate, i, term)
-            position_bucket = by_position.get(key)
-            if position_bucket is not None:
-                position_bucket.pop(atom, None)
+        terms = atom.terms
+        for i in self._indexed.get(predicate, ()):
+            if i <= len(terms):
+                key = (predicate, i, terms[i - 1])
+                position_bucket = by_position[key]
+                del position_bucket[atom]
                 if not position_bucket:
                     del by_position[key]
         if self._delta is not None:
@@ -253,8 +281,45 @@ class Instance:
         """All atoms with ``term`` at 1-based ``position`` of ``predicate``.
 
         The term-position index lookup: a set-like, insertion-ordered view.
+        A hit answers from the bucket; only a miss consults the indexed
+        positions and, on the first probe of ``(predicate, position)``,
+        builds that position's buckets.
         """
-        return self._by_position.get((predicate, position, term), _EMPTY).keys()
+        key = (predicate, position, term)
+        bucket = self._by_position.get(key)
+        if bucket is None:
+            if position not in self._indexed.get(predicate, ()):
+                self.index_position(predicate, position)
+            # Look again even for an indexed position: a concurrent build
+            # may have published the bucket after the first lookup.
+            bucket = self._by_position.get(key, _EMPTY)
+        return bucket.keys()
+
+    def index_position(self, predicate: str, position: int) -> None:
+        """Build the buckets of ``(predicate, position)``, then mark it indexed.
+
+        ``with_term_at`` calls this on a position's first probe; a caller
+        about to fork probing workers calls it up front, so the buckets
+        are built once in the parent rather than once per worker.
+
+        One scan of the insertion-ordered predicate bucket, so each bucket
+        lists its atoms in insertion order.  The buckets are complete
+        before they are published, and the position is marked only after
+        they are, so a concurrent reader sees a whole bucket or none.
+        """
+        if position < 1:
+            return  # no atom has such a position; ``terms[position - 1]`` would wrap
+        with self._index_lock:
+            positions = self._indexed.get(predicate, ())
+            if position in positions:
+                return
+            built: Dict[Tuple[str, int, Term], Dict[Atom, None]] = {}
+            for atom in self._by_predicate.get(predicate, _EMPTY):
+                terms = atom.terms
+                if position <= len(terms):
+                    built.setdefault((predicate, position, terms[position - 1]), {})[atom] = None
+            self._by_position.update(built)
+            self._indexed[predicate] = positions + (position,)
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._atoms
@@ -287,10 +352,16 @@ class Instance:
         return sorted(self, key=Atom.sort_key)
 
     def copy(self) -> "Instance":
-        clone = Instance()
+        """An independent copy of the same class, in the same insertion order.
+
+        Carries the indexed positions, so the clone probes as cheaply as
+        the original.
+        """
+        clone = type(self)()
         clone._atoms = dict(self._atoms)
         clone._by_predicate = {p: dict(d) for p, d in self._by_predicate.items()}
         clone._by_position = {k: dict(d) for k, d in self._by_position.items()}
+        clone._indexed = dict(self._indexed)
         return clone
 
     def domain(self) -> Set[Term]:
@@ -329,11 +400,6 @@ class Database(Instance):
         if not atom.is_fact:
             raise ValueError(f"databases contain facts only, got {atom}")
         return super().add(atom)
-
-    def copy(self) -> "Database":
-        clone = Database()
-        clone.update(self.atoms())
-        return clone
 
     def __repr__(self) -> str:
         atoms = ", ".join(repr(a) for a in self.sorted_atoms())

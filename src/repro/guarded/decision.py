@@ -203,7 +203,7 @@ def _try_replay(
         # After one full period the translation must map the period onto the
         # replayed period, so the loop continues with the updated φ.
         period = extended_steps[len(extended_steps) - len(period):]
-    extended = Derivation(Instance(database.atoms()), extended_steps)
+    extended = Derivation(Instance(database), extended_steps)
     try:
         extended.validate(tgds)
     except DerivationError:

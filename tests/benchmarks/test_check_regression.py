@@ -6,7 +6,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from check_regression import gate  # noqa: E402
+from check_regression import gate, gc_tracked_violations  # noqa: E402
 
 
 def make_report(
@@ -64,6 +64,7 @@ def make_report(
                 "increment_sizes": [3] * 20,
             },
         },
+        "gc_tracked_per_chase": {"objects": 1000, "python": "3.11"},
         "persistent": {
             "workload": "persistent_closure",
             "width": 1500,
@@ -456,3 +457,34 @@ def test_missing_service_section_is_a_note_not_a_failure():
         "note: report has no service section (pre-service snapshot) — "
         "service gate not applied"
     ]
+
+
+def test_gc_tracked_growth_within_ten_percent_passes():
+    report = {"gc_tracked_per_chase": {"objects": 5500, "python": "3.11"}}
+    assert gc_tracked_violations(report, {"3.11": 5000}) == []
+
+
+def test_gc_tracked_growth_past_ten_percent_caught():
+    report = {"gc_tracked_per_chase": {"objects": 5501, "python": "3.11"}}
+    failures = gc_tracked_violations(report, {"3.11": 5000})
+    assert len(failures) == 1 and failures[0].startswith("gc_tracked_per_chase:")
+
+
+def test_gc_tracked_ceiling_ignores_the_noise_margin():
+    # The count is deterministic: a noisy-runner margin must not loosen it.
+    report = make_report()
+    report["gc_tracked_per_chase"]["objects"] = 100_000
+    failures = gate(report, margin=0.5)
+    assert any(f.startswith("gc_tracked_per_chase:") for f in failures)
+
+
+def test_gc_tracked_from_another_interpreter_is_a_note():
+    # Object layouts differ across CPython versions: no cross-version compare.
+    report = {"gc_tracked_per_chase": {"objects": 100_000, "python": "3.12"}}
+    failures = gc_tracked_violations(report, {"3.11": 5000})
+    assert len(failures) == 1 and failures[0].startswith("note:")
+
+
+def test_gc_tracked_missing_from_report_is_a_note():
+    failures = gc_tracked_violations({}, {"3.11": 5000})
+    assert len(failures) == 1 and failures[0].startswith("note:")

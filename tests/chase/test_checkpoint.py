@@ -400,6 +400,22 @@ class TestGuardRails:
         assert [t.key for t in left.discovered] == [t.key for t in right.discovered]
         assert [t.key for t in engine.pending] == [t.key for t in restored.pending]
 
+    def test_restored_rows_bind_to_the_callers_rule_objects(self):
+        budget = Budget(max_applications=2)
+        with pytest.raises(ChaseInterrupted) as excinfo:
+            seminaive_chase(chain_database(4), CHAIN_TGDS, budget=budget)
+        checkpoint = pickle.loads(pickle.dumps(excinfo.value.checkpoint))
+        assert checkpoint.pending and checkpoint.derivation_steps
+        # Unpickled rows carry copies of the rules...
+        assert not any(
+            row.tgd is tgd for row in checkpoint.pending for tgd in CHAIN_TGDS
+        )
+        restored = checkpoint.restore_engine(CHAIN_TGDS)
+        # ...which restore swaps for the caller's own objects.
+        rows = restored.pending + restored.derivation.steps
+        assert len(restored.pending) == len(checkpoint.pending)
+        assert all(any(row.tgd is tgd for tgd in CHAIN_TGDS) for row in rows)
+
 
 class TestBudgetObject:
     def test_shared_envelope_counts_across_runs(self):

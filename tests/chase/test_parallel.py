@@ -163,6 +163,25 @@ class TestMatcherDiscovery:
             assert got == expected
             assert matcher.rounds_parallel == 1
 
+    def test_process_round_builds_probed_positions_before_forking(self):
+        # A position bucket built in a forked worker dies with it, so the
+        # parent builds every position the round's plans probe.  A memory
+        # instance whatever CHASE_BACKEND says: sqlite indexes every position.
+        instance = Instance()
+        delta = instance.track_delta()
+        for atom in ring_database(8):
+            instance.add(Atom("F", atom.terms))
+        instance.take_delta()
+        plans = JOIN_TGDS[1].join_plans()
+        assert [plan.probes for plan in plans] == [(("F", 1),), (("F", 2),)]
+        assert instance._indexed == {}
+        with ParallelMatcher(
+            JOIN_TGDS, workers=3, backend="process", min_parallel_work=0
+        ) as matcher:
+            assert matcher.discover(instance, delta)
+            assert matcher.rounds_parallel == 1
+        assert sorted(instance._indexed["F"]) == [1, 2]
+
     def test_workers_one_short_circuits_to_serial(self):
         engine, delta = materialize_round(ring_database(4), JOIN_TGDS)
         matcher = ParallelMatcher(JOIN_TGDS, workers=1, min_parallel_work=0)
