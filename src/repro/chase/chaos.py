@@ -23,7 +23,8 @@ Faults are drawn master-side *after* the genuine result is in hand, so
 injection never leaves a worker wedged; and the thread fallback is never
 chaos'd, so every chaos run converges — byte-identically — or fails with
 a clean typed error.  The CI chaos job runs the equivalence suite under
-``CHASE_CHAOS_SEED`` (see :func:`build_matcher`).
+``CHASE_CHAOS_SEED`` (see :func:`build_matcher`); the seed is the one
+setting, and the schedule's rates are :class:`ChaosPolicy`'s defaults.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ _LOGGER = get_logger(__name__)
 #: Environment switch: a seed here makes :func:`build_matcher` hand out
 #: chaos'd matchers process-wide (the CI chaos job sets it).
 CHAOS_SEED_ENV = "CHASE_CHAOS_SEED"
-#: Optional per-fault rate overrides (floats in [0, 1]).
-CHAOS_KILL_ENV = "CHASE_CHAOS_KILL"
-CHAOS_DELAY_ENV = "CHASE_CHAOS_DELAY"
-CHAOS_CORRUPT_ENV = "CHASE_CHAOS_CORRUPT"
 
 
 class ChaosPolicy:
@@ -110,8 +107,8 @@ class ChaosMatcher(ParallelMatcher):
     is exactly what production would have computed.
     """
 
-    def __init__(self, tgds: Sequence[TGD], policy: ChaosPolicy, **kwargs):
-        super().__init__(tgds, **kwargs)
+    def __init__(self, tgds: Sequence[TGD], policy: ChaosPolicy, workers: int = 1):
+        super().__init__(tgds, workers)
         self.policy = policy
         #: Faults actually injected, by shape (tests assert chaos happened).
         self.faults = {"kill": 0, "delay": 0, "corrupt": 0}
@@ -146,14 +143,7 @@ class ChaosMatcher(ParallelMatcher):
         return payload
 
 
-def _env_rate(name: str, default: float) -> float:
-    value = os.environ.get(name)
-    return default if value is None else float(value)
-
-
-def build_matcher(
-    tgds: Sequence[TGD], workers: int = 1, backend: str = "process", **kwargs
-) -> ParallelMatcher:
+def build_matcher(tgds: Sequence[TGD], workers: int = 1) -> ParallelMatcher:
     """The chase loops' matcher factory: production by default, chaos'd
     when ``CHASE_CHAOS_SEED`` is set (the CI fault-injection job's hook).
 
@@ -163,11 +153,5 @@ def build_matcher(
     """
     seed = os.environ.get(CHAOS_SEED_ENV)
     if seed:
-        policy = ChaosPolicy(
-            seed=int(seed),
-            kill_rate=_env_rate(CHAOS_KILL_ENV, 0.2),
-            delay_rate=_env_rate(CHAOS_DELAY_ENV, 0.2),
-            corrupt_rate=_env_rate(CHAOS_CORRUPT_ENV, 0.2),
-        )
-        return ChaosMatcher(tgds, policy, workers=workers, backend=backend, **kwargs)
-    return ParallelMatcher(tgds, workers=workers, backend=backend, **kwargs)
+        return ChaosMatcher(tgds, ChaosPolicy(seed=int(seed)), workers)
+    return ParallelMatcher(tgds, workers)

@@ -22,11 +22,13 @@ resume") has two halves:
 Why resume is byte-identical: the semi-naive engines derive every ordering
 decision from (a) instance insertion order, (b) worklist order, and (c)
 per-trigger digest-based null invention.  (a) and (b) are restored exactly;
-(c) depends only on the TGD set, which :meth:`ChaseCheckpoint.restore_engine`
+(c) depends only on the TGD set, which :meth:`ChaseCheckpoint.check`
 verifies by digest prefix.  A checkpoint taken mid-round keeps the live
 delta (same birth counters), so the completed round's discovery pass sees
 exactly the atoms — in exactly the order — an uninterrupted round would
-have seen.
+have seen.  Resuming is the engine constructor's job
+(``ChaseEngine(None, tgds, kind, resume=checkpoint)``): it calls
+:meth:`ChaseCheckpoint.check`, then rebuilds the engine from the snapshot.
 """
 
 from __future__ import annotations
@@ -184,7 +186,8 @@ class ChaseCheckpoint:
 
     Produced by :meth:`capture` at any round boundary or budget cut;
     consumed by ``resume=`` on ``restricted_chase`` / ``seminaive_chase`` /
-    ``oblivious_chase`` (which delegate to :meth:`restore_engine`).  The
+    ``oblivious_chase`` (which pass it to the
+    :class:`~repro.chase.engine.ChaseEngine` constructor).  The
     ``kind`` string pins the loop the snapshot came from (``"semi_naive"``,
     ``"restricted:fifo"``, ``"restricted:lifo"``, ``"oblivious"``) so a
     checkpoint cannot silently resume under different semantics.
@@ -251,6 +254,8 @@ class ChaseCheckpoint:
         #: continuation on resume does not count it again).
         self.rounds = rounds
         self.applications = applications
+        #: Part of the version-3 layout; a resumed engine derives the
+        #: witness cache from ``kind`` (witness-free iff ``"oblivious"``).
         self.track_witnesses = track_witnesses
 
     def __reduce__(self):
@@ -321,55 +326,27 @@ class ChaseCheckpoint:
 
     # -- restoring ---------------------------------------------------------
 
-    def require_kind(self, kind: str) -> None:
+    def check(self, tgds: Sequence[TGD], kind: str) -> None:
+        """Refuse to resume this snapshot as ``kind`` over ``tgds``.
+
+        Raises :class:`repro.errors.CheckpointError` on a different kind
+        (the chase semantics would change), another layout version, or a
+        rule list with different digest prefixes.  Digests, not TGD
+        equality: null invention depends on rule *names*, so an
+        equal-modulo-renaming set would silently break byte-identity.
+        """
         if self.kind != kind:
             raise CheckpointError(
                 f"checkpoint was taken by a {self.kind!r} chase; "
                 f"cannot resume it as {kind!r}"
             )
-
-    def restore_engine(
-        self, tgds: Sequence[TGD], matcher=None, stats=None, assessor=None,
-        backend=None,
-    ) -> ChaseEngine:
-        """Rebuild a suspended :class:`ChaseEngine` from this snapshot.
-
-        Validates the TGD set by digest prefix (null invention depends on
-        rule *names*, so an equal-modulo-renaming set would silently break
-        byte-identity — same guard as the engine's matcher check).  A
-        ``stats`` sink rides into the rebuilt engine and counts the
-        restoration; an ``assessor`` re-enables discovery pruning on the
-        restored engine (the live rule subset is a pure function of the
-        rule list and the instance's predicates, so resumed runs stay
-        byte-identical with or without it).  ``backend`` picks the storage
-        backend of the restored instance — checkpoints carry the canonical
-        atom list, never the storage, so snapshots are backend-portable in
-        both directions.
-        """
         if self.version != CHECKPOINT_VERSION:
             _refuse(self.version)
-        tgds = tuple(tgds)
         if [t.digest_prefix() for t in tgds] != list(self.tgd_digests):
             raise CheckpointError(
                 "checkpoint was taken for a different TGD set "
                 "(digest prefixes differ)"
             )
-        with trace.span("checkpoint.restore", atoms=len(self.atoms)):
-            engine = ChaseEngine._restore(self, tgds, matcher, stats, assessor, backend)
-        if stats is not None:
-            stats.checkpoints_restored += 1
-        if metrics.ENABLED:
-            metrics.counter("chase.checkpoints.restored")
-        log_event(
-            _LOGGER,
-            logging.INFO,
-            "checkpoint.restore",
-            kind=self.kind,
-            atoms=len(self.atoms),
-            pending=len(self.pending),
-            mid_round=self.delta is not None,
-        )
-        return engine
 
     def restore_derivation(self) -> Derivation:
         """Rebuild the derivation log prefix recorded in this checkpoint."""

@@ -47,9 +47,10 @@ module owns the fast implementations of all three:
 
 * :meth:`ChaseEngine.drive` — the one round driver: ``run_round`` to a
   fixpoint or the first limit.  ``seminaive_chase``, the semi-naive
-  ``oblivious_chase``, and the service's sessions all run on it, and
-  :meth:`ChaseEngine.open` / :meth:`ChaseEngine.close` are their shared
-  setup and teardown.
+  ``oblivious_chase``, and the service's sessions all run on it.  The
+  constructor is the one way to build an engine, fresh or resumed from a
+  checkpoint; :meth:`ChaseEngine.running` / :meth:`ChaseEngine.close` are
+  the shared teardown.
 """
 
 from __future__ import annotations
@@ -72,39 +73,6 @@ from repro.obs.log import get_logger, log_event
 from repro.tgds.tgd import TGD
 
 _LOGGER = get_logger(__name__)
-
-
-def _check_matcher(matcher, tgds: Tuple[TGD, ...]) -> None:
-    """Reject a matcher built for a different TGD set.
-
-    Compares digest prefixes, not TGD equality: equality ignores rule names
-    while null invention depends on them, so a renamed-but-equal matcher
-    set would silently break byte-identity.
-    """
-    if matcher is not None and [t.digest_prefix() for t in matcher.tgds] != [
-        t.digest_prefix() for t in tgds
-    ]:
-        raise ValueError("matcher was built for a different TGD set")
-
-
-def _live_subset(tgds: Tuple[TGD, ...], assessor, instance: Instance) -> Tuple[TGD, ...]:
-    """The discovery rule subset: drop rules the assessor proves dead.
-
-    ``assessor`` is a
-    :class:`repro.termination.dependencies.RuleDependencyGraph` built over
-    the *same* rule list (digest-checked, mirroring ``_check_matcher`` —
-    null naming depends on rule names, so a renamed assessor set must be
-    rejected, not silently accepted).  Rules with a body predicate outside
-    the reachable closure of the instance's predicates never produce a
-    trigger, so dropping them from discovery preserves byte-identity.
-    """
-    if assessor is None:
-        return tgds
-    if [t.digest_prefix() for t in assessor.tgds] != [
-        t.digest_prefix() for t in tgds
-    ]:
-        raise ValueError("assessor was built for a different TGD set")
-    return tuple(tgds[i] for i in assessor.live_indices(instance.predicates()))
 
 
 def _bind_rows(triggers: Iterable[Trigger], tgds: Tuple[TGD, ...]) -> List[Trigger]:
@@ -132,18 +100,6 @@ def _delta_of(atoms: Iterable[Atom]) -> Delta:
     for atom in atoms:
         delta.record(atom)
     return delta
-
-
-def build_assessor(tgds: Sequence[TGD]):
-    """Build the rule-dependency assessor the entry points' ``prune`` uses.
-
-    Lazy import: :mod:`repro.termination.dependencies` sits above the chase
-    layer in the package graph, and the engine only needs it when pruning
-    is requested.
-    """
-    from repro.termination.dependencies import RuleDependencyGraph
-
-    return RuleDependencyGraph(tgds)
 
 
 class HeadWitnessIndex:
@@ -302,47 +258,110 @@ class ChaseEngine:
         self,
         database,
         tgds: Sequence[TGD],
-        track_witnesses: bool = True,
-        matcher=None,
+        kind: str = "semi_naive",
+        resume=None,
+        workers: int = 1,
         stats=None,
-        assessor=None,
+        prune: bool = False,
         backend=None,
     ):
+        """An engine over ``database``, or the one ``resume`` suspended.
+
+        ``kind`` names the entry point and is the checkpoint ``kind``.  An
+        ``"oblivious"`` engine runs witness-free; every other kind keeps
+        the head-witness cache and records its derivation on
+        :attr:`derivation`.  ``resume`` is a
+        :class:`repro.chase.checkpoint.ChaseCheckpoint` taken by a chase of
+        the same kind over the same rule list (``database`` is then
+        ignored): the worklist, a cut round's live delta, the round count
+        and the derivation log come from it, and the instance indexes and
+        the witness cache are rebuilt from its atom list.
+
+        ``workers > 1`` fans each round's discovery out over a pool from
+        :func:`repro.chase.chaos.build_matcher`.  ``prune`` drops from
+        discovery the rules a
+        :class:`repro.termination.dependencies.RuleDependencyGraph` proves
+        dead for the instance's predicates.  ``stats`` is an optional
+        :class:`repro.obs.stats.ChaseStats` sink.  ``backend`` selects the
+        instance storage (anything :meth:`repro.backends.BackendSpec.parse`
+        accepts; None resolves the ``CHASE_BACKEND`` default, then memory).
+        None of the four changes a run: results are byte-identical across
+        worker counts, pruning, stats and backends.  :meth:`running` (or
+        :meth:`close`) is the matching teardown.
+        """
+        #: The caller's full rule list: checkpoints and null naming key off it.
         self.tgds: Tuple[TGD, ...] = tuple(tgds)
-        #: Optional :class:`repro.chase.parallel.ParallelMatcher`; when set,
-        #: run_round's batched discovery fans out over its worker pool
-        #: (byte-identical results — see chase/parallel.py's merge argument).
-        _check_matcher(matcher, self.tgds)
-        self.matcher = matcher
-        #: Optional :class:`repro.obs.stats.ChaseStats` sink.  Strictly
-        #: passive — an engine with stats attached is byte-identical to one
-        #: without (tests/chase/test_obs.py enforces this on the corpus).
+        if resume is not None:
+            resume.check(self.tgds, kind)
+        self.kind = kind
+        #: Strictly passive: an engine with stats attached is byte-identical
+        #: to one without (tests/chase/test_obs.py enforces this).
         self.stats = stats
-        if isinstance(database, Instance):
-            seed_atoms = database.sorted_atoms()
-        else:
-            seed_atoms = sorted(database, key=Atom.sort_key)
-        #: ``backend`` selects the instance storage backend (anything
-        #: :meth:`repro.backends.BackendSpec.parse` accepts; None resolves
-        #: the ``CHASE_BACKEND`` environment default, then memory).  The
-        #: chase semantics are backend-independent: runs are byte-identical
-        #: across backends, which the cross-backend equivalence suite and
-        #: the ``persistent`` bench gate both enforce.
-        self.instance = make_instance(backend, atoms=seed_atoms)
-        #: Discovery runs over the *live* TGD subset: an optional
-        #: :class:`repro.termination.dependencies.RuleDependencyGraph`
-        #: assessor prunes rules whose body predicates fall outside the
-        #: reachable-predicate closure of the seed instance — such rules
-        #: never admit a body homomorphism, so discovery with and without
-        #: them is byte-identical (same triggers, same enqueue orders).
-        #: ``self.tgds`` stays the full set: checkpoints, matcher digest
-        #: checks, and null naming all key off the caller's rule list.
-        self.live: Tuple[TGD, ...] = _live_subset(self.tgds, assessor, self.instance)
+        if stats is not None and not stats.kind:
+            stats.kind = kind
+        #: The round-discovery pool, None for serial discovery; its merge
+        #: replays the serial order (see chase/parallel.py).
+        self.matcher = chaos.build_matcher(self.tgds, workers=workers) if workers > 1 else None
+        if resume is None:
+            if isinstance(database, Instance):
+                atoms = database.sorted_atoms()
+            else:
+                atoms = sorted(database, key=Atom.sort_key)
+            self._load(atoms, prune, backend)
+            self._discover(_delta_of(atoms))
+            if self.witnesses is not None:
+                self.derivation = Derivation(self.instance)
+            return
+        with trace.span("checkpoint.restore", atoms=len(resume.atoms)):
+            self._load(resume.atoms, prune, backend)
+            self.pending = _bind_rows(resume.pending, self.tgds)
+            if resume.delta is not None:
+                self._round_delta = Delta._restore(*resume.delta)
+                self.instance.resume_delta(self._round_delta)
+            self.rounds = resume.rounds
+            if self.witnesses is not None:
+                self.derivation = resume.restore_derivation()
+                self.derivation.steps = _bind_rows(self.derivation.steps, self.tgds)
+        if stats is not None:
+            # The snapshot's worklist enters this run's accounting as
+            # discovered work, keeping fired <= discovered on resume.
+            stats.triggers_discovered += len(self.pending)
+            stats.checkpoints_restored += 1
+        if metrics.ENABLED:
+            metrics.counter("chase.checkpoints.restored")
+        log_event(
+            _LOGGER,
+            logging.INFO,
+            "checkpoint.restore",
+            kind=kind,
+            atoms=len(resume.atoms),
+            pending=len(self.pending),
+            mid_round=resume.delta is not None,
+        )
+
+    def _load(self, atoms: Sequence[Atom], prune: bool, backend) -> None:
+        """The state both constructor paths share, over ``atoms`` in order."""
+        self.instance = make_instance(backend, atoms=atoms)
+        #: Discovery runs over the *live* rule subset.  Rules with a body
+        #: predicate outside the reachable closure of the instance's
+        #: predicates never produce a trigger, so dropping them keeps
+        #: discovery byte-identical.  On resume the instance has grown, but
+        #: only by heads of live rules, so the closure (hence the subset)
+        #: is the fresh engine's.
+        self.live: Tuple[TGD, ...] = self.tgds
+        if prune:
+            # Lazy import: repro.termination sits above the chase layer.
+            from repro.termination.dependencies import RuleDependencyGraph
+
+            graph = RuleDependencyGraph(self.tgds)
+            self.live = tuple(
+                self.tgds[i] for i in graph.live_indices(self.instance.predicates())
+            )
         #: The discovery table of ``live`` (:mod:`repro.chase.plans`),
         #: built at the first serial discovery pass.
         self._table = None
         self.witnesses: Optional[HeadWitnessIndex] = (
-            HeadWitnessIndex(self.tgds, self.instance) if track_witnesses else None
+            None if self.kind == "oblivious" else HeadWitnessIndex(self.tgds, self.instance)
         )
         self.pending: List[Trigger] = []
         #: The live delta of a round in progress.  Non-None between a budget
@@ -351,96 +370,8 @@ class ChaseEngine:
         self._round_delta = None
         #: Rounds :meth:`drive` started; a suspended round counts once.
         self.rounds = 0
-        #: The entry point that opened the engine (checkpoint ``kind``), and
-        #: the derivation log :meth:`drive` appends to (None: no log).
-        self.kind: Optional[str] = None
+        #: The derivation log :meth:`drive` appends to (None: oblivious).
         self.derivation: Optional[Derivation] = None
-        self._discover(_delta_of(seed_atoms))
-
-    @classmethod
-    def _restore(cls, checkpoint, tgds, matcher, stats, assessor, backend) -> "ChaseEngine":
-        """Rebuild a (possibly mid-round) engine from checkpoint state.
-
-        Bypasses ``__init__``'s seeding discovery: the worklist, the
-        live delta, round count, and derivation log arrive from the
-        snapshot.  The head-witness cache and the instance indexes are pure
-        functions of the insertion-ordered atom list, so rebuilding them
-        lands on index-identical state — see
-        chase/checkpoint.py for the byte-identity argument.  Worklist rows
-        and derivation steps are rebound to the ``tgds`` objects
-        (:func:`_bind_rows`).  ``backend`` selects the storage backend of
-        the rebuilt instance; checkpoints
-        are backend-portable (they carry the atom list, not the storage),
-        so a memory run can resume on sqlite and vice versa.
-        """
-        engine = cls.__new__(cls)
-        engine.tgds = tgds
-        _check_matcher(matcher, tgds)
-        engine.matcher = matcher
-        engine.stats = stats
-        engine.instance = make_instance(backend, atoms=checkpoint.atoms)
-        # Predicates derivable mid-run are heads of live rules, so the
-        # reachable closure — hence the live subset — matches the fresh
-        # engine's even though the restored instance has grown.
-        engine.live = _live_subset(tgds, assessor, engine.instance)
-        engine._table = None
-        engine.witnesses = (
-            HeadWitnessIndex(tgds, engine.instance) if checkpoint.track_witnesses else None
-        )
-        engine.pending = _bind_rows(checkpoint.pending, tgds)
-        engine._round_delta = None
-        if checkpoint.delta is not None:
-            engine._round_delta = Delta._restore(*checkpoint.delta)
-            engine.instance.resume_delta(engine._round_delta)
-        engine.rounds = checkpoint.rounds
-        engine.kind = checkpoint.kind
-        engine.derivation = None
-        if checkpoint.initial_atoms is not None:
-            engine.derivation = checkpoint.restore_derivation()
-            engine.derivation.steps = _bind_rows(engine.derivation.steps, tgds)
-        if stats is not None:
-            # The snapshot's worklist enters this run's accounting as
-            # discovered work, keeping fired <= discovered on resume.
-            stats.triggers_discovered += len(engine.pending)
-        return engine
-
-    @classmethod
-    def open(
-        cls,
-        database,
-        tgds: Sequence[TGD],
-        kind: str,
-        resume=None,
-        workers: int = 1,
-        stats=None,
-        prune: bool = True,
-        backend=None,
-    ) -> "ChaseEngine":
-        """The chase entry points' engine, fresh or resumed.
-
-        Builds the discovery pool (``workers > 1``, through
-        :func:`repro.chase.chaos.build_matcher`) and the pruning assessor
-        (``prune``), then either a fresh engine over ``database`` or the
-        engine the ``resume`` checkpoint suspended (its ``kind`` must
-        match).  ``"oblivious"`` engines run witness-free; every other kind
-        records its derivation on :attr:`derivation`.  :meth:`running` (or
-        :meth:`close`) is the matching teardown.
-        """
-        if resume is not None:
-            resume.require_kind(kind)
-        if stats is not None and not stats.kind:
-            stats.kind = kind
-        matcher = chaos.build_matcher(tgds, workers=workers) if workers > 1 else None
-        assessor = build_assessor(tgds) if prune else None
-        if resume is not None:
-            engine = resume.restore_engine(tgds, matcher, stats, assessor, backend)
-        else:
-            oblivious = kind == "oblivious"
-            engine = cls(database, tgds, not oblivious, matcher, stats, assessor, backend)
-            if not oblivious:
-                engine.derivation = Derivation(engine.instance)
-        engine.kind = kind
-        return engine
 
     @contextmanager
     def running(self):
@@ -539,7 +470,7 @@ class ChaseEngine:
     def is_active(self, trigger: Trigger) -> bool:
         """Definition 3.1 activity, answered by the head-witness cache."""
         if self.witnesses is None:
-            raise RuntimeError("engine was built with track_witnesses=False")
+            raise RuntimeError("oblivious engines keep no head-witness cache")
         return not self.witnesses.witnessed(trigger)
 
     # -- application -------------------------------------------------------
@@ -587,7 +518,7 @@ class ChaseEngine:
         subset (``prune=True``) is fixed from the *seed* instance's
         predicates, and injected atoms may revive rules that pruning
         proved dead for the seed.  Engines meant to absorb external facts
-        must be built with pruning off (``assessor=None``).
+        must be built with pruning off (``prune=False``).
         """
         if self.live is not self.tgds and len(self.live) != len(self.tgds):
             raise RuntimeError(

@@ -181,79 +181,60 @@ def multihead_restricted_chase(
     ``budget`` exhaustion raises :class:`repro.errors.ChaseInterrupted`
     carrying the partial instance (no checkpoint: multi-head runs are not
     resumable yet).
+
+    One loop serves every strategy: each pass enumerates the active
+    triggers once and applies a batch of them — the whole enumeration
+    under ``"semi_naive"``, the one picked trigger otherwise.  Multi-head
+    activity has no witness cache yet (conjunctive head witnesses are an
+    open ROADMAP item), so later batch members are re-checked before they
+    are applied: earlier applications of the pass may witness their
+    heads.  ``max_steps`` binds only while an active trigger remains, so a
+    fixpoint reached exactly at the cap reports ``terminated``; the budget
+    is checked at the start of every pass and before every application.
     """
-    if strategy == "semi_naive":
-        return _seminaive_multihead_chase(database, tgds, max_steps, budget=budget)
     if budget is not None:
         budget.start()
     rng = random.Random(seed)
     instance = Instance(database)
     applied: List[MultiHeadTrigger] = []
     tgd_list = list(tgds)
-    while len(applied) < max_steps:
+    while True:
         _multihead_budget_check(budget, instance, applied)
         candidates = active_multihead_triggers_on(tgd_list, instance)
         if not candidates:
             return MultiHeadChaseResult(instance, applied, terminated=True)
-        if strategy == "fifo":
-            trigger = candidates[0]
-        elif strategy == "lifo":
-            trigger = candidates[-1]
-        elif strategy == "random":
-            trigger = candidates[rng.randrange(len(candidates))]
-        elif isinstance(strategy, int):
-            preferred = [
-                t for t in candidates if tgd_list.index(t.tgd) == strategy
-            ]
-            trigger = preferred[0] if preferred else candidates[0]
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        for atom in trigger.results():
-            instance.add(atom)
-        applied.append(trigger)
-        if budget is not None:
-            budget.charge_application()
-    return MultiHeadChaseResult(instance, applied, terminated=False)
-
-
-def _seminaive_multihead_chase(
-    database: Instance,
-    tgds: Sequence[MultiHeadTGD],
-    max_steps: int,
-    budget: Optional[Budget] = None,
-) -> MultiHeadChaseResult:
-    """Set-at-a-time rounds for multi-head TGDs.
-
-    Multi-head activity has no witness cache yet (conjunctive head
-    witnesses are an open ROADMAP item), so the win here is amortization:
-    one full active-trigger enumeration per *round* instead of per step.
-    Each round's snapshot is applied in canonical order, re-checking
-    activity before every application because earlier applications of the
-    round may witness later members' heads.  Every active trigger is
-    applied or deactivated each round, so the run is fair.
-    """
-    if budget is not None:
-        budget.start()
-    instance = Instance(database)
-    applied: List[MultiHeadTrigger] = []
-    tgd_list = list(tgds)
-    while len(applied) < max_steps:
-        _multihead_budget_check(budget, instance, applied)
-        candidates = active_multihead_triggers_on(tgd_list, instance)
-        if not candidates:
-            return MultiHeadChaseResult(instance, applied, terminated=True)
-        for trigger in candidates:
+        if strategy != "semi_naive":
+            candidates = [_pick(strategy, candidates, tgd_list, rng)]
+        for index, trigger in enumerate(candidates):
+            if index and not is_active_multihead(trigger, instance):
+                continue
             if len(applied) >= max_steps:
                 return MultiHeadChaseResult(instance, applied, terminated=False)
             _multihead_budget_check(budget, instance, applied)
-            if not is_active_multihead(trigger, instance):
-                continue
             for atom in trigger.results():
                 instance.add(atom)
             applied.append(trigger)
             if budget is not None:
                 budget.charge_application()
-    return MultiHeadChaseResult(instance, applied, terminated=False)
+
+
+def _pick(
+    strategy: Union[str, int],
+    candidates: List[MultiHeadTrigger],
+    tgd_list: List[MultiHeadTGD],
+    rng: random.Random,
+) -> MultiHeadTrigger:
+    """The active trigger a one-at-a-time ``strategy`` applies next."""
+    if strategy == "fifo":
+        return candidates[0]
+    if strategy == "lifo":
+        return candidates[-1]
+    if strategy == "random":
+        return candidates[rng.randrange(len(candidates))]
+    if isinstance(strategy, int):
+        preferred = [t for t in candidates if tgd_list.index(t.tgd) == strategy]
+        return preferred[0] if preferred else candidates[0]
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def multihead_exists_derivation_of_length(

@@ -86,7 +86,7 @@ def oblivious_chase(
     :func:`repro.backends.make_instance`); the fixpoint is byte-identical
     across backends.
     """
-    engine = ChaseEngine.open(
+    engine = ChaseEngine(
         database, tgds, "oblivious", resume, workers, stats, prune, backend
     )
     applications = resume.applications if resume is not None else 0

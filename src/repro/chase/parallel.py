@@ -11,7 +11,7 @@ the duration of a round.  :class:`ParallelMatcher` exploits that:
   (:func:`repro.chase.plans.discovery_table`), is cut into chunk specs
   ``(tgd_index, pivot_index, lo, hi)`` over each pivot's per-predicate
   delta bucket, coalesced into tasks of roughly equal work
-  (``~chunks_per_worker`` tasks per worker).  Wide deltas are split
+  (about :data:`CHUNKS_PER_WORKER` tasks per worker).  Wide deltas are split
   across tasks; narrow ones share a task — both directions keep every
   worker busy.
 
@@ -24,10 +24,11 @@ the duration of a round.  :class:`ParallelMatcher` exploits that:
   kernel — and only the compact ``(tgd_index, values, birth)`` rows they
   emit travel back.  A threaded executor (shared memory, no pickling,
   persistent across rounds) is the fallback wherever ``fork`` is
-  unavailable or the pool cannot start, and ``workers=1`` (or
-  sub-threshold rounds) short-circuits to the serial
+  unavailable or the pool cannot start, and ``workers=1`` (or rounds
+  below :data:`MIN_PARALLEL_WORK`) short-circuits to the serial
   :func:`repro.chase.plans.discovery_rows` — all three paths produce the
-  same rows.
+  same rows.  The path is selected from ``workers`` and the host, never
+  configured: the pool's tuning values are module constants.
 
 * **Merging** — chunks partition the pivot hits, and each trigger
   surfaces at exactly one hit, already at its birth.  The merge
@@ -76,7 +77,17 @@ _POOL_ERRORS = (OSError, BrokenProcessPool)
 #: pivot atoms; below it, a many-small-round chase (hundreds of rounds,
 #: ~100 pivot atoms each) would pay pool churn per round for sub-ms of
 #: matching.  Tests pin it to 0 to force tiny rounds through the pool.
-DEFAULT_MIN_PARALLEL_WORK = 512
+MIN_PARALLEL_WORK = 512
+
+#: Tasks a round is cut into per worker: enough to even out skewed
+#: chunks, few enough that per-task overhead stays small.
+CHUNKS_PER_WORKER = 4
+
+#: Resubmissions of one failed task before the failure escalates pool-wide
+#: (rung 1 of the retry ladder), and the base of their exponential backoff
+#: in seconds.
+TASK_RETRIES = 2
+RETRY_BACKOFF = 0.05
 
 #: Per-round state handed to forked workers by memory inheritance:
 #: ``(tgds, instance, delta)``.  Set immediately before the round's pool is
@@ -186,20 +197,19 @@ class ParallelMatcher:
     delta)`` returns the rows of the serial
     :func:`repro.chase.plans.discovery_rows` (in some order), computed by
     ``workers`` processes (or threads), and ``discover(instance, delta)``
-    returns exactly ``seminaive_triggers(tgds, instance, delta)``.  Plug
-    one into :class:`repro.chase.engine.ChaseEngine` (the ``matcher``
-    parameter) or let ``restricted_chase(..., strategy="semi_naive",
-    workers=N)`` build one per run.
+    returns exactly ``seminaive_triggers(tgds, instance, delta)``.  A
+    :class:`repro.chase.engine.ChaseEngine` built with ``workers > 1``
+    builds one per run.
 
-    ``backend`` is ``"process"`` (default; requires the ``fork`` start
-    method, silently degrading to threads where it is missing),
-    ``"thread"``, or ``"serial"``.
+    :attr:`backend` is selected, not configured: ``"serial"`` for one
+    worker, ``"process"`` where the ``fork`` start method exists, else
+    ``"thread"``.
 
     Failures climb a retry ladder before anything run-wide changes:
 
     1. a task that fails on its own (bad result shape, a worker exception)
-       is resubmitted to the same pool up to ``retries`` times with
-       exponential backoff;
+       is resubmitted to the same pool up to :data:`TASK_RETRIES` times
+       with exponential backoff;
     2. a *pool-level* failure (broken pool, fork/pipe errors) rebuilds the
        pool once and re-runs only the unfinished tasks;
     3. a second pool-level failure logs a structured event and pins the
@@ -208,38 +218,19 @@ class ParallelMatcher:
        retried chunk is byte-identical to a first-try chunk).
     """
 
-    def __init__(
-        self,
-        tgds: Sequence[TGD],
-        workers: int = 1,
-        backend: str = "process",
-        min_parallel_work: Optional[int] = None,
-        chunks_per_worker: int = 4,
-        retries: int = 2,
-        retry_backoff: float = 0.05,
-    ):
-        if backend not in ("process", "thread", "serial"):
-            raise ValueError(f"unknown parallel backend {backend!r}")
+    def __init__(self, tgds: Sequence[TGD], workers: int = 1):
         self.tgds: Tuple[TGD, ...] = tuple(tgds)
         #: The discovery table of ``tgds``, built at the first discovery.
         self._table = None
         self.workers = max(1, int(workers))
+        #: ``"serial"``, ``"process"`` or ``"thread"``; a process pool that
+        #: collapses twice pins it to ``"thread"`` for the rest of the run.
         if self.workers == 1:
-            backend = "serial"
-        elif backend == "process" and not _fork_available():
-            backend = "thread"
-        self.backend = backend
-        # The module default is resolved here, at *construction*: retune it
-        # (or monkeypatch it, as the equivalence tests do) before the
-        # matcher is built — existing matchers keep their frozen threshold.
-        self.min_parallel_work = (
-            DEFAULT_MIN_PARALLEL_WORK if min_parallel_work is None else min_parallel_work
-        )
-        self.chunks_per_worker = max(1, chunks_per_worker)
-        #: Per-task resubmissions before the failure escalates pool-wide.
-        self.retries = max(0, int(retries))
-        #: Base of the exponential backoff between task resubmissions.
-        self.retry_backoff = retry_backoff
+            self.backend = "serial"
+        elif _fork_available():
+            self.backend = "process"
+        else:
+            self.backend = "thread"
         self._thread_pool: Optional[ThreadPoolExecutor] = None
         #: Observability counters (tests assert the pool actually ran).
         self.rounds_parallel = 0
@@ -298,7 +289,7 @@ class ParallelMatcher:
                 total += size
         if not pairs:
             return [], 0
-        slots = self.workers * self.chunks_per_worker
+        slots = self.workers * CHUNKS_PER_WORKER
         target = max(1, -(-total // slots))  # ceil(total / slots)
         tasks: List[list] = []
         current: List[tuple] = []
@@ -391,7 +382,7 @@ class ParallelMatcher:
                     raise  # every in-flight future is lost with the pool
                 except Exception as error:
                     attempts += 1
-                    if attempts > self.retries:
+                    if attempts > TASK_RETRIES:
                         raise
                     self.chunk_retries += 1
                     if metrics.ENABLED:
@@ -402,14 +393,14 @@ class ParallelMatcher:
                         index,
                         error,
                         attempts,
-                        self.retries,
+                        TASK_RETRIES,
                         extra={
                             "backend": self.backend,
                             "pool_workers": self.workers,
                             "pool_error": repr(error),
                         },
                     )
-                    clock.sleep(self.retry_backoff * (2 ** (attempts - 1)))
+                    clock.sleep(RETRY_BACKOFF * (2 ** (attempts - 1)))
                     futures[index] = pool.submit(_discover_task, tasks[index])
 
     def _run_threads(self, instance: Instance, delta, tasks) -> List[list]:
@@ -455,7 +446,7 @@ class ParallelMatcher:
         if not tasks:
             self.rounds_serial += 1
             return []
-        if total < self.min_parallel_work or len(tasks) < 2:
+        if total < MIN_PARALLEL_WORK or len(tasks) < 2:
             self.rounds_serial += 1
             return discovery_rows(self._discovery_table(), instance, delta)
         results: Optional[List[list]] = None
@@ -502,7 +493,7 @@ class ParallelMatcher:
         return merged
 
 
-def parallel_map(fn, payloads, workers: int = 1, backend: str = "process") -> list:
+def parallel_map(fn, payloads, workers: int = 1) -> list:
     """Map ``fn`` over ``payloads`` on a pool; results in payload order.
 
     The deciders' tier: each payload is one *independent chase* (a
@@ -512,14 +503,14 @@ def parallel_map(fn, payloads, workers: int = 1, backend: str = "process") -> li
     keeps parallel verdicts identical to serial ones (the caller scans
     results front to back, exactly like the serial loop).
 
-    Fallback ladder: ``workers<=1`` / single payload / ``backend="serial"``
-    → plain loop; ``fork`` missing or the pool failing to start → threads.
+    Fallback ladder: ``workers<=1`` / single payload → plain loop; ``fork``
+    missing or the pool failing to start → threads.
     ``fn`` must be a module-level function for the process path.
     """
     payloads = list(payloads)
-    if workers <= 1 or len(payloads) <= 1 or backend == "serial":
+    if workers <= 1 or len(payloads) <= 1:
         return [fn(payload) for payload in payloads]
-    if backend == "process" and _fork_available():
+    if _fork_available():
         try:
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(

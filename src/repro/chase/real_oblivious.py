@@ -157,9 +157,6 @@ class RealObliviousChase:
         discover(first_round=True)
         frontier = list(range(len(self.nodes)))
         while frontier:
-            if len(self.nodes) >= max_nodes:
-                self.complete = False
-                return
             if budget is not None:
                 if budget.rounds_exhausted():
                     self.complete = False
@@ -197,14 +194,16 @@ class RealObliviousChase:
                     if depth >= max_depth:
                         self.complete = False
                         continue
+                    # The node cap binds only when a node is still to come:
+                    # a closure reached at exactly max_nodes is complete.
+                    if len(self.nodes) >= max_nodes:
+                        self.complete = False
+                        return
                     node_id = add_node(
                         trigger.result(), trigger, tuple(parent_combo), depth
                     )
                     if node_id is not None:
                         next_frontier.append(node_id)
-                    if len(self.nodes) >= max_nodes:
-                        self.complete = False
-                        return
             discover(first_round=False)
             frontier = next_frontier
             if budget is not None:

@@ -170,7 +170,7 @@ def restricted_chase(
             f"{RESUMABLE_STRATEGIES}, got {strategy!r}"
         )
     choose = _resolve_strategy(strategy, seed)
-    engine = ChaseEngine.open(
+    engine = ChaseEngine(
         database, tgds, f"restricted:{strategy}", resume, 1, stats, prune, backend
     )
     derivation = engine.derivation
@@ -246,7 +246,7 @@ def seminaive_chase(
     continues such a checkpoint byte-identically — same instance insertion
     order, same derivation log, same verdict as the uninterrupted run.
     """
-    engine = ChaseEngine.open(
+    engine = ChaseEngine(
         database, tgds, "semi_naive", resume, workers, stats, prune, backend
     )
     with engine.running():

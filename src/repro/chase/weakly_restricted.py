@@ -131,9 +131,9 @@ class WeaklyRestrictedChase:
     ) -> bool:
         """Run ``rounds`` weakly restricted steps.
 
-        Returns True when a fixpoint was reached (some round had no active
-        trigger), False when the round or occurrence budget was exhausted
-        first.  A :class:`Budget` limit binding at a round boundary raises
+        Returns True when a fixpoint was reached (no active trigger is
+        left, also when the last allowed round reached it), False when the
+        round or occurrence budget was exhausted first.  A :class:`Budget` limit binding at a round boundary raises
         :class:`repro.errors.ChaseInterrupted` instead (partial records the
         occurrence count; the object itself stays usable — committed rounds
         are never rolled back).
@@ -181,7 +181,7 @@ class WeaklyRestrictedChase:
             self._commit(new_occurrences)
             if budget is not None:
                 budget.charge_round()
-        return False
+        return not self._active_triggers()
 
     def _commit(self, new_occurrences: Iterable[WROccurrence]) -> None:
         delta = self._atom_view.track_delta()

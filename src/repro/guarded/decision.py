@@ -239,9 +239,9 @@ def _suspect_scan(payload):
     """One divergence-suspect task: chase a candidate database, hunt a pump.
 
     Module-level so :func:`repro.chase.parallel.parallel_map` can ship it to
-    a process pool; the payload is ``(database, tgds, max_steps, replays)``
-    — optionally extended with a fifth element, the remaining wall-clock
-    seconds, and a sixth, the instance backend spec — and the returned
+    a process pool; the payload is ``(database, tgds, max_steps, replays,
+    remaining, backend)`` — ``remaining`` the wall-clock seconds left (None:
+    no wall limit), ``backend`` the instance backend spec — and the returned
     ``(outcome, seconds)`` pair pickles back, where ``outcome`` is the
     :class:`PumpWitness` (or None, or the ``"timeout"`` sentinel) and
     ``seconds`` is the task's own duration for the decider stats.  The
@@ -249,14 +249,7 @@ def _suspect_scan(payload):
     engine (byte-identical to fifo) — is exactly the serial loop's, so a
     parallel scan reproduces serial verdicts database for database.
     """
-    backend = None
-    if len(payload) == 4:
-        database, tgds, max_steps, replays = payload
-        remaining = None
-    elif len(payload) == 5:
-        database, tgds, max_steps, replays, remaining = payload
-    else:
-        database, tgds, max_steps, replays, remaining, backend = payload
+    database, tgds, max_steps, replays, remaining, backend = payload
     budget = Budget(wall_seconds=remaining) if remaining is not None else None
     start = clock.perf_counter()
     with trace.span("decider.suspect", atoms=len(database)):
@@ -353,16 +346,14 @@ def scan_suspects(
     if workers <= 1:
         # Serial keeps the historical early exit: stop at the first pump.
         for index, database in enumerate(candidates):
-            payload = (database, tgd_list, max_steps, replays)
+            remaining = None
             if budget is not None:
                 if budget.out_of_time():
                     interrupt(index)
-                payload = payload + (budget.remaining_seconds(),)
-            if backend is not None:
-                if len(payload) == 4:
-                    payload = payload + (None,)
-                payload = payload + (backend,)
-            pump, seconds = _suspect_scan(payload)
+                remaining = budget.remaining_seconds()
+            pump, seconds = _suspect_scan(
+                (database, tgd_list, max_steps, replays, remaining, backend)
+            )
             record(index, pump, seconds)
             if pump == _TIMEOUT:
                 interrupt(index)
@@ -370,13 +361,9 @@ def scan_suspects(
                 return database, pump
         return None
     remaining = budget.remaining_seconds() if budget is not None else None
-    tail = ()
-    if backend is not None:
-        tail = (remaining, backend)
-    elif remaining is not None:
-        tail = (remaining,)
     payloads = [
-        (database, tgd_list, max_steps, replays) + tail for database in candidates
+        (database, tgd_list, max_steps, replays, remaining, backend)
+        for database in candidates
     ]
     results = parallel_map(_suspect_scan, payloads, workers=workers)
     for index, (result, seconds) in enumerate(results):
@@ -410,6 +397,94 @@ def budget_verdict(interrupted: ChaseInterrupted, method: str, total: int) -> Ve
     )
 
 
+#: Verdict detail text per method family: (pump found, bounded search).
+_FAMILY_DETAILS = {
+    "guarded": (
+        "database {atoms} admits a replay-certified periodic derivation "
+        "({period}-step period, {replays} replays validated)",
+        "no syntactic certificate applies, the critical-database chase "
+        "does not settle, and no candidate database produced a certified "
+        "pump within {max_steps} steps",
+    ),
+    "general": (
+        "replay-certified periodic derivation (general TGDs)",
+        "CT_res_∀∀ is undecidable for arbitrary TGDs (Theorem 3.6); "
+        "no certificate or certified witness found within bounds",
+    ),
+}
+
+
+def certify_or_pump(
+    tgds: List[TGD],
+    family: str,
+    max_steps: int,
+    replays: int,
+    extra_candidates: Optional[Sequence[Instance]] = None,
+    workers: int = 1,
+    budget: Optional[Budget] = None,
+    stats=None,
+    backend=None,
+) -> Verdict:
+    """Certificate, critical chase, suspect scan, verdict — in that order.
+
+    The shared body of :func:`decide_guarded` (``family="guarded"``) and
+    the analyzer's general-TGD branch (``family="general"``): a syntactic
+    certificate settles termination; otherwise the critical-database
+    chase may settle it; otherwise the suspect scan hunts a
+    replay-certified pump over :func:`candidate_databases` plus
+    ``extra_candidates``.  The family names the verdict methods
+    (``<family>-replay``, ``<family>-bounded-search``,
+    ``<family>-budget``) and picks the detail text.  Budget exhaustion in
+    either chase becomes a ``TIMEOUT`` verdict.
+    """
+    if budget is not None:
+        budget.start()
+    certificate = terminating_certificate(tgds)
+    if certificate is not None:
+        return Verdict(
+            Status.ALL_TERMINATING,
+            method=certificate,
+            detail=f"syntactic termination certificate: {certificate}",
+        )
+    candidates: List[Instance] = list(candidate_databases(tgds))
+    if extra_candidates:
+        candidates.extend(extra_candidates)
+    try:
+        critical = critical_verdict(tgds, budget)
+        if critical is not None:
+            return critical
+        hit = scan_suspects(
+            candidates,
+            tgds,
+            max_steps,
+            replays,
+            workers=workers,
+            budget=budget,
+            stats=stats,
+            backend=backend,
+        )
+    except ChaseInterrupted as interrupted:
+        return budget_verdict(interrupted, f"{family}-budget", len(candidates))
+    found, bounded = _FAMILY_DETAILS[family]
+    if hit is not None:
+        database, pump = hit
+        return Verdict(
+            Status.NOT_ALL_TERMINATING,
+            method=f"{family}-replay",
+            certificate={"witness": pump},
+            detail=found.format(
+                atoms=database.sorted_atoms(),
+                period=pump.period_length,
+                replays=pump.replays,
+            ),
+        )
+    return Verdict(
+        Status.UNKNOWN,
+        method=f"{family}-bounded-search",
+        detail=bounded.format(max_steps=max_steps),
+    )
+
+
 def decide_guarded(
     tgds: Sequence[TGD],
     max_steps: int = 60,
@@ -436,53 +511,14 @@ def decide_guarded(
     if stats is not None and not stats.kind:
         stats.kind = "decider"
     check_guarded_set(tgd_list)
-    if budget is not None:
-        budget.start()
-    certificate = terminating_certificate(tgd_list)
-    if certificate is not None:
-        return Verdict(
-            Status.ALL_TERMINATING,
-            method=certificate,
-            detail=f"syntactic termination certificate: {certificate}",
-        )
-    candidates: List[Instance] = list(candidate_databases(tgd_list))
-    if extra_candidates:
-        candidates.extend(extra_candidates)
-    try:
-        critical = critical_verdict(tgd_list, budget)
-        if critical is not None:
-            return critical
-        hit = scan_suspects(
-            candidates,
-            tgd_list,
-            max_steps,
-            replays,
-            workers=workers,
-            budget=budget,
-            stats=stats,
-            backend=backend,
-        )
-    except ChaseInterrupted as interrupted:
-        return budget_verdict(interrupted, "guarded-budget", len(candidates))
-    if hit is not None:
-        database, pump = hit
-        return Verdict(
-            Status.NOT_ALL_TERMINATING,
-            method="guarded-replay",
-            certificate={"witness": pump},
-            detail=(
-                f"database {database.sorted_atoms()} admits a "
-                f"replay-certified periodic derivation "
-                f"({pump.period_length}-step period, "
-                f"{pump.replays} replays validated)"
-            ),
-        )
-    return Verdict(
-        Status.UNKNOWN,
-        method="guarded-bounded-search",
-        detail=(
-            "no syntactic certificate applies, the critical-database chase "
-            "does not settle, and no candidate database produced a certified "
-            f"pump within {max_steps} steps"
-        ),
+    return certify_or_pump(
+        tgd_list,
+        "guarded",
+        max_steps,
+        replays,
+        extra_candidates,
+        workers,
+        budget,
+        stats,
+        backend,
     )

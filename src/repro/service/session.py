@@ -24,7 +24,7 @@ properties of the TGD set alone (the paper's all-instances framing) and
 are answered by the portfolio through the shared
 :class:`repro.service.cache.VerdictCache`.
 
-Engines run unpruned (``assessor=None``): dependency pruning fixes the
+Engines run unpruned (``prune=False``): dependency pruning fixes the
 live rule subset from the *seed* instance's predicates, and posted facts
 may revive rules that were provably dead for the seed.
 
@@ -190,9 +190,9 @@ class ChaseSession:
         self.backend = BackendSpec.parse(backend)
         # Unpruned, witness-free: the oblivious closure (see module
         # docstring for why sessions must serve the confluent semantics).
-        self.engine = ChaseEngine.open(
+        self.engine = ChaseEngine(
             database, self.tgds, "oblivious", checkpoint, workers,
-            prune=False, backend=self.backend,
+            backend=self.backend,
         )
         #: Atom-producing applications, the same accounting
         #: ``oblivious_chase`` reports (rounds live on the engine).

@@ -25,21 +25,10 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from repro.chase.checkpoint import Budget
-from repro.errors import ChaseInterrupted
-from repro.guarded.decision import (
-    budget_verdict,
-    candidate_databases,
-    decide_guarded,
-    scan_suspects,
-)
+from repro.guarded.decision import certify_or_pump, decide_guarded
 from repro.sticky.decision import decide_sticky
-from repro.termination.critical import critical_verdict
 from repro.termination.verdict import Status, Verdict
-from repro.tgds.acyclicity import (
-    is_jointly_acyclic,
-    is_weakly_acyclic,
-    terminating_certificate,
-)
+from repro.tgds.acyclicity import is_jointly_acyclic, is_weakly_acyclic
 from repro.tgds.guardedness import is_guarded, is_linear
 from repro.tgds.stickiness import StickinessAnalysis
 from repro.tgds.tgd import TGD
@@ -156,49 +145,19 @@ class TerminationAnalyzer:
                 stats=stats,
                 backend=self.backend,
             )
-        # General single-head TGDs: sound certificates + sound witnesses only.
-        certificate = terminating_certificate(tgd_list)
-        if certificate is not None:
-            return Verdict(
-                Status.ALL_TERMINATING,
-                method=certificate,
-                detail=f"syntactic termination certificate: {certificate}",
-            )
-        candidates = candidate_databases(tgd_list)
-        # The suspect scan (lifo probe + semi-naive rerun + pump replay per
-        # candidate) runs as independent pool tasks when workers > 1, with
-        # candidate-order selection keeping the verdict serial-identical.
-        try:
-            critical = critical_verdict(tgd_list, budget)
-            if critical is not None:
-                return critical
-            hit = scan_suspects(
-                candidates,
-                tgd_list,
-                self.guarded_max_steps,
-                self.replays,
-                workers=self.workers,
-                budget=budget,
-                stats=stats,
-                backend=self.backend,
-            )
-        except ChaseInterrupted as interrupted:
-            return budget_verdict(interrupted, "general-budget", len(candidates))
-        if hit is not None:
-            _, pump = hit
-            return Verdict(
-                Status.NOT_ALL_TERMINATING,
-                method="general-replay",
-                certificate={"witness": pump},
-                detail="replay-certified periodic derivation (general TGDs)",
-            )
-        return Verdict(
-            Status.UNKNOWN,
-            method="general-bounded-search",
-            detail=(
-                "CT_res_∀∀ is undecidable for arbitrary TGDs (Theorem 3.6); "
-                "no certificate or certified witness found within bounds"
-            ),
+        # General single-head TGDs: sound certificates + sound witnesses
+        # only.  The suspect scan runs as independent pool tasks when
+        # workers > 1, with candidate-order selection keeping the verdict
+        # serial-identical.
+        return certify_or_pump(
+            tgd_list,
+            "general",
+            self.guarded_max_steps,
+            self.replays,
+            workers=self.workers,
+            budget=budget,
+            stats=stats,
+            backend=self.backend,
         )
 
     def analyze_corpus(

@@ -163,9 +163,7 @@ def critical_chase(tgds: Sequence[TGD], budget: Optional[Budget] = None) -> Crit
     zero = (0,) * width
     nesting: Dict[Term, Tuple[int, ...]] = {}
     repeats = 0
-    engine = ChaseEngine.open(
-        critical_database(tgds), rules, "oblivious", prune=False, backend="memory"
-    )
+    engine = ChaseEngine(critical_database(tgds), rules, "oblivious", backend="memory")
     with engine.running():
         while True:
             repeats = max(repeats, _nest(engine.pending, slots, nesting, zero))

@@ -125,8 +125,7 @@ class TestCheckpointPortability:
         path.write_bytes(pickle.dumps(checkpoint))
         restored = pickle.loads(path.read_bytes())
         assert isinstance(restored, ChaseCheckpoint)
-        engine = restored.restore_engine(DIVERGING, backend="sqlite")
-        assert isinstance(engine, ChaseEngine)
-        assert engine.instance.sorted_atoms() == checkpoint.restore_engine(
-            DIVERGING
+        engine = ChaseEngine(None, DIVERGING, resume=restored, backend="sqlite")
+        assert engine.instance.sorted_atoms() == ChaseEngine(
+            None, DIVERGING, resume=checkpoint
         ).instance.sorted_atoms()

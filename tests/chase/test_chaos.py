@@ -55,12 +55,15 @@ def materialize_round(database, tgds):
     return engine, engine.instance.take_delta()
 
 
-def chaos_matcher(policy, **kwargs):
-    kwargs.setdefault("workers", 2)
-    kwargs.setdefault("backend", "process")
-    kwargs.setdefault("min_parallel_work", 0)
-    kwargs.setdefault("retry_backoff", 0.0)
-    return ChaosMatcher(JOIN_TGDS, policy, **kwargs)
+@pytest.fixture(autouse=True)
+def eager_pool(monkeypatch):
+    """Send even these tiny rounds through the pool, retrying without backoff."""
+    monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+    monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.0)
+
+
+def chaos_matcher(policy):
+    return ChaosMatcher(JOIN_TGDS, policy, workers=2)
 
 
 def assert_identical_runs(serial, chaotic):
@@ -185,14 +188,14 @@ class TestChaosEquivalence:
     def test_total_corruption_exhausts_retries_then_degrades(self):
         engine, delta, serial = self.expected_keys()
         policy = ChaosPolicy(seed=2, kill_rate=0.0, delay_rate=0.0, corrupt_rate=1.0)
-        with chaos_matcher(policy, retries=2) as matcher:
+        with chaos_matcher(policy) as matcher:
             got = [t.key for t in matcher.discover(engine.instance, delta)]
         assert got == serial
-        assert matcher.chunk_retries >= 2  # both in-pool resubmissions spent
+        # Every in-pool resubmission spent.
+        assert matcher.chunk_retries >= parallel.TASK_RETRIES
         assert matcher.backend == "thread"
 
     def test_end_to_end_chase_under_chaos(self, monkeypatch):
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
         serial = restricted_chase(ring_database(8), JOIN_TGDS, strategy="semi_naive")
         for seed in (1, 2, 3):
             monkeypatch.setenv("CHASE_CHAOS_SEED", str(seed))
@@ -227,12 +230,17 @@ class TestBuildMatcher:
         matcher.close()
 
     def test_chaos_matcher_with_seed(self, monkeypatch):
+        # The seed is the one setting: the schedule's rates are the policy's.
         monkeypatch.setenv("CHASE_CHAOS_SEED", "1307")
-        monkeypatch.setenv("CHASE_CHAOS_KILL", "0.1")
         matcher = build_matcher(JOIN_TGDS, workers=2)
         assert isinstance(matcher, ChaosMatcher)
         assert matcher.policy.seed == 1307
-        assert matcher.policy.kill_rate == 0.1
+        default = ChaosPolicy(seed=1307)
+        assert (
+            matcher.policy.kill_rate,
+            matcher.policy.delay_rate,
+            matcher.policy.corrupt_rate,
+        ) == (default.kill_rate, default.delay_rate, default.corrupt_rate)
         matcher.close()
 
     def test_single_worker_build_is_serial_either_way(self, monkeypatch):
@@ -243,7 +251,6 @@ class TestBuildMatcher:
 
     def test_seminaive_chase_routes_through_build_matcher(self, monkeypatch):
         # workers>1 must pick up the env seed without any explicit opt-in.
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
         monkeypatch.setenv("CHASE_CHAOS_SEED", "1307")
         built = []
         original = build_matcher

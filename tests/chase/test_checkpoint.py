@@ -100,7 +100,7 @@ class TestResumeByteIdentical:
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_round_boundary_cuts(self, family, workers, monkeypatch):
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         interrupted_somewhere = False
         multi_round_seen = False
         for tgds in corpus(family, 3, base_seed=1307, profile=PROFILE):
@@ -392,7 +392,9 @@ class TestGuardRails:
         engine = ChaseEngine(chain_database(4), CHAIN_TGDS)
         assert engine.run_round(max_applications=2).cut
         checkpoint = ChaseCheckpoint.capture(engine, "semi_naive")
-        restored = pickle.loads(pickle.dumps(checkpoint)).restore_engine(CHAIN_TGDS)
+        restored = ChaseEngine(
+            None, CHAIN_TGDS, resume=pickle.loads(pickle.dumps(checkpoint))
+        )
         assert restored.mid_round()
         left, right = engine.run_round(), restored.run_round()
         assert not left.cut and not right.cut
@@ -410,7 +412,7 @@ class TestGuardRails:
         assert not any(
             row.tgd is tgd for row in checkpoint.pending for tgd in CHAIN_TGDS
         )
-        restored = checkpoint.restore_engine(CHAIN_TGDS)
+        restored = ChaseEngine(None, CHAIN_TGDS, resume=checkpoint)
         # ...which restore swaps for the caller's own objects.
         rows = restored.pending + restored.derivation.steps
         assert len(restored.pending) == len(checkpoint.pending)

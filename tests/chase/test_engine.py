@@ -14,7 +14,7 @@ from repro.core.atoms import Atom
 from repro.core.instance import Database, Instance
 from repro.core.parsing import parse_database
 from repro.core.terms import Constant
-from repro.chase.checkpoint import Budget
+from repro.chase.checkpoint import Budget, ChaseCheckpoint
 from repro.chase.engine import ChaseEngine, HeadWitnessIndex
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import (
@@ -23,6 +23,7 @@ from repro.chase.restricted import (
     restricted_chase_naive,
 )
 from repro.chase.trigger import is_active, new_triggers, triggers_on
+from repro.errors import CheckpointError
 from repro.tgds.tgd import parse_tgds
 
 CHAIN_TGDS = parse_tgds(
@@ -317,3 +318,52 @@ class TestRunRoundBudgets:
         engine = self.fresh_engine()
         result = engine.run_round(max_atoms=len(engine.instance))
         assert result.cut and result.reason == "max_atoms"
+
+
+class TestConstructor:
+    """The one way to build an engine, fresh or resumed."""
+
+    KINDS = ["semi_naive", "restricted:fifo", "restricted:lifo", "oblivious"]
+
+    def suspended(self, kind):
+        engine = ChaseEngine(chain_database(4), CHAIN_TGDS, kind)
+        assert engine.drive(max_applications=2)[0] == "max_applications"
+        return engine, ChaseCheckpoint.capture(engine)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_witnesses_and_derivation_iff_not_oblivious(self, kind):
+        engine, checkpoint = self.suspended(kind)
+        resumed = ChaseEngine(None, CHAIN_TGDS, kind, resume=checkpoint)
+        tracked = kind != "oblivious"
+        for built in (engine, resumed):
+            assert built.kind == kind
+            assert (built.witnesses is not None) == tracked
+            assert (built.derivation is not None) == tracked
+        if tracked:
+            assert [t.key for t in resumed.derivation.steps] == [
+                t.key for t in engine.derivation.steps
+            ]
+        else:
+            with pytest.raises(RuntimeError):
+                resumed.is_active(resumed.pending[0])
+
+    def test_wrong_kind_raises(self):
+        _, checkpoint = self.suspended("semi_naive")
+        with pytest.raises(CheckpointError, match="cannot resume it as 'oblivious'"):
+            ChaseEngine(None, CHAIN_TGDS, "oblivious", resume=checkpoint)
+
+    def test_wrong_version_raises(self):
+        _, checkpoint = self.suspended("semi_naive")
+        checkpoint.version = 99
+        with pytest.raises(CheckpointError, match="version 99 is not supported"):
+            ChaseEngine(None, CHAIN_TGDS, resume=checkpoint)
+
+    def test_renamed_rules_raise(self):
+        # Equal rules under other names invent other nulls: refused.
+        from repro.tgds.tgd import TGD
+
+        _, checkpoint = self.suspended("semi_naive")
+        renamed = [TGD(t.body, t.head, name=f"{t.name}_renamed") for t in CHAIN_TGDS]
+        assert renamed == list(CHAIN_TGDS)
+        with pytest.raises(CheckpointError, match="digest prefixes differ"):
+            ChaseEngine(None, renamed, resume=checkpoint)

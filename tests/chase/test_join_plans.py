@@ -300,16 +300,15 @@ def test_plan_order_prefers_bound_positions():
 
 
 @pytest.mark.parametrize("workers", WORKERS)
-def test_pool_runs_the_same_plans(workers):
+def test_pool_runs_the_same_plans(workers, monkeypatch):
+    monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
     for seed in range(3):
         for case in ("constants", "repeat_at_step", "self_joins", "equal_rules_renamed"):
             tgds = CASES[case] + random_rules(seed)
             instance, delta = random_round(seed, old=12, new=14)
             try:
                 serial = seminaive_triggers(tgds, instance, delta)
-                with ParallelMatcher(
-                    tgds, workers=workers, min_parallel_work=0
-                ) as matcher:
+                with ParallelMatcher(tgds, workers=workers) as matcher:
                     fanned = matcher.discover(instance, delta)
                     assert matcher.rounds_parallel == 1
                 assert identity(fanned) == identity(serial)
@@ -322,7 +321,7 @@ def engine_batches(tgds, seed_facts, injected, steps=12):
     triggers in FIFO order; after each of the three, check the enqueued
     batch against the canonically sorted ``new_triggers`` of the added
     atoms minus the keys enqueued before.  Returns the batches."""
-    engine = ChaseEngine(seed_facts, tgds, track_witnesses=False)
+    engine = ChaseEngine(seed_facts, tgds, "oblivious")
     seen = set()
     batches = []
 
@@ -443,11 +442,12 @@ def test_long_bodies_match_the_reference(old):
 
 
 @pytest.mark.parametrize("workers", WORKERS)
-def test_long_bodies_on_the_pool(workers):
+def test_long_bodies_on_the_pool(workers, monkeypatch):
+    monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
     instance, delta = build_round(figure_eight(), 3)
     try:
         serial = seminaive_triggers(LONG, instance, delta)
-        with ParallelMatcher(LONG, workers=workers, min_parallel_work=0) as matcher:
+        with ParallelMatcher(LONG, workers=workers) as matcher:
             fanned = matcher.discover(instance, delta)
             assert matcher.rounds_parallel == 1
         assert serial and identity(fanned) == identity(serial)
@@ -459,7 +459,7 @@ def test_long_bodies_on_the_pool(workers):
 def test_long_bodies_chase_semi_naive(workers, monkeypatch):
     # R arrives through a copy rule, so the long bodies join a delta of
     # atoms with distinct births in the second round.
-    monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+    monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
     copy = TGD([Atom("E", [x, y])], R(x, y), name="copy")
     tgds = [copy] + LONG
     database = Instance(
@@ -594,7 +594,7 @@ def test_no_key_enqueued_twice_seeding_steps_and_rounds(strategy, monkeypatch):
 
 @pytest.mark.parametrize("workers", WORKERS)
 def test_no_key_enqueued_twice_on_the_pool(workers, monkeypatch):
-    monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+    monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
     log = EnqueueLog(monkeypatch)
     for tgds, database in corpus_runs()[::3]:
         restricted_chase(
@@ -611,14 +611,14 @@ def test_no_key_enqueued_twice_with_injected_atoms(monkeypatch):
         atoms = database.sorted_atoms()
         half = len(atoms) // 2
         # At a round boundary: the injected atoms run as their own delta.
-        engine = ChaseEngine.open(atoms[:half], tgds, "oblivious", prune=False)
+        engine = ChaseEngine(atoms[:half], tgds, "oblivious")
         engine.drive(max_atoms=150, max_rounds=2)
         engine.inject_atoms(atoms[half:])
         engine.drive(max_atoms=300, max_rounds=5)
         engine.close()
         # Mid round: a cut leaves the delta live and the injected atoms
         # join it, so the round-completing pass covers them.
-        engine = ChaseEngine.open(atoms[:half], tgds, "oblivious", prune=False)
+        engine = ChaseEngine(atoms[:half], tgds, "oblivious")
         engine.run_round(max_applications=1)
         suspended += engine.mid_round()
         engine.inject_atoms(atoms[half:])

@@ -52,6 +52,25 @@ class TestChaseRuns:
         with pytest.raises(ValueError):
             multihead_restricted_chase(parse_database("R(a)"), [mh], strategy="bad")
 
+    @pytest.mark.parametrize("strategy", ["fifo", "semi_naive", "lifo", "random", 0])
+    def test_fixpoint_at_exactly_max_steps_terminates(self, strategy):
+        # The cap binds only while an active trigger remains.
+        mh = MultiHeadTGD.parse("R(x,y) -> S(x), T(y)")
+        result = multihead_restricted_chase(
+            parse_database("R(a,b)"), [mh], strategy=strategy, max_steps=1, seed=0
+        )
+        assert result.steps == 1
+        assert active_multihead_triggers_on([mh], result.instance) == []
+        assert result.terminated
+
+    @pytest.mark.parametrize("strategy", ["fifo", "semi_naive"])
+    def test_cap_binds_while_an_active_trigger_remains(self, strategy):
+        mh = MultiHeadTGD.parse("R(x,y) -> S(x), T(y)")
+        result = multihead_restricted_chase(
+            parse_database("R(a,b), R(c,d)"), [mh], strategy=strategy, max_steps=1
+        )
+        assert result.steps == 1 and not result.terminated
+
 
 class TestExampleB1:
     def test_unfair_infinite_derivation_exists(self):

@@ -93,7 +93,7 @@ class TestPassivity:
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("family", ["linear", "guarded"])
     def test_generator_corpus(self, workers, family, monkeypatch, recording):
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         for tgds in corpus(family, 2, base_seed=5, profile=PROFILE):
             for database in candidate_databases(tgds)[:2]:
                 for max_steps in (7, 30):
@@ -234,7 +234,7 @@ class TestAccuracy:
         assert resumed.triggers_fired <= resumed.triggers_discovered
 
     def test_pool_rounds_and_efficiency(self, monkeypatch):
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         # No fork: the matcher drops to its thread pool by itself.
         monkeypatch.setattr(parallel, "_fork_available", lambda: False)
         stats = ChaseStats()
@@ -310,7 +310,7 @@ class TestTraceSpans:
         assert {"chase.run", "round.apply", "round.discover"} <= names
 
     def test_pooled_run_emits_pool_spans(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         monkeypatch.setattr(parallel, "_fork_available", lambda: False)
         path = tmp_path / "trace.json"
         trace.start_trace(str(path))
@@ -373,8 +373,13 @@ class TestFakeClockIntegration:
         assert excinfo.value.reason == "budget:wall"
         assert stats.cut_reasons == ["budget:wall"]
 
-    def test_chaos_delay_observable_without_sleeping(self, fake_clock, caplog):
+    def test_chaos_delay_observable_without_sleeping(
+        self, fake_clock, caplog, monkeypatch
+    ):
         from repro.chase.engine import ChaseEngine
+
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.0)
 
         engine = ChaseEngine(ring_database(8), JOIN_TGDS)
         engine.instance.track_delta()
@@ -388,10 +393,7 @@ class TestFakeClockIntegration:
             seed=7, kill_rate=0.0, delay_rate=1.0, corrupt_rate=0.0,
             delay_seconds=0.25,
         )
-        matcher = ChaosMatcher(
-            JOIN_TGDS, policy, workers=2, backend="process",
-            min_parallel_work=0, retry_backoff=0.0,
-        )
+        matcher = ChaosMatcher(JOIN_TGDS, policy, workers=2)
         try:
             with caplog.at_level(logging.DEBUG, logger="repro.chase.chaos"):
                 matcher.discover(engine.instance, delta)

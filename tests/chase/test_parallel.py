@@ -9,9 +9,10 @@ These tests enforce that obligation on the generator corpus (the CI
 ``CHASE_EQUIV_WORKERS``), cover the pickle support the process pool rides
 on, and spot-check the second tier: the deciders' parallel suspect scans.
 
-Every parallel test pins ``min_parallel_work`` to 0 (directly or by
-monkeypatching the module default) so the tiny corpora here actually cross
-the pool instead of short-circuiting to the serial path.
+Every parallel test pins ``parallel.MIN_PARALLEL_WORK`` to 0 so the tiny
+corpora here actually cross the pool instead of short-circuiting to the
+serial path.  The pool's path is selected from the worker count and the
+host, so a test that wants the thread path makes ``fork`` unavailable.
 """
 
 import logging
@@ -34,6 +35,7 @@ from repro.chase.trigger import Trigger, materialize, seminaive_triggers
 from repro.chase import parallel, trigger as trigger_module
 from repro.chase.parallel import ParallelMatcher, parallel_map
 from repro.guarded.decision import candidate_databases, decide_guarded
+from repro.obs.stats import ChaseStats
 from repro.termination.analyzer import TerminationAnalyzer
 from repro.tgds.generators import GeneratorProfile, corpus
 from repro.tgds.tgd import parse_tgds
@@ -71,6 +73,18 @@ def assert_identical_runs(serial, parallel_run):
     assert [t.key for t in serial.derivation.steps] == [
         t.key for t in parallel_run.derivation.steps
     ]
+
+
+def pin_pool(monkeypatch, backend):
+    """Select the ``backend`` pool path (``"process"`` or ``"thread"``)
+    for matchers built from here on, with every round crossing the pool.
+
+    ``"thread"`` makes ``fork`` unavailable; ``"process"`` leaves the host
+    as it is (a host without ``fork`` degrades it to threads by itself).
+    """
+    monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+    if backend == "thread":
+        monkeypatch.setattr(parallel, "_fork_available", lambda: False)
 
 
 def materialize_round(database, tgds):
@@ -150,20 +164,19 @@ class TestMatcherDiscovery:
     """discover() == seminaive_triggers(), order included, on every backend."""
 
     @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_identical_to_serial_pass(self, backend):
+    def test_identical_to_serial_pass(self, backend, monkeypatch):
+        pin_pool(monkeypatch, backend)
         engine, delta = materialize_round(ring_database(8), JOIN_TGDS)
         expected = [
             t.key for t in seminaive_triggers(JOIN_TGDS, engine.instance, delta)
         ]
         assert expected  # the round must actually discover something
-        with ParallelMatcher(
-            JOIN_TGDS, workers=3, backend=backend, min_parallel_work=0
-        ) as matcher:
+        with ParallelMatcher(JOIN_TGDS, workers=3) as matcher:
             got = [t.key for t in matcher.discover(engine.instance, delta)]
             assert got == expected
             assert matcher.rounds_parallel == 1
 
-    def test_process_round_builds_probed_positions_before_forking(self):
+    def test_process_round_builds_probed_positions_before_forking(self, monkeypatch):
         # A position bucket built in a forked worker dies with it, so the
         # parent builds every position the round's plans probe.  A memory
         # instance whatever CHASE_BACKEND says: sqlite indexes every position.
@@ -175,16 +188,16 @@ class TestMatcherDiscovery:
         plans = JOIN_TGDS[1].join_plans()
         assert [plan.probes for plan in plans] == [(("F", 1),), (("F", 2),)]
         assert instance._indexed == {}
-        with ParallelMatcher(
-            JOIN_TGDS, workers=3, backend="process", min_parallel_work=0
-        ) as matcher:
+        pin_pool(monkeypatch, "process")
+        with ParallelMatcher(JOIN_TGDS, workers=3) as matcher:
             assert matcher.discover(instance, delta)
             assert matcher.rounds_parallel == 1
         assert sorted(instance._indexed["F"]) == [1, 2]
 
-    def test_workers_one_short_circuits_to_serial(self):
+    def test_workers_one_short_circuits_to_serial(self, monkeypatch):
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         engine, delta = materialize_round(ring_database(4), JOIN_TGDS)
-        matcher = ParallelMatcher(JOIN_TGDS, workers=1, min_parallel_work=0)
+        matcher = ParallelMatcher(JOIN_TGDS, workers=1)
         assert matcher.backend == "serial"
         got = [t.key for t in matcher.discover(engine.instance, delta)]
         assert got == [
@@ -192,19 +205,21 @@ class TestMatcherDiscovery:
         ]
         assert matcher.rounds_parallel == 0 and matcher.rounds_serial == 1
 
-    def test_small_rounds_stay_serial_under_default_threshold(self):
+    def test_small_rounds_stay_serial_under_default_threshold(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_fork_available", lambda: False)
         engine, delta = materialize_round(ring_database(4), JOIN_TGDS)
-        with ParallelMatcher(JOIN_TGDS, workers=2, backend="thread") as matcher:
+        with ParallelMatcher(JOIN_TGDS, workers=2) as matcher:
             matcher.discover(engine.instance, delta)
             assert matcher.rounds_parallel == 0 and matcher.rounds_serial == 1
 
-    def test_empty_delta(self):
-        matcher = ParallelMatcher(JOIN_TGDS, workers=2, min_parallel_work=0)
+    def test_empty_delta(self, monkeypatch):
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+        matcher = ParallelMatcher(JOIN_TGDS, workers=2)
         assert matcher.discover(Instance(), Delta()) == []
 
     def test_plan_covers_the_grid_exactly_once(self):
         engine, delta = materialize_round(ring_database(8), JOIN_TGDS)
-        matcher = ParallelMatcher(JOIN_TGDS, workers=3, min_parallel_work=0)
+        matcher = ParallelMatcher(JOIN_TGDS, workers=3)
         tasks, total = matcher._plan(delta)
         seen = {}
         for task in tasks:
@@ -222,7 +237,7 @@ class TestMatcherDiscovery:
         assert total == sum(hi - lo for spans in seen.values() for lo, hi in spans)
 
     @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_duplicate_equal_tgds_resolve_to_the_first(self, backend):
+    def test_duplicate_equal_tgds_resolve_to_the_first(self, backend, monkeypatch):
         # TGD equality ignores the name, but null naming (digest_prefix)
         # includes it: two same-body/head rules under different names must
         # rebuild through the FIRST rule's index, or the merged triggers
@@ -242,36 +257,47 @@ class TestMatcherDiscovery:
         probe.take_delta()
         serial = seminaive_triggers(tgds, probe, delta)
         assert serial  # E atoms pivot both rules
-        with ParallelMatcher(
-            tgds, workers=2, backend=backend, min_parallel_work=0
-        ) as matcher:
+        pin_pool(monkeypatch, backend)
+        with ParallelMatcher(tgds, workers=2) as matcher:
             fanned = matcher.discover(probe, delta)
         assert [t.key for t in fanned] == [t.key for t in serial]
         # The byte-level obligation: identical result atoms (null names).
         assert [t.result() for t in fanned] == [t.result() for t in serial]
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            ParallelMatcher(JOIN_TGDS, workers=2, backend="bogus")
+    def test_backend_is_selected_from_workers_and_host(self, monkeypatch):
+        assert ParallelMatcher(JOIN_TGDS, workers=1).backend == "serial"
+        forking = "process" if parallel._fork_available() else "thread"
+        assert ParallelMatcher(JOIN_TGDS, workers=2).backend == forking
+        pin_pool(monkeypatch, "thread")
+        assert ParallelMatcher(JOIN_TGDS, workers=2).backend == "thread"
+        assert ParallelMatcher(JOIN_TGDS, workers=1).backend == "serial"
 
-    def test_engine_rejects_mismatched_matcher(self):
-        other = parse_tgds(["R(x,y) -> S(x)"])
-        matcher = ParallelMatcher(other, workers=2)
-        with pytest.raises(ValueError):
-            ChaseEngine(ring_database(3), JOIN_TGDS, matcher=matcher)
-
-    def test_engine_rejects_renamed_but_equal_matcher(self):
-        # TGD equality ignores names but null digests do not: a matcher
-        # over renamed-equal rules would silently invent different nulls,
-        # so the guard must compare digest identity, not equality.
+    def test_engine_pool_runs_the_callers_rules(self, monkeypatch):
+        # TGD equality ignores names but null digests do not, so the pool
+        # must be built from the caller's own rules: renamed-but-equal
+        # rules chased on the pool invent the same nulls as serially, and
+        # different nulls from the original names.
         from repro.tgds.tgd import TGD
 
-        renamed = [TGD.parse("E(x,y) -> F(x,y)", name="other")]
-        tgds = [TGD.parse("E(x,y) -> F(x,y)", name="s1")]
-        assert renamed[0] == tgds[0]
-        matcher = ParallelMatcher(renamed, workers=2)
-        with pytest.raises(ValueError):
-            ChaseEngine(ring_database(3), tgds, matcher=matcher)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+        copy = TGD.parse("E(x,y) -> F(x,y)", name="copy")
+        tgds = [copy, TGD.parse("F(x,y) -> G(y,z)", name="s1")]
+        renamed = [copy, TGD.parse("F(x,y) -> G(y,z)", name="other")]
+        assert renamed == tgds
+        db = ring_database(6)
+        serial = restricted_chase(db, renamed, strategy="semi_naive")
+        stats = ChaseStats()
+        fanned = restricted_chase(
+            db, renamed, strategy="semi_naive", workers=2, stats=stats
+        )
+        # The G triggers come from a round pass that crossed the pool.
+        assert stats.rounds_parallel >= 1
+        assert_identical_runs(serial, fanned)
+        original = restricted_chase(db, tgds, strategy="semi_naive", workers=2)
+        assert fanned.instance.sorted_atoms() != original.instance.sorted_atoms()
+        engine = ChaseEngine(db, renamed, workers=2)
+        with engine.running():
+            assert all(a is b for a, b in zip(engine.matcher.tgds, renamed))
 
 
 #: Triangle and 4-cycle closing rules: every cycle through the delta is
@@ -337,13 +363,12 @@ class TestExactlyOnceDiscovery:
             assert birth == max(delta.positions()[atom] for atom in image)
 
     @pytest.mark.parametrize("workers", WORKERS)
-    def test_parallel_equals_serial_elementwise(self, workers):
+    def test_parallel_equals_serial_elementwise(self, workers, monkeypatch):
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         for seed in range(4):
             instance, delta = cycle_round(seed)
             serial = seminaive_triggers(CYCLE_TGDS, instance, delta)
-            with ParallelMatcher(
-                CYCLE_TGDS, workers=workers, min_parallel_work=0
-            ) as matcher:
+            with ParallelMatcher(CYCLE_TGDS, workers=workers) as matcher:
                 fanned = matcher.discover(instance, delta)
                 assert matcher.rounds_parallel == 1
             assert [t.key for t in fanned] == [t.key for t in serial]
@@ -356,7 +381,7 @@ class TestCorpusEquivalence:
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("family", ["linear", "guarded"])
     def test_generator_corpus(self, workers, family, monkeypatch):
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         for tgds in corpus(family, 2, base_seed=5, profile=PROFILE):
             for database in candidate_databases(tgds)[:2]:
                 for max_steps in (7, 30):
@@ -374,7 +399,7 @@ class TestCorpusEquivalence:
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_join_workload(self, workers, monkeypatch):
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         db = ring_database(12)
         serial = restricted_chase(db, JOIN_TGDS, strategy="semi_naive")
         fanned = restricted_chase(
@@ -385,7 +410,7 @@ class TestCorpusEquivalence:
     @pytest.mark.parametrize("workers", WORKERS)
     def test_cutoff_prefixes_are_identical(self, workers, monkeypatch):
         # A diverging set cut off mid-run must still match serial exactly.
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         db = parse_database("R(a,b)")
         tgds = parse_tgds(["R(x,y) -> R(y,z)"])
         for max_steps in (1, 3, 6):
@@ -399,7 +424,7 @@ class TestCorpusEquivalence:
             assert_identical_runs(serial, fanned)
 
     def test_oblivious_fixpoint_identical(self, monkeypatch):
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         db = parse_database("P(a,b)")
         tgds = parse_tgds(
             ["P(x,y) -> R(x,y)", "R(x,y) -> S(x)", "S(x) -> R(x,y)"]
@@ -425,9 +450,9 @@ class TestFallback:
         expected = [
             t.key for t in seminaive_triggers(JOIN_TGDS, engine.instance, delta)
         ]
-        with ParallelMatcher(
-            JOIN_TGDS, workers=2, backend="process", min_parallel_work=0
-        ) as matcher:
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+        pin_pool(monkeypatch, "process")
+        with ParallelMatcher(JOIN_TGDS, workers=2) as matcher:
 
             def refuse(*args, **kwargs):
                 raise OSError("fork restricted")
@@ -461,13 +486,13 @@ class TestFallback:
 
     def test_fork_unavailable_picks_threads_at_construction(self, monkeypatch):
         monkeypatch.setattr(parallel, "_fork_available", lambda: False)
-        matcher = ParallelMatcher(JOIN_TGDS, workers=2, backend="process")
+        matcher = ParallelMatcher(JOIN_TGDS, workers=2)
         assert matcher.backend == "thread"
 
     def test_chase_survives_broken_pool(self, monkeypatch, caplog):
         # End to end: a chase whose every pool launch fails still finishes
         # with byte-identical results via threads.
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
 
         def refuse(self, instance, delta, tasks):
             raise OSError("fork restricted")
@@ -488,15 +513,17 @@ class TestFallback:
 
 
 class TestParallelMap:
-    def test_results_in_payload_order(self):
-        out = parallel_map(_square, [3, 1, 2], workers=2, backend="thread")
+    def test_results_in_payload_order(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_fork_available", lambda: False)
+        out = parallel_map(_square, [3, 1, 2], workers=2)
         assert out == [9, 1, 4]
 
     def test_serial_fallback_for_one_worker(self):
         assert parallel_map(_square, [4, 5], workers=1) == [16, 25]
 
-    def test_process_backend(self):
-        assert parallel_map(_square, [2, 3, 4], workers=2, backend="process") == [
+    def test_process_backend(self, monkeypatch):
+        pin_pool(monkeypatch, "process")
+        assert parallel_map(_square, [2, 3, 4], workers=2) == [
             4,
             9,
             16,

@@ -117,3 +117,23 @@ class TestGuardedRefinements:
         # The infinite P-chain hangs under R(a,b); T(b) under S(b,c).
         assert any(chase.node(d).atom.predicate == "P" for d in r_descendants)
         assert all(chase.node(d).atom.predicate == "T" for d in s_descendants)
+
+
+class TestBounds:
+    def test_closure_at_exactly_max_nodes_is_complete(self):
+        database = parse_database("R(a,b)")
+        tgds = parse_tgds(["R(x,y) -> S(x)"])
+        capped = RealObliviousChase(database, tgds, max_nodes=2)
+        roomy = RealObliviousChase(database, tgds, max_nodes=3)
+        assert capped.complete and roomy.complete
+        assert [(n.node_id, n.atom) for n in capped] == [
+            (n.node_id, n.atom) for n in roomy
+        ]
+
+    def test_node_cap_with_nodes_left_is_incomplete(self):
+        database = parse_database("R(a,b)")
+        tgds = parse_tgds(["R(x,y) -> S(x)", "S(x) -> T(x)"])
+        capped = RealObliviousChase(database, tgds, max_nodes=2)
+        assert not capped.complete
+        assert len(capped) == 2
+        assert RealObliviousChase(database, tgds, max_nodes=3).complete

@@ -308,7 +308,7 @@ class TestRunRound:
         assert [t.key for t in engine.pending] == before[2:]
 
     def test_atom_budget_cut(self):
-        engine = ChaseEngine(chain_database(4), CHAIN_TGDS, track_witnesses=False)
+        engine = ChaseEngine(chain_database(4), CHAIN_TGDS, "oblivious")
         size = len(engine.instance)
         result = engine.run_round(max_atoms=size + 1)
         assert result.cut

@@ -21,6 +21,20 @@ class TestWeaklyRestrictedChase:
         assert parse_atom("S(a)", data=True) in atoms
         assert parse_atom("S(b)", data=True) in atoms
 
+    def test_fixpoint_in_the_last_allowed_round_is_reported(self):
+        tgds = parse_tgds(["R(x,y) -> S(x)"])
+        chase = WeaklyRestrictedChase(roots_of("R(a,b)"), tgds)
+        assert chase.run(1)
+        assert [occ.occ_id for occ in chase.occurrences] == [0, 1]
+        assert chase.run(1)
+        assert len(chase.occurrences) == 2
+
+    def test_round_limit_with_work_left_is_not_a_fixpoint(self):
+        tgds = parse_tgds(["R(x,y) -> S(x)", "S(x) -> T(x)"])
+        chase = WeaklyRestrictedChase(roots_of("R(a,b)"), tgds)
+        assert not chase.run(1)
+        assert chase.run(1)
+
     def test_mirror_occurrences(self):
         # Two occurrences of the same root atom mirror each generated atom.
         tgds = parse_tgds(["R(x,y) -> S(x)"])

@@ -82,7 +82,7 @@ for family in ("linear", "guarded", "weakly-acyclic"):
             runs.append([[], digest(run.instance)])
             atoms = database.sorted_atoms()
             half = len(atoms) // 2
-            engine = ChaseEngine.open(atoms[:half], tgds, "oblivious", prune=False)
+            engine = ChaseEngine(atoms[:half], tgds, "oblivious")
             engine.drive(max_atoms=150, max_rounds=2)
             engine.inject_atoms(atoms[half:])
             keys = [t.canonical_key for t in engine.pending]

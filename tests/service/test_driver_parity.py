@@ -55,7 +55,7 @@ def test_cold_run_is_capped_not_finished():
 @pytest.mark.parametrize("limit", ["ceiling", "budget"])
 @pytest.mark.parametrize("k", range(1, COLD_ROUNDS + 1))
 def test_session_and_oblivious_chase_cut_alike(k, limit, monkeypatch):
-    monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+    monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
     if limit == "ceiling":
         ceiling, budget = k, None
     else:

@@ -64,7 +64,7 @@ class TestIncrementalEqualsCold:
     def test_post_then_resume_equals_cold_union(self, family, workers, monkeypatch):
         # Force pooled rounds even on tiny deltas so workers=4 really
         # exercises the parallel path.
-        monkeypatch.setattr(parallel, "DEFAULT_MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         for tgds in corpus(family, 3, base_seed=1307, profile=PROFILE):
             databases = candidate_databases(tgds)
             if len(databases) < 2:

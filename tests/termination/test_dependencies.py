@@ -9,7 +9,6 @@ unpruned runs agree on instance, derivation, and step counts over the
 generator corpus.
 """
 
-from repro.chase.engine import build_assessor
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase, seminaive_chase
 from repro.core.parsing import parse_database
@@ -192,8 +191,7 @@ class TestPruningByteIdentity:
             ]
         )
         database = parse_database(["E(a, b)"])
-        assessor = build_assessor(tgds)
-        live = assessor.live_indices(database.predicates())
+        live = RuleDependencyGraph(tgds).live_indices(database.predicates())
         assert live == (0, 1)
         assert_identical(
             restricted_chase(database, tgds, prune=False),
