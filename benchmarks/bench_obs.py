@@ -1,21 +1,13 @@
 """Telemetry overhead on the dense semi-naive workload.
 
-Observability must be close to free in both directions:
-
-* **disabled** (the shipping default — ``NullRecorder`` installed, no
-  ``ChaseStats``, tracing off) the instrumented hot paths cost one module
-  flag read per *round*;
-* **fully recording** (a ``StatsRecorder`` installed process-wide *and* a
-  ``ChaseStats`` riding the run) the per-round aggregation must keep the
-  whole chase within ``OBS_OVERHEAD_THRESHOLD`` (≤ 5% overhead) of the
-  plain run at the largest measured size — with a byte-identical final
-  instance, since telemetry is strictly passive.
-
-The gate measures the *stronger* recording-on ratio; the disabled path is
-a strict subset of it (every guard that the recording run passes, the
-disabled run short-circuits).  The workload is ``bench_seminaive``'s
-dense-trigger chase: many rounds with wide batches, so per-round
-instrumentation costs are maximally visible.
+Observability must be close to free: a run with a ``ChaseStats`` sink
+attached (the only counter sink; tracing stays off) must keep the whole
+chase within ``OBS_OVERHEAD_THRESHOLD`` (≤ 5% overhead) of the plain run
+(the shipping default: no stats object) at the largest measured size —
+with a byte-identical final instance, since telemetry is strictly
+passive.  The workload is ``bench_seminaive``'s dense-trigger chase: many
+rounds with wide batches, so per-round instrumentation costs are
+maximally visible.
 
 Run under pytest via ``make bench-exhibits``, or let
 ``benchmarks/harness.py`` fold the ratio into ``BENCH_chase.json``
@@ -34,14 +26,13 @@ if __package__ in (None, ""):  # allow direct imports when run by pytest/harness
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.chase.restricted import seminaive_chase
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.obs.stats import ChaseStats, bench_stats_row
 
 from bench_seminaive import dense_database, dense_tgds
 
-#: Acceptance threshold: fully-recording run over the plain run, at the
-#: largest measured size.  The disabled (NullRecorder) path is bounded by
-#: the same ratio a fortiori.
+#: Acceptance threshold: the stats-on run over the plain run, at the
+#: largest measured size.
 OBS_OVERHEAD_THRESHOLD = 1.05
 
 #: Parsed once: rule parsing is workload *construction*, not chase time.
@@ -49,19 +40,13 @@ TGDS = dense_tgds()
 
 
 def run_plain(database, max_steps: int = 1_000_000):
-    """The shipping configuration: NullRecorder default, no stats object."""
+    """The shipping configuration: no stats object."""
     return seminaive_chase(database, TGDS, max_steps=max_steps)
 
 
 def run_recording(database, max_steps: int = 1_000_000):
-    """Everything on: process-wide StatsRecorder + a ChaseStats sink."""
-    metrics.set_recorder(metrics.StatsRecorder())
-    try:
-        return seminaive_chase(
-            database, TGDS, max_steps=max_steps, stats=ChaseStats()
-        )
-    finally:
-        metrics.set_recorder(None)
+    """Stats on: a ChaseStats sink attached to the run."""
+    return seminaive_chase(database, TGDS, max_steps=max_steps, stats=ChaseStats())
 
 
 def _timed(fn, database):
@@ -88,7 +73,7 @@ def measure(n: int, repeats: int = 9) -> dict:
     the best-of wall times for trajectory plots.
 
     Tracing is suspended around the timed pairs: the gate measures the
-    recorder's cost over the *shipping* configuration, and a ``--trace``
+    stats sink's cost over the *shipping* configuration, and a ``--trace``
     harness run must not smear span-emission jitter across the ratio.
     """
     database = dense_database(n)

@@ -26,13 +26,13 @@ run against the uninterrupted cold run, gated at ≤1.1× total overhead with
 byte-identical instances and derivations.
 
 Since PR 7 it also times the ``obs_dense`` workload (``bench_obs.py``):
-a fully recording run (process-wide ``StatsRecorder`` + ``ChaseStats``)
-against the plain run, gated at ≤1.05× overhead with byte-identical
-instances; the semi-naive, parallel, and obs report rows additionally
-embed a ``stats`` dict (rounds, trigger accounting, cache hit rate, pool
-efficiency — see ``repro.obs.stats.BENCH_STATS_FIELDS``) collected by one
-extra untimed run, and ``--trace PATH`` records the whole bench session
-as a Chrome trace (``PYTHONPATH=src python -m repro.obs.report`` prints
+a stats-on run (a ``ChaseStats`` sink attached) against the plain run,
+gated at ≤1.05× overhead with byte-identical instances; the semi-naive,
+parallel, and obs report rows additionally embed a ``stats`` dict (rounds,
+trigger accounting, cache hit rate, pool efficiency — see
+``repro.obs.stats.BENCH_STATS_FIELDS``) collected by one extra untimed
+run, and ``--trace PATH`` records the whole bench session as a Chrome
+trace (``PYTHONPATH=src python -m repro.obs.report`` prints
 the per-workload stats summary).
 
 Since PR 8 it also runs the ``portfolio_cascade`` workload
@@ -417,11 +417,10 @@ def run_checkpoint_kernel(sizes, repeats: int):
 def run_obs_kernel(sizes, repeats: int):
     """Telemetry overhead rows (``bench_obs.py``).
 
-    Each row times the plain (NullRecorder, no stats) run against a fully
-    recording run (process-wide ``StatsRecorder`` + ``ChaseStats``) of the
-    dense semi-naive workload; the recording run must stay within
-    ``OBS_OVERHEAD_THRESHOLD`` of plain at the largest size, with a
-    byte-identical instance and derivation.
+    Each row times the plain (no stats) run against a stats-on run (a
+    ``ChaseStats`` sink attached) of the dense semi-naive workload; the
+    stats-on run must stay within ``OBS_OVERHEAD_THRESHOLD`` of plain at
+    the largest size, with a byte-identical instance and derivation.
     """
     return [measure_obs(n, repeats=repeats) for n in sizes]
 

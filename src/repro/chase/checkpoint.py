@@ -41,7 +41,7 @@ from repro.chase.derivation import Derivation
 from repro.chase.engine import ChaseEngine
 from repro.chase.trigger import Trigger
 from repro.errors import ChaseInterrupted, CheckpointError
-from repro.obs import clock, metrics, trace
+from repro.obs import clock, trace
 from repro.obs.log import get_logger, log_event
 from repro.tgds.tgd import TGD
 
@@ -311,8 +311,6 @@ class ChaseCheckpoint:
             )
         if engine.stats is not None:
             engine.stats.checkpoints_captured += 1
-        if metrics.ENABLED:
-            metrics.counter("chase.checkpoints.captured")
         log_event(
             _LOGGER,
             logging.DEBUG,

@@ -68,7 +68,7 @@ from repro.chase import chaos
 from repro.chase.derivation import Derivation
 from repro.chase.plans import discovery_rows, discovery_table
 from repro.chase.trigger import Trigger, in_birth_order, materialize, satisfies_head
-from repro.obs import clock, metrics, trace
+from repro.obs import clock, trace
 from repro.obs.log import get_logger, log_event
 from repro.tgds.tgd import TGD
 
@@ -327,8 +327,6 @@ class ChaseEngine:
             # discovered work, keeping fired <= discovered on resume.
             stats.triggers_discovered += len(self.pending)
             stats.checkpoints_restored += 1
-        if metrics.ENABLED:
-            metrics.counter("chase.checkpoints.restored")
         log_event(
             _LOGGER,
             logging.INFO,
@@ -630,8 +628,6 @@ class ChaseEngine:
             # a cut into an interrupt, a max-steps return, or a retry; only
             # it knows which) — here the round just reports it.
             trace.instant("round.cut", reason=reason)
-            if metrics.ENABLED:
-                metrics.counter("chase.round.cuts")
             log_event(
                 _LOGGER,
                 logging.INFO,
@@ -654,13 +650,6 @@ class ChaseEngine:
             # A cut-then-continued round tallies once, with the *whole*
             # round's delta, at the call that completes it.
             stats.record_round(len(delta))
-        if metrics.ENABLED:
-            recorder = metrics.get_recorder()
-            recorder.counter("chase.rounds")
-            recorder.counter("chase.triggers.fired", len(applied))
-            recorder.counter("chase.triggers.vacuous", vacuous)
-            recorder.counter("chase.triggers.discovered", len(discovered))
-            recorder.observe("chase.round.delta", len(delta))
         self.instance.take_delta()
         self._round_delta = None
         return RoundResult(

@@ -56,7 +56,7 @@ from repro.core.instance import Instance
 from repro.chase.plans import discovery_rows, discovery_table
 from repro.chase.trigger import Trigger, in_birth_order, materialize
 from repro.errors import ParallelDiscoveryError, ResultIntegrityError
-from repro.obs import clock, metrics, trace
+from repro.obs import clock, trace
 from repro.obs.log import get_logger
 from repro.tgds.tgd import TGD
 
@@ -351,8 +351,6 @@ class ParallelMatcher:
                     raise
                 fresh_pools_left -= 1
                 self.fresh_pools += 1
-                if metrics.ENABLED:
-                    metrics.counter("chase.pool.fresh")
                 _LOGGER.warning(
                     "process pool collapsed (%r); rerunning %d unfinished "
                     "task(s) on a fresh pool",
@@ -385,8 +383,6 @@ class ParallelMatcher:
                     if attempts > TASK_RETRIES:
                         raise
                     self.chunk_retries += 1
-                    if metrics.ENABLED:
-                        metrics.counter("chase.pool.retries")
                     _LOGGER.warning(
                         "discovery task %d failed (%r); resubmitting "
                         "(attempt %d/%d)",
@@ -470,8 +466,6 @@ class ParallelMatcher:
                         },
                     )
                     self.backend_fallbacks += 1
-                    if metrics.ENABLED:
-                        metrics.counter("chase.pool.fallbacks")
                     self.backend = "thread"
             if results is None:
                 try:
@@ -482,8 +476,6 @@ class ParallelMatcher:
                     ) from error
         self.pool_wall_seconds += clock.perf_counter() - pool_start
         self.rounds_parallel += 1
-        if metrics.ENABLED:
-            metrics.counter("chase.pool.rounds")
         # Tasks partition the pivot hits and each trigger surfaces at
         # exactly one hit, so no row repeats another.
         merge_start = clock.perf_counter()

@@ -100,6 +100,10 @@ class WeaklyRestrictedChase:
         self._occ_ids_by_atom: Dict[Atom, List[int]] = {}
         self._witnesses = HeadWitnessIndex(self.tgds)
         self._triggers: Dict[tuple, Trigger] = {}
+        #: Rounds committed so far, over every :meth:`run` call: the next
+        #: round's occurrences carry ``round_index == rounds + 1``, so a run
+        #: split across calls labels them as one unsplit run would.
+        self.rounds = 0
         self._commit(
             WROccurrence(index, atom, 0, None, None, depth)
             for index, (atom, depth) in enumerate(roots)
@@ -140,7 +144,7 @@ class WeaklyRestrictedChase:
         """
         if budget is not None:
             budget.start()
-        for round_index in range(1, rounds + 1):
+        for _ in range(rounds):
             if budget is not None:
                 if budget.rounds_exhausted():
                     raise ChaseInterrupted(
@@ -155,6 +159,7 @@ class WeaklyRestrictedChase:
             active = self._active_triggers()
             if not active:
                 return True
+            round_index = self.rounds + 1
             new_occurrences: List[WROccurrence] = []
             for trigger in active:
                 anchor_index = self._anchor_index(trigger.tgd)
@@ -175,10 +180,12 @@ class WeaklyRestrictedChase:
                     new_occurrences.append(occ)
                     if len(self.occurrences) + len(new_occurrences) > max_occurrences:
                         self._commit(new_occurrences)
+                        self.rounds = round_index
                         return False
             if not new_occurrences:
                 return True
             self._commit(new_occurrences)
+            self.rounds = round_index
             if budget is not None:
                 budget.charge_round()
         return not self._active_triggers()

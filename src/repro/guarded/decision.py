@@ -222,34 +222,23 @@ def _try_replay(
 _TIMEOUT = "timeout"
 
 
-def release(instance) -> None:
-    """Close a scratch chase instance if its backend has resources to free.
-
-    Disk-backed instances are scratch state in the decider and portfolio
-    probes: close them (and their temp files) as soon as the probe is done
-    with them, rather than trusting GC timing inside a soon-terminated
-    pool worker.  ``None`` and memory instances pass through untouched.
-    """
-    close = getattr(instance, "close", None)
-    if close is not None:
-        close()
-
-
 def _suspect_scan(payload):
     """One divergence-suspect task: chase a candidate database, hunt a pump.
 
     Module-level so :func:`repro.chase.parallel.parallel_map` can ship it to
     a process pool; the payload is ``(database, tgds, max_steps, replays,
-    remaining, backend)`` — ``remaining`` the wall-clock seconds left (None:
-    no wall limit), ``backend`` the instance backend spec — and the returned
-    ``(outcome, seconds)`` pair pickles back, where ``outcome`` is the
-    :class:`PumpWitness` (or None, or the ``"timeout"`` sentinel) and
-    ``seconds`` is the task's own duration for the decider stats.  The
+    remaining)`` — ``remaining`` the wall-clock seconds left (None: no wall
+    limit) — and the returned ``(outcome, seconds)`` pair pickles back,
+    where ``outcome`` is the :class:`PumpWitness` (or None, or the
+    ``"timeout"`` sentinel) and ``seconds`` is the task's own duration for
+    the decider stats.  The
     strategy ladder — a divergence-biased LIFO probe, then the semi-naive
     engine (byte-identical to fifo) — is exactly the serial loop's, so a
-    parallel scan reproduces serial verdicts database for database.
+    parallel scan reproduces serial verdicts database for database.  The
+    chases are scratch state, so they run in memory whatever the process's
+    ``CHASE_BACKEND`` default says.
     """
-    database, tgds, max_steps, replays, remaining, backend = payload
+    database, tgds, max_steps, replays, remaining = payload
     budget = Budget(wall_seconds=remaining) if remaining is not None else None
     start = clock.perf_counter()
     with trace.span("decider.suspect", atoms=len(database)):
@@ -264,20 +253,16 @@ def _suspect_scan(payload):
                     strategy=strategy,
                     max_steps=max_steps,
                     budget=budget,
-                    backend=backend,
+                    backend="memory",
                 )
-                try:
-                    if run.terminated:
-                        continue
-                    pump = find_pump(database, tgds, run.derivation, replays=replays)
-                finally:
-                    release(run.instance)
+                if run.terminated:
+                    continue
+                pump = find_pump(database, tgds, run.derivation, replays=replays)
                 if pump is not None:
                     outcome = pump
                     break
-        except ChaseInterrupted as interrupted:
+        except ChaseInterrupted:
             outcome = _TIMEOUT
-            release(interrupted.instance)
     return outcome, clock.perf_counter() - start
 
 
@@ -295,7 +280,6 @@ def scan_suspects(
     workers: int = 1,
     budget: Optional[Budget] = None,
     stats=None,
-    backend=None,
 ) -> Optional[Tuple[Instance, PumpWitness]]:
     """Run the suspect chases; return the first (by candidate order) pump.
 
@@ -314,11 +298,6 @@ def scan_suspects(
     ``stats`` (a :class:`repro.obs.stats.ChaseStats`) collects one
     ``suspects`` entry per completed suspect chase — candidate index,
     outcome, duration — in candidate order.
-
-    ``backend`` selects the instance storage backend of each suspect chase
-    (see :func:`repro.backends.make_instance`).  With ``"sqlite"`` leave
-    the path unset: each chase then gets its own auto-removed temp file,
-    which is what a parallel scan requires.
     """
     from repro.chase.parallel import parallel_map
 
@@ -352,7 +331,7 @@ def scan_suspects(
                     interrupt(index)
                 remaining = budget.remaining_seconds()
             pump, seconds = _suspect_scan(
-                (database, tgd_list, max_steps, replays, remaining, backend)
+                (database, tgd_list, max_steps, replays, remaining)
             )
             record(index, pump, seconds)
             if pump == _TIMEOUT:
@@ -362,7 +341,7 @@ def scan_suspects(
         return None
     remaining = budget.remaining_seconds() if budget is not None else None
     payloads = [
-        (database, tgd_list, max_steps, replays, remaining, backend)
+        (database, tgd_list, max_steps, replays, remaining)
         for database in candidates
     ]
     results = parallel_map(_suspect_scan, payloads, workers=workers)
@@ -423,7 +402,6 @@ def certify_or_pump(
     workers: int = 1,
     budget: Optional[Budget] = None,
     stats=None,
-    backend=None,
 ) -> Verdict:
     """Certificate, critical chase, suspect scan, verdict — in that order.
 
@@ -461,7 +439,6 @@ def certify_or_pump(
             workers=workers,
             budget=budget,
             stats=stats,
-            backend=backend,
         )
     except ChaseInterrupted as interrupted:
         return budget_verdict(interrupted, f"{family}-budget", len(candidates))
@@ -493,7 +470,6 @@ def decide_guarded(
     workers: int = 1,
     budget: Optional[Budget] = None,
     stats=None,
-    backend=None,
 ) -> Verdict:
     """The certifying decision procedure for guarded sets (DESIGN.md §3).
 
@@ -520,5 +496,4 @@ def decide_guarded(
         workers,
         budget,
         stats,
-        backend,
     )

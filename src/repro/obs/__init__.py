@@ -1,21 +1,18 @@
-"""Zero-dependency observability: metrics, spans, stats, clocks, logging.
+"""Zero-dependency observability: spans, stats, clocks, logging.
 
 The telemetry substrate every execution layer reports through (ROADMAP:
-chase-as-a-service p99s, resident-fleet parallel efficiency).  Five small
+chase-as-a-service p99s, resident-fleet parallel efficiency).  Four small
 modules, all stdlib-only:
 
-* :mod:`repro.obs.metrics` — the :class:`Recorder` protocol (counters,
-  gauges, histogram timers), a process-wide default, and the
-  :class:`NullRecorder` that makes the instrumented hot path cost ~nothing
-  when telemetry is off (module-level ``ENABLED`` flag, gated by the
-  ``obs_overhead`` bench);
 * :mod:`repro.obs.trace` — ``span("round.discover")``-style tracing that
   emits Chrome trace-event JSON (``CHASE_TRACE=path`` or
   ``benchmarks/harness.py --trace``), loadable in ``chrome://tracing`` /
   Perfetto;
 * :mod:`repro.obs.stats` — :class:`ChaseStats`, the per-run aggregate
-  report (rounds, trigger accounting, cache hit rate, delta sizes, budget
-  cuts, retry/fallback tallies, worker busy-vs-wall efficiency);
+  report and the only counter sink (rounds, trigger accounting, cache hit
+  rate, delta sizes, budget cuts, retry/fallback tallies, worker
+  busy-vs-wall efficiency), attached to a run or a service rather than
+  installed process-wide;
 * :mod:`repro.obs.clock` — the single monotonic clock source
   (:class:`FakeClock` injectable for tests, so budget/timer tests never
   sleep);
@@ -29,14 +26,6 @@ glossary lives in ``docs/OBSERVABILITY.md``.
 
 from repro.obs.clock import Clock, FakeClock, get_clock, monotonic, set_clock
 from repro.obs.log import get_logger, log_event
-from repro.obs.metrics import (
-    NullRecorder,
-    Recorder,
-    StatsRecorder,
-    get_recorder,
-    metrics_enabled,
-    set_recorder,
-)
 from repro.obs.stats import ChaseStats
 from repro.obs.trace import span, start_trace, stop_trace, tracing, validate_trace
 
@@ -44,17 +33,11 @@ __all__ = [
     "ChaseStats",
     "Clock",
     "FakeClock",
-    "NullRecorder",
-    "Recorder",
-    "StatsRecorder",
     "get_clock",
     "get_logger",
-    "get_recorder",
     "log_event",
-    "metrics_enabled",
     "monotonic",
     "set_clock",
-    "set_recorder",
     "span",
     "start_trace",
     "stop_trace",

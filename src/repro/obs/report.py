@@ -99,11 +99,15 @@ def print_report(report: dict, out=None) -> None:
         misses = stats.get("verdict_cache_misses", 0)
         if hits or misses:
             parts.append(f"verdict_cache={hits}/{hits + misses}")
-        sizes = stats.get("increment_sizes") or []
+        # JSON turns the {size: resumes} histogram's keys into strings.
+        sizes = {
+            int(size): count
+            for size, count in (stats.get("increment_sizes") or {}).items()
+        }
         if sizes:
-            parts.append(
-                f"increments(mean={sum(sizes) / len(sizes):.1f}, max={max(sizes)})"
-            )
+            total = sum(size * count for size, count in sizes.items())
+            mean = total / sum(sizes.values())
+            parts.append(f"increments(mean={mean:.1f}, max={max(sizes)})")
         parts.append(f"equivalence={'ok' if service.get('equivalence') else 'FAIL'}")
         parts.append(
             "warm_cache="

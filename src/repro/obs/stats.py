@@ -138,13 +138,15 @@ class ChaseStats:
         self.portfolio: List[dict] = []
         #: Service tier (``kind="service"``): sessions created / facts-POST
         #: resumes served, termination requests answered from / past the
-        #: verdict cache, and the derived-delta size of each resume in
-        #: request order (``sessions_resumed == len(increment_sizes)``).
+        #: verdict cache, and a histogram of the resumes' derived-delta
+        #: sizes, ``{size: resumes}`` (``sessions_resumed ==
+        #: sum(increment_sizes.values())``), bounded by the number of
+        #: distinct sizes however long the service runs.
         self.sessions_opened = 0
         self.sessions_resumed = 0
         self.verdict_cache_hits = 0
         self.verdict_cache_misses = 0
-        self.increment_sizes: List[int] = []
+        self.increment_sizes: Dict[int, int] = {}
 
     # -- derived -----------------------------------------------------------
 
@@ -191,6 +193,11 @@ class ChaseStats:
         self.triggers_fired += 1
         name = trigger.tgd.name
         self.per_tgd_fired[name] = self.per_tgd_fired.get(name, 0) + 1
+
+    def record_increment(self, derived: int) -> None:
+        """Count one session resume that derived ``derived`` atoms."""
+        self.sessions_resumed += 1
+        self.increment_sizes[derived] = self.increment_sizes.get(derived, 0) + 1
 
     def record_cut(self, reason: str) -> None:
         self.budget_cuts += 1
@@ -241,7 +248,7 @@ class ChaseStats:
             problems.append("budget_cuts disagrees with cut_reasons")
         if len(self.delta_sizes) != self.rounds:
             problems.append("delta_sizes length disagrees with rounds")
-        if self.sessions_resumed != len(self.increment_sizes):
+        if self.sessions_resumed != sum(self.increment_sizes.values()):
             problems.append(
                 "sessions_resumed disagrees with increment_sizes"
             )
@@ -305,7 +312,7 @@ class ChaseStats:
             "sessions_resumed": self.sessions_resumed,
             "verdict_cache_hits": self.verdict_cache_hits,
             "verdict_cache_misses": self.verdict_cache_misses,
-            "increment_sizes": list(self.increment_sizes),
+            "increment_sizes": dict(sorted(self.increment_sizes.items())),
         }
 
     def summary(self) -> str:

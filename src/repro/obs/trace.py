@@ -41,7 +41,8 @@ from repro.obs import clock
 #: the file at interpreter exit.
 TRACE_ENV = "CHASE_TRACE"
 
-#: Module-level hot-path guard, mirroring ``metrics.ENABLED``.
+#: Module-level hot-path guard: :func:`span` and :func:`instant` check this
+#: flag first, so disabled tracing is one global read per call site.
 TRACING = False
 
 _EVENTS: List[dict] = []

@@ -33,8 +33,8 @@ session suspended and continuable, never a dropped connection.
 
 Errors follow :class:`repro.errors.ServiceError`: the carried status
 becomes the HTTP code and the message the JSON ``error`` body.  Each
-endpoint counts requests and observes latency through :mod:`repro.obs`
-(``service.http.*`` metrics, a ``service.request`` span per request).
+routed request runs inside a ``service.request`` trace span; the service's
+counters are the :class:`~repro.obs.stats.ChaseStats` served on ``/statz``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import threading
 from typing import Optional, Tuple
 
 from repro.errors import ServiceError
-from repro.obs import clock, metrics, trace
+from repro.obs import trace
 from repro.service.session import (
     ChaseService,
     parse_fact_payload,
@@ -172,11 +172,8 @@ class ChaseServer:
     # -- routing ------------------------------------------------------------
 
     async def _dispatch(self, method: str, path: str, body: bytes) -> Tuple[int, dict]:
-        started = clock.perf_counter()
-        route = "unrouted"
         try:
             if body == b"\x00TOO_LARGE":
-                route = "oversized"
                 raise ServiceError("request body too large", status=413)
             route, handler, args = self._route(method, path)
             payload = self._decode_body(body) if method in ("POST", "PUT") else None
@@ -187,12 +184,6 @@ class ChaseServer:
             status, result = error.status, {"error": str(error)}
         except Exception as error:  # noqa: BLE001 - a 500 must not kill the loop
             status, result = 500, {"error": f"{type(error).__name__}: {error}"}
-        if metrics.ENABLED:
-            metrics.counter(f"service.http.{route}")
-            metrics.counter(f"service.http.status.{status}")
-            metrics.observe(
-                "service.http.latency", clock.perf_counter() - started
-            )
         return status, result
 
     def _route(self, method: str, path: str):

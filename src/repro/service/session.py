@@ -53,7 +53,6 @@ from repro.core.parsing import parse_atoms
 from repro.chase.checkpoint import Budget, ChaseCheckpoint
 from repro.chase.engine import ChaseEngine
 from repro.errors import ParseError, ServiceError
-from repro.obs import metrics
 from repro.obs.stats import ChaseStats
 from repro.service.cache import CACHEABLE_STATUSES, VerdictCache
 from repro.termination.portfolio import CACHE_STAGE, TerminationPortfolio
@@ -277,9 +276,6 @@ class ChaseSession:
             )
             added_set = set(added)
             derived = [atom for atom in new_atoms if atom not in added_set]
-            if metrics.ENABLED:
-                metrics.counter("service.increments")
-                metrics.observe("service.increment.derived", len(derived))
             return {
                 "status": TIMEOUT if reason is not None else COMPLETE,
                 "reason": reason,
@@ -400,8 +396,6 @@ class ChaseService:
         with self._lock:
             self.sessions[session_id] = session
             self.stats.sessions_opened += 1
-        if metrics.ENABLED:
-            metrics.counter("service.sessions.opened")
         result = session.post_facts(facts, budget=budget)
         result["session"] = session_id
         result["digest"] = session.digest
@@ -422,8 +416,7 @@ class ChaseService:
         session = self.get(session_id)
         result = session.post_facts(facts, budget=budget)
         with self._lock:
-            self.stats.sessions_resumed += 1
-            self.stats.increment_sizes.append(len(result["derived"]))
+            self.stats.record_increment(len(result["derived"]))
         result["session"] = session_id
         return result
 
@@ -475,10 +468,6 @@ class ChaseService:
             suspects = list(run_stats.suspects) or None
             if suspects and verdict.status in CACHEABLE_STATUSES:
                 self.cache.put_suspects(digest, suspects)
-        if metrics.ENABLED:
-            metrics.counter(
-                "service.verdict.cache_hits" if cached else "service.verdict.cache_misses"
-            )
         return {
             "digest": digest,
             "verdict": {

@@ -89,7 +89,6 @@ class TerminationAnalyzer:
         guarded_max_steps: int = 60,
         replays: int = 3,
         workers: int = 1,
-        backend=None,
     ):
         self.sticky_max_states = sticky_max_states
         self.guarded_max_steps = guarded_max_steps
@@ -98,10 +97,6 @@ class TerminationAnalyzer:
         #: suspects are independent chases, so they parallelize whole; the
         #: candidate-order result scan keeps verdicts serial-identical.
         self.workers = workers
-        #: Instance storage backend for the suspect chases (anything
-        #: :func:`repro.backends.BackendSpec.parse` accepts); verdicts are
-        #: backend-independent.
-        self.backend = backend
 
     def classify(self, tgds: Sequence[TGD]) -> Classification:
         return Classification(tgds)
@@ -143,7 +138,6 @@ class TerminationAnalyzer:
                 workers=self.workers,
                 budget=budget,
                 stats=stats,
-                backend=self.backend,
             )
         # General single-head TGDs: sound certificates + sound witnesses
         # only.  The suspect scan runs as independent pool tasks when
@@ -157,7 +151,6 @@ class TerminationAnalyzer:
             workers=self.workers,
             budget=budget,
             stats=stats,
-            backend=self.backend,
         )
 
     def analyze_corpus(

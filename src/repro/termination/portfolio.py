@@ -101,9 +101,9 @@ class TerminationPortfolio:
 
     ``workers`` parallelizes the hierarchical stage's independent layer
     checks (and is forwarded to the fallthrough analyzer's suspect tier);
-    verdicts are identical at every worker count.  ``analyzer`` defaults
-    to a fresh :class:`TerminationAnalyzer` sharing ``workers`` and
-    ``backend`` (the layer checks themselves always run in memory).
+    verdicts are identical at every worker count.  Every chase the
+    cascade runs (layer checks and the analyzer's) is scratch state and
+    runs in memory.
 
     ``cache`` is an optional digest-keyed verdict memo (duck-typed against
     :class:`repro.service.cache.VerdictCache`: ``get_verdict(digest)`` /
@@ -118,14 +118,10 @@ class TerminationPortfolio:
     def __init__(
         self,
         workers: int = 1,
-        analyzer: Optional[TerminationAnalyzer] = None,
         cache=None,
-        backend=None,
     ):
         self.workers = workers
-        self.analyzer = analyzer or TerminationAnalyzer(
-            workers=workers, backend=backend
-        )
+        self.analyzer = TerminationAnalyzer(workers=workers)
         self.cache = cache
 
     # -- the cascade -------------------------------------------------------

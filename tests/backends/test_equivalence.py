@@ -10,6 +10,8 @@ import os
 
 import pytest
 
+from repro.backends.spec import ENV_VAR
+from repro.backends.sqlite import SQLiteInstance
 from repro.chase.checkpoint import Budget, ChaseCheckpoint
 from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
@@ -32,6 +34,12 @@ CASES = [
     for family in ("guarded", "weakly-acyclic", "sticky")
     for tgds in corpus(family, 3, base_seed=11, profile=PROFILE)
 ]
+
+
+#: Example 5.6 of the paper: guarded, not sticky, settled by a pump.
+EXAMPLE_56 = parse_tgds(
+    ["S(x,y) -> T(x)", "R(x,y), T(y) -> P(x,y)", "P(x,y) -> P(y,z)"]
+)
 
 
 def identical(memory_run, sqlite_run):
@@ -79,14 +87,25 @@ class TestChaseEquivalence:
         identical(memory_run, sqlite_run)
 
     @pytest.mark.parametrize("workers", WORKERS)
-    def test_analyzer_verdicts(self, workers):
-        for _, tgds in CASES[:4]:
-            memory_verdict = TerminationAnalyzer().analyze(tgds)
-            sqlite_verdict = TerminationAnalyzer(
-                workers=workers, backend="sqlite"
-            ).analyze(tgds)
+    def test_analyzer_verdicts(self, workers, monkeypatch):
+        # The deciders' chases are scratch state and always run in memory,
+        # so a process-wide sqlite default leaves every verdict unchanged.
+        # The corpus sets settle before any suspect chase; Example 5.6
+        # reaches the suspect scan.
+        sets = [tgds for _, tgds in CASES[:4]] + [EXAMPLE_56]
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        memory_verdicts = [TerminationAnalyzer().analyze(tgds) for tgds in sets]
+        monkeypatch.setenv(ENV_VAR, "sqlite")
+
+        def no_disk(*args, **kwargs):
+            raise AssertionError("a decider chase was stored on sqlite")
+
+        monkeypatch.setattr(SQLiteInstance, "__init__", no_disk)
+        for tgds, memory_verdict in zip(sets, memory_verdicts):
+            sqlite_verdict = TerminationAnalyzer(workers=workers).analyze(tgds)
             assert memory_verdict.status == sqlite_verdict.status
             assert memory_verdict.method == sqlite_verdict.method
+        assert memory_verdicts[-1].method == "guarded-replay"
 
 
 DIVERGING = parse_tgds(["R(x,y) -> R(y,z)"])

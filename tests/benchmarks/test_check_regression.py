@@ -61,7 +61,7 @@ def make_report(
                 "sessions_resumed": 20,
                 "verdict_cache_hits": 1,
                 "verdict_cache_misses": 1,
-                "increment_sizes": [3] * 20,
+                "increment_sizes": {"3": 20},
             },
         },
         "gc_tracked_per_chase": {"objects": 1000, "python": "3.11"},
@@ -391,7 +391,7 @@ def test_service_warm_cache_violation_is_fatal():
 
 def test_service_resume_counter_mismatch_is_fatal():
     report = make_report()
-    report["service"]["stats"]["increment_sizes"] = [3] * 7  # resumed says 20
+    report["service"]["stats"]["increment_sizes"] = {"3": 7}  # resumed says 20
     failures = gate(report, margin=1.0)
     assert any(
         "sessions_resumed" in f and f.startswith("equivalence:")

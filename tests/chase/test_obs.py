@@ -3,13 +3,12 @@
 Two obligations, enforced over the generator corpus and the targeted
 workloads:
 
-* **passivity** — a chase with a ``ChaseStats`` sink attached and/or a
-  process-wide ``StatsRecorder`` installed produces a byte-identical run
-  (instance, derivation, steps, verdict) to the bare one, serial and
-  pooled alike;
+* **passivity** — a chase with a ``ChaseStats`` sink attached produces a
+  byte-identical run (instance, derivation, steps, verdict) to the bare
+  one, serial and pooled alike;
 * **accuracy** — the filled stats satisfy their own invariants
   (``validate()`` is empty), agree with the result's headline numbers,
-  and the spans/counters/log events land where the glossary says.
+  and the spans/stats/log events land where the glossary says.
 
 Plus the FakeClock payoff: wall-clock budgets and chaos delays drive
 synchronously, with zero real sleeping.
@@ -30,7 +29,7 @@ from repro.chase.checkpoint import Budget
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
 from repro.errors import ChaseInterrupted
-from repro.obs import clock, metrics, trace
+from repro.obs import clock, trace
 from repro.obs.clock import FakeClock
 from repro.obs.stats import ChaseStats
 from repro.termination.analyzer import TerminationAnalyzer
@@ -78,26 +77,16 @@ def fake_clock():
         clock.set_clock(previous)
 
 
-@pytest.fixture
-def recording():
-    recorder = metrics.set_recorder(metrics.StatsRecorder())
-    try:
-        yield recorder
-    finally:
-        metrics.set_recorder(None)
-
-
 class TestPassivity:
-    """Recorder on + stats attached changes not a single byte."""
+    """Stats attached changes not a single byte."""
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("family", ["linear", "guarded"])
-    def test_generator_corpus(self, workers, family, monkeypatch, recording):
+    def test_generator_corpus(self, workers, family, monkeypatch):
         monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         for tgds in corpus(family, 2, base_seed=5, profile=PROFILE):
             for database in candidate_databases(tgds)[:2]:
                 for max_steps in (7, 30):
-                    metrics.set_recorder(None)
                     bare = restricted_chase(
                         database,
                         tgds,
@@ -105,7 +94,6 @@ class TestPassivity:
                         max_steps=max_steps,
                         workers=workers,
                     )
-                    metrics.set_recorder(metrics.StatsRecorder())
                     stats = ChaseStats()
                     observed = restricted_chase(
                         database,
@@ -119,23 +107,19 @@ class TestPassivity:
                     assert observed.stats is stats
                     assert stats.validate() == []
 
-    def test_fifo_strategy(self, recording):
+    def test_fifo_strategy(self):
         db = ring_database(6)
-        metrics.set_recorder(None)
         bare = restricted_chase(db, JOIN_TGDS, strategy="fifo")
-        metrics.set_recorder(metrics.StatsRecorder())
         observed = restricted_chase(
             db, JOIN_TGDS, strategy="fifo", stats=ChaseStats()
         )
         assert_identical_runs(bare, observed)
         assert observed.stats.kind == "restricted:fifo"
 
-    def test_oblivious(self, recording):
+    def test_oblivious(self):
         db = ring_database(4)
         tgds = parse_tgds(["E(x,y) -> F(x,y)", "F(x,y) -> G(y,w)"])
-        metrics.set_recorder(None)
         bare = oblivious_chase(db, tgds)
-        metrics.set_recorder(metrics.StatsRecorder())
         observed = oblivious_chase(db, tgds, stats=ChaseStats())
         assert bare.terminated == observed.terminated
         assert bare.rounds == observed.rounds
@@ -280,18 +264,18 @@ class TestAccuracy:
         assert bare.method == observed.method
 
 
-class TestRecorderCounters:
-    """The process-wide recorder sees the engine's dotted counters."""
+class TestStatsCounters:
+    """The run's ChaseStats sees the engine's round and trigger counts."""
 
-    def test_chase_counters_land(self, recording):
+    def test_chase_counters_land(self):
+        stats = ChaseStats()
         result = restricted_chase(
-            ring_database(8), JOIN_TGDS, strategy="semi_naive"
+            ring_database(8), JOIN_TGDS, strategy="semi_naive", stats=stats
         )
         assert result.terminated
-        counters = recording.counters
-        assert counters.get("chase.rounds", 0) >= 1
-        assert counters.get("chase.triggers.fired", 0) == result.steps
-        assert recording.histograms["chase.round.delta"].count >= 1
+        assert stats.rounds >= 1
+        assert stats.triggers_fired == result.steps
+        assert stats.delta_sizes
 
 
 class TestTraceSpans:

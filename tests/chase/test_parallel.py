@@ -19,6 +19,7 @@ import logging
 import os
 import pickle
 import random
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
 from repro.chase.trigger import Trigger, materialize, seminaive_triggers
-from repro.chase import parallel, trigger as trigger_module
+from repro.chase import chaos, parallel, trigger as trigger_module
 from repro.chase.parallel import ParallelMatcher, parallel_map
 from repro.guarded.decision import candidate_databases, decide_guarded
 from repro.obs.stats import ChaseStats
@@ -510,6 +511,43 @@ class TestFallback:
             if record.name == "repro.chase.parallel"
         )
         assert_identical_runs(serial, fanned)
+
+    @pytest.mark.skipif(not parallel._fork_available(), reason="needs fork")
+    def test_fault_counters_reach_chase_stats(self, monkeypatch):
+        # Climb the whole fault ladder in the first pooled round: one task
+        # failure (a retry on the same pool), one pool collapse (a fresh
+        # pool), a second collapse (the thread fallback).  The entry point's
+        # ChaseStats carries each rung, and the recomputed round counts once.
+        # The script replaces random chaos faults, so the pool is a plain one.
+        monkeypatch.delenv(chaos.CHAOS_SEED_ENV, raising=False)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0)
+        script = [
+            RuntimeError("task failed"),
+            BrokenProcessPool("pool collapsed"),
+            BrokenProcessPool("pool collapsed again"),
+        ]
+        fetch = ParallelMatcher._fetch
+
+        def faulty_fetch(self, future, task_index):
+            if script:
+                raise script.pop(0)
+            return fetch(self, future, task_index)
+
+        db = ring_database(8)
+        clean = ChaseStats()
+        restricted_chase(db, JOIN_TGDS, strategy="semi_naive", workers=2, stats=clean)
+        monkeypatch.setattr(ParallelMatcher, "_fetch", faulty_fetch)
+        stats = ChaseStats()
+        faulted = restricted_chase(
+            db, JOIN_TGDS, strategy="semi_naive", workers=2, stats=stats
+        )
+        assert script == []
+        assert (stats.retries, stats.fresh_pools, stats.pool_fallbacks) == (1, 1, 1)
+        assert stats.rounds_parallel == clean.rounds_parallel == 2
+        assert stats.rounds_serial == clean.rounds_serial
+        assert stats.validate() == []
+        assert_identical_runs(restricted_chase(db, JOIN_TGDS, strategy="semi_naive"), faulted)
 
 
 class TestParallelMap:

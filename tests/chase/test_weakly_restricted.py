@@ -62,6 +62,20 @@ class TestWeaklyRestrictedChase:
         descendants = chase.anchor_descendants(root.occ_id)
         assert len(descendants) == 2
 
+    def test_split_run_numbers_rounds_like_one_run(self):
+        tgds = parse_tgds(["R(x,y) -> S(x,y)", "S(x,y) -> T(x,y)", "T(x,y) -> U(x)"])
+        whole = WeaklyRestrictedChase(roots_of("R(a,b)"), tgds)
+        whole.run(rounds=5)
+        split = WeaklyRestrictedChase(roots_of("R(a,b)"), tgds)
+        split.run(rounds=2)
+        split.run(rounds=3)
+        assert [o.round_index for o in whole.occurrences] == [0, 1, 2, 3]
+        assert [o.round_index for o in split.occurrences] == [0, 1, 2, 3]
+        assert split.rounds == whole.rounds == 3
+        whole_steps = [t.key for t in extract_derivation(whole).steps]
+        assert len(whole_steps) == 3
+        assert [t.key for t in extract_derivation(split).steps] == whole_steps
+
 
 class TestExtract:
     def test_extract_yields_valid_derivation(self, example_32_tgds, example_32_database):

@@ -191,7 +191,11 @@ class TestSingleAtomBodies:
         facts = [f"P0({x},{y})" for x, y in zip(nodes, nodes[1:])]
         facts += [f"Q{j}({c},{c})" for j in range(0, 8, 2) for c in nodes]
         result = restricted_chase(
-            parse_database(facts), parse_tgds(rules), strategy="semi_naive", prune=False
+            parse_database(facts),
+            parse_tgds(rules),
+            strategy="semi_naive",
+            prune=False,
+            backend="memory",
         )
         assert result.terminated
         assert result.instance._indexed == {}

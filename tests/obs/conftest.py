@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import clock, metrics
+from repro.obs import clock
 
 
 @pytest.fixture
@@ -14,13 +14,3 @@ def fake_clock():
         yield fake
     finally:
         clock.set_clock(previous)
-
-
-@pytest.fixture
-def stats_recorder():
-    """Install a StatsRecorder process-wide for one test; restore on exit."""
-    recorder = metrics.set_recorder(metrics.StatsRecorder())
-    try:
-        yield recorder
-    finally:
-        metrics.set_recorder(None)

@@ -222,7 +222,46 @@ class TestAnalyzeAndStatz:
         assert status == 200
         stats = data["stats"]
         assert stats["kind"] == "service"
-        assert stats["sessions_resumed"] == len(stats["increment_sizes"])
+        assert stats["sessions_resumed"] == sum(stats["increment_sizes"].values())
         assert data["verdict_cache"]["entries"] >= 1
         # The server-side object agrees with what it serves.
         assert server.service.stats.validate() == []
+
+
+class TestStatzIsBounded:
+    def test_statz_does_not_grow_with_resumes(self):
+        # Every post adds a fresh chain edge that derives the same three
+        # atoms, so the served histogram keeps one bucket: from 10 to 1000
+        # resumes the body grows only by the two extra digits of
+        # ``sessions_resumed`` and of that bucket's count.
+        handle = start_in_process(default_wall_seconds=None)
+        try:
+            session = create_session(handle)["session"]
+
+            def statz_bytes():
+                conn = http.client.HTTPConnection(handle.host, handle.port, timeout=30)
+                try:
+                    conn.request("GET", "/statz")
+                    return conn.getresponse().read()
+                finally:
+                    conn.close()
+
+            def post(start, stop):
+                for i in range(start, stop):
+                    status, data = request(
+                        handle,
+                        "POST",
+                        f"/v1/sessions/{session}/facts",
+                        {"facts": f"E(u{i:04d},v{i:04d})"},
+                    )
+                    assert status == 200 and len(data["derived"]) == 3, data
+
+            post(0, 10)
+            early = statz_bytes()
+            post(10, 1000)
+            late = statz_bytes()
+        finally:
+            handle.close()
+        assert json.loads(early)["stats"]["increment_sizes"] == {"3": 10}
+        assert json.loads(late)["stats"]["increment_sizes"] == {"3": 1000}
+        assert len(late) == len(early) + 4

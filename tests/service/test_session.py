@@ -244,7 +244,7 @@ class TestChaseService:
         assert service.stats.sessions_resumed == 0  # the create is not a resume
         result = service.post_facts(sid, parse_atoms("E(b,c)", data=True))
         assert service.stats.sessions_resumed == 1
-        assert service.stats.increment_sizes == [len(result["derived"])]
+        assert service.stats.increment_sizes == {len(result["derived"]): 1}
         assert service.stats.validate() == []
         assert [s["session"] for s in service.list_sessions()] == [sid]
         service.delete(sid)
