@@ -6,7 +6,6 @@ the set is in CT_res_∀∀ (per the complete sticky procedure); on a genuinely
 diverging set both agree.
 """
 
-import pytest
 
 from repro import critical_database, decide_sticky, oblivious_chase, parse_tgds
 from repro.termination.verdict import Status

@@ -5,7 +5,6 @@ instance (with R(b,b,b) added) every strategy terminates, and exhaustive
 search confirms no long derivation exists.
 """
 
-import pytest
 
 from repro.core.parsing import parse_database
 from repro.chase.multihead import (

@@ -20,7 +20,7 @@ Quickstart::
 from repro.backends import BackendSpec, SQLiteInstance, make_instance
 from repro.core.atoms import Atom
 from repro.core.equality import EqualityType, LabeledEqualityType
-from repro.core.instance import Database, Instance, MultisetInstance
+from repro.core.instance import Database, Instance
 from repro.core.parsing import (
     ParseError,
     parse_atom,
@@ -44,7 +44,7 @@ from repro.chase.multihead import (
     multihead_restricted_chase,
 )
 from repro.chase.oblivious import ObliviousResult, oblivious_chase, satisfies_all
-from repro.chase.real_oblivious import OChaseNode, RealObliviousChase
+from repro.chase.real_oblivious import ChaseGraph, OChaseNode, RealObliviousChase
 from repro.chase.restricted import (
     ChaseResult,
     SearchBudgetExceeded,
@@ -71,7 +71,6 @@ from repro.errors import (
 )
 from repro.guarded.abstract_join_tree import AbstractJoinTree, ajt_from_derivation
 from repro.guarded.chaseable import (
-    ChaseGraph,
     chase_graph_from_derivation,
     derivation_from_chaseable,
     is_chaseable,
@@ -101,7 +100,7 @@ __version__ = "1.0.0"
 __all__ = [
     # core
     "Atom", "Constant", "Null", "Term", "Variable", "Schema", "Substitution",
-    "Instance", "Database", "MultisetInstance",
+    "Instance", "Database",
     "BackendSpec", "SQLiteInstance", "make_instance",
     "EqualityType",
     "LabeledEqualityType", "ConjunctiveQuery", "ParseError",

@@ -48,7 +48,8 @@ class BuchiAutomaton:
     ``is_accepting(state)`` marks the Büchi acceptance set.  The alphabet is
     a finite list of hashable symbols.  An optional ``budget``
     (:class:`repro.chase.checkpoint.Budget`) is checked every
-    :data:`BUDGET_CHECK_STATES` newly explored states.
+    :data:`BUDGET_CHECK_STATES` newly explored states, and again by
+    :meth:`find_lasso` after exploration and after its SCC pass.
 
     Everything the emptiness check returns depends only on the order the
     states were explored in and on their ``repr``, never on how they hash.
@@ -79,7 +80,6 @@ class BuchiAutomaton:
         """
         if self._explored is not None:
             return self._explored
-        budget = self.budget
         edges: Dict[Hashable, List[Tuple[Hashable, Hashable]]] = {}
         edges[self.initial] = []
         pending = [self.initial]
@@ -98,13 +98,18 @@ class BuchiAutomaton:
                         )
                     edges[successor] = []
                     pending.append(successor)
-                    if budget is not None and len(edges) % BUDGET_CHECK_STATES == 0:
-                        reason = budget.exceeded()
-                        if reason is not None:
-                            raise ChaseInterrupted(reason, partial={"states": len(edges)})
+                    if len(edges) % BUDGET_CHECK_STATES == 0:
+                        self._check_budget(len(edges))
             edges[state] = out
         self._explored = edges
         return edges
+
+    def _check_budget(self, states: int) -> None:
+        """Raise :class:`ChaseInterrupted` once the budget is exhausted."""
+        if self.budget is not None:
+            reason = self.budget.exceeded()
+            if reason is not None:
+                raise ChaseInterrupted(reason, partial={"states": states})
 
     def reachable_states(self) -> Set[Hashable]:
         return set(self.explore())
@@ -117,8 +122,13 @@ class BuchiAutomaton:
         return self.find_lasso() is None
 
     def find_lasso(self) -> Optional[Lasso]:
-        """A witness ``u v^ω`` with an accepting state on the cycle, or None."""
+        """A witness ``u v^ω`` with an accepting state on the cycle, or None.
+
+        The budget binds after exploration and after the SCC pass too: a
+        search that finishes exploring in time but not the rest raises
+        :class:`ChaseInterrupted` rather than answer late."""
         edges = self.explore()
+        self._check_budget(len(edges))
         # Successors in edge order (a dict, not a set), so the search's
         # repr-sorted visits break repr ties by exploration order.
         graph: Dict = {
@@ -139,7 +149,8 @@ class BuchiAutomaton:
                 target = min(accepting, key=lambda s: (repr(s), order[s]))
                 component_set = set(component)
                 break
-        else:
+        self._check_budget(len(edges))
+        if target is None:
             return None
         prefix = self._symbol_path(edges, self.initial, target, restrict=None)
         assert prefix is not None

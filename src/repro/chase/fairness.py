@@ -23,13 +23,13 @@ prefix yields the same fair derivation, byte for byte.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.instance import Instance
 from repro.chase.derivation import Derivation, DerivationError
 from repro.chase.relations import stops_atom
 from repro.chase.restricted import restricted_chase
-from repro.chase.trigger import Trigger, active_triggers_on, is_active
+from repro.chase.trigger import Trigger
 from repro.errors import FairnessError
 from repro.tgds.tgd import TGD
 

@@ -7,6 +7,11 @@ unambiguous.  This is the predefined structure in which all restricted
 chase derivations live; the guarded analysis (Section 5) reads its
 guard-parent / side-parent subrelations off the node structure.
 
+:class:`ChaseGraph` is any finite fragment of ``ochase(D, T)`` and owns the
+Section 5 relations over it (``≺p``, ``≺gp``, ``≺sp``, and ``≺s`` / ``≺b``
+by way of :mod:`repro.chase.relations`, their one implementation);
+:class:`RealObliviousChase` is the fragment built breadth-first.
+
 The full object is infinite whenever the oblivious chase is; we build it
 breadth-first up to node/round bounds.
 
@@ -20,16 +25,18 @@ relations are identical across runs.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.terms import Term
+from repro.chase import relations
 from repro.chase.checkpoint import Budget
 from repro.chase.trigger import Trigger, seminaive_triggers, triggers_on
 from repro.errors import ChaseInterrupted
-from repro.tgds.guardedness import guard_of
+from repro.tgds.guardedness import guard_index
 from repro.tgds.tgd import TGD
+from repro.util import graphs
 
 
 class OChaseNode:
@@ -71,7 +78,131 @@ class OChaseNode:
         return f"Node#{self.node_id}[{self.atom} via {tag}]"
 
 
-class RealObliviousChase:
+class ChaseGraph:
+    """A finite fragment of ``ochase(D, T)``: nodes with parent provenance.
+
+    Node ids index ``self.nodes``.  This is the one home of the Section 5
+    relations over such a fragment: parent ``≺p``, guard-parent ``≺gp``,
+    side-parent ``≺sp``, and — through :mod:`repro.chase.relations` — stop
+    ``≺s`` and before ``≺b``.  :class:`RealObliviousChase` builds one
+    breadth-first; :func:`repro.guarded.chaseable.chase_graph_from_derivation`
+    builds one from a recorded derivation.
+    """
+
+    def __init__(self, nodes: Sequence[OChaseNode]):
+        self.nodes: List[OChaseNode] = list(nodes)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __iter__(self) -> Iterator[OChaseNode]:
+        return iter(self.nodes)
+
+    def node(self, node_id: int) -> OChaseNode:
+        return self.nodes[node_id]
+
+    def atoms(self) -> Instance:
+        """The set of atoms (the plain oblivious chase, Section 3.1 remark)."""
+        return Instance(node.atom for node in self.nodes)
+
+    def atom_multiplicity(self, atom: Atom) -> int:
+        """How many nodes carry ``atom`` (the multiset view)."""
+        return sum(1 for node in self.nodes if node.atom == atom)
+
+    def roots(self) -> List[int]:
+        """Ids of the database nodes (``τ(v) = ⊥``)."""
+        return [node.node_id for node in self.nodes if node.is_root]
+
+    def children_of(self, node_id: int) -> List[OChaseNode]:
+        return [node for node in self.nodes if node_id in node.parents]
+
+    def parent_edges(self, within: Optional[Set[int]] = None) -> Set[Tuple[int, int]]:
+        """``≺p`` pairs (parent, child), optionally restricted to a node set."""
+        edges: Set[Tuple[int, int]] = set()
+        for node in self.nodes:
+            if within is not None and node.node_id not in within:
+                continue
+            for parent in node.parents:
+                if within is None or parent in within:
+                    edges.add((parent, node.node_id))
+        return edges
+
+    def _annotated(self, node_ids: Iterable[int]) -> Dict[int, relations.AnnotatedAtom]:
+        return {
+            i: relations.AnnotatedAtom(
+                self.nodes[i].atom,
+                self.nodes[i].frontier_terms(),
+                is_initial=self.nodes[i].is_root,
+            )
+            for i in node_ids
+        }
+
+    def stop_edges(self, within: Optional[Set[int]] = None) -> Set[Tuple[int, int]]:
+        """``≺s`` pairs (stopper, stopped) among the chosen nodes."""
+        chosen = range(len(self.nodes)) if within is None else sorted(within)
+        return relations.stop_edges(self._annotated(chosen))
+
+    def before_graph(self, within: Optional[Set[int]] = None) -> Dict:
+        """The ``≺b`` adjacency over the chosen nodes (Section 5.1)."""
+        chosen: Set[int] = (
+            {n.node_id for n in self.nodes} if within is None else set(within)
+        )
+        return relations.before_graph(
+            self._annotated(chosen), self.parent_edges(chosen)
+        )
+
+    # -- guarded refinements (Appendix C.2) ---------------------------------
+
+    def guard_parent_of(self, node_id: int) -> Optional[int]:
+        """``gp(v)``: the parent matched by the guard atom of ``τ(v)``'s TGD.
+
+        None for roots.  Requires the TGD to be guarded.
+        """
+        node = self.nodes[node_id]
+        if node.trigger is None:
+            return None
+        return node.parents[guard_index(node.trigger.tgd)]
+
+    def guard_parent_edges(self) -> Set[Tuple[int, int]]:
+        """``≺gp`` as (guard parent id, child id) pairs."""
+        edges: Set[Tuple[int, int]] = set()
+        for node in self.nodes:
+            gp = self.guard_parent_of(node.node_id)
+            if gp is not None:
+                edges.add((gp, node.node_id))
+        return edges
+
+    def side_parent_edges(self) -> Set[Tuple[int, int]]:
+        """``≺sp``: parent pairs that are not the guard parent occurrence.
+
+        Requires every TGD in the graph to be guarded."""
+        edges: Set[Tuple[int, int]] = set()
+        for node in self.nodes:
+            if node.trigger is None:
+                continue
+            guard_at = guard_index(node.trigger.tgd)
+            for body_index, parent in enumerate(node.parents):
+                if body_index != guard_at:
+                    edges.add((parent, node.node_id))
+        return edges
+
+    def guard_root(self, node_id: int) -> int:
+        """The root of the ``≺gp``-tree containing ``node_id``."""
+        node = self.nodes[node_id]
+        while node.trigger is not None:
+            node = self.nodes[node.parents[guard_index(node.trigger.tgd)]]
+        return node.node_id
+
+    def guard_descendants(self, node_id: int) -> Set[int]:
+        """All nodes reachable from ``node_id`` via ``≺gp`` (excl. itself)."""
+        children = graphs.make_graph(self.guard_parent_edges())
+        return graphs.reachable_from(children, [node_id]) - {node_id}
+
+    def __repr__(self) -> str:
+        return f"ChaseGraph({len(self.nodes)} nodes)"
+
+
+class RealObliviousChase(ChaseGraph):
     """A bounded prefix of ``ochase(D, T)``.
 
     ``complete`` is True when the construction closed under all trigger
@@ -93,9 +224,8 @@ class RealObliviousChase:
         A ``budget`` wall/round limit binding at a round boundary raises
         :class:`repro.errors.ChaseInterrupted` (partial records the node
         count built so far)."""
+        super().__init__(())
         self.tgds = tuple(tgds)
-        self.nodes: List[OChaseNode] = []
-        self._node_keys: Set[tuple] = set()
         self.complete = True
         self._build(database, max_nodes, max_depth, budget)
 
@@ -112,6 +242,7 @@ class RealObliviousChase:
             budget.start()
         atom_index = Instance()
         nodes_by_atom: Dict[Atom, List[int]] = {}
+        node_keys: Set[tuple] = set()
         # Triggers are discovered incrementally: full enumeration once,
         # then the semi-naive pass over the atoms the previous round added.
         # The first round's enumeration order numbers the triggers, which
@@ -128,9 +259,9 @@ class RealObliviousChase:
             atom: Atom, trigger: Optional[Trigger], parents: Tuple[int, ...], depth: int
         ) -> Optional[int]:
             key = (atom, None if trigger is None else trigger.key, parents)
-            if key in self._node_keys:
+            if key in node_keys:
                 return None
-            self._node_keys.add(key)
+            node_keys.add(key)
             node_id = len(self.nodes)
             self.nodes.append(OChaseNode(node_id, atom, trigger, parents, depth))
             atom_index.add(atom)
@@ -208,94 +339,6 @@ class RealObliviousChase:
             frontier = next_frontier
             if budget is not None:
                 budget.charge_round()
-
-    # -- views -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self) -> Iterator[OChaseNode]:
-        return iter(self.nodes)
-
-    def node(self, node_id: int) -> OChaseNode:
-        return self.nodes[node_id]
-
-    def atoms(self) -> Instance:
-        """The set of atoms (the plain oblivious chase, Section 3.1 remark)."""
-        return Instance(node.atom for node in self.nodes)
-
-    def atom_multiplicity(self, atom: Atom) -> int:
-        """How many nodes carry ``atom`` (the multiset view)."""
-        return sum(1 for node in self.nodes if node.atom == atom)
-
-    def roots(self) -> List[OChaseNode]:
-        return [node for node in self.nodes if node.is_root]
-
-    def parent_edges(self) -> Set[Tuple[int, int]]:
-        """The relation ``≺p`` as (parent id, child id) pairs."""
-        return {
-            (parent, node.node_id)
-            for node in self.nodes
-            for parent in node.parents
-        }
-
-    def children_of(self, node_id: int) -> List[OChaseNode]:
-        return [node for node in self.nodes if node_id in node.parents]
-
-    # -- guarded refinements (Appendix C.2) ---------------------------------
-
-    def guard_parent_of(self, node_id: int) -> Optional[int]:
-        """``gp(v)``: the parent matched by the guard atom of ``τ(v)``'s TGD.
-
-        None for roots.  Requires the TGD to be guarded.
-        """
-        node = self.nodes[node_id]
-        if node.trigger is None:
-            return None
-        tgd = node.trigger.tgd
-        guard = guard_of(tgd)
-        if guard is None:
-            raise ValueError(f"TGD {tgd} is not guarded")
-        guard_index = list(tgd.body).index(guard)
-        return node.parents[guard_index]
-
-    def guard_parent_edges(self) -> Set[Tuple[int, int]]:
-        """``≺gp`` as (guard parent id, child id) pairs."""
-        edges: Set[Tuple[int, int]] = set()
-        for node in self.nodes:
-            gp = self.guard_parent_of(node.node_id)
-            if gp is not None:
-                edges.add((gp, node.node_id))
-        return edges
-
-    def side_parent_edges(self) -> Set[Tuple[int, int]]:
-        """``≺sp``: parent pairs that are not the guard parent occurrence."""
-        edges: Set[Tuple[int, int]] = set()
-        for node in self.nodes:
-            if node.trigger is None:
-                continue
-            tgd = node.trigger.tgd
-            guard = guard_of(tgd)
-            guard_index = list(tgd.body).index(guard) if guard is not None else -1
-            for body_index, parent in enumerate(node.parents):
-                if body_index != guard_index:
-                    edges.add((parent, node.node_id))
-        return edges
-
-    def guard_descendants(self, node_id: int) -> Set[int]:
-        """All nodes reachable from ``node_id`` via ``≺gp`` (excl. itself)."""
-        children: Dict[int, Set[int]] = {}
-        for parent, child in self.guard_parent_edges():
-            children.setdefault(parent, set()).add(child)
-        seen: Set[int] = set()
-        stack = [node_id]
-        while stack:
-            current = stack.pop()
-            for child in children.get(current, ()):
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return seen
 
     def __repr__(self) -> str:
         status = "complete" if self.complete else "truncated"

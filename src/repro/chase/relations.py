@@ -9,6 +9,11 @@ terms of ``β`` (the terms propagated by the trigger).  In the presence of
 and the *inverse* of ``≺s``; chaseable sets (Definition 5.2) require it to
 be acyclic and well-founded.
 
+:func:`stop_edges` and :func:`before_graph` are the one implementation of
+``≺s`` and ``≺b``: both take an ``{id: AnnotatedAtom}`` mapping, and both
+the ochase fragments (:class:`repro.chase.real_oblivious.ChaseGraph`) and
+abstract join trees (Section 5.3) call them with their own node ids.
+
 Both relations are computed over insertion-ordered instances with
 digest-named nulls, so edge sets — and any order they are enumerated in —
 are identical across runs of the same chase.
@@ -16,7 +21,7 @@ are identical across runs of the same chase.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from repro.core.atoms import Atom
 from repro.core.homomorphism import match_atom
@@ -65,50 +70,42 @@ class AnnotatedAtom:
     """An atom with the provenance needed by ``≺s``/``≺b`` computations.
 
     ``frontier_terms`` is ``fr(result(σ,h))`` for derived atoms and is
-    irrelevant for database atoms (``is_initial``).
+    irrelevant for database atoms (``is_initial``).  Callers identify
+    annotated atoms by the keys of the mapping they pass to
+    :func:`stop_edges` / :func:`before_graph`.
     """
 
-    __slots__ = ("atom", "frontier_terms", "is_initial", "tag")
+    __slots__ = ("atom", "frontier_terms", "is_initial")
 
     def __init__(
         self,
         atom: Atom,
         frontier_terms: frozenset = frozenset(),
         is_initial: bool = False,
-        tag: Hashable = None,
     ):
         self.atom = atom
         self.frontier_terms = frozenset(frontier_terms)
         self.is_initial = is_initial
-        self.tag = tag
 
     @staticmethod
-    def initial(atom: Atom, tag: Hashable = None) -> "AnnotatedAtom":
-        return AnnotatedAtom(atom, is_initial=True, tag=tag)
-
-    @staticmethod
-    def from_trigger(trigger: Trigger, tag: Hashable = None) -> "AnnotatedAtom":
-        return AnnotatedAtom(
-            trigger.result(),
-            frontier_terms=frozenset(trigger.result_frontier_terms()),
-            tag=tag,
-        )
+    def initial(atom: Atom) -> "AnnotatedAtom":
+        return AnnotatedAtom(atom, is_initial=True)
 
     def __repr__(self) -> str:
         kind = "db" if self.is_initial else "derived"
         return f"AnnotatedAtom({self.atom}, {kind})"
 
 
-def stop_edges(annotated: List[AnnotatedAtom]) -> Set[Tuple[int, int]]:
+def stop_edges(annotated: Mapping[Hashable, AnnotatedAtom]) -> Set[Tuple[Hashable, Hashable]]:
     """All pairs ``(i, j)`` with ``annotated[i].atom ≺s annotated[j].atom``.
 
     Only derived atoms (non-initial) can be stopped; anything can stop.
     """
-    edges: Set[Tuple[int, int]] = set()
-    for j, stopped in enumerate(annotated):
+    edges: Set[Tuple[Hashable, Hashable]] = set()
+    for j, stopped in annotated.items():
         if stopped.is_initial:
             continue
-        for i, stopper in enumerate(annotated):
+        for i, stopper in annotated.items():
             if i == j:
                 continue
             if stops_atom(stopper.atom, stopped.atom, stopped.frontier_terms):
@@ -117,21 +114,20 @@ def stop_edges(annotated: List[AnnotatedAtom]) -> Set[Tuple[int, int]]:
 
 
 def before_graph(
-    annotated: List[AnnotatedAtom],
-    parent_edges: Iterable[Tuple[int, int]],
+    annotated: Mapping[Hashable, AnnotatedAtom],
+    parent_edges: Iterable[Tuple[Hashable, Hashable]],
 ) -> Dict:
-    """The before relation ``≺b`` over indexed annotated atoms (Section 5.1).
+    """The before relation ``≺b`` over identified annotated atoms (Section 5.1).
 
-    ``≺b = (D × non-D) ∪ ≺p ∪ ≺s⁻¹`` — returned as an adjacency dict over
-    the indices of ``annotated``.
+    ``≺b = (D × non-D) ∪ ≺p ∪ ≺s⁻¹`` — returned as an adjacency dict keyed
+    by the ids of ``annotated``, in the mapping's order.  ``parent_edges``
+    must stay inside those ids.
     """
-    graph: Dict = {i: set() for i in range(len(annotated))}
-    for i, a in enumerate(annotated):
-        if not a.is_initial:
-            continue
-        for j, b in enumerate(annotated):
-            if not b.is_initial:
-                graph[i].add(j)
+    graph: Dict = {i: set() for i in annotated}
+    derived = [j for j, b in annotated.items() if not b.is_initial]
+    for i, a in annotated.items():
+        if a.is_initial:
+            graph[i].update(derived)
     for parent, child in parent_edges:
         graph[parent].add(child)
     for stopper, stopped in stop_edges(annotated):

@@ -34,8 +34,9 @@ from repro.chase.engine import HeadWitnessIndex
 from repro.errors import ChaseInterrupted
 from repro.chase.trigger import Trigger, is_active, seminaive_triggers
 from repro.core.homomorphism import is_homomorphism
-from repro.tgds.guardedness import guard_of
+from repro.tgds.guardedness import guard_index
 from repro.tgds.tgd import TGD
+from repro.util import graphs
 
 
 class WROccurrence:
@@ -111,10 +112,10 @@ class WeaklyRestrictedChase:
 
     def _anchor_index(self, tgd: TGD) -> int:
         """Body index of the anchor atom: the guard when guarded, else 0."""
-        guard = guard_of(tgd)
-        if guard is None:
+        try:
+            return guard_index(tgd)
+        except ValueError:
             return 0
-        return list(tgd.body).index(guard)
 
     def atom_view(self) -> Instance:
         """The set-semantics view of the current multiset."""
@@ -203,19 +204,12 @@ class WeaklyRestrictedChase:
 
     def anchor_descendants(self, occ_id: int) -> Set[int]:
         """All occurrences whose anchor-ancestor chain passes ``occ_id``."""
-        children: Dict[int, Set[int]] = {}
-        for occ in self.occurrences:
-            if occ.anchor_parent is not None:
-                children.setdefault(occ.anchor_parent, set()).add(occ.occ_id)
-        seen: Set[int] = set()
-        stack = [occ_id]
-        while stack:
-            current = stack.pop()
-            for child in children.get(current, ()):
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return seen
+        children = graphs.make_graph(
+            (occ.anchor_parent, occ.occ_id)
+            for occ in self.occurrences
+            if occ.anchor_parent is not None
+        )
+        return graphs.reachable_from(children, [occ_id]) - {occ_id}
 
 
 def extract_derivation(chase: WeaklyRestrictedChase) -> Derivation:

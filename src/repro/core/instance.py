@@ -1,10 +1,9 @@
-"""Instances, databases, and multiset instances.
+"""Instances and databases.
 
 An *instance* is a (possibly large but here always finite) set of atoms over
 constants and nulls; a *database* is a finite set of facts (constants only).
-The weakly restricted chase of Appendix C operates on *multiset* instances,
-where syntactically equal atoms coming from different mirror copies are
-distinct; :class:`MultisetInstance` models those via tagged occurrences.
+The multiset instances of Appendix C's weakly restricted chase are kept by
+:class:`repro.chase.weakly_restricted.WeaklyRestrictedChase` as occurrences.
 
 Indexing
 --------
@@ -404,133 +403,3 @@ class Database(Instance):
     def __repr__(self) -> str:
         atoms = ", ".join(repr(a) for a in self.sorted_atoms())
         return f"Database({{{atoms}}})"
-
-
-class Occurrence:
-    """One occurrence of an atom inside a :class:`MultisetInstance`.
-
-    Two occurrences of the same atom are distinct objects, distinguished by
-    their ``tag`` (the paper treats syntactically equal mirror-image atoms
-    of ``D_ac`` "as different atoms", Appendix C.2).
-    """
-
-    __slots__ = ("atom", "tag")
-
-    def __init__(self, atom: Atom, tag):
-        self.atom = atom
-        self.tag = tag
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Occurrence)
-            and self.atom == other.atom
-            and self.tag == other.tag
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.atom, self.tag))
-
-    def __repr__(self) -> str:
-        return f"{self.atom}#{self.tag}"
-
-
-class MultisetInstance:
-    """A multiset of atoms, realized as a set of tagged occurrences.
-
-    Supports the operations needed by the weakly restricted chase
-    (Definition C.4) and the ``Extract`` procedure: occurrence insertion,
-    iteration over occurrences, and a plain-set view of the atoms.  Like
-    :class:`Instance` it keeps per-predicate and term-position indexes,
-    plus an atom → occurrences index for anchor lookups.
-    """
-
-    def __init__(self, occurrences: Optional[Iterable[Occurrence]] = None):
-        self._occurrences: Dict[Occurrence, None] = {}
-        self._by_predicate: Dict[str, Dict[Occurrence, None]] = {}
-        self._by_position: Dict[Tuple[str, int, Term], Dict[Occurrence, None]] = {}
-        self._by_atom: Dict[Atom, Dict[Occurrence, None]] = {}
-        self._counts: Dict[Atom, int] = {}
-        if occurrences is not None:
-            for occ in occurrences:
-                self.add_occurrence(occ)
-
-    def add_occurrence(self, occurrence: Occurrence) -> bool:
-        """Insert a tagged occurrence; returns True iff it was new."""
-        if occurrence in self._occurrences:
-            return False
-        self._occurrences[occurrence] = None
-        atom = occurrence.atom
-        self._by_predicate.setdefault(atom.predicate, {})[occurrence] = None
-        for i, term in enumerate(atom.terms, start=1):
-            self._by_position.setdefault((atom.predicate, i, term), {})[
-                occurrence
-            ] = None
-        self._by_atom.setdefault(atom, {})[occurrence] = None
-        self._counts[atom] = self._counts.get(atom, 0) + 1
-        return True
-
-    def add_atom(self, atom: Atom, tag) -> Occurrence:
-        """Insert ``atom`` with ``tag`` and return the occurrence."""
-        occ = Occurrence(atom, tag)
-        self.add_occurrence(occ)
-        return occ
-
-    def with_predicate(self, predicate: str) -> KeysView:
-        return self._by_predicate.get(predicate, _EMPTY).keys()
-
-    def with_term_at(self, predicate: str, position: int, term: Term) -> KeysView:
-        """All occurrences with ``term`` at 1-based ``position`` of ``predicate``."""
-        return self._by_position.get((predicate, position, term), _EMPTY).keys()
-
-    def occurrences_of(self, atom: Atom) -> KeysView:
-        """All occurrences carrying exactly ``atom`` (a set-like view)."""
-        return self._by_atom.get(atom, _EMPTY).keys()
-
-    def multiplicity(self, atom: Atom) -> int:
-        """How many occurrences of ``atom`` the multiset holds."""
-        return self._counts.get(atom, 0)
-
-    def atom_set(self) -> Set[Atom]:
-        """The plain set of atoms (collapsing multiplicities)."""
-        return set(self._counts)
-
-    def to_instance(self) -> Instance:
-        """The set-semantics view of this multiset."""
-        return Instance(self._counts)
-
-    def occurrences(self) -> Set[Occurrence]:
-        return set(self._occurrences)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, Occurrence):
-            return item in self._occurrences
-        if isinstance(item, Atom):
-            return item in self._counts
-        return False
-
-    def __iter__(self) -> Iterator[Occurrence]:
-        return iter(self._occurrences)
-
-    def __len__(self) -> int:
-        return len(self._occurrences)
-
-    def copy(self) -> "MultisetInstance":
-        clone = MultisetInstance()
-        clone._occurrences = dict(self._occurrences)
-        clone._by_predicate = {p: dict(d) for p, d in self._by_predicate.items()}
-        clone._by_position = {k: dict(d) for k, d in self._by_position.items()}
-        clone._by_atom = {a: dict(d) for a, d in self._by_atom.items()}
-        clone._counts = dict(self._counts)
-        return clone
-
-    def domain(self) -> Set[Term]:
-        dom: Set[Term] = set()
-        for occ in self._occurrences:
-            dom.update(occ.atom.terms)
-        return dom
-
-    def __repr__(self) -> str:
-        occs = ", ".join(
-            repr(o) for o in sorted(self._occurrences, key=lambda o: (o.atom.sort_key(), str(o.tag)))
-        )
-        return f"MultisetInstance({{{occs}}})"

@@ -9,7 +9,7 @@ the data-exchange and ontology examples.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, Sequence, Set, Tuple
 
 from repro.core.atoms import Atom
 from repro.core.homomorphism import homomorphisms

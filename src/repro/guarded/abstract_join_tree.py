@@ -27,8 +27,7 @@ from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.terms import Constant, Null, Term
 from repro.chase.derivation import Derivation
-from repro.chase.relations import stops_atom
-from repro.guarded.chaseable import ChaseGraph, chase_graph_from_derivation
+from repro.chase.relations import AnnotatedAtom, before_graph
 from repro.guarded.join_tree import gyo_join_tree
 from repro.tgds.guardedness import guard_of, side_atoms
 from repro.tgds.tgd import TGD
@@ -326,37 +325,20 @@ class AbstractJoinTree:
                     edges.add((witness, node.node_id))
         return edges
 
-    def stop_edges(self) -> Set[Tuple[int, int]]:
-        """Section 5.3's ``≺s`` between nodes, computed on the decoding."""
-        decoded = self.decode()
-        edges: Set[Tuple[int, int]] = set()
-        for stopped in self.nodes:
-            if stopped.is_fact:
-                continue
-            sigma: TGD = stopped.origin
-            frontier_positions = sigma.frontier_head_positions()
-            stopped_atom = decoded[stopped.node_id]
-            frontier_terms = {stopped_atom[i] for i in frontier_positions}
-            for stopper in self.nodes:
-                if stopper.node_id == stopped.node_id:
-                    continue
-                if stops_atom(decoded[stopper.node_id], stopped_atom, frontier_terms):
-                    edges.add((stopper.node_id, stopped.node_id))
-        return edges
-
     def before_graph(self, tgds: Sequence[TGD]) -> Dict:
-        """Section 5.3's ``≺b`` adjacency over node ids."""
-        graph: Dict = {n.node_id: set() for n in self.nodes}
-        facts = [n.node_id for n in self.nodes if n.is_fact]
-        non_facts = [n.node_id for n in self.nodes if not n.is_fact]
-        for f in facts:
-            for d in non_facts:
-                graph[f].add(d)
-        for parent, child in self.parent_edges(tgds):
-            graph[parent].add(child)
-        for stopper, stopped in self.stop_edges():
-            graph[stopped].add(stopper)
-        return graph
+        """Section 5.3's ``≺b`` adjacency over node ids, on the decoding."""
+        decoded = self.decode()
+        annotated: Dict[int, AnnotatedAtom] = {}
+        for node in self.nodes:
+            atom = decoded[node.node_id]
+            if node.is_fact:
+                annotated[node.node_id] = AnnotatedAtom.initial(atom)
+            else:
+                frontier = node.origin.frontier_head_positions()
+                annotated[node.node_id] = AnnotatedAtom(
+                    atom, frozenset(atom[i] for i in frontier)
+                )
+        return before_graph(annotated, self.parent_edges(tgds))
 
     def chaseable_violations(self, tgds: Sequence[TGD]) -> List[str]:
         """Definition 5.10 on this finite tree (condition (1) is automatic)."""

@@ -15,88 +15,23 @@ are implemented:
 * :func:`derivation_from_chaseable` linearizes a chaseable node set into a
   validated restricted chase derivation (direction 2 ⇒ 1, the inductive
   construction of Appendix C.1).
+
+The graph type and its relations live elsewhere: :class:`ChaseGraph` (in
+:mod:`repro.chase.real_oblivious`) gives ``≺p`` and, through
+:mod:`repro.chase.relations`, ``≺s`` and ``≺b``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.chase.derivation import Derivation
-from repro.chase.real_oblivious import OChaseNode, RealObliviousChase
-from repro.chase.relations import stops_atom
+from repro.chase.real_oblivious import ChaseGraph, OChaseNode
 from repro.chase.trigger import Trigger
 from repro.tgds.tgd import TGD
 from repro.util import graphs
-
-
-class ChaseGraph:
-    """A finite fragment of ``ochase(D, T)``: nodes with parent provenance.
-
-    Built either from a bounded :class:`RealObliviousChase` or from a
-    recorded derivation.  Node ids index ``self.nodes``.
-    """
-
-    def __init__(self, nodes: Sequence[OChaseNode]):
-        self.nodes: List[OChaseNode] = list(nodes)
-
-    @staticmethod
-    def from_real_oblivious(chase: RealObliviousChase) -> "ChaseGraph":
-        return ChaseGraph(chase.nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def roots(self) -> List[int]:
-        return [n.node_id for n in self.nodes if n.is_root]
-
-    def parent_edges(self, within: Optional[Set[int]] = None) -> Set[Tuple[int, int]]:
-        """``≺p`` pairs (parent, child), optionally restricted to a node set."""
-        edges: Set[Tuple[int, int]] = set()
-        for node in self.nodes:
-            if within is not None and node.node_id not in within:
-                continue
-            for parent in node.parents:
-                if within is None or parent in within:
-                    edges.add((parent, node.node_id))
-        return edges
-
-    def stop_edges(self, within: Optional[Set[int]] = None) -> Set[Tuple[int, int]]:
-        """``≺s`` pairs (stopper, stopped) among the chosen nodes."""
-        chosen = (
-            self.nodes
-            if within is None
-            else [self.nodes[i] for i in sorted(within)]
-        )
-        edges: Set[Tuple[int, int]] = set()
-        for stopped in chosen:
-            if stopped.trigger is None:
-                continue
-            frontier = stopped.frontier_terms()
-            for stopper in chosen:
-                if stopper.node_id == stopped.node_id:
-                    continue
-                if stops_atom(stopper.atom, stopped.atom, frontier):
-                    edges.add((stopper.node_id, stopped.node_id))
-        return edges
-
-    def before_graph(self, within: Optional[Set[int]] = None) -> Dict:
-        """The ``≺b`` adjacency over the chosen nodes (Section 5.1)."""
-        chosen: Set[int] = (
-            {n.node_id for n in self.nodes} if within is None else set(within)
-        )
-        graph: Dict = {i: set() for i in chosen}
-        root_ids = {i for i in chosen if self.nodes[i].is_root}
-        for root in root_ids:
-            for other in chosen:
-                if other not in root_ids:
-                    graph[root].add(other)
-        for parent, child in self.parent_edges(chosen):
-            graph[parent].add(child)
-        for stopper, stopped in self.stop_edges(chosen):
-            graph[stopped].add(stopper)  # ≺s⁻¹
-        return graph
 
 
 def chase_graph_from_derivation(database: Instance, derivation: Derivation) -> ChaseGraph:

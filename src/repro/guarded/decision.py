@@ -35,9 +35,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.atoms import Atom
 from repro.core.instance import Database, Instance
-from repro.core.terms import Constant, Term, Variable
+from repro.core.terms import Constant, Term
 from repro.chase.checkpoint import Budget
 from repro.chase.derivation import Derivation, DerivationError
 from repro.chase.restricted import restricted_chase

@@ -12,7 +12,7 @@ supported.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.atoms import Atom
 from repro.core.instance import Instance

@@ -29,9 +29,10 @@ from repro.core.atoms import Atom
 from repro.core.instance import Database, Instance
 from repro.core.terms import Constant, Term
 from repro.chase.derivation import Derivation
-from repro.guarded.chaseable import ChaseGraph, chase_graph_from_derivation
+from repro.chase.real_oblivious import ChaseGraph
+from repro.guarded.chaseable import chase_graph_from_derivation
 from repro.guarded.join_tree import JoinTree, gyo_join_tree
-from repro.tgds.guardedness import check_guarded_set, guard_of
+from repro.tgds.guardedness import check_guarded_set, guard_index
 from repro.tgds.tgd import TGD
 
 
@@ -50,19 +51,6 @@ class LongsForGraph:
         return f"LongsFor({{{inner}}})"
 
 
-def _guard_root(graph: ChaseGraph, tgds: Sequence[TGD], node_id: int) -> int:
-    """The root of the ``≺gp``-tree containing ``node_id``."""
-    current = graph.nodes[node_id]
-    while current.trigger is not None:
-        tgd = current.trigger.tgd
-        guard = guard_of(tgd)
-        if guard is None:
-            raise ValueError(f"TGD {tgd} is not guarded")
-        guard_index = list(tgd.body).index(guard)
-        current = graph.nodes[current.parents[guard_index]]
-    return current.node_id
-
-
 def remote_side_parent_situations(
     graph: ChaseGraph, tgds: Sequence[TGD]
 ) -> List[Tuple[Atom, int, Atom, int]]:
@@ -73,17 +61,13 @@ def remote_side_parent_situations(
     (the degenerate ``β' = β`` case the construction equally needs).
     """
     situations: List[Tuple[Atom, int, Atom, int]] = []
-    root_of: Dict[int, int] = {}
-    for node in graph.nodes:
-        root_of[node.node_id] = _guard_root(graph, tgds, node.node_id)
+    root_of = {node.node_id: graph.guard_root(node.node_id) for node in graph.nodes}
     for node in graph.nodes:
         if node.trigger is None:
             continue
-        tgd = node.trigger.tgd
-        guard = guard_of(tgd)
-        guard_index = list(tgd.body).index(guard)
+        guard_at = guard_index(node.trigger.tgd)
         for body_index, parent in enumerate(node.parents):
-            if body_index == guard_index:
+            if body_index == guard_at:
                 continue
             my_root = root_of[node.node_id]
             parent_root = root_of[parent]
@@ -116,7 +100,7 @@ def choose_alpha_infinity(graph: ChaseGraph, tgds: Sequence[TGD]) -> Atom:
     """
     counts: Dict[int, int] = {}
     for node in graph.nodes:
-        root = _guard_root(graph, tgds, node.node_id)
+        root = graph.guard_root(node.node_id)
         if node.node_id != root:
             counts[root] = counts.get(root, 0) + 1
     if not counts:

@@ -43,7 +43,7 @@ import asyncio
 import json
 import signal
 import threading
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from repro.errors import ServiceError
 from repro.obs import trace
@@ -138,8 +138,13 @@ class ChaseServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_request(self, reader) -> Optional[Tuple[str, str, bytes, bool]]:
-        """One request off the wire, or None at a clean EOF."""
+    async def _read_request(
+        self, reader
+    ) -> Optional[Tuple[str, str, Union[bytes, ServiceError], bool]]:
+        """One request off the wire, or None at a clean EOF.
+
+        A body that cannot be read comes back as the :class:`ServiceError`
+        to answer with, and the connection is then closed."""
         try:
             header_blob = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as error:
@@ -161,20 +166,28 @@ class ChaseServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            # Drain nothing; answer 400 and drop the connection.
+            error = ServiceError(f"malformed Content-Length {declared!r}", status=400)
+            return method.upper(), target, error, False
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             # Drain nothing; answer 413 and drop the connection.
-            return method.upper(), target, b"\x00TOO_LARGE", False
+            error = ServiceError("request body too large", status=413)
+            return method.upper(), target, error, False
         body = await reader.readexactly(length) if length else b""
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
         return method.upper(), target.split("?", 1)[0], body, keep_alive
 
     # -- routing ------------------------------------------------------------
 
-    async def _dispatch(self, method: str, path: str, body: bytes) -> Tuple[int, dict]:
+    async def _dispatch(
+        self, method: str, path: str, body: Union[bytes, ServiceError]
+    ) -> Tuple[int, dict]:
         try:
-            if body == b"\x00TOO_LARGE":
-                raise ServiceError("request body too large", status=413)
+            if isinstance(body, ServiceError):
+                raise body
             route, handler, args = self._route(method, path)
             payload = self._decode_body(body) if method in ("POST", "PUT") else None
             with trace.span("service.request", route=route):

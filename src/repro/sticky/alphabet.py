@@ -9,7 +9,7 @@ set of head positions of one existentially quantified variable of ``σ``
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence
 
 from repro.core.atoms import Atom
 from repro.tgds.tgd import TGD

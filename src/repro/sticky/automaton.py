@@ -396,9 +396,10 @@ class CaterpillarAutomatonFamily:
 
         or None when ``L(A_T) = ∅`` (then ``T ∈ CT_res_∀∀``).
 
-        A ``budget`` is checked before each component and while one is
-        explored; exhaustion raises :class:`repro.errors.ChaseInterrupted`
-        whose ``partial`` counts the components searched in full.
+        A ``budget`` is checked before each component, while one is
+        searched, and once more before a lasso is handed back for replay;
+        exhaustion raises :class:`repro.errors.ChaseInterrupted` whose
+        ``partial`` counts the components searched in full.
         """
         searched = 0
         for etype, pi0 in self.start_pairs():
@@ -408,6 +409,10 @@ class CaterpillarAutomatonFamily:
                     if reason is not None:
                         raise ChaseInterrupted(reason)
                 lasso = self.component(etype, pi0, budget).find_lasso()
+                if lasso is not None and budget is not None:
+                    reason = budget.exceeded()
+                    if reason is not None:
+                        raise ChaseInterrupted(reason)
             except ChaseInterrupted as interrupted:
                 interrupted.partial = {"components": searched, **interrupted.partial}
                 raise

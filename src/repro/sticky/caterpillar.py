@@ -20,7 +20,7 @@ tests (and users) confirm those witnesses really are caterpillars.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.core.atoms import Atom
 from repro.core.instance import Instance

@@ -18,7 +18,8 @@ Every witness is replay-validated: the produced trigger sequence must be a
 genuine restricted chase derivation (each trigger active when applied).
 
 A caller's :class:`repro.chase.checkpoint.Budget` bounds the automaton
-search; exhaustion answers ``TIMEOUT`` (method ``sticky-budget``).
+search, lasso extraction included, and is checked once more before the
+witness replay; exhaustion answers ``TIMEOUT`` (method ``sticky-budget``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.core.terms import Constant, Term, Variable
 from repro.chase.derivation import Derivation, DerivationError
 from repro.chase.trigger import Trigger
 from repro.errors import ChaseInterrupted
-from repro.sticky.alphabet import CaterpillarSymbol
 from repro.sticky.automaton import CaterpillarAutomatonFamily
 from repro.termination.verdict import Status, Verdict
 from repro.tgds.stickiness import StickinessAnalysis

@@ -16,10 +16,9 @@ decision procedure and as baselines in the corpus benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Sequence, Set, Tuple
 
-from repro.core.atoms import Atom
-from repro.tgds.tgd import TGD, schema_of
+from repro.tgds.tgd import TGD
 from repro.util import graphs
 
 Position = Tuple[str, int]

@@ -26,6 +26,18 @@ def guard_of(tgd: TGD) -> Optional[Atom]:
     return None
 
 
+def guard_index(tgd: TGD) -> int:
+    """The body position of the guard (Section 2's left-most choice).
+
+    Raises ``ValueError`` when the TGD is not guarded.  An equal atom
+    earlier in the body would itself be the guard, so the first equal
+    position is the guard's own."""
+    guard = guard_of(tgd)
+    if guard is None:
+        raise ValueError(f"TGD is not guarded: {tgd}")
+    return tgd.body.index(guard)
+
+
 def is_guarded_tgd(tgd: TGD) -> bool:
     """True iff some body atom guards all body variables."""
     return guard_of(tgd) is not None
@@ -49,15 +61,12 @@ def is_linear(tgds: Iterable[TGD]) -> bool:
 def side_atoms(tgd: TGD) -> List[Atom]:
     """The body atoms other than the guard, in body order.
 
-    Raises for non-guarded TGDs.  Note the guard occurs once here even if
-    the same atom appears twice in the body (bodies are tuples; duplicates
-    are kept as written).
+    Raises for non-guarded TGDs.  Only the guard's own position is dropped,
+    so a body atom written twice keeps its other copy here (bodies are
+    tuples; duplicates are kept as written).
     """
-    guard = guard_of(tgd)
-    if guard is None:
-        raise ValueError(f"TGD is not guarded: {tgd}")
     atoms = list(tgd.body)
-    atoms.remove(guard)  # removes only the first (left-most) occurrence
+    del atoms[guard_index(tgd)]
     return atoms
 
 

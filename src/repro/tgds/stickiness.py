@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from repro.core.atoms import Atom
 from repro.core.terms import Variable
 from repro.tgds.tgd import TGD
 

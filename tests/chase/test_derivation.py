@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.instance import Instance
 from repro.core.parsing import parse_database
 from repro.core.terms import Constant, Variable
 from repro.chase.derivation import Derivation, DerivationError

@@ -6,7 +6,6 @@ discipline the derivation DFS relies on, and atom-for-atom equivalence of
 the indexed engines with the naive baselines on the benchmark workloads.
 """
 
-import random
 
 import pytest
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.parsing import parse_database
-from repro.chase.derivation import Derivation
 from repro.chase.fairness import (
     FairnessError,
     derivation_prefix,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.atoms import Atom
 from repro.core.parsing import parse_database
 from repro.core.terms import Constant
 from repro.chase.multihead import (

@@ -1,8 +1,6 @@
 """Unit tests for the oblivious chase (Section 3.1)."""
 
-from repro.core.atoms import Atom
 from repro.core.parsing import parse_database
-from repro.core.terms import Constant
 from repro.chase.oblivious import oblivious_chase, satisfies_all
 from repro.chase.restricted import restricted_chase
 from repro.tgds.tgd import parse_tgds

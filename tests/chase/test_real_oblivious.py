@@ -17,7 +17,7 @@ class TestExample34:
 
     def test_roots_are_database(self, example_32_tgds, example_32_database):
         chase = RealObliviousChase(example_32_database, example_32_tgds, max_depth=3)
-        assert [n.atom for n in chase.roots()] == example_32_database.sorted_atoms()
+        assert [chase.node(i).atom for i in chase.roots()] == example_32_database.sorted_atoms()
 
     def test_atoms_coincide_with_oblivious_chase(
         self, example_32_tgds, example_32_database
@@ -72,9 +72,9 @@ class TestStructure:
     def test_children_of(self, example_32_tgds, example_32_database):
         chase = RealObliviousChase(example_32_database, example_32_tgds, max_depth=3)
         root = chase.roots()[0]
-        children = chase.children_of(root.node_id)
+        children = chase.children_of(root)
         assert children
-        assert all(root.node_id in c.parents for c in children)
+        assert all(root in c.parents for c in children)
 
 
 class TestGuardedRefinements:
@@ -109,14 +109,39 @@ class TestGuardedRefinements:
             side_parents = [p for p in node.parents if p != gp]
             assert all(chase.node(p).atom.predicate == "T" for p in side_parents)
 
+    def test_duplicated_guard_atom_follows_body_position(self):
+        # R(a,b) is carried by two nodes (the root and the copy σ1 makes),
+        # so σ2's twin R atoms can match different nodes.  The guard parent
+        # is whatever matched body position 0; position 1's node is a side
+        # parent even though it carries the guard's atom.
+        tgds = parse_tgds(["P(x,y) -> R(x,y)", "R(x,y), R(x,y), S(y) -> T(x)"])
+        chase = RealObliviousChase(parse_database("R(a,b), P(a,b), S(b)"), tgds)
+        r_nodes = [n.node_id for n in chase if n.atom.predicate == "R"]
+        assert len(r_nodes) == 2
+        t_nodes = [n for n in chase if n.atom.predicate == "T"]
+        assert sorted(n.parents[:2] for n in t_nodes) == sorted(
+            (g, s) for g in r_nodes for s in r_nodes
+        )
+        side = chase.side_parent_edges()
+        for node in t_nodes:
+            guard, twin, s_parent = node.parents
+            assert chase.guard_parent_of(node.node_id) == guard
+            assert (twin, node.node_id) in side
+            assert (s_parent, node.node_id) in side
+            assert ((guard, node.node_id) in side) == (guard == twin)
+
     def test_guard_descendants(self, example_56_tgds, example_56_database):
         chase = RealObliviousChase(example_56_database, example_56_tgds, max_depth=5)
-        roots = {n.atom.predicate: n.node_id for n in chase.roots()}
+        roots = {chase.node(i).atom.predicate: i for i in chase.roots()}
         r_descendants = chase.guard_descendants(roots["R"])
         s_descendants = chase.guard_descendants(roots["S"])
         # The infinite P-chain hangs under R(a,b); T(b) under S(b,c).
         assert any(chase.node(d).atom.predicate == "P" for d in r_descendants)
         assert all(chase.node(d).atom.predicate == "T" for d in s_descendants)
+        # guard_root inverts the forest: every descendant leads back up.
+        assert all(chase.guard_root(d) == roots["R"] for d in r_descendants)
+        assert all(chase.guard_root(d) == roots["S"] for d in s_descendants)
+        assert chase.guard_root(roots["R"]) == roots["R"]
 
 
 class TestBounds:

@@ -1,10 +1,8 @@
 """Unit tests for the stop/before relations (Sections 3.1, 5.1)."""
 
-import hypothesis.strategies as st
-from hypothesis import given, settings
 
 from repro.core.atoms import Atom
-from repro.core.parsing import parse_database, parse_instance
+from repro.core.parsing import parse_instance
 from repro.core.terms import Constant, Null, Variable
 from repro.chase.relations import (
     AnnotatedAtom,
@@ -13,7 +11,6 @@ from repro.chase.relations import (
     before_is_acyclic,
     stop_edges,
     stops_atom,
-    stops_result,
     stoppers_in,
 )
 from repro.chase.trigger import Trigger, triggers_on
@@ -72,7 +69,7 @@ class TestBeforeGraph:
             AnnotatedAtom.initial(Atom("R", [A, B])),
             AnnotatedAtom(Atom("S", [A, N1]), frozenset({A})),
         ]
-        graph = before_graph(annotated, parent_edges=[(0, 1)])
+        graph = before_graph(dict(enumerate(annotated)), parent_edges=[(0, 1)])
         assert 1 in graph[0]
         assert before_is_acyclic(graph)
 
@@ -80,7 +77,7 @@ class TestBeforeGraph:
         # Two copies of the same derived atom stop each other -> ≺b cycle.
         copy1 = AnnotatedAtom(Atom("S", [A, N1]), frozenset({A}))
         copy2 = AnnotatedAtom(Atom("S", [A, N2]), frozenset({A}))
-        graph = before_graph([copy1, copy2], parent_edges=[])
+        graph = before_graph(dict(enumerate([copy1, copy2])), parent_edges=[])
         assert not before_is_acyclic(graph)
 
     def test_stop_edges_initial_never_stopped(self):
@@ -88,6 +85,6 @@ class TestBeforeGraph:
             AnnotatedAtom.initial(Atom("S", [A, B])),
             AnnotatedAtom(Atom("S", [A, N1]), frozenset({A})),
         ]
-        edges = stop_edges(annotated)
+        edges = stop_edges(dict(enumerate(annotated)))
         assert (0, 1) in edges
         assert all(stopped != 0 for _, stopped in edges)

@@ -6,7 +6,6 @@ from repro.core.parsing import parse_database
 from repro.chase.oblivious import satisfies_all
 from repro.chase.restricted import restricted_chase, restricted_chase_naive
 from repro.tgds.generators import GeneratorProfile, random_guarded_set
-from repro.tgds.tgd import parse_tgds
 from repro.guarded.decision import canonical_body_database
 
 

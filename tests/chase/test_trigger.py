@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.atoms import Atom
-from repro.core.instance import Instance
 from repro.core.parsing import parse_database, parse_instance
 from repro.core.terms import Constant, Variable
 from repro.chase.trigger import (

@@ -1,6 +1,5 @@
 """Tests for the weakly restricted chase and Extract (Appendix C)."""
 
-from repro.core.atoms import Atom
 from repro.core.parsing import parse_atom, parse_database
 from repro.chase.weakly_restricted import WeaklyRestrictedChase, extract_derivation
 from repro.chase.oblivious import satisfies_all

@@ -1,6 +1,5 @@
 """Unit tests for repro.core.homomorphism."""
 
-import pytest
 
 from repro.core.atoms import Atom
 from repro.core.homomorphism import (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.atoms import Atom
-from repro.core.instance import Database, Instance, MultisetInstance, Occurrence
+from repro.core.instance import Database, Instance
 from repro.core.terms import Constant, Null, Variable
 
 
@@ -89,50 +89,3 @@ class TestDatabase:
 
     def test_copy_type(self):
         assert isinstance(Database([fact("a")]).copy(), Database)
-
-
-class TestMultisetInstance:
-    def test_occurrences_distinct_by_tag(self):
-        ms = MultisetInstance()
-        ms.add_atom(fact("a"), tag=1)
-        ms.add_atom(fact("a"), tag=2)
-        assert len(ms) == 2
-        assert ms.multiplicity(fact("a")) == 2
-
-    def test_same_tag_deduplicated(self):
-        ms = MultisetInstance()
-        ms.add_atom(fact("a"), tag=1)
-        assert not ms.add_occurrence(Occurrence(fact("a"), 1))
-        assert len(ms) == 1
-
-    def test_atom_set_collapses(self):
-        ms = MultisetInstance()
-        ms.add_atom(fact("a"), 1)
-        ms.add_atom(fact("a"), 2)
-        assert ms.atom_set() == {fact("a")}
-        assert len(ms.to_instance()) == 1
-
-    def test_contains_atom_and_occurrence(self):
-        ms = MultisetInstance()
-        occ = ms.add_atom(fact("a"), 1)
-        assert occ in ms
-        assert fact("a") in ms
-        assert fact("b") not in ms
-
-    def test_predicate_index(self):
-        ms = MultisetInstance()
-        ms.add_atom(fact("a"), 1)
-        ms.add_atom(fact("b", pred="S"), 2)
-        assert len(ms.with_predicate("R")) == 1
-
-    def test_copy_independent(self):
-        ms = MultisetInstance()
-        ms.add_atom(fact("a"), 1)
-        clone = ms.copy()
-        clone.add_atom(fact("b"), 2)
-        assert len(ms) == 1
-
-    def test_domain(self):
-        ms = MultisetInstance()
-        ms.add_atom(fact("a", "b"), 1)
-        assert ms.domain() == {Constant("a"), Constant("b")}

@@ -1,4 +1,4 @@
-"""Property tests for the term-position indexes of Instance/MultisetInstance.
+"""Property tests for the term-position indexes of Instance.
 
 The indexes are maintained incrementally by ``add``/``discard``/``copy``;
 these tests check them against brute-force recomputation over random
@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.core.atoms import Atom
-from repro.core.instance import Instance, MultisetInstance
+from repro.core.instance import Instance
 from repro.core.terms import Constant, Null
 
 PREDICATES = [("R", 2), ("S", 3), ("T", 1)]
@@ -96,26 +96,3 @@ class TestInstancePositionIndex:
         instance = Instance(atoms)
         assert list(instance) == atoms
         assert list(instance.with_predicate("R")) == atoms
-
-
-class TestMultisetPositionIndex:
-    def test_indexes_track_occurrences(self):
-        ms = MultisetInstance()
-        atom = Atom("R", [Constant("a"), Constant("b")])
-        occ1 = ms.add_atom(atom, tag=1)
-        occ2 = ms.add_atom(atom, tag=2)
-        other = ms.add_atom(Atom("R", [Constant("b"), Constant("b")]), tag=3)
-        assert set(ms.with_term_at("R", 1, Constant("a"))) == {occ1, occ2}
-        assert set(ms.with_term_at("R", 2, Constant("b"))) == {occ1, occ2, other}
-        assert set(ms.occurrences_of(atom)) == {occ1, occ2}
-        assert not ms.occurrences_of(Atom("R", [Constant("z"), Constant("z")]))
-
-    def test_copy_is_independent(self):
-        ms = MultisetInstance()
-        atom = Atom("S", [Constant("a")])
-        ms.add_atom(atom, tag=1)
-        clone = ms.copy()
-        clone.add_atom(atom, tag=2)
-        assert ms.multiplicity(atom) == 1
-        assert len(ms.occurrences_of(atom)) == 1
-        assert len(clone.occurrences_of(atom)) == 2

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.instance import Instance
-from repro.core.parsing import parse_atom, parse_instance
+from repro.core.parsing import parse_instance
 from repro.core.queries import ConjunctiveQuery
 from repro.core.terms import Constant
 

@@ -13,7 +13,6 @@ from repro.core.terms import (
     FreshNullFactory,
     FreshVariableFactory,
     Null,
-    Term,
     Variable,
     constants_of,
     nulls_of,

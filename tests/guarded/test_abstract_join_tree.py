@@ -13,7 +13,6 @@ from repro.guarded.abstract_join_tree import (
     eq_related,
     make_eq,
 )
-from repro.tgds.tgd import parse_tgds
 
 
 def _as_structure(atoms):

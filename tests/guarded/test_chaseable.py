@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.parsing import parse_database
 from repro.chase.restricted import restricted_chase
+from repro.chase.real_oblivious import ChaseGraph, OChaseNode
 from repro.guarded.chaseable import (
-    ChaseGraph,
     chase_graph_from_derivation,
     derivation_from_chaseable,
     is_chaseable,
@@ -76,8 +76,6 @@ class TestChaseableConditions:
         result = restricted_chase(db, tgds)
         graph = chase_graph_from_derivation(db, result.derivation)
         duplicated = ChaseGraph(list(graph.nodes))
-        from repro.chase.real_oblivious import OChaseNode
-
         original = graph.nodes[1]
         clone = OChaseNode(
             len(graph.nodes), original.atom, original.trigger, original.parents, 1

@@ -8,7 +8,7 @@ from repro.core.instance import Database
 from repro.core.terms import Constant
 from repro.chase.oblivious import oblivious_chase, satisfies_all
 from repro.chase.restricted import restricted_chase
-from repro.chase.trigger import is_active, triggers_on
+from repro.chase.trigger import triggers_on
 from repro.chase.relations import active_iff_unstopped
 from repro.tgds.generators import GeneratorProfile, random_guarded_set
 

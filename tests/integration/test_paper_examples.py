@@ -15,7 +15,6 @@ from repro.guarded.treeification import treeify, verify_treeification
 from repro.sticky.decision import decide_sticky
 from repro.termination.verdict import Status
 from repro.tgds.stickiness import StickinessAnalysis
-from repro.tgds.tgd import parse_tgds
 
 
 class TestX1IntroExample:

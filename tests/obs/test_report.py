@@ -2,7 +2,6 @@
 
 import io
 import json
-from pathlib import Path
 
 from repro.obs.report import check_trace, main, print_report
 

@@ -9,6 +9,7 @@ counters' consistency after a workload.
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -90,6 +91,31 @@ class TestRoutingAndErrors:
         status, data = request(server, "POST", "/v1/sessions", payload)
         assert status == 400
         assert fragment in data["error"]
+
+    @pytest.mark.parametrize(
+        "declared, status, fragment",
+        [
+            ("abc", 400, "malformed Content-Length"),
+            ("-5", 400, "malformed Content-Length"),
+            (str(10**12), 413, "too large"),
+        ],
+    )
+    def test_unreadable_body_answers_then_closes(self, server, declared, status, fragment):
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(
+                f"POST /v1/sessions HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {declared}\r\n\r\n".encode()
+            )
+            reply = b""
+            while True:  # the server closes the connection after answering
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in head
+        assert fragment in json.loads(body)["error"]
 
     def test_malformed_facts_post_400(self, server):
         session = create_session(server)["session"]

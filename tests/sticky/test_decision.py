@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.automata.buchi import BuchiAutomaton
 from repro.chase.checkpoint import Budget
 from repro.chase.restricted import restricted_chase
 from repro.obs import clock
+from repro.sticky.automaton import CaterpillarAutomatonFamily
 from repro.sticky.decision import decide_sticky, instantiate_lasso, witness_from_lasso
 from repro.termination.verdict import Status
 from repro.tgds.tgd import parse_tgds
@@ -114,14 +116,23 @@ class TickingClock(clock.FakeClock):
         return now
 
 
-@pytest.fixture
-def ticking_clock():
-    fake = TickingClock()
+def _installed(fake):
     previous = clock.set_clock(fake)
     try:
         yield fake
     finally:
         clock.set_clock(previous)
+
+
+@pytest.fixture
+def ticking_clock():
+    yield from _installed(TickingClock())
+
+
+@pytest.fixture
+def still_clock():
+    """A fake clock that only moves when a test moves it."""
+    yield from _installed(clock.FakeClock())
 
 
 class TestBudget:
@@ -143,12 +154,53 @@ class TestBudget:
         )
 
     def test_cut_inside_a_component(self, ticking_clock):
-        verdict = decide_sticky(parse_tgds(ladder(4)), budget=Budget(wall_seconds=3.5))
+        verdict = decide_sticky(parse_tgds(ladder(4)), budget=Budget(wall_seconds=5.5))
         assert verdict.status == Status.TIMEOUT
         assert verdict.method == "sticky-budget"
-        # Checks at readings 1 (first pair), 2 (second pair), 3 (64 states)
-        # pass; reading 4, at 128 states, is past the deadline.
+        # Checks at readings 1 (first pair), 2 and 3 (the first component's
+        # lasso search, after exploring and after its SCC pass), 4 (second
+        # pair) and 5 (64 states) pass; reading 6, at 128 states, is past
+        # the deadline.
         assert verdict.certificate == {"components": 1, "states": 128}
+
+    def test_cut_after_exploration(self, still_clock, monkeypatch):
+        # Exploration finishes inside the budget; the SCC pass, whose
+        # acceptance tests each take ten seconds here, does not.
+        original = CaterpillarAutomatonFamily.component
+
+        def slow_acceptance(family, etype, pi0, budget=None):
+            automaton = original(family, etype, pi0, budget)
+            accepting = automaton.is_accepting
+
+            def is_accepting(state):
+                still_clock.now += 10.0
+                return accepting(state)
+
+            automaton.is_accepting = is_accepting
+            return automaton
+
+        monkeypatch.setattr(CaterpillarAutomatonFamily, "component", slow_acceptance)
+        verdict = decide_sticky(parse_tgds(ladder(4)), budget=Budget(wall_seconds=1.0))
+        assert verdict.status == Status.TIMEOUT
+        assert verdict.method == "sticky-budget"
+        assert verdict.certificate == {"components": 1, "states": 255}
+
+    def test_lasso_found_late_is_not_replayed(self, still_clock, monkeypatch):
+        # The lasso search runs past the deadline after the SCC pass's
+        # check: the decider times out instead of replaying the witness.
+        original = BuchiAutomaton.find_lasso
+
+        def late_find_lasso(automaton):
+            lasso = original(automaton)
+            if lasso is not None:
+                still_clock.now += 10.0
+            return lasso
+
+        monkeypatch.setattr(BuchiAutomaton, "find_lasso", late_find_lasso)
+        verdict = decide_sticky(parse_tgds(ladder(4)), budget=Budget(wall_seconds=1.0))
+        assert verdict.status == Status.TIMEOUT
+        assert verdict.method == "sticky-budget"
+        assert verdict.certificate == {"components": 1}
 
     def test_generous_budget_matches_unbudgeted(self, ticking_clock):
         tgds = parse_tgds(ladder(4))

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.parsing import parse_database
-from repro.core.terms import Term
 from repro.chase.restricted import restricted_chase
 from repro.sticky.extraction import (
     ExtractionError,

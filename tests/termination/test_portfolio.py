@@ -20,7 +20,7 @@ from repro.termination.portfolio import (
 )
 from repro.termination.verdict import Status
 from repro.tgds.generators import GeneratorProfile, corpus
-from repro.tgds.tgd import TGD, parse_tgds
+from repro.tgds.tgd import parse_tgds
 
 PROFILE = GeneratorProfile(
     num_predicates=2, max_arity=2, num_tgds=3, existential_probability=0.8

@@ -4,6 +4,7 @@ import pytest
 
 from repro.tgds.guardedness import (
     check_guarded_set,
+    guard_index,
     guard_of,
     is_guarded,
     is_guarded_tgd,
@@ -38,6 +39,18 @@ class TestGuards:
         tgd = TGD.parse("P(y), G(x,y,z), Q(z) -> S(x)")
         sides = side_atoms(tgd)
         assert [a.predicate for a in sides] == ["P", "Q"]
+
+    def test_guard_index(self):
+        assert guard_index(TGD.parse("P(y), G(x,y,z), Q(z) -> S(x)")) == 1
+        with pytest.raises(ValueError, match="not guarded"):
+            guard_index(TGD.parse("R(x,y), P(y,z) -> S(x)"))
+
+    def test_duplicated_guard_atom(self):
+        # Both R atoms cover the body variables; the left-most is the guard
+        # and its twin stays a side atom.
+        tgd = TGD.parse("R(x,y), R(x,y), S(y) -> T(x)")
+        assert guard_index(tgd) == 0
+        assert side_atoms(tgd) == [tgd.body[1], tgd.body[2]]
 
     def test_side_atoms_requires_guarded(self):
         with pytest.raises(ValueError):
