@@ -89,7 +89,7 @@ from pathlib import Path
 #: CPython versions, so a count only compares with one from the same
 #: version.  A change that lowers a count may lower it here; raising one
 #: takes an explicit edit of this line, never just a refreshed report.
-GC_TRACKED_ACCEPTED = {"3.11": 5213}
+GC_TRACKED_ACCEPTED = {"3.11": 5213, "3.12": 5213}
 
 #: Allowed growth of ``gc_tracked_per_chase`` over the accepted count.
 GC_TRACKED_GROWTH = 1.10

@@ -66,8 +66,14 @@ from repro.core.instance import Delta, Instance
 from repro.core.terms import Term
 from repro.chase import chaos
 from repro.chase.derivation import Derivation
-from repro.chase.plans import discovery_rows, discovery_table
-from repro.chase.trigger import Trigger, in_birth_order, materialize, satisfies_head
+from repro.chase.plans import discovery_rows, rule_tables
+from repro.chase.trigger import (
+    Trigger,
+    in_birth_order,
+    in_canonical_order,
+    materialize,
+    satisfies_head,
+)
 from repro.obs import clock, trace
 from repro.obs.log import get_logger, log_event
 from repro.tgds.tgd import TGD
@@ -118,25 +124,28 @@ class HeadWitnessIndex:
     """
 
     def __init__(self, tgds: Iterable[TGD], instance: Optional[Instance] = None):
-        self._witnessed: Dict[TGD, Set[Tuple[Term, ...]]] = {}
-        #: ``head predicate -> [(tgd, witnessed set, head kernel), ...]``;
-        #: equal TGDs share one entry (and one set).
-        self._tgds_by_head: Dict[str, list] = {}
+        #: The rule list's shared routing (:class:`repro.chase.plans.RuleTables`):
+        #: ``head predicate -> ((tgd, index, kernel), ...)``, equal TGDs
+        #: under the index of the first.  Only the witnessed sets, one per
+        #: such rule index, belong to this object.
+        self._tables = tables = rule_tables(tgds)
+        self._routes = tables.heads
+        sets = self._sets = {index: set() for index in tables.firsts.values()}
+        #: ``id(tgd) -> witnessed set`` for every rule object of the list.
+        self._by_id = {ident: sets[index] for ident, index in tables.first_ids.items()}
         #: Telemetry: probes answered / probes answered "already witnessed"
         #: (a hit deactivates a trigger — work the cache saved).  Plain
         #: ints, folded into :class:`repro.obs.stats.ChaseStats` at run end.
         self.lookups = 0
         self.hits = 0
-        for tgd in tgds:
-            if tgd in self._witnessed:
-                continue
-            witnessed = self._witnessed[tgd] = set()
-            self._tgds_by_head.setdefault(tgd.head.predicate, []).append(
-                (tgd, witnessed, tgd.head_kernel())
-            )
         if instance is not None:
             for atom in instance:
                 self.note(atom)
+
+    def keys(self, tgd: TGD) -> Set[Tuple[Term, ...]]:
+        """The frontier tuples witnessed for ``tgd`` (shared by equal rules)."""
+        bucket = self._by_id.get(id(tgd))
+        return bucket if bucket is not None else self._sets[self._tables.firsts[tgd]]
 
     def note(self, atom: Atom) -> List[Tuple[TGD, Tuple[Term, ...]]]:
         """Record every frontier tuple ``atom`` witnesses; returns new entries.
@@ -145,13 +154,15 @@ class HeadWitnessIndex:
         """
         added: List[Tuple[TGD, Tuple[Term, ...]]] = []
         terms = atom.terms
-        for tgd, bucket, kernel in self._tgds_by_head.get(atom.predicate, ()):
+        sets = self._sets
+        for tgd, index, kernel in self._routes.get(atom.predicate, ()):
             if len(terms) != kernel.arity:
                 continue
             twins = kernel.twins
             if twins is not None and twins[0](terms) != twins[1](terms):
                 continue
             key = kernel.witness(terms)
+            bucket = sets[index]
             if key not in bucket:
                 bucket.add(key)
                 added.append((tgd, key))
@@ -160,12 +171,19 @@ class HeadWitnessIndex:
     def forget(self, entries: Iterable[Tuple[TGD, Tuple[Term, ...]]]) -> None:
         """Revert entries a :meth:`note` call created (LIFO undo only)."""
         for tgd, key in entries:
-            self._witnessed[tgd].discard(key)
+            self._by_id[id(tgd)].discard(key)
 
     def witnessed(self, trigger: Trigger) -> bool:
-        """Is the trigger's head already witnessed (i.e. the trigger inactive)?"""
+        """Is the trigger's head already witnessed (i.e. the trigger inactive)?
+
+        A rule object of the list finds its set by identity; an equal copy
+        (a restored row that kept its own rule) by equality.
+        """
         self.lookups += 1
-        if trigger.frontier_tuple() in self._witnessed[trigger.tgd]:
+        bucket = self._by_id.get(id(trigger.tgd))
+        if bucket is None:
+            bucket = self._sets[self._tables.firsts[trigger.tgd]]
+        if trigger.frontier_tuple() in bucket:
             self.hits += 1
             return True
         return False
@@ -175,7 +193,8 @@ class HeadWitnessIndex:
 
         Used by property tests; quadratic, never called on hot paths.
         """
-        for tgd, cached in self._witnessed.items():
+        for tgd, index in self._tables.firsts.items():
+            cached = self._sets[index]
             recomputed = set()
             for atom in instance.with_predicate(tgd.head.predicate):
                 binding = match_atom(tgd.head, atom)
@@ -355,9 +374,9 @@ class ChaseEngine:
             self.live = tuple(
                 self.tgds[i] for i in graph.live_indices(self.instance.predicates())
             )
-        #: The discovery table of ``live`` (:mod:`repro.chase.plans`),
-        #: built at the first serial discovery pass.
-        self._table = None
+        #: The tables of ``live`` (discovery table and rule ranks), shared
+        #: with every engine over the same rule objects.
+        self._tables = rule_tables(self.live)
         self.witnesses: Optional[HeadWitnessIndex] = (
             None if self.kind == "oblivious" else HeadWitnessIndex(self.tgds, self.instance)
         )
@@ -404,7 +423,7 @@ class ChaseEngine:
 
     def _enqueue(self, batch: List[Trigger], presorted: bool = False) -> List[Trigger]:
         if not presorted:
-            batch.sort(key=lambda t: t.canonical_key)
+            batch = in_canonical_order(batch, self._tables.ranks)
         self.pending.extend(batch)
         if self.stats is not None:
             self.stats.triggers_discovered += len(batch)
@@ -426,10 +445,8 @@ class ChaseEngine:
             tgds = self.matcher.tgds
             rows = self.matcher.rows(self.instance, delta)
         else:
-            if self._table is None:
-                self._table = discovery_table(self.live)
             tgds = self.live
-            rows = discovery_rows(self._table, self.instance, delta)
+            rows = discovery_rows(self._tables.discovery, self.instance, delta)
         if stats is not None:
             joined = clock.perf_counter()
             stats.discover_join_seconds += joined - stamp
@@ -438,7 +455,7 @@ class ChaseEngine:
             stamp = clock.perf_counter()
             stats.discover_materialize_seconds += stamp - joined
         if round_pass:
-            batch = self._enqueue(in_birth_order(hits), presorted=True)
+            batch = self._enqueue(in_birth_order(hits, self._tables.ranks), presorted=True)
         else:
             batch = self._enqueue([trigger for _, trigger in hits])
         if stats is not None:
@@ -447,9 +464,8 @@ class ChaseEngine:
 
     def active_pending(self) -> List[Trigger]:
         """The active pending triggers in canonical order (a snapshot)."""
-        return sorted(
-            (t for t in self.pending if self.is_active(t)),
-            key=lambda t: t.canonical_key,
+        return in_canonical_order(
+            [t for t in self.pending if self.is_active(t)], self._tables.ranks
         )
 
     def _has_active_pending(self) -> bool:

@@ -8,7 +8,7 @@ the duration of a round.  :class:`ParallelMatcher` exploits that:
 
 * **Planning** — the grid, walked from the delta's predicates through the
   same predicate table the serial pass uses
-  (:func:`repro.chase.plans.discovery_table`), is cut into chunk specs
+  (:attr:`repro.chase.plans.RuleTables.discovery`), is cut into chunk specs
   ``(tgd_index, pivot_index, lo, hi)`` over each pivot's per-predicate
   delta bucket, coalesced into tasks of roughly equal work
   (about :data:`CHUNKS_PER_WORKER` tasks per worker).  Wide deltas are split
@@ -34,7 +34,7 @@ the duration of a round.  :class:`ParallelMatcher` exploits that:
   surfaces at exactly one hit, already at its birth.  The merge
   concatenates the rows; :func:`repro.chase.trigger.materialize` and
   :func:`repro.chase.trigger.in_birth_order` — the serial pass's own
-  row -> Trigger step and total ``(birth, canonical_key)`` sort — finish
+  row -> Trigger step and total ``(birth, canonical_key)`` order — finish
   the list, so it is byte-identical to the serial pass regardless of pool
   scheduling.
 
@@ -53,7 +53,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import Instance
-from repro.chase.plans import discovery_rows, discovery_table
+from repro.chase.plans import discovery_rows, rule_tables
 from repro.chase.trigger import Trigger, in_birth_order, materialize
 from repro.errors import ParallelDiscoveryError, ResultIntegrityError
 from repro.obs import clock, trace
@@ -220,8 +220,9 @@ class ParallelMatcher:
 
     def __init__(self, tgds: Sequence[TGD], workers: int = 1):
         self.tgds: Tuple[TGD, ...] = tuple(tgds)
-        #: The discovery table of ``tgds``, built at the first discovery.
-        self._table = None
+        #: The rule list's discovery table and ranks, shared with the
+        #: serial pass over the same rule objects.
+        self._tables = rule_tables(self.tgds)
         self.workers = max(1, int(workers))
         #: ``"serial"``, ``"process"`` or ``"thread"``; a process pool that
         #: collapses twice pins it to ``"thread"`` for the rest of the run.
@@ -264,11 +265,6 @@ class ParallelMatcher:
 
     # -- planning ----------------------------------------------------------
 
-    def _discovery_table(self):
-        if self._table is None:
-            self._table = discovery_table(self.tgds)
-        return self._table
-
     def _plan(self, delta) -> Tuple[List[list], int]:
         """Cut the (tgd, pivot) × delta grid into balanced task lists.
 
@@ -279,7 +275,7 @@ class ParallelMatcher:
         The plan is a pure function of (tgds, delta), so every backend — and
         every rerun after a fallback — partitions identically.
         """
-        table = self._discovery_table()
+        table = self._tables.discovery
         pairs = []
         total = 0
         for predicate in delta.predicates():
@@ -423,7 +419,8 @@ class ParallelMatcher:
         Byte-identical to ``seminaive_triggers(self.tgds, instance, delta)``
         on every backend, including after a mid-run fallback.
         """
-        return in_birth_order(materialize(self.tgds, self.rows(instance, delta)))
+        rows = self.rows(instance, delta)
+        return in_birth_order(materialize(self.tgds, rows), self._tables.ranks)
 
     def rows(self, instance: Instance, delta) -> List[tuple]:
         """The round's discovery rows ``(tgd_index, values, birth)``.
@@ -436,7 +433,7 @@ class ParallelMatcher:
             return []
         if self.backend == "serial":
             self.rounds_serial += 1
-            return discovery_rows(self._discovery_table(), instance, delta)
+            return discovery_rows(self._tables.discovery, instance, delta)
         with trace.span("round.plan"):
             tasks, total = self._plan(delta)
         if not tasks:
@@ -444,7 +441,7 @@ class ParallelMatcher:
             return []
         if total < MIN_PARALLEL_WORK or len(tasks) < 2:
             self.rounds_serial += 1
-            return discovery_rows(self._discovery_table(), instance, delta)
+            return discovery_rows(self._tables.discovery, instance, delta)
         results: Optional[List[list]] = None
         pool_start = clock.perf_counter()
         with trace.span("round.exec", tasks=len(tasks), work=total):

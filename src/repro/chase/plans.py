@@ -47,12 +47,19 @@ The head side is compiled too: a :class:`HeadKernel` per TGD (cached as
 :meth:`repro.tgds.tgd.TGD.head_kernel`) reads the frontier tuple an atom
 witnesses, builds ``result(σ,h)`` from a row's values and names the
 canonical key, all with getters and preformatted strings.
+
+Everything a chase needs of a rule *list* — the predicate table
+discovery walks, the rules' canonical ranks and the head-witness routing
+— is a :class:`RuleTables`, built once per list by :func:`rule_tables`
+and shared by every engine, matcher and discovery pass over it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
+import threading
+from collections import OrderedDict
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
@@ -265,12 +272,14 @@ class HeadKernel:
       with one getter.
     * **Canonical template** — ``canonical % values`` equals
       ``repr(trigger.key)``, and ``digest % values`` is the null-naming
-      digest payload; ``%`` in the fixed parts is escaped.
+      digest payload; ``%`` in the fixed parts is escaped.  ``lead`` is
+      the template's fixed text up to the first value, unescaped: every
+      canonical key of the rule starts with it.
     """
 
     __slots__ = (
         "predicate", "arity", "twins", "witness", "frontier", "terms",
-        "suffixes", "digest", "canonical",
+        "suffixes", "digest", "canonical", "lead",
     )
 
     def __init__(self, tgd):
@@ -299,6 +308,9 @@ class HeadKernel:
         pairs = [f"({name}, %r)" for name in names]
         items = "(" + ", ".join(pairs) + ("," if len(pairs) == 1 else "") + ")"
         self.canonical = "(" + repr(tgd).replace("%", "%%") + ", " + items + ")"
+        self.lead = "(" + repr(tgd) + ", (" + (
+            "(" + body_order[0].name + ", " if body_order else "))"
+        )
 
     def result(self, values: tuple) -> Atom:
         """``result(σ,h)`` for the trigger whose body binding is ``values``.
@@ -315,28 +327,118 @@ class HeadKernel:
         return Atom(self.predicate, self.terms(values))
 
 
-def discovery_table(tgds: Sequence) -> DiscoveryTable:
-    """``predicate -> ((tgd_index, pivot_index, plan), ...)`` for ``tgds``.
+#: Rule lists whose :class:`RuleTables` :func:`rule_tables` keeps; the
+#: least recently used is dropped first.  Kept tables keep their rules
+#: alive, so the bound is small: repeated chases over one list hit, and a
+#: stream of one-off lists (verdicts, service sessions) holds little.
+RULE_TABLES_KEPT = 8
 
-    Of several equal TGDs (equality ignores the rule name, as does
-    ``Trigger.key``) only the first is entered.  Callers that discover
-    round after round over one rule list build this once.
+_TABLES: "OrderedDict[tuple, RuleTables]" = OrderedDict()
+_TABLES_LOCK = threading.Lock()
+
+
+class RuleTables:
+    """The tables of one rule list that no chase changes, each built on
+    first use.
+
+    * :attr:`firsts`, :attr:`first_ids` — the rules up to equality
+      (which ignores the rule name, as does ``Trigger.key``), each under
+      the index of its first occurrence.
+    * :attr:`discovery` — the :data:`DiscoveryTable` semi-naive discovery
+      walks (:func:`discovery_rows`): every ``(tgd, pivot)`` plan of the
+      :attr:`firsts` under its pivot predicate.
+    * :attr:`ranks` — ``id(tgd) -> rank`` for every rule of the list, the
+      integer order of the rules' canonical keys
+      (:func:`repro.chase.trigger.in_birth_order`).
+    * :attr:`heads` — the head-witness routing
+      (:class:`repro.chase.engine.HeadWitnessIndex`) over the
+      :attr:`firsts`.
+
+    The tables hold the list's rule objects, so the ``id`` keys stay
+    theirs for as long as the tables live.
     """
-    table: Dict[str, list] = {}
-    first: Dict = {}
-    for tgd_index, tgd in enumerate(tgds):
-        if first.setdefault(tgd, tgd_index) != tgd_index:
-            continue
-        for pivot_index, plan in enumerate(tgd.join_plans()):
-            table.setdefault(plan.predicate, []).append((tgd_index, pivot_index, plan))
-    return {predicate: tuple(entries) for predicate, entries in table.items()}
+
+    def __init__(self, tgds: tuple):
+        self.tgds = tgds
+
+    @cached_property
+    def firsts(self) -> Dict:
+        """``tgd -> index of the first rule of the list equal to it``: the
+        rules up to equality, which ignores the rule name."""
+        firsts: Dict = {}
+        for index, tgd in enumerate(self.tgds):
+            firsts.setdefault(tgd, index)
+        return firsts
+
+    @cached_property
+    def first_ids(self) -> Dict[int, int]:
+        """``id(tgd) -> firsts[tgd]`` for every rule object of the list."""
+        firsts = self.firsts
+        return {id(tgd): firsts[tgd] for tgd in self.tgds}
+
+    @cached_property
+    def discovery(self) -> DiscoveryTable:
+        entries: Dict[str, list] = {}
+        for tgd, tgd_index in self.firsts.items():
+            for pivot_index, plan in enumerate(tgd.join_plans()):
+                entries.setdefault(plan.predicate, []).append((tgd_index, pivot_index, plan))
+        return {predicate: tuple(found) for predicate, found in entries.items()}
+
+    @cached_property
+    def ranks(self) -> Dict[int, int]:
+        """``id(tgd) -> rank``: rules whose canonical keys compare by their
+        :attr:`HeadKernel.lead` alone get distinct ranks in that order.
+
+        Two leads of which neither is a prefix of the other differ at a
+        position inside both, so every key of the smaller lead's rule sorts
+        before every key of the other's.  Leads that are prefixes of one
+        another share a rank (their keys compare by the values); in sorted
+        order they are the runs of leads that start with the run's first.
+        """
+        rank_of: Dict[str, int] = {}
+        run, rank = None, -1
+        for lead in sorted({tgd.head_kernel().lead for tgd in self.tgds}):
+            if run is None or not lead.startswith(run):
+                run, rank = lead, rank + 1
+            rank_of[lead] = rank
+        return {id(tgd): rank_of[tgd.head_kernel().lead] for tgd in self.tgds}
+
+    @cached_property
+    def heads(self) -> Dict[str, tuple]:
+        """``head predicate -> ((tgd, first index, kernel), ...)`` over
+        :attr:`firsts`."""
+        heads: Dict[str, list] = {}
+        for tgd, index in self.firsts.items():
+            heads.setdefault(tgd.head.predicate, []).append((tgd, index, tgd.head_kernel()))
+        return {predicate: tuple(found) for predicate, found in heads.items()}
+
+
+def rule_tables(tgds: Sequence) -> RuleTables:
+    """The :class:`RuleTables` of ``tgds``, one per list of rule *objects*.
+
+    Keyed on the rules' identity, not on equality: equality ignores the
+    rule name, which names the nulls, and a caller's own rule objects keep
+    the head-witness lookup on its identity fast path.  The last
+    :data:`RULE_TABLES_KEPT` lists are kept.
+    """
+    tgds = tuple(tgds)
+    key = tuple(map(id, tgds))
+    with _TABLES_LOCK:
+        tables = _TABLES.get(key)
+        if tables is None:
+            tables = _TABLES[key] = RuleTables(tgds)
+            while len(_TABLES) > RULE_TABLES_KEPT:
+                _TABLES.popitem(last=False)
+        else:
+            _TABLES.move_to_end(key)
+    return tables
 
 
 def discovery_rows(table: DiscoveryTable, instance, delta) -> List[tuple]:
     """Every row of one semi-naive discovery pass, serially.
 
     Walks the delta's predicates through ``table`` (see
-    :func:`discovery_table`), so rules whose body misses the delta cost
+    :attr:`RuleTables.discovery`), so rules whose body misses the delta cost
     nothing.  Row order is unspecified;
     :func:`repro.chase.trigger.in_birth_order` fixes it.
     """

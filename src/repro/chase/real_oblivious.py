@@ -36,7 +36,6 @@ from repro.chase.trigger import Trigger, seminaive_triggers, triggers_on
 from repro.errors import ChaseInterrupted
 from repro.tgds.guardedness import guard_index
 from repro.tgds.tgd import TGD
-from repro.util import graphs
 
 
 class OChaseNode:
@@ -81,10 +80,12 @@ class OChaseNode:
 class ChaseGraph:
     """A finite fragment of ``ochase(D, T)``: nodes with parent provenance.
 
-    Node ids index ``self.nodes``.  This is the one home of the Section 5
-    relations over such a fragment: parent ``≺p``, guard-parent ``≺gp``,
-    side-parent ``≺sp``, and — through :mod:`repro.chase.relations` — stop
-    ``≺s`` and before ``≺b``.  :class:`RealObliviousChase` builds one
+    Node ids index ``self.nodes``, and a node's parents precede it (both
+    constructions add a node after its parents).  This is the one home of
+    the Section 5 relations over such a fragment: parent ``≺p``,
+    guard-parent ``≺gp``, side-parent ``≺sp``, and — through
+    :mod:`repro.chase.relations` — stop ``≺s`` and before ``≺b``.
+    :class:`RealObliviousChase` builds one
     breadth-first; :func:`repro.guarded.chaseable.chase_graph_from_derivation`
     builds one from a recorded derivation.
     """
@@ -165,12 +166,11 @@ class ChaseGraph:
 
     def guard_parent_edges(self) -> Set[Tuple[int, int]]:
         """``≺gp`` as (guard parent id, child id) pairs."""
-        edges: Set[Tuple[int, int]] = set()
-        for node in self.nodes:
-            gp = self.guard_parent_of(node.node_id)
-            if gp is not None:
-                edges.add((gp, node.node_id))
-        return edges
+        return {
+            (parent, child)
+            for child, parent in enumerate(self.guard_parents())
+            if parent is not None
+        }
 
     def side_parent_edges(self) -> Set[Tuple[int, int]]:
         """``≺sp``: parent pairs that are not the guard parent occurrence.
@@ -186,6 +186,30 @@ class ChaseGraph:
                     edges.add((parent, node.node_id))
         return edges
 
+    def guard_parents(self) -> List[Optional[int]]:
+        """``gp(v)`` of every node, by node id (None for roots), with each
+        rule's guard position computed once."""
+        guard_at: Dict[TGD, int] = {}
+        parents: List[Optional[int]] = []
+        for node in self.nodes:
+            if node.trigger is None:
+                parents.append(None)
+                continue
+            tgd = node.trigger.tgd
+            if tgd not in guard_at:
+                guard_at[tgd] = guard_index(tgd)
+            parents.append(node.parents[guard_at[tgd]])
+        return parents
+
+    def guard_roots(self) -> List[int]:
+        """The root of the ``≺gp``-tree of every node, by node id.
+
+        One pass in node order: a node's parents precede it."""
+        roots: List[int] = []
+        for node_id, parent in enumerate(self.guard_parents()):
+            roots.append(node_id if parent is None else roots[parent])
+        return roots
+
     def guard_root(self, node_id: int) -> int:
         """The root of the ``≺gp``-tree containing ``node_id``."""
         node = self.nodes[node_id]
@@ -194,9 +218,14 @@ class ChaseGraph:
         return node.node_id
 
     def guard_descendants(self, node_id: int) -> Set[int]:
-        """All nodes reachable from ``node_id`` via ``≺gp`` (excl. itself)."""
-        children = graphs.make_graph(self.guard_parent_edges())
-        return graphs.reachable_from(children, [node_id]) - {node_id}
+        """All nodes reachable from ``node_id`` via ``≺gp`` (excl. itself).
+
+        One pass in node order: a node's parents precede it."""
+        found = {node_id}
+        for child, parent in enumerate(self.guard_parents()):
+            if parent in found:
+                found.add(child)
+        return found - {node_id}
 
     def __repr__(self) -> str:
         return f"ChaseGraph({len(self.nodes)} nodes)"

@@ -23,6 +23,7 @@ or interprets its head per trigger.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.core.atoms import Atom
@@ -30,7 +31,7 @@ from repro.core.homomorphism import candidate_atoms, homomorphisms, match_atom
 from repro.core.instance import Instance
 from repro.core.substitution import Substitution
 from repro.core.terms import Term, Variable
-from repro.chase.plans import discovery_rows, discovery_table
+from repro.chase.plans import discovery_rows, rule_tables
 from repro.tgds.tgd import TGD
 
 
@@ -56,17 +57,17 @@ class Trigger:
     @classmethod
     def from_row(cls, tgd: TGD, values: Tuple[Term, ...]) -> "Trigger":
         """The trigger of a discovery row: ``values`` binds ``tgd.body_order``."""
-        trigger = cls.__new__(cls)
+        trigger = _new(cls)
         trigger._fill(tgd, values)
         return trigger
 
     def _fill(self, tgd: TGD, values: Tuple[Term, ...]) -> None:
-        setattr_ = object.__setattr__
-        setattr_(self, "tgd", tgd)
-        setattr_(self, "values", values)
-        setattr_(self, "_h", None)
-        setattr_(self, "_result", None)
-        setattr_(self, "_canonical", None)
+        # The slots' own descriptors store past the immutable __setattr__.
+        _set_tgd(self, tgd)
+        _set_values(self, values)
+        _set_h(self, None)
+        _set_result(self, None)
+        _set_canonical(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Trigger is immutable")
@@ -83,7 +84,7 @@ class Trigger:
         cached = self._h
         if cached is None:
             cached = Substitution(dict(zip(self.tgd.body_order, self.values)))
-            object.__setattr__(self, "_h", cached)
+            _set_h(self, cached)
         return cached
 
     @property
@@ -104,7 +105,7 @@ class Trigger:
         cached = self._canonical
         if cached is None:
             cached = self.tgd.head_kernel().canonical % self.values
-            object.__setattr__(self, "_canonical", cached)
+            _set_canonical(self, cached)
         return cached
 
     def frontier_binding(self) -> Dict[Variable, Term]:
@@ -128,7 +129,7 @@ class Trigger:
         cached = self._result
         if cached is None:
             cached = self.tgd.head_kernel().result(self.values)
-            object.__setattr__(self, "_result", cached)
+            _set_result(self, cached)
         return cached
 
     def result_frontier_terms(self) -> Set[Term]:
@@ -149,6 +150,14 @@ class Trigger:
 
     def __repr__(self) -> str:
         return f"Trigger({self.tgd.name}, {self.h!r})"
+
+
+_new = object.__new__
+_set_tgd = Trigger.tgd.__set__
+_set_values = Trigger.values.__set__
+_set_h = Trigger._h.__set__
+_set_result = Trigger._result.__set__
+_set_canonical = Trigger._canonical.__set__
 
 
 def satisfies_head(instance: Instance, tgd: TGD, frontier_binding: Dict[Term, Term]) -> bool:
@@ -233,16 +242,47 @@ def materialize(tgds: Sequence[TGD], rows) -> List[Tuple[int, Trigger]]:
     :meth:`repro.chase.parallel.ParallelMatcher.rows`).  Rows never repeat
     a trigger: each surfaces at exactly one pivot hit, already at its birth.
     """
-    return [
-        (birth, Trigger.from_row(tgds[tgd_index], values))
-        for tgd_index, values, birth in rows
-    ]
+    from_row = Trigger.from_row
+    return [(birth, from_row(tgds[tgd_index], values)) for tgd_index, values, birth in rows]
 
 
-def in_birth_order(hits: List[Tuple[int, Trigger]]) -> List[Trigger]:
-    """The triggers of ``(birth, trigger)`` hits in ``(birth, canonical_key)`` order."""
-    hits.sort(key=lambda hit: (hit[0], hit[1].canonical_key))
-    return [trigger for _, trigger in hits]
+_CANONICAL = attrgetter("canonical_key")
+
+
+def in_birth_order(hits: List[Tuple[int, Trigger]], ranks: Dict[int, int]) -> List[Trigger]:
+    """The triggers of ``(birth, trigger)`` hits in ``(birth, canonical_key)`` order.
+
+    ``ranks`` is a rule list's :attr:`repro.chase.plans.RuleTables.ranks`.
+    The hits are sorted by ``(birth, rank)``, and ``canonical_key`` is
+    formatted only inside runs of equal ``(birth, rank)``: triggers of rules
+    of different ranks compare by the rank alone, so the result is the
+    ``(birth, canonical_key)`` order exactly, ties kept in input order.  A
+    hit whose rule object the ranks do not hold sends the whole list
+    through the canonical keys.
+    """
+    width = len(ranks)
+    try:
+        # ``(birth, rank)`` as one int: ranks are below ``width``.
+        keys = [birth * width + ranks[id(trigger.tgd)] for birth, trigger in hits]
+    except KeyError:
+        hits = sorted(hits, key=lambda hit: (hit[0], hit[1].canonical_key))
+        return [trigger for _, trigger in hits]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ordered = [hits[index][1] for index in order]
+    if len(set(keys)) < len(keys):
+        start = 0
+        for end in range(1, len(order) + 1):
+            if end == len(order) or keys[order[end]] != keys[order[start]]:
+                if end - start > 1:
+                    ordered[start:end] = sorted(ordered[start:end], key=_CANONICAL)
+                start = end
+    return ordered
+
+
+def in_canonical_order(triggers: Iterable[Trigger], ranks: Dict[int, int]) -> List[Trigger]:
+    """``triggers`` in :attr:`Trigger.canonical_key` order, by the ranks of
+    :func:`in_birth_order`."""
+    return in_birth_order([(0, trigger) for trigger in triggers], ranks)
 
 
 def seminaive_triggers(
@@ -257,8 +297,8 @@ def seminaive_triggers(
     per-predicate snapshot, the rest match against the full term-position
     indexes — through the compiled join plans of :mod:`repro.chase.plans`,
     reached from the delta's predicates, so rules the delta does not touch
-    cost nothing.  The predicate table is built per call; the engine and
-    the matcher keep theirs across rounds.
+    cost nothing.  The predicate table and the rule ranks are the rule
+    list's :class:`repro.chase.plans.RuleTables`, built once per list.
 
     The returned list is ordered by ``(birth, canonical_key)`` where
     ``birth`` is the delta position of the *latest* body-image atom drawn
@@ -266,7 +306,9 @@ def seminaive_triggers(
     engine enqueues the same triggers (a trigger surfaces at the application
     that completes its body image, and each per-application batch is
     canonically sorted), which is what keeps round-based runs byte-identical
-    to step-at-a-time runs.  The plans surface each trigger once, already
+    to step-at-a-time runs.  :func:`in_birth_order` sorts by ``(birth,
+    rule rank)`` and formats canonical keys only to break ties inside a
+    rank.  The plans surface each trigger once, already
     at that birth.  Of several equal TGDs (equality ignores the rule name,
     as does :attr:`Trigger.key`) only the first is matched.
     :class:`repro.chase.parallel.ParallelMatcher` computes the same list
@@ -274,7 +316,6 @@ def seminaive_triggers(
     """
     if not delta:
         return []
-    if not isinstance(tgds, Sequence):
-        tgds = tuple(tgds)
-    rows = discovery_rows(discovery_table(tgds), instance, delta)
-    return in_birth_order(materialize(tgds, rows))
+    tables = rule_tables(tgds)
+    rows = discovery_rows(tables.discovery, instance, delta)
+    return in_birth_order(materialize(tables.tgds, rows), tables.ranks)

@@ -202,14 +202,17 @@ class WeaklyRestrictedChase:
         for trigger in seminaive_triggers(self.tgds, self._atom_view, delta):
             self._triggers.setdefault(trigger.key, trigger)
 
-    def anchor_descendants(self, occ_id: int) -> Set[int]:
-        """All occurrences whose anchor-ancestor chain passes ``occ_id``."""
-        children = graphs.make_graph(
+    def anchor_children(self) -> graphs.Graph:
+        """The anchor-children graph: ``occ_id -> occurrences anchored at it``."""
+        return graphs.make_graph(
             (occ.anchor_parent, occ.occ_id)
             for occ in self.occurrences
             if occ.anchor_parent is not None
         )
-        return graphs.reachable_from(children, [occ_id]) - {occ_id}
+
+    def anchor_descendants(self, occ_id: int) -> Set[int]:
+        """All occurrences whose anchor-ancestor chain passes ``occ_id``."""
+        return graphs.reachable_from(self.anchor_children(), [occ_id]) - {occ_id}
 
 
 def extract_derivation(chase: WeaklyRestrictedChase) -> Derivation:
@@ -231,6 +234,10 @@ def extract_derivation(chase: WeaklyRestrictedChase) -> Derivation:
     current = initial.copy()
     steps: List[Trigger] = []
     stopped: Set[int] = set()
+    # One graph for the whole walk.  An occurrence comes after its anchor
+    # (a later round), so a stopped occurrence's descendants are all still
+    # ahead and no two stopped subtrees overlap.
+    children = chase.anchor_children()
     for occ in derived:
         if occ.occ_id in stopped:
             continue
@@ -242,6 +249,5 @@ def extract_derivation(chase: WeaklyRestrictedChase) -> Derivation:
             current.add(occ.atom)
             steps.append(trigger)
         else:
-            stopped.add(occ.occ_id)
-            stopped.update(chase.anchor_descendants(occ.occ_id))
+            stopped |= graphs.reachable_from(children, [occ.occ_id])
     return Derivation(initial, steps)

@@ -33,11 +33,12 @@ class Atom:
                 raise TypeError(f"atom arguments must be terms, got {t!r}")
             if isinstance(t, Variable):
                 ground = False
-        object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash((predicate, terms)))
+        # The slots' own descriptors store past the immutable __setattr__.
+        _set_predicate(self, predicate)
+        _set_terms(self, terms)
+        _set_hash(self, hash((predicate, terms)))
         #: True iff no argument is a variable (constants and nulls only).
-        object.__setattr__(self, "is_ground", ground)
+        _set_ground(self, ground)
 
     def __setattr__(self, name, value):
         raise AttributeError("Atom is immutable")
@@ -118,6 +119,12 @@ class Atom:
     def __repr__(self) -> str:
         args = ",".join(repr(t) for t in self.terms)
         return f"{self.predicate}({args})"
+
+
+_set_predicate = Atom.predicate.__set__
+_set_terms = Atom.terms.__set__
+_set_hash = Atom._hash.__set__
+_set_ground = Atom.is_ground.__set__
 
 
 Position = Tuple[str, int]

@@ -51,9 +51,10 @@ def intern_term(cls, name: str, **fields):
         term = ref() if ref is not None else None
         if term is None:
             term = object.__new__(cls)
-            object.__setattr__(term, "name", name)
+            # The slots' own descriptors store past the immutable __setattr__.
+            _set_name(term, name)
             for field, value in fields.items():
-                object.__setattr__(term, field, value)
+                getattr(cls, field).__set__(term, value)
             cls._interned[name] = weakref.KeyedRef(term, _forget, (cls, name))
         return term
 
@@ -115,6 +116,9 @@ class Term:
     @property
     def is_variable(self) -> bool:
         return isinstance(self, Variable)
+
+
+_set_name = Term.name.__set__
 
 
 class Constant(Term):

@@ -61,7 +61,7 @@ def remote_side_parent_situations(
     (the degenerate ``β' = β`` case the construction equally needs).
     """
     situations: List[Tuple[Atom, int, Atom, int]] = []
-    root_of = {node.node_id: graph.guard_root(node.node_id) for node in graph.nodes}
+    root_of = graph.guard_roots()
     for node in graph.nodes:
         if node.trigger is None:
             continue
@@ -99,9 +99,8 @@ def choose_alpha_infinity(graph: ChaseGraph, tgds: Sequence[TGD]) -> Atom:
     finite prefix we take the largest.
     """
     counts: Dict[int, int] = {}
-    for node in graph.nodes:
-        root = graph.guard_root(node.node_id)
-        if node.node_id != root:
+    for node_id, root in enumerate(graph.guard_roots()):
+        if node_id != root:
             counts[root] = counts.get(root, 0) + 1
     if not counts:
         raise ValueError("the evidence derivation generated no atoms")

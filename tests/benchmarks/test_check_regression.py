@@ -488,3 +488,10 @@ def test_gc_tracked_from_another_interpreter_is_a_note():
 def test_gc_tracked_missing_from_report_is_a_note():
     failures = gc_tracked_violations({}, {"3.11": 5000})
     assert len(failures) == 1 and failures[0].startswith("note:")
+
+
+def test_gc_tracked_is_gated_on_the_bench_jobs_interpreter():
+    # CI's bench job runs 3.12: its count is compared, not just noted.
+    report = {"gc_tracked_per_chase": {"objects": 100_000, "python": "3.12"}}
+    failures = gc_tracked_violations(report)
+    assert len(failures) == 1 and failures[0].startswith("gc_tracked_per_chase:")

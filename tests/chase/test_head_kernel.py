@@ -162,7 +162,7 @@ def test_witness_index_matches_match_atom(case, seed):
             for values in random_rows(tgd, seed):
                 trigger = Trigger.from_row(tgd, values)
                 assert index.witnessed(trigger) == (
-                    reference_witness(tgd, trigger.result()) in index._witnessed[tgd]
+                    reference_witness(tgd, trigger.result()) in index.keys(tgd)
                 )
     finally:
         closer = getattr(instance, "close", None)
@@ -223,7 +223,7 @@ def test_equal_rules_share_a_witness_set_but_not_nulls():
     assert one == two and one.canonical_key == two.canonical_key
     assert one.result() != two.result()  # the rule name feeds the digest
     index = HeadWitnessIndex([first, second])
-    assert index._tgds_by_head["E"][0][1] is index._witnessed[second]
+    assert index.keys(first) is index.keys(second)
     assert index.note(one.result()) == [(first, (b,))]
     assert index.witnessed(two)
 

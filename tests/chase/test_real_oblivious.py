@@ -5,6 +5,7 @@ from repro.core.parsing import parse_database
 from repro.core.terms import Constant
 from repro.chase.real_oblivious import RealObliviousChase
 from repro.tgds.tgd import parse_tgds
+from repro.util import graphs
 
 
 class TestExample34:
@@ -142,6 +143,18 @@ class TestGuardedRefinements:
         assert all(chase.guard_root(d) == roots["R"] for d in r_descendants)
         assert all(chase.guard_root(d) == roots["S"] for d in s_descendants)
         assert chase.guard_root(roots["R"]) == roots["R"]
+
+    def test_one_pass_views_match_the_per_node_walks(
+        self, example_56_tgds, example_56_database
+    ):
+        chase = RealObliviousChase(example_56_database, example_56_tgds, max_depth=6)
+        assert chase.guard_roots() == [chase.guard_root(i) for i in range(len(chase))]
+        assert chase.guard_parents() == [chase.guard_parent_of(i) for i in range(len(chase))]
+        # guard_descendants against reachability over the ≺gp edges.
+        children = graphs.make_graph(chase.guard_parent_edges())
+        for node_id in range(len(chase)):
+            reached = graphs.reachable_from(children, [node_id]) - {node_id}
+            assert chase.guard_descendants(node_id) == reached
 
 
 class TestBounds:
