@@ -66,7 +66,7 @@ from repro.core.instance import Delta, Instance
 from repro.core.terms import Term
 from repro.chase import chaos
 from repro.chase.derivation import Derivation
-from repro.chase.plans import discovery_rows, rule_tables
+from repro.chase.plans import RuleTables, discovery_rows
 from repro.chase.trigger import (
     Trigger,
     in_birth_order,
@@ -124,15 +124,13 @@ class HeadWitnessIndex:
     """
 
     def __init__(self, tgds: Iterable[TGD], instance: Optional[Instance] = None):
-        #: The rule list's shared routing (:class:`repro.chase.plans.RuleTables`):
+        #: The rule list's routing (:class:`repro.chase.plans.RuleTables`):
         #: ``head predicate -> ((tgd, index, kernel), ...)``, equal TGDs
-        #: under the index of the first.  Only the witnessed sets, one per
-        #: such rule index, belong to this object.
-        self._tables = tables = rule_tables(tgds)
+        #: under the index of the first, whose witnessed set they share.
+        tables = RuleTables(tgds)
         self._routes = tables.heads
-        sets = self._sets = {index: set() for index in tables.firsts.values()}
-        #: ``id(tgd) -> witnessed set`` for every rule object of the list.
-        self._by_id = {ident: sets[index] for ident, index in tables.first_ids.items()}
+        self._firsts = tables.firsts
+        self._sets = {index: set() for index in self._firsts.values()}
         #: Telemetry: probes answered / probes answered "already witnessed"
         #: (a hit deactivates a trigger — work the cache saved).  Plain
         #: ints, folded into :class:`repro.obs.stats.ChaseStats` at run end.
@@ -144,8 +142,7 @@ class HeadWitnessIndex:
 
     def keys(self, tgd: TGD) -> Set[Tuple[Term, ...]]:
         """The frontier tuples witnessed for ``tgd`` (shared by equal rules)."""
-        bucket = self._by_id.get(id(tgd))
-        return bucket if bucket is not None else self._sets[self._tables.firsts[tgd]]
+        return self._sets[self._firsts[tgd]]
 
     def note(self, atom: Atom) -> List[Tuple[TGD, Tuple[Term, ...]]]:
         """Record every frontier tuple ``atom`` witnesses; returns new entries.
@@ -170,20 +167,14 @@ class HeadWitnessIndex:
 
     def forget(self, entries: Iterable[Tuple[TGD, Tuple[Term, ...]]]) -> None:
         """Revert entries a :meth:`note` call created (LIFO undo only)."""
+        sets, firsts = self._sets, self._firsts
         for tgd, key in entries:
-            self._by_id[id(tgd)].discard(key)
+            sets[firsts[tgd]].discard(key)
 
     def witnessed(self, trigger: Trigger) -> bool:
-        """Is the trigger's head already witnessed (i.e. the trigger inactive)?
-
-        A rule object of the list finds its set by identity; an equal copy
-        (a restored row that kept its own rule) by equality.
-        """
+        """Is the trigger's head already witnessed (i.e. the trigger inactive)?"""
         self.lookups += 1
-        bucket = self._by_id.get(id(trigger.tgd))
-        if bucket is None:
-            bucket = self._sets[self._tables.firsts[trigger.tgd]]
-        if trigger.frontier_tuple() in bucket:
+        if trigger.frontier_tuple() in self._sets[self._firsts[trigger.tgd]]:
             self.hits += 1
             return True
         return False
@@ -193,7 +184,7 @@ class HeadWitnessIndex:
 
         Used by property tests; quadratic, never called on hot paths.
         """
-        for tgd, index in self._tables.firsts.items():
+        for tgd, index in self._firsts.items():
             cached = self._sets[index]
             recomputed = set()
             for atom in instance.with_predicate(tgd.head.predicate):
@@ -374,9 +365,9 @@ class ChaseEngine:
             self.live = tuple(
                 self.tgds[i] for i in graph.live_indices(self.instance.predicates())
             )
-        #: The tables of ``live`` (discovery table and rule ranks), shared
-        #: with every engine over the same rule objects.
-        self._tables = rule_tables(self.live)
+        #: The tables of ``live`` (discovery table and rule ranks), built
+        #: once for every round.
+        self._tables = RuleTables(self.live)
         self.witnesses: Optional[HeadWitnessIndex] = (
             None if self.kind == "oblivious" else HeadWitnessIndex(self.tgds, self.instance)
         )

@@ -53,7 +53,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import Instance
-from repro.chase.plans import discovery_rows, rule_tables
+from repro.chase.plans import RuleTables, discovery_rows
 from repro.chase.trigger import Trigger, in_birth_order, materialize
 from repro.errors import ParallelDiscoveryError, ResultIntegrityError
 from repro.obs import clock, trace
@@ -220,9 +220,9 @@ class ParallelMatcher:
 
     def __init__(self, tgds: Sequence[TGD], workers: int = 1):
         self.tgds: Tuple[TGD, ...] = tuple(tgds)
-        #: The rule list's discovery table and ranks, shared with the
-        #: serial pass over the same rule objects.
-        self._tables = rule_tables(self.tgds)
+        #: The rule list's discovery table and ranks, built once for
+        #: every round.
+        self._tables = RuleTables(self.tgds)
         self.workers = max(1, int(workers))
         #: ``"serial"``, ``"process"`` or ``"thread"``; a process pool that
         #: collapses twice pins it to ``"thread"`` for the rest of the run.

@@ -50,15 +50,14 @@ canonical key, all with getters and preformatted strings.
 
 Everything a chase needs of a rule *list* — the predicate table
 discovery walks, the rules' canonical ranks and the head-witness routing
-— is a :class:`RuleTables`, built once per list by :func:`rule_tables`
-and shared by every engine, matcher and discovery pass over it.
+— is a :class:`RuleTables`.  Its owner (an engine, a matcher, a
+weakly-restricted or real-oblivious chase) builds it once and keeps it
+for every round.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
@@ -327,23 +326,13 @@ class HeadKernel:
         return Atom(self.predicate, self.terms(values))
 
 
-#: Rule lists whose :class:`RuleTables` :func:`rule_tables` keeps; the
-#: least recently used is dropped first.  Kept tables keep their rules
-#: alive, so the bound is small: repeated chases over one list hit, and a
-#: stream of one-off lists (verdicts, service sessions) holds little.
-RULE_TABLES_KEPT = 8
-
-_TABLES: "OrderedDict[tuple, RuleTables]" = OrderedDict()
-_TABLES_LOCK = threading.Lock()
-
-
 class RuleTables:
     """The tables of one rule list that no chase changes, each built on
     first use.
 
-    * :attr:`firsts`, :attr:`first_ids` — the rules up to equality
-      (which ignores the rule name, as does ``Trigger.key``), each under
-      the index of its first occurrence.
+    * :attr:`firsts` — the rules up to equality (which ignores the rule
+      name, as does ``Trigger.key``), each under the index of its first
+      occurrence.
     * :attr:`discovery` — the :data:`DiscoveryTable` semi-naive discovery
       walks (:func:`discovery_rows`): every ``(tgd, pivot)`` plan of the
       :attr:`firsts` under its pivot predicate.
@@ -355,11 +344,13 @@ class RuleTables:
       :attr:`firsts`.
 
     The tables hold the list's rule objects, so the ``id`` keys stay
-    theirs for as long as the tables live.
+    theirs for as long as the tables live.  They are never shared between
+    lists: an equal list of other rule objects may name its rules (hence
+    its nulls) differently.
     """
 
-    def __init__(self, tgds: tuple):
-        self.tgds = tgds
+    def __init__(self, tgds: Sequence):
+        self.tgds: tuple = tuple(tgds)
 
     @cached_property
     def firsts(self) -> Dict:
@@ -369,12 +360,6 @@ class RuleTables:
         for index, tgd in enumerate(self.tgds):
             firsts.setdefault(tgd, index)
         return firsts
-
-    @cached_property
-    def first_ids(self) -> Dict[int, int]:
-        """``id(tgd) -> firsts[tgd]`` for every rule object of the list."""
-        firsts = self.firsts
-        return {id(tgd): firsts[tgd] for tgd in self.tgds}
 
     @cached_property
     def discovery(self) -> DiscoveryTable:
@@ -395,13 +380,14 @@ class RuleTables:
         another share a rank (their keys compare by the values); in sorted
         order they are the runs of leads that start with the run's first.
         """
+        leads = {id(tgd): tgd.head_kernel().lead for tgd in self.tgds}
         rank_of: Dict[str, int] = {}
         run, rank = None, -1
-        for lead in sorted({tgd.head_kernel().lead for tgd in self.tgds}):
+        for lead in sorted(set(leads.values())):
             if run is None or not lead.startswith(run):
                 run, rank = lead, rank + 1
             rank_of[lead] = rank
-        return {id(tgd): rank_of[tgd.head_kernel().lead] for tgd in self.tgds}
+        return {ident: rank_of[lead] for ident, lead in leads.items()}
 
     @cached_property
     def heads(self) -> Dict[str, tuple]:
@@ -411,27 +397,6 @@ class RuleTables:
         for tgd, index in self.firsts.items():
             heads.setdefault(tgd.head.predicate, []).append((tgd, index, tgd.head_kernel()))
         return {predicate: tuple(found) for predicate, found in heads.items()}
-
-
-def rule_tables(tgds: Sequence) -> RuleTables:
-    """The :class:`RuleTables` of ``tgds``, one per list of rule *objects*.
-
-    Keyed on the rules' identity, not on equality: equality ignores the
-    rule name, which names the nulls, and a caller's own rule objects keep
-    the head-witness lookup on its identity fast path.  The last
-    :data:`RULE_TABLES_KEPT` lists are kept.
-    """
-    tgds = tuple(tgds)
-    key = tuple(map(id, tgds))
-    with _TABLES_LOCK:
-        tables = _TABLES.get(key)
-        if tables is None:
-            tables = _TABLES[key] = RuleTables(tgds)
-            while len(_TABLES) > RULE_TABLES_KEPT:
-                _TABLES.popitem(last=False)
-        else:
-            _TABLES.move_to_end(key)
-    return tables
 
 
 def discovery_rows(table: DiscoveryTable, instance, delta) -> List[tuple]:

@@ -32,7 +32,8 @@ from repro.core.instance import Instance
 from repro.core.terms import Term
 from repro.chase import relations
 from repro.chase.checkpoint import Budget
-from repro.chase.trigger import Trigger, seminaive_triggers, triggers_on
+from repro.chase.plans import RuleTables
+from repro.chase.trigger import Trigger, round_triggers, triggers_on
 from repro.errors import ChaseInterrupted
 from repro.tgds.guardedness import guard_index
 from repro.tgds.tgd import TGD
@@ -282,6 +283,7 @@ class RealObliviousChase(ChaseGraph):
         # frontier instead of scanning the full trigger history.
         triggers: Dict[tuple, Tuple[int, Trigger, List[Atom]]] = {}
         triggers_by_image_atom: Dict[Atom, List[tuple]] = {}
+        tables = RuleTables(self.tgds)
         atom_index.track_delta()
 
         def add_node(
@@ -303,7 +305,7 @@ class RealObliviousChase(ChaseGraph):
             if first_round:
                 found = triggers_on(self.tgds, atom_index)
             else:
-                found = seminaive_triggers(self.tgds, atom_index, delta)
+                found = round_triggers(tables, atom_index, delta)
             for trigger in found:
                 if trigger.key not in triggers:
                     image = trigger.body_image()

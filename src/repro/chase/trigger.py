@@ -31,7 +31,7 @@ from repro.core.homomorphism import candidate_atoms, homomorphisms, match_atom
 from repro.core.instance import Instance
 from repro.core.substitution import Substitution
 from repro.core.terms import Term, Variable
-from repro.chase.plans import discovery_rows, rule_tables
+from repro.chase.plans import RuleTables, discovery_rows
 from repro.tgds.tgd import TGD
 
 
@@ -297,8 +297,7 @@ def seminaive_triggers(
     per-predicate snapshot, the rest match against the full term-position
     indexes — through the compiled join plans of :mod:`repro.chase.plans`,
     reached from the delta's predicates, so rules the delta does not touch
-    cost nothing.  The predicate table and the rule ranks are the rule
-    list's :class:`repro.chase.plans.RuleTables`, built once per list.
+    cost nothing.
 
     The returned list is ordered by ``(birth, canonical_key)`` where
     ``birth`` is the delta position of the *latest* body-image atom drawn
@@ -313,9 +312,19 @@ def seminaive_triggers(
     as does :attr:`Trigger.key`) only the first is matched.
     :class:`repro.chase.parallel.ParallelMatcher` computes the same list
     over a worker pool.
+
+    Each call builds the rule list's :class:`repro.chase.plans.RuleTables`;
+    a caller that discovers round after round over one list builds them
+    once and calls :func:`round_triggers`.
     """
     if not delta:
         return []
-    tables = rule_tables(tgds)
+    return round_triggers(RuleTables(tgds), instance, delta)
+
+
+def round_triggers(tables: RuleTables, instance: Instance, delta) -> List[Trigger]:
+    """:func:`seminaive_triggers` over a rule list's kept ``tables``."""
+    if not delta:
+        return []
     rows = discovery_rows(tables.discovery, instance, delta)
     return in_birth_order(materialize(tables.tgds, rows), tables.ranks)

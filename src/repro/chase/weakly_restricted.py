@@ -32,7 +32,8 @@ from repro.chase.checkpoint import Budget
 from repro.chase.derivation import Derivation
 from repro.chase.engine import HeadWitnessIndex
 from repro.errors import ChaseInterrupted
-from repro.chase.trigger import Trigger, is_active, seminaive_triggers
+from repro.chase.plans import RuleTables
+from repro.chase.trigger import Trigger, is_active, round_triggers
 from repro.core.homomorphism import is_homomorphism
 from repro.tgds.guardedness import guard_index
 from repro.tgds.tgd import TGD
@@ -90,11 +91,13 @@ class WeaklyRestrictedChase:
         with the ``depth`` labels of the treeification construction (use 0
         when depths are irrelevant).
 
-        Triggers are discovered by :func:`seminaive_triggers`: over the
-        roots as one delta here, then over each round's committed atoms.
+        Triggers are discovered by :func:`round_triggers` over the rule
+        list's tables, built once here: first over the roots as one delta,
+        then over each round's committed atoms.
         Active-trigger selection sorts canonically, so discovery order
         never shows in a run."""
         self.tgds = tuple(tgds)
+        self._tables = RuleTables(self.tgds)
         self.occurrences: List[WROccurrence] = []
         self._applied: Set[tuple] = set()
         self._atom_view = Instance()
@@ -199,7 +202,7 @@ class WeaklyRestrictedChase:
             if self._atom_view.add(occ.atom):
                 self._witnesses.note(occ.atom)
         self._atom_view.take_delta()
-        for trigger in seminaive_triggers(self.tgds, self._atom_view, delta):
+        for trigger in round_triggers(self._tables, self._atom_view, delta):
             self._triggers.setdefault(trigger.key, trigger)
 
     def anchor_children(self) -> graphs.Graph:

@@ -33,7 +33,7 @@ from repro.chase import parallel
 from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.parallel import ParallelMatcher
-from repro.chase.plans import LOOPS_PER_FUNCTION, discovery_rows, rule_tables
+from repro.chase.plans import LOOPS_PER_FUNCTION, RuleTables, discovery_rows
 from repro.chase.restricted import exists_derivation_of_length, restricted_chase
 from repro.chase.trigger import new_triggers, seminaive_triggers
 from repro.errors import SearchBudgetExceeded
@@ -280,7 +280,7 @@ def test_delta_without_rule_predicates_discovers_nothing():
         instance.add(Atom("V", [a, b]))
         instance.take_delta()
         tgds = CASES["unused_delta_predicates"]
-        assert discovery_rows(rule_tables(tgds).discovery, instance, delta) == []
+        assert discovery_rows(RuleTables(tgds).discovery, instance, delta) == []
         assert seminaive_triggers(tgds, instance, delta) == []
     finally:
         close(instance)

@@ -1,4 +1,4 @@
-"""Rule tables: the ranked trigger order and the per-rule-list cache.
+"""Rule tables: the ranked trigger order and the tables' owners.
 
 :func:`repro.chase.trigger.in_birth_order` sorts discovery hits by
 ``(birth, rule rank)`` and formats canonical keys only to break ties
@@ -7,10 +7,10 @@ any rule list, ties kept in input order — including rules whose canonical
 leads are prefixes of one another (they share a rank), equal rules under
 different names (identical keys), and many same-birth hits of one rule.
 
-:func:`repro.chase.plans.rule_tables` builds one set of tables per list of
-rule *objects*: engines over the same rules share it, and an equal but
-distinct list (whose rule names may differ, and names feed the null
-digests) never receives the other list's rule objects.
+:class:`repro.chase.plans.RuleTables` is built once by its owner (an
+engine, a matcher, a weakly-restricted chase) and kept for every round;
+the tables of an equal but distinct list (whose rule names may differ,
+and names feed the null digests) hold that list's own rule objects.
 """
 
 import random
@@ -20,11 +20,11 @@ import pytest
 from repro.core.atoms import Atom
 from repro.core.parsing import parse_database
 from repro.core.terms import Constant, Variable
-from repro.chase import plans
-from repro.chase.engine import ChaseEngine
-from repro.chase.plans import rule_tables
+from repro.chase.plans import RuleTables
+from repro.chase.real_oblivious import RealObliviousChase
 from repro.chase.restricted import restricted_chase
 from repro.chase.trigger import Trigger, in_birth_order, in_canonical_order
+from repro.chase.weakly_restricted import WeaklyRestrictedChase
 from repro.tgds.tgd import TGD, parse_tgds
 
 #: Constant names mixing cases and punctuation, so a value can sort before
@@ -98,7 +98,7 @@ def assert_same_objects(got, expected):
 def test_ranked_order_is_the_canonical_order(seed):
     rng = random.Random(seed)
     rules = random_rules(rng)
-    ranks = rule_tables(rules).ranks
+    ranks = RuleTables(rules).ranks
     hits = random_hits(rng, rules)
     # Fresh triggers: the ranked sort must not lean on cached keys.
     got = in_birth_order(list(hits), ranks)
@@ -118,7 +118,7 @@ def test_prefix_leads_share_a_rank_and_unrelated_leads_do_not():
     other = TGD([Atom("E", [VARIABLES[0]])], Atom("Q", [VARIABLES[0]]), "other")
     rules = [longest, other, base, sibling, longer]
     assert lead_of(longer).startswith(lead_of(base))
-    ranks = rule_tables(rules).ranks
+    ranks = RuleTables(rules).ranks
     assert len({ranks[id(rule)] for rule in (base, longer, longest, sibling)}) == 1
     assert ranks[id(other)] < ranks[id(base)]  # "(E" < "(P"
     # Within the shared rank the values decide: "Q(x), ((x, S" vs "a".
@@ -129,7 +129,7 @@ def test_prefix_leads_share_a_rank_and_unrelated_leads_do_not():
 
 def test_rules_outside_the_ranks_fall_back_to_canonical_keys():
     rules = parse_tgds(["E(x,y) -> F(x,y)", "F(x,y) -> G(y,w)"])
-    ranks = rule_tables(rules).ranks
+    ranks = RuleTables(rules).ranks
     copy = TGD(rules[1].body, rules[1].head, rules[1].name)  # equal, not ranked
     a, b = Constant("a"), Constant("b")
     hits = [
@@ -155,16 +155,29 @@ def test_round_discovery_formats_no_key_when_births_separate_each_rule():
     assert later and all(t._canonical is None for t in later)
 
 
-def test_engines_over_one_rule_list_share_its_tables():
-    rules = parse_tgds(["E(x,y) -> F(x,y)", "F(x,y), F(y,z) -> G(x,z,w)"])
-    one = ChaseEngine(parse_database("E(a,b), E(b,c)"), rules)
-    two = ChaseEngine(parse_database("E(c,d)"), tuple(rules))
-    assert one._tables is two._tables
-    assert one._tables.discovery is two._tables.discovery
-    assert rule_tables(list(rules)).discovery is one._tables.discovery
-    # The witness routing is shared; the witnessed sets are each engine's.
-    assert one.witnesses._routes is two.witnesses._routes
-    assert one.witnesses.keys(rules[0]) is not two.witnesses.keys(rules[0])
+def test_owners_build_their_tables_once_for_every_round(monkeypatch):
+    built = []
+    build = RuleTables.__init__
+
+    def counting(self, tgds):
+        built.append(tuple(tgds))
+        build(self, tgds)
+
+    monkeypatch.setattr(RuleTables, "__init__", counting)
+    rules = parse_tgds(["E(x,y) -> F(x,y)", "F(x,y) -> G(x,y)", "G(x,y) -> H(y,w)"])
+    result = restricted_chase(
+        parse_database("E(a,b), E(b,c)"), rules, strategy="semi_naive", prune=False
+    )
+    assert result.terminated and len(result.derivation.steps) == 6
+    # The engine's discovery and ranks, and its witness index's routing.
+    assert built == [tuple(rules)] * 2
+    built.clear()
+    chase = WeaklyRestrictedChase([(atom, 0) for atom in parse_database("E(a,b)")], rules)
+    assert chase.run(10) and len(chase.occurrences) == 4
+    assert built == [tuple(rules)] * 2
+    built.clear()
+    assert len(RealObliviousChase(parse_database("E(a,b)"), rules)) == 4
+    assert built == [tuple(rules)]
 
 
 def test_equal_but_distinct_rule_lists_keep_their_own_rules():
@@ -172,8 +185,7 @@ def test_equal_but_distinct_rule_lists_keep_their_own_rules():
     first = parse_tgds(texts)
     second = [TGD(rule.body, rule.head, rule.name + "-b") for rule in first]
     assert first == second  # equality ignores the names
-    tables = rule_tables(second)
-    assert tables is not rule_tables(first)
+    tables = RuleTables(second)
     assert all(a is b for a, b in zip(tables.tgds, second))
     for entries in tables.discovery.values():
         for tgd_index, pivot_index, plan in entries:
@@ -186,12 +198,3 @@ def test_equal_but_distinct_rule_lists_keep_their_own_rules():
     assert all(any(t.tgd is rule for rule in second) for t in ours.derivation.steps)
     # The names feed the nulls: the lists' closures differ in them alone.
     assert ours.instance.sorted_atoms() != theirs.instance.sorted_atoms()
-
-
-def test_the_cache_keeps_a_bounded_number_of_lists(monkeypatch):
-    monkeypatch.setattr(plans, "RULE_TABLES_KEPT", 3)
-    kept = [parse_tgds([f"E{i}(x,y) -> F(x,y)"]) for i in range(6)]
-    for rules in kept:
-        rule_tables(rules)
-    assert len(plans._TABLES) <= 3
-    assert rule_tables(kept[-1]) is rule_tables(kept[-1])
