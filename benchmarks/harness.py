@@ -89,8 +89,10 @@ import argparse
 import gc
 import json
 import os
+import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 if __package__ in (None, ""):  # allow `python benchmarks/harness.py`
@@ -234,11 +236,49 @@ def run_kernel(workload: str, make_db, sizes, repeats: int, max_steps: int = 1_0
     return rows, speedups
 
 
+def _time_pairs(first, second, repeats: int):
+    """``repeats`` back-to-back runs of ``first`` and ``second``.
+
+    Within-pair order alternates every repeat and each run is preceded by
+    a ``gc.collect()``, as in ``bench_obs.measure``: a pair shares
+    whatever frequency or scheduler drift the host is under, so the ratio
+    of its two times is steadier than a ratio of independent best-ofs.
+    Returns ``(first best, second best, first/second ratio per pair, last
+    first result, last second result)``.
+    """
+    first_s = second_s = float("inf")
+    ratios = []
+    for i in range(repeats):
+        order = (first, second) if i % 2 == 0 else (second, first)
+        seconds = {}
+        results = {}
+        for fn in order:
+            gc.collect()
+            start = time.perf_counter()
+            results[fn] = fn()
+            seconds[fn] = time.perf_counter() - start
+        first_s = min(first_s, seconds[first])
+        second_s = min(second_s, seconds[second])
+        ratios.append(seconds[first] / seconds[second])
+    return first_s, second_s, ratios, results[first], results[second]
+
+
+def _iqr(values) -> float:
+    """The interquartile range (0.0 for fewer than two values)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def run_seminaive_kernel(sizes, repeats: int, max_steps: int = 1_000_000):
     """Time step-at-a-time vs semi-naive rounds on the dense workload.
 
     Both run the indexed engine; the semi-naive mode must be ≥2× at the
-    largest size with byte-identical instances *and* derivations.
+    largest size with byte-identical instances *and* derivations.  The
+    speedup is the median of ``repeats`` paired ratios (:func:`_time_pairs`,
+    step over semi-naive) and the row records their interquartile range;
+    the seconds are the best-of times.
 
     Both sides run with dependency pruning off: the workload's distractor
     rules exist precisely so per-atom discovery has to consider them while
@@ -251,13 +291,9 @@ def run_seminaive_kernel(sizes, repeats: int, max_steps: int = 1_000_000):
     speedups = []
     for n in sizes:
         db = dense_database(n)
-        step_s, step = _time(
-            restricted_chase, db, tgds, strategy="fifo", max_steps=max_steps,
-            prune=False, repeats=repeats,
-        )
-        semi_s, semi = _time(
-            restricted_chase, db, tgds, strategy="semi_naive", max_steps=max_steps,
-            prune=False, repeats=repeats,
+        chase = partial(restricted_chase, db, tgds, max_steps=max_steps, prune=False)
+        step_s, semi_s, ratios, step, semi = _time_pairs(
+            partial(chase, strategy="fifo"), partial(chase, strategy="semi_naive"), repeats
         )
         if not (step.terminated and semi.terminated):
             raise RuntimeError(f"seminaive_dense n={n}: a run was cut off")
@@ -287,7 +323,9 @@ def run_seminaive_kernel(sizes, repeats: int, max_steps: int = 1_000_000):
                 "baseline": "step_at_a_time",
                 "step_seconds": round(step_s, 6),
                 "seminaive_seconds": round(semi_s, 6),
-                "speedup": round(step_s / semi_s, 2),
+                "speedup": round(statistics.median(ratios), 2),
+                "speedup_iqr": round(_iqr(ratios), 3),
+                "pairs": len(ratios),
                 "identical_instances": identical_instances,
                 "identical_derivations": identical_derivations,
                 "stats": _collect_stats(
@@ -530,9 +568,10 @@ def main(argv=None) -> int:
     if args.quick:
         sizes, repeats = (8, 16, 32), 2
         # The semi-naive gate is defined at n >= 64, so its ladder always
-        # reaches 64 even in quick mode, and best-of-3 keeps the measured
-        # ratio out of scheduler-noise territory.
-        seminaive_sizes, seminaive_repeats = (32, 64), 3
+        # reaches 64 even in quick mode; its chases are short, and the
+        # median of 9 alternating pairs keeps the ratio out of
+        # scheduler-noise territory.
+        seminaive_sizes, seminaive_repeats = (32, 64), 9
         # Likewise the parallel gate (n >= 64, best-of-2: the chases are
         # seconds long, so two repeats already de-noise the ratio).
         parallel_sizes, parallel_repeats = (32, 64), 2
@@ -554,7 +593,7 @@ def main(argv=None) -> int:
         persistent_width, persistent_depth = (1500, 40)
     else:
         sizes, repeats = (8, 16, 32, 64), 3
-        seminaive_sizes, seminaive_repeats = (16, 32, 64), 3
+        seminaive_sizes, seminaive_repeats = (16, 32, 64), 9
         parallel_sizes, parallel_repeats = (16, 32, 64), 2
         checkpoint_sizes, checkpoint_repeats = (24, 32, 48), 3
         obs_sizes, obs_repeats = (64, 128), 9

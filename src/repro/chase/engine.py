@@ -69,10 +69,9 @@ from repro.chase.derivation import Derivation
 from repro.chase.plans import RuleTables, discovery_rows
 from repro.chase.trigger import (
     Trigger,
-    in_birth_order,
     in_canonical_order,
-    materialize,
     satisfies_head,
+    triggers_of,
 )
 from repro.obs import clock, trace
 from repro.obs.log import get_logger, log_event
@@ -123,11 +122,10 @@ class HeadWitnessIndex:
     (existential) positions only carry internal consistency constraints.
     """
 
-    def __init__(self, tgds: Iterable[TGD], instance: Optional[Instance] = None):
-        #: The rule list's routing (:class:`repro.chase.plans.RuleTables`):
+    def __init__(self, tables: RuleTables, instance: Optional[Instance] = None):
+        #: The owner's routing (:class:`repro.chase.plans.RuleTables`):
         #: ``head predicate -> ((tgd, index, kernel), ...)``, equal TGDs
         #: under the index of the first, whose witnessed set they share.
-        tables = RuleTables(tgds)
         self._routes = tables.heads
         self._firsts = tables.firsts
         self._sets = {index: set() for index in self._firsts.values()}
@@ -174,7 +172,8 @@ class HeadWitnessIndex:
     def witnessed(self, trigger: Trigger) -> bool:
         """Is the trigger's head already witnessed (i.e. the trigger inactive)?"""
         self.lookups += 1
-        if trigger.frontier_tuple() in self._sets[self._firsts[trigger.tgd]]:
+        tgd, values = trigger
+        if tgd.head_kernel().frontier(values) in self._sets[self._firsts[tgd]]:
             self.hits += 1
             return True
         return False
@@ -309,21 +308,18 @@ class ChaseEngine:
         self.stats = stats
         if stats is not None and not stats.kind:
             stats.kind = kind
-        #: The round-discovery pool, None for serial discovery; its merge
-        #: replays the serial order (see chase/parallel.py).
-        self.matcher = chaos.build_matcher(self.tgds, workers=workers) if workers > 1 else None
         if resume is None:
             if isinstance(database, Instance):
                 atoms = database.sorted_atoms()
             else:
                 atoms = sorted(database, key=Atom.sort_key)
-            self._load(atoms, prune, backend)
+            self._load(atoms, prune, backend, workers)
             self._discover(_delta_of(atoms))
             if self.witnesses is not None:
                 self.derivation = Derivation(self.instance)
             return
         with trace.span("checkpoint.restore", atoms=len(resume.atoms)):
-            self._load(resume.atoms, prune, backend)
+            self._load(resume.atoms, prune, backend, workers)
             self.pending = _bind_rows(resume.pending, self.tgds)
             if resume.delta is not None:
                 self._round_delta = Delta._restore(*resume.delta)
@@ -347,7 +343,7 @@ class ChaseEngine:
             mid_round=resume.delta is not None,
         )
 
-    def _load(self, atoms: Sequence[Atom], prune: bool, backend) -> None:
+    def _load(self, atoms: Sequence[Atom], prune: bool, backend, workers: int) -> None:
         """The state both constructor paths share, over ``atoms`` in order."""
         self.instance = make_instance(backend, atoms=atoms)
         #: Discovery runs over the *live* rule subset.  Rules with a body
@@ -365,12 +361,15 @@ class ChaseEngine:
             self.live = tuple(
                 self.tgds[i] for i in graph.live_indices(self.instance.predicates())
             )
-        #: The tables of ``live`` (discovery table and rule ranks), built
-        #: once for every round.
+        #: The tables of ``live`` (discovery table, rule ranks, witness
+        #: routing), built once for every round.
         self._tables = RuleTables(self.live)
         self.witnesses: Optional[HeadWitnessIndex] = (
-            None if self.kind == "oblivious" else HeadWitnessIndex(self.tgds, self.instance)
+            None if self.kind == "oblivious" else HeadWitnessIndex(self._tables, self.instance)
         )
+        #: The round-discovery pool, None for serial discovery; its rows
+        #: index ``live`` as the serial rows do (see chase/parallel.py).
+        self.matcher = chaos.build_matcher(self.live, workers=workers) if workers > 1 else None
         self.pending: List[Trigger] = []
         #: The live delta of a round in progress.  Non-None between a budget
         #: cut and the call that completes the round — the suspended state a
@@ -412,51 +411,40 @@ class ChaseEngine:
 
     # -- worklist ----------------------------------------------------------
 
-    def _enqueue(self, batch: List[Trigger], presorted: bool = False) -> List[Trigger]:
-        if not presorted:
-            batch = in_canonical_order(batch, self._tables.ranks)
-        self.pending.extend(batch)
-        if self.stats is not None:
-            self.stats.triggers_discovered += len(batch)
-        return batch
-
     def _discover(self, delta: Delta, round_pass: bool = False) -> List[Trigger]:
         """Enqueue the triggers whose body image uses an atom of ``delta``.
 
-        The engine's one discovery step: the join plans of
-        :mod:`repro.chase.plans` (or, on a round pass, the matcher's pool
-        running the same plans), :func:`materialize`, then the worklist.
+        The engine's one discovery step: rows from the join plans of
+        :mod:`repro.chase.plans` (on a round pass possibly the matcher's
+        pool), :meth:`RuleTables.order`, :func:`triggers_of`, the worklist.
         A round pass enqueues in ``(birth, canonical)`` order; every other
-        batch (seeding, ``apply``, ``inject_atoms``) is sorted canonically.
+        batch (seeding, ``apply``, ``inject_atoms``) ignores births.
         """
         stats = self.stats
         if stats is not None:
             stamp = clock.perf_counter()
         if round_pass and self.matcher is not None:
-            tgds = self.matcher.tgds
             rows = self.matcher.rows(self.instance, delta)
         else:
-            tgds = self.live
             rows = discovery_rows(self._tables.discovery, self.instance, delta)
         if stats is not None:
             joined = clock.perf_counter()
             stats.discover_join_seconds += joined - stamp
-        hits = materialize(tgds, rows)
+        rows = self._tables.order(rows, by_birth=round_pass)
         if stats is not None:
             stamp = clock.perf_counter()
-            stats.discover_materialize_seconds += stamp - joined
-        if round_pass:
-            batch = self._enqueue(in_birth_order(hits, self._tables.ranks), presorted=True)
-        else:
-            batch = self._enqueue([trigger for _, trigger in hits])
+            stats.discover_order_seconds += stamp - joined
+        batch = triggers_of(self.live, rows)
+        self.pending.extend(batch)
         if stats is not None:
-            stats.discover_order_seconds += clock.perf_counter() - stamp
+            stats.triggers_discovered += len(batch)
+            stats.discover_materialize_seconds += clock.perf_counter() - stamp
         return batch
 
     def active_pending(self) -> List[Trigger]:
         """The active pending triggers in canonical order (a snapshot)."""
         return in_canonical_order(
-            [t for t in self.pending if self.is_active(t)], self._tables.ranks
+            [t for t in self.pending if self.is_active(t)], self._tables
         )
 
     def _has_active_pending(self) -> bool:
@@ -559,7 +547,9 @@ class ChaseEngine:
         deactivate later batch members), before any limit, and applying the
         still-active ones;
         with the cache disabled (oblivious mode) every batch trigger is
-        applied and set semantics deduplicates.  (2) The atoms the round
+        applied and set semantics deduplicates.  The walk inlines the
+        witness probe and takes a result memo only if one exists (it stores
+        none).  (2) The atoms the round
         added are collected as the instance's tracked delta, and (3) one
         batched semi-naive discovery pass (:func:`seminaive_triggers`)
         enqueues the next round's triggers in ``(birth, canonical)`` order —
@@ -598,10 +588,16 @@ class ChaseEngine:
         vacuous = 0
         cut = False
         reason: Optional[str] = None
+        instance = self.instance
         witnesses = self.witnesses
+        if witnesses is not None:
+            # HeadWitnessIndex.witnessed, inlined.
+            sets, firsts, note = witnesses._sets, witnesses._firsts, witnesses.note
         with trace.span("round.apply", batch=len(batch)):
             for index, trigger in enumerate(batch):
-                if witnesses is not None and witnesses.witnessed(trigger):
+                tgd, values = trigger
+                kernel = tgd.head_kernel()
+                if witnesses is not None and kernel.frontier(values) in sets[firsts[tgd]]:
                     vacuous += 1
                     continue
                 if max_applications is not None and len(applied) >= max_applications:
@@ -609,21 +605,29 @@ class ChaseEngine:
                     cut, reason = True, "max_applications"
                     break
                 if budget is not None:
-                    reason = budget.exceeded(len(self.instance))
+                    reason = budget.exceeded(len(instance))
                     if reason is not None:
                         self.pending = batch[index:] + self.pending
                         cut = True
                         break
-                atom = trigger.result()
-                if self.instance.add(atom) and witnesses is not None:
-                    witnesses.note(atom)
+                # A memo set earlier (say by the critical chase's nesting
+                # monitor) is reused; none is created here.
+                atom = trigger._result
+                if atom is None:
+                    atom = kernel.result(values)
+                if instance.add(atom) and witnesses is not None:
+                    note(atom)
                 applied.append(trigger)
                 if budget is not None:
                     budget.charge_application()
-                if max_atoms is not None and len(self.instance) > max_atoms:
+                if max_atoms is not None and len(instance) > max_atoms:
                     self.pending = batch[index + 1:] + self.pending
                     cut, reason = True, "max_atoms"
                     break
+        if witnesses is not None and batch:
+            # One probe per trigger the loop reached, a cut one included.
+            witnesses.lookups += index + 1
+            witnesses.hits += vacuous
         added = delta.atoms()[start:]
         if stats is not None:
             stats.apply_seconds += clock.perf_counter() - stamp

@@ -32,9 +32,9 @@ the duration of a round.  :class:`ParallelMatcher` exploits that:
 
 * **Merging** — chunks partition the pivot hits, and each trigger
   surfaces at exactly one hit, already at its birth.  The merge
-  concatenates the rows; :func:`repro.chase.trigger.materialize` and
-  :func:`repro.chase.trigger.in_birth_order` — the serial pass's own
-  row -> Trigger step and total ``(birth, canonical_key)`` order — finish
+  concatenates the rows; :meth:`repro.chase.plans.RuleTables.order` and
+  :func:`repro.chase.trigger.triggers_of` — the serial pass's own total
+  ``(birth, canonical_key)`` row order and row -> Trigger step — finish
   the list, so it is byte-identical to the serial pass regardless of pool
   scheduling.
 
@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import Instance
 from repro.chase.plans import RuleTables, discovery_rows
-from repro.chase.trigger import Trigger, in_birth_order, materialize
+from repro.chase.trigger import Trigger, triggers_of
 from repro.errors import ParallelDiscoveryError, ResultIntegrityError
 from repro.obs import clock, trace
 from repro.obs.log import get_logger
@@ -420,14 +420,14 @@ class ParallelMatcher:
         on every backend, including after a mid-run fallback.
         """
         rows = self.rows(instance, delta)
-        return in_birth_order(materialize(self.tgds, rows), self._tables.ranks)
+        return triggers_of(self.tgds, self._tables.order(rows))
 
     def rows(self, instance: Instance, delta) -> List[tuple]:
         """The round's discovery rows ``(tgd_index, values, birth)``.
 
         The same rows as the serial pass over ``self.tgds`` on every
         backend; only their order depends on the task partition, and
-        :func:`repro.chase.trigger.in_birth_order` erases it.
+        :meth:`repro.chase.plans.RuleTables.order` erases it.
         """
         if not delta:
             return []

@@ -41,7 +41,8 @@ delta position of its image.
 Plans emit compact rows ``(tgd_index, values, birth)``, ``values`` in
 :attr:`TGD.body_order`.  The serial pass (:func:`discovery_rows`) and the
 pool workers of :mod:`repro.chase.parallel` run the same ``plan.match``;
-both hand their rows to :func:`repro.chase.trigger.materialize`.
+both hand their rows to :meth:`RuleTables.order`, then to
+:func:`repro.chase.trigger.triggers_of`.
 
 The head side is compiled too: a :class:`HeadKernel` per TGD (cached as
 :meth:`repro.tgds.tgd.TGD.head_kernel`) reads the frontier tuple an atom
@@ -336,15 +337,13 @@ class RuleTables:
     * :attr:`discovery` — the :data:`DiscoveryTable` semi-naive discovery
       walks (:func:`discovery_rows`): every ``(tgd, pivot)`` plan of the
       :attr:`firsts` under its pivot predicate.
-    * :attr:`ranks` — ``id(tgd) -> rank`` for every rule of the list, the
-      integer order of the rules' canonical keys
-      (:func:`repro.chase.trigger.in_birth_order`).
+    * :attr:`ranks` — the rank of every rule of the list, by list index:
+      the integer order of the rules' canonical keys (:meth:`order`).
     * :attr:`heads` — the head-witness routing
       (:class:`repro.chase.engine.HeadWitnessIndex`) over the
       :attr:`firsts`.
 
-    The tables hold the list's rule objects, so the ``id`` keys stay
-    theirs for as long as the tables live.  They are never shared between
+    The tables hold the list's rule objects and are never shared between
     lists: an equal list of other rule objects may name its rules (hence
     its nulls) differently.
     """
@@ -370,24 +369,53 @@ class RuleTables:
         return {predicate: tuple(found) for predicate, found in entries.items()}
 
     @cached_property
-    def ranks(self) -> Dict[int, int]:
-        """``id(tgd) -> rank``: rules whose canonical keys compare by their
-        :attr:`HeadKernel.lead` alone get distinct ranks in that order.
+    def ranks(self) -> List[int]:
+        """The rank of each rule, by list index: rules whose canonical keys
+        compare by their :attr:`HeadKernel.lead` alone get distinct ranks
+        in that order.
 
         Two leads of which neither is a prefix of the other differ at a
         position inside both, so every key of the smaller lead's rule sorts
         before every key of the other's.  Leads that are prefixes of one
         another share a rank (their keys compare by the values); in sorted
         order they are the runs of leads that start with the run's first.
+        Equal rules (names aside) share a rank.  Ranks are below ``len(ranks)``.
         """
-        leads = {id(tgd): tgd.head_kernel().lead for tgd in self.tgds}
+        leads = [tgd.head_kernel().lead for tgd in self.tgds]
         rank_of: Dict[str, int] = {}
         run, rank = None, -1
-        for lead in sorted(set(leads.values())):
+        for lead in sorted(set(leads)):
             if run is None or not lead.startswith(run):
                 run, rank = lead, rank + 1
             rank_of[lead] = rank
-        return {ident: rank_of[lead] for ident, lead in leads.items()}
+        return [rank_of[lead] for lead in leads]
+
+    def order(self, rows: List[tuple], by_birth: bool = True) -> List[tuple]:
+        """Discovery rows ``(tgd_index, values, birth)`` of this list in
+        ``(birth, canonical key)`` order, births ignored unless ``by_birth``.
+
+        The rows sort by the int ``birth * len(ranks) + rank``; a canonical
+        key is formatted only inside runs of equal ints, which gives the
+        canonical order exactly, ties kept in input order.
+        """
+        ranks = self.ranks
+        width = len(ranks) if by_birth else 0
+        keys = [birth * width + ranks[index] for index, _, birth in rows]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        if len(set(keys)) < len(keys):
+            tgds = self.tgds
+
+            def canonical(position: int) -> str:
+                index, values, _ = rows[position]
+                return tgds[index].head_kernel().canonical % values
+
+            start, count = 0, len(order)
+            for end in range(1, count + 1):
+                if end == count or keys[order[end]] != keys[order[start]]:
+                    if end - start > 1:
+                        order[start:end] = sorted(order[start:end], key=canonical)
+                    start = end
+        return list(map(rows.__getitem__, order))
 
     @cached_property
     def heads(self) -> Dict[str, tuple]:
@@ -404,8 +432,7 @@ def discovery_rows(table: DiscoveryTable, instance, delta) -> List[tuple]:
 
     Walks the delta's predicates through ``table`` (see
     :attr:`RuleTables.discovery`), so rules whose body misses the delta cost
-    nothing.  Row order is unspecified;
-    :func:`repro.chase.trigger.in_birth_order` fixes it.
+    nothing.  Row order is unspecified; :meth:`RuleTables.order` fixes it.
     """
     rows: List[tuple] = []
     positions = delta.positions()

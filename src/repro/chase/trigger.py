@@ -13,18 +13,17 @@ Null names are derived from a cryptographic digest of the trigger's
 canonical serialization, so two applications of the same trigger (in any
 order, in any run) invent the *same* nulls.
 
-A :class:`Trigger` is the discovery row it came from: the rule and the
-values of its body variables.  Its key, ``h`` and canonical key are
-derived on first use; ``result()``, the canonical key and the frontier
-tuple the head-witness cache looks up run the rule's compiled
-:class:`repro.chase.plans.HeadKernel`, so no path re-serializes the rule
-or interprets its head per trigger.
+A :class:`Trigger` *is* the discovery row it came from, a ``tuple``
+``(tgd, values)`` built by one ``tuple.__new__`` call.  ``result()``, the
+canonical key and the frontier tuple the head-witness cache looks up run
+the rule's compiled :class:`repro.chase.plans.HeadKernel`, so no path
+re-serializes the rule or interprets its head per trigger.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.core.atoms import Atom
 from repro.core.homomorphism import candidate_atoms, homomorphisms, match_atom
@@ -35,56 +34,56 @@ from repro.chase.plans import RuleTables, discovery_rows
 from repro.tgds.tgd import TGD
 
 
-class Trigger:
-    """A trigger ``(σ, h)``, stored as the row it came from.
+class Trigger(tuple):
+    """A trigger ``(σ, h)``, stored as the row ``(tgd, values)`` it came from.
 
-    ``values`` binds :attr:`TGD.body_order` (``h`` restricted to the body
-    variables); ``h``, ``key`` and ``canonical_key`` are derived from it
-    on first use, and ``result()`` runs the TGD's compiled
-    :class:`repro.chase.plans.HeadKernel`.
+    ``values`` binds :attr:`TGD.body_order`.  Equality and hashing are the
+    row's: equal rules under different names give equal triggers, and a
+    trigger never equals a bare tuple.  Immutable; :attr:`h`,
+    :attr:`canonical_key` and :meth:`result` are memoized straight into the
+    instance ``__dict__``, which CPython allocates only for the first memo:
+    until then the class-level None defaults answer.
     """
 
-    __slots__ = ("tgd", "values", "_h", "_result", "_canonical")
+    #: σ, the rule.
+    tgd = property(itemgetter(0))
+    #: ``h`` on :attr:`TGD.body_order`, as a tuple.
+    values = property(itemgetter(1))
 
-    def __init__(self, tgd: TGD, h):
+    # Memo defaults; a stored memo shadows them in the instance __dict__.
+    _h = _result = _canonical = None
+
+    def __new__(cls, tgd: TGD, h):
         try:
             values = tuple([h[variable] for variable in tgd.body_order])
         except KeyError:
             missing = [v for v in tgd.body_order if v not in h]
             raise ValueError(f"homomorphism misses body variables {missing}") from None
-        self._fill(tgd, values)
+        return _new(cls, (tgd, values))
 
     @classmethod
     def from_row(cls, tgd: TGD, values: Tuple[Term, ...]) -> "Trigger":
         """The trigger of a discovery row: ``values`` binds ``tgd.body_order``."""
-        trigger = _new(cls)
-        trigger._fill(tgd, values)
-        return trigger
-
-    def _fill(self, tgd: TGD, values: Tuple[Term, ...]) -> None:
-        # The slots' own descriptors store past the immutable __setattr__.
-        _set_tgd(self, tgd)
-        _set_values(self, values)
-        _set_h(self, None)
-        _set_result(self, None)
-        _set_canonical(self, None)
+        return _new(cls, (tgd, values))
 
     def __setattr__(self, name, value):
         raise AttributeError("Trigger is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Trigger is immutable")
+
     def __reduce__(self):
-        # The immutable __setattr__ defeats default slot unpickling; ship
-        # the row.  Consumers: checkpoints (pending worklist, derivation
-        # log) and suspect-scan workers of parallel_map.
-        return (type(self).from_row, (self.tgd, self.values))
+        # Ship the row, memos dropped.  Consumers: checkpoints (pending
+        # worklist, derivation log) and suspect-scan workers of parallel_map.
+        return (type(self).from_row, (self[0], self[1]))
 
     @property
     def h(self) -> Substitution:
         """The homomorphism restricted to the body variables, cached."""
         cached = self._h
         if cached is None:
-            cached = Substitution(dict(zip(self.tgd.body_order, self.values)))
-            _set_h(self, cached)
+            tgd, values = self
+            cached = self.__dict__["_h"] = Substitution(dict(zip(tgd.body_order, values)))
         return cached
 
     @property
@@ -93,7 +92,8 @@ class Trigger:
 
         ``(tgd, ((variable, term), ...))`` over :attr:`TGD.body_order`.
         """
-        return (self.tgd, tuple(zip(self.tgd.body_order, self.values)))
+        tgd, values = self
+        return (tgd, tuple(zip(tgd.body_order, values)))
 
     @property
     def canonical_key(self) -> str:
@@ -104,21 +104,22 @@ class Trigger:
         """
         cached = self._canonical
         if cached is None:
-            cached = self.tgd.head_kernel().canonical % self.values
-            _set_canonical(self, cached)
+            tgd, values = self
+            cached = self.__dict__["_canonical"] = tgd.head_kernel().canonical % values
         return cached
 
     def frontier_binding(self) -> Dict[Variable, Term]:
         """``h|fr(σ)`` as a plain dict (built per call)."""
-        return dict(zip(self.tgd.frontier_order, self.frontier_tuple()))
+        return dict(zip(self[0].frontier_order, self.frontier_tuple()))
 
     def frontier_tuple(self) -> Tuple[Term, ...]:
         """The frontier image in ``tgd.frontier_order`` — the witness-cache key."""
-        return self.tgd.head_kernel().frontier(self.values)
+        tgd, values = self
+        return tgd.head_kernel().frontier(values)
 
     def body_image(self) -> List[Atom]:
         """``h(body(σ))``: the atoms of the instance this trigger matched."""
-        return [atom.apply(self.h) for atom in self.tgd.body]
+        return [atom.apply(self.h) for atom in self[0].body]
 
     def result(self) -> Atom:
         """``result(σ, h)`` (Definition 3.1), cached.
@@ -128,36 +129,39 @@ class Trigger:
         """
         cached = self._result
         if cached is None:
-            cached = self.tgd.head_kernel().result(self.values)
-            _set_result(self, cached)
+            tgd, values = self
+            cached = self.__dict__["_result"] = tgd.head_kernel().result(values)
         return cached
 
     def result_frontier_terms(self) -> Set[Term]:
         """``fr(result(σ,h))``: terms at the head's frontier positions."""
         result = self.result()
-        return {result[i] for i in self.tgd.frontier_head_positions()}
+        return {result[i] for i in self[0].frontier_head_positions()}
 
     def __eq__(self, other) -> bool:
         # Equal TGDs share their body order, so equal rows are equal keys.
-        return (
-            isinstance(other, Trigger)
-            and self.values == other.values
-            and self.tgd == other.tgd
-        )
+        return isinstance(other, Trigger) and self[1] == other[1] and self[0] == other[0]
 
-    def __hash__(self) -> int:
-        return hash((self.tgd, self.values))
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        return f"Trigger({self.tgd.name}, {self.h!r})"
+        return f"Trigger({self[0].name}, {self.h!r})"
 
 
-_new = object.__new__
-_set_tgd = Trigger.tgd.__set__
-_set_values = Trigger.values.__set__
-_set_h = Trigger._h.__set__
-_set_result = Trigger._result.__set__
-_set_canonical = Trigger._canonical.__set__
+_new = tuple.__new__
+
+
+def triggers_of(tgds, rows) -> List[Trigger]:
+    """The triggers of discovery rows ``(tgd_index, values, birth)``, in
+    row order: one ``tuple.__new__`` call each, no memo allocated.
+
+    Rows usually come ordered from :meth:`repro.chase.plans.RuleTables.order`.
+    """
+    cls = Trigger
+    return [_new(cls, (tgds[index], values)) for index, values, _ in rows]
 
 
 def satisfies_head(instance: Instance, tgd: TGD, frontier_binding: Dict[Term, Term]) -> bool:
@@ -234,55 +238,19 @@ def new_triggers(
                         yield trigger
 
 
-def materialize(tgds: Sequence[TGD], rows) -> List[Tuple[int, Trigger]]:
-    """``(birth, trigger)`` hits from discovery rows ``(tgd_index, values, birth)``.
+def in_canonical_order(triggers: List[Trigger], tables: RuleTables) -> List[Trigger]:
+    """``triggers`` in :attr:`Trigger.canonical_key` order, ties in input
+    order, through the rule ranks of ``tables`` (:meth:`RuleTables.order`).
 
-    The one row -> Trigger step behind serial and pooled discovery alike
-    (:func:`repro.chase.plans.discovery_rows`,
-    :meth:`repro.chase.parallel.ParallelMatcher.rows`).  Rows never repeat
-    a trigger: each surfaces at exactly one pivot hit, already at its birth.
-    """
-    from_row = Trigger.from_row
-    return [(birth, from_row(tgds[tgd_index], values)) for tgd_index, values, birth in rows]
-
-
-_CANONICAL = attrgetter("canonical_key")
-
-
-def in_birth_order(hits: List[Tuple[int, Trigger]], ranks: Dict[int, int]) -> List[Trigger]:
-    """The triggers of ``(birth, trigger)`` hits in ``(birth, canonical_key)`` order.
-
-    ``ranks`` is a rule list's :attr:`repro.chase.plans.RuleTables.ranks`.
-    The hits are sorted by ``(birth, rank)``, and ``canonical_key`` is
-    formatted only inside runs of equal ``(birth, rank)``: triggers of rules
-    of different ranks compare by the rank alone, so the result is the
-    ``(birth, canonical_key)`` order exactly, ties kept in input order.  A
-    hit whose rule object the ranks do not hold sends the whole list
+    A trigger whose rule no rule of ``tables`` equals sends the whole list
     through the canonical keys.
     """
-    width = len(ranks)
+    firsts = tables.firsts
     try:
-        # ``(birth, rank)`` as one int: ranks are below ``width``.
-        keys = [birth * width + ranks[id(trigger.tgd)] for birth, trigger in hits]
+        rows = [(firsts[tgd], values, position) for position, (tgd, values) in enumerate(triggers)]
     except KeyError:
-        hits = sorted(hits, key=lambda hit: (hit[0], hit[1].canonical_key))
-        return [trigger for _, trigger in hits]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ordered = [hits[index][1] for index in order]
-    if len(set(keys)) < len(keys):
-        start = 0
-        for end in range(1, len(order) + 1):
-            if end == len(order) or keys[order[end]] != keys[order[start]]:
-                if end - start > 1:
-                    ordered[start:end] = sorted(ordered[start:end], key=_CANONICAL)
-                start = end
-    return ordered
-
-
-def in_canonical_order(triggers: Iterable[Trigger], ranks: Dict[int, int]) -> List[Trigger]:
-    """``triggers`` in :attr:`Trigger.canonical_key` order, by the ranks of
-    :func:`in_birth_order`."""
-    return in_birth_order([(0, trigger) for trigger in triggers], ranks)
+        return sorted(triggers, key=lambda trigger: trigger.canonical_key)
+    return [triggers[position] for _, _, position in tables.order(rows, by_birth=False)]
 
 
 def seminaive_triggers(
@@ -305,10 +273,9 @@ def seminaive_triggers(
     engine enqueues the same triggers (a trigger surfaces at the application
     that completes its body image, and each per-application batch is
     canonically sorted), which is what keeps round-based runs byte-identical
-    to step-at-a-time runs.  :func:`in_birth_order` sorts by ``(birth,
-    rule rank)`` and formats canonical keys only to break ties inside a
-    rank.  The plans surface each trigger once, already
-    at that birth.  Of several equal TGDs (equality ignores the rule name,
+    to step-at-a-time runs.  :meth:`repro.chase.plans.RuleTables.order`
+    orders the rows before :func:`triggers_of` builds the triggers.  The
+    plans surface each trigger once, already at that birth.  Of several equal TGDs (equality ignores the rule name,
     as does :attr:`Trigger.key`) only the first is matched.
     :class:`repro.chase.parallel.ParallelMatcher` computes the same list
     over a worker pool.
@@ -327,4 +294,4 @@ def round_triggers(tables: RuleTables, instance: Instance, delta) -> List[Trigge
     if not delta:
         return []
     rows = discovery_rows(tables.discovery, instance, delta)
-    return in_birth_order(materialize(tables.tgds, rows), tables.ranks)
+    return triggers_of(tables.tgds, tables.order(rows))

@@ -102,7 +102,7 @@ class WeaklyRestrictedChase:
         self._applied: Set[tuple] = set()
         self._atom_view = Instance()
         self._occ_ids_by_atom: Dict[Atom, List[int]] = {}
-        self._witnesses = HeadWitnessIndex(self.tgds)
+        self._witnesses = HeadWitnessIndex(self._tables)
         self._triggers: Dict[tuple, Trigger] = {}
         #: Rounds committed so far, over every :meth:`run` call: the next
         #: round's occurrences carry ``round_index == rounds + 1``, so a run

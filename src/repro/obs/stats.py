@@ -117,9 +117,9 @@ class ChaseStats:
         self.parallel_wall_seconds = 0.0
         #: Master-side phase accounting (only collected when stats ride
         #: along — never on the bare hot path).  Discovery splits into its
-        #: layers: the join plans producing rows (serial or pooled), rows
-        #: -> Triggers, and the ``(birth, canonical)`` sort plus worklist
-        #: append; :attr:`discover_seconds` is their sum.
+        #: layers: the join plans producing rows (serial or pooled), their
+        #: ``(birth, canonical)`` sort, and ordered rows -> Triggers plus
+        #: worklist append; :attr:`discover_seconds` is their sum.
         self.apply_seconds = 0.0
         self.discover_join_seconds = 0.0
         self.discover_materialize_seconds = 0.0

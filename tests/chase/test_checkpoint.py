@@ -12,6 +12,7 @@ and the deciders' ``TIMEOUT`` verdicts.
 """
 
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +261,36 @@ class TestResumeByteIdentical:
             None, DIVERGING_TGDS, max_steps=40, resume=excinfo.value.checkpoint
         )
         assert_identical(cold, resumed)
+
+
+#: A version-3 blob written before triggers became tuples: a semi-naive
+#: chase of :data:`CHAIN_TGDS` on ``chain_database(6)`` cut by
+#: ``Budget(max_applications=9)`` in its second round on the memory
+#: backend, pickled with protocol 4.  While it resumes, and a fresh capture of the same run
+#: reproduces its bytes, ``CHECKPOINT_VERSION`` needs no bump.
+GOLDEN_BLOB = Path(__file__).parent / "data" / "checkpoint_v3_chain.pickle"
+
+
+class TestGoldenBlob:
+    def test_committed_blob_resumes_to_the_uninterrupted_run(self):
+        checkpoint = pickle.loads(GOLDEN_BLOB.read_bytes())
+        assert checkpoint.version == CHECKPOINT_VERSION == 3
+        assert checkpoint.delta is not None and checkpoint.pending
+        cold = seminaive_chase(chain_database(6), CHAIN_TGDS, max_steps=MAX_STEPS)
+        resumed = seminaive_chase(None, CHAIN_TGDS, max_steps=MAX_STEPS, resume=checkpoint)
+        assert cold.terminated
+        assert_identical(cold, resumed)
+
+    def test_the_same_cut_pickles_to_the_committed_bytes(self):
+        # A sqlite instance rebuilds its atoms, so its blob shares fewer
+        # objects and has other bytes; the committed blob is a memory one.
+        with pytest.raises(ChaseInterrupted) as excinfo:
+            seminaive_chase(
+                chain_database(6), CHAIN_TGDS, budget=Budget(max_applications=9),
+                backend="memory",
+            )
+        blob = pickle.dumps(excinfo.value.checkpoint, protocol=4)
+        assert blob == GOLDEN_BLOB.read_bytes()
 
 
 class TestGuardRails:

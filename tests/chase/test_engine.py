@@ -16,6 +16,7 @@ from repro.core.terms import Constant
 from repro.chase.checkpoint import Budget, ChaseCheckpoint
 from repro.chase.engine import ChaseEngine, HeadWitnessIndex
 from repro.chase.oblivious import oblivious_chase
+from repro.chase.plans import RuleTables
 from repro.chase.restricted import (
     exists_derivation_of_length,
     restricted_chase,
@@ -66,7 +67,7 @@ class TestHeadWitnessIndex:
     @pytest.mark.parametrize("database,tgds", WORKLOADS)
     def test_consistent_after_seeding(self, database, tgds):
         instance = Instance(database.atoms())
-        index = HeadWitnessIndex(tgds, instance)
+        index = HeadWitnessIndex(RuleTables(tgds), instance)
         assert index.consistent_with(instance)
 
     @pytest.mark.parametrize("database,tgds", WORKLOADS)

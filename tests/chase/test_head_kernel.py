@@ -24,6 +24,7 @@ from repro.core.atoms import Atom
 from repro.core.homomorphism import match_atom
 from repro.core.terms import Constant, Null, Variable
 from repro.chase.engine import HeadWitnessIndex
+from repro.chase.plans import RuleTables
 from repro.chase.trigger import Trigger
 from repro.tgds.tgd import TGD
 
@@ -143,7 +144,7 @@ def test_witness_index_matches_match_atom(case, seed):
     atoms = random_atoms(predicates, seed)
     instance = make_instance(None)
     try:
-        index = HeadWitnessIndex(tgds)
+        index = HeadWitnessIndex(RuleTables(tgds))
         # Equal rules share one set, kept under the first of them.
         reference = {tgd: set() for tgd in tgds}
         for atom in atoms:
@@ -176,7 +177,7 @@ def test_zero_arity_head_result_and_witness():
     assert trigger.result() == Atom("Q", [])
     assert trigger.frontier_tuple() == ()
     assert trigger.canonical_key == "(P(x) -> Q(), ((x, a),))"
-    index = HeadWitnessIndex([tgd])
+    index = HeadWitnessIndex(RuleTables([tgd]))
     assert not index.witnessed(trigger)
     assert index.note(Atom("Q", [])) == [(tgd, ())]
     assert index.witnessed(trigger)
@@ -194,7 +195,7 @@ def test_single_body_variable_canonical_key_is_a_one_tuple():
 def test_repeated_head_variable_checks_the_repeat():
     rep1, rep2, rep3 = CASES["repeated_head_variable"]
     a, b, c = TERMS[:3]
-    index = HeadWitnessIndex([rep1, rep2, rep3])
+    index = HeadWitnessIndex(RuleTables([rep1, rep2, rep3]))
     assert index.note(Atom("R", [a, b, c])) == []
     assert index.note(Atom("R", [a, b, a])) == [(rep2, (b,))]
     assert index.note(Atom("R", [a, a, c])) == [(rep1, (a,))]
@@ -222,7 +223,7 @@ def test_equal_rules_share_a_witness_set_but_not_nulls():
     two = Trigger.from_row(second, (a, b))
     assert one == two and one.canonical_key == two.canonical_key
     assert one.result() != two.result()  # the rule name feeds the digest
-    index = HeadWitnessIndex([first, second])
+    index = HeadWitnessIndex(RuleTables([first, second]))
     assert index.keys(first) is index.keys(second)
     assert index.note(one.result()) == [(first, (b,))]
     assert index.witnessed(two)

@@ -563,10 +563,10 @@ class EnqueueLog:
     def __init__(self, monkeypatch):
         self.live = {}
         self.enqueued = self.undone = 0
-        enqueue, undo = ChaseEngine._enqueue, ChaseEngine.undo
+        discover, undo = ChaseEngine._discover, ChaseEngine.undo
 
-        def recording_enqueue(engine, batch, presorted=False):
-            batch = enqueue(engine, batch, presorted)
+        def recording_discover(engine, delta, round_pass=False):
+            batch = discover(engine, delta, round_pass)
             keys = self.live.setdefault(engine, set())
             for trigger in batch:
                 assert trigger.key not in keys, f"enqueued twice: {trigger.canonical_key}"
@@ -580,7 +580,7 @@ class EnqueueLog:
                 self.undone += len(token.discovered)
             undo(engine, token)
 
-        monkeypatch.setattr(ChaseEngine, "_enqueue", recording_enqueue)
+        monkeypatch.setattr(ChaseEngine, "_discover", recording_discover)
         monkeypatch.setattr(ChaseEngine, "undo", recording_undo)
 
 

@@ -32,8 +32,8 @@ from repro.core.terms import Constant, Variable
 from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
-from repro.chase.trigger import Trigger, materialize, seminaive_triggers
-from repro.chase import chaos, parallel, trigger as trigger_module
+from repro.chase.trigger import Trigger, seminaive_triggers, triggers_of
+from repro.chase import chaos, parallel
 from repro.chase.parallel import ParallelMatcher, parallel_map
 from repro.guarded.decision import candidate_databases, decide_guarded
 from repro.obs.stats import ChaseStats
@@ -331,27 +331,18 @@ class TestExactlyOnceDiscovery:
     """Each trigger surfaces at one pivot hit, already at its final birth."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_one_trigger_per_unique_trigger_at_max_birth(self, seed, monkeypatch):
+    def test_one_trigger_per_unique_trigger_at_max_birth(self, seed):
         instance, delta = cycle_round(seed)
-        built = []
-
-        class CountingTrigger(Trigger):
-            @classmethod
-            def from_row(cls, tgd, values):
-                trigger = super().from_row(tgd, values)
-                built.append(trigger)
-                return trigger
-
-        monkeypatch.setattr(trigger_module, "Trigger", CountingTrigger)
         rows = []
         for tgd_index, tgd in enumerate(CYCLE_TGDS):
             for plan in tgd.join_plans():
                 bucket = delta.with_predicate(plan.predicate)
                 plan.match(bucket, instance, delta.positions(), tgd_index, rows)
-        assert not built  # the join emits rows; Triggers come from materialize
-        hits = materialize(CYCLE_TGDS, rows)
-        keys = [trigger.key for _, trigger in hits]
-        assert len(built) == len(hits) == len(rows) == len(set(keys))
+        # The join emits plain rows; Triggers come from triggers_of.
+        assert all(type(row) is tuple and len(row) == 3 for row in rows)
+        triggers = triggers_of(CYCLE_TGDS, rows)
+        keys = [trigger.key for trigger in triggers]
+        assert len(triggers) == len(rows) == len(set(keys))
         expected = {
             Trigger(tgd, h).key
             for tgd in CYCLE_TGDS
@@ -359,7 +350,7 @@ class TestExactlyOnceDiscovery:
             if any(atom.apply(h) in delta for atom in tgd.body)
         }
         assert expected and set(keys) == expected
-        for birth, trigger in hits:
+        for (_, _, birth), trigger in zip(rows, triggers):
             image = [atom for atom in trigger.body_image() if atom in delta]
             assert birth == max(delta.positions()[atom] for atom in image)
 

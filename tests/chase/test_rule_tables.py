@@ -1,11 +1,12 @@
 """Rule tables: the ranked trigger order and the tables' owners.
 
-:func:`repro.chase.trigger.in_birth_order` sorts discovery hits by
+:meth:`repro.chase.plans.RuleTables.order` sorts discovery rows by
 ``(birth, rule rank)`` and formats canonical keys only to break ties
-inside a rank.  It must equal the plain ``(birth, canonical_key)`` sort on
-any rule list, ties kept in input order — including rules whose canonical
-leads are prefixes of one another (they share a rank), equal rules under
-different names (identical keys), and many same-birth hits of one rule.
+inside a rank.  The triggers built from its rows must equal the plain
+``(birth, canonical_key)`` sort on any rule list, ties kept in input
+order — including rules whose canonical leads are prefixes of one another
+(they share a rank), equal rules under different names (identical keys),
+and many same-birth rows of one rule.
 
 :class:`repro.chase.plans.RuleTables` is built once by its owner (an
 engine, a matcher, a weakly-restricted chase) and kept for every round;
@@ -20,10 +21,11 @@ import pytest
 from repro.core.atoms import Atom
 from repro.core.parsing import parse_database
 from repro.core.terms import Constant, Variable
+from repro.chase.engine import ChaseEngine
 from repro.chase.plans import RuleTables
 from repro.chase.real_oblivious import RealObliviousChase
 from repro.chase.restricted import restricted_chase
-from repro.chase.trigger import Trigger, in_birth_order, in_canonical_order
+from repro.chase.trigger import Trigger, in_canonical_order, triggers_of
 from repro.chase.weakly_restricted import WeaklyRestrictedChase
 from repro.tgds.tgd import TGD, parse_tgds
 
@@ -72,21 +74,28 @@ def random_rules(rng):
     return rules
 
 
-def random_hits(rng, rules):
+def random_rows(rng, rules):
     values = [Constant(name) for name in NAMES]
-    hits = []
+    rows = []
     for _ in range(rng.randint(1, 40)):
-        tgd = rng.choice(rules)
-        row = tuple(rng.choice(values) for _ in tgd.body_order)
-        hits.append((rng.randint(0, 3), Trigger.from_row(tgd, row)))
-    # Many same-birth hits of one rule (one rule, one birth, few values:
+        index = rng.randrange(len(rules))
+        row = tuple(rng.choice(values) for _ in rules[index].body_order)
+        rows.append((index, row, rng.randint(0, 3)))
+    # Many same-birth rows of one rule (one rule, one birth, few values:
     # repeats of one key too).
-    tgd = rng.choice(rules)
+    index = rng.randrange(len(rules))
     for _ in range(rng.randint(2, 12)):
-        row = tuple(rng.choice(values[:2]) for _ in tgd.body_order)
-        hits.append((1, Trigger.from_row(tgd, row)))
-    rng.shuffle(hits)
-    return hits
+        row = tuple(rng.choice(values[:2]) for _ in rules[index].body_order)
+        rows.append((index, row, 1))
+    rng.shuffle(rows)
+    return rows
+
+
+def assert_same_triggers(got, expected):
+    """Equal triggers of the very same rule objects, in the same order."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.tgd is b.tgd and a.values == b.values
 
 
 def assert_same_objects(got, expected):
@@ -98,16 +107,21 @@ def assert_same_objects(got, expected):
 def test_ranked_order_is_the_canonical_order(seed):
     rng = random.Random(seed)
     rules = random_rules(rng)
-    ranks = RuleTables(rules).ranks
-    hits = random_hits(rng, rules)
-    # Fresh triggers: the ranked sort must not lean on cached keys.
-    got = in_birth_order(list(hits), ranks)
+    tables = RuleTables(rules)
+    rows = random_rows(rng, rules)
+    got = triggers_of(rules, tables.order(list(rows)))
     # A stable sort keeps ties (equal keys of renamed rules) in input order.
-    expected = sorted(hits, key=lambda hit: (hit[0], hit[1].canonical_key))
-    assert_same_objects(got, [t for _, t in expected])
-    fresh = [(birth, Trigger.from_row(t.tgd, t.values)) for birth, t in hits]
-    canonical = sorted((t for _, t in fresh), key=lambda t: t.canonical_key)
-    assert_same_objects(in_canonical_order([t for _, t in fresh], ranks), canonical)
+    expected = sorted(
+        zip(triggers_of(rules, rows), rows),
+        key=lambda pair: (pair[1][2], pair[0].canonical_key),
+    )
+    assert_same_triggers(got, [t for t, _ in expected])
+    # Births ignored: the canonical order alone, for rows and triggers.
+    canonical = sorted(triggers_of(rules, rows), key=lambda t: t.canonical_key)
+    assert_same_triggers(triggers_of(rules, tables.order(rows, by_birth=False)), canonical)
+    fresh = triggers_of(rules, rows)
+    expected = sorted(fresh, key=lambda t: t.canonical_key)
+    assert_same_objects(in_canonical_order(fresh, tables), expected)
 
 
 def test_prefix_leads_share_a_rank_and_unrelated_leads_do_not():
@@ -118,30 +132,54 @@ def test_prefix_leads_share_a_rank_and_unrelated_leads_do_not():
     other = TGD([Atom("E", [VARIABLES[0]])], Atom("Q", [VARIABLES[0]]), "other")
     rules = [longest, other, base, sibling, longer]
     assert lead_of(longer).startswith(lead_of(base))
-    ranks = RuleTables(rules).ranks
-    assert len({ranks[id(rule)] for rule in (base, longer, longest, sibling)}) == 1
-    assert ranks[id(other)] < ranks[id(base)]  # "(E" < "(P"
+    tables = RuleTables(rules)
+    ranks = tables.ranks
+    assert len({ranks[rules.index(rule)] for rule in (base, longer, longest, sibling)}) == 1
+    assert ranks[rules.index(other)] < ranks[rules.index(base)]  # "(E" < "(P"
     # Within the shared rank the values decide: "Q(x), ((x, S" vs "a".
     triggers = [Trigger.from_row(rule, (Constant("a"),)) for rule in rules]
-    got = in_canonical_order(triggers, ranks)
+    got = in_canonical_order(triggers, tables)
     assert [t.canonical_key for t in got] == sorted(t.canonical_key for t in triggers)
 
 
 def test_rules_outside_the_ranks_fall_back_to_canonical_keys():
     rules = parse_tgds(["E(x,y) -> F(x,y)", "F(x,y) -> G(y,w)"])
-    ranks = RuleTables(rules).ranks
-    copy = TGD(rules[1].body, rules[1].head, rules[1].name)  # equal, not ranked
+    tables = RuleTables(rules)
+    copy = TGD(rules[1].body, rules[1].head, "renamed")  # equal: ranked as rules[1]
+    outside = parse_tgds(["E(x,y) -> D(x,y)"])[0]  # equal to no rule of the list
     a, b = Constant("a"), Constant("b")
-    hits = [
-        (0, Trigger.from_row(copy, (a, b))),
-        (0, Trigger.from_row(rules[0], (b, a))),
-        (0, Trigger.from_row(rules[0], (a, b))),
+    triggers = [
+        Trigger.from_row(copy, (a, b)),
+        Trigger.from_row(rules[0], (b, a)),
+        Trigger.from_row(rules[0], (a, b)),
     ]
-    expected = sorted(hits, key=lambda hit: (hit[0], hit[1].canonical_key))
-    assert_same_objects(in_birth_order(list(hits), ranks), [t for _, t in expected])
+    expected = sorted(triggers, key=lambda t: t.canonical_key)
+    assert_same_objects(in_canonical_order(list(triggers), tables), expected)
+    triggers.append(Trigger.from_row(outside, (b, b)))
+    expected = sorted(triggers, key=lambda t: t.canonical_key)
+    assert_same_objects(in_canonical_order(list(triggers), tables), expected)
 
 
-def test_round_discovery_formats_no_key_when_births_separate_each_rule():
+def count_canonical_keys(monkeypatch, rules):
+    """Count every canonical key formatted for ``rules``, by any path.
+
+    Each rule's head-kernel template becomes a ``str`` whose ``%``
+    (the only way a canonical key is formatted) counts its calls.
+    """
+    formatted = []
+
+    class Template(str):
+        def __mod__(self, values):
+            formatted.append(values)
+            return str.__mod__(self, values)
+
+    for rule in rules:
+        kernel = rule.head_kernel()
+        monkeypatch.setattr(kernel, "canonical", Template(kernel.canonical))
+    return formatted
+
+
+def test_round_discovery_formats_no_key_when_births_separate_each_rule(monkeypatch):
     # Copy and existential layers over a chain: within a round every rule
     # fires once per chain edge, each edge at its own birth.
     rules = parse_tgds(
@@ -149,10 +187,16 @@ def test_round_discovery_formats_no_key_when_births_separate_each_rule():
         + [f"P{j}(x,y) -> Q{j}(y,w)" for j in range(4)]
     )
     database = parse_database(", ".join(f"P0(c{i},c{i + 1})" for i in range(5)))
-    result = restricted_chase(database, rules, strategy="semi_naive", prune=False)
-    assert result.terminated
-    later = [t for t in result.derivation.steps if t.tgd.body[0].predicate != "P0"]
-    assert later and all(t._canonical is None for t in later)
+    formatted = count_canonical_keys(monkeypatch, rules)
+    engine = ChaseEngine(database, rules)
+    # Seeding ignores births, so the five P0 rows of each P0 rule share a
+    # rank and are ordered by their keys.
+    assert len(formatted) == 2 * 5
+    formatted.clear()
+    with engine.running():
+        reason, applied, _ = engine.drive()
+    assert reason is None and engine.rounds > 1 and applied > 2 * 5
+    assert formatted == []
 
 
 def test_owners_build_their_tables_once_for_every_round(monkeypatch):
@@ -169,12 +213,12 @@ def test_owners_build_their_tables_once_for_every_round(monkeypatch):
         parse_database("E(a,b), E(b,c)"), rules, strategy="semi_naive", prune=False
     )
     assert result.terminated and len(result.derivation.steps) == 6
-    # The engine's discovery and ranks, and its witness index's routing.
-    assert built == [tuple(rules)] * 2
+    # The engine's discovery, ranks and witness routing: one set of tables.
+    assert built == [tuple(rules)]
     built.clear()
     chase = WeaklyRestrictedChase([(atom, 0) for atom in parse_database("E(a,b)")], rules)
     assert chase.run(10) and len(chase.occurrences) == 4
-    assert built == [tuple(rules)] * 2
+    assert built == [tuple(rules)]
     built.clear()
     assert len(RealObliviousChase(parse_database("E(a,b)"), rules)) == 4
     assert built == [tuple(rules)]
