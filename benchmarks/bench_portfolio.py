@@ -88,11 +88,11 @@ def _stage_of(verdict) -> str:
     return "decider"
 
 
-def measure_portfolio(per_family: int, repeats: int, workers: int = 1) -> dict:
+def measure_portfolio(per_family: int, repeats: int) -> dict:
     """The ``portfolio`` report section of ``BENCH_chase.json``."""
     sets = portfolio_corpus(per_family)
-    portfolio = TerminationPortfolio(workers=workers)
-    analyzer = TerminationAnalyzer(workers=workers)
+    portfolio = TerminationPortfolio()
+    analyzer = TerminationAnalyzer()
     rows: List[dict] = []
     stage_counts: Dict[str, int] = {}
     agreement = True
@@ -140,7 +140,6 @@ def measure_portfolio(per_family: int, repeats: int, workers: int = 1) -> dict:
         "workload": "portfolio_cascade",
         "per_family": per_family,
         "repeats": repeats,
-        "workers": workers,
         "total": total,
         "settled": settled,
         "settled_fraction": round(settled_fraction, 4),

@@ -136,7 +136,6 @@ def stats_violations(stats: dict, context: str) -> list:
         "cache_hits",
         "max_delta",
         "budget_cuts",
-        "retries",
         "pool_fallbacks",
         "worker_busy_seconds",
         "parallel_wall_seconds",

@@ -64,7 +64,6 @@ from repro.errors import (
     ChaseInterrupted,
     CheckpointError,
     ExtractionError,
-    ParallelDiscoveryError,
     ReproError,
     ResultIntegrityError,
     StateBudgetExceeded,
@@ -113,7 +112,7 @@ __all__ = [
     # errors (repro.errors is the canonical home; aliases stay importable
     # from each exception's historical module)
     "ReproError", "ChaseInterrupted", "CheckpointError",
-    "ResultIntegrityError", "ParallelDiscoveryError",
+    "ResultIntegrityError",
     "StateBudgetExceeded", "ExtractionError",
     # fault tolerance
     "Budget", "ChaseCheckpoint",

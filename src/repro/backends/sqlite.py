@@ -24,23 +24,23 @@ scan over ``(predicate, birth)``):
   ``with_term_at`` lookup is a prefix scan joined back to ``atoms``.
 
 Pragmas: ``journal_mode=WAL`` (readers never block the writer — the
-parallel matcher's forked/threaded workers read while the owner is
-between rounds), ``synchronous=OFF`` (chase state is recomputable; a
+parallel matcher's forked workers read while the owner is between
+rounds), ``synchronous=OFF`` (chase state is recomputable; a
 checkpoint, not the file, is the durability story), ``temp_store=MEMORY``.
 Connections run in autocommit mode: every write is visible to other
 connections immediately, which is what lets forked pool workers (fresh
 connections onto the same path) see the exact pre-fork state.
 
 Process/thread safety: one connection per ``(pid, thread)``, opened
-lazily — a forked worker or an executor thread gets its own handle onto
-the same file.  Writes stay single-owner (the chase engine mutates from
+lazily — a forked pool worker or a service executor thread gets its own
+handle onto the same file.  Writes stay single-owner (the chase engine mutates from
 one thread at a time); concurrent *reads* from other threads/processes
 are safe under WAL.
 
 Pickling: :meth:`SQLiteInstance.__reduce__` ships only the path and the
-connection pragmas — a worker attaches to the file instead of receiving
-a full atom-list snapshot, which is what makes pool payloads cheap for
-instances that no longer fit in a pickle.
+connection pragmas — the receiver attaches to the file instead of
+receiving a full atom-list snapshot, which keeps the pickle small for
+instances that no longer fit in one.
 """
 
 from __future__ import annotations

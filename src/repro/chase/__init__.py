@@ -1,7 +1,6 @@
 """Chase engines: restricted, oblivious, real oblivious, weakly restricted; triggers, derivations, the stop relation, the Fairness Theorem.
 
-``repro.chase.parallel`` adds pool-backed trigger discovery
-(:class:`~repro.chase.parallel.ParallelMatcher`) and ordered task fan-out
-(:func:`~repro.chase.parallel.parallel_map`) for the deciders' independent
-chases — both byte-identical to their serial counterparts.
+``repro.chase.parallel`` adds pool-backed trigger discovery for wide
+rounds (:class:`~repro.chase.parallel.ParallelMatcher`), byte-identical to
+the serial discovery pass.
 """

@@ -1,28 +1,25 @@
 """Deterministic fault injection for the parallel discovery tier.
 
-The retry ladder in :class:`repro.chase.parallel.ParallelMatcher` claims
-that worker failures never change a chase's outcome — every fault either
-heals (task retry, fresh pool, thread fallback) or surfaces as a typed
-error, and the healed run is byte-identical to an undisturbed one.  This
-module makes that claim testable on demand: :class:`ChaosMatcher` injects
-failures by a *seeded schedule* at the exact seam real ones surface
-through (the master's result-collection hook), so a chaos run is fully
-reproducible from its seed.
+:class:`repro.chase.parallel.ParallelMatcher` claims that worker failures
+never change a chase's outcome: a pooled round that fails is recomputed
+by the serial pass, and the run is byte-identical to an undisturbed one.
+This module makes that claim testable on demand: :class:`ChaosMatcher`
+injects failures by a *seeded schedule* at the exact seam real ones
+surface through (the master's result-collection hook), so a chaos run is
+fully reproducible from its seed.
 
 Three fault shapes, mirroring the real failure modes:
 
-* ``kill`` — raises ``BrokenProcessPool`` as if the worker died, driving
-  the fresh-pool rung (and, repeated, the thread fallback);
+* ``kill`` — raises ``BrokenProcessPool`` as if the worker died;
 * ``delay`` — sleeps before handing the result over, perturbing the
   collection timeline without changing any data;
 * ``corrupt`` — appends a malformed row to the result, which
-  :func:`repro.chase.parallel._validate_rows` must reject, driving the
-  per-task retry rung.
+  :func:`repro.chase.parallel._validate_rows` must reject.
 
-Faults are drawn master-side *after* the genuine result is in hand, so
-injection never leaves a worker wedged; and the thread fallback is never
-chaos'd, so every chaos run converges — byte-identically — or fails with
-a clean typed error.  The CI chaos job runs the equivalence suite under
+A kill or a corruption drives the serial recompute, which is never
+chaos'd, so every chaos run converges byte-identically.  Faults are drawn
+master-side *after* the genuine result is in hand, so injection never
+leaves a worker wedged.  The CI chaos job runs the equivalence suite under
 ``CHASE_CHAOS_SEED`` (see :func:`build_matcher`); the seed is the one
 setting, and the schedule's rates are :class:`ChaosPolicy`'s defaults.
 """
@@ -147,9 +144,9 @@ def build_matcher(tgds: Sequence[TGD], workers: int = 1) -> ParallelMatcher:
     """The chase loops' matcher factory: production by default, chaos'd
     when ``CHASE_CHAOS_SEED`` is set (the CI fault-injection job's hook).
 
-    Chaos only bites the process backend — the thread and serial paths are
-    the fault *recovery* targets and stay clean — so a chaos'd chase still
-    terminates with the production answer or a typed failure.
+    Chaos only bites the process backend — the serial pass is the fault
+    *recovery* target and stays clean — so a chaos'd chase still
+    terminates with the production answer.
     """
     seed = os.environ.get(CHAOS_SEED_ENV)
     if seed:

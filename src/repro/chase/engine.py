@@ -397,13 +397,11 @@ class ChaseEngine:
             self.close()
 
     def close(self) -> None:
-        """Fold the engine's counters into its stats; shut the pool down."""
+        """Fold the engine's counters into its stats."""
         if self.stats is not None:
             self.stats.absorb_engine(self)
             if self.matcher is not None:
                 self.stats.absorb_matcher(self.matcher)
-        if self.matcher is not None:
-            self.matcher.close()
 
     def mid_round(self) -> bool:
         """Is a budget-cut round suspended (delta live, discovery pending)?"""
@@ -569,11 +567,6 @@ class ChaseEngine:
         so the eventual discovery pass is byte-identical to an uncut
         round's; :meth:`repro.chase.checkpoint.ChaseCheckpoint.capture` can
         snapshot the suspension for out-of-process resume.
-
-        If the discovery pass itself fails (a
-        :class:`repro.errors.ParallelDiscoveryError` after the matcher's
-        whole fallback ladder), the round stays suspended with its delta
-        intact — swap the matcher and call ``run_round`` again.
         """
         if self._round_delta is None:
             self._round_delta = self.instance.track_delta()
@@ -653,8 +646,8 @@ class ChaseEngine:
             )
         discovered: List[Trigger] = []
         if delta:
-            # Discover while the delta is still attached: on a matcher
-            # failure the suspended state survives for a retry.
+            # Discover while the delta is still attached: if discovery
+            # raises, the suspended state survives for a retry.
             with trace.span("round.discover", delta=len(delta)):
                 discovered = self._discover(delta, round_pass=True)
         if stats is not None:

@@ -234,9 +234,9 @@ def seminaive_chase(
     included.
 
     With ``workers > 1`` the per-round discovery pass fans out over a
-    :class:`repro.chase.parallel.ParallelMatcher` pool (process-based,
-    degrading to threads by itself); the merged batches replay the serial
-    order exactly, so the result stays byte-identical across worker counts.
+    :class:`repro.chase.parallel.ParallelMatcher` fork pool (serial where
+    ``fork`` is missing or a pooled round fails); the merged batches replay
+    the serial order exactly, so the result stays byte-identical across worker counts.
     (When ``CHASE_CHAOS_SEED`` is set, the pool runs under the
     fault-injection harness of :mod:`repro.chase.chaos` — results must
     still come back byte-identical, which is what the chaos CI job checks.)

@@ -74,7 +74,7 @@ class Trigger(tuple):
 
     def __reduce__(self):
         # Ship the row, memos dropped.  Consumers: checkpoints (pending
-        # worklist, derivation log) and suspect-scan workers of parallel_map.
+        # worklist, derivation log) and pickled verdict certificates.
         return (type(self).from_row, (self[0], self[1]))
 
     @property

@@ -31,10 +31,10 @@ an eagerly maintained one would have had: the predicate bucket it is
 built from is in insertion order, and from then on ``add`` appends to
 both and ``discard`` removes from both.
 
-Probes may come from several threads at once (the parallel matcher's
-threaded fallback).  A position's buckets are built off to the side
-under a lock and published before the position is marked indexed, so a
-reader never sees a partial bucket.  Mutation stays single-threaded.
+Probes may come from several threads at once when a caller shares an
+instance between threads.  A position's buckets are built off to the
+side under a lock and published before the position is marked indexed,
+so a reader never sees a partial bucket.  Mutation stays single-threaded.
 """
 
 from __future__ import annotations
@@ -186,9 +186,9 @@ class Instance:
         # rebuilt on demand.  Bucket iteration order — which the chase
         # engines rely on — is a function of the insertion sequence, so the
         # rebuilt instance is index-identical, not just set-equal.  A
-        # mid-round delta is deliberately not carried across: instances
-        # only cross process boundaries in whole-task payloads
-        # (parallel_map suspects), never mid-round.
+        # mid-round delta is deliberately not carried across: a checkpoint
+        # records a cut round's delta itself, and pool workers inherit the
+        # round by fork, so a pickled instance is a whole-instance snapshot.
         return (type(self), (list(self._atoms),))
 
     # -- round-delta tracking (semi-naive evaluation) ----------------------

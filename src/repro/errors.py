@@ -77,16 +77,9 @@ class ResultIntegrityError(ReproError, RuntimeError):
     """A parallel worker returned malformed rows (caught by validation).
 
     Raised by the master-side row validation in
-    :mod:`repro.chase.parallel`; treated as a per-chunk failure, so the
-    retry ladder recomputes the chunk rather than merging garbage.
-    """
-
-
-class ParallelDiscoveryError(ReproError, RuntimeError):
-    """Every backend of the parallel discovery ladder failed.
-
-    The engine's round state is left suspended (delta intact), so a caller
-    may swap the matcher and call ``run_round`` again — nothing is lost.
+    :mod:`repro.chase.parallel`; like any failure of a pooled round, it
+    makes the matcher recompute the round serially rather than merge
+    garbage.
     """
 
 

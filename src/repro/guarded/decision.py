@@ -216,28 +216,22 @@ def _try_replay(
     )
 
 
-#: Pickle-safe sentinel a budgeted suspect task returns when the wall clock
-#: cut its chase (a raised exception would poison the whole pool batch).
+#: The outcome of a suspect chase that the wall clock cut.
 _TIMEOUT = "timeout"
 
 
-def _suspect_scan(payload):
-    """One divergence-suspect task: chase a candidate database, hunt a pump.
+def _suspect_scan(database, tgds, max_steps, replays, remaining):
+    """One divergence-suspect chase: chase a candidate database, hunt a pump.
 
-    Module-level so :func:`repro.chase.parallel.parallel_map` can ship it to
-    a process pool; the payload is ``(database, tgds, max_steps, replays,
-    remaining)`` — ``remaining`` the wall-clock seconds left (None: no wall
-    limit) — and the returned ``(outcome, seconds)`` pair pickles back,
-    where ``outcome`` is the :class:`PumpWitness` (or None, or the
-    ``"timeout"`` sentinel) and ``seconds`` is the task's own duration for
-    the decider stats.  The
-    strategy ladder — a divergence-biased LIFO probe, then the semi-naive
-    engine (byte-identical to fifo) — is exactly the serial loop's, so a
-    parallel scan reproduces serial verdicts database for database.  The
-    chases are scratch state, so they run in memory whatever the process's
-    ``CHASE_BACKEND`` default says.
+    ``remaining`` is the wall-clock seconds left (None: no wall limit).
+    Returns ``(outcome, seconds)``, where ``outcome`` is the
+    :class:`PumpWitness` (or None, or the ``"timeout"`` sentinel) and
+    ``seconds`` is the chase's own duration for the decider stats.  Two
+    strategies run in turn: a divergence-biased LIFO probe, then the
+    semi-naive engine (byte-identical to fifo).  The chases are scratch
+    state, so they run in memory whatever the process's ``CHASE_BACKEND``
+    default says.
     """
-    database, tgds, max_steps, replays, remaining = payload
     budget = Budget(wall_seconds=remaining) if remaining is not None else None
     start = clock.perf_counter()
     with trace.span("decider.suspect", atoms=len(database)):
@@ -276,21 +270,14 @@ def scan_suspects(
     tgds: Sequence[TGD],
     max_steps: int,
     replays: int,
-    workers: int = 1,
     budget: Optional[Budget] = None,
     stats=None,
 ) -> Optional[Tuple[Instance, PumpWitness]]:
-    """Run the suspect chases; return the first (by candidate order) pump.
+    """Run the suspect chases in candidate order; return the first pump.
 
-    With ``workers > 1`` the independent chases run as pool tasks via
-    :func:`repro.chase.parallel.parallel_map`; results come back in payload
-    order, and the front-to-back scan below picks the same witness the
-    serial loop would have returned first.  (Parallelism trades the serial
-    loop's early exit for wall-clock: all candidates are chased even when
-    an early one pumps.)
-
-    A ``budget`` with a wall limit makes the scan interruptible: each
-    suspect chase runs against the remaining seconds, and exhaustion raises
+    The scan stops at the first candidate that pumps.  A ``budget`` with
+    a wall limit makes the scan interruptible: each suspect chase runs
+    against the remaining seconds, and exhaustion raises
     :class:`repro.errors.ChaseInterrupted` whose ``partial`` records how
     many suspect chases completed (``{"completed": n, "total": m}``).
 
@@ -298,22 +285,10 @@ def scan_suspects(
     ``suspects`` entry per completed suspect chase — candidate index,
     outcome, duration — in candidate order.
     """
-    from repro.chase.parallel import parallel_map
-
     tgd_list = list(tgds)
     candidates = list(candidates)
     if budget is not None:
         budget.start()
-
-    def record(index: int, result, seconds: float) -> None:
-        if stats is not None:
-            stats.suspects.append(
-                {
-                    "candidate": index,
-                    "outcome": _suspect_outcome(result),
-                    "seconds": round(seconds, 6),
-                }
-            )
 
     def interrupt(completed: int):
         raise ChaseInterrupted(
@@ -321,37 +296,23 @@ def scan_suspects(
             partial={"completed": completed, "total": len(candidates)},
         )
 
-    if workers <= 1:
-        # Serial keeps the historical early exit: stop at the first pump.
-        for index, database in enumerate(candidates):
-            remaining = None
-            if budget is not None:
-                if budget.out_of_time():
-                    interrupt(index)
-                remaining = budget.remaining_seconds()
-            pump, seconds = _suspect_scan(
-                (database, tgd_list, max_steps, replays, remaining)
-            )
-            record(index, pump, seconds)
-            if pump == _TIMEOUT:
+    for index, database in enumerate(candidates):
+        remaining = None
+        if budget is not None:
+            if budget.out_of_time():
                 interrupt(index)
-            if pump is not None:
-                return database, pump
-        return None
-    remaining = budget.remaining_seconds() if budget is not None else None
-    payloads = [
-        (database, tgd_list, max_steps, replays, remaining)
-        for database in candidates
-    ]
-    results = parallel_map(_suspect_scan, payloads, workers=workers)
-    for index, (result, seconds) in enumerate(results):
-        record(index, result, seconds)
-    completed = sum(1 for result, _ in results if result != _TIMEOUT)
-    for database, (pump, _) in zip(candidates, results):
+            remaining = budget.remaining_seconds()
+        pump, seconds = _suspect_scan(database, tgd_list, max_steps, replays, remaining)
+        if stats is not None:
+            stats.suspects.append(
+                {
+                    "candidate": index,
+                    "outcome": _suspect_outcome(pump),
+                    "seconds": round(seconds, 6),
+                }
+            )
         if pump == _TIMEOUT:
-            # Candidate-order selection: a timed-out suspect ahead of every
-            # pump means the serial scan would not have reached one either.
-            interrupt(completed)
+            interrupt(index)
         if pump is not None:
             return database, pump
     return None
@@ -398,7 +359,6 @@ def certify_or_pump(
     max_steps: int,
     replays: int,
     extra_candidates: Optional[Sequence[Instance]] = None,
-    workers: int = 1,
     budget: Optional[Budget] = None,
     stats=None,
 ) -> Verdict:
@@ -435,7 +395,6 @@ def certify_or_pump(
             tgds,
             max_steps,
             replays,
-            workers=workers,
             budget=budget,
             stats=stats,
         )
@@ -466,7 +425,6 @@ def decide_guarded(
     max_steps: int = 60,
     replays: int = 3,
     extra_candidates: Optional[Sequence[Instance]] = None,
-    workers: int = 1,
     budget: Optional[Budget] = None,
     stats=None,
 ) -> Verdict:
@@ -474,11 +432,8 @@ def decide_guarded(
 
     ``max_steps`` bounds the divergence-suspect runs; ``extra_candidates``
     adds user-supplied databases to the witness search (e.g. treeified
-    databases from observed behaviour).  ``workers > 1`` fans the
-    independent suspect chases out over a process pool with deterministic
-    (candidate-order) result selection — verdicts are identical to serial.
-    A ``budget`` bounds the critical-database chase and the suspect scan
-    alike; exhaustion becomes a ``TIMEOUT`` verdict recording how many
+    databases from observed behaviour).  A ``budget`` bounds the
+    critical-database chase and the suspect scan alike; exhaustion becomes a ``TIMEOUT`` verdict recording how many
     suspect chases completed, never an engine error.  ``stats`` collects
     the per-suspect outcome/duration entries (see :func:`scan_suspects`).
     """
@@ -492,7 +447,6 @@ def decide_guarded(
         max_steps,
         replays,
         extra_candidates,
-        workers,
         budget,
         stats,
     )

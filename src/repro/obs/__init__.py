@@ -10,7 +10,7 @@ modules, all stdlib-only:
   Perfetto;
 * :mod:`repro.obs.stats` — :class:`ChaseStats`, the per-run aggregate
   report and the only counter sink (rounds, trigger accounting, cache hit
-  rate, delta sizes, budget cuts, retry/fallback tallies, worker
+  rate, delta sizes, budget cuts, pool-fallback tallies, worker
   busy-vs-wall efficiency), attached to a run or a service rather than
   installed process-wide;
 * :mod:`repro.obs.clock` — the single monotonic clock source

@@ -1,11 +1,11 @@
 """The single monotonic clock source behind every wall measurement.
 
-Budgets (:class:`repro.chase.checkpoint.Budget`), chaos delays, retry
-backoffs, and the trace/stats timers all read time through this module
-instead of calling :mod:`time` directly.  That buys one thing: a test can
-:func:`set_clock` a :class:`FakeClock` and drive wall-clock budgets,
-backoff schedules, and injected delays *synchronously* — no sleeping, no
-flaky margins — while production code keeps the real monotonic clock.
+Budgets (:class:`repro.chase.checkpoint.Budget`), chaos delays, and the
+trace/stats timers all read time through this module instead of calling
+:mod:`time` directly.  That buys one thing: a test can :func:`set_clock` a
+:class:`FakeClock` and drive wall-clock budgets and injected delays
+*synchronously* — no sleeping, no flaky margins — while production code
+keeps the real monotonic clock.
 
 ``monotonic()`` is the budget/deadline time base; ``perf_counter()`` the
 high-resolution span/stats time base; ``sleep()`` the only blocking wait.
@@ -36,7 +36,7 @@ class FakeClock(Clock):
 
     ``sleep`` advances the clock instead of blocking (and records every
     requested duration in :attr:`slept`), so code that waits — budget
-    deadlines, retry backoff, chaos ``delay_seconds`` — runs instantly
+    deadlines, chaos ``delay_seconds`` — runs instantly
     under test while still observing time pass.
     """
 

@@ -42,8 +42,6 @@ def _format_stats(stats: dict) -> str:
     efficiency = stats.get("parallel_efficiency")
     if efficiency is not None:
         parts.append(f"pool_eff={efficiency:.2f}")
-    if stats.get("retries"):
-        parts.append(f"retries={stats['retries']}")
     if stats.get("pool_fallbacks"):
         parts.append(f"fallbacks={stats['pool_fallbacks']}")
     if stats.get("budget_cuts"):

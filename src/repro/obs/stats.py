@@ -5,7 +5,7 @@ One ``ChaseStats`` object rides through a chase (``stats=`` on
 run and accumulates the cost breakdown the serving/fleet ROADMAP items
 need: round and trigger accounting, per-TGD fire counts, witness-cache hit
 rate, per-round delta sizes and worklist depths, budget cuts, the parallel
-tier's retry/fallback tallies, and worker busy-vs-wall efficiency (the
+tier's serial-fallback tally, and worker busy-vs-wall efficiency (the
 worker-side timings ship back in the compact result rows and are merged
 master-side by :class:`repro.chase.parallel.ParallelMatcher`).
 
@@ -45,8 +45,6 @@ class ChaseStats:
         "cut_reasons",
         "checkpoints_captured",
         "checkpoints_restored",
-        "retries",
-        "fresh_pools",
         "pool_fallbacks",
         "faults",
         "rounds_parallel",
@@ -99,10 +97,8 @@ class ChaseStats:
         self.cut_reasons: List[str] = []
         self.checkpoints_captured = 0
         self.checkpoints_restored = 0
-        #: Parallel-tier fault ladder: per-task resubmissions, pool
-        #: rebuilds, and process→thread backend degradations survived.
-        self.retries = 0
-        self.fresh_pools = 0
+        #: Pooled discovery rounds that failed and were recomputed serially
+        #: (each pins its run's matcher to the serial pass).
         self.pool_fallbacks = 0
         #: Chaos-injected faults by shape (empty outside chaos runs).
         self.faults: Dict[str, int] = {}
@@ -212,8 +208,6 @@ class ChaseStats:
 
     def absorb_matcher(self, matcher) -> None:
         """Fold a matcher's fault/pool counters in (call once, at run end)."""
-        self.retries += matcher.chunk_retries
-        self.fresh_pools += matcher.fresh_pools
         self.pool_fallbacks += matcher.backend_fallbacks
         self.rounds_parallel += matcher.rounds_parallel
         self.rounds_serial += matcher.rounds_serial
@@ -287,8 +281,6 @@ class ChaseStats:
             "cut_reasons": list(self.cut_reasons),
             "checkpoints_captured": self.checkpoints_captured,
             "checkpoints_restored": self.checkpoints_restored,
-            "retries": self.retries,
-            "fresh_pools": self.fresh_pools,
             "pool_fallbacks": self.pool_fallbacks,
             "faults": dict(self.faults),
             "rounds_parallel": self.rounds_parallel,
@@ -371,7 +363,6 @@ BENCH_STATS_FIELDS = (
     "max_delta",
     "mean_delta",
     "budget_cuts",
-    "retries",
     "pool_fallbacks",
     "rounds_parallel",
     "pool_workers",

@@ -450,7 +450,7 @@ class ChaseService:
         entry (the acceptance-gate assertion) and ``cached`` is true.
         """
         run_stats = ChaseStats()
-        portfolio = TerminationPortfolio(workers=self.workers, cache=self.cache)
+        portfolio = TerminationPortfolio(cache=self.cache)
         verdict = portfolio.analyze(tgds, budget=budget, stats=run_stats)
         trail = list(run_stats.portfolio)
         cached = bool(trail) and trail[0]["stage"] == CACHE_STAGE and (

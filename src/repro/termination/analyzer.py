@@ -11,12 +11,10 @@ dispatches to the strongest applicable procedure:
   (Theorem 3.6) — plus the same replay-certified divergence search, whose
   positive answers remain sound for arbitrary single-head TGDs.
 
-Verdicts are deterministic and worker-count-independent: the divergence
-suspects run as independent (optionally pooled) chases, but results are
-consumed in candidate order, so ``workers=N`` returns exactly the verdict
-the serial scan's early exit would have — status, method, certificate and
-all.  The cheap-first cascade in :mod:`repro.termination.portfolio` sits
-in front of this analyzer; see ``docs/TERMINATION.md``.
+Verdicts are deterministic: the divergence suspects are chased in
+candidate order, and the first pump found decides.  The cheap-first
+cascade in :mod:`repro.termination.portfolio` sits in front of this
+analyzer; see ``docs/TERMINATION.md``.
 """
 
 from __future__ import annotations
@@ -88,15 +86,10 @@ class TerminationAnalyzer:
         sticky_max_states: int = 100_000,
         guarded_max_steps: int = 60,
         replays: int = 3,
-        workers: int = 1,
     ):
         self.sticky_max_states = sticky_max_states
         self.guarded_max_steps = guarded_max_steps
         self.replays = replays
-        #: Pool width for the divergence-suspect chases (1 = serial).  The
-        #: suspects are independent chases, so they parallelize whole; the
-        #: candidate-order result scan keeps verdicts serial-identical.
-        self.workers = workers
 
     def classify(self, tgds: Sequence[TGD]) -> Classification:
         return Classification(tgds)
@@ -135,20 +128,16 @@ class TerminationAnalyzer:
                 tgd_list,
                 max_steps=self.guarded_max_steps,
                 replays=self.replays,
-                workers=self.workers,
                 budget=budget,
                 stats=stats,
             )
         # General single-head TGDs: sound certificates + sound witnesses
-        # only.  The suspect scan runs as independent pool tasks when
-        # workers > 1, with candidate-order selection keeping the verdict
-        # serial-identical.
+        # only.
         return certify_or_pump(
             tgd_list,
             "general",
             self.guarded_max_steps,
             self.replays,
-            workers=self.workers,
             budget=budget,
             stats=stats,
         )

@@ -17,9 +17,8 @@ when none of them fires:
    unifiability over-approximation of the firing relation);
 3. **hierarchical** — the layered decomposition of Karimi, Zhang & You
    (arXiv 2005.05423): each topological layer (SCC) certified
-   independently — and in parallel via
-   :func:`repro.chase.parallel.parallel_map` — by a per-layer certificate
-   or :func:`repro.termination.critical.critical_chase` on the layer;
+   independently by a per-layer certificate or
+   :func:`repro.termination.critical.critical_chase` on the layer;
 4. **decider** — the unchanged ``TerminationAnalyzer.analyze`` fallthrough.
 
 Soundness: cheap stages only ever answer ``ALL_TERMINATING`` or pass.  The
@@ -38,9 +37,8 @@ rather than being decided in isolation.
 Budgets (:class:`repro.chase.checkpoint.Budget`) thread through every
 stage: exhaustion between stages or inside a layer chase yields an honest
 ``Status.TIMEOUT`` verdict (method ``portfolio-budget``), never an
-exception.  Verdicts are deterministic and identical at every worker
-count: layers are checked in topological order and results consumed in
-that same order regardless of pool completion order.
+exception.  Verdicts are deterministic: layers are checked in topological
+order, and the first unsettled layer ends the stage.
 """
 
 from __future__ import annotations
@@ -74,17 +72,15 @@ _UNDECIDED = "undecided"
 _TIMEOUT = "timeout"
 
 
-def _check_layer(payload) -> Tuple[str, Optional[str]]:
-    """Certify one layer; module-level so it ships to process pools.
+def _check_layer(layer, budget, uncertified: bool) -> Tuple[str, Optional[str]]:
+    """Certify one layer.
 
-    ``payload`` is ``(layer_tgds, budget, uncertified)``; ``uncertified``
-    says the syntactic certificates are already known to fail on the
-    layer, so only the critical chase runs.  Returns ``(outcome, detail)``:
+    ``uncertified`` says the syntactic certificates are already known to
+    fail on the layer, so only the critical chase runs.  Returns ``(outcome, detail)``:
     ``("settled", certificate)``, ``("undecided", None)`` or
     ``("timeout", reason)``.  Only conditions that bound the layer's
     semi-oblivious chase are used (see module docstring).
     """
-    layer, budget, uncertified = payload
     if not uncertified:
         certificate = terminating_certificate(layer)
         if certificate is not None:
@@ -99,11 +95,8 @@ def _check_layer(payload) -> Tuple[str, Optional[str]]:
 class TerminationPortfolio:
     """The cascade: certificates → stratification → layers → deciders.
 
-    ``workers`` parallelizes the hierarchical stage's independent layer
-    checks (and is forwarded to the fallthrough analyzer's suspect tier);
-    verdicts are identical at every worker count.  Every chase the
-    cascade runs (layer checks and the analyzer's) is scratch state and
-    runs in memory.
+    Every chase the cascade runs (layer checks and the analyzer's) is
+    scratch state and runs in memory.
 
     ``cache`` is an optional digest-keyed verdict memo (duck-typed against
     :class:`repro.service.cache.VerdictCache`: ``get_verdict(digest)`` /
@@ -115,13 +108,8 @@ class TerminationPortfolio:
     alone) are stored, so replaying one is sound for every caller.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        cache=None,
-    ):
-        self.workers = workers
-        self.analyzer = TerminationAnalyzer(workers=workers)
+    def __init__(self, cache=None):
+        self.analyzer = TerminationAnalyzer()
         self.cache = cache
 
     # -- the cascade -------------------------------------------------------
@@ -244,17 +232,9 @@ class TerminationPortfolio:
         )
 
     def _stage_hierarchical(self, tgds, graph, budget) -> Optional[Verdict]:
-        layers = graph.layers()
-        payloads = [(layer, budget, len(layer) == len(tgds)) for layer in layers]
-        if self.workers <= 1:
-            # Lazy, so the serial scan stops at the first unsettled layer.
-            results = map(_check_layer, payloads)
-        else:
-            from repro.chase.parallel import parallel_map
-
-            results = parallel_map(_check_layer, payloads, workers=self.workers)
         certificates: List[dict] = []
-        for layer, (outcome, detail) in zip(layers, results):
+        for layer in graph.layers():
+            outcome, detail = _check_layer(layer, budget, len(layer) == len(tgds))
             if outcome == _TIMEOUT:
                 return self._timeout("hierarchical", detail)
             if outcome == _UNDECIDED:
@@ -310,13 +290,12 @@ class TerminationPortfolio:
 
 def portfolio_analyze(
     tgds: Sequence[TGD],
-    workers: int = 1,
     budget: Optional[Budget] = None,
     stats=None,
     cache=None,
 ) -> Verdict:
     """One-shot convenience wrapper around :class:`TerminationPortfolio`."""
-    return TerminationPortfolio(workers=workers, cache=cache).analyze(
+    return TerminationPortfolio(cache=cache).analyze(
         tgds, budget=budget, stats=stats
     )
 

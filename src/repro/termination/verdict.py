@@ -8,8 +8,8 @@ within the configured bounds (see DESIGN.md §3 on the MSOL substitution).
 
 Verdicts are plain, picklable data, and every producer in this package is
 deterministic: the same TGD set (and budget) yields the same verdict —
-including its certificate — at any worker count, which is what lets tests
-diff portfolio, decider, serial, and pooled answers directly.
+including its certificate — which is what lets tests diff portfolio and
+decider answers directly.
 """
 
 from __future__ import annotations

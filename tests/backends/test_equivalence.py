@@ -86,8 +86,7 @@ class TestChaseEquivalence:
         assert memory_run.applications == sqlite_run.applications
         identical(memory_run, sqlite_run)
 
-    @pytest.mark.parametrize("workers", WORKERS)
-    def test_analyzer_verdicts(self, workers, monkeypatch):
+    def test_analyzer_verdicts(self, monkeypatch):
         # The deciders' chases are scratch state and always run in memory,
         # so a process-wide sqlite default leaves every verdict unchanged.
         # The corpus sets settle before any suspect chase; Example 5.6
@@ -102,7 +101,7 @@ class TestChaseEquivalence:
 
         monkeypatch.setattr(SQLiteInstance, "__init__", no_disk)
         for tgds, memory_verdict in zip(sets, memory_verdicts):
-            sqlite_verdict = TerminationAnalyzer(workers=workers).analyze(tgds)
+            sqlite_verdict = TerminationAnalyzer().analyze(tgds)
             assert memory_verdict.status == sqlite_verdict.status
             assert memory_verdict.method == sqlite_verdict.method
         assert memory_verdicts[-1].method == "guarded-replay"

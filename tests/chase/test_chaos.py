@@ -2,10 +2,10 @@
 
 The contract under test (see the failure model in ``docs/ARCHITECTURE.md``):
 whatever :class:`repro.chase.chaos.ChaosMatcher` injects — killed workers,
-delayed chunks, corrupted results — a chase either completes with results
-byte-identical to the undisturbed serial run (faults healed by the retry
-ladder) or fails with a clean typed :class:`repro.errors.ReproError`
-subclass.  Never a hang, never a silently partial or corrupted instance.
+delayed chunks, corrupted results — a chase completes with results
+byte-identical to the undisturbed serial run (a failed pooled round is
+recomputed serially).  Never a hang, never a silently partial or
+corrupted instance.
 
 The CI ``chaos`` job runs the parallel equivalence suite plus this file
 with ``CHASE_CHAOS_SEED`` exported, routing every pool-backed chase in the
@@ -25,7 +25,7 @@ from repro.chase.engine import ChaseEngine
 from repro.chase.parallel import ParallelMatcher, _validate_rows
 from repro.chase.restricted import restricted_chase, seminaive_chase
 from repro.chase.trigger import seminaive_triggers
-from repro.errors import ParallelDiscoveryError, ResultIntegrityError
+from repro.errors import ResultIntegrityError
 from repro.tgds.tgd import parse_tgds
 
 JOIN_TGDS = parse_tgds(
@@ -57,9 +57,8 @@ def materialize_round(database, tgds):
 
 @pytest.fixture(autouse=True)
 def eager_pool(monkeypatch):
-    """Send even these tiny rounds through the pool, retrying without backoff."""
+    """Send even these tiny rounds through the pool."""
     monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
-    monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.0)
 
 
 def chaos_matcher(policy):
@@ -118,6 +117,15 @@ class TestRowValidation:
         _validate_rows(JOIN_TGDS, rows)  # must not raise
 
 
+def fallback_events(caplog):
+    return [
+        record
+        for record in caplog.records
+        if getattr(record, "event", "") == "pool.fallback"
+    ]
+
+
+@pytest.mark.skipif(not parallel._fork_available(), reason="chaos bites the fork pool")
 class TestChaosEquivalence:
     """Every fault shape heals into byte-identical discovery."""
 
@@ -128,32 +136,27 @@ class TestChaosEquivalence:
         ]
         return engine, delta, serial
 
-    def test_corrupt_results_are_rejected_and_retried(self, caplog):
+    def assert_recomputed_serially(self, policy, fault, caplog):
         engine, delta, serial = self.expected_keys()
-        # Corrupt a task sometimes: per-task retries heal it in-pool.
-        policy = ChaosPolicy(seed=11, kill_rate=0.0, delay_rate=0.0, corrupt_rate=0.4)
-        with chaos_matcher(policy) as matcher:
-            with caplog.at_level(logging.WARNING, logger="repro.chase.parallel"):
-                for _ in range(4):
-                    got = [t.key for t in matcher.discover(engine.instance, delta)]
-                    assert got == serial
-            assert matcher.faults["corrupt"] > 0
-            if matcher.chunk_retries:
-                assert any(
-                    "resubmitting" in record.getMessage()
-                    for record in caplog.records
-                    if record.name == "repro.chase.parallel"
-                )
-
-    def test_killed_workers_get_a_fresh_pool(self):
-        engine, delta, serial = self.expected_keys()
-        # Kill rarely enough that the fresh pool usually completes the round.
-        policy = ChaosPolicy(seed=3, kill_rate=0.2, delay_rate=0.0, corrupt_rate=0.0)
-        with chaos_matcher(policy) as matcher:
-            for _ in range(6):
+        matcher = chaos_matcher(policy)
+        with caplog.at_level(logging.WARNING, logger="repro.chase.parallel"):
+            for _ in range(3):
                 got = [t.key for t in matcher.discover(engine.instance, delta)]
                 assert got == serial
-        assert matcher.faults["kill"] > 0
+        assert matcher.faults[fault] == 1
+        # The serial pass is never chaos'd: one fault, one fallback.
+        assert matcher.backend == "serial"
+        assert matcher.backend_fallbacks == 1
+        assert (matcher.rounds_parallel, matcher.rounds_serial) == (0, 3)
+        assert len(fallback_events(caplog)) == 1
+
+    def test_corrupt_results_are_rejected_and_recomputed(self, caplog):
+        policy = ChaosPolicy(seed=2, kill_rate=0.0, delay_rate=0.0, corrupt_rate=1.0)
+        self.assert_recomputed_serially(policy, "corrupt", caplog)
+
+    def test_killed_workers_are_recomputed_serially(self, caplog):
+        policy = ChaosPolicy(seed=1, kill_rate=1.0, delay_rate=0.0, corrupt_rate=0.0)
+        self.assert_recomputed_serially(policy, "kill", caplog)
 
     def test_delays_change_nothing(self):
         engine, delta, serial = self.expected_keys()
@@ -161,39 +164,11 @@ class TestChaosEquivalence:
             seed=7, kill_rate=0.0, delay_rate=1.0, corrupt_rate=0.0,
             delay_seconds=0.001,
         )
-        with chaos_matcher(policy) as matcher:
-            got = [t.key for t in matcher.discover(engine.instance, delta)]
+        matcher = chaos_matcher(policy)
+        got = [t.key for t in matcher.discover(engine.instance, delta)]
         assert got == serial
         assert matcher.faults["delay"] > 0
-        assert matcher.chunk_retries == 0 and matcher.fresh_pools == 0
-
-    def test_total_kill_degrades_to_threads(self, caplog):
-        engine, delta, serial = self.expected_keys()
-        policy = ChaosPolicy(seed=1, kill_rate=1.0, delay_rate=0.0, corrupt_rate=0.0)
-        with chaos_matcher(policy) as matcher:
-            with caplog.at_level(logging.WARNING, logger="repro.chase.parallel"):
-                got = [t.key for t in matcher.discover(engine.instance, delta)]
-            assert got == serial
-            assert matcher.backend == "thread"  # pinned after both pools died
-            assert matcher.fresh_pools == 1
-            assert any(
-                "falling back to threaded discovery" in record.getMessage()
-                for record in caplog.records
-                if record.name == "repro.chase.parallel"
-            )
-            # The thread path is never chaos'd: later rounds stay identical.
-            again = [t.key for t in matcher.discover(engine.instance, delta)]
-            assert again == serial
-
-    def test_total_corruption_exhausts_retries_then_degrades(self):
-        engine, delta, serial = self.expected_keys()
-        policy = ChaosPolicy(seed=2, kill_rate=0.0, delay_rate=0.0, corrupt_rate=1.0)
-        with chaos_matcher(policy) as matcher:
-            got = [t.key for t in matcher.discover(engine.instance, delta)]
-        assert got == serial
-        # Every in-pool resubmission spent.
-        assert matcher.chunk_retries >= parallel.TASK_RETRIES
-        assert matcher.backend == "thread"
+        assert matcher.backend_fallbacks == 0 and matcher.rounds_parallel == 1
 
     def test_end_to_end_chase_under_chaos(self, monkeypatch):
         serial = restricted_chase(ring_database(8), JOIN_TGDS, strategy="semi_naive")
@@ -204,30 +179,12 @@ class TestChaosEquivalence:
             )
             assert_identical_runs(serial, chaotic)
 
-    def test_thread_fallback_failure_is_typed_and_engine_survives(self, monkeypatch):
-        engine, delta, serial = self.expected_keys()
-        policy = ChaosPolicy(seed=1, kill_rate=1.0, delay_rate=0.0, corrupt_rate=0.0)
-        with chaos_matcher(policy) as matcher:
-
-            def refuse(*args, **kwargs):
-                raise RuntimeError("threads exhausted")
-
-            monkeypatch.setattr(matcher, "_run_threads", refuse)
-            with pytest.raises(ParallelDiscoveryError):
-                matcher.discover(engine.instance, delta)
-            # The failure is clean: un-breaking the backend lets the same
-            # matcher (and the same engine round) retry successfully.
-            monkeypatch.undo()
-            got = [t.key for t in matcher.discover(engine.instance, delta)]
-            assert got == serial
-
 
 class TestBuildMatcher:
     def test_plain_matcher_without_seed(self, monkeypatch):
         monkeypatch.delenv("CHASE_CHAOS_SEED", raising=False)
         matcher = build_matcher(JOIN_TGDS, workers=2)
         assert type(matcher) is ParallelMatcher
-        matcher.close()
 
     def test_chaos_matcher_with_seed(self, monkeypatch):
         # The seed is the one setting: the schedule's rates are the policy's.
@@ -241,13 +198,11 @@ class TestBuildMatcher:
             matcher.policy.delay_rate,
             matcher.policy.corrupt_rate,
         ) == (default.kill_rate, default.delay_rate, default.corrupt_rate)
-        matcher.close()
 
     def test_single_worker_build_is_serial_either_way(self, monkeypatch):
         monkeypatch.setenv("CHASE_CHAOS_SEED", "1307")
         matcher = build_matcher(JOIN_TGDS, workers=1)
         assert matcher.backend == "serial"
-        matcher.close()
 
     def test_seminaive_chase_routes_through_build_matcher(self, monkeypatch):
         # workers>1 must pick up the env seed without any explicit opt-in.

@@ -308,9 +308,9 @@ def test_pool_runs_the_same_plans(workers, monkeypatch):
             instance, delta = random_round(seed, old=12, new=14)
             try:
                 serial = seminaive_triggers(tgds, instance, delta)
-                with ParallelMatcher(tgds, workers=workers) as matcher:
-                    fanned = matcher.discover(instance, delta)
-                    assert matcher.rounds_parallel == 1
+                matcher = ParallelMatcher(tgds, workers=workers)
+                fanned = matcher.discover(instance, delta)
+                assert matcher.rounds_parallel == 1
                 assert identity(fanned) == identity(serial)
             finally:
                 close(instance)
@@ -447,9 +447,9 @@ def test_long_bodies_on_the_pool(workers, monkeypatch):
     instance, delta = build_round(figure_eight(), 3)
     try:
         serial = seminaive_triggers(LONG, instance, delta)
-        with ParallelMatcher(LONG, workers=workers) as matcher:
-            fanned = matcher.discover(instance, delta)
-            assert matcher.rounds_parallel == 1
+        matcher = ParallelMatcher(LONG, workers=workers)
+        fanned = matcher.discover(instance, delta)
+        assert matcher.rounds_parallel == 1
         assert serial and identity(fanned) == identity(serial)
     finally:
         close(instance)

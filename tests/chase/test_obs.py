@@ -219,8 +219,6 @@ class TestAccuracy:
 
     def test_pool_rounds_and_efficiency(self, monkeypatch):
         monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
-        # No fork: the matcher drops to its thread pool by itself.
-        monkeypatch.setattr(parallel, "_fork_available", lambda: False)
         stats = ChaseStats()
         result = restricted_chase(
             ring_database(10),
@@ -295,7 +293,6 @@ class TestTraceSpans:
 
     def test_pooled_run_emits_pool_spans(self, tmp_path, monkeypatch):
         monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
-        monkeypatch.setattr(parallel, "_fork_available", lambda: False)
         path = tmp_path / "trace.json"
         trace.start_trace(str(path))
         try:
@@ -363,7 +360,6 @@ class TestFakeClockIntegration:
         from repro.chase.engine import ChaseEngine
 
         monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
-        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.0)
 
         engine = ChaseEngine(ring_database(8), JOIN_TGDS)
         engine.instance.track_delta()
@@ -378,11 +374,8 @@ class TestFakeClockIntegration:
             delay_seconds=0.25,
         )
         matcher = ChaosMatcher(JOIN_TGDS, policy, workers=2)
-        try:
-            with caplog.at_level(logging.DEBUG, logger="repro.chase.chaos"):
-                matcher.discover(engine.instance, delta)
-        finally:
-            matcher.close()
+        with caplog.at_level(logging.DEBUG, logger="repro.chase.chaos"):
+            matcher.discover(engine.instance, delta)
         assert matcher.faults["delay"] >= 1
         # Every injected delay fast-forwarded the fake clock — no blocking.
         assert fake_clock.slept.count(0.25) == matcher.faults["delay"]

@@ -9,7 +9,13 @@ from repro.guarded.decision import decide_guarded
 from repro.sticky.decision import decide_sticky
 from repro.termination.analyzer import TerminationAnalyzer
 from repro.termination.verdict import Status
-from repro.tgds.generators import GeneratorProfile, corpus
+from repro.tgds.generators import (
+    GeneratorProfile,
+    corpus,
+    random_guarded_set,
+    random_linear_set,
+    random_sticky_set,
+)
 from repro.tgds.guardedness import is_guarded
 from repro.tgds.stickiness import is_sticky
 from repro.tgds.tgd import parse_tgds
@@ -64,6 +70,27 @@ class TestDecisionAgreement:
         assert sticky_verdict.status != Status.UNKNOWN
         if guarded_verdict.status != Status.UNKNOWN:
             assert sticky_verdict.status == guarded_verdict.status
+
+    @pytest.mark.parametrize(
+        "generate", [random_guarded_set, random_sticky_set, random_linear_set],
+        ids=lambda generate: generate.__name__,
+    )
+    def test_generated_overlap(self, generate):
+        # Every generated set of seeds 0-149 in the guarded/sticky overlap:
+        # the sticky decider is complete there, and the guarded procedure
+        # may stay UNKNOWN but never contradicts it.
+        overlap = 0
+        for seed in range(150):
+            tgds = generate(seed)
+            if not (is_guarded(tgds) and is_sticky(tgds)):
+                continue
+            overlap += 1
+            sticky_verdict = decide_sticky(tgds)
+            guarded_verdict = decide_guarded(tgds)
+            assert sticky_verdict.status != Status.UNKNOWN, (seed, tgds)
+            if guarded_verdict.status != Status.UNKNOWN:
+                assert sticky_verdict.status == guarded_verdict.status, (seed, tgds)
+        assert overlap
 
 
 class TestWitnessesReplay:

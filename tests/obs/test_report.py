@@ -31,7 +31,7 @@ def sample_report():
                 "workload": "obs_dense",
                 "size": 64,
                 "overhead_ratio": 1.01,
-                "stats": {"rounds": 32, "retries": 1, "budget_cuts": 2},
+                "stats": {"rounds": 32, "pool_fallbacks": 1, "budget_cuts": 2},
             }
         ],
     }
@@ -62,7 +62,7 @@ class TestPrintReport:
         assert "fired=3072" in text
         assert "cache_hit=0.250" in text
         assert "overhead=1.01x" in text
-        assert "retries=1" in text and "cuts=2" in text
+        assert "fallbacks=1" in text and "cuts=2" in text
         assert "s1: 3072" in text
         assert "acceptance: PASS" in text
 

@@ -210,8 +210,6 @@ class TestAbsorb:
 
     def test_absorb_matcher_folds_pool_counters(self):
         class Matcher:
-            chunk_retries = 1
-            fresh_pools = 2
             backend_fallbacks = 1
             rounds_parallel = 5
             rounds_serial = 3
@@ -223,8 +221,6 @@ class TestAbsorb:
 
         stats = ChaseStats()
         stats.absorb_matcher(Matcher())
-        assert stats.retries == 1
-        assert stats.fresh_pools == 2
         assert stats.pool_fallbacks == 1
         assert stats.rounds_parallel == 5 and stats.rounds_serial == 3
         assert stats.pool_workers == 4

@@ -1,13 +1,10 @@
 """The cheap-first termination portfolio: soundness, determinism, budgets.
 
 Obligations: the cascade never contradicts the decider-only analyzer on
-the generator corpus (at ``workers ∈ {1, 4}``, with verdicts identical
-across widths), cheap settlements are real certificates, per-stage
+the generator corpus, cheap settlements are real certificates, per-stage
 outcomes land in ``ChaseStats.portfolio``, and a ``Budget`` cut inside
 any stage surfaces as a ``Status.TIMEOUT`` verdict — never an exception.
 """
-
-import pytest
 
 from repro.chase.checkpoint import Budget
 from repro.obs.stats import ChaseStats
@@ -42,19 +39,14 @@ def contradicts(a, b):
 
 
 class TestCorpusAgreement:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_portfolio_never_contradicts_the_deciders(self, workers):
-        portfolio = TerminationPortfolio(workers=workers)
+    def test_portfolio_never_contradicts_the_deciders(self):
+        portfolio = TerminationPortfolio()
         analyzer = TerminationAnalyzer()
-        serial = TerminationPortfolio(workers=1)
         for family in FAMILIES:
             for tgds in corpus(family, 3, profile=PROFILE):
                 pv = portfolio.analyze(tgds)
                 dv = analyzer.analyze(tgds)
                 assert not contradicts(pv, dv), (family, pv, dv)
-                # Worker count never changes the verdict.
-                sv = serial.analyze(tgds)
-                assert (pv.status, pv.method) == (sv.status, sv.method)
 
     def test_cheap_settlements_only_claim_termination(self):
         portfolio = TerminationPortfolio()
@@ -145,23 +137,17 @@ class TestBudgets:
         assert verdict.method == "portfolio-certificate"
 
 
-class TestPooledLayerBudgets:
-    def test_pool_layer_checks_honour_the_whole_budget(self):
-        # Two diverging layers, so the pool really forks; each worker's
-        # critical chase trips the same atom cap the serial path does.
+class TestLayerBudgets:
+    def test_layer_checks_honour_the_whole_budget(self):
+        # Two diverging layers: the first layer's critical chase trips the
+        # atom cap, and the stage reports the cut.
         tgds = parse_tgds(["R(x,y) -> R(y,z)", "S(x,y) -> S(y,z)"])
-        verdicts = [
-            TerminationPortfolio(workers=workers).analyze(
-                tgds, budget=Budget(max_atoms=2)
-            )
-            for workers in (1, 2)
-        ]
-        for verdict in verdicts:
-            assert verdict.status == Status.TIMEOUT
-            assert verdict.certificate == {
-                "stage": "hierarchical",
-                "reason": "budget:atoms",
-            }
+        verdict = TerminationPortfolio().analyze(tgds, budget=Budget(max_atoms=2))
+        assert verdict.status == Status.TIMEOUT
+        assert verdict.certificate == {
+            "stage": "hierarchical",
+            "reason": "budget:atoms",
+        }
 
 
 #: Generated sets pinned by (profile, family, seed) — reproducible by
@@ -208,13 +194,6 @@ class TestLaterStagesSettle:
         assert "critical-chase" in certs
         assert stats.portfolio[-1]["stage"] == "hierarchical"
         assert stats.portfolio[-1]["outcome"] == "settled"
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_hierarchical_verdict_identical_across_widths(self, workers):
-        serial = TerminationPortfolio(workers=1).analyze(hierarchical_set())
-        wide = TerminationPortfolio(workers=workers).analyze(hierarchical_set())
-        assert (wide.status, wide.method) == (serial.status, serial.method)
-        assert wide.certificate == serial.certificate
 
     def test_later_stage_settlements_agree_with_the_decider(self):
         analyzer = TerminationAnalyzer()

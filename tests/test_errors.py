@@ -19,7 +19,6 @@ from repro.errors import (
     DerivationError,
     ExtractionError,
     FairnessError,
-    ParallelDiscoveryError,
     ParseError,
     ReproError,
     ResultIntegrityError,
@@ -33,7 +32,6 @@ ALL_ERRORS = [
     DerivationError,
     ExtractionError,
     FairnessError,
-    ParallelDiscoveryError,
     ParseError,
     ResultIntegrityError,
     SearchBudgetExceeded,
@@ -61,7 +59,6 @@ LEGACY_BASES = [
     (SearchBudgetExceeded, RuntimeError),
     (StateBudgetExceeded, RuntimeError),
     (ResultIntegrityError, RuntimeError),
-    (ParallelDiscoveryError, RuntimeError),
 ]
 
 
@@ -103,7 +100,6 @@ class TestHistoricalImportPaths:
             "ChaseInterrupted",
             "CheckpointError",
             "ResultIntegrityError",
-            "ParallelDiscoveryError",
             "ParseError",
             "DerivationError",
             "FairnessError",
