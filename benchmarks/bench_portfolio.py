@@ -8,8 +8,9 @@ weakly-acyclic families, the X10 profile), this workload runs both:
   certificates → c-stratification → hierarchical layers → decider
   fallthrough; and
 * the **decider-only** baseline
-  (:class:`repro.termination.analyzer.TerminationAnalyzer.analyze`),
-  which classifies and launches the automata procedures directly.
+  (:func:`repro.termination.portfolio.decide`, the cascade's stage 4 on
+  its own), which classifies and launches the automata procedures
+  directly.
 
 Recorded per set: which cascade stage settled it, both verdicts, and
 best-of-``repeats`` timings.  The report section aggregates the three
@@ -39,8 +40,7 @@ from typing import Dict, List, Tuple
 if __package__ in (None, ""):  # allow direct imports when run by pytest/harness
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.termination.analyzer import TerminationAnalyzer
-from repro.termination.portfolio import TerminationPortfolio, settled_cheaply
+from repro.termination.portfolio import TerminationPortfolio, decide, settled_cheaply
 from repro.tgds.generators import GeneratorProfile, corpus
 
 #: Acceptance floor: fraction of corpus TGD sets the cascade must settle
@@ -92,7 +92,6 @@ def measure_portfolio(per_family: int, repeats: int) -> dict:
     """The ``portfolio`` report section of ``BENCH_chase.json``."""
     sets = portfolio_corpus(per_family)
     portfolio = TerminationPortfolio()
-    analyzer = TerminationAnalyzer()
     rows: List[dict] = []
     stage_counts: Dict[str, int] = {}
     agreement = True
@@ -101,7 +100,7 @@ def measure_portfolio(per_family: int, repeats: int) -> dict:
     settled = 0
     for index, (family, tgds) in enumerate(sets):
         portfolio_seconds, pv = _best_of(lambda: portfolio.analyze(tgds), repeats)
-        decider_seconds, dv = _best_of(lambda: analyzer.analyze(tgds), repeats)
+        decider_seconds, dv = _best_of(lambda: decide(tgds), repeats)
         contradicts = (pv.is_terminating and dv.is_nonterminating) or (
             pv.is_nonterminating and dv.is_terminating
         )

@@ -5,9 +5,11 @@ completely (no unknowns — Theorem 6.1 is a decision procedure); guarded
 corpora may contain honest unknowns (the documented MSOL substitution).
 """
 
+from collections import Counter
+
 import pytest
 
-from repro import Status, TerminationAnalyzer
+from repro import Status, TerminationPortfolio
 from repro.tgds.generators import GeneratorProfile, corpus
 from conftest import report
 
@@ -20,33 +22,36 @@ SIZE = 8
 
 
 @pytest.fixture(scope="module")
-def analyzer():
-    return TerminationAnalyzer(guarded_max_steps=40)
+def portfolio():
+    return TerminationPortfolio()
 
 
-def test_shape_corpus_table(analyzer):
+def tally(portfolio, sets):
+    """Verdict statuses over a corpus (the X10 'table' row)."""
+    return Counter(portfolio.analyze(tgds).status for tgds in sets)
+
+
+def test_shape_corpus_table(portfolio):
     rows = [("family", "terminating", "diverging", "unknown")]
     for family in ("linear", "sticky", "guarded", "weakly-acyclic"):
-        tally = analyzer.analyze_corpus(
-            corpus(family, SIZE, base_seed=50, profile=PROFILE)
-        )
+        counts = tally(portfolio, corpus(family, SIZE, base_seed=50, profile=PROFILE))
         rows.append(
             (
                 family,
-                tally[Status.ALL_TERMINATING],
-                tally[Status.NOT_ALL_TERMINATING],
-                tally[Status.UNKNOWN],
+                counts[Status.ALL_TERMINATING],
+                counts[Status.NOT_ALL_TERMINATING],
+                counts[Status.UNKNOWN],
             )
         )
         if family == "weakly-acyclic":
-            assert tally[Status.ALL_TERMINATING] == SIZE
+            assert counts[Status.ALL_TERMINATING] == SIZE
         if family in ("linear", "sticky"):
-            assert tally[Status.UNKNOWN] == 0  # complete procedure
-            assert tally[Status.NOT_ALL_TERMINATING] >= 1  # non-trivial corpus
+            assert counts[Status.UNKNOWN] == 0  # complete procedure
+            assert counts[Status.NOT_ALL_TERMINATING] >= 1  # non-trivial corpus
     report("X10: verdicts per corpus family", rows)
 
 
-def test_bench_analyze_sticky_corpus(benchmark, analyzer):
+def test_bench_analyze_sticky_corpus(benchmark, portfolio):
     sets = corpus("sticky", 4, base_seed=50, profile=PROFILE)
-    tally = benchmark(analyzer.analyze_corpus, sets)
-    assert sum(tally.values()) == 4
+    counts = benchmark(tally, portfolio, sets)
+    assert sum(counts.values()) == 4

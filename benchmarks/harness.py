@@ -37,7 +37,7 @@ the per-workload stats summary).
 
 Since PR 8 it also runs the ``portfolio_cascade`` workload
 (``bench_portfolio.py``): the cheap-first termination portfolio against
-the decider-only analyzer over the generator corpus, gated on verdict
+the decider-only ``decide`` over the generator corpus, gated on verdict
 agreement (equivalence), a ≥50% settled-without-automata floor, and a
 strictly-faster-than-decider-only floor on the settled subset.
 

@@ -2,7 +2,7 @@
 
 A small "organization" ontology written as guarded single-head TGDs is
 materialized with the restricted chase; before trusting materialization we
-ask the termination analyzer whether the chase is guaranteed to terminate
+ask the termination portfolio whether the chase is guaranteed to terminate
 for *every* database — the paper's CT_res_∀∀ question.
 
 Run:  python examples/ontology_reasoning.py
@@ -10,7 +10,7 @@ Run:  python examples/ontology_reasoning.py
 
 from repro import (
     ConjunctiveQuery,
-    TerminationAnalyzer,
+    TerminationPortfolio,
     is_guarded,
     parse_database,
     parse_tgds,
@@ -37,8 +37,8 @@ def main() -> None:
     for tgd in ontology:
         print(f"  {tgd}")
 
-    analyzer = TerminationAnalyzer()
-    verdict = analyzer.analyze(ontology)
+    portfolio = TerminationPortfolio()
+    verdict = portfolio.analyze(ontology)
     print(f"\nCT_res_∀∀ verdict: {verdict.status} (via {verdict.method})")
     assert verdict.is_terminating, "materialization is safe for every database"
 
@@ -64,7 +64,7 @@ def main() -> None:
     extended = ontology + parse_tgds(
         ["Holds(r,q) -> Supervises(q,s)"]  # positions start supervising...
     )
-    risky = analyzer.analyze(extended)
+    risky = portfolio.analyze(extended)
     print(f"extended ontology verdict: {risky.status} (via {risky.method})")
     if risky.is_nonterminating:
         witness = risky.certificate["witness"]

@@ -2,13 +2,13 @@
 
 Reproduces the paper's Section 1 motivating example and shows the three
 entry points most users need: the restricted chase, the oblivious chase,
-and the all-instances termination analyzer.
+and the all-instances termination portfolio.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import (
-    TerminationAnalyzer,
+    TerminationPortfolio,
     oblivious_chase,
     parse_database,
     parse_tgds,
@@ -35,14 +35,14 @@ def main() -> None:
     print("  ... (the oblivious chase of this input is infinite)")
 
     print("\n== All-instances restricted chase termination ==")
-    analyzer = TerminationAnalyzer()
+    portfolio = TerminationPortfolio()
     for rules in (
         ["R(x,y) -> R(x,z)"],            # terminating (the example above)
         ["R(x,y) -> R(y,z)"],            # diverging shift chain
         ["P(x) -> Q(x,y)", "Q(x,y) -> S(y)"],  # weakly acyclic
     ):
         tgd_set = parse_tgds(rules)
-        verdict = analyzer.analyze(tgd_set)
+        verdict = portfolio.analyze(tgd_set)
         print(f"{rules!r:60} -> {verdict.status} (via {verdict.method})")
         if verdict.is_nonterminating:
             witness = verdict.certificate["witness"]

@@ -1,20 +1,22 @@
 """Corpus-scale termination analysis (the exhibit X10 'table').
 
 Generates reproducible corpora of linear / guarded / sticky /
-weakly-acyclic TGD sets, runs the umbrella analyzer on each, and prints the
-verdict tally per family together with the methods that produced them.
+weakly-acyclic TGD sets, runs the termination portfolio on each, and prints
+the verdict tally per family together with the methods that produced them
+(``portfolio-*`` methods come from the cheap stages in front of the
+deciders).
 
 Run:  python examples/termination_analysis.py
 """
 
 from collections import Counter
 
-from repro import Status, TerminationAnalyzer
+from repro import Status, TerminationPortfolio
 from repro.tgds.generators import GeneratorProfile, corpus
 
 
 def main() -> None:
-    analyzer = TerminationAnalyzer(guarded_max_steps=40)
+    portfolio = TerminationPortfolio()
     profile = GeneratorProfile(
         num_predicates=3, max_arity=2, num_tgds=2, existential_probability=0.6
     )
@@ -28,7 +30,7 @@ def main() -> None:
         sets = corpus(family, size, base_seed=100, profile=profile)
         counts = Counter()
         for tgds in sets:
-            verdict = analyzer.analyze(tgds)
+            verdict = portfolio.analyze(tgds)
             counts[verdict.status] += 1
             method_tally[verdict.method] += 1
         print(

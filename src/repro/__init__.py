@@ -5,16 +5,17 @@ Restricted Chase Termination*: the chase machinery (restricted, oblivious,
 real oblivious, weakly restricted), the Fairness Theorem, chaseable sets
 and treeification for guarded TGDs, caterpillars and the Büchi decision
 procedure for sticky TGDs, plus baselines (weak/joint acyclicity, the
-critical database) and an umbrella termination analyzer.
+critical database) and the cheap-first termination portfolio in front of
+the deciders.
 
 Quickstart::
 
     from repro import parse_database, parse_tgds, restricted_chase
-    from repro import TerminationAnalyzer
+    from repro import TerminationPortfolio
 
     tgds = parse_tgds(["R(x,y) -> R(x,z)"])
     result = restricted_chase(parse_database("R(a,b)"), tgds)
-    verdict = TerminationAnalyzer().analyze(tgds)
+    verdict = TerminationPortfolio().analyze(tgds)
 """
 
 from repro.backends import BackendSpec, SQLiteInstance, make_instance
@@ -82,8 +83,8 @@ from repro.sticky.automaton import CaterpillarAutomatonFamily, CaterpillarState
 from repro.sticky.caterpillar import CaterpillarPrefix, prefix_from_witness
 from repro.sticky.decision import CaterpillarWitness, decide_sticky, witness_from_lasso
 from repro.sticky.extraction import TermGenealogy, extract_proto_caterpillar
-from repro.termination.analyzer import Classification, TerminationAnalyzer
 from repro.termination.critical import critical_chase, critical_database, critical_verdict
+from repro.termination.portfolio import TerminationPortfolio
 from repro.termination.verdict import Status, Verdict
 from repro.tgds.acyclicity import (
     is_jointly_acyclic,
@@ -139,6 +140,6 @@ __all__ = [
     "decide_sticky", "witness_from_lasso", "CaterpillarWitness",
     "extract_proto_caterpillar", "TermGenealogy",
     # termination
-    "TerminationAnalyzer", "Classification", "Verdict", "Status",
+    "TerminationPortfolio", "Verdict", "Status",
     "critical_database", "critical_chase", "critical_verdict",
 ]

@@ -93,7 +93,7 @@ class Budget:
             ("max_applications", max_applications),
             ("max_rounds", max_rounds),
         ):
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:  # also refuses NaN
                 raise ValueError(f"{name} must be non-negative, got {value!r}")
         self.wall_seconds = wall_seconds
         self.max_atoms = max_atoms

@@ -365,13 +365,14 @@ def certify_or_pump(
     """Certificate, critical chase, suspect scan, verdict — in that order.
 
     The shared body of :func:`decide_guarded` (``family="guarded"``) and
-    the analyzer's general-TGD branch (``family="general"``): a syntactic
-    certificate settles termination; otherwise the critical-database
-    chase may settle it; otherwise the suspect scan hunts a
-    replay-certified pump over :func:`candidate_databases` plus
-    ``extra_candidates``.  The family names the verdict methods
-    (``<family>-replay``, ``<family>-bounded-search``,
-    ``<family>-budget``) and picks the detail text.  Budget exhaustion in
+    the general-TGD route of :func:`repro.termination.portfolio.decide`
+    (``family="general"``): a syntactic certificate settles termination;
+    otherwise the critical-database chase may settle it; otherwise the
+    suspect scan hunts a replay-certified pump over
+    :func:`candidate_databases` plus ``extra_candidates``.  The family
+    names the verdict methods (``<family>-replay``,
+    ``<family>-bounded-search``, ``<family>-budget``) and picks the detail
+    text.  Budget exhaustion in
     either chase becomes a ``TIMEOUT`` verdict.
     """
     if budget is not None:

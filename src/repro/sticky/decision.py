@@ -178,8 +178,8 @@ def decide_sticky(
       during the automaton search.
 
     ``marking`` is the set's :class:`StickinessAnalysis` when the caller
-    already has it (the analyzer's classification does); it is computed
-    here otherwise.
+    already has it (:func:`repro.termination.portfolio.decide` does); it
+    is computed here otherwise.
     """
     if marking is None:
         marking = StickinessAnalysis(tgds)

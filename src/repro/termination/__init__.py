@@ -1,11 +1,11 @@
 """All-instances termination analysis: deciders, portfolio, dependencies.
 
-* :mod:`repro.termination.analyzer` — the umbrella
-  :class:`~repro.termination.analyzer.TerminationAnalyzer` (classify,
-  dispatch to the sticky/guarded deciders, certify).
-* :mod:`repro.termination.portfolio` — the cheap-first cascade
-  (:class:`~repro.termination.portfolio.TerminationPortfolio`) that settles
-  most sets before any automaton is built.
+* :mod:`repro.termination.portfolio` — the one verdict entry point,
+  :meth:`TerminationPortfolio.analyze
+  <repro.termination.portfolio.TerminationPortfolio.analyze>`: a
+  cheap-first cascade that settles most sets before any automaton is
+  built, ending in :func:`~repro.termination.portfolio.decide`, the
+  dispatch to the sticky and guarded deciders.
 * :mod:`repro.termination.dependencies` — the rule-dependency assessor
   (:class:`~repro.termination.dependencies.RuleDependencyGraph`) backing
   the cascade's layered stages and the chase engine's discovery pruning.
@@ -18,7 +18,7 @@
   termination (the decider fall-through and the portfolio's per-layer
   check both call it).
 
-Every analysis entry point is deterministic: verdicts are identical at
-every worker count, with or without ``stats`` attached, and budget
-exhaustion always surfaces as a ``TIMEOUT`` verdict, never an exception.
+Verdicts are deterministic: identical from run to run and with or
+without ``stats`` attached, and budget exhaustion always surfaces as a
+``TIMEOUT`` verdict, never an exception.
 """

@@ -1,12 +1,11 @@
 """Cheap-first termination portfolio: sound pre-checks before the deciders.
 
-The automata deciders (:mod:`repro.sticky.decision`,
-:mod:`repro.guarded.decision`, wrapped by
-:class:`repro.termination.analyzer.TerminationAnalyzer`) are complete for
-their classes but expensive; most practical TGD sets can be settled
-without ever launching them.  The portfolio runs a cascade of strictly
-cheaper sufficient conditions and falls through to the full analyzer only
-when none of them fires:
+:meth:`TerminationPortfolio.analyze` is the one verdict entry point.  The
+automata deciders (:mod:`repro.sticky.decision`,
+:mod:`repro.guarded.decision`) are complete for their classes but
+expensive; most practical TGD sets can be settled without ever launching
+them.  The portfolio runs a cascade of strictly cheaper sufficient
+conditions and falls through to the deciders only when none of them fires:
 
 1. **certificate** — whole-set syntactic certificates
    (:func:`repro.tgds.acyclicity.terminating_certificate`: full TGDs,
@@ -19,7 +18,13 @@ when none of them fires:
    (arXiv 2005.05423): each topological layer (SCC) certified
    independently by a per-layer certificate or
    :func:`repro.termination.critical.critical_chase` on the layer;
-4. **decider** — the unchanged ``TerminationAnalyzer.analyze`` fallthrough.
+4. **decider** — :func:`decide`: the sticky decider (Theorem 6.1) on
+   sticky sets, the guarded one (Theorem 5.1) on guarded sets or when the
+   sticky one answers ``UNKNOWN``, and otherwise the general route —
+   sound certificates and replay-certified pumps only, since
+   ``CT_res_∀∀`` is undecidable in general (Theorem 3.6).  :func:`decide`
+   is also the decider-only reference the agreement checks compare the
+   cascade against.
 
 Soundness: cheap stages only ever answer ``ALL_TERMINATING`` or pass.  The
 layered stages are sound because every per-layer condition used here
@@ -47,12 +52,15 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.chase.checkpoint import Budget
 from repro.errors import ChaseInterrupted
+from repro.guarded.decision import certify_or_pump, decide_guarded
 from repro.obs import clock
-from repro.termination.analyzer import TerminationAnalyzer
+from repro.sticky.decision import decide_sticky
 from repro.termination.critical import CRITICAL_METHOD, critical_chase
 from repro.termination.dependencies import RuleDependencyGraph
 from repro.termination.verdict import Status, Verdict
 from repro.tgds.acyclicity import is_weakly_acyclic, terminating_certificate
+from repro.tgds.guardedness import is_guarded
+from repro.tgds.stickiness import StickinessAnalysis
 from repro.tgds.tgd import TGD
 
 #: Cascade stage names, in order (the ``stage`` keys of
@@ -70,6 +78,34 @@ CACHE_STAGE = "cache"
 _SETTLED = "settled"
 _UNDECIDED = "undecided"
 _TIMEOUT = "timeout"
+
+
+def decide(
+    tgds: Sequence[TGD],
+    budget: Optional[Budget] = None,
+    stats=None,
+) -> Verdict:
+    """Stage 4: dispatch to the strongest decider that applies.
+
+    ``budget`` is threaded into the sticky automaton search, the
+    critical-database chase and the divergence-suspect scans; exhaustion
+    yields a ``TIMEOUT`` verdict instead of an exception.  ``stats`` (a
+    :class:`repro.obs.stats.ChaseStats`) collects the suspect scans'
+    ``suspects`` entries and never changes the verdict.
+    """
+    tgd_list = list(tgds)
+    if stats is not None and not stats.kind:
+        stats.kind = "decider"
+    marking = StickinessAnalysis(tgd_list)
+    if marking.is_sticky:
+        verdict = decide_sticky(tgd_list, budget=budget, marking=marking)
+        if not verdict.is_unknown:
+            return verdict
+    if is_guarded(tgd_list):
+        return decide_guarded(tgd_list, budget=budget, stats=stats)
+    # Neither class: sound certificates and replay-certified pumps only,
+    # with the guarded decider's default search bounds.
+    return certify_or_pump(tgd_list, "general", 60, 3, budget=budget, stats=stats)
 
 
 def _check_layer(layer, budget, uncertified: bool) -> Tuple[str, Optional[str]]:
@@ -95,7 +131,7 @@ def _check_layer(layer, budget, uncertified: bool) -> Tuple[str, Optional[str]]:
 class TerminationPortfolio:
     """The cascade: certificates → stratification → layers → deciders.
 
-    Every chase the cascade runs (layer checks and the analyzer's) is
+    Every chase the cascade runs (layer checks and the deciders') is
     scratch state and runs in memory.
 
     ``cache`` is an optional digest-keyed verdict memo (duck-typed against
@@ -109,7 +145,6 @@ class TerminationPortfolio:
     """
 
     def __init__(self, cache=None):
-        self.analyzer = TerminationAnalyzer()
         self.cache = cache
 
     # -- the cascade -------------------------------------------------------
@@ -195,7 +230,7 @@ class TerminationPortfolio:
         if cut is not None:
             return cut
         started = clock.perf_counter()
-        verdict = self.analyzer.analyze(tgd_list, budget=budget, stats=stats)
+        verdict = decide(tgd_list, budget=budget, stats=stats)
         self._record(stats, "decider", verdict.status, started)
         return verdict
 
@@ -286,18 +321,6 @@ class TerminationPortfolio:
                 "seconds": round(clock.perf_counter() - started, 6),
             }
         )
-
-
-def portfolio_analyze(
-    tgds: Sequence[TGD],
-    budget: Optional[Budget] = None,
-    stats=None,
-    cache=None,
-) -> Verdict:
-    """One-shot convenience wrapper around :class:`TerminationPortfolio`."""
-    return TerminationPortfolio(cache=cache).analyze(
-        tgds, budget=budget, stats=stats
-    )
 
 
 def settled_cheaply(verdict: Verdict) -> bool:

@@ -18,7 +18,7 @@ from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase, seminaive_chase
 from repro.errors import ChaseInterrupted
 from repro.guarded.decision import canonical_body_database
-from repro.termination.analyzer import TerminationAnalyzer
+from repro.termination.portfolio import TerminationPortfolio
 from repro.tgds.generators import GeneratorProfile, corpus
 from repro.tgds.tgd import parse_tgds
 
@@ -87,13 +87,14 @@ class TestChaseEquivalence:
         identical(memory_run, sqlite_run)
 
     def test_analyzer_verdicts(self, monkeypatch):
-        # The deciders' chases are scratch state and always run in memory,
-        # so a process-wide sqlite default leaves every verdict unchanged.
+        # The portfolio's chases (layer checks and deciders) are scratch
+        # state and always run in memory, so a process-wide sqlite default
+        # leaves every verdict unchanged.
         # The corpus sets settle before any suspect chase; Example 5.6
         # reaches the suspect scan.
         sets = [tgds for _, tgds in CASES[:4]] + [EXAMPLE_56]
         monkeypatch.delenv(ENV_VAR, raising=False)
-        memory_verdicts = [TerminationAnalyzer().analyze(tgds) for tgds in sets]
+        memory_verdicts = [TerminationPortfolio().analyze(tgds) for tgds in sets]
         monkeypatch.setenv(ENV_VAR, "sqlite")
 
         def no_disk(*args, **kwargs):
@@ -101,7 +102,7 @@ class TestChaseEquivalence:
 
         monkeypatch.setattr(SQLiteInstance, "__init__", no_disk)
         for tgds, memory_verdict in zip(sets, memory_verdicts):
-            sqlite_verdict = TerminationAnalyzer().analyze(tgds)
+            sqlite_verdict = TerminationPortfolio().analyze(tgds)
             assert memory_verdict.status == sqlite_verdict.status
             assert memory_verdict.method == sqlite_verdict.method
         assert memory_verdicts[-1].method == "guarded-replay"

@@ -27,7 +27,7 @@ from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase, seminaive_chase
 from repro.errors import ChaseInterrupted, CheckpointError, ReproError
 from repro.guarded.decision import candidate_databases, decide_guarded, scan_suspects
-from repro.termination.analyzer import TerminationAnalyzer
+from repro.termination.portfolio import TerminationPortfolio, decide
 from repro.termination.verdict import Status
 from repro.tgds.generators import GeneratorProfile, corpus
 from repro.tgds.tgd import TGD, parse_tgds
@@ -396,6 +396,13 @@ class TestGuardRails:
         with pytest.raises(ValueError, match="non-negative"):
             Budget(wall_seconds=-1)
 
+    def test_nan_budget_limits_rejected(self):
+        # NaN compares false with everything: unchecked, it would disarm
+        # exceeded() while remaining_seconds() reads 0.
+        for name in ("wall_seconds", "max_atoms", "max_applications", "max_rounds"):
+            with pytest.raises(ValueError, match="non-negative"):
+                Budget(**{name: float("nan")})
+
     def test_chase_interrupted_pickles_whole(self):
         with pytest.raises(ChaseInterrupted) as excinfo:
             seminaive_chase(
@@ -524,16 +531,14 @@ class TestDeciderTimeout:
         assert budgeted.status == unbudgeted.status
         assert budgeted.method == unbudgeted.method
 
-    def test_analyze_corpus_tallies_timeouts(self):
-        # Non-guarded, non-sticky, no syntactic certificate: the analyzer
+    def test_decide_times_out_in_the_general_scan(self):
+        # Non-guarded, non-sticky, no syntactic certificate: the decider
         # must reach the (budgeted) general suspect scan.
         diverging_join = parse_tgds(["R(x,y), R(y,z) -> R(z,w)"])
-        analyzer = TerminationAnalyzer()
-        verdict = analyzer.analyze(diverging_join, budget=Budget(wall_seconds=0))
+        verdict = decide(diverging_join, budget=Budget(wall_seconds=0))
         assert verdict.is_timeout
         assert verdict.method == "general-budget"
-        tally = analyzer.analyze_corpus(
-            [diverging_join], budget=Budget(wall_seconds=0)
+        verdict = TerminationPortfolio().analyze(
+            diverging_join, budget=Budget(wall_seconds=0)
         )
-        assert tally[Status.TIMEOUT] == 1
-        assert sum(tally.values()) == 1
+        assert verdict.status == Status.TIMEOUT

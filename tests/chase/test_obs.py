@@ -32,7 +32,7 @@ from repro.errors import ChaseInterrupted
 from repro.obs import clock, trace
 from repro.obs.clock import FakeClock
 from repro.obs.stats import ChaseStats
-from repro.termination.analyzer import TerminationAnalyzer
+from repro.termination.portfolio import decide
 from repro.tgds.generators import GeneratorProfile, corpus
 from repro.tgds.tgd import parse_tgds
 
@@ -255,9 +255,8 @@ class TestAccuracy:
 
     def test_decider_stats_are_passive(self):
         diverging = parse_tgds(["R(x,y) -> R(y,z)"])
-        analyzer = TerminationAnalyzer(guarded_max_steps=20)
-        bare = analyzer.analyze(diverging)
-        observed = analyzer.analyze(diverging, stats=ChaseStats())
+        bare = decide(diverging)
+        observed = decide(diverging, stats=ChaseStats())
         assert bare.status == observed.status
         assert bare.method == observed.method
 

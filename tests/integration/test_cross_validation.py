@@ -7,7 +7,7 @@ from repro.chase.oblivious import oblivious_chase, satisfies_all
 from repro.chase.restricted import restricted_chase
 from repro.guarded.decision import decide_guarded
 from repro.sticky.decision import decide_sticky
-from repro.termination.analyzer import TerminationAnalyzer
+from repro.termination.portfolio import TerminationPortfolio
 from repro.termination.verdict import Status
 from repro.tgds.generators import (
     GeneratorProfile,
@@ -113,19 +113,18 @@ class TestWitnessesReplay:
         assert not run.terminated
 
     def test_analyzer_certificates_checkable(self):
-        analyzer = TerminationAnalyzer()
         tgds = parse_tgds(["R(x,y) -> R(y,z)"])
-        verdict = analyzer.analyze(tgds)
+        verdict = TerminationPortfolio().analyze(tgds)
         witness = verdict.certificate["witness"]
         witness.derivation.validate(tgds)
 
 
 class TestCorpusSanity:
     def test_sticky_corpus_analyzable(self):
-        analyzer = TerminationAnalyzer(guarded_max_steps=40)
+        portfolio = TerminationPortfolio()
         profile = GeneratorProfile(num_predicates=2, max_arity=2, num_tgds=2)
         sets = corpus("sticky", 5, base_seed=11, profile=profile)
-        tally = analyzer.analyze_corpus(sets)
-        assert sum(tally.values()) == 5
+        statuses = [portfolio.analyze(tgds).status for tgds in sets]
+        assert len(statuses) == 5
         # The complete sticky procedure never answers UNKNOWN within budget.
-        assert tally[Status.UNKNOWN] == 0
+        assert Status.UNKNOWN not in statuses

@@ -34,7 +34,7 @@ PINNED_SHA256 = "ea4d68e44aad1d0b61129ff4aa3fd8b6265102273802a23a9b1a0259177f4a6
 #: the restricted (fifo, lifo and semi-naive) and oblivious engines, runs a
 #: session-style engine (seed half the facts, inject the rest, drive) and
 #: builds a real oblivious chase; per TGD set it also runs the critical
-#: chase (digest-named nulls) and the portfolio and analyzer verdicts.
+#: chase (digest-named nulls) and the portfolio and decider-only verdicts.
 #: Prints one JSON list of (keys, digest) per run, where the keys are a
 #: derivation, a pending list, a node list or a verdict's status and
 #: method, and a verdict's digest covers its certificate repr.
@@ -48,9 +48,8 @@ from repro.chase.real_oblivious import RealObliviousChase
 from repro.chase.restricted import restricted_chase
 from repro.core.parsing import parse_database
 from repro.guarded.decision import candidate_databases
-from repro.termination.analyzer import TerminationAnalyzer
 from repro.termination.critical import critical_chase
-from repro.termination.portfolio import TerminationPortfolio
+from repro.termination.portfolio import TerminationPortfolio, decide
 from repro.tgds.generators import GeneratorProfile, corpus
 from repro.tgds.tgd import parse_tgds
 
@@ -67,8 +66,8 @@ runs = []
 for family in ("linear", "guarded", "weakly-acyclic"):
     for tgds in corpus(family, 2, base_seed=11, profile=profile):
         runs.append([[], digest(critical_chase(tgds).instance)])
-        for decide in (TerminationPortfolio().analyze, TerminationAnalyzer().analyze):
-            verdict = decide(tgds)
+        for analyze in (TerminationPortfolio().analyze, decide):
+            verdict = analyze(tgds)
             text = repr(verdict.certificate)
             runs.append(
                 [[verdict.status, verdict.method], hashlib.sha256(text.encode()).hexdigest()]

@@ -117,6 +117,17 @@ class TestRoutingAndErrors:
         assert b"Connection: close" in head
         assert fragment in json.loads(body)["error"]
 
+    def test_nan_budget_400(self, server):
+        # The request body is parsed with json.loads, which accepts NaN; a
+        # NaN wall limit would never expire yet leave 0 s for the deciders.
+        payload = {
+            "tgds": ["R(x,y), R(y,z) -> R(z,w)"],
+            "budget": {"wall_seconds": float("nan")},
+        }
+        assert "NaN" in json.dumps(payload)
+        status, data = request(server, "POST", "/v1/analyze", payload)
+        assert status == 400 and "wall_seconds" in data["error"]
+
     def test_malformed_facts_post_400(self, server):
         session = create_session(server)["session"]
         status, data = request(

@@ -223,7 +223,7 @@ class TestBudget:
         assert verdict.method == "sticky-budget"
 
     def test_analyzer_threads_its_budget(self, ticking_clock):
-        from repro.termination.analyzer import TerminationAnalyzer
+        from repro.termination.portfolio import decide
 
-        verdict = TerminationAnalyzer().analyze(parse_tgds(ladder(4)), budget=Budget(wall_seconds=0.5))
+        verdict = decide(parse_tgds(ladder(4)), budget=Budget(wall_seconds=0.5))
         assert verdict.method == "sticky-budget"

@@ -10,7 +10,6 @@ from repro.errors import ChaseInterrupted
 from repro.guarded.decision import candidate_databases, decide_guarded, scan_suspects
 from repro.obs import clock
 from repro.sticky.decision import decide_sticky
-from repro.termination.analyzer import Classification, TerminationAnalyzer
 from repro.termination.critical import (
     CRITICAL_MAX_ATOMS,
     REPEAT_LIMIT,
@@ -18,10 +17,12 @@ from repro.termination.critical import (
     critical_database,
     critical_verdict,
 )
-from repro.termination.portfolio import TerminationPortfolio, settled_cheaply
+from repro.termination.portfolio import TerminationPortfolio, decide, settled_cheaply
 from repro.termination.verdict import Status
 from repro.tgds.acyclicity import terminating_certificate
 from repro.tgds.generators import GeneratorProfile, corpus
+from repro.tgds.guardedness import is_guarded
+from repro.tgds.stickiness import is_sticky
 from repro.tgds.tgd import parse_tgds
 
 
@@ -130,14 +131,12 @@ class TestDeciderBudgets:
         assert decide_guarded(GUARDED[18]).method == "critical-chase"
 
     def test_general_application_budget_is_honoured(self):
-        classification = Classification(GENERAL)
-        assert not (classification.guarded or classification.sticky)
+        assert not (is_guarded(GENERAL) or is_sticky(GENERAL))
         assert terminating_certificate(GENERAL) is None
-        analyzer = TerminationAnalyzer()
-        verdict = analyzer.analyze(GENERAL, budget=Budget(max_applications=1))
+        verdict = decide(GENERAL, budget=Budget(max_applications=1))
         assert verdict.status == Status.TIMEOUT
         assert verdict.method == "general-budget"
-        assert analyzer.analyze(GENERAL).method == "critical-chase"
+        assert decide(GENERAL).method == "critical-chase"
 
 
 PROFILES = {
@@ -239,9 +238,8 @@ class TestNoLostSettle:
                 continue
             if not critical_chase(tgds).settled:
                 continue
-            classification = Classification(tgds)
-            if classification.sticky:
+            if is_sticky(tgds):
                 assert decide_sticky(tgds).status != Status.NOT_ALL_TERMINATING, key
-            if classification.guarded:
+            if is_guarded(tgds):
                 hit = scan_suspects(candidate_databases(tgds), tgds, 60, 3)
                 assert hit is None, key

@@ -1,6 +1,6 @@
 """The cheap-first termination portfolio: soundness, determinism, budgets.
 
-Obligations: the cascade never contradicts the decider-only analyzer on
+Obligations: the cascade never contradicts the decider-only ``decide`` on
 the generator corpus, cheap settlements are real certificates, per-stage
 outcomes land in ``ChaseStats.portfolio``, and a ``Budget`` cut inside
 any stage surfaces as a ``Status.TIMEOUT`` verdict — never an exception.
@@ -8,11 +8,11 @@ any stage surfaces as a ``Status.TIMEOUT`` verdict — never an exception.
 
 from repro.chase.checkpoint import Budget
 from repro.obs.stats import ChaseStats
-from repro.termination.analyzer import TerminationAnalyzer
+from repro.termination.critical import CRITICAL_METHOD
 from repro.termination.portfolio import (
     PORTFOLIO_STAGES,
     TerminationPortfolio,
-    portfolio_analyze,
+    decide,
     settled_cheaply,
 )
 from repro.termination.verdict import Status
@@ -32,6 +32,10 @@ TERMINATING = parse_tgds(["R(x, y) -> R(x, z)"])
 DIVERGING = parse_tgds(["R(x, y) -> R(y, z)"])
 
 
+#: Methods of the verdicts that the certificate-or-pump prefix settles.
+PREFIX_METHODS = ("full-tgds", "weak-acyclicity", "joint-acyclicity", CRITICAL_METHOD)
+
+
 def contradicts(a, b):
     return (a.is_terminating and b.is_nonterminating) or (
         a.is_nonterminating and b.is_terminating
@@ -41,11 +45,10 @@ def contradicts(a, b):
 class TestCorpusAgreement:
     def test_portfolio_never_contradicts_the_deciders(self):
         portfolio = TerminationPortfolio()
-        analyzer = TerminationAnalyzer()
         for family in FAMILIES:
             for tgds in corpus(family, 3, profile=PROFILE):
                 pv = portfolio.analyze(tgds)
-                dv = analyzer.analyze(tgds)
+                dv = decide(tgds)
                 assert not contradicts(pv, dv), (family, pv, dv)
 
     def test_cheap_settlements_only_claim_termination(self):
@@ -56,17 +59,38 @@ class TestCorpusAgreement:
                 if settled_cheaply(verdict):
                     assert verdict.is_terminating
 
+    def test_decider_stage_never_settles_in_its_certificate_prefix(self):
+        # Stage 4's certificate-or-pump route opens with the whole-set
+        # certificates and the whole-set critical chase.  Behind the
+        # cascade neither can settle: the certificates are deterministic
+        # and stage 1 already ran them, and a whole-set critical chase that
+        # settles implies every layer's does, while the hierarchical stage
+        # stopped at a layer that did not.
+        portfolio = TerminationPortfolio()
+        prefix_reached = 0
+        for profile in (None, PROFILE):
+            for family in FAMILIES:
+                for tgds in corpus(family, 60, profile=profile):
+                    stats = ChaseStats()
+                    verdict = portfolio.analyze(tgds, stats=stats)
+                    if stats.portfolio[-1]["stage"] != "decider":
+                        continue
+                    assert verdict.method not in PREFIX_METHODS, (family, tgds)
+                    if not verdict.method.startswith("sticky-"):
+                        prefix_reached += 1
+        assert prefix_reached, "no corpus set reached the decider's prefix"
+
 
 class TestCascade:
     def test_intro_example_settles_at_certificate(self):
-        verdict = portfolio_analyze(TERMINATING)
+        verdict = TerminationPortfolio().analyze(TERMINATING)
         assert verdict.is_terminating
         assert verdict.method == "portfolio-certificate"
         assert settled_cheaply(verdict)
 
     def test_diverging_twin_falls_through_to_the_decider(self):
         stats = ChaseStats()
-        verdict = portfolio_analyze(DIVERGING, stats=stats)
+        verdict = TerminationPortfolio().analyze(DIVERGING, stats=stats)
         assert verdict.is_nonterminating
         assert not verdict.method.startswith("portfolio-")
         assert not settled_cheaply(verdict)
@@ -93,14 +117,14 @@ class TestCascade:
         assert [entry["stage"] for entry in stats.portfolio] == ["certificate"]
 
     def test_stats_are_strictly_passive(self):
-        bare = portfolio_analyze(DIVERGING)
-        with_stats = portfolio_analyze(DIVERGING, stats=ChaseStats())
+        bare = TerminationPortfolio().analyze(DIVERGING)
+        with_stats = TerminationPortfolio().analyze(DIVERGING, stats=ChaseStats())
         assert (bare.status, bare.method) == (with_stats.status, with_stats.method)
 
 
 class TestBudgets:
     def test_pre_exhausted_wall_budget_is_timeout_not_exception(self):
-        verdict = portfolio_analyze(DIVERGING, budget=Budget(wall_seconds=0))
+        verdict = TerminationPortfolio().analyze(DIVERGING, budget=Budget(wall_seconds=0))
         assert verdict.status == Status.TIMEOUT
         assert verdict.is_timeout
         assert verdict.method == "portfolio-budget"
@@ -111,7 +135,7 @@ class TestBudgets:
         # DIVERGING reaches stage 3, whose serial layer chase shares the
         # caller's budget; the critical-database oblivious run trips the
         # atom cap mid-stage.  The cut must render as TIMEOUT.
-        verdict = portfolio_analyze(DIVERGING, budget=Budget(max_atoms=2))
+        verdict = TerminationPortfolio().analyze(DIVERGING, budget=Budget(max_atoms=2))
         assert verdict.status == Status.TIMEOUT
         assert verdict.method == "portfolio-budget"
         assert verdict.certificate == {
@@ -120,20 +144,20 @@ class TestBudgets:
         }
 
     def test_application_cut_is_timeout_too(self):
-        verdict = portfolio_analyze(DIVERGING, budget=Budget(max_applications=2))
+        verdict = TerminationPortfolio().analyze(DIVERGING, budget=Budget(max_applications=2))
         assert verdict.status == Status.TIMEOUT
         assert verdict.method == "portfolio-budget"
         assert verdict.certificate["reason"] == "budget:applications"
 
     def test_budget_cut_is_recorded_in_stats(self):
         stats = ChaseStats()
-        portfolio_analyze(DIVERGING, budget=Budget(max_atoms=2), stats=stats)
+        TerminationPortfolio().analyze(DIVERGING, budget=Budget(max_atoms=2), stats=stats)
         assert stats.portfolio[-1]["stage"] == "hierarchical"
         assert stats.portfolio[-1]["outcome"] == "timeout"
 
     def test_ample_budget_changes_nothing(self):
         budget = Budget(wall_seconds=120, max_atoms=100_000)
-        verdict = portfolio_analyze(TERMINATING, budget=budget)
+        verdict = TerminationPortfolio().analyze(TERMINATING, budget=budget)
         assert verdict.method == "portfolio-certificate"
 
 
@@ -196,9 +220,8 @@ class TestLaterStagesSettle:
         assert stats.portfolio[-1]["outcome"] == "settled"
 
     def test_later_stage_settlements_agree_with_the_decider(self):
-        analyzer = TerminationAnalyzer()
         for tgds in (stratification_set(), hierarchical_set()):
-            pv = portfolio_analyze(tgds)
-            dv = analyzer.analyze(tgds)
+            pv = TerminationPortfolio().analyze(tgds)
+            dv = decide(tgds)
             assert pv.is_terminating
             assert not contradicts(pv, dv)
