@@ -374,6 +374,19 @@ class SQLiteInstance(Instance):
     def index_position(self, predicate: str, position: int) -> None:
         """A no-op: the ``buckets`` table indexes every position already."""
 
+    def position_lookup(self, predicate: str, position: int):
+        """The getter of ``(predicate, position)``: ``get(term, default)``
+        is ``with_term_at(predicate, position, term)``.  It ignores
+        ``default``: a term without atoms gets an empty view, which
+        iterates, sizes and tests false like the memory backend's default.
+        """
+        with_term_at = self.with_term_at
+
+        def get(term: Term, default=None) -> _SQLiteView:
+            return with_term_at(predicate, position, term)
+
+        return get
+
     def with_term_at(self, predicate: str, position: int, term: Term) -> _SQLiteView:
         params = (predicate, position, encode_term(term))
         return _SQLiteView(

@@ -19,7 +19,11 @@ the duration of a round.  :class:`ParallelMatcher` exploits that:
   ``ProcessPoolExecutor`` built from the ``fork`` start method: the pool is
   created *per round*, after the round's ``(tgds, instance, delta)`` triple
   is parked in a module global, so forked workers inherit the instance and
-  its indexes by memory snapshot instead of by pickling.  Each worker runs
+  its indexes by memory snapshot instead of by pickling.  Before forking,
+  the parent indexes every position the round's plans may probe
+  (:attr:`repro.chase.plans.JoinPlan.probes`): a plan takes the getters of
+  all of them when it starts, and a bucket a worker built would die with
+  it.  Each worker runs
   the compiled join plans of :mod:`repro.chase.plans` — the serial pass's
   kernel — and only the compact ``(tgd_index, values, birth)`` rows they
   emit travel back.  ``workers=1``, a host without ``fork``, and rounds
@@ -271,9 +275,10 @@ class ParallelMatcher:
         raises; :meth:`rows` turns that into the serial recompute.
         """
         global _FORK_STATE
-        # Position buckets are built on first probe; one built in a forked
-        # worker dies with it.  Build every position the round's plans may
-        # probe here, once, so the workers inherit them.
+        # A plan indexes every position it may probe when it first runs
+        # (it takes their getters at entry), and buckets built in a forked
+        # worker die with it.  Build those positions here, once, so the
+        # workers inherit them.
         pairs = {(chunk[0], chunk[1]): None for task in tasks for chunk in task}
         for tgd_index, pivot_index in pairs:
             for predicate, position in self.tgds[tgd_index].join_plans()[pivot_index].probes:

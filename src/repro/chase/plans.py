@@ -11,14 +11,38 @@ A plan fixes the pivot, the order of the other body atoms (most bound
 positions first, then body index), each atom's delta limit and the bound
 positions it may probe, and generates one Python function from them: a
 nested ``for`` loop per body atom, in plan order.  Each loop probes the
-smallest of its bound-position buckets (``with_term_at``;
-``with_predicate`` when nothing is bound), checks a candidate's arity and
-bound or repeated positions with ``is not`` — terms are interned, so
-identity is equality (:mod:`repro.core.terms`) — and its delta limit,
-then binds the candidate's fresh variables to locals.  The innermost loop
-appends the row.  ``plan.source`` holds the generated text::
+smallest of its bound-position buckets (``with_predicate`` when nothing
+is bound), checks a candidate's arity and bound or repeated positions
+with ``is not`` — terms are interned, so identity is equality
+(:mod:`repro.core.terms`) — and its delta limit, then binds the
+candidate's fresh variables to locals.  The innermost loop appends the
+row.  A probe is one call of a position getter: at entry, ``match`` takes
+:meth:`repro.core.instance.Instance.position_lookup` of every position
+it may probe (so those positions are indexed when the plan first runs,
+not when a loop first reaches them), and a loop probes with
+``getter(term, E)``, ``E`` the shared empty bucket.  ``plan.source``
+holds the generated text; for the pivot ``F(y,z)`` of
+``F(x,y), F(y,z), F(z,x) -> T(x,y,z)``, ``print(tgd.join_plans()[1].source)``
+shows, abridged::
 
-    print(tgd.join_plans()[0].source)
+    def make(p1, p2):
+        def match(bucket, instance, positions, tgd_index, rows):
+            lookup = instance.position_lookup
+            q1_2 = lookup(p1, 2)
+            q2_1 = lookup(p2, 1)
+            q2_2 = lookup(p2, 2)
+            ...
+            for a0 in bucket:
+                ...
+                c1 = q1_2(v0, E)
+                for a1 in c1:
+                    ...
+                    c2 = q2_1(v1, E)
+                    if not c2: continue
+                    d = q2_2(v2, E)
+                    if len(d) < len(c2): c2 = d
+                    for a2 in c2:
+                        ...
 
 Predicates and constants enter only as parameters of the generated
 factory ``make(p1, …, k0, …)``, never as source text, so the source
@@ -27,8 +51,9 @@ pattern of bound, repeated and fresh terms, in plan order — and a cache
 keyed by the shape generates and compiles each shape once: equal shapes
 share one code object.  CPython refuses more than 20 statically nested
 blocks, so a body longer than :data:`LOOPS_PER_FUNCTION` atoms continues
-in chained functions, each receiving the locals bound so far.  The generated function receives the
-instance and the delta positions per call and captures neither.
+in chained functions, each receiving the locals bound so far and the
+getters it and its successors probe.  The generated function receives
+the instance and the delta positions per call and captures neither.
 
 Exactly-once split: with the pivot bound to the delta atom at position
 ``p``, body atoms *before* the pivot may bind only old atoms or delta
@@ -94,6 +119,11 @@ def _tuple_getter(indices: Sequence[int]):
 _EMPTY = itemgetter(slice(0, 0))
 
 
+#: ``E`` of the generated code: the default a position getter returns for a
+#: term without atoms.  Shared by every plan, so never mutated.
+_NO_ATOMS: Dict = {}
+
+
 #: ``for`` loops one generated function nests at most.  CPython refuses
 #: more than 20 statically nested blocks, so a longer plan continues in a
 #: chained function that receives the locals bound so far.
@@ -106,7 +136,7 @@ def _kernel(shape: tuple) -> tuple:
     generated and compiled once, and plans of one shape share one code
     object per generated function."""
     source, positions = _source(*shape)
-    namespace: Dict = {}
+    namespace: Dict = {"E": _NO_ATOMS}
     exec(compile(source, "<join plan>", "exec"), namespace)
     return source, namespace["make"], positions
 
@@ -121,29 +151,45 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
     the step predicates are parameters ``p1``, ``p2``, …, the body
     constants ``k0``, ``k1``, … and the variables locals ``v0``, ``v1``, …
     in binding order, so no predicate or constant text enters the source.
+    ``q<step>_<position>`` is the position getter a step probes and ``E``
+    the shared empty bucket it defaults to.
     """
     def name(code: int) -> str:
         return f"v{code}" if code >= 0 else f"k{~code}"
 
+    # Per step, the ``(getter, index, term)`` of its bound positions:
+    # constants (negative codes) and variables bound by earlier steps.
+    probes: List[list] = []
     bound = 0
-    probed: List[tuple] = []
+    for step, (_, terms) in enumerate(pattern):
+        probes.append([
+            (f"q{step}_{index + 1}", index, name(code))
+            for index, code in enumerate(terms)
+            if code < bound
+        ])
+        bound = max([bound] + [code + 1 for code in terms])
+
+    bound = 0
     functions: List[list] = []
-    lines = [
-        "def match(bucket, instance, positions, tgd_index, rows):",
-        "    with_term_at = instance.with_term_at",
+    lines = ["def match(bucket, instance, positions, tgd_index, rows):"]
+    if any(probes[1:]):
+        lines.append("    lookup = instance.position_lookup")
+    for step in range(1, len(pattern)):
+        for getter, index, _ in probes[step]:
+            lines.append(f"    {getter} = lookup(p{step}, {index + 1})")
+    lines += [
         "    with_predicate = instance.with_predicate",
         "    get = positions.get",
         "    append = rows.append",
     ]
     indent, loops = "    ", 0
     for step, (strict, terms) in enumerate(pattern):
-        # Constants (negative codes) and variables bound so far.
-        probes = [(index, name(code)) for index, code in enumerate(terms) if code < bound]
         skip = None
         if step:
             if loops == LOOPS_PER_FUNCTION:
                 params = ", ".join(
-                    ["with_term_at", "with_predicate", "get", "append", "tgd_index", "birth"]
+                    ["with_predicate", "get", "append", "tgd_index", "birth"]
+                    + [getter for later in probes[step:] for getter, _, _ in later]
                     + [f"v{code}" for code in range(bound)]
                 )
                 lines.append(f"{indent}part{len(functions) + 1}({params})")
@@ -151,19 +197,19 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
                 lines = [f"def part{len(functions)}({params}):"]
                 indent, loops = "    ", 0
             fail = "continue" if loops else "return"
-            probed.append(tuple([index + 1 for index, _ in probes]))
-            if not probes:
+            found = probes[step]
+            if not found:
                 lines.append(f"{indent}c{step} = with_predicate(p{step})")
             else:
-                index, term = probes[0]
-                lines.append(f"{indent}c{step} = with_term_at(p{step}, {index + 1}, {term})")
-                for index, term in probes[1:]:
+                getter, index, term = found[0]
+                lines.append(f"{indent}c{step} = {getter}({term}, E)")
+                for getter, _, term in found[1:]:
                     lines.append(f"{indent}if not c{step}: {fail}")
-                    lines.append(f"{indent}d = with_term_at(p{step}, {index + 1}, {term})")
+                    lines.append(f"{indent}d = {getter}({term}, E)")
                     lines.append(f"{indent}if len(d) < len(c{step}): c{step} = d")
-                if len(probes) == 1:
+                if len(found) == 1:
                     # The one bound position is the probed bucket's key.
-                    skip = probes[0][0]
+                    skip = index
         lines.append(f"{indent}for a{step} in {f'c{step}' if step else 'bucket'}:")
         indent += "    "
         loops += 1
@@ -196,7 +242,8 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
     for function in functions:
         source += ["    " + line for line in function]
     source.append("    return match")
-    return "\n".join(source) + "\n", tuple(probed)
+    positions = tuple(tuple([index + 1 for _, index, _ in found]) for found in probes[1:])
+    return "\n".join(source) + "\n", positions
 
 
 class JoinPlan:
@@ -248,8 +295,9 @@ class JoinPlan:
 
     @property
     def probes(self) -> Tuple[Tuple[str, int], ...]:
-        """The ``(predicate, position)`` pairs ``match`` may probe with
-        ``with_term_at``: every bound position of every non-pivot step."""
+        """The ``(predicate, position)`` pairs ``match`` may probe: every
+        bound position of every non-pivot step.  ``match`` takes the
+        position getter of each of them when it starts."""
         return tuple(
             (predicate, position)
             for predicate, positions in zip(self._predicates, self._positions)

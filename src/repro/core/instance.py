@@ -13,16 +13,24 @@ Instances keep two inverted indexes:
 * a per-predicate index (``with_predicate``), maintained by every
   ``add``/``discard``, and
 * a term-position index ``(predicate, position, term) → atoms``
-  (``with_term_at``, positions 1-based as in the paper's ``(R, i)``),
-  built on demand.
+  (positions 1-based as in the paper's ``(R, i)``), built on demand.
 
-The term-position index is demand-driven.  A ``(predicate, position)``
-pair gets its buckets the first time a probe asks for it: one scan of
-the predicate bucket, skipping atoms too short to have that position.
-From then on ``add`` and ``discard`` maintain the positions already
-indexed, and no others.  Rules whose bodies are single atoms never probe,
-so a chase over them builds no position bucket at all.  ``copy`` carries
-the indexed positions; a pickled instance ships its atom list only.
+The term-position index holds one ``term → bucket`` dict per indexed
+``(predicate, position)``.  ``position_lookup(predicate, position)``
+returns that dict's bound ``get``: the compiled join plans
+(:mod:`repro.chase.plans`) take it once per call and probe with
+``get(term, empty)``, one C-level lookup.  ``with_term_at`` answers
+through the same getter and wraps the bucket in a set-like view.
+
+The index is demand-driven.  A ``(predicate, position)`` pair gets its
+buckets the first time a getter is asked for it (``with_term_at`` asks
+on every call; a join plan asks for every position it may probe when it
+starts, before it knows whether it will reach them): one scan of the
+predicate bucket, skipping atoms too short to have that position.  From
+then on ``add`` and ``discard`` maintain the positions already indexed,
+and no others.  Rules whose bodies are single atoms never probe, so a
+chase over them builds no position bucket at all.  ``copy`` carries the
+indexed positions; a pickled instance ships its atom list only.
 
 All buckets are insertion-ordered (plain dicts), so iteration order is
 deterministic for a deterministic insertion sequence — the chase engines
@@ -40,13 +48,14 @@ so a reader never sees a partial bucket.  Mutation stays single-threaded.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, KeysView, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, KeysView, Optional, Set, Tuple
 
 from repro.core.atoms import Atom
 from repro.core.schema import Schema
 from repro.core.terms import Constant, Null, Term
 
-#: Shared empty bucket; never mutated, only handed out as a keys view.
+#: Shared empty bucket; never mutated.  Handed out as a keys view, and as
+#: the default a position getter returns for a term it holds no bucket of.
 _EMPTY: Dict = {}
 
 
@@ -165,12 +174,14 @@ class Instance:
     """
 
     def __init__(self, atoms: Optional[Iterable[Atom]] = None):
-        # All three maps use dicts as insertion-ordered sets (values unused).
+        # Every bucket is a dict used as an insertion-ordered set (values unused).
         self._atoms: Dict[Atom, None] = {}
         self._by_predicate: Dict[str, Dict[Atom, None]] = {}
-        self._by_position: Dict[Tuple[str, int, Term], Dict[Atom, None]] = {}
-        #: predicate -> the positions whose buckets exist, in probe order.
-        self._indexed: Dict[str, Tuple[int, ...]] = {}
+        #: (predicate, position) -> term -> bucket, for indexed positions.
+        self._by_position: Dict[Tuple[str, int], Dict[Term, Dict[Atom, None]]] = {}
+        #: predicate -> ``(position, term -> bucket)`` per indexed position,
+        #: in indexing order: what ``add`` and ``discard`` maintain.
+        self._indexed: Dict[str, Tuple[Tuple[int, Dict[Term, Dict[Atom, None]]], ...]] = {}
         #: Serializes first-probe builds.  Per instance, not per process: a
         #: process-wide lock held by one thread while another forks a pool
         #: would stay locked forever in the forked workers.
@@ -228,20 +239,30 @@ class Instance:
             raise TypeError(f"instances contain atoms, got {atom!r}")
         if not atom.is_ground:
             raise ValueError(f"instances contain ground atoms only, got {atom}")
-        if atom in self._atoms:
+        # One probe both tests membership and inserts: re-setting a present
+        # key keeps its place, so only the size tells a new atom.
+        atoms = self._atoms
+        size = len(atoms)
+        atoms[atom] = None
+        if len(atoms) == size:
             return False
-        self._atoms[atom] = None
         predicate = atom.predicate
         self._by_predicate.setdefault(predicate, {})[atom] = None
         positions = self._indexed.get(predicate)
         if positions:
-            by_position = self._by_position
             terms = atom.terms
-            for i in positions:
-                if i <= len(terms):
-                    by_position.setdefault((predicate, i, terms[i - 1]), {})[atom] = None
-        if self._delta is not None:
-            self._delta.record(atom)
+            arity = len(terms)
+            for i, buckets in positions:
+                if i <= arity:
+                    buckets.setdefault(terms[i - 1], {})[atom] = None
+        delta = self._delta
+        if delta is not None:
+            # ``Delta.record`` without its membership test: an atom new to
+            # the instance is not in its delta, since ``discard`` removes
+            # from both.
+            delta._positions[atom] = delta._counter
+            delta._counter += 1
+            delta._by_predicate.setdefault(predicate, {})[atom] = None
         return True
 
     def update(self, atoms: Iterable[Atom]) -> int:
@@ -258,16 +279,14 @@ class Instance:
             bucket.pop(atom, None)
             if not bucket:
                 del self._by_predicate[atom.predicate]
-        by_position = self._by_position
-        predicate = atom.predicate
         terms = atom.terms
-        for i in self._indexed.get(predicate, ()):
+        for i, buckets in self._indexed.get(atom.predicate, ()):
             if i <= len(terms):
-                key = (predicate, i, terms[i - 1])
-                position_bucket = by_position[key]
+                term = terms[i - 1]
+                position_bucket = buckets[term]
                 del position_bucket[atom]
                 if not position_bucket:
-                    del by_position[key]
+                    del buckets[term]
         if self._delta is not None:
             self._delta.remove(atom)
         return True
@@ -279,27 +298,35 @@ class Instance:
     def with_term_at(self, predicate: str, position: int, term: Term) -> KeysView:
         """All atoms with ``term`` at 1-based ``position`` of ``predicate``.
 
-        The term-position index lookup: a set-like, insertion-ordered view.
-        A hit answers from the bucket; only a miss consults the indexed
-        positions and, on the first probe of ``(predicate, position)``,
-        builds that position's buckets.
+        The term-position index lookup: a set-like, insertion-ordered view
+        of the bucket :meth:`position_lookup`'s getter finds.
         """
-        key = (predicate, position, term)
-        bucket = self._by_position.get(key)
-        if bucket is None:
-            if position not in self._indexed.get(predicate, ()):
-                self.index_position(predicate, position)
-            # Look again even for an indexed position: a concurrent build
-            # may have published the bucket after the first lookup.
-            bucket = self._by_position.get(key, _EMPTY)
-        return bucket.keys()
+        return self.position_lookup(predicate, position)(term, _EMPTY).keys()
+
+    def position_lookup(self, predicate: str, position: int) -> Callable:
+        """The getter of ``(predicate, position)``'s buckets.
+
+        ``get(term, default)`` returns the live bucket (a dict of atoms,
+        insertion-ordered) of the atoms with ``term`` at ``position``, or
+        ``default`` when there are none.  The getter keeps answering for
+        the instance as it changes: ``add`` and ``discard`` update the
+        dict it is bound to.  On the first request for a position this
+        builds its buckets (:meth:`index_position`).  Callers must not
+        mutate a bucket.
+        """
+        buckets = self._by_position.get((predicate, position))
+        if buckets is None:
+            self.index_position(predicate, position)
+            # Still absent for a position below 1, which no atom has.
+            buckets = self._by_position.get((predicate, position), _EMPTY)
+        return buckets.get
 
     def index_position(self, predicate: str, position: int) -> None:
         """Build the buckets of ``(predicate, position)``, then mark it indexed.
 
-        ``with_term_at`` calls this on a position's first probe; a caller
-        about to fork probing workers calls it up front, so the buckets
-        are built once in the parent rather than once per worker.
+        :meth:`position_lookup` calls this on a position's first request; a
+        caller about to fork probing workers calls it up front, so the
+        buckets are built once in the parent rather than once per worker.
 
         One scan of the insertion-ordered predicate bucket, so each bucket
         lists its atoms in insertion order.  The buckets are complete
@@ -309,16 +336,15 @@ class Instance:
         if position < 1:
             return  # no atom has such a position; ``terms[position - 1]`` would wrap
         with self._index_lock:
-            positions = self._indexed.get(predicate, ())
-            if position in positions:
+            if (predicate, position) in self._by_position:
                 return
-            built: Dict[Tuple[str, int, Term], Dict[Atom, None]] = {}
+            built: Dict[Term, Dict[Atom, None]] = {}
             for atom in self._by_predicate.get(predicate, _EMPTY):
                 terms = atom.terms
                 if position <= len(terms):
-                    built.setdefault((predicate, position, terms[position - 1]), {})[atom] = None
-            self._by_position.update(built)
-            self._indexed[predicate] = positions + (position,)
+                    built.setdefault(terms[position - 1], {})[atom] = None
+            self._by_position[(predicate, position)] = built
+            self._indexed[predicate] = self._indexed.get(predicate, ()) + ((position, built),)
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._atoms
@@ -359,8 +385,14 @@ class Instance:
         clone = type(self)()
         clone._atoms = dict(self._atoms)
         clone._by_predicate = {p: dict(d) for p, d in self._by_predicate.items()}
-        clone._by_position = {k: dict(d) for k, d in self._by_position.items()}
-        clone._indexed = dict(self._indexed)
+        clone._by_position = {
+            key: {term: dict(bucket) for term, bucket in buckets.items()}
+            for key, buckets in self._by_position.items()
+        }
+        clone._indexed = {
+            predicate: tuple([(i, clone._by_position[predicate, i]) for i, _ in pairs])
+            for predicate, pairs in self._indexed.items()
+        }
         return clone
 
     def domain(self) -> Set[Term]:

@@ -57,6 +57,8 @@ def main(argv=None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    if not args.wall_seconds >= 0:  # also refuses NaN
+        parser.error(f"--wall-seconds must be non-negative, got {args.wall_seconds}")
 
     from repro.service.http import run_server
 

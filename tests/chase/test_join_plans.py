@@ -39,7 +39,7 @@ from repro.chase.trigger import new_triggers, seminaive_triggers
 from repro.errors import SearchBudgetExceeded
 from repro.guarded.decision import candidate_databases
 from repro.tgds.generators import GeneratorProfile, corpus
-from repro.tgds.tgd import TGD
+from repro.tgds.tgd import TGD, parse_tgds
 
 WORKERS = [
     int(w) for w in os.environ.get("CHASE_EQUIV_WORKERS", "2,4").split(",")
@@ -433,6 +433,24 @@ def test_long_bodies_compile_into_chained_functions():
     assert all(len(plan.order) > LOOPS_PER_FUNCTION for plan in plans)
     assert all("def part1(" in plan.source for plan in plans)
     assert "def part3(" in CLOSED_40.join_plans()[0].source
+
+
+#: The join rules of the perfbench ``chase_join`` workload.
+JOIN_RULES = parse_tgds([
+    "F(x,y), F(y,z), F(z,x) -> T(x,y,z)",
+    "F(x,y), F(y,z), F(z,w), F(w,x) -> Q(x,y,z,w)",
+])
+
+
+def test_plans_probe_through_position_getters():
+    # One getter per probed position, taken at ``match`` entry; a chained
+    # function receives the getters it and its successors probe.
+    beyond = TGD(chain(LOOPS_PER_FUNCTION + 2), Atom("H", [XS[0]]), name="beyond")
+    plans = [plan for tgd in JOIN_RULES + [beyond] for plan in tgd.join_plans()]
+    assert any("def part1(" in plan.source for plan in plans)
+    for plan in plans:
+        assert "with_term_at" not in plan.source
+        assert plan.source.count(" = lookup(") == len(plan.probes)
 
 
 @pytest.mark.parametrize("old", [3, 6])

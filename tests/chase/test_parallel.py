@@ -186,7 +186,7 @@ class TestMatcherDiscovery:
         matcher = ParallelMatcher(JOIN_TGDS, workers=3)
         assert matcher.discover(instance, delta)
         assert matcher.rounds_parallel == 1
-        assert sorted(instance._indexed["F"]) == [1, 2]
+        assert sorted([i for i, _ in instance._indexed["F"]]) == [1, 2]
 
     def test_workers_one_short_circuits_to_serial(self, monkeypatch):
         monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)

@@ -7,6 +7,8 @@ as the oracle: same bucket contents, same bucket order, across add,
 discard, probe, ``copy`` and pickle round-trips.  They also check that
 concurrent first probes only ever see complete buckets, and that a chase
 whose rule bodies are single atoms builds no position bucket at all.
+The position getter (``position_lookup``) is held to the same oracle on
+both backends, and ``add`` to its count of atom hashes.
 """
 
 import pickle
@@ -16,6 +18,7 @@ import threading
 
 import pytest
 
+from repro.backends import SQLiteInstance
 from repro.core.atoms import Atom
 from repro.core.instance import Database, Instance
 from repro.core.parsing import parse_database
@@ -69,17 +72,27 @@ def random_atom(rng):
     return Atom(predicate, [rng.choice(TERMS) for _ in range(arity)])
 
 
+def indexed_positions(instance):
+    """``predicate -> indexed positions`` in indexing order."""
+    return {p: tuple([i for i, _ in pairs]) for p, pairs in instance._indexed.items()}
+
+
 def assert_built_buckets_match(instance, reference):
     """Every bucket ``instance`` holds equals the oracle's, in order, and
     every oracle bucket at an indexed position is held — checked on the
-    private state, so the check itself indexes nothing."""
-    indexed = {(p, i) for p, positions in instance._indexed.items() for i in positions}
-    for key, bucket in instance._by_position.items():
-        assert key[:2] in indexed
-        assert list(bucket) == reference.bucket(*key), key
-    for key in reference.by_position:
-        if key[:2] in indexed:
-            assert key in instance._by_position, key
+    private state, so the check itself indexes nothing.  ``add`` and
+    ``discard`` maintain the very term maps the getters are bound to."""
+    indexed = {(p, i) for p, positions in indexed_positions(instance).items() for i in positions}
+    assert set(instance._by_position) == indexed
+    for predicate, pairs in instance._indexed.items():
+        for position, buckets in pairs:
+            assert instance._by_position[predicate, position] is buckets
+    for (predicate, position), buckets in instance._by_position.items():
+        for term, bucket in buckets.items():
+            assert list(bucket) == reference.bucket(predicate, position, term), term
+    for predicate, position, term in reference.by_position:
+        if (predicate, position) in indexed:
+            assert term in instance._by_position[predicate, position], term
 
 
 def assert_all_buckets_match(instance, reference):
@@ -123,7 +136,7 @@ class TestAgainstEagerOracle:
         instance = Instance(atoms)
         assert len(instance.with_term_at("R", 2, Constant("a"))) == 6
         clone = instance.copy()
-        assert clone._indexed == {"R": (2,)}
+        assert indexed_positions(clone) == {"R": (2,)}
         extra = Atom("R", [Constant("y"), Constant("a")])
         clone.add(extra)
         assert list(clone.with_term_at("R", 2, Constant("a"))) == atoms + [extra]
@@ -173,7 +186,7 @@ class TestConcurrentFirstProbes:
                     thread.join(timeout=60)
                     assert not thread.is_alive()
                 assert seen == expected
-                assert instance._indexed == {"E": (2,)}
+                assert indexed_positions(instance) == {"E": (2,)}
         finally:
             sys.setswitchinterval(previous)
 
@@ -200,3 +213,105 @@ class TestSingleAtomBodies:
         assert result.terminated
         assert result.instance._indexed == {}
         assert result.instance._by_position == {}
+
+
+#: Probed positions of the getter contract: 0 and a position past every
+#: arity, and ``U``, a predicate no atom has.
+GETTER_POSITIONS = POSITIONS + [("R", 0), ("S", 4), ("U", 1)]
+GETTER_TERMS = TERMS + [Constant("unseen")]
+
+
+#: The default a getter is probed with, as the join plans probe.
+EMPTY = {}
+
+
+@pytest.fixture(params=["memory", "sqlite"])
+def empty(request):
+    """An empty instance on each backend; the sqlite file is removed."""
+    if request.param == "memory":
+        yield Instance()
+        return
+    instance = SQLiteInstance([])
+    yield instance
+    instance.close()
+
+
+def assert_getters_match(instance, reference, getters=None):
+    for predicate, position in GETTER_POSITIONS:
+        get = getters[predicate, position] if getters else instance.position_lookup(predicate, position)
+        for term in GETTER_TERMS:
+            got = list(get(term, EMPTY))
+            assert got == list(instance.with_term_at(predicate, position, term))
+            assert got == reference.bucket(predicate, position, term)
+
+
+class TestPositionGetter:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_operation_sequences(self, empty, seed):
+        rng = random.Random(seed)
+        pool = [random_atom(rng) for _ in range(30)]
+        instance, reference = empty, EagerIndex()
+        for step in range(120):
+            atom = rng.choice(pool)
+            if rng.random() < 0.65:
+                instance.add(atom)
+                reference.add(atom)
+            else:
+                instance.discard(atom)
+                reference.discard(atom)
+            if step % 20 == 19:
+                assert_getters_match(instance, reference)
+        assert_getters_match(instance, reference)
+
+    def test_getter_taken_before_later_adds_sees_them(self, empty):
+        rng = random.Random(7)
+        instance, reference = empty, EagerIndex()
+        getters = {key: instance.position_lookup(*key) for key in GETTER_POSITIONS}
+        for _ in range(60):
+            atom = random_atom(rng)
+            instance.add(atom)
+            reference.add(atom)
+        for atom in list(reference.atoms)[::3]:
+            instance.discard(atom)
+            reference.discard(atom)
+        assert_getters_match(instance, reference, getters)
+
+    def test_empty_answers(self, empty):
+        instance = empty
+        instance.add(Atom("R", [Constant("c0"), Constant("c1")]))
+        for predicate, position, term in [
+            ("R", 0, Constant("c0")),  # position 0
+            ("R", 3, Constant("c0")),  # past the arity
+            ("U", 1, Constant("c0")),  # unseen predicate
+            ("R", 1, Constant("unseen")),  # unseen term
+        ]:
+            bucket = instance.position_lookup(predicate, position)(term, EMPTY)
+            assert not bucket and len(bucket) == 0 and list(bucket) == []
+
+
+class CountingAtom(Atom):
+    """An atom that counts, on its class, how often atoms of it are hashed."""
+
+    __slots__ = ()
+    hashes = 0
+
+    def __hash__(self):
+        CountingAtom.hashes += 1
+        return super().__hash__()
+
+
+class TestAddHashes:
+    @pytest.mark.parametrize("probed", [(), (1,), (1, 2)])
+    def test_new_atom_on_a_tracked_instance(self, probed, monkeypatch):
+        instance = Instance([Atom("R", [Constant("a"), Constant("b")])])
+        for position in probed:
+            instance.with_term_at("R", position, Constant("a"))
+        instance.track_delta()
+        atom = CountingAtom("R", [Constant("b"), Constant("c")])
+        monkeypatch.setattr(CountingAtom, "hashes", 0)
+        assert instance.add(atom)
+        assert CountingAtom.hashes == 4 + len(probed)
+        CountingAtom.hashes = 0
+        assert not instance.add(atom)
+        assert CountingAtom.hashes == 1
+        assert atom in instance.take_delta()
