@@ -49,6 +49,14 @@ def run_recording(database, max_steps: int = 1_000_000):
     return seminaive_chase(database, TGDS, max_steps=max_steps, stats=ChaseStats())
 
 
+def iqr(values) -> float:
+    """The interquartile range (0.0 for fewer than two values)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def _timed(fn, database):
     """One wall-clock sample, GC-levelled: collect first so the run does
     not pay down the previous run's allocation debt inside the timing."""
@@ -66,10 +74,12 @@ def measure(n: int, repeats: int = 9) -> dict:
     reported ``overhead_ratio`` is the median of the per-pair ratios —
     the robust estimator a single-digit-percent gate needs on a shared
     runner, where independent best-of timings wobble by more than the
-    threshold itself.  Within-pair order alternates every repeat (a load
-    burst or GC cycle landing on whichever run goes second would
-    otherwise bias every ratio the same way), and each run is preceded
-    by a ``gc.collect()``.  ``plain_seconds``/``recording_seconds`` stay
+    threshold itself.  ``overhead_iqr`` (the ratios' interquartile range)
+    and ``pairs`` are recorded next to it, so a reading can be told from
+    the spread it was taken in.  Within-pair order alternates every
+    repeat (a load burst or GC cycle landing on whichever run goes second
+    would otherwise bias every ratio the same way), and each run is
+    preceded by a ``gc.collect()``.  ``plain_seconds``/``recording_seconds`` stay
     the best-of wall times for trajectory plots.
 
     Tracing is suspended around the timed pairs: the gate measures the
@@ -101,6 +111,8 @@ def measure(n: int, repeats: int = 9) -> dict:
         "plain_seconds": round(plain_s, 6),
         "recording_seconds": round(recording_s, 6),
         "overhead_ratio": round(statistics.median(ratios), 3),
+        "overhead_iqr": round(iqr(ratios), 3),
+        "pairs": len(ratios),
         "identical_instances": plain.instance == recording.instance
         and list(plain.instance) == list(recording.instance),
         "identical_derivations": [t.key for t in plain.derivation.steps]

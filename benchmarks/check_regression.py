@@ -95,6 +95,26 @@ GC_TRACKED_ACCEPTED = {"3.11": 5213, "3.12": 5213}
 GC_TRACKED_GROWTH = 1.10
 
 
+def spread_lines(report: dict) -> list:
+    """The paired-ratio gates' readings at their gated size, each with the
+    interquartile range and number of pairs it was measured over (rows
+    from before those fields were recorded are left out)."""
+    lines = []
+    for section, workload, ratio, spread in (
+        ("seminaive_speedups", "seminaive_dense", "speedup", "speedup_iqr"),
+        ("obs_overheads", "obs_dense", "overhead_ratio", "overhead_iqr"),
+    ):
+        rows = report.get(section) or []
+        if rows:
+            row = max(rows, key=lambda r: r["size"])
+            if "pairs" in row:
+                lines.append(
+                    f"{workload} n={row['size']}: {row[ratio]}x, IQR "
+                    f"{row.get(spread)} over {row['pairs']} pairs"
+                )
+    return lines
+
+
 def stats_violations(stats: dict, context: str) -> list:
     """Telemetry-invariant violations in one embedded ``stats`` dict.
 
@@ -303,9 +323,15 @@ def gate(report: dict, margin: float) -> list:
                     f"but the derivations differ"
                 )
             if row["size"] == largest and row["overhead_ratio"] > ceiling:
+                spread = (
+                    f" (IQR {row.get('overhead_iqr')} over {row['pairs']} pairs)"
+                    if "pairs" in row
+                    else ""
+                )
                 failures.append(
                     f"obs_dense n={row['size']}: telemetry overhead "
-                    f"{row['overhead_ratio']}x above the {round(ceiling, 3)}x ceiling"
+                    f"{row['overhead_ratio']}x above the {round(ceiling, 3)}x "
+                    f"ceiling{spread}"
                 )
     portfolio = report.get("portfolio")
     if portfolio is None:
@@ -445,6 +471,8 @@ def main(argv=None) -> int:
         return 1
     report = json.loads(path.read_text())
 
+    for line in spread_lines(report):
+        print(f"check_regression: {line}")
     failures = gate(report, args.margin)
     equivalence = [f for f in failures if f.startswith("equivalence:")]
     notes = [f for f in failures if f.startswith("note:")]

@@ -68,6 +68,11 @@ It also times the sticky decider (the ``sticky_decider`` section):
 wall time, the automaton states the decision explored and the verdict.
 The section is a trajectory record, not a gate.
 
+It also records the text layer (the ``parse`` row): atoms/s on the
+service's 8-fact request shape, parsed as a facts payload is, and rules/s
+parsing every rule of the generator corpus back into a TGD.  The row is a
+trajectory record, not a gate.
+
 ``benchmarks/check_regression.py`` turns the written report into a CI
 gate; see ``docs/CI.md``.
 
@@ -106,6 +111,7 @@ if _BENCH_DIR not in sys.path:
 
 from repro.core.atoms import Atom
 from repro.core.instance import Database
+from repro.core.parsing import parse_atoms
 from repro.core.terms import Constant
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase, restricted_chase_naive
@@ -113,7 +119,8 @@ from repro.obs import trace
 from repro.obs.stats import ChaseStats, bench_stats_row
 from repro.sticky.automaton import CaterpillarAutomatonFamily
 from repro.sticky.decision import decide_sticky
-from repro.tgds.tgd import parse_tgds
+from repro.tgds.generators import corpus
+from repro.tgds.tgd import TGD, parse_tgds
 
 from bench_checkpoint import (
     CHECKPOINT_OVERHEAD_THRESHOLD,
@@ -121,6 +128,7 @@ from bench_checkpoint import (
 )
 from bench_obs import (
     OBS_OVERHEAD_THRESHOLD,
+    iqr,
     measure as measure_obs,
 )
 from bench_portfolio import (
@@ -263,14 +271,6 @@ def _time_pairs(first, second, repeats: int):
     return first_s, second_s, ratios, results[first], results[second]
 
 
-def _iqr(values) -> float:
-    """The interquartile range (0.0 for fewer than two values)."""
-    if len(values) < 2:
-        return 0.0
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q3 - q1
-
-
 def run_seminaive_kernel(sizes, repeats: int, max_steps: int = 1_000_000):
     """Time step-at-a-time vs semi-naive rounds on the dense workload.
 
@@ -324,7 +324,7 @@ def run_seminaive_kernel(sizes, repeats: int, max_steps: int = 1_000_000):
                 "step_seconds": round(step_s, 6),
                 "seminaive_seconds": round(semi_s, 6),
                 "speedup": round(statistics.median(ratios), 2),
-                "speedup_iqr": round(_iqr(ratios), 3),
+                "speedup_iqr": round(iqr(ratios), 3),
                 "pairs": len(ratios),
                 "identical_instances": identical_instances,
                 "identical_derivations": identical_derivations,
@@ -538,6 +538,50 @@ def measure_sticky_decider(repeats: int) -> list:
     return rows
 
 
+#: One ``service_mixed`` facts post: 8 chain edges, as a list of strings.
+PARSE_FACTS = [f"E(s123456789_{i},s123456789_{i + 1})" for i in range(8)]
+#: Facts posts parsed per timed run of the ``parse`` row.
+PARSE_LOOPS = 500
+#: Sets per generator family in the ``parse`` row's rule corpus.
+PARSE_SETS_PER_FAMILY = 25
+
+
+def measure_parse(repeats: int) -> dict:
+    """The ``parse`` row: best-of-``repeats`` text-layer throughput.
+
+    ``atoms_per_sec`` parses :data:`PARSE_FACTS` the way a facts payload
+    is parsed (``parse_atoms(..., data=True)`` over a list of atom
+    strings); nothing keeps the parsed atoms, so every run interns its
+    constants afresh, as a request of new edges does.  ``rules_per_sec``
+    parses every rule of the generator corpus, written as
+    ``body -> head``, into a :class:`TGD` (what a ``tgds`` payload costs).
+    """
+    rules = [
+        ", ".join(map(repr, tgd.body)) + " -> " + repr(tgd.head)
+        for family in ("linear", "guarded", "sticky", "weakly-acyclic")
+        for tgds in corpus(family, PARSE_SETS_PER_FAMILY)
+        for tgd in tgds
+    ]
+
+    def parse_facts():
+        for _ in range(PARSE_LOOPS):
+            parse_atoms(PARSE_FACTS, data=True)
+
+    def parse_rules():
+        for text in rules:
+            TGD.parse(text)
+
+    facts_s, _ = _time(parse_facts, repeats=repeats)
+    rules_s, _ = _time(parse_rules, repeats=repeats)
+    return {
+        "workload": "parse",
+        "request_atoms": len(PARSE_FACTS),
+        "atoms_per_sec": round(PARSE_LOOPS * len(PARSE_FACTS) / facts_s),
+        "corpus_rules": len(rules),
+        "rules_per_sec": round(len(rules) / rules_s),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller sizes, fewer repeats")
@@ -629,6 +673,7 @@ def main(argv=None) -> int:
     )
     persistent_section = measure_persistent(persistent_width, persistent_depth)
     sticky_decider_rows = measure_sticky_decider(repeats)
+    parse_row = measure_parse(max(repeats, 5))
     gc_tracked_per_chase = measure_gc_tracked()
 
     # Worker/CPU provenance on every entry (single-threaded kernels are
@@ -784,6 +829,7 @@ def main(argv=None) -> int:
         "service": service_section,
         "persistent": persistent_section,
         "sticky_decider": sticky_decider_rows,
+        "parse": parse_row,
         "gc_tracked_per_chase": {
             "objects": gc_tracked_per_chase,
             "python": "%d.%d" % sys.version_info[:2],
@@ -865,6 +911,12 @@ def main(argv=None) -> int:
             f"{'sticky_decider':<16} {r['set']}: {r['seconds']:.4f}s, "
             f"{r['explored_states']} states explored, {r['status']}"
         )
+    print(
+        f"{'parse':<16} {parse_row['atoms_per_sec']} atoms/s on "
+        f"{parse_row['request_atoms']}-fact requests, "
+        f"{parse_row['rules_per_sec']} rules/s over "
+        f"{parse_row['corpus_rules']} corpus rules"
+    )
     print(
         f"{'gc_tracked':<16} {gc_tracked_per_chase} objects alive after one "
         f"seminaive_dense chase at n={GC_TRACKED_SIZE}"

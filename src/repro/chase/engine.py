@@ -666,12 +666,14 @@ class ChaseEngine:
         max_atoms: Optional[int] = None,
         max_rounds: Optional[int] = None,
         budget=None,
-    ) -> Tuple[Optional[str], int, int]:
+    ) -> Tuple[Optional[str], int, List[Atom]]:
         """Run :meth:`run_round` to a fixpoint or the first limit.
 
         Returns ``(reason, applied, added)``: the limit that stopped the
-        run (None at a fixpoint), and the triggers applied and atoms added
-        by this call.  A limit never raises — the engine stays suspended
+        run (None at a fixpoint), the number of triggers this call applied,
+        and the atoms it added, in insertion order (the rounds' deltas
+        concatenated, so a caller never walks the instance to find them).
+        A limit never raises — the engine stays suspended
         (tail re-queued, a cut round's delta live) and the next call goes
         on from there; what a cut *means* is the caller's business.
 
@@ -690,7 +692,8 @@ class ChaseEngine:
         """
         if budget is not None:
             budget.start()
-        applied = added = 0
+        applied = 0
+        added: List[Atom] = []
         while self.pending or self._round_delta is not None:
             starting = self._round_delta is None
             if max_rounds is not None and starting and self.rounds >= max_rounds:
@@ -717,7 +720,7 @@ class ChaseEngine:
                 budget,
             )
             applied += len(result.applied)
-            added += len(result.delta)
+            added += result.delta
             if self.derivation is not None:
                 self.derivation.steps.extend(result.applied)
             if result.cut:

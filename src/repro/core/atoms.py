@@ -117,8 +117,7 @@ class Atom:
         return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:
-        args = ",".join(repr(t) for t in self.terms)
-        return f"{self.predicate}({args})"
+        return f"{self.predicate}({','.join(map(repr, self.terms))})"
 
 
 _set_predicate = Atom.predicate.__set__

@@ -8,9 +8,23 @@ Grammar (whitespace-insensitive)::
     tgd       ::=  atom (',' atom)*  '->'  atom (',' atom)*
     query     ::=  NAME '(' vars ')' ':-' atom (',' atom)*
 
+``NAME`` is a letter or underscore followed by letters, digits and
+underscores, or a run of digits; a null's name after the ``?`` is the
+former kind only.
+
 In a TGD, head variables that do not occur in the body are existentially
 quantified (the paper writes them under ``∃``); TGDs are constant-free as
 in Section 2.  ``->`` may also be written ``→``.
+
+There is one scanning path and no token stream: a compiled atom pattern
+is matched at a position, and consumes the whitespace around the atom,
+so what follows it is read off the next character — ``,`` continues an
+atom list, ``->``/``→`` and ``:-`` separate a rule's or query's sides.
+The pattern only captures the argument text between the parentheses (a
+run with no parenthesis in it, so the scan is linear and holds no
+per-argument backtracking state); that text is split on its commas and
+every piece must be a whole term.  A refusal is a :class:`ParseError`
+naming the position where the offending atom or separator was expected.
 
 Examples::
 
@@ -23,112 +37,78 @@ Examples::
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 from repro.core.atoms import Atom
 from repro.core.instance import Database, Instance
-from repro.core.terms import Constant, Null, Term, Variable
+from repro.core.terms import Constant, Null, Variable
 from repro.errors import ParseError
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<null>\?[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*|\d+)"
-    r"|(?P<arrow>->|→)"
-    r"|(?P<entails>:-)"
-    r"|(?P<punct>[(),]))"
-)
+#: One atom with the whitespace around it: predicate, then argument text.
+_ATOM = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+)\s*\(([^()]*)\)\s*")
+#: A whole argument between commas: a name, or a ``?``-prefixed null name.
+_is_term = re.compile(r"\s*(?:\??[A-Za-z_][A-Za-z_0-9]*|\d+)\s*").fullmatch
+_ARROW = re.compile(r"->|→")
+_ENTAILS = re.compile(r":-")
+_SPACE = re.compile(r"\s*")
 
 
-def _tokenize(text: str) -> List[Tuple[str, str]]:
-    tokens: List[Tuple[str, str]] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            remainder = text[position:].strip()
-            if not remainder:
-                break
-            raise ParseError(f"unexpected input at: {remainder[:30]!r}")
-        position = match.end()
-        for kind in ("null", "name", "arrow", "entails", "punct"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
-    return tokens
+def _refuse(text: str, position: int, expected: str) -> ParseError:
+    position = _SPACE.match(text, position).end()
+    found = repr(text[position:position + 30]) if position < len(text) else "end of input"
+    return ParseError(f"expected {expected} at position {position}, got {found}")
 
 
-class _TokenStream:
-    def __init__(self, tokens: Sequence[Tuple[str, str]]):
-        self._tokens = list(tokens)
-        self._index = 0
-
-    def peek(self) -> Tuple[str, str] | None:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
-
-    def next(self) -> Tuple[str, str]:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of input")
-        self._index += 1
-        return token
-
-    def expect(self, kind: str, value: str | None = None) -> str:
-        got_kind, got_value = self.next()
-        if got_kind != kind or (value is not None and got_value != value):
-            raise ParseError(f"expected {value or kind}, got {got_value!r}")
-        return got_value
-
-    def exhausted(self) -> bool:
-        return self._index >= len(self._tokens)
+def _atom(text: str, position: int, data_mode: bool) -> Tuple[Atom, int]:
+    """The atom starting at ``position`` and the position after it."""
+    match = _ATOM.match(text, position)
+    if match is None:
+        raise _refuse(text, position, "an atom")
+    predicate, arguments = match.group(1, 2)
+    pieces = arguments.split(",")
+    if not all(map(_is_term, pieces)):
+        raise _refuse(text, position, "an atom with comma-separated terms")
+    names = map(str.strip, pieces)
+    if "?" not in arguments:
+        terms = map(Constant if data_mode else Variable, names)
+    elif data_mode:
+        terms = [Null(name[1:]) if name[0] == "?" else Constant(name) for name in names]
+    else:
+        null = next(name for name in names if name[0] == "?")
+        raise ParseError(
+            f"nulls like {null!r} are not allowed in rules (atom at position {match.start(1)})"
+        )
+    return Atom(predicate, terms), match.end()
 
 
-def _parse_term(stream: _TokenStream, data_mode: bool) -> Term:
-    kind, value = stream.next()
-    if kind == "null":
-        if not data_mode:
-            raise ParseError(f"nulls like {value!r} are not allowed in rules")
-        return Null(value[1:])
-    if kind != "name":
-        raise ParseError(f"expected a term, got {value!r}")
-    if data_mode:
-        return Constant(value)
-    return Variable(value)
-
-
-def _parse_atom(stream: _TokenStream, data_mode: bool) -> Atom:
-    predicate = stream.expect("name")
-    stream.expect("punct", "(")
-    terms: List[Term] = [_parse_term(stream, data_mode)]
+def _atom_list(text: str, position: int, data_mode: bool) -> Tuple[List[Atom], int]:
+    """The comma-separated atoms starting at ``position``; at least one."""
+    atoms = []
     while True:
-        kind, value = stream.next()
-        if (kind, value) == ("punct", ")"):
-            break
-        if (kind, value) != ("punct", ","):
-            raise ParseError(f"expected ',' or ')', got {value!r}")
-        terms.append(_parse_term(stream, data_mode))
-    return Atom(predicate, terms)
+        atom, position = _atom(text, position, data_mode)
+        atoms.append(atom)
+        if not text.startswith(",", position):
+            return atoms, position
+        position += 1
 
 
-def _parse_atom_list(stream: _TokenStream, data_mode: bool) -> List[Atom]:
-    atoms = [_parse_atom(stream, data_mode)]
-    while True:
-        token = stream.peek()
-        if token != ("punct", ","):
-            break
-        stream.next()
-        atoms.append(_parse_atom(stream, data_mode))
-    return atoms
+def _separator(text: str, position: int, pattern: re.Pattern, name: str) -> int:
+    """The position after the separator ``pattern`` at ``position``."""
+    match = pattern.match(text, position)
+    if match is None:
+        raise _refuse(text, position, name)
+    return match.end()
+
+
+def _finish(text: str, position: int, what: str) -> None:
+    if position != len(text):
+        raise _refuse(text, position, f"the end of the {what}")
 
 
 def parse_atom(text: str, data: bool = False) -> Atom:
     """Parse a single atom; ``data=True`` reads names as constants."""
-    stream = _TokenStream(_tokenize(text))
-    atom = _parse_atom(stream, data_mode=data)
-    if not stream.exhausted():
-        raise ParseError(f"trailing input after atom in {text!r}")
+    atom, position = _atom(text, 0, data)
+    _finish(text, position, "atom")
     return atom
 
 
@@ -136,10 +116,8 @@ def parse_atoms(text: Union[str, Iterable[str]], data: bool = False) -> List[Ato
     """Parse a comma-separated atom list (or an iterable of atom strings)."""
     if not isinstance(text, str):
         return [parse_atom(part, data=data) for part in text]
-    stream = _TokenStream(_tokenize(text))
-    atoms = _parse_atom_list(stream, data_mode=data)
-    if not stream.exhausted():
-        raise ParseError(f"trailing input after atoms in {text!r}")
+    atoms, position = _atom_list(text, 0, data)
+    _finish(text, position, "atom list")
     return atoms
 
 
@@ -155,30 +133,20 @@ def parse_instance(text: Union[str, Iterable[str]]) -> Instance:
 
 def parse_rule_parts(text: str) -> Tuple[List[Atom], List[Atom]]:
     """Split ``body -> head`` into parsed body and head atom lists."""
-    stream = _TokenStream(_tokenize(text))
-    body = _parse_atom_list(stream, data_mode=False)
-    stream.expect("arrow")
-    head = _parse_atom_list(stream, data_mode=False)
-    if not stream.exhausted():
-        raise ParseError(f"trailing input after rule in {text!r}")
-    if not body or not head:
-        raise ParseError("TGDs need a non-empty body and head")
+    body, position = _atom_list(text, 0, False)
+    position = _separator(text, position, _ARROW, "'->'")
+    head, position = _atom_list(text, position, False)
+    _finish(text, position, "rule")
     return body, head
 
 
 def parse_query_parts(text: str) -> Tuple[str, List[Variable], List[Atom]]:
     """Split ``Q(x,y) :- body`` into (name, answer variables, body atoms)."""
-    stream = _TokenStream(_tokenize(text))
-    head = _parse_atom(stream, data_mode=False)
-    stream.expect("entails")
-    body = _parse_atom_list(stream, data_mode=False)
-    if not stream.exhausted():
-        raise ParseError(f"trailing input after query in {text!r}")
-    answer_vars: List[Variable] = []
-    for term in head.terms:
-        if not isinstance(term, Variable):
-            raise ParseError("query head terms must be variables")
-        answer_vars.append(term)
+    head, position = _atom(text, 0, False)
+    position = _separator(text, position, _ENTAILS, "':-'")
+    body, position = _atom_list(text, position, False)
+    _finish(text, position, "query")
+    answer_vars: List[Variable] = list(head.terms)
     body_vars = {v for atom in body for v in atom.variables()}
     for var in answer_vars:
         if var not in body_vars:

@@ -259,23 +259,19 @@ class ChaseSession:
                     f"session {self.session_id} is closed", status=404
                 )
             engine = self.engine
-            start = len(engine.instance)
             try:
                 added = engine.inject_atoms(facts)
             except ValueError as error:
                 raise ServiceError(str(error)) from error
             self.facts_accepted += len(added)
-            reason, _, applications = engine.drive(
+            # The rounds' own deltas: the instance is never walked, so a
+            # disk-backed session decodes no atom it already held.
+            reason, _, derived = engine.drive(
                 max_atoms=self.max_atoms, max_rounds=self.max_rounds, budget=budget
             )
-            self.applications += applications
+            self.applications += len(derived)
             self.suspended_reason = reason
             self.increments += 1
-            new_atoms = list(
-                itertools.islice(engine.instance, start, len(engine.instance))
-            )
-            added_set = set(added)
-            derived = [atom for atom in new_atoms if atom not in added_set]
             return {
                 "status": TIMEOUT if reason is not None else COMPLETE,
                 "reason": reason,
@@ -378,6 +374,9 @@ class ChaseService:
     ) -> dict:
         """Open a session, chase the base facts, report the first increment.
 
+        The session is registered only once that first increment succeeds;
+        if it raises, the session is closed and nothing is registered.
+
         ``backend`` overrides the service-level instance backend for this
         session only (anything :meth:`BackendSpec.parse` accepts).
         """
@@ -393,10 +392,16 @@ class ChaseService:
             max_rounds=self.max_rounds,
             backend=spec,
         )
+        try:
+            result = session.post_facts(facts, budget=budget)
+        except BaseException:
+            # The client never learns the id: release the session (and a
+            # disk-backed one's temp file) instead of registering it.
+            session.close()
+            raise
         with self._lock:
             self.sessions[session_id] = session
             self.stats.sessions_opened += 1
-        result = session.post_facts(facts, budget=budget)
         result["session"] = session_id
         result["digest"] = session.digest
         result["backend"] = session.backend.describe()

@@ -6,7 +6,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from check_regression import gate, gc_tracked_violations  # noqa: E402
+from check_regression import gate, gc_tracked_violations, spread_lines  # noqa: E402
 
 
 def make_report(
@@ -277,6 +277,22 @@ def test_obs_margin_loosens_the_ceiling():
     # 1.05 / 0.8 ≈ 1.31x, so a 1.2x row passes.
     assert gate(make_report(obs_overhead=1.2), margin=1.0)
     assert gate(make_report(obs_overhead=1.2), margin=0.8) == []
+
+
+def test_obs_spread_is_printed_and_named_in_a_miss():
+    report = make_report(obs_overhead=1.2)
+    report["obs_overheads"][1].update(overhead_iqr=0.07, pairs=9)
+    assert spread_lines(report) == ["obs_dense n=128: 1.2x, IQR 0.07 over 9 pairs"]
+    failures = gate(report, margin=1.0)
+    assert any(
+        f.startswith("obs_dense n=128") and f.endswith("(IQR 0.07 over 9 pairs)")
+        for f in failures
+    )
+
+
+def test_spread_lines_skip_rows_without_pairs():
+    # Snapshots from before the spread was recorded print nothing for it.
+    assert spread_lines(make_report()) == []
 
 
 def test_obs_equivalence_fatal():

@@ -8,13 +8,18 @@ sqlite-backed session's canonical serialization with a memory one.
 
 import http.client
 import json
+import os
 
 import pytest
 
+from repro.backends.sqlite import SQLiteInstance
+from repro.chase.checkpoint import Budget
+from repro.core.parsing import parse_atoms
 from repro.errors import ServiceError
 from repro.service.http import start_in_process
 from repro.service.session import (
     ChaseService,
+    ChaseSession,
     parse_backend_payload,
     parse_fact_payload,
     parse_tgd_payload,
@@ -104,8 +109,6 @@ class TestServiceBackend:
             service.close()
 
     def test_checkpoint_restore_onto_sqlite(self):
-        from repro.service.session import ChaseSession
-
         service = ChaseService()
         try:
             tgds, facts = make()
@@ -120,6 +123,97 @@ class TestServiceBackend:
                 assert restored.canonical_atoms() == session.canonical_atoms()
             finally:
                 restored.close()
+        finally:
+            service.close()
+
+
+def chain_edges(start, stop):
+    return parse_fact_payload([f"E(c{i},c{i + 1})" for i in range(start, stop)])
+
+
+def tail_beyond(session, start, posted):
+    """What ``derived`` must hold: the atoms after ``start``, posted ones out."""
+    posted = set(posted)
+    return [a for a in list(session.engine.instance)[start:] if a not in posted]
+
+
+class TestPostCollectsOnlyItsOwnAtoms:
+    def test_post_never_iterates_the_sqlite_instance(self, monkeypatch):
+        service = ChaseService(backend="sqlite")
+        try:
+            tgds = parse_tgd_payload(CHAIN)
+            sid = service.create_session(tgds, chain_edges(0, 300))["session"]
+            walks = []
+            real_iter = SQLiteInstance.__iter__
+
+            def spy(instance):
+                walks.append(len(instance))
+                return real_iter(instance)
+
+            monkeypatch.setattr(SQLiteInstance, "__iter__", spy)
+            session = service.get(sid)
+            start = len(session.engine.instance)
+            facts = chain_edges(300, 301)
+            posted = service.post_facts(sid, facts)
+            monkeypatch.undo()
+            assert walks == []
+            assert [a.predicate for a in posted["derived"]] == ["F", "G", "H"]
+            assert posted["derived"] == tail_beyond(session, start, facts)
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_derived_is_the_instance_tail_on_both_backends(self, cut):
+        service = ChaseService(default_wall_seconds=None)
+        try:
+            tgds = parse_tgd_payload(CHAIN)
+            derived = {}
+            for backend in ("memory", "sqlite"):
+                created = service.create_session(tgds, chain_edges(0, 5), backend=backend)
+                session = service.get(created["session"])
+                answers = []
+                for batch in range(1, 5):
+                    facts = chain_edges(batch * 5, batch * 5 + 5)
+                    start = len(session.engine.instance)
+                    # A one-application budget cuts the round after the
+                    # injected facts joined its live delta.
+                    budget = Budget(max_applications=1) if cut else None
+                    answer = service.post_facts(created["session"], facts, budget)
+                    assert answer["status"] == ("timeout" if cut else "complete")
+                    assert answer["derived"] == tail_beyond(session, start, facts)
+                    answers.append([repr(a) for a in answer["derived"]])
+                derived[backend] = answers
+            assert derived["memory"] == derived["sqlite"]
+            assert all(derived["memory"])
+        finally:
+            service.close()
+
+
+class TestFailedCreate:
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_failed_first_increment_registers_nothing(self, backend, monkeypatch):
+        closed = []
+        real_close = ChaseSession.close
+
+        def spy(session):
+            closed.append(getattr(session.engine.instance, "path", None))
+            real_close(session)
+
+        monkeypatch.setattr(ChaseSession, "close", spy)
+        service = ChaseService()
+        try:
+            tgds = parse_tgd_payload(CHAIN)
+            non_ground = parse_atoms("E(x,y)")
+            with pytest.raises(ServiceError, match="must be ground"):
+                service.create_session(tgds, non_ground, backend=backend)
+            assert service.sessions == {}
+            assert service.statz()["sessions"] == 0
+            assert service.stats.sessions_opened == 0
+            assert len(closed) == 1
+            if backend == "sqlite":
+                assert not os.path.exists(closed[0])
+            created = service.create_session(tgds, parse_fact_payload("E(a,b)"))
+            assert list(service.sessions) == [created["session"]]
         finally:
             service.close()
 
