@@ -666,13 +666,17 @@ class ChaseEngine:
         max_atoms: Optional[int] = None,
         max_rounds: Optional[int] = None,
         budget=None,
-    ) -> Tuple[Optional[str], int, List[Atom]]:
+        into: Optional[List[Atom]] = None,
+    ) -> Tuple[Optional[str], int, int]:
         """Run :meth:`run_round` to a fixpoint or the first limit.
 
         Returns ``(reason, applied, added)``: the limit that stopped the
-        run (None at a fixpoint), the number of triggers this call applied,
-        and the atoms it added, in insertion order (the rounds' deltas
-        concatenated, so a caller never walks the instance to find them).
+        run (None at a fixpoint), and the triggers applied and atoms added
+        by this call.  A caller that needs the added atoms themselves
+        passes ``into``, which is extended with each round's delta in
+        insertion order, so it never walks the instance to find them;
+        without it no atom outlives its round here (a disk-backed
+        instance keeps only the current round's delta in memory).
         A limit never raises — the engine stays suspended
         (tail re-queued, a cut round's delta live) and the next call goes
         on from there; what a cut *means* is the caller's business.
@@ -692,8 +696,7 @@ class ChaseEngine:
         """
         if budget is not None:
             budget.start()
-        applied = 0
-        added: List[Atom] = []
+        applied = added = 0
         while self.pending or self._round_delta is not None:
             starting = self._round_delta is None
             if max_rounds is not None and starting and self.rounds >= max_rounds:
@@ -720,7 +723,9 @@ class ChaseEngine:
                 budget,
             )
             applied += len(result.applied)
-            added += result.delta
+            added += len(result.delta)
+            if into is not None:
+                into += result.delta
             if self.derivation is not None:
                 self.derivation.steps.extend(result.applied)
             if result.cut:

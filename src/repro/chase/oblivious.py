@@ -94,7 +94,7 @@ def oblivious_chase(
         reason, _, added = engine.drive(
             max_atoms=max_atoms, max_rounds=max_rounds, budget=budget
         )
-        applications += len(added)
+        applications += added
         if reason not in (None, "max_rounds", "max_atoms"):
             interrupt(engine, reason, applications)
     return ObliviousResult(

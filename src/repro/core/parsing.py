@@ -48,8 +48,6 @@ from repro.errors import ParseError
 _ATOM = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+)\s*\(([^()]*)\)\s*")
 #: A whole argument between commas: a name, or a ``?``-prefixed null name.
 _is_term = re.compile(r"\s*(?:\??[A-Za-z_][A-Za-z_0-9]*|\d+)\s*").fullmatch
-_ARROW = re.compile(r"->|→")
-_ENTAILS = re.compile(r":-")
 _SPACE = re.compile(r"\s*")
 
 
@@ -92,14 +90,6 @@ def _atom_list(text: str, position: int, data_mode: bool) -> Tuple[List[Atom], i
         position += 1
 
 
-def _separator(text: str, position: int, pattern: re.Pattern, name: str) -> int:
-    """The position after the separator ``pattern`` at ``position``."""
-    match = pattern.match(text, position)
-    if match is None:
-        raise _refuse(text, position, name)
-    return match.end()
-
-
 def _finish(text: str, position: int, what: str) -> None:
     if position != len(text):
         raise _refuse(text, position, f"the end of the {what}")
@@ -134,7 +124,9 @@ def parse_instance(text: Union[str, Iterable[str]]) -> Instance:
 def parse_rule_parts(text: str) -> Tuple[List[Atom], List[Atom]]:
     """Split ``body -> head`` into parsed body and head atom lists."""
     body, position = _atom_list(text, 0, False)
-    position = _separator(text, position, _ARROW, "'->'")
+    if not text.startswith(("->", "→"), position):
+        raise _refuse(text, position, "'->'")
+    position += 1 if text[position] == "→" else 2
     head, position = _atom_list(text, position, False)
     _finish(text, position, "rule")
     return body, head
@@ -143,7 +135,9 @@ def parse_rule_parts(text: str) -> Tuple[List[Atom], List[Atom]]:
 def parse_query_parts(text: str) -> Tuple[str, List[Variable], List[Atom]]:
     """Split ``Q(x,y) :- body`` into (name, answer variables, body atoms)."""
     head, position = _atom(text, 0, False)
-    position = _separator(text, position, _ENTAILS, "':-'")
+    if not text.startswith(":-", position):
+        raise _refuse(text, position, "':-'")
+    position += 2
     body, position = _atom_list(text, position, False)
     _finish(text, position, "query")
     answer_vars: List[Variable] = list(head.terms)

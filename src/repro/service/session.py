@@ -266,10 +266,14 @@ class ChaseSession:
             self.facts_accepted += len(added)
             # The rounds' own deltas: the instance is never walked, so a
             # disk-backed session decodes no atom it already held.
-            reason, _, derived = engine.drive(
-                max_atoms=self.max_atoms, max_rounds=self.max_rounds, budget=budget
+            derived: List[Atom] = []
+            reason, _, applications = engine.drive(
+                max_atoms=self.max_atoms,
+                max_rounds=self.max_rounds,
+                budget=budget,
+                into=derived,
             )
-            self.applications += len(derived)
+            self.applications += applications
             self.suspended_reason = reason
             self.increments += 1
             return {
@@ -360,6 +364,7 @@ class ChaseService:
         if not self.stats.kind:
             self.stats.kind = "service"
         self.sessions: Dict[str, ChaseSession] = {}
+        self.closed = False
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
 
@@ -375,7 +380,8 @@ class ChaseService:
         """Open a session, chase the base facts, report the first increment.
 
         The session is registered only once that first increment succeeds;
-        if it raises, the session is closed and nothing is registered.
+        if it raises, or the service was closed meanwhile, the session is
+        closed and nothing is registered.
 
         ``backend`` overrides the service-level instance backend for this
         session only (anything :meth:`BackendSpec.parse` accepts).
@@ -400,8 +406,13 @@ class ChaseService:
             session.close()
             raise
         with self._lock:
-            self.sessions[session_id] = session
-            self.stats.sessions_opened += 1
+            closed = self.closed
+            if not closed:
+                self.sessions[session_id] = session
+                self.stats.sessions_opened += 1
+        if closed:
+            session.close()
+            raise ServiceError("service is closed", status=503)
         result["session"] = session_id
         result["digest"] = session.digest
         result["backend"] = session.backend.describe()
@@ -440,6 +451,7 @@ class ChaseService:
 
     def close(self) -> None:
         with self._lock:
+            self.closed = True
             sessions = list(self.sessions.values())
             self.sessions.clear()
         for session in sessions:

@@ -196,3 +196,34 @@ class TestPersistence:
         assert os.path.exists(path)
         sqlite.close()
         assert not os.path.exists(path)
+
+
+class TestChaseMemory:
+    def test_finished_rounds_leave_no_atoms_in_memory(self):
+        """A chase on sqlite holds one round's delta, not the whole closure.
+
+        The copy chain ``R_i(x,y,z) -> R_{i+1}(x,y,z)`` adds ``width`` atoms
+        per round.  Four times the rounds must not raise the traced Python
+        peak: anything that kept finished rounds' atoms would (12,300 atoms
+        at depth 40 are well over a megabyte as ``Atom`` objects).
+        """
+        import tracemalloc
+
+        from repro.chase.oblivious import oblivious_chase
+        from repro.tgds.tgd import parse_tgds
+
+        database = [atom("R0", f"a{i}", f"b{i}", f"c{i}") for i in range(300)]
+        peaks = []
+        for depth in (10, 40):
+            tgds = parse_tgds(
+                [f"R{i}(x,y,z) -> R{i + 1}(x,y,z)" for i in range(depth)]
+            )
+            tracemalloc.start()
+            try:
+                result = oblivious_chase(database, tgds, backend="sqlite")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(result.instance) == 300 * (depth + 1)
+            result.instance.close()
+        assert peaks[1] < 1.5 * peaks[0], peaks

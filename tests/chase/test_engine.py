@@ -319,6 +319,19 @@ class TestRunRoundBudgets:
         result = engine.run_round(max_atoms=len(engine.instance))
         assert result.cut and result.reason == "max_atoms"
 
+    def test_drive_counts_and_collects_only_into_a_given_list(self):
+        engine = self.fresh_engine()
+        start = len(engine.instance)
+        collected = []
+        reason, _, added = engine.drive(max_applications=3, into=collected)
+        assert reason == "max_applications"
+        reason, _, rest = engine.drive(into=collected)
+        assert reason is None
+        assert (added, rest) == (3, len(collected) - 3)
+        assert collected == list(engine.instance)[start:]
+        # Without ``into`` the call reports counts only.
+        assert self.fresh_engine().drive() == (None, len(collected), len(collected))
+
 
 class TestConstructor:
     """The one way to build an engine, fresh or resumed."""

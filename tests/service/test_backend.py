@@ -217,6 +217,34 @@ class TestFailedCreate:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_close_during_first_increment_registers_nothing(self, backend, monkeypatch):
+        """A create still in its first increment when the service closes
+        (a server shutting down with executor work in flight) closes its
+        own session and answers 503 instead of registering into a closed
+        service."""
+        service = ChaseService()
+        sessions = []
+        real_post = ChaseSession.post_facts
+
+        def post_then_close(session, facts, budget=None):
+            sessions.append(session)
+            result = real_post(session, facts, budget=budget)
+            service.close()
+            return result
+
+        monkeypatch.setattr(ChaseSession, "post_facts", post_then_close)
+        tgds = parse_tgd_payload(CHAIN)
+        with pytest.raises(ServiceError, match="closed") as refused:
+            service.create_session(tgds, parse_fact_payload("E(a,b)"), backend=backend)
+        assert refused.value.status == 503
+        assert service.sessions == {}
+        assert service.stats.sessions_opened == 0
+        (session,) = sessions
+        assert session.closed
+        if backend == "sqlite":
+            assert not os.path.exists(session.engine.instance.path)
+
 
 @pytest.fixture(scope="module")
 def server():
