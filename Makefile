@@ -34,10 +34,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # The fault-injection suite: the chaos harness's own tests, then the
-# parallel-equivalence and checkpoint property suites with every
-# pool-backed chase routed through ChaosMatcher (CHASE_CHAOS_SEED set).
-# Results must stay byte-identical to serial runs despite injected worker
-# kills, delays, and corrupted results; see docs/CI.md.
+# parallel-equivalence and checkpoint property suites with CHASE_CHAOS_SEED
+# set, which makes tests/conftest.py hand every chase engine a ChaosMatcher
+# (tests/chase/chaos.py) drawing faults from the seed's schedule.  Results must
+# stay byte-identical to serial runs despite injected child kills, delays,
+# and corrupted results; see docs/CI.md.
 test-chaos:
 	$(PYTHON) -m pytest tests/chase/test_chaos.py -x -q
 	CHASE_CHAOS_SEED=$(CHAOS_SEED) $(PYTHON) -m pytest \

@@ -5,10 +5,14 @@ and one existential rule per layer, half the existential heads
 pre-witnessed by the database, plus a block of same-shape rules over
 predicates the chase never derives — the wide-schema regime every Datalog
 engine faces) over an ``n``-element chain.  Every round carries ~2n live
-triggers, which is exactly where set-at-a-time evaluation pays: the step
-engine runs one discovery pass over *all* rules per applied trigger, while
-a semi-naive round runs one delta-restricted pass per round — rules whose
-predicate buckets the delta does not touch are skipped wholesale.
+triggers.  Both engines discover through the same predicate-indexed join
+plans, so neither visits the distractor rules; what differs is discovery
+granularity.  The step engine runs one discovery pass per applied trigger,
+a semi-naive round one delta-restricted pass per round.  Both apply the
+same triggers through the same code, and that shared apply cost now
+dominates: traced at n=64, fifo spends 13.0 ms in apply and 23.3 ms in
+discovery, semi-naive 13.5 ms and 3.9 ms.  Apply is about 60% of a
+semi-naive run, which caps the ratio this workload can show.
 
 The acceptance gate (also enforced by ``harness.py`` /
 ``check_regression.py``): at n ≥ 64 the semi-naive mode is ≥ 2× the
@@ -37,8 +41,9 @@ from repro.tgds.tgd import TGD, parse_tgds
 WIDTH = 32
 
 #: Rules over predicates the chase never derives (the wide-schema block).
-#: Sized so the measured speedup sits near 3x — comfortably above the 2x
-#: gate even on a noisy shared runner.
+#: Discovery skips them by predicate in both engines, so they add rule-table
+#: size, not per-trigger work; the ratio is set by the shared apply cost
+#: (module docstring), not by this block.
 DISTRACTORS = 8 * WIDTH
 
 #: Acceptance threshold: semi-naive over step-at-a-time, at the largest n.
@@ -50,9 +55,8 @@ def dense_tgds(width: int = WIDTH, distractors: int = DISTRACTORS) -> List[TGD]:
 
     Per layer one copy rule and one existential rule; the distractor block
     (``D*`` chains with no matching facts) models the realistic wide-schema
-    case where most rules are irrelevant to most atoms — per-atom discovery
-    must still consider every one of them, a delta-restricted pass skips
-    them by predicate.
+    case where most rules are irrelevant to most atoms.  Both engines'
+    predicate-indexed discovery skips them.
     """
     rules = []
     for j in range(width):
@@ -81,9 +85,8 @@ def dense_database(n: int, width: int = WIDTH) -> Database:
 TGDS = dense_tgds()
 
 
-# Dependency pruning is off on both sides: the distractor rules are the
-# point of the workload — per-atom discovery must keep considering them
-# while the delta-restricted pass skips them by predicate.
+# Dependency pruning is off on both sides, so both engines carry the whole
+# rule table, distractors included, as the workload has always measured.
 def run_step(database: Database, max_steps: int = 1_000_000):
     return restricted_chase(
         database, TGDS, strategy="fifo", max_steps=max_steps, prune=False

@@ -34,7 +34,6 @@ from repro.core.queries import ConjunctiveQuery
 from repro.core.schema import Schema
 from repro.core.substitution import Substitution
 from repro.core.terms import Constant, Null, Term, Variable
-from repro.chase.chaos import ChaosMatcher, ChaosPolicy, build_matcher
 from repro.chase.checkpoint import Budget, ChaseCheckpoint
 from repro.chase.derivation import Derivation, DerivationError
 from repro.chase.parallel import ParallelMatcher
@@ -117,7 +116,7 @@ __all__ = [
     "StateBudgetExceeded", "ExtractionError",
     # fault tolerance
     "Budget", "ChaseCheckpoint",
-    "ParallelMatcher", "ChaosMatcher", "ChaosPolicy", "build_matcher",
+    "ParallelMatcher",
     # chase
     "Trigger", "triggers_on", "active_triggers_on", "is_active",
     "seminaive_triggers",

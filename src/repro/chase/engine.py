@@ -64,8 +64,8 @@ from repro.core.atoms import Atom
 from repro.core.homomorphism import match_atom
 from repro.core.instance import Delta, Instance
 from repro.core.terms import Term
-from repro.chase import chaos
 from repro.chase.derivation import Derivation
+from repro.chase.parallel import ParallelMatcher
 from repro.chase.plans import RuleTables, discovery_rows
 from repro.chase.trigger import (
     Trigger,
@@ -286,8 +286,8 @@ class ChaseEngine:
         and the derivation log come from it, and the instance indexes and
         the witness cache are rebuilt from its atom list.
 
-        ``workers > 1`` fans each round's discovery out over a pool from
-        :func:`repro.chase.chaos.build_matcher`.  ``prune`` drops from
+        ``workers > 1`` fans each round's discovery out over a
+        :class:`repro.chase.parallel.ParallelMatcher`.  ``prune`` drops from
         discovery the rules a
         :class:`repro.termination.dependencies.RuleDependencyGraph` proves
         dead for the instance's predicates.  ``stats`` is an optional
@@ -369,7 +369,7 @@ class ChaseEngine:
         )
         #: The round-discovery pool, None for serial discovery; its rows
         #: index ``live`` as the serial rows do (see chase/parallel.py).
-        self.matcher = chaos.build_matcher(self.live, workers=workers) if workers > 1 else None
+        self.matcher = ParallelMatcher(self.live, workers) if workers > 1 else None
         self.pending: List[Trigger] = []
         #: The live delta of a round in progress.  Non-None between a budget
         #: cut and the call that completes the round — the suspended state a

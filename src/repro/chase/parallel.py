@@ -1,4 +1,4 @@
-"""Parallel trigger discovery over a per-round fork pool.
+"""Parallel trigger discovery: the master plus a forked child per extra worker.
 
 Semi-naive trigger discovery (:func:`repro.chase.trigger.seminaive_triggers`)
 is embarrassingly parallel: the ``(tgd, pivot)`` × delta grid decomposes
@@ -9,49 +9,42 @@ the duration of a round.  :class:`ParallelMatcher` exploits that:
 * **Planning** — the grid, walked from the delta's predicates through the
   same predicate table the serial pass uses
   (:attr:`repro.chase.plans.RuleTables.discovery`), is cut into chunk specs
-  ``(tgd_index, pivot_index, lo, hi)`` over each pivot's per-predicate
-  delta bucket, coalesced into tasks of roughly equal work
-  (about :data:`CHUNKS_PER_WORKER` tasks per worker).  Wide deltas are split
-  across tasks; narrow ones share a task — both directions keep every
-  worker busy.
+  ``(tgd_index, pivot_index, lo, hi)``, one slice of each pivot's
+  per-predicate delta bucket per worker, and dealt to one task per worker
+  so that every task gets an even share of every pair.
 
-* **Execution** — tasks run on a ``concurrent.futures``
-  ``ProcessPoolExecutor`` built from the ``fork`` start method: the pool is
-  created *per round*, after the round's ``(tgds, instance, delta)`` triple
-  is parked in a module global, so forked workers inherit the instance and
-  its indexes by memory snapshot instead of by pickling.  Before forking,
-  the parent indexes every position the round's plans may probe
-  (:attr:`repro.chase.plans.JoinPlan.probes`): a plan takes the getters of
-  all of them when it starts, and a bucket a worker built would die with
-  it.  Each worker runs
-  the compiled join plans of :mod:`repro.chase.plans` — the serial pass's
-  kernel — and only the compact ``(tgd_index, values, birth)`` rows they
-  emit travel back.  ``workers=1``, a host without ``fork``, and rounds
+* **Execution** — the master forks one child for every task but the
+  first, which it matches itself meanwhile.  A child inherits the round's
+  ``(tgds, instance, delta)`` by memory snapshot, nothing is pickled
+  inward, runs the serial pass's compiled join plans
+  (:mod:`repro.chase.plans`) over its chunks, writes one pickled
+  ``(rows, busy_seconds)`` payload to its pipe and leaves through
+  ``os._exit``.  The master reads every pipe and reaps every child before
+  the round returns.  ``workers=1``, a host without ``fork`` and rounds
   below :data:`MIN_PARALLEL_WORK` run the serial
-  :func:`repro.chase.plans.discovery_rows` instead; both paths produce the
-  same rows.  The path is selected from ``workers`` and the host, never
-  configured: the pool's tuning values are module constants.
+  :func:`repro.chase.plans.discovery_rows`, which yields the same rows.
 
 * **Merging** — chunks partition the pivot hits, and each trigger
   surfaces at exactly one hit, already at its birth.  The merge
-  concatenates the rows; :meth:`repro.chase.plans.RuleTables.order` and
-  :func:`repro.chase.trigger.triggers_of` — the serial pass's own total
-  ``(birth, canonical_key)`` row order and row -> Trigger step — finish
-  the list, so it is byte-identical to the serial pass regardless of pool
-  scheduling.
+  concatenates the rows; the serial pass's own ``(birth, canonical_key)``
+  order (:meth:`repro.chase.plans.RuleTables.order`) and row -> Trigger
+  step (:func:`repro.chase.trigger.triggers_of`) finish the list, so it is
+  byte-identical to the serial pass.
 
-* **Recovery** — any failure of a pooled round (the pool breaking, a
-  worker raising, a payload :func:`_validate_rows` rejects) is logged once,
-  and the round is recomputed by the serial pass, which stays the
-  matcher's path for the rest of the run.
+* **Recovery** — any failure of a pooled round (a fork or pipe
+  ``OSError``, a task raising, a child exiting non-zero, a short or
+  unpicklable payload, a payload :func:`_validate_rows` rejects) is
+  logged once, and the round is recomputed by the serial pass, which
+  stays the matcher's path for the rest of the run.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
+import os
+import pickle
+import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import Instance
@@ -67,43 +60,36 @@ from repro.tgds.tgd import TGD
 _LOGGER = get_logger(__name__)
 
 #: Rounds whose total pivot-bucket work is below this run serially — the
-#: per-round pool cost only pays for itself on wide deltas.  Calibration:
-#: a fork-pool round costs ~10-50ms to start and drain while a pivot atom
-#: costs ~10-100µs to match, so break-even sits around a few hundred
-#: pivot atoms; below it, a many-small-round chase (hundreds of rounds,
-#: ~100 pivot atoms each) would pay pool churn per round for sub-ms of
-#: matching.  Tests pin it to 0 to force tiny rounds through the pool.
+#: per-round fork cost only pays for itself on wide deltas.  Calibration
+#: (2-CPU container, Python 3.11): forking and reaping a round of empty
+#: tasks costs 1.9 ms at 2 workers and 4.7 ms at 4, and copy-on-write faults
+#: about double a forked task's matching time.  ``parallel_join`` at
+#: workers=2 (about 56n pivot atoms) reads 0.76x/0.85x/0.92x of serial at
+#: n=32/64/128, so break-even there lies above 7,000 pivot atoms; the value
+#: stays because the harness's parallel gate is defined at n=64.  Tests pin
+#: it to 0 to force tiny rounds through the pool.
 MIN_PARALLEL_WORK = 512
 
-#: Tasks a round is cut into per worker: enough to even out skewed
-#: chunks, few enough that per-task overhead stays small.
-CHUNKS_PER_WORKER = 4
-
-#: Per-round state handed to forked workers by memory inheritance:
-#: ``(tgds, instance, delta)``.  Set immediately before the round's pool is
-#: created and cleared after it drains; fork snapshots it into each worker.
-#: ``_FORK_LOCK`` serializes the set-fork-drain window so two matchers
-#: discovering concurrently from different threads cannot fork each
-#: other's round state.
-_FORK_STATE: Optional[tuple] = None
+#: Held while a round forks and the master matches its own task, never
+#: while it waits on its children.  A fork in another thread copies what
+#: this one holds: an open pipe write end, whose reader then sees EOF only
+#: when that child exits, or mid-read of an sqlite instance the library's
+#: mutexes, and that child hangs opening its connection.
 _FORK_LOCK = threading.Lock()
 
 
 def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
+    return hasattr(os, "fork")
 
 
-def _match_chunks(
-    tgds: Sequence[TGD], instance: Instance, delta, chunks
-) -> List[tuple]:
+def _match_chunks(tgds: Sequence[TGD], instance: Instance, delta, chunks) -> List[tuple]:
     """Run one task's chunk specs; returns compact rows.
 
-    The worker body: each chunk binds one ``(tgd, pivot)`` pair to a slice
-    of the pivot predicate's delta bucket and runs that pair's generated
-    kernel (``plan.match``) — the exact code the serial pass runs.  Bucket
-    slices are recomputed from the delta (chunk specs stay index-pairs,
-    cheap to ship).  Rows are ``(tgd_index, values, birth)``, ``values``
-    the body binding in :attr:`TGD.body_order`.
+    Each chunk binds one ``(tgd, pivot)`` pair to a slice of the pivot
+    predicate's delta bucket and runs that pair's generated kernel
+    (``plan.match``) — the exact code the serial pass runs.  Rows are
+    ``(tgd_index, values, birth)``, ``values`` the body binding in
+    :attr:`TGD.body_order`.
     """
     buckets: Dict[str, list] = {}
     positions = delta.positions()
@@ -117,17 +103,33 @@ def _match_chunks(
     return rows
 
 
-def _discover_task(chunks) -> tuple:
-    """Process-pool task entry point: reads the fork-inherited round state.
+def _fork_task(tgds: Sequence[TGD], instance: Instance, delta, chunks) -> Tuple[int, int]:
+    """Fork one child that matches ``chunks``; returns ``(pid, read_fd)``.
 
-    Returns the payload ``(rows, busy_seconds)`` — the worker times its own
-    matching work so the master can report busy-vs-wall pool efficiency
-    without any extra round trips.
+    The child leaves through ``os._exit`` (status 1 and no payload if
+    anything raised), so it runs no exit handler or inherited finalizer.
     """
-    tgds, instance, delta = _FORK_STATE
-    start = clock.perf_counter()
-    rows = _match_chunks(tgds, instance, delta, chunks)
-    return rows, clock.perf_counter() - start
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            start = clock.perf_counter()
+            rows = _match_chunks(tgds, instance, delta, chunks)
+            payload = (rows, clock.perf_counter() - start)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(payload))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
 
 
 def _unpack_payload(tgds: Sequence[TGD], payload) -> Tuple[List[tuple], float]:
@@ -152,9 +154,8 @@ def _unpack_payload(tgds: Sequence[TGD], payload) -> Tuple[List[tuple], float]:
 def _validate_rows(tgds: Sequence[TGD], rows) -> None:
     """Reject malformed worker results before they reach the merge.
 
-    A worker that came back at all usually came back right — but a chaos
-    run (or a genuinely corrupted pipe) can hand the master garbage, and a
-    bad row would silently poison the ``(birth, canonical_key)`` merge.
+    A child that came back at all usually came back right — but a corrupted
+    payload would silently poison the ``(birth, canonical_key)`` merge.
     Shape-checks every row: ``(tgd_index, values, birth)`` with a valid TGD
     index and the binding arity that TGD's :attr:`TGD.body_order` demands.
     """
@@ -180,22 +181,21 @@ def _validate_rows(tgds: Sequence[TGD], rows) -> None:
 
 
 class ParallelMatcher:
-    """Fan semi-naive discovery batches out over a fork pool.
+    """Fan semi-naive discovery batches out over forked children.
 
     Drop-in replacement for the serial discovery pass: ``rows(instance,
     delta)`` returns the rows of the serial
     :func:`repro.chase.plans.discovery_rows` (in some order), computed by
-    ``workers`` processes, and ``discover(instance, delta)`` returns
-    exactly ``seminaive_triggers(tgds, instance, delta)``.  A
-    :class:`repro.chase.engine.ChaseEngine` built with ``workers > 1``
-    builds one per run.
+    ``workers`` processes (the master and its children), and
+    ``discover(instance, delta)`` exactly ``seminaive_triggers(tgds,
+    instance, delta)``.  A :class:`repro.chase.engine.ChaseEngine` with
+    ``workers > 1`` builds one per run.
 
     :attr:`backend` is selected, not configured: ``"process"`` for more
-    than one worker where the ``fork`` start method exists, else
-    ``"serial"``.  A pooled round that fails in any way is recomputed
-    serially and pins :attr:`backend` to ``"serial"`` for the rest of the
-    run (tasks are pure functions of the round state, so the recomputed
-    rows are the rows the pool would have returned).
+    than one worker where ``os.fork`` exists, else ``"serial"``.  A pooled
+    round that fails in any way is recomputed serially (tasks are pure
+    functions of the round state) and pins :attr:`backend` to
+    ``"serial"`` for the rest of the run.
     """
 
     def __init__(self, tgds: Sequence[TGD], workers: int = 1):
@@ -204,9 +204,7 @@ class ParallelMatcher:
         #: every round.
         self._tables = RuleTables(self.tgds)
         self.workers = max(1, int(workers))
-        self.backend = (
-            "process" if self.workers > 1 and _fork_available() else "serial"
-        )
+        self.backend = "process" if self.workers > 1 and _fork_available() else "serial"
         #: Observability counters (tests assert the pool actually ran).
         self.rounds_parallel = 0
         self.rounds_serial = 0
@@ -214,9 +212,8 @@ class ParallelMatcher:
         #: one per run: the first pins the backend).
         self.backend_fallbacks = 0
         #: Profile counters, folded into :class:`repro.obs.stats.ChaseStats`
-        #: by ``absorb_matcher``: summed worker-side task durations, the
-        #: master wall spent draining pools, and the wall spent
-        #: concatenating the pooled tasks' rows.
+        #: by ``absorb_matcher``: summed task durations, the master wall
+        #: spent on pooled rounds, and the wall spent concatenating rows.
         self.busy_seconds = 0.0
         self.pool_wall_seconds = 0.0
         self.merge_seconds = 0.0
@@ -224,11 +221,11 @@ class ParallelMatcher:
     # -- planning ----------------------------------------------------------
 
     def _plan(self, delta) -> Tuple[List[list], int]:
-        """Cut the (tgd, pivot) × delta grid into balanced task lists.
+        """Cut the (tgd, pivot) × delta grid into one task per worker.
 
-        Returns ``(tasks, total_work)`` where each task is a list of chunk
-        specs ``(tgd_index, pivot_index, lo, hi)`` and work is measured in
-        pivot atoms.  The pairs come from the delta's predicates through the
+        Returns ``(tasks, total_work)``: at most ``workers`` lists of chunk
+        specs ``(tgd_index, pivot_index, lo, hi)``, work measured in pivot
+        atoms.  The pairs come from the delta's predicates through the
         serial pass's predicate table (equal rules after the first dropped).
         """
         table = self._tables.discovery
@@ -239,68 +236,72 @@ class ParallelMatcher:
             for tgd_index, pivot_index, _ in table.get(predicate, ()):
                 pairs.append((tgd_index, pivot_index, size))
                 total += size
-        if not pairs:
-            return [], 0
-        slots = self.workers * CHUNKS_PER_WORKER
-        target = max(1, -(-total // slots))  # ceil(total / slots)
-        tasks: List[list] = []
-        current: List[tuple] = []
-        load = 0
-        for tgd_index, pivot_index, size in pairs:
-            lo = 0
-            while lo < size:
-                take = min(target - load, size - lo)
-                current.append((tgd_index, pivot_index, lo, lo + take))
-                load += take
-                lo += take
-                if load >= target:
-                    tasks.append(current)
-                    current, load = [], 0
-        if current:
-            tasks.append(current)
+        # Each pair's bucket is cut into one slice per worker, pair j's
+        # first slice going to task j: every task gets an even share of every
+        # pair, whatever a pair costs per pivot atom.
+        tasks: List[list] = [[] for _ in range(self.workers)]
+        for j, (tgd_index, pivot_index, size) in enumerate(pairs):
+            for k in range(self.workers):
+                lo, hi = size * k // self.workers, size * (k + 1) // self.workers
+                if lo < hi:
+                    tasks[(j + k) % self.workers].append((tgd_index, pivot_index, lo, hi))
+        tasks = [task for task in tasks if task]
         return tasks, total
 
     # -- execution ---------------------------------------------------------
 
-    def _fetch(self, future, task_index: int):
-        """Collect one task result.  The chaos harness overrides this hook
-        (:class:`repro.chase.chaos.ChaosMatcher`) to inject failures at the
-        exact seam real ones surface through."""
-        return future.result()
+    def _fetch(self, child: Tuple[int, int], task_index: int):
+        """Read child ``(pid, read_fd)``'s payload to EOF and close the pipe.
+        The one master-side collection seam, where the tests' fault
+        injection hooks in."""
+        with open(child[1], "rb") as pipe:
+            return pickle.loads(pipe.read())
 
     def _run_process(self, instance: Instance, delta, tasks) -> List[list]:
-        """Run the tasks on a fresh fork pool; their validated row lists.
+        """Run the first task here and each other in a forked child; their
+        validated row lists, in task order.
 
-        Raises whatever the pool, a worker or :func:`_unpack_payload`
-        raises; :meth:`rows` turns that into the serial recompute.
+        Raises whatever forking, a task or :func:`_unpack_payload` raises,
+        or :class:`ChildProcessError` for a non-zero exit; :meth:`rows`
+        turns that into the serial recompute.  Every child is reaped before
+        the call returns, and killed first if the round failed.
         """
-        global _FORK_STATE
-        # A plan indexes every position it may probe when it first runs
-        # (it takes their getters at entry), and buckets built in a forked
-        # worker die with it.  Build those positions here, once, so the
-        # workers inherit them.
+        # A plan takes the getters of every position it may probe when it
+        # starts, and buckets built in a child die with it: build them here,
+        # once, so the children inherit them.
         pairs = {(chunk[0], chunk[1]): None for task in tasks for chunk in task}
         for tgd_index, pivot_index in pairs:
             for predicate, position in self.tgds[tgd_index].join_plans()[pivot_index].probes:
                 instance.index_position(predicate, position)
-        context = multiprocessing.get_context("fork")
+        children: List[Tuple[int, int]] = []
         results: List[list] = []
         busy = 0.0
-        with _FORK_LOCK:
-            _FORK_STATE = (self.tgds, instance, delta)
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(tasks)), mp_context=context
-                ) as pool:
-                    futures = [pool.submit(_discover_task, task) for task in tasks]
-                    for index, future in enumerate(futures):
-                        rows, seconds = _unpack_payload(
-                            self.tgds, self._fetch(future, index)
-                        )
-                        results.append(rows)
-                        busy += seconds
-            finally:
-                _FORK_STATE = None
+        fetched = 0
+        try:
+            with _FORK_LOCK:
+                for task in tasks[1:]:
+                    children.append(_fork_task(self.tgds, instance, delta, task))
+                # The master is a worker too: it matches the first task
+                # while the children match the rest, one fork fewer.
+                start = clock.perf_counter()
+                results.append(_match_chunks(self.tgds, instance, delta, tasks[0]))
+                busy += clock.perf_counter() - start
+            for index, child in enumerate(children, 1):
+                fetched += 1  # _fetch closes the pipe, whether or not it raises
+                rows, seconds = _unpack_payload(self.tgds, self._fetch(child, index))
+                results.append(rows)
+                busy += seconds
+        finally:
+            for _, read_fd in children[fetched:]:
+                os.close(read_fd)
+            if len(results) < len(tasks):  # the round failed: stop the rest
+                for pid, _ in children:
+                    os.kill(pid, signal.SIGKILL)
+            # Reaped only after every read, so the children exit in parallel.
+            statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+        codes = [os.waitstatus_to_exitcode(status) for status in statuses if status]
+        if codes:
+            raise ChildProcessError(f"workers exited with status {codes}")
         self.busy_seconds += busy
         return results
 
@@ -340,13 +341,8 @@ class ParallelMatcher:
             with trace.span("round.exec", tasks=len(tasks), work=total):
                 results = self._run_process(instance, delta, tasks)
         except Exception as error:
-            log_event(
-                _LOGGER,
-                logging.WARNING,
-                "pool.fallback",
-                pool_workers=self.workers,
-                pool_error=repr(error),
-            )
+            log_event(_LOGGER, logging.WARNING, "pool.fallback",
+                      pool_workers=self.workers, pool_error=repr(error))
             self.backend_fallbacks += 1
             self.backend = "serial"
             return None

@@ -237,9 +237,8 @@ def seminaive_chase(
     :class:`repro.chase.parallel.ParallelMatcher` fork pool (serial where
     ``fork`` is missing or a pooled round fails); the merged batches replay
     the serial order exactly, so the result stays byte-identical across worker counts.
-    (When ``CHASE_CHAOS_SEED`` is set, the pool runs under the
-    fault-injection harness of :mod:`repro.chase.chaos` — results must
-    still come back byte-identical, which is what the chaos CI job checks.)
+    (The test suite's fault injection, ``make test-chaos``, fails pooled
+    rounds on a seeded schedule and demands the same bytes back.)
 
     ``budget`` exhaustion raises :class:`repro.errors.ChaseInterrupted`
     with a resume checkpoint (round-boundary or mid-round); ``resume``

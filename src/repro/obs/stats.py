@@ -46,7 +46,6 @@ class ChaseStats:
         "checkpoints_captured",
         "checkpoints_restored",
         "pool_fallbacks",
-        "faults",
         "rounds_parallel",
         "rounds_serial",
         "pool_workers",
@@ -100,15 +99,13 @@ class ChaseStats:
         #: Pooled discovery rounds that failed and were recomputed serially
         #: (each pins its run's matcher to the serial pass).
         self.pool_fallbacks = 0
-        #: Chaos-injected faults by shape (empty outside chaos runs).
-        self.faults: Dict[str, int] = {}
         #: Discovery rounds that ran on the pool vs serially.
         self.rounds_parallel = 0
         self.rounds_serial = 0
         #: Pool width of the matcher that fed this report (1 = serial).
         self.pool_workers = 1
-        #: Sum of worker-side task durations (shipped back with each
-        #: compact row batch) vs the master-side wall spent draining pools.
+        #: Sum of task durations (the master's own, and each child's shipped
+        #: back with its rows) vs the master-side wall of pooled rounds.
         self.worker_busy_seconds = 0.0
         self.parallel_wall_seconds = 0.0
         #: Master-side phase accounting (only collected when stats ride
@@ -207,7 +204,7 @@ class ChaseStats:
             self.cache_hits += witnesses.hits
 
     def absorb_matcher(self, matcher) -> None:
-        """Fold a matcher's fault/pool counters in (call once, at run end)."""
+        """Fold a matcher's pool counters in (call once, at run end)."""
         self.pool_fallbacks += matcher.backend_fallbacks
         self.rounds_parallel += matcher.rounds_parallel
         self.rounds_serial += matcher.rounds_serial
@@ -215,9 +212,6 @@ class ChaseStats:
         self.worker_busy_seconds += matcher.busy_seconds
         self.parallel_wall_seconds += matcher.pool_wall_seconds
         self.merge_seconds += matcher.merge_seconds
-        for shape, count in getattr(matcher, "faults", {}).items():
-            if count:
-                self.faults[shape] = self.faults.get(shape, 0) + count
 
     # -- reporting ---------------------------------------------------------
 
@@ -282,7 +276,6 @@ class ChaseStats:
             "checkpoints_captured": self.checkpoints_captured,
             "checkpoints_restored": self.checkpoints_restored,
             "pool_fallbacks": self.pool_fallbacks,
-            "faults": dict(self.faults),
             "rounds_parallel": self.rounds_parallel,
             "rounds_serial": self.rounds_serial,
             "pool_workers": self.pool_workers,

@@ -1,27 +1,30 @@
 """Deterministic fault injection for the parallel discovery tier.
 
-:class:`repro.chase.parallel.ParallelMatcher` claims that worker failures
-never change a chase's outcome: a pooled round that fails is recomputed
-by the serial pass, and the run is byte-identical to an undisturbed one.
-This module makes that claim testable on demand: :class:`ChaosMatcher`
-injects failures by a *seeded schedule* at the exact seam real ones
-surface through (the master's result-collection hook), so a chaos run is
+:class:`repro.chase.parallel.ParallelMatcher` claims that a failed pooled
+round never changes a chase's outcome: the round is recomputed by the
+serial pass, and the run is byte-identical to an undisturbed one.  This
+module makes that claim testable on demand: it injects failures by a
+*seeded schedule* at the exact seam real ones surface through, the
+master's collection seam ``ParallelMatcher._fetch``, so a chaos run is
 fully reproducible from its seed.
 
 Three fault shapes, mirroring the real failure modes:
 
-* ``kill`` — raises ``BrokenProcessPool`` as if the worker died;
-* ``delay`` — sleeps before handing the result over, perturbing the
+* ``kill`` — raises ``ChildProcessError`` as if the child died;
+* ``delay`` — sleeps before handing the payload over, perturbing the
   collection timeline without changing any data;
-* ``corrupt`` — appends a malformed row to the result, which
+* ``corrupt`` — appends a malformed row to the payload, which
   :func:`repro.chase.parallel._validate_rows` must reject.
 
 A kill or a corruption drives the serial recompute, which is never
 chaos'd, so every chaos run converges byte-identically.  Faults are drawn
-master-side *after* the genuine result is in hand, so injection never
-leaves a worker wedged.  The CI chaos job runs the equivalence suite under
-``CHASE_CHAOS_SEED`` (see :func:`build_matcher`); the seed is the one
-setting, and the schedule's rates are :class:`ChaosPolicy`'s defaults.
+*after* the genuine ``_fetch`` has read the whole payload, so injection
+never wedges a round, and the round reaps every child as usual.
+``make test-chaos`` runs the parallel-equivalence and checkpoint suites
+with ``CHASE_CHAOS_SEED`` set; ``tests/conftest.py`` then makes every
+matcher a chase engine builds a :class:`ChaosMatcher` (see
+:func:`seeded_matcher`).  The seed is the one setting, and the schedule's
+rates are :class:`ChaosPolicy`'s defaults.
 """
 
 from __future__ import annotations
@@ -29,23 +32,22 @@ from __future__ import annotations
 import logging
 import os
 import random
-from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence
 
+from repro.chase import engine as engine_module
 from repro.chase.parallel import ParallelMatcher
 from repro.obs import clock
-from repro.obs.log import get_logger, log_event
+from repro.obs.log import log_event
 from repro.tgds.tgd import TGD
 
-_LOGGER = get_logger(__name__)
+LOGGER = logging.getLogger(__name__)
 
-#: Environment switch: a seed here makes :func:`build_matcher` hand out
-#: chaos'd matchers process-wide (the CI chaos job sets it).
+#: Environment switch: a seed here makes every chase engine of the test
+#: process draw faults from that seed's schedule (``make test-chaos``).
 CHAOS_SEED_ENV = "CHASE_CHAOS_SEED"
 
-
 class ChaosPolicy:
-    """A seeded fault schedule: one draw per collected task result.
+    """A seeded fault schedule: one draw per collected task payload.
 
     The draw sequence is consumed in the master's deterministic collection
     order, so the same seed replays the same faults at the same points —
@@ -99,7 +101,7 @@ class ChaosPolicy:
 class ChaosMatcher(ParallelMatcher):
     """A :class:`ParallelMatcher` that injects scheduled faults.
 
-    Overrides the result-collection hook only: planning, execution, and
+    Overrides the collection seam only: planning, forking, matching and
     the merge are the production code paths, so whatever survives chaos
     is exactly what production would have computed.
     """
@@ -110,45 +112,44 @@ class ChaosMatcher(ParallelMatcher):
         #: Faults actually injected, by shape (tests assert chaos happened).
         self.faults = {"kill": 0, "delay": 0, "corrupt": 0}
 
-    def _fetch(self, future, task_index: int):
-        # Wait for the genuine result first: a "killed" worker has already
-        # finished, so injection can never wedge the pool itself.
-        payload = future.result()
+    def _fetch(self, child, task_index: int):
+        # Collect the genuine payload first: its pipe is closed and the
+        # child has written everything, so injection never wedges a round.
+        payload = super()._fetch(child, task_index)
         fault = self.policy.draw()
-        if fault is not None:
-            self.faults[fault] += 1
-            log_event(
-                _LOGGER,
-                logging.DEBUG,
-                "chaos.inject",
-                fault=fault,
-                task=task_index,
-                seed=self.policy.seed,
-            )
+        if fault is None:
+            return payload
+        self.faults[fault] += 1
+        log_event(
+            LOGGER,
+            logging.DEBUG,
+            "chaos.inject",
+            fault=fault,
+            task=task_index,
+            seed=self.policy.seed,
+        )
         if fault == "kill":
-            raise BrokenProcessPool(
-                f"chaos: worker killed while returning task {task_index}"
-            )
+            raise ChildProcessError(f"chaos: child killed while returning task {task_index}")
         if fault == "delay":
             # Via the obs clock: a FakeClock makes the injected latency
             # observable in tests without actually sleeping.
             clock.sleep(self.policy.delay_seconds)
-        elif fault == "corrupt":
-            rows, busy = payload
-            # A malformed extra row: _validate_rows must reject the batch.
-            return list(rows) + [("chaos", "corrupt")], busy
-        return payload
+            return payload
+        rows, busy = payload
+        # A malformed extra row: _validate_rows must reject the batch.
+        return list(rows) + [("chaos", "corrupt")], busy
 
 
-def build_matcher(tgds: Sequence[TGD], workers: int = 1) -> ParallelMatcher:
-    """The chase loops' matcher factory: production by default, chaos'd
-    when ``CHASE_CHAOS_SEED`` is set (the CI fault-injection job's hook).
-
-    Chaos only bites the process backend — the serial pass is the fault
-    *recovery* target and stays clean — so a chaos'd chase still
-    terminates with the production answer.
-    """
+def seeded_matcher(tgds: Sequence[TGD], workers: int = 1) -> ParallelMatcher:
+    """The engine's matcher under ``CHASE_CHAOS_SEED``: a :class:`ChaosMatcher`
+    with ``ChaosPolicy(seed)``'s default rates, or a plain matcher when the
+    variable is unset (read per build, so a test can opt out)."""
     seed = os.environ.get(CHAOS_SEED_ENV)
     if seed:
         return ChaosMatcher(tgds, ChaosPolicy(seed=int(seed)), workers)
     return ParallelMatcher(tgds, workers)
+
+
+def install_seeded_chaos(monkeypatch) -> None:
+    """Make every matcher a chase engine builds a :func:`seeded_matcher`."""
+    monkeypatch.setattr(engine_module, "ParallelMatcher", seeded_matcher)

@@ -1,15 +1,16 @@
 """Fault injection: chaos'd discovery is byte-identical or cleanly typed.
 
 The contract under test (see the failure model in ``docs/ARCHITECTURE.md``):
-whatever :class:`repro.chase.chaos.ChaosMatcher` injects — killed workers,
-delayed chunks, corrupted results — a chase completes with results
+whatever :class:`tests.chase.chaos.ChaosMatcher` injects — killed children,
+delayed payloads, corrupted results — a chase completes with results
 byte-identical to the undisturbed serial run (a failed pooled round is
 recomputed serially).  Never a hang, never a silently partial or
 corrupted instance.
 
-The CI ``chaos`` job runs the parallel equivalence suite plus this file
-with ``CHASE_CHAOS_SEED`` exported, routing every pool-backed chase in the
-process through :func:`repro.chase.chaos.build_matcher`'s chaos path.
+The CI ``chaos`` job runs this file, then the parallel equivalence and
+checkpoint suites with ``CHASE_CHAOS_SEED`` exported, which makes
+``tests/conftest.py`` hand every chase engine a ``ChaosMatcher`` through
+:func:`tests.chase.chaos.seeded_matcher`.
 """
 
 import logging
@@ -19,14 +20,20 @@ import pytest
 from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.terms import Constant
-from repro.chase import parallel
-from repro.chase.chaos import ChaosMatcher, ChaosPolicy, build_matcher
+from repro.chase import engine as engine_module, parallel
 from repro.chase.engine import ChaseEngine
 from repro.chase.parallel import ParallelMatcher, _validate_rows
 from repro.chase.restricted import restricted_chase, seminaive_chase
 from repro.chase.trigger import seminaive_triggers
 from repro.errors import ResultIntegrityError
 from repro.tgds.tgd import parse_tgds
+from tests.chase.chaos import (
+    CHAOS_SEED_ENV,
+    ChaosMatcher,
+    ChaosPolicy,
+    install_seeded_chaos,
+    seeded_matcher,
+)
 
 JOIN_TGDS = parse_tgds(
     [
@@ -172,8 +179,9 @@ class TestChaosEquivalence:
 
     def test_end_to_end_chase_under_chaos(self, monkeypatch):
         serial = restricted_chase(ring_database(8), JOIN_TGDS, strategy="semi_naive")
+        install_seeded_chaos(monkeypatch)
         for seed in (1, 2, 3):
-            monkeypatch.setenv("CHASE_CHAOS_SEED", str(seed))
+            monkeypatch.setenv(CHAOS_SEED_ENV, str(seed))
             chaotic = restricted_chase(
                 ring_database(8), JOIN_TGDS, strategy="semi_naive", workers=2
             )
@@ -181,15 +189,23 @@ class TestChaosEquivalence:
 
 
 class TestBuildMatcher:
+    """The shipping engine builds a plain matcher; ``CHASE_CHAOS_SEED``
+    reaches its pooled rounds only through the tests' hook."""
+
     def test_plain_matcher_without_seed(self, monkeypatch):
-        monkeypatch.delenv("CHASE_CHAOS_SEED", raising=False)
-        matcher = build_matcher(JOIN_TGDS, workers=2)
-        assert type(matcher) is ParallelMatcher
+        monkeypatch.delenv(CHAOS_SEED_ENV, raising=False)
+        assert type(seeded_matcher(JOIN_TGDS, workers=2)) is ParallelMatcher
+        engine = ChaseEngine(ring_database(4), JOIN_TGDS, workers=2)
+        with engine.running():
+            assert type(engine.matcher) is ParallelMatcher
 
     def test_chaos_matcher_with_seed(self, monkeypatch):
         # The seed is the one setting: the schedule's rates are the policy's.
-        monkeypatch.setenv("CHASE_CHAOS_SEED", "1307")
-        matcher = build_matcher(JOIN_TGDS, workers=2)
+        monkeypatch.setenv(CHAOS_SEED_ENV, "1307")
+        install_seeded_chaos(monkeypatch)
+        engine = ChaseEngine(ring_database(4), JOIN_TGDS, workers=2)
+        with engine.running():
+            matcher = engine.matcher
         assert isinstance(matcher, ChaosMatcher)
         assert matcher.policy.seed == 1307
         default = ChaosPolicy(seed=1307)
@@ -200,23 +216,23 @@ class TestBuildMatcher:
         ) == (default.kill_rate, default.delay_rate, default.corrupt_rate)
 
     def test_single_worker_build_is_serial_either_way(self, monkeypatch):
-        monkeypatch.setenv("CHASE_CHAOS_SEED", "1307")
-        matcher = build_matcher(JOIN_TGDS, workers=1)
-        assert matcher.backend == "serial"
+        monkeypatch.setenv(CHAOS_SEED_ENV, "1307")
+        install_seeded_chaos(monkeypatch)
+        assert seeded_matcher(JOIN_TGDS, workers=1).backend == "serial"
+        engine = ChaseEngine(ring_database(4), JOIN_TGDS, workers=1)
+        with engine.running():
+            assert engine.matcher is None
 
-    def test_seminaive_chase_routes_through_build_matcher(self, monkeypatch):
+    def test_seminaive_chase_picks_up_the_seed(self, monkeypatch):
         # workers>1 must pick up the env seed without any explicit opt-in.
-        monkeypatch.setenv("CHASE_CHAOS_SEED", "1307")
+        monkeypatch.setenv(CHAOS_SEED_ENV, "1307")
         built = []
-        original = build_matcher
 
-        def spy(tgds, **kwargs):
-            matcher = original(tgds, **kwargs)
+        def spy(tgds, workers):
+            matcher = seeded_matcher(tgds, workers)
             built.append(matcher)
             return matcher
 
-        import repro.chase.chaos as chaos_module
-
-        monkeypatch.setattr(chaos_module, "build_matcher", spy)
+        monkeypatch.setattr(engine_module, "ParallelMatcher", spy)
         seminaive_chase(ring_database(8), JOIN_TGDS, workers=2)
         assert built and all(isinstance(m, ChaosMatcher) for m in built)

@@ -24,7 +24,6 @@ from repro.core.instance import Database
 from repro.core.parsing import parse_database
 from repro.core.terms import Constant
 from repro.chase import parallel
-from repro.chase.chaos import ChaosMatcher, ChaosPolicy
 from repro.chase.checkpoint import Budget
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
@@ -37,6 +36,7 @@ from repro.tgds.generators import GeneratorProfile, corpus
 from repro.tgds.tgd import parse_tgds
 
 from repro.guarded.decision import candidate_databases
+from tests.chase.chaos import ChaosMatcher, ChaosPolicy
 
 PROFILE = GeneratorProfile(
     num_predicates=2, max_arity=2, num_tgds=3, existential_probability=0.8
@@ -373,7 +373,7 @@ class TestFakeClockIntegration:
             delay_seconds=0.25,
         )
         matcher = ChaosMatcher(JOIN_TGDS, policy, workers=2)
-        with caplog.at_level(logging.DEBUG, logger="repro.chase.chaos"):
+        with caplog.at_level(logging.DEBUG, logger="tests.chase.chaos"):
             matcher.discover(engine.instance, delta)
         assert matcher.faults["delay"] >= 1
         # Every injected delay fast-forwarded the fake clock — no blocking.

@@ -19,7 +19,9 @@ import logging
 import os
 import pickle
 import random
-from concurrent.futures.process import BrokenProcessPool
+import signal
+import threading
+import time
 
 import pytest
 
@@ -31,14 +33,15 @@ from repro.core.substitution import Substitution
 from repro.core.terms import Constant, Variable
 from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
-from repro.chase.restricted import restricted_chase
+from repro.chase.restricted import restricted_chase, seminaive_chase
 from repro.chase.trigger import Trigger, seminaive_triggers, triggers_of
-from repro.chase import chaos, parallel
+from repro.chase import parallel
 from repro.chase.parallel import ParallelMatcher
 from repro.guarded.decision import candidate_databases
 from repro.obs.stats import ChaseStats
 from repro.tgds.generators import GeneratorProfile, corpus
 from repro.tgds.tgd import parse_tgds
+from tests.chase.chaos import CHAOS_SEED_ENV
 
 #: Pool widths under test; the CI matrix pins one per job.
 WORKERS = [
@@ -271,7 +274,7 @@ class TestMatcherDiscovery:
         # rounds serial before the pool ran one.
         from repro.tgds.tgd import TGD
 
-        monkeypatch.delenv(chaos.CHAOS_SEED_ENV, raising=False)
+        monkeypatch.delenv(CHAOS_SEED_ENV, raising=False)
         monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         copy = TGD.parse("E(x,y) -> F(x,y)", name="copy")
         tgds = [copy, TGD.parse("F(x,y) -> G(y,z)", name="s1")]
@@ -387,10 +390,12 @@ class TestCorpusEquivalence:
         monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         db = ring_database(12)
         serial = restricted_chase(db, JOIN_TGDS, strategy="semi_naive")
+        pids = record_children(monkeypatch)
         fanned = restricted_chase(
             db, JOIN_TGDS, strategy="semi_naive", workers=workers
         )
         assert_identical_runs(serial, fanned)
+        assert_all_reaped(pids)
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_cutoff_prefixes_are_identical(self, workers, monkeypatch):
@@ -428,49 +433,72 @@ class TestCorpusEquivalence:
 #: invented null names.
 NULL_TGDS = JOIN_TGDS + parse_tgds(["T(x,y) -> U(y,w)"])
 
-#: The failures a pooled round can meet, each at the seam it really
-#: surfaces through: the pool breaking, a worker raising, a payload the
-#: master's validation rejects.
+#: The failures a pooled round can meet, each where it really surfaces:
+#: a child dying mid-round, a child raising, a payload the master's
+#: validation rejects.
 FAULTS = ["broken-pool", "worker-exception", "corrupt-payload"]
 
-#: Which pooled round fails and how; module state so forked workers see it.
-_FAULT = {"shape": None, "target": 0, "round": 0}
-_DISCOVER_TASK = parallel._discover_task
+#: Which pooled round fails and how; module state so forked children see it.
+_FAULT = {"shape": None, "target": 0, "round": 0, "master": None}
+_MATCH_CHUNKS = parallel._match_chunks
 _RUN_PROCESS = ParallelMatcher._run_process
 _FETCH = ParallelMatcher._fetch
+_FORK_TASK = parallel._fork_task
 
 
-def _faulty_task(chunks):
-    if _FAULT["shape"] == "worker-exception" and _FAULT["round"] == _FAULT["target"]:
-        raise RuntimeError("worker failed")
-    return _DISCOVER_TASK(chunks)
+def _faulty_task(tgds, instance, delta, chunks):
+    """A task's body, failing in the target round's children for the
+    child-side shapes: the child kills itself or raises."""
+    if _FAULT["round"] == _FAULT["target"] and os.getpid() != _FAULT["master"]:
+        if _FAULT["shape"] == "broken-pool":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if _FAULT["shape"] == "worker-exception":
+            raise RuntimeError("worker failed")
+    return _MATCH_CHUNKS(tgds, instance, delta, chunks)
 
 
 def inject_fault(monkeypatch, shape, target):
     """Make the ``target``-th pooled round (1-based, counted across every
     matcher) fail with ``shape``; every other pooled round runs clean."""
-    _FAULT.update(shape=shape, target=target, round=0)
+    _FAULT.update(shape=shape, target=target, round=0, master=os.getpid())
 
     def counting_run(self, instance, delta, tasks):
         _FAULT["round"] += 1
         return _RUN_PROCESS(self, instance, delta, tasks)
 
-    def faulty_fetch(self, future, task_index):
-        payload = _FETCH(self, future, task_index)
-        if _FAULT["round"] != target or task_index != 0:
-            return payload
-        if shape == "broken-pool":
-            raise BrokenProcessPool("worker died")
-        if shape == "corrupt-payload":
+    def faulty_fetch(self, child, task_index):
+        payload = _FETCH(self, child, task_index)
+        # Task 0 is the master's own; task 1 is the first child read.
+        if shape == "corrupt-payload" and _FAULT["round"] == target and task_index == 1:
             rows, busy = payload
             return rows + [("corrupt",)], busy
         return payload
 
-    monkeypatch.delenv(chaos.CHAOS_SEED_ENV, raising=False)
+    monkeypatch.delenv(CHAOS_SEED_ENV, raising=False)
     monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
-    monkeypatch.setattr(parallel, "_discover_task", _faulty_task)
+    monkeypatch.setattr(parallel, "_match_chunks", _faulty_task)
     monkeypatch.setattr(ParallelMatcher, "_run_process", counting_run)
     monkeypatch.setattr(ParallelMatcher, "_fetch", faulty_fetch)
+
+
+def record_children(monkeypatch):
+    """Record the pid of every child a pooled round forks."""
+    pids = []
+
+    def recording_fork(*args):
+        child = _FORK_TASK(*args)
+        pids.append(child[0])
+        return child
+
+    monkeypatch.setattr(parallel, "_fork_task", recording_fork)
+    return pids
+
+
+def assert_all_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def fallback_events(caplog):
@@ -524,6 +552,7 @@ class TestFallback:
                 for backend in ("memory", "sqlite"):
                     case = (shape, workers, backend)
                     inject_fault(monkeypatch, shape, target=1)
+                    pids = record_children(monkeypatch)
                     stats = ChaseStats()
                     caplog.clear()
                     with caplog.at_level(logging.WARNING, logger="repro.chase.parallel"):
@@ -542,6 +571,7 @@ class TestFallback:
                     assert [t.result() for t in serial.derivation.steps] == [
                         t.result() for t in fanned.derivation.steps
                     ], case
+                    assert_all_reaped(pids)
 
     def test_fork_unavailable_picks_serial_at_construction(self, monkeypatch):
         monkeypatch.setattr(parallel, "_fork_available", lambda: False)
@@ -553,7 +583,7 @@ class TestFallback:
         # after it is serial too.
         db = ring_database(8)
         clean = ChaseStats()
-        monkeypatch.delenv(chaos.CHAOS_SEED_ENV, raising=False)
+        monkeypatch.delenv(CHAOS_SEED_ENV, raising=False)
         monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
         restricted_chase(db, JOIN_TGDS, strategy="semi_naive", workers=2, stats=clean)
         assert clean.rounds_parallel == 2
@@ -567,3 +597,137 @@ class TestFallback:
         assert stats.rounds_serial == clean.rounds_serial + 1
         assert stats.validate() == []
         assert_identical_runs(restricted_chase(db, JOIN_TGDS, strategy="semi_naive"), faulted)
+
+
+def assert_same_nulls(serial, fanned):
+    assert list(serial.instance) == list(fanned.instance)
+    assert [t.result() for t in serial.derivation.steps] == [
+        t.result() for t in fanned.derivation.steps
+    ]
+
+
+@needs_fork
+class TestChildLifetime:
+    """No child outlives its round, even one the master never read (clean
+    rounds and each ``FAULTS`` shape are checked in the tests above)."""
+
+    def test_master_failure_at_task_zero_reaps_unread_children(self, monkeypatch):
+        # Task 0 is the master's own, and it fails while every child is
+        # still matching (they sleep far past the test): the round must kill
+        # and reap them rather than wait for them.
+        monkeypatch.delenv(CHAOS_SEED_ENV, raising=False)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+        master = os.getpid()
+
+        def failing_in_master(tgds, instance, delta, chunks):
+            if os.getpid() == master:
+                raise RuntimeError("task 0 failed in the master")
+            time.sleep(60.0)
+            return _MATCH_CHUNKS(tgds, instance, delta, chunks)
+
+        monkeypatch.setattr(parallel, "_match_chunks", failing_in_master)
+        pids = record_children(monkeypatch)
+        engine, delta = materialize_round(ring_database(8), JOIN_TGDS)
+        expected = [
+            t.key for t in seminaive_triggers(JOIN_TGDS, engine.instance, delta)
+        ]
+        matcher = ParallelMatcher(JOIN_TGDS, workers=4)
+        start = time.perf_counter()
+        got = [t.key for t in matcher.discover(engine.instance, delta)]
+        assert time.perf_counter() - start < 30.0
+        assert got == expected
+        assert len(pids) >= 2 and matcher.backend_fallbacks == 1
+        assert_all_reaped(pids)
+
+
+@needs_fork
+class TestConcurrentPooledRounds:
+    """Two threads pool rounds at once, as the service does with
+    ``--workers > 1``: each run stays byte-identical to its serial run and
+    neither falls back."""
+
+    def test_two_threads_chase_on_the_pool_at_once(self, monkeypatch):
+        monkeypatch.delenv(CHAOS_SEED_ENV, raising=False)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+        databases = [ring_database(9), ring_database(12)]
+        serial = [seminaive_chase(db, NULL_TGDS) for db in databases]
+        runs = [[], []]
+        stats = [ChaseStats(), ChaseStats()]
+        errors = []
+        start = threading.Barrier(2)
+
+        def chase(index):
+            try:
+                start.wait()
+                for _ in range(3):
+                    runs[index].append(
+                        seminaive_chase(
+                            databases[index], NULL_TGDS, workers=2, stats=stats[index]
+                        )
+                    )
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=chase, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for index in range(2):
+            assert len(runs[index]) == 3
+            for fanned in runs[index]:
+                assert_identical_runs(serial[index], fanned)
+                assert_same_nulls(serial[index], fanned)
+            assert stats[index].pool_fallbacks == 0
+            assert stats[index].rounds_parallel >= 3
+
+    def test_a_round_never_waits_on_another_rounds_child(self, monkeypatch):
+        # A pipe reads EOF only once every copy of its write end is closed.
+        # Thread B tries to fork while thread A holds its first pipe open,
+        # and B's children then sleep: had B's child inherited A's write
+        # end, A's round would wait for it.  With payloads past the pipe
+        # buffer, two rounds waiting on each other's children deadlock.
+        monkeypatch.delenv(CHAOS_SEED_ENV, raising=False)
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+        slow_tgds = parse_tgds(["E(x,y) -> F(x,y)", "F(x,y), F(y,z) -> T(x,z)"])
+        a_forked, b_forked = threading.Event(), threading.Event()
+        real_fork = os.fork
+        done = {}
+
+        def fork():
+            pid = real_fork()
+            if pid and threading.current_thread().name == "a" and not a_forked.is_set():
+                a_forked.set()
+                b_forked.wait(0.5)
+            elif pid and threading.current_thread().name == "b":
+                b_forked.set()
+            return pid
+
+        def slow_for_b(tgds, instance, delta, chunks):
+            if tgds == tuple(slow_tgds):
+                time.sleep(1.0)
+            return _MATCH_CHUNKS(tgds, instance, delta, chunks)
+
+        def discover(name, tgds, wait):
+            engine, delta = materialize_round(ring_database(8), tgds)
+            wait.wait(5.0)
+            matcher = ParallelMatcher(tgds, workers=2)
+            matcher.discover(engine.instance, delta)
+            done[name] = (time.perf_counter(), matcher.rounds_parallel)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(parallel, "_match_chunks", slow_for_b)
+        go = threading.Event()
+        threads = [
+            threading.Thread(target=discover, args=("a", JOIN_TGDS, go), name="a"),
+            threading.Thread(target=discover, args=("b", slow_tgds, a_forked), name="b"),
+        ]
+        for thread in threads:
+            thread.start()
+        go.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert done["a"][1] == done["b"][1] == 1
+        assert done["b"][0] - done["a"][0] > 0.5

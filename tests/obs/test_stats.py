@@ -217,7 +217,6 @@ class TestAbsorb:
             busy_seconds = 1.5
             pool_wall_seconds = 0.5
             merge_seconds = 0.25
-            faults = {"kill": 2, "delay": 0}
 
         stats = ChaseStats()
         stats.absorb_matcher(Matcher())
@@ -227,4 +226,5 @@ class TestAbsorb:
         assert stats.worker_busy_seconds == 1.5
         assert stats.parallel_wall_seconds == 0.5
         assert stats.merge_seconds == 0.25
-        assert stats.faults == {"kill": 2}  # zero-count shapes are dropped
+        # Fault tallies belong to the test suite's chaos harness.
+        assert "faults" not in stats.as_dict()
