@@ -102,6 +102,7 @@ def spread_lines(report: dict) -> list:
     lines = []
     for section, workload, ratio, spread in (
         ("seminaive_speedups", "seminaive_dense", "speedup", "speedup_iqr"),
+        ("checkpoint_overheads", "checkpoint_join", "overhead_ratio", "overhead_iqr"),
         ("obs_overheads", "obs_dense", "overhead_ratio", "overhead_iqr"),
     ):
         rows = report.get(section) or []
@@ -296,9 +297,15 @@ def gate(report: dict, margin: float) -> list:
                     f"match but the derivations differ"
                 )
             if row["size"] == largest and row["overhead_ratio"] > ceiling:
+                spread = (
+                    f" (IQR {row.get('overhead_iqr')} over {row['pairs']} pairs)"
+                    if "pairs" in row
+                    else ""
+                )
                 failures.append(
                     f"checkpoint_join n={row['size']}: resume overhead "
-                    f"{row['overhead_ratio']}x above the {round(ceiling, 3)}x ceiling"
+                    f"{row['overhead_ratio']}x above the {round(ceiling, 3)}x "
+                    f"ceiling{spread}"
                 )
     obs_rows = report.get("obs_overheads", [])
     if not obs_rows:

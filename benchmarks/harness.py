@@ -619,9 +619,10 @@ def main(argv=None) -> int:
         # Likewise the parallel gate (n >= 64, best-of-2: the chases are
         # seconds long, so two repeats already de-noise the ratio).
         parallel_sizes, parallel_repeats = (32, 64), 2
-        # The checkpoint gate is a single-digit-percent ratio: best-of-3
-        # with interleaved cold/interrupted runs keeps it out of noise.
-        checkpoint_sizes, checkpoint_repeats = (32, 48), 3
+        # The checkpoint gate is a single-digit-percent ratio: the median
+        # of 9 paired cold/interrupted ratios (order alternating within
+        # the pair), like the telemetry gate.
+        checkpoint_sizes, checkpoint_repeats = (32, 48), 9
         # The ≤1.05x telemetry gate is tighter still: median of 9 paired
         # ratios (order alternating within the pair), gated at n=128 where
         # runs are long enough that blips stay inside the headroom.
@@ -639,7 +640,7 @@ def main(argv=None) -> int:
         sizes, repeats = (8, 16, 32, 64), 3
         seminaive_sizes, seminaive_repeats = (16, 32, 64), 9
         parallel_sizes, parallel_repeats = (16, 32, 64), 2
-        checkpoint_sizes, checkpoint_repeats = (24, 32, 48), 3
+        checkpoint_sizes, checkpoint_repeats = (24, 32, 48), 9
         obs_sizes, obs_repeats = (64, 128), 9
         portfolio_per_family, portfolio_repeats = (6, 3)
         service_clients, service_requests, service_batch = (8, 10, 16)

@@ -148,9 +148,9 @@ class HeadWitnessIndex:
         The returned list is the undo token for :meth:`forget`.
         """
         added: List[Tuple[TGD, Tuple[Term, ...]]] = []
-        terms = atom.terms
+        predicate, terms = atom
         sets = self._sets
-        for tgd, index, kernel in self._routes.get(atom.predicate, ()):
+        for tgd, index, kernel in self._routes.get(predicate, ()):
             if len(terms) != kernel.arity:
                 continue
             twins = kernel.twins
@@ -362,8 +362,9 @@ class ChaseEngine:
                 self.tgds[i] for i in graph.live_indices(self.instance.predicates())
             )
         #: The tables of ``live`` (discovery table, rule ranks, witness
-        #: routing), built once for every round.
-        self._tables = RuleTables(self.live)
+        #: routing), kept for every round; shared with the last engine
+        #: over the identical rule objects.
+        self._tables = RuleTables.of(self.live)
         self.witnesses: Optional[HeadWitnessIndex] = (
             None if self.kind == "oblivious" else HeadWitnessIndex(self._tables, self.instance)
         )

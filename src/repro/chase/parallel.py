@@ -202,7 +202,7 @@ class ParallelMatcher:
         self.tgds: Tuple[TGD, ...] = tuple(tgds)
         #: The rule list's discovery table and ranks, built once for
         #: every round.
-        self._tables = RuleTables(self.tgds)
+        self._tables = RuleTables.of(self.tgds)
         self.workers = max(1, int(workers))
         self.backend = "process" if self.workers > 1 and _fork_available() else "serial"
         #: Observability counters (tests assert the pool actually ran).

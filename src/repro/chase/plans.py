@@ -77,15 +77,17 @@ canonical key, all with getters and preformatted strings.
 Everything a chase needs of a rule *list* — the predicate table
 discovery walks, the rules' canonical ranks and the head-witness routing
 — is a :class:`RuleTables`.  Its owner (an engine, a matcher, a
-weakly-restricted or real-oblivious chase) builds it once and keeps it
-for every round.
+weakly-restricted or real-oblivious chase) takes it once, from
+:meth:`RuleTables.of`, and keeps it for every round; the next owner over
+the identical rule objects gets the same tables, so a caller that chases
+one rule list again and again builds them once.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.atoms import Atom
@@ -114,6 +116,8 @@ def _tuple_getter(indices: Sequence[int]):
         return itemgetter(slice(first, first + len(indices)))
     return itemgetter(*indices)
 
+
+_new = tuple.__new__
 
 #: Reads the empty tuple off any tuple (a getter over no indices).
 _EMPTY = itemgetter(slice(0, 0))
@@ -213,7 +217,7 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
         lines.append(f"{indent}for a{step} in {f'c{step}' if step else 'bucket'}:")
         indent += "    "
         loops += 1
-        lines.append(f"{indent}t{step} = a{step}.terms")
+        lines.append(f"{indent}t{step} = a{step}[1]")
         lines.append(f"{indent}if len(t{step}) != {len(terms)}: continue")
         fresh: Dict = {}
         for index, code in enumerate(terms):
@@ -372,7 +376,8 @@ class HeadKernel:
             payload = (self.digest % values).encode()
             digest = hashlib.blake2b(payload, digest_size=9).hexdigest()
             values = values + tuple([Null(digest + suffix) for suffix in suffixes])
-        return Atom(self.predicate, self.terms(values))
+        # Values bind constants and nulls only: the atom is built unchecked.
+        return _new(Atom, (self.predicate, self.terms(values)))
 
 
 class RuleTables:
@@ -391,13 +396,31 @@ class RuleTables:
       (:class:`repro.chase.engine.HeadWitnessIndex`) over the
       :attr:`firsts`.
 
-    The tables hold the list's rule objects and are never shared between
-    lists: an equal list of other rule objects may name its rules (hence
-    its nulls) differently.
+    The tables hold the list's rule objects and are shared only by the
+    identical list: an equal list of other rule objects may name its rules
+    (hence its nulls) differently.  :meth:`of` hands the tables of the last
+    list it was asked for back while the same rule objects come again, in
+    the same order.
     """
+
+    #: The tables :meth:`of` built last: one entry, so a stream of fresh
+    #: rule lists (say, one per verdict) keeps at most one of them alive.
+    _last: "RuleTables | None" = None
 
     def __init__(self, tgds: Sequence):
         self.tgds: tuple = tuple(tgds)
+
+    @classmethod
+    def of(cls, tgds: Sequence) -> "RuleTables":
+        """The tables of ``tgds``: the last call's, when ``tgds`` holds the
+        identical rule objects in the same order, else new ones.  Rules
+        are compared by identity, never by equality."""
+        tgds = tuple(tgds)
+        last = cls._last
+        if last is not None and len(last.tgds) == len(tgds) and all(map(is_, last.tgds, tgds)):
+            return last
+        cls._last = tables = cls(tgds)
+        return tables
 
     @cached_property
     def firsts(self) -> Dict:

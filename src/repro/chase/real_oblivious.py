@@ -283,7 +283,7 @@ class RealObliviousChase(ChaseGraph):
         # frontier instead of scanning the full trigger history.
         triggers: Dict[tuple, Tuple[int, Trigger, List[Atom]]] = {}
         triggers_by_image_atom: Dict[Atom, List[tuple]] = {}
-        tables = RuleTables(self.tgds)
+        tables = RuleTables.of(self.tgds)
         atom_index.track_delta()
 
         def add_node(

@@ -136,7 +136,7 @@ class Trigger(tuple):
     def result_frontier_terms(self) -> Set[Term]:
         """``fr(result(σ,h))``: terms at the head's frontier positions."""
         result = self.result()
-        return {result[i] for i in self[0].frontier_head_positions()}
+        return {result.at(i) for i in self[0].frontier_head_positions()}
 
     def __eq__(self, other) -> bool:
         # Equal TGDs share their body order, so equal rows are equal keys.
@@ -280,13 +280,14 @@ def seminaive_triggers(
     :class:`repro.chase.parallel.ParallelMatcher` computes the same list
     over a worker pool.
 
-    Each call builds the rule list's :class:`repro.chase.plans.RuleTables`;
-    a caller that discovers round after round over one list builds them
-    once and calls :func:`round_triggers`.
+    Each call takes the rule list's :class:`repro.chase.plans.RuleTables`
+    from :meth:`repro.chase.plans.RuleTables.of`; a caller that discovers
+    round after round over one list keeps them and calls
+    :func:`round_triggers`.
     """
     if not delta:
         return []
-    return round_triggers(RuleTables(tgds), instance, delta)
+    return round_triggers(RuleTables.of(tgds), instance, delta)
 
 
 def round_triggers(tables: RuleTables, instance: Instance, delta) -> List[Trigger]:

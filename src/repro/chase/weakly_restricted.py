@@ -97,7 +97,7 @@ class WeaklyRestrictedChase:
         Active-trigger selection sorts canonically, so discovery order
         never shows in a run."""
         self.tgds = tuple(tgds)
-        self._tables = RuleTables(self.tgds)
+        self._tables = RuleTables.of(self.tgds)
         self.occurrences: List[WROccurrence] = []
         self._applied: Set[tuple] = set()
         self._atom_view = Instance()

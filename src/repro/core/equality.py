@@ -229,7 +229,7 @@ class LabeledEqualityType:
             ref_class_of_term[term] = ref_type.class_of(i)
         labels: Dict[PositionClass, Hashable] = {}
         for cls in etype.partition:
-            term = atom[min(cls)]
+            term = atom.at(min(cls))
             if term in ref_class_of_term:
                 labels[cls] = ref_class_of_term[term]
         return LabeledEqualityType(etype, labels)

@@ -246,11 +246,10 @@ class Instance:
         atoms[atom] = None
         if len(atoms) == size:
             return False
-        predicate = atom.predicate
+        predicate, terms = atom
         self._by_predicate.setdefault(predicate, {})[atom] = None
         positions = self._indexed.get(predicate)
         if positions:
-            terms = atom.terms
             arity = len(terms)
             for i, buckets in positions:
                 if i <= arity:

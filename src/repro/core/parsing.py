@@ -49,6 +49,7 @@ _ATOM = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+)\s*\(([^()]*)\)\s*")
 #: A whole argument between commas: a name, or a ``?``-prefixed null name.
 _is_term = re.compile(r"\s*(?:\??[A-Za-z_][A-Za-z_0-9]*|\d+)\s*").fullmatch
 _SPACE = re.compile(r"\s*")
+_new = tuple.__new__
 
 
 def _refuse(text: str, position: int, expected: str) -> ParseError:
@@ -68,15 +69,18 @@ def _atom(text: str, position: int, data_mode: bool) -> Tuple[Atom, int]:
         raise _refuse(text, position, "an atom with comma-separated terms")
     names = map(str.strip, pieces)
     if "?" not in arguments:
-        terms = map(Constant if data_mode else Variable, names)
+        if not data_mode:
+            return Atom(predicate, map(Variable, names)), match.end()
+        terms = tuple(map(Constant, names))
     elif data_mode:
-        terms = [Null(name[1:]) if name[0] == "?" else Constant(name) for name in names]
+        terms = tuple([Null(name[1:]) if name[0] == "?" else Constant(name) for name in names])
     else:
         null = next(name for name in names if name[0] == "?")
         raise ParseError(
             f"nulls like {null!r} are not allowed in rules (atom at position {match.start(1)})"
         )
-    return Atom(predicate, terms), match.end()
+    # Constants and nulls only: the fact is built unchecked (see atoms.py).
+    return _new(Atom, (predicate, terms)), match.end()
 
 
 def _atom_list(text: str, position: int, data_mode: bool) -> Tuple[List[Atom], int]:

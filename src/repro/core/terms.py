@@ -15,7 +15,10 @@ same object.  Equality and hashing are therefore object identity, which
 every dict, set, index key, and ``Atom`` hash evaluates in C without
 calling back into Python.  The tables hold weak references only: a term
 no longer referenced anywhere (say, a null of a deleted service session)
-drops out of its table when it is collected.  Pickling, ``copy``, and
+drops out of its table when it is collected.  A miss takes no lock: it
+publishes a plain ``weakref.ref`` with one ``setdefault``, which racing
+misses agree on, and an entry whose term died before its callback ran is
+removed only while it is dead (:func:`_mint`).  Pickling, ``copy``, and
 ``deepcopy`` re-intern through ``__reduce__``, so a round trip returns the
 identical object.  Because identity hashes follow memory addresses, set
 iteration order over terms is arbitrary run to run; everything whose
@@ -26,37 +29,40 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from typing import Dict, Union
 
-#: Serializes intern-table misses (re-entrant: a collection inside the
-#: critical section may run arbitrary finalizers).
-_INTERN_LOCK = threading.RLock()
-
-
-def _forget(ref: weakref.KeyedRef) -> None:
+def _forget(table: dict, name: str, ref: weakref.ref) -> None:
     """Weakref callback: drop a collected term's entry, unless a newer
     live term under the same name has replaced it meanwhile."""
-    cls, name = ref.key
-    _remove_dead_weakref(cls._interned, name)
+    _remove_dead_weakref(table, name)
 
 
-def intern_term(cls, name: str, **fields):
-    """The live ``cls`` term named ``name``, created with ``fields`` on a
-    miss; concurrent misses agree on one object."""
-    with _INTERN_LOCK:
-        ref = cls._interned.get(name)
-        term = ref() if ref is not None else None
-        if term is None:
-            term = object.__new__(cls)
-            # The slots' own descriptors store past the immutable __setattr__.
-            _set_name(term, name)
-            for field, value in fields.items():
-                getattr(cls, field).__set__(term, value)
-            cls._interned[name] = weakref.KeyedRef(term, _forget, (cls, name))
-        return term
+def _mint(cls, name: str):
+    """The live ``cls`` term named ``name``, created on a miss; concurrent
+    misses agree on one object.
+
+    ``setdefault`` publishes the new term's reference atomically, so the
+    first of several racing misses wins and the others return its term.
+    An entry found dead (its term collected, its callback not yet run) is
+    removed only while it is dead, by the same atomic call the callback
+    makes, and the term is published again: a live entry is never
+    overwritten, so no lock is needed.
+    """
+    table = cls._interned
+    term = object.__new__(cls)
+    # The slot's own descriptor stores past the immutable __setattr__.
+    _set_name(term, name)
+    ref = weakref.ref(term, functools.partial(_forget, table, name))
+    while True:
+        found = table.setdefault(name, ref)
+        if found is ref:
+            return term
+        live = found()
+        if live is not None:
+            return live
+        _remove_dead_weakref(table, name)
 
 
 @functools.total_ordering
@@ -73,7 +79,7 @@ class Term:
     _KIND_RANK = -1
 
     #: Per-class intern table: name -> weak reference to the live term.
-    _interned: Dict[str, weakref.KeyedRef] = {}
+    _interned: Dict[str, weakref.ref] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -87,7 +93,7 @@ class Term:
                 return term
         if not isinstance(name, str) or not name:
             raise ValueError(f"term name must be a non-empty string, got {name!r}")
-        return intern_term(cls, name)
+        return _mint(cls, name)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

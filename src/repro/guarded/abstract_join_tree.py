@@ -167,7 +167,7 @@ class AbstractJoinTree:
                 head = sigma.head
                 for i in range(1, guard.arity + 1):
                     for j in range(1, head.arity + 1):
-                        if guard[i] == head[j] and not eq_related(
+                        if guard.at(i) == head.at(j) and not eq_related(
                             node.eq, ("f", i), ("m", j)
                         ):
                             problems.append(
@@ -175,7 +175,7 @@ class AbstractJoinTree:
                             )
                 for i in range(1, guard.arity + 1):
                     for j in range(1, guard.arity + 1):
-                        if guard[i] == guard[j] and not eq_related(
+                        if guard.at(i) == guard.at(j) and not eq_related(
                             node.eq, ("f", i), ("f", j)
                         ):
                             problems.append(
@@ -183,11 +183,11 @@ class AbstractJoinTree:
                             )
                 existential = sigma.existential_variables
                 for j in range(1, head.arity + 1):
-                    if head[j] not in existential:
+                    if head.at(j) not in existential:
                         continue
                     for i in range(1, head.arity + 1):
                         related = eq_related(node.eq, ("m", i), ("m", j))
-                        equal_vars = head[i] == head[j]
+                        equal_vars = head.at(i) == head.at(j)
                         if related != equal_vars:
                             problems.append(
                                 f"{node}: condition (5c) fails at ({i},{j})"
@@ -292,11 +292,11 @@ class AbstractJoinTree:
             xi: Dict[int, int] = {}
             for i in range(1, side.arity + 1):
                 positions = [
-                    j for j in range(1, guard.arity + 1) if guard[j] == side[i]
+                    j for j in range(1, guard.arity + 1) if guard.at(j) == side.at(i)
                 ]
                 if not positions:
                     raise ValueError(
-                        f"TGD {sigma} is not guarded: {side[i]} not in guard"
+                        f"TGD {sigma} is not guarded: {side.at(i)} not in guard"
                     )
                 xi[i] = positions[0]
             found = [
@@ -304,7 +304,7 @@ class AbstractJoinTree:
                 for candidate in self.nodes
                 if candidate.predicate == side.predicate
                 and all(
-                    decoded[candidate.node_id][i] == father_atom[xi[i]]
+                    decoded[candidate.node_id].at(i) == father_atom.at(xi[i])
                     for i in range(1, side.arity + 1)
                 )
             ]
@@ -336,7 +336,7 @@ class AbstractJoinTree:
             else:
                 frontier = node.origin.frontier_head_positions()
                 annotated[node.node_id] = AnnotatedAtom(
-                    atom, frozenset(atom[i] for i in frontier)
+                    atom, frozenset(atom.at(i) for i in frontier)
                 )
         return before_graph(annotated, self.parent_edges(tgds))
 
@@ -374,15 +374,15 @@ def _eq_from_atoms(me: Atom, father: Optional[Atom]) -> EqRelation:
     pairs: List[Tuple[Token, Token]] = []
     for i in range(1, me.arity + 1):
         for j in range(i + 1, me.arity + 1):
-            if me[i] == me[j]:
+            if me.at(i) == me.at(j):
                 pairs.append((("m", i), ("m", j)))
     if father is not None:
         for i in range(1, father.arity + 1):
             for j in range(i + 1, father.arity + 1):
-                if father[i] == father[j]:
+                if father.at(i) == father.at(j):
                     pairs.append((("f", i), ("f", j)))
             for j in range(1, me.arity + 1):
-                if father[i] == me[j]:
+                if father.at(i) == me.at(j):
                     pairs.append((("f", i), ("m", j)))
     return make_eq(pairs, tokens)
 

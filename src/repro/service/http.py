@@ -60,7 +60,9 @@ MAX_HEADER_BYTES = 64 * 1024
 
 
 def _json_default(value):
-    # Atom/Verdict objects ride through as their canonical reprs.
+    # Objects json cannot encode ride through as their canonical reprs.  An
+    # atom is a tuple, which json encodes as an array, so payloads repr
+    # their atoms before they get here.
     return repr(value)
 
 

@@ -177,7 +177,7 @@ class CaterpillarAutomatonFamily:
             frozenset(
                 k
                 for k in range(1, tgd.head.arity + 1)
-                if self.marking.is_marked(index, tgd.head[k])
+                if self.marking.is_marked(index, tgd.head.at(k))
             )
             for index, tgd in enumerate(self.tgds)
         )
@@ -307,7 +307,7 @@ class CaterpillarAutomatonFamily:
         # sit at e-equal positions.
         for l in range(1, gamma.arity + 1):
             for l2 in range(l + 1, gamma.arity + 1):
-                if gamma[l] == gamma[l2] and not e.same(l, l2):
+                if gamma.at(l) == gamma.at(l2) and not e.same(l, l2):
                     return None
         marked = self._marked_heads[symbol.tgd_index]
         if not symbol.passes_on <= marked:
@@ -316,14 +316,14 @@ class CaterpillarAutomatonFamily:
         # The e-class each γ-variable is bound to.
         var_class: Dict = {}
         for l in range(1, gamma.arity + 1):
-            var_class.setdefault(gamma[l], e.class_of(l))
+            var_class.setdefault(gamma.at(l), e.class_of(l))
         # Value tokens of the new atom's positions: an old term (its e-class),
         # a fresh leg term (per frontier variable outside γ), or a fresh null
         # (per existential variable).  Generic caterpillar semantics: anything
         # not forced equal is distinct (freeness).
         values: Dict[int, tuple] = {}
         for k in range(1, head.arity + 1):
-            var = head[k]
+            var = head.at(k)
             if var in tgd.frontier:
                 if var in var_class:
                     values[k] = ("old", var_class[var])

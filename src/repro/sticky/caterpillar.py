@@ -151,7 +151,7 @@ class CaterpillarPrefix:
             # (α, i) ≃ (α, j) for repeated head variables.
             for p in range(1, head.arity + 1):
                 for q in range(p + 1, head.arity + 1):
-                    if head[p] == head[q]:
+                    if head.at(p) == head.at(q):
                         uf.union((result_ref, p), (result_ref, q))
             for body_index, body_atom in enumerate(trigger.tgd.body):
                 image = body_atom.apply(trigger.h)
@@ -162,7 +162,7 @@ class CaterpillarPrefix:
                 for ref in refs:
                     for p in range(1, body_atom.arity + 1):
                         for q in range(1, head.arity + 1):
-                            if body_atom[p] == head[q]:
+                            if body_atom.at(p) == head.at(q):
                                 uf.union((ref, p), (result_ref, q))
         return uf
 
@@ -175,7 +175,7 @@ class CaterpillarPrefix:
         by_term: Dict[Term, List[Tuple[AtomRef, int]]] = {}
         for ref, atom in atoms:
             for position in range(1, atom.arity + 1):
-                by_term.setdefault(atom[position], []).append((ref, position))
+                by_term.setdefault(atom.at(position), []).append((ref, position))
         problems: List[str] = []
         for term, occurrences in sorted(by_term.items(), key=lambda kv: kv[0].sort_key()):
             anchor = occurrences[0]
@@ -210,7 +210,7 @@ class CaterpillarPrefix:
             birth = boundaries[k]
             horizon = boundaries[k + 1]
             positions = relay_positions[k]
-            relay_terms = {self.body[birth][p] for p in positions}
+            relay_terms = {self.body[birth].at(p) for p in positions}
             if len(relay_terms) != 1:
                 problems.append(f"relay {k}: positions {sorted(positions)} disagree")
                 continue
@@ -227,7 +227,7 @@ class CaterpillarPrefix:
                 trigger = self.triggers[i - 1]
                 t_index = tgd_index[trigger.tgd]
                 for position in range(1, self.body[i].arity + 1):
-                    if self.body[i][position] != relay:
+                    if self.body[i].at(position) != relay:
                         continue
                     if marking.is_immortal_position(t_index, position):
                         problems.append(

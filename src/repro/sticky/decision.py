@@ -109,13 +109,13 @@ def instantiate_lasso(
             )
         binding: Dict[Variable, Term] = {}
         for position in range(1, gamma.arity + 1):
-            variable = gamma[position]
+            variable = gamma.at(position)
             existing = binding.get(variable)
-            if existing is not None and existing != current[position]:
+            if existing is not None and existing != current.at(position):
                 raise ValueError(
                     f"step {step}: inconsistent match of {gamma} on {current}"
                 )
-            binding[variable] = current[position]
+            binding[variable] = current.at(position)
         if step < prefix_length or not recycle_legs:
             tag = f"p{step}"
         else:

@@ -203,7 +203,7 @@ def extract_proto_caterpillar(
         for trigger in derivation.steps:
             result = trigger.result()
             for position in range(1, result.arity + 1):
-                if result[position] != term:
+                if result.at(position) != term:
                     continue
                 if marking.is_immortal_position(tgd_index[trigger.tgd], position):
                     return False

@@ -67,13 +67,13 @@ def _head_matches_body_atom(head: Atom, producer: TGD, body_atom: Atom) -> bool:
     existential = producer.existential_variables
     positions_of: Dict[object, List[int]] = {}
     for i in range(1, body_atom.arity + 1):
-        positions_of.setdefault(body_atom[i], []).append(i)
+        positions_of.setdefault(body_atom.at(i), []).append(i)
     for positions in positions_of.values():
         if len(positions) < 2:
             continue
-        first = head[positions[0]]
+        first = head.at(positions[0])
         for j in positions[1:]:
-            other = head[j]
+            other = head.at(j)
             if other == first:
                 continue
             if first in existential or other in existential:

@@ -41,15 +41,15 @@ def position_dependency_graph(
         existential = tgd.existential_variables
         for atom in tgd.body:
             for i in range(1, atom.arity + 1):
-                var = atom[i]
+                var = atom.at(i)
                 if var not in tgd.frontier:
                     continue
                 source: Position = (atom.predicate, i)
                 for j in range(1, head.arity + 1):
                     target: Position = (head.predicate, j)
-                    if head[j] == var:
+                    if head.at(j) == var:
                         regular.add((source, target))
-                    elif head[j] in existential:
+                    elif head.at(j) in existential:
                         special.add((source, target))
     return regular, special
 
@@ -94,12 +94,12 @@ def existential_dependency_graph(tgds: Sequence[TGD]) -> Dict:
                         (atom.predicate, i)
                         for atom in tgd.body
                         for i in range(1, atom.arity + 1)
-                        if atom[i] == var
+                        if atom.at(i) == var
                     }
                     if not body_positions <= reached:
                         continue
                     for j in range(1, tgd.head.arity + 1):
-                        if tgd.head[j] == var:
+                        if tgd.head.at(j) == var:
                             target = (tgd.head.predicate, j)
                             if target not in reached:
                                 reached.add(target)
@@ -112,7 +112,7 @@ def existential_dependency_graph(tgds: Sequence[TGD]) -> Dict:
             birth_positions = {
                 (tgd.head.predicate, j)
                 for j in range(1, tgd.head.arity + 1)
-                if tgd.head[j] == z
+                if tgd.head.at(j) == z
             }
             moves[(idx, z.name)] = move_closure(birth_positions)
 
@@ -127,7 +127,7 @@ def existential_dependency_graph(tgds: Sequence[TGD]) -> Dict:
                         (atom.predicate, i)
                         for atom in other.body
                         for i in range(1, atom.arity + 1)
-                        if atom[i] == var
+                        if atom.at(i) == var
                     }
                     if body_positions and body_positions <= reachable:
                         graph[(idx, zname)].add((other_idx, z2.name))

@@ -72,7 +72,7 @@ class StickinessAnalysis:
             for atom in other.body:
                 if atom.predicate != predicate:
                     continue
-                if all((other_idx, atom[i]) in self._marked for i in positions):
+                if all((other_idx, atom.at(i)) in self._marked for i in positions):
                     return True
         return False
 
@@ -122,7 +122,7 @@ class StickinessAnalysis:
         caterpillar requires relay terms to avoid immortal positions.
         """
         tgd = self.tgds[tgd_index]
-        var = tgd.head[head_position]
+        var = tgd.head.at(head_position)
         return (tgd_index, var) not in self._marked
 
     def immortal_positions(self, tgd_index: int) -> FrozenSet[int]:

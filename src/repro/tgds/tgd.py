@@ -193,7 +193,7 @@ class TGD:
         return frozenset(
             i
             for i in range(1, self.head.arity + 1)
-            if self.head[i] in self._frontier
+            if self.head.at(i) in self._frontier
         )
 
     def rename(self, mapping: Dict[Variable, Variable], name: Optional[str] = None) -> "TGD":

@@ -254,6 +254,17 @@ def test_checkpoint_margin_loosens_the_ceiling():
     assert gate(make_report(checkpoint_overhead=1.3), margin=0.8) == []
 
 
+def test_checkpoint_spread_is_printed_and_named_in_a_miss():
+    report = make_report(checkpoint_overhead=1.3)
+    report["checkpoint_overheads"][1].update(overhead_iqr=0.04, pairs=9)
+    assert spread_lines(report) == ["checkpoint_join n=48: 1.3x, IQR 0.04 over 9 pairs"]
+    failures = gate(report, margin=1.0)
+    assert any(
+        f.startswith("checkpoint_join n=48") and f.endswith("(IQR 0.04 over 9 pairs)")
+        for f in failures
+    )
+
+
 def test_missing_checkpoint_section_is_fatal():
     report = make_report()
     del report["checkpoint_overheads"]

@@ -20,8 +20,8 @@ class TestMultiHeadTrigger:
         mh = MultiHeadTGD.parse("R(x) -> S(x,z), T(z)")
         trigger = MultiHeadTrigger(mh, {v: Constant("a") for v in mh.frontier})
         s_atom, t_atom = trigger.results()
-        assert s_atom[2] == t_atom[1]
-        assert s_atom[2].is_null
+        assert s_atom.at(2) == t_atom.at(1)
+        assert s_atom.at(2).is_null
 
     def test_deterministic_results(self):
         mh = MultiHeadTGD.parse("R(x) -> S(x,z), T(z)")

@@ -8,13 +8,18 @@ order — including rules whose canonical leads are prefixes of one another
 (they share a rank), equal rules under different names (identical keys),
 and many same-birth rows of one rule.
 
-:class:`repro.chase.plans.RuleTables` is built once by its owner (an
+:class:`repro.chase.plans.RuleTables` is taken once by its owner (an
 engine, a matcher, a weakly-restricted chase) and kept for every round;
-the tables of an equal but distinct list (whose rule names may differ,
-and names feed the null digests) hold that list's own rule objects.
+the next owner over the identical rule objects shares them
+(:meth:`RuleTables.of`).  The tables of an equal but distinct list (whose
+rule names may differ, and names feed the null digests) hold that list's
+own rule objects, and a stream of fresh lists keeps at most one alive.
 """
 
+import gc
 import random
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -208,6 +213,8 @@ def test_owners_build_their_tables_once_for_every_round(monkeypatch):
         build(self, tgds)
 
     monkeypatch.setattr(RuleTables, "__init__", counting)
+    # Each owner starts without a previous owner's tables to share.
+    monkeypatch.setattr(RuleTables, "_last", None)
     rules = parse_tgds(["E(x,y) -> F(x,y)", "F(x,y) -> G(x,y)", "G(x,y) -> H(y,w)"])
     result = restricted_chase(
         parse_database("E(a,b), E(b,c)"), rules, strategy="semi_naive", prune=False
@@ -216,10 +223,12 @@ def test_owners_build_their_tables_once_for_every_round(monkeypatch):
     # The engine's discovery, ranks and witness routing: one set of tables.
     assert built == [tuple(rules)]
     built.clear()
+    RuleTables._last = None
     chase = WeaklyRestrictedChase([(atom, 0) for atom in parse_database("E(a,b)")], rules)
     assert chase.run(10) and len(chase.occurrences) == 4
     assert built == [tuple(rules)]
     built.clear()
+    RuleTables._last = None
     assert len(RealObliviousChase(parse_database("E(a,b)"), rules)) == 4
     assert built == [tuple(rules)]
 
@@ -242,3 +251,83 @@ def test_equal_but_distinct_rule_lists_keep_their_own_rules():
     assert all(any(t.tgd is rule for rule in second) for t in ours.derivation.steps)
     # The names feed the nulls: the lists' closures differ in them alone.
     assert ours.instance.sorted_atoms() != theirs.instance.sorted_atoms()
+
+
+def test_chases_over_one_rule_list_share_its_tables(monkeypatch):
+    built = []
+    build = RuleTables.__init__
+
+    def counting(self, tgds):
+        built.append(tuple(tgds))
+        build(self, tgds)
+
+    monkeypatch.setattr(RuleTables, "__init__", counting)
+    rules = parse_tgds(["E(x,y) -> F(x,y)", "F(x,y) -> G(y,w)", "H(x) -> H(x)"])
+    database = parse_database("E(a,b), E(b,c)")
+    first = ChaseEngine(database, rules)
+    second = ChaseEngine(database, list(rules))
+    # Pruning drops the H rule; both live subsets are new tuples of the
+    # same rule objects.
+    assert first.live is not second.live
+    assert second._tables is first._tables and len(built) == 1
+    runs = []
+    for engine in (first, second):
+        with engine.running():
+            engine.drive()
+        runs.append(engine.instance.sorted_atoms())
+    assert runs[0] == runs[1] and len(built) == 1
+
+
+def test_equal_renamed_rule_list_gets_its_own_tables_and_nulls():
+    texts = ["E(x,y) -> F(x,y)", "F(x,y) -> G(y,w)"]
+    first = parse_tgds(texts)
+    second = [TGD(rule.body, rule.head, rule.name + "-b") for rule in first]
+    assert first == second  # equality ignores the names
+    database = parse_database("E(a,b)")
+    ours, theirs = ChaseEngine(database, first), ChaseEngine(database, second)
+    assert ours._tables is not theirs._tables
+    assert all(a is b for a, b in zip(theirs._tables.tgds, second))
+    # Back to the first list: equal to the last, but not identical to it.
+    again = ChaseEngine(database, first)
+    assert again._tables is not theirs._tables
+    assert all(a is b for a, b in zip(again._tables.tgds, first))
+    nulls = []
+    for engine in (ours, theirs):
+        with engine.running():
+            engine.drive()
+        nulls.append({t for atom in engine.instance for t in atom.nulls()})
+    assert nulls[0] and nulls[1] and not nulls[0] & nulls[1]
+
+
+def test_fresh_rule_lists_are_not_kept_alive():
+    database = parse_database("E(a,b), E(b,c)")
+    tables = []
+
+    def chase_fresh_list(keep):
+        rules = parse_tgds(["E(x,y) -> F(x,y)", "F(x,y) -> G(y,w)"])
+        engine = ChaseEngine(database, rules)
+        with engine.running():
+            engine.drive()
+        if keep:
+            tables.append(weakref.ref(engine._tables))
+
+    for _ in range(1000):
+        chase_fresh_list(keep=True)
+    gc.collect()
+    assert sum(ref() is not None for ref in tables) <= 1
+    # The retained memory does not grow with the lists chased: one list's
+    # tables, plans and kernels take kilobytes, so keeping each would add
+    # megabytes over 900 lists.
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            chase_fresh_list(keep=False)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(900):
+            chase_fresh_list(keep=False)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 256 * 1024

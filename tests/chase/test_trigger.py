@@ -38,8 +38,8 @@ class TestResult:
     def test_existential_invents_null(self):
         t = trig("R(x,y) -> S(x,z)", x=A, y=B)
         result = t.result()
-        assert result[1] == A
-        assert result[2].is_null
+        assert result.at(1) == A
+        assert result.at(2).is_null
 
     def test_null_naming_deterministic(self):
         t1 = trig("R(x,y) -> S(x,z)", x=A, y=B)
@@ -49,16 +49,16 @@ class TestResult:
     def test_different_binding_different_null(self):
         t1 = trig("R(x,y) -> S(x,z)", x=A, y=B)
         t2 = trig("R(x,y) -> S(x,z)", x=A, y=A)
-        assert t1.result()[2] != t2.result()[2]
+        assert t1.result().at(2) != t2.result().at(2)
 
     def test_repeated_existential_same_null(self):
         t = trig("R(x) -> S(z,z,x)", x=A)
         result = t.result()
-        assert result[1] == result[2]
+        assert result.at(1) == result.at(2)
 
     def test_distinct_existentials_distinct_nulls(self):
         t = trig("R(x) -> S(z,w)", x=A)
-        assert t.result()[1] != t.result()[2]
+        assert t.result().at(1) != t.result().at(2)
 
     def test_frontier_terms(self):
         t = trig("R(x,y) -> S(x,z,x)", x=A, y=B)

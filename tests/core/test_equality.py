@@ -52,8 +52,8 @@ class TestEqualityType:
     def test_canonical_atom_realizes_type(self):
         et = EqualityType("R", [frozenset({1, 3}), frozenset({2})])
         can = et.canonical_atom()
-        assert can[1] == can[3]
-        assert can[1] != can[2]
+        assert can.at(1) == can.at(3)
+        assert can.at(1) != can.at(2)
         assert EqualityType.of_atom(can) == et
 
     def test_refines(self):

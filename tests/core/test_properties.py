@@ -78,7 +78,7 @@ class TestEqualityTypeProperties:
         et = EqualityType.of_atom(atom)
         for i in range(1, atom.arity + 1):
             for j in range(1, atom.arity + 1):
-                assert et.same(i, j) == (atom[i] == atom[j])
+                assert et.same(i, j) == (atom.at(i) == atom.at(j))
 
     @given(ground_atoms())
     def test_canonical_atom_stops_itself(self, atom):

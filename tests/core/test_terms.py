@@ -5,6 +5,7 @@ import gc
 import pickle
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -108,6 +109,38 @@ class TestInterning:
         Null("transient-null")
         gc.collect()
         assert "transient-null" not in Null._interned
+
+    def test_late_callback_keeps_the_replacing_term(self):
+        # The entry of a collected term may be replaced before the old
+        # reference's callback runs; that callback must leave the live
+        # replacement in the table.
+        term = Null("replaced-null")
+        old_ref = Null._interned["replaced-null"]
+        callback = old_ref.__callback__
+        del term
+        gc.collect()
+        assert old_ref() is None
+        replacement = Null("replaced-null")
+        callback(old_ref)
+        assert Null._interned["replaced-null"]() is replacement
+        assert Null("replaced-null") is replacement
+
+    def test_dead_entry_is_replaced(self):
+        # A dead reference still in the table (its callback not yet run)
+        # is replaced by the next construction, not returned.
+        class Gone:
+            pass
+
+        dead = weakref.ref(Gone())
+        assert dead() is None
+        Constant._interned["dead-entry"] = dead
+        term = Constant("dead-entry")
+        assert isinstance(term, Constant) and term.name == "dead-entry"
+        assert Constant._interned["dead-entry"]() is term
+        assert Constant("dead-entry") is term
+        del term
+        gc.collect()
+        assert "dead-entry" not in Constant._interned
 
 
 class TestOrdering:

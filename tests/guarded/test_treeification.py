@@ -63,8 +63,8 @@ class TestTreeify:
         # The renamed copies share exactly the term the originals shared (b).
         r_atom = next(a for a in dac if a.predicate == "R")
         s_atom = next(a for a in dac if a.predicate == "S")
-        assert r_atom[2] == s_atom[1]
-        assert r_atom[1] != s_atom[2]
+        assert r_atom.at(2) == s_atom.at(1)
+        assert r_atom.at(1) != s_atom.at(2)
 
     def test_dac_is_join_tree(self, example_56_tgds, example_56_database, example_56_evidence):
         treeified = treeify(example_56_database, example_56_tgds, example_56_evidence)

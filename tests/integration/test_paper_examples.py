@@ -28,7 +28,7 @@ class TestX1IntroExample:
         result = oblivious_chase(intro_database, intro_tgds, max_atoms=100)
         assert not result.terminated
         # {R(a,b), R(a,ν1), R(a,ν2), ...}: all atoms keep first argument a.
-        assert all(atom[1] == Constant("a") for atom in result.instance)
+        assert all(atom.at(1) == Constant("a") for atom in result.instance)
 
     def test_membership_in_ct(self, intro_tgds):
         assert decide_sticky(intro_tgds).status == Status.ALL_TERMINATING

@@ -81,20 +81,20 @@ class ReferenceAutomatonFamily(CaterpillarAutomatonFamily):
         # sit at e-equal positions.
         for l in range(1, gamma.arity + 1):
             for l2 in range(l + 1, gamma.arity + 1):
-                if gamma[l] == gamma[l2] and not e.same(l, l2):
+                if gamma.at(l) == gamma.at(l2) and not e.same(l, l2):
                     return None
         head = tgd.head
         # The e-class each γ-variable is bound to.
         var_class: Dict = {}
         for l in range(1, gamma.arity + 1):
-            var_class.setdefault(gamma[l], e.class_of(l))
+            var_class.setdefault(gamma.at(l), e.class_of(l))
         # Value tokens of the new atom's positions: an old term (its e-class),
         # a fresh leg term (per frontier variable outside γ), or a fresh null
         # (per existential variable).  Generic caterpillar semantics: anything
         # not forced equal is distinct (freeness).
         values: Dict[int, tuple] = {}
         for k in range(1, head.arity + 1):
-            var = head[k]
+            var = head.at(k)
             if var in tgd.frontier:
                 if var in var_class:
                     values[k] = ("old", var_class[var])
@@ -143,7 +143,7 @@ class ReferenceAutomatonFamily(CaterpillarAutomatonFamily):
             return None  # the current relay term was dropped
         carried_pi2 = delta_pos(state.pi2)
         for k in carried_pi2 | symbol.passes_on:
-            if not self.marking.is_marked(symbol.tgd_index, head[k]):
+            if not self.marking.is_marked(symbol.tgd_index, head.at(k)):
                 return None  # a relay term reached an immortal position
         if symbol.passes_on:
             new_pi1 = frozenset(symbol.passes_on)

@@ -71,7 +71,7 @@ class TestExtraction:
         assert len(births) == len(positions)
         for step, posset in zip(births, positions):
             atom = prefix.body[step]
-            terms = {atom[p] for p in posset}
+            terms = {atom.at(p) for p in posset}
             assert len(terms) == 1
 
     def test_with_side_legs(self):

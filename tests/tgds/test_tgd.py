@@ -66,7 +66,7 @@ class TestRenaming:
         renamed = tgd.rename_apart("7")
         head = renamed.head
         body_atom = renamed.body[0]
-        assert body_atom[1] == body_atom[2] == head[1]
+        assert body_atom.at(1) == body_atom.at(2) == head.at(1)
         assert len(renamed.existential_variables) == 1
 
 
