@@ -401,13 +401,26 @@ class SQLiteInstance(Instance):
         )
 
     def __contains__(self, atom) -> bool:
-        if not isinstance(atom, Atom):
+        # Any ``(predicate, ground terms)`` pair, as a memory instance's
+        # dict answers it: an atom equals the pair it is.
+        if not (isinstance(atom, tuple) and len(atom) == 2):
+            return False
+        predicate, terms = atom
+        if not (
+            isinstance(predicate, str)
+            and isinstance(terms, tuple)
+            and all(isinstance(term, (Constant, Null)) for term in terms)
+        ):
             return False
         row = self._connection().execute(
             "SELECT 1 FROM atoms WHERE predicate = ? AND terms = ?",
-            (atom.predicate, encode_terms(atom.terms)),
+            (predicate, encode_terms(terms)),
         ).fetchone()
         return row is not None
+
+    def membership(self):
+        """This instance: its ``in`` is one query per test."""
+        return self
 
     def __iter__(self) -> Iterator[Atom]:
         # Insertion (birth) order, streamed in batches.  Do not mutate the

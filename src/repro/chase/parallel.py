@@ -64,10 +64,11 @@ _LOGGER = get_logger(__name__)
 #: (2-CPU container, Python 3.11): forking and reaping a round of empty
 #: tasks costs 1.9 ms at 2 workers and 4.7 ms at 4, and copy-on-write faults
 #: about double a forked task's matching time.  ``parallel_join`` at
-#: workers=2 (about 56n pivot atoms) reads 0.76x/0.85x/0.92x of serial at
-#: n=32/64/128, so break-even there lies above 7,000 pivot atoms; the value
-#: stays because the harness's parallel gate is defined at n=64.  Tests pin
-#: it to 0 to force tiny rounds through the pool.
+#: workers=2 (about 56n pivot atoms) reads 0.72x/0.82x/0.87x of serial at
+#: n=32/64/128 (medians of 15 and 25 alternating serial/pooled pairs), so
+#: break-even there lies above 7,000 pivot atoms; the value stays because
+#: the harness's parallel gate is defined at n=64.  Tests pin it to 0 to
+#: force tiny rounds through the pool.
 MIN_PARALLEL_WORK = 512
 
 #: Held while a round forks and the master matches its own task, never

@@ -12,16 +12,27 @@ positions first, then body index), each atom's delta limit and the bound
 positions it may probe, and generates one Python function from them: a
 nested ``for`` loop per body atom, in plan order.  Each loop probes the
 smallest of its bound-position buckets (``with_predicate`` when nothing
-is bound), checks a candidate's arity and bound or repeated positions
-with ``is not`` — terms are interned, so identity is equality
-(:mod:`repro.core.terms`) — and its delta limit, then binds the
-candidate's fresh variables to locals.  The innermost loop appends the
-row.  A probe is one call of a position getter: at entry, ``match`` takes
+is bound), checks a candidate's delta limit, then its arity and bound or
+repeated positions with ``is not`` — terms are interned, so identity is
+equality (:mod:`repro.core.terms`) — and binds the candidate's fresh
+variables to locals.  The innermost step appends the row.  A probe is one
+call of a position getter: at entry, ``match`` takes
 :meth:`repro.core.instance.Instance.position_lookup` of every position
 it may probe (so those positions are indexed when the plan first runs,
 not when a loop first reaches them), and a loop probes with
-``getter(term, E)``, ``E`` the shared empty bucket.  ``plan.source``
-holds the generated text; for the pivot ``F(y,z)`` of
+``getter(term, E)``, ``E`` the shared empty bucket.
+
+Two shortcuts rest on the order of the instance.  A delta holds the
+instance's newest atoms, in birth order, so every bucket lists the atoms
+outside the delta first and the delta's after them by birth: the first
+candidate past a step's delta limit ends the walk (``break``).  And a
+body atom whose terms are all bound when the plan reaches it has one
+candidate, so it gets no loop and no getter: the plan builds its
+``(predicate, terms)`` pair, which equals the atom it names, tests it with
+one ``in`` against :meth:`repro.core.instance.Instance.membership`, then
+applies the delta limit.
+
+``plan.source`` holds the generated text; for the pivot ``F(y,z)`` of
 ``F(x,y), F(y,z), F(z,x) -> T(x,y,z)``, ``print(tgd.join_plans()[1].source)``
 shows, abridged::
 
@@ -29,20 +40,20 @@ shows, abridged::
         def match(bucket, instance, positions, tgd_index, rows):
             lookup = instance.position_lookup
             q1_2 = lookup(p1, 2)
-            q2_1 = lookup(p2, 1)
-            q2_2 = lookup(p2, 2)
+            atoms = instance.membership()
             ...
             for a0 in bucket:
                 ...
+                birth = positions[a0]
                 c1 = q1_2(v0, E)
                 for a1 in c1:
+                    if get(a1, -1) >= birth: break
                     ...
-                    c2 = q2_1(v1, E)
-                    if not c2: continue
-                    d = q2_2(v2, E)
-                    if len(d) < len(c2): c2 = d
-                    for a2 in c2:
-                        ...
+                    v2 = t1[0]
+                    a2 = (p2, (v1, v2))
+                    if a2 not in atoms: continue
+                    if get(a2, -1) > birth: continue
+                    append((tgd_index, (v2, v0, v1), birth))
 
 Predicates and constants enter only as parameters of the generated
 factory ``make(p1, …, k0, …)``, never as source text, so the source
@@ -51,8 +62,9 @@ pattern of bound, repeated and fresh terms, in plan order — and a cache
 keyed by the shape generates and compiles each shape once: equal shapes
 share one code object.  CPython refuses more than 20 statically nested
 blocks, so a body longer than :data:`LOOPS_PER_FUNCTION` atoms continues
-in chained functions, each receiving the locals bound so far and the
-getters it and its successors probe.  The generated function receives
+in chained functions, each receiving the locals bound so far, the
+getters it and its successors probe and, when one of them needs it, the
+membership container.  The generated function receives
 the instance and the delta positions per call and captures neither.
 
 Exactly-once split: with the pivot bound to the delta atom at position
@@ -156,21 +168,29 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
     constants ``k0``, ``k1``, … and the variables locals ``v0``, ``v1``, …
     in binding order, so no predicate or constant text enters the source.
     ``q<step>_<position>`` is the position getter a step probes and ``E``
-    the shared empty bucket it defaults to.
+    the shared empty bucket it defaults to.  A step whose terms are all
+    bound walks no bucket: it asks ``atoms``, the instance's
+    :meth:`~repro.core.instance.Instance.membership`, for its one
+    candidate.
     """
     def name(code: int) -> str:
         return f"v{code}" if code >= 0 else f"k{~code}"
 
     # Per step, the ``(getter, index, term)`` of its bound positions:
-    # constants (negative codes) and variables bound by earlier steps.
+    # constants (negative codes) and variables bound by earlier steps.  A
+    # step after the pivot whose terms are all bound probes membership
+    # instead, through no getter.
     probes: List[list] = []
+    whole: List[bool] = []
     bound = 0
     for step, (_, terms) in enumerate(pattern):
-        probes.append([
+        found = [
             (f"q{step}_{index + 1}", index, name(code))
             for index, code in enumerate(terms)
             if code < bound
-        ])
+        ]
+        whole.append(step > 0 and len(found) == len(terms))
+        probes.append([] if whole[-1] else found)
         bound = max([bound] + [code + 1 for code in terms])
 
     bound = 0
@@ -181,6 +201,8 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
     for step in range(1, len(pattern)):
         for getter, index, _ in probes[step]:
             lines.append(f"    {getter} = lookup(p{step}, {index + 1})")
+    if any(whole):
+        lines.append("    atoms = instance.membership()")
     lines += [
         "    with_predicate = instance.with_predicate",
         "    get = positions.get",
@@ -189,10 +211,14 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
     indent, loops = "    ", 0
     for step, (strict, terms) in enumerate(pattern):
         skip = None
+        # A step's delta limit: a strict step binds only atoms born before
+        # the pivot atom, any other one those born no later.
+        over = ">= birth" if strict else "> birth"
         if step:
             if loops == LOOPS_PER_FUNCTION:
                 params = ", ".join(
                     ["with_predicate", "get", "append", "tgd_index", "birth"]
+                    + (["atoms"] if any(whole[step:]) else [])
                     + [getter for later in probes[step:] for getter, _, _ in later]
                     + [f"v{code}" for code in range(bound)]
                 )
@@ -201,6 +227,14 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
                 lines = [f"def part{len(functions)}({params}):"]
                 indent, loops = "    ", 0
             fail = "continue" if loops else "return"
+            if whole[step]:
+                # Every term is bound, so the step has one candidate: the
+                # ``(predicate, terms)`` pair, which equals the atom it names.
+                pair = ", ".join(name(code) for code in terms) + ("," if len(terms) == 1 else "")
+                lines.append(f"{indent}a{step} = (p{step}, ({pair}))")
+                lines.append(f"{indent}if a{step} not in atoms: {fail}")
+                lines.append(f"{indent}if get(a{step}, -1) {over}: {fail}")
+                continue
             found = probes[step]
             if not found:
                 lines.append(f"{indent}c{step} = with_predicate(p{step})")
@@ -217,6 +251,11 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
         lines.append(f"{indent}for a{step} in {f'c{step}' if step else 'bucket'}:")
         indent += "    "
         loops += 1
+        if step:
+            # Buckets list the atoms outside the delta first, then the
+            # delta's in birth order: the first atom past the limit ends
+            # the walk.
+            lines.append(f"{indent}if get(a{step}, -1) {over}: break")
         lines.append(f"{indent}t{step} = a{step}[1]")
         lines.append(f"{indent}if len(t{step}) != {len(terms)}: continue")
         fresh: Dict = {}
@@ -228,9 +267,6 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
                 lines.append(f"{indent}if t{step}[{index}] is not t{step}[{fresh[code]}]: continue")
             else:
                 fresh[code] = index
-        if step:
-            limit = "birth - 1" if strict else "birth"
-            lines.append(f"{indent}if get(a{step}, -1) > {limit}: continue")
         for code, index in fresh.items():
             lines.append(f"{indent}v{code} = t{step}[{index}]")
         bound += len(fresh)
@@ -300,8 +336,9 @@ class JoinPlan:
     @property
     def probes(self) -> Tuple[Tuple[str, int], ...]:
         """The ``(predicate, position)`` pairs ``match`` may probe: every
-        bound position of every non-pivot step.  ``match`` takes the
-        position getter of each of them when it starts."""
+        bound position of every non-pivot step that walks a bucket (a step
+        whose terms are all bound tests membership instead).  ``match``
+        takes the position getter of each of them when it starts."""
         return tuple(
             (predicate, position)
             for predicate, positions in zip(self._predicates, self._positions)
@@ -504,6 +541,10 @@ def discovery_rows(table: DiscoveryTable, instance, delta) -> List[tuple]:
     Walks the delta's predicates through ``table`` (see
     :attr:`RuleTables.discovery`), so rules whose body misses the delta cost
     nothing.  Row order is unspecified; :meth:`RuleTables.order` fixes it.
+
+    ``delta`` must hold the instance's newest atoms, in birth order, as
+    every tracked delta does: the plans stop each bucket walk at the first
+    atom past the step's delta limit.
     """
     rows: List[tuple] = []
     positions = delta.positions()

@@ -267,18 +267,26 @@ def seminaive_triggers(
     reached from the delta's predicates, so rules the delta does not touch
     cost nothing.
 
+    Precondition: the delta holds the instance's newest atoms, in birth
+    order — no atom outside it was added after one inside it.  Every
+    tracked delta does (:meth:`repro.core.instance.Instance.track_delta`),
+    and so does every delta the engine builds; the plans end a bucket walk
+    at the first atom past a step's delta limit on the strength of it.
+
     The returned list is ordered by ``(birth, canonical_key)`` where
     ``birth`` is the delta position of the *latest* body-image atom drawn
     from the delta.  That is exactly the order in which the step-at-a-time
-    engine enqueues the same triggers (a trigger surfaces at the application
-    that completes its body image, and each per-application batch is
-    canonically sorted), which is what keeps round-based runs byte-identical
-    to step-at-a-time runs.  :meth:`repro.chase.plans.RuleTables.order`
-    orders the rows before :func:`triggers_of` builds the triggers.  The
-    plans surface each trigger once, already at that birth.  Of several equal TGDs (equality ignores the rule name,
-    as does :attr:`Trigger.key`) only the first is matched.
-    :class:`repro.chase.parallel.ParallelMatcher` computes the same list
-    over a worker pool.
+    engine enqueues the same triggers: a trigger surfaces at the
+    application that completes its body image, and each per-application
+    batch is canonically sorted.  This is what keeps round-based runs
+    byte-identical to step-at-a-time runs.
+
+    The plans surface each trigger once, already at that birth, and
+    :meth:`repro.chase.plans.RuleTables.order` orders the rows before
+    :func:`triggers_of` builds the triggers.  Of several equal TGDs
+    (equality ignores the rule name, as does :attr:`Trigger.key`) only the
+    first is matched.  :class:`repro.chase.parallel.ParallelMatcher`
+    computes the same list over a worker pool.
 
     Each call takes the rule list's :class:`repro.chase.plans.RuleTables`
     from :meth:`repro.chase.plans.RuleTables.of`; a caller that discovers

@@ -20,7 +20,9 @@ The term-position index holds one ``term → bucket`` dict per indexed
 returns that dict's bound ``get``: the compiled join plans
 (:mod:`repro.chase.plans`) take it once per call and probe with
 ``get(term, empty)``, one C-level lookup.  ``with_term_at`` answers
-through the same getter and wraps the bucket in a set-like view.
+through the same getter and wraps the bucket in a set-like view.  A body
+atom whose terms are all bound needs no bucket: the plans test it with
+one ``in`` against ``membership()``, the atom dict itself.
 
 The index is demand-driven.  A ``(predicate, position)`` pair gets its
 buckets the first time a getter is asked for it (``with_term_at`` asks
@@ -344,6 +346,14 @@ class Instance:
                     built.setdefault(terms[position - 1], {})[atom] = None
             self._by_position[(predicate, position)] = built
             self._indexed[predicate] = self._indexed.get(predicate, ()) + ((position, built),)
+
+    def membership(self):
+        """A container whose ``in`` answers ``in self``: the live atom dict,
+        one C-level lookup per test.  An atom equals its ``(predicate,
+        terms)`` pair, so the pair tests too.  The join plans take it once
+        per call and test a step whose terms are all bound with it.
+        Callers must not mutate it."""
+        return self._atoms
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._atoms

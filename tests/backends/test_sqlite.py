@@ -61,6 +61,25 @@ class TestContract:
             assert a in sqlite
         assert atom("R", "z", "z") not in sqlite
 
+    def test_membership_agrees_on_pairs_and_non_atoms(self, pair):
+        # The join plans test a bound step's ``(predicate, terms)`` pair
+        # through ``membership()``; both backends answer it as they answer
+        # the atom, and refuse what names no ground atom.
+        memory, sqlite = pair
+        probes = [(a.predicate, a.terms) for a in SAMPLE] + [
+            ("R", (Constant("z"), Constant("z"))),
+            ("R", (Constant("a"), Null("b"))),
+            ("R", (Constant("a"), Variable("n1"))),
+            Atom("R", [Constant("a"), Variable("n1")]),
+            ("R",),
+            "R",
+        ]
+        for probe in probes:
+            expected = probe in memory.membership()
+            assert (probe in sqlite.membership()) == expected, probe
+            assert (probe in sqlite) == expected, probe
+        assert all(probe in sqlite for probe in probes[: len(SAMPLE)])
+
     def test_insertion_order_iteration(self, pair):
         memory, sqlite = pair
         assert list(sqlite) == list(memory)

@@ -8,7 +8,11 @@ tests check the plans against the per-atom
 on body shapes the generator corpus does not produce: constants in body
 atoms, a variable repeated inside one atom (at the pivot and at a later
 step), self-joins where the strict/non-strict delta limit decides, equal
-rules under different names, and delta predicates no rule body uses.
+rules under different names, delta predicates no rule body uses, and body
+atoms whose terms are all bound when the plan reaches them — constants
+only, zero arity, a predicate of mixed arities, and one past
+:data:`repro.chase.plans.LOOPS_PER_FUNCTION` — which the plans answer with
+a membership test instead of a bucket walk.
 They do so for a round's delta (``seminaive_triggers``) and for the
 deltas outside a round: the engine's seeding, each ``apply``, and
 ``inject_atoms``.  Long bodies (a 25-atom chain, a 40-atom closed walk)
@@ -64,6 +68,19 @@ def S(*terms):
 
 def U(*terms):
     return Atom("U", terms)
+
+
+def Z():
+    return Atom("Z", [])
+
+
+#: ``x0``, ``x1``, … for the long bodies.
+XS = [Variable(f"x{i}") for i in range(40)]
+
+
+def chain(length):
+    """``R(x0,x1), R(x1,x2), …`` — ``length`` atoms, self-joins all."""
+    return [R(XS[i], XS[i + 1]) for i in range(length)]
 
 
 def rule(body, head, name):
@@ -131,6 +148,36 @@ CASES = {
     "unused_delta_predicates": [
         rule([R(x, y), S(y, z)], Atom("H", [x, z]), "u1"),
     ],
+    "constants_only": [
+        rule([R(x, y), S(a, b)], Atom("H", [x, y]), "k1"),
+        rule([U(x), S(x, y), R(a, a)], Atom("H", [x, y]), "k2"),
+    ],
+    "zero_arity": [
+        rule([R(x, y), Z()], Atom("H", [x, y]), "z1"),
+        rule([U(x), Z(), S(x, y)], Atom("H", [x, y]), "z2"),
+    ],
+    "mixed_arities": [
+        rule([R(x, y), U(x)], Atom("H", [x, y]), "m1"),
+        rule([R(x, y), U(x, y)], Atom("H", [x, y]), "m2"),
+        rule([U(x), U(x, y)], Atom("H", [x, y]), "m3"),
+    ],
+    # From the pivot R(x0,x1), S closes the walk as step LOOPS_PER_FUNCTION:
+    # the step that opens the first chained function.
+    "bound_past_chain": [
+        rule(
+            chain(LOOPS_PER_FUNCTION) + [S(XS[LOOPS_PER_FUNCTION], XS[0])],
+            Atom("H", [XS[0]]),
+            "b1",
+        ),
+    ],
+}
+
+#: Facts a case needs that the random draws never make, spliced into each
+#: seed's facts (:func:`case_facts`): a zero-arity atom, and binary ``U``
+#: atoms beside the unary ones.
+CASE_FACTS = {
+    "zero_arity": [Z()],
+    "mixed_arities": [U(a, b), U(b, b), U(NODES[2], a), U(a, a)],
 }
 
 
@@ -161,6 +208,17 @@ def random_facts(seed, count):
         atom = random_atom(rng, rng.choice(predicates))
         if atom not in facts:
             facts.append(atom)
+    return facts
+
+
+def case_facts(case, seed, count):
+    """``random_facts(seed, count)`` with the case's :data:`CASE_FACTS`
+    spliced in at seed-drawn places, so they fall among the old atoms on
+    some seeds and into the delta on others."""
+    facts = random_facts(seed, count)
+    rng = random.Random(f"splice:{seed}")
+    for atom in CASE_FACTS.get(case, ()):
+        facts.insert(rng.randint(0, len(facts)), atom)
     return facts
 
 
@@ -233,6 +291,10 @@ def assert_matches_reference(tgds, seed, old=10, new=10):
     return assert_round_matches_reference(tgds, random_facts(seed, old + new), old)
 
 
+def assert_case_matches_reference(case, seed):
+    return assert_round_matches_reference(CASES[case], case_facts(case, seed, 20), 10)
+
+
 def assert_round_matches_reference(tgds, facts, old):
     instance, delta = build_round(facts, old)
     try:
@@ -248,22 +310,22 @@ def assert_round_matches_reference(tgds, facts, old):
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("seed", range(8))
 def test_edge_case_bodies(case, seed):
-    assert_matches_reference(CASES[case], seed)
+    assert_case_matches_reference(case, seed)
 
 
 def test_edge_cases_are_exercised():
     """The cases are not vacuous: each discovers something on some seed."""
-    for case, tgds in CASES.items():
+    for case in CASES:
         found = set()
         for seed in range(8):
-            found |= {t.tgd.name for t in assert_matches_reference(tgds, seed)}
+            found |= {t.tgd.name for t in assert_case_matches_reference(case, seed)}
         assert found, case
     # Equal rules resolve to the first of each pair.
     names = set()
     for seed in range(8):
         names |= {
             t.tgd.name
-            for t in assert_matches_reference(CASES["equal_rules_renamed"], seed)
+            for t in assert_case_matches_reference("equal_rules_renamed", seed)
         }
     assert names == {"first", "other"}
 
@@ -355,7 +417,7 @@ def engine_batches(tgds, seed_facts, injected, steps=12):
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("seed", range(4))
 def test_engine_deltas_edge_case_bodies(case, seed):
-    facts = random_facts(seed, 14)
+    facts = case_facts(case, seed, 14)
     engine_batches(CASES[case], facts[:8], facts[8:])
 
 
@@ -395,15 +457,6 @@ def test_seed_fires_one_rule_at_several_pivots():
 
 
 # -- long bodies ---------------------------------------------------------
-
-#: ``x0``, ``x1``, … for the long bodies.
-XS = [Variable(f"x{i}") for i in range(40)]
-
-
-def chain(length):
-    """``R(x0,x1), R(x1,x2), …`` — ``length`` atoms, self-joins all."""
-    return [R(XS[i], XS[i + 1]) for i in range(length)]
-
 
 #: A 25-atom chain: more nested joins than CPython compiles in one function.
 CHAIN_25 = TGD(chain(25), Atom("H", [XS[0], XS[25]]), name="chain25")
@@ -451,6 +504,58 @@ def test_plans_probe_through_position_getters():
     for plan in plans:
         assert "with_term_at" not in plan.source
         assert plan.source.count(" = lookup(") == len(plan.probes)
+
+
+def fully_bound(tgd, plan):
+    """``(steps, probes)``: the steps after the pivot whose terms are all
+    bound when ``plan`` reaches them, and the ``(predicate, position)``
+    pairs the other steps may probe."""
+    body = tgd.body
+    bound = {t for atom in body for t in atom.terms if not isinstance(t, Variable)}
+    bound.update(body[plan.order[0]].terms)
+    steps, probes = [], []
+    for step, j in enumerate(plan.order[1:], 1):
+        terms = body[j].terms
+        if all(t in bound for t in terms):
+            steps.append(step)
+        else:
+            probes += [(body[j].predicate, i) for i, t in enumerate(terms, 1) if t in bound]
+        bound.update(terms)
+    return steps, tuple(probes)
+
+
+def test_fully_bound_steps_test_membership():
+    # A step whose terms are all bound walks no bucket and takes no
+    # getter: it asks the instance for its one candidate.
+    probed = set()
+    for case, tgds in CASES.items():
+        for tgd in tgds + JOIN_RULES:
+            for plan in tgd.join_plans():
+                steps, probes = fully_bound(tgd, plan)
+                assert plan.probes == probes
+                assert ("instance.membership()" in plan.source) == bool(steps)
+                for step in steps:
+                    assert f"for a{step} in" not in plan.source
+                    assert f"a{step} = (p{step}, (" in plan.source
+                    assert f"if a{step} not in atoms:" in plan.source
+                if steps:
+                    probed.add(case)
+    assert {"constants_only", "zero_arity", "mixed_arities", "bound_past_chain"} <= probed
+
+
+def test_fully_bound_step_opening_a_chained_function():
+    tgd, = CASES["bound_past_chain"]
+    plan = tgd.join_plans()[0]
+    step = LOOPS_PER_FUNCTION
+    assert fully_bound(tgd, plan)[0] == [step]
+    # The probe opens ``part1``, outside any loop: failing returns.
+    part = plan.source.split("def part1(")[1]
+    assert "for " not in part
+    assert f"a{step} = (p{step}, (v{step}, v0))" in part
+    assert f"if a{step} not in atoms: return" in part
+    assert f"if get(a{step}, -1) > birth: return" in part
+    found = assert_round_matches_reference(CASES["bound_past_chain"], figure_eight(), 3)
+    assert {t.tgd.name for t in found} == {"b1"}
 
 
 @pytest.mark.parametrize("old", [3, 6])
@@ -515,7 +620,7 @@ def awkward(tgds, facts):
 def test_awkward_names_match_the_reference(case):
     found = []
     for seed in range(4):
-        tgds, facts = awkward(CASES[case] + random_rules(seed), random_facts(seed, 20))
+        tgds, facts = awkward(CASES[case] + random_rules(seed), case_facts(case, seed, 20))
         found += assert_round_matches_reference(tgds, facts, 10)
         for tgd in tgds:
             for plan in tgd.join_plans():
