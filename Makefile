@@ -10,39 +10,17 @@ else
 export override PYTHONPATH := src:$(PYTHONPATH)
 endif
 
-#: Pool width forwarded to benchmarks/harness.py --workers (the parallel
-#: discovery gate is defined at 4).
-WORKERS ?= 4
-
 #: Coverage floor (percent) enforced on src/repro/chase/ by `make coverage`.
 COVERAGE_FLOOR ?= 80
-
-#: Seed for the fault-injection suite (`make test-chaos`); any value works,
-#: the point is that a failing run is reproducible from the seed alone.
-CHAOS_SEED ?= 1307
 
 #: Bind address / port for `make serve` (PORT=0 binds an ephemeral port).
 HOST ?= 127.0.0.1
 PORT ?= 8080
 
-#: Parallel chase workers per session round for `make serve` (1 = serial).
-SERVE_WORKERS ?= 1
-
-.PHONY: test test-chaos test-determinism lint bench bench-quick bench-gate bench-exhibits coverage stats docs-check serve bench-service
+.PHONY: test test-determinism lint bench bench-quick bench-gate bench-exhibits coverage stats docs-check serve bench-service
 
 test:
 	$(PYTHON) -m pytest -x -q
-
-# The fault-injection suite: the chaos harness's own tests, then the
-# parallel-equivalence and checkpoint property suites with CHASE_CHAOS_SEED
-# set, which makes tests/conftest.py hand every chase engine a ChaosMatcher
-# (tests/chase/chaos.py) drawing faults from the seed's schedule.  Results must
-# stay byte-identical to serial runs despite injected child kills, delays,
-# and corrupted results; see docs/CI.md.
-test-chaos:
-	$(PYTHON) -m pytest tests/chase/test_chaos.py -x -q
-	CHASE_CHAOS_SEED=$(CHAOS_SEED) $(PYTHON) -m pytest \
-		tests/chase/test_parallel.py tests/chase/test_checkpoint.py -x -q
 
 # Chase output must not depend on hashing: interned terms hash by identity
 # (memory addresses) and strings by PYTHONHASHSEED.  The guard chases one
@@ -62,10 +40,10 @@ lint:
 	fi
 
 bench:
-	$(PYTHON) benchmarks/harness.py --workers $(WORKERS)
+	$(PYTHON) benchmarks/harness.py
 
 bench-quick:
-	$(PYTHON) benchmarks/harness.py --quick --workers $(WORKERS)
+	$(PYTHON) benchmarks/harness.py --quick
 
 # Gate on the trajectory the harness wrote (see docs/CI.md for the knobs).
 bench-gate:
@@ -85,8 +63,7 @@ docs-check:
 # digest-keyed verdict cache over a stdlib asyncio HTTP front end.  See
 # docs/SERVICE.md for the endpoint reference.
 serve:
-	$(PYTHON) -m repro.service --host $(HOST) --port $(PORT) \
-		--workers $(SERVE_WORKERS)
+	$(PYTHON) -m repro.service --host $(HOST) --port $(PORT)
 
 # The service load bench + equivalence gate, standalone (the same section
 # `make bench`/`make bench-quick` folds into BENCH_chase.json).
@@ -94,7 +71,7 @@ bench-service:
 	$(PYTHON) benchmarks/bench_service.py --quick
 
 # Per-workload telemetry summary of the last bench report (rounds,
-# trigger accounting, cache hit rate, pool efficiency); run `make bench`
+# trigger accounting, cache hit rate); run `make bench`
 # or `make bench-quick` first.  See docs/OBSERVABILITY.md.
 stats:
 	$(PYTHON) -m repro.obs.report BENCH_chase.json

@@ -9,10 +9,12 @@ ships only the canonical chase state (atoms in insertion order, the
 worklist as trigger rows, the derivation log); witnesses and term-position
 indexes are rebuilt on restore as pure functions of that state.
 
-The workload is ``bench_parallel``'s join-heavy digraph: most of the work
-sits *after* the mid-run cut (the wide join-discovery pass), so the
-measured ratio exposes restore costs rather than hiding them behind a
-finished run.
+The workload is a join-heavy digraph: a copy rule feeds an ``n``-node
+pseudo-random digraph into a derived predicate, and cycle-closing join
+rules (triangles and 4-cycles over the derived edges) make the next
+round's discovery pass the dominant cost.  Most of the work therefore
+sits *after* the mid-run cut, so the measured ratio exposes restore costs
+rather than hiding them behind a finished run.
 
 Run under pytest-benchmark via ``make bench-exhibits``, or let
 ``benchmarks/harness.py`` fold the produce/restore timings into
@@ -31,20 +33,50 @@ from pathlib import Path
 if __package__ in (None, ""):  # allow direct imports when run by pytest/harness
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.core.atoms import Atom
+from repro.core.instance import Database
+from repro.core.terms import Constant
 from repro.chase.checkpoint import Budget
 from repro.chase.restricted import seminaive_chase
 from repro.errors import ChaseInterrupted
 from repro.obs import trace
+from repro.tgds.tgd import parse_tgds
 
 from bench_obs import iqr
-from bench_parallel import join_database, parallel_tgds
 
 #: Acceptance threshold: (interrupt + pickle + restore + resume) total wall
 #: time over the uninterrupted cold run, at the largest measured size.
 CHECKPOINT_OVERHEAD_THRESHOLD = 1.10
 
+#: Out-degree of the pseudo-random digraph (edges per node).
+DEGREE = 8
+
+#: One copy rule plus two cycle-closing join rules over derived edges: the
+#: joins only become discoverable when the copy round's delta lands.
 #: Parsed once: rule parsing is workload *construction*, not chase time.
-TGDS = parallel_tgds()
+TGDS = parse_tgds(
+    [
+        "E(x,y) -> F(x,y)",
+        "F(x,y), F(y,z), F(z,x) -> T(x,y,z)",
+        "F(x,y), F(y,z), F(z,w), F(w,x) -> Q(x,y,z,w)",
+    ]
+)
+
+
+def join_database(n: int, degree: int = DEGREE) -> Database:
+    """An ``n``-node digraph with ``degree`` deterministic out-edges per node.
+
+    The edge formula scatters targets without an RNG (runs must be
+    reproducible byte for byte); self-loops are skipped so cycle counts
+    stay join-driven rather than loop-driven.
+    """
+    atoms = []
+    for i in range(n):
+        for k in range(1, degree + 1):
+            j = (i * k + k * k + k) % n
+            if j != i:
+                atoms.append(Atom("E", [Constant(f"c{i}"), Constant(f"c{j}")]))
+    return Database(atoms)
 
 
 def run_cold(database, max_steps: int = 1_000_000):

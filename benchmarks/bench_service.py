@@ -238,7 +238,6 @@ def measure_service(clients: int, requests: int, batch: int) -> dict:
             "equivalence_rows": equivalences,
             "warm_cache_hit_no_decider": warm["hit_no_decider"],
             "warm_cache": warm,
-            "workers": handle.service.workers,
             "cpu_count": os.cpu_count() or 1,
             "stats": stats.as_dict(),
         }

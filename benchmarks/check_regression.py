@@ -7,12 +7,6 @@ the perf floors regress:
   naive baseline at the largest measured size;
 * the semi-naive mode must hold ≥ ``seminaive_threshold`` (2×) over the
   step-at-a-time engine at its largest measured size;
-* pool-parallel discovery must hold ≥ ``parallel_threshold`` (1.5×) over
-  the serial semi-naive engine at its largest measured size — enforced
-  only when the recorded ``cpu_count`` reaches the recorded
-  ``parallel_gate_min_cpus`` (a pool cannot beat serial without spare
-  CPUs; the report rows carry ``workers`` and ``cpu_count`` precisely so
-  this check, and trajectory diffs, stay apples-to-apples);
 * an interrupt-at-mid → checkpoint → resume run must stay within
   ``checkpoint_overhead_threshold`` (≤1.1×) of the uninterrupted cold run
   at the largest measured size (lower is better, so the noise margin
@@ -157,9 +151,6 @@ def stats_violations(stats: dict, context: str) -> list:
         "cache_hits",
         "max_delta",
         "budget_cuts",
-        "pool_fallbacks",
-        "worker_busy_seconds",
-        "parallel_wall_seconds",
     ):
         if field(name) < 0:
             problems.append(
@@ -198,15 +189,13 @@ def gate(report: dict, margin: float) -> list:
     """All speedup/equivalence violations in the report, as messages.
 
     Equivalence violations are prefixed ``"equivalence:"`` — callers must
-    treat those as fatal even in skip mode.  Informational lines (floors
-    recorded but not enforceable on the measuring host) are prefixed
-    ``"note:"`` and never fail the gate.
+    treat those as fatal even in skip mode.  Informational lines (a gate
+    the report predates, say) are prefixed ``"note:"`` and never fail the
+    gate.
     """
     failures = []
     threshold = report["acceptance"]["threshold"] * margin
     seminaive_threshold = report["acceptance"].get("seminaive_threshold", 2.0) * margin
-    parallel_threshold = report["acceptance"].get("parallel_threshold", 1.5) * margin
-    parallel_min_cpus = report["acceptance"].get("parallel_gate_min_cpus", 4)
 
     by_workload: dict = {}
     for row in report.get("speedups", []):
@@ -247,36 +236,6 @@ def gate(report: dict, margin: float) -> list:
                     f"{row['speedup']}x below the {seminaive_threshold}x floor"
                 )
 
-    parallel_rows = report.get("parallel_speedups", [])
-    if not parallel_rows:
-        failures.append("equivalence: report has no parallel_speedups section")
-    else:
-        largest = max(row["size"] for row in parallel_rows)
-        for row in parallel_rows:
-            if not row["identical_instances"]:
-                failures.append(
-                    f"equivalence: parallel_join n={row['size']}: parallel and "
-                    f"serial instances differ"
-                )
-            if not row.get("identical_derivations", True):
-                failures.append(
-                    f"equivalence: parallel_join n={row['size']}: instances match "
-                    f"but the derivations differ"
-                )
-            if row["size"] == largest and row["speedup"] < parallel_threshold:
-                cpus = row.get("cpu_count", 0)
-                if cpus >= parallel_min_cpus:
-                    failures.append(
-                        f"parallel_join n={row['size']}: parallel speedup "
-                        f"{row['speedup']}x (workers={row.get('workers')}, "
-                        f"cpus={cpus}) below the {parallel_threshold}x floor"
-                    )
-                else:
-                    failures.append(
-                        f"note: parallel_join n={row['size']}: speedup "
-                        f"{row['speedup']}x recorded on a {cpus}-CPU host — "
-                        f"floor needs >= {parallel_min_cpus} CPUs, not enforced"
-                    )
     checkpoint_rows = report.get("checkpoint_overheads", [])
     if not checkpoint_rows:
         failures.append("equivalence: report has no checkpoint_overheads section")
@@ -433,7 +392,6 @@ def gate(report: dict, margin: float) -> list:
     for section in (
         "speedups",
         "seminaive_speedups",
-        "parallel_speedups",
         "checkpoint_overheads",
         "obs_overheads",
     ):
@@ -499,13 +457,11 @@ def main(argv=None) -> int:
         "check_regression: PASS — indexed >= "
         f"{report['acceptance']['threshold']}x, semi-naive >= "
         f"{report['acceptance'].get('seminaive_threshold', 2.0)}x, "
-        f"parallel >= {report['acceptance'].get('parallel_threshold', 1.5)}x, "
         f"checkpoint overhead <= "
         f"{report['acceptance'].get('checkpoint_overhead_threshold', 1.1)}x, "
         f"telemetry overhead <= "
         f"{report['acceptance'].get('obs_overhead_threshold', 1.05)}x "
-        f"(cpus={report['acceptance'].get('cpu_count', '?')}, "
-        f"workers={report['acceptance'].get('workers', '?')}), "
+        f"(cpus={report['acceptance'].get('cpu_count', '?')}), "
         "instances identical"
     )
     return 0

@@ -12,13 +12,8 @@ Since PR 3 the harness also times the ``seminaive_dense`` workload
 (``bench_seminaive.py``): semi-naive set-at-a-time rounds against the
 step-at-a-time engine, gated at ≥2× with byte-identical instances.
 
-Since PR 5 it also times the ``parallel_join`` workload
-(``bench_parallel.py``): pool-parallel trigger discovery against the
-serial semi-naive engine, gated at ≥1.5× (n=64, ``--workers`` wide) with
-byte-identical instances *and* derivations.  Every report row records the
-worker count and the host CPU count so trajectory comparisons stay
-apples-to-apples; the speedup floor is only enforced on hosts with enough
-CPUs to make it physically meaningful (equivalence is always enforced).
+Every report row records the host CPU count so trajectory comparisons
+stay apples-to-apples.
 
 Since PR 6 it also times the ``checkpoint_join`` workload
 (``bench_checkpoint.py``): an interrupt-at-mid → pickle → restore → resume
@@ -27,9 +22,9 @@ byte-identical instances and derivations.
 
 Since PR 7 it also times the ``obs_dense`` workload (``bench_obs.py``):
 a stats-on run (a ``ChaseStats`` sink attached) against the plain run,
-gated at ≤1.05× overhead with byte-identical instances; the semi-naive,
-parallel, and obs report rows additionally embed a ``stats`` dict (rounds,
-trigger accounting, cache hit rate, pool efficiency — see
+gated at ≤1.05× overhead with byte-identical instances; the semi-naive
+and obs report rows additionally embed a ``stats`` dict (rounds, trigger
+accounting, cache hit rate — see
 ``repro.obs.stats.BENCH_STATS_FIELDS``) collected by one extra untimed
 run, and ``--trace PATH`` records the whole bench session as a Chrome
 trace (``PYTHONPATH=src python -m repro.obs.report`` prints
@@ -80,12 +75,10 @@ Usage::
 
     PYTHONPATH=src python benchmarks/harness.py            # full mode
     PYTHONPATH=src python benchmarks/harness.py --quick    # smaller sizes
-    PYTHONPATH=src python benchmarks/harness.py --workers 4
     PYTHONPATH=src python benchmarks/harness.py --out PATH
     PYTHONPATH=src python benchmarks/harness.py --trace trace.json
 
-or ``make bench`` / ``make bench-quick`` (``WORKERS=N`` forwards
-``--workers``) from the repository root.
+or ``make bench`` / ``make bench-quick`` from the repository root.
 """
 
 from __future__ import annotations
@@ -135,12 +128,6 @@ from bench_portfolio import (
     PORTFOLIO_SETTLED_FLOOR,
     PORTFOLIO_SPEEDUP_FLOOR,
     measure_portfolio,
-)
-from bench_parallel import (
-    GATE_MIN_CPUS,
-    PARALLEL_SPEEDUP_THRESHOLD,
-    join_database,
-    parallel_tgds,
 )
 from bench_seminaive import (
     SEMINAIVE_SPEEDUP_THRESHOLD,
@@ -373,74 +360,6 @@ def measure_gc_tracked(n: int = GC_TRACKED_SIZE) -> int:
     return after - before
 
 
-def run_parallel_kernel(sizes, repeats: int, workers: int, max_steps: int = 1_000_000):
-    """Time serial semi-naive vs pool-parallel discovery on the join workload.
-
-    Both modes run the same engine; the parallel one must produce
-    byte-identical instances *and* derivations at every size, and hold the
-    ≥1.5× floor at the largest size — where the floor is physically
-    measurable (``cpu_count >= GATE_MIN_CPUS``); the recorded ``workers``
-    and ``cpu_count`` let ``check_regression.py`` (and humans diffing
-    trajectories) apply the same rule.
-    """
-    tgds = parallel_tgds()
-    cpus = os.cpu_count() or 1
-    rows = []
-    speedups = []
-    for n in sizes:
-        db = join_database(n)
-        serial_s, serial = _time(
-            restricted_chase, db, tgds, strategy="semi_naive", max_steps=max_steps,
-            repeats=repeats,
-        )
-        parallel_s, parallel = _time(
-            restricted_chase, db, tgds, strategy="semi_naive", max_steps=max_steps,
-            workers=workers, repeats=repeats,
-        )
-        if not (serial.terminated and parallel.terminated):
-            raise RuntimeError(f"parallel_join n={n}: a run was cut off")
-        identical_instances = serial.instance == parallel.instance
-        identical_derivations = [t.key for t in serial.derivation.steps] == [
-            t.key for t in parallel.derivation.steps
-        ]
-        for engine, seconds, result, engine_workers in (
-            ("seminaive_serial", serial_s, serial, 1),
-            (f"parallel_w{workers}", parallel_s, parallel, workers),
-        ):
-            rows.append(
-                {
-                    "workload": "parallel_join",
-                    "size": n,
-                    "engine": engine,
-                    "seconds": round(seconds, 6),
-                    "steps": result.steps,
-                    "atoms": len(result.instance),
-                    "atoms_per_sec": round(len(result.instance) / seconds, 1),
-                    "workers": engine_workers,
-                    "cpu_count": cpus,
-                }
-            )
-        speedups.append(
-            {
-                "workload": "parallel_join",
-                "size": n,
-                "baseline": "seminaive_serial",
-                "serial_seconds": round(serial_s, 6),
-                "parallel_seconds": round(parallel_s, 6),
-                "speedup": round(serial_s / parallel_s, 2),
-                "identical_instances": identical_instances,
-                "identical_derivations": identical_derivations,
-                "workers": workers,
-                "cpu_count": cpus,
-                "stats": _collect_stats(
-                    restricted_chase, db, tgds, strategy="semi_naive",
-                    max_steps=max_steps, workers=workers,
-                ),
-            }
-        )
-    return rows, speedups
-
-
 def run_checkpoint_kernel(sizes, repeats: int):
     """Checkpoint/resume overhead rows (``bench_checkpoint.py``).
 
@@ -586,13 +505,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller sizes, fewer repeats")
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="pool width for the parallel_join workload (default 4, the "
-        "width the ≥1.5x gate is defined at)",
-    )
-    parser.add_argument(
         "--out",
         default=str(Path(__file__).resolve().parents[1] / "BENCH_chase.json"),
         help="where to write the JSON report",
@@ -616,9 +528,6 @@ def main(argv=None) -> int:
         # median of 9 alternating pairs keeps the ratio out of
         # scheduler-noise territory.
         seminaive_sizes, seminaive_repeats = (32, 64), 9
-        # Likewise the parallel gate (n >= 64, best-of-2: the chases are
-        # seconds long, so two repeats already de-noise the ratio).
-        parallel_sizes, parallel_repeats = (32, 64), 2
         # The checkpoint gate is a single-digit-percent ratio: the median
         # of 9 paired cold/interrupted ratios (order alternating within
         # the pair), like the telemetry gate.
@@ -639,7 +548,6 @@ def main(argv=None) -> int:
     else:
         sizes, repeats = (8, 16, 32, 64), 3
         seminaive_sizes, seminaive_repeats = (16, 32, 64), 9
-        parallel_sizes, parallel_repeats = (16, 32, 64), 2
         checkpoint_sizes, checkpoint_repeats = (24, 32, 48), 9
         obs_sizes, obs_repeats = (64, 128), 9
         portfolio_per_family, portfolio_repeats = (6, 3)
@@ -660,10 +568,6 @@ def main(argv=None) -> int:
         seminaive_sizes, seminaive_repeats
     )
     results.extend(seminaive_rows)
-    parallel_rows, parallel_speedups = run_parallel_kernel(
-        parallel_sizes, parallel_repeats, workers=args.workers
-    )
-    results.extend(parallel_rows)
     checkpoint_overheads = run_checkpoint_kernel(checkpoint_sizes, checkpoint_repeats)
     obs_overheads = run_obs_kernel(obs_sizes, obs_repeats)
     portfolio_section = measure_portfolio(
@@ -677,26 +581,17 @@ def main(argv=None) -> int:
     parse_row = measure_parse(max(repeats, 5))
     gc_tracked_per_chase = measure_gc_tracked()
 
-    # Worker/CPU provenance on every entry (single-threaded kernels are
-    # workers=1), so trajectory diffs never compare across pool widths or
-    # host sizes unknowingly.
+    # CPU provenance on every entry, so trajectory diffs never compare
+    # across host sizes unknowingly.
     cpus = os.cpu_count() or 1
-    for row in results:
-        row.setdefault("workers", 1)
-        row.setdefault("cpu_count", cpus)
-    for row in speedups + seminaive_speedups + checkpoint_overheads + obs_overheads:
-        row.setdefault("workers", 1)
+    for row in results + speedups + seminaive_speedups + checkpoint_overheads + obs_overheads:
         row.setdefault("cpu_count", cpus)
 
     largest = max(sizes)
     seminaive_largest = max(seminaive_sizes)
-    parallel_largest = max(parallel_sizes)
     at_largest = [s for s in speedups if s["size"] == largest]
     seminaive_at_largest = [
         s for s in seminaive_speedups if s["size"] == seminaive_largest
-    ]
-    parallel_at_largest = [
-        s for s in parallel_speedups if s["size"] == parallel_largest
     ]
     indexed_pass = all(s["identical_instances"] for s in speedups) and all(
         s["speedup"] >= SPEEDUP_THRESHOLD for s in at_largest
@@ -706,20 +601,6 @@ def main(argv=None) -> int:
         for s in seminaive_speedups
     ) and all(
         s["speedup"] >= SEMINAIVE_SPEEDUP_THRESHOLD for s in seminaive_at_largest
-    )
-    # The parallel floor is enforced only where it is measurable: a pool
-    # cannot beat serial on a host without spare CPUs.  Equivalence bits
-    # are unconditional.
-    parallel_gate_enforced = cpus >= GATE_MIN_CPUS
-    parallel_equiv = all(
-        s["identical_instances"] and s["identical_derivations"]
-        for s in parallel_speedups
-    )
-    parallel_pass = parallel_equiv and (
-        not parallel_gate_enforced
-        or all(
-            s["speedup"] >= PARALLEL_SPEEDUP_THRESHOLD for s in parallel_at_largest
-        )
     )
     checkpoint_largest = max(checkpoint_sizes)
     checkpoint_at_largest = [
@@ -756,16 +637,11 @@ def main(argv=None) -> int:
     verdict = {
         "threshold": SPEEDUP_THRESHOLD,
         "seminaive_threshold": SEMINAIVE_SPEEDUP_THRESHOLD,
-        "parallel_threshold": PARALLEL_SPEEDUP_THRESHOLD,
         "largest_size": largest,
         "seminaive_largest_size": seminaive_largest,
-        "parallel_largest_size": parallel_largest,
         "min_speedup_at_largest": min(s["speedup"] for s in at_largest),
         "min_seminaive_speedup_at_largest": min(
             s["speedup"] for s in seminaive_at_largest
-        ),
-        "min_parallel_speedup_at_largest": min(
-            s["speedup"] for s in parallel_at_largest
         ),
         "checkpoint_overhead_threshold": CHECKPOINT_OVERHEAD_THRESHOLD,
         "checkpoint_largest_size": checkpoint_largest,
@@ -784,11 +660,10 @@ def main(argv=None) -> int:
         "portfolio_agreement": portfolio_section["agreement"],
         "all_instances_identical": all(
             s["identical_instances"]
-            for s in speedups + seminaive_speedups + parallel_speedups
+            for s in speedups + seminaive_speedups
         ),
         "all_derivations_identical": all(
-            s["identical_derivations"]
-            for s in seminaive_speedups + parallel_speedups
+            s["identical_derivations"] for s in seminaive_speedups
         ),
         "service_equivalence": service_section["equivalence"],
         "service_warm_cache_hit": service_section["warm_cache_hit_no_decider"],
@@ -802,13 +677,9 @@ def main(argv=None) -> int:
         "persistent_memory_oom_under_cap": persistent_section[
             "memory_oom_under_cap"
         ],
-        "workers": args.workers,
         "cpu_count": cpus,
-        "parallel_gate_enforced": parallel_gate_enforced,
-        "parallel_gate_min_cpus": GATE_MIN_CPUS,
         "pass": indexed_pass
         and seminaive_pass
-        and parallel_pass
         and checkpoint_pass
         and obs_pass
         and portfolio_pass
@@ -823,7 +694,6 @@ def main(argv=None) -> int:
         "results": results,
         "speedups": speedups,
         "seminaive_speedups": seminaive_speedups,
-        "parallel_speedups": parallel_speedups,
         "checkpoint_overheads": checkpoint_overheads,
         "obs_overheads": obs_overheads,
         "portfolio": portfolio_section,
@@ -855,13 +725,6 @@ def main(argv=None) -> int:
         print(
             f"{s['workload']:<16} {s['size']:>4} {s['seminaive_seconds']:>10.4f} "
             f"{s['step_seconds']:>10.4f} {s['speedup']:>7.1f}x  "
-            f"{s['identical_instances'] and s['identical_derivations']}"
-        )
-    print(f"{'workload':<16} {'n':>4} {'par s':>10} {'serial s':>10} {'speedup':>8}  identical")
-    for s in parallel_speedups:
-        print(
-            f"{s['workload']:<16} {s['size']:>4} {s['parallel_seconds']:>10.4f} "
-            f"{s['serial_seconds']:>10.4f} {s['speedup']:>7.1f}x  "
             f"{s['identical_instances'] and s['identical_derivations']}"
         )
     print(f"{'workload':<16} {'n':>4} {'cold s':>10} {'resumed s':>10} {'overhead':>8}  identical")
@@ -922,20 +785,12 @@ def main(argv=None) -> int:
         f"{'gc_tracked':<16} {gc_tracked_per_chase} objects alive after one "
         f"seminaive_dense chase at n={GC_TRACKED_SIZE}"
     )
-    parallel_note = (
-        f"{verdict['min_parallel_speedup_at_largest']}x "
-        f"(threshold {PARALLEL_SPEEDUP_THRESHOLD}x, workers={args.workers}, "
-        f"cpus={cpus}"
-        + ("" if parallel_gate_enforced else ", floor not enforced on this host")
-        + ")"
-    )
     print(
         f"acceptance: min indexed speedup at n={largest} is "
         f"{verdict['min_speedup_at_largest']}x (threshold {SPEEDUP_THRESHOLD}x), "
         f"min semi-naive speedup is "
         f"{verdict['min_seminaive_speedup_at_largest']}x "
         f"(threshold {SEMINAIVE_SPEEDUP_THRESHOLD}x), "
-        f"min parallel speedup is {parallel_note}, "
         f"max checkpoint overhead is "
         f"{verdict['max_checkpoint_overhead_at_largest']}x "
         f"(threshold {CHECKPOINT_OVERHEAD_THRESHOLD}x), "

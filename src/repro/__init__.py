@@ -36,7 +36,6 @@ from repro.core.substitution import Substitution
 from repro.core.terms import Constant, Null, Term, Variable
 from repro.chase.checkpoint import Budget, ChaseCheckpoint
 from repro.chase.derivation import Derivation, DerivationError
-from repro.chase.parallel import ParallelMatcher
 from repro.chase.fairness import FairnessError, fairness_round, make_fair
 from repro.chase.multihead import (
     MultiHeadTrigger,
@@ -65,7 +64,6 @@ from repro.errors import (
     CheckpointError,
     ExtractionError,
     ReproError,
-    ResultIntegrityError,
     StateBudgetExceeded,
 )
 from repro.guarded.abstract_join_tree import AbstractJoinTree, ajt_from_derivation
@@ -112,11 +110,9 @@ __all__ = [
     # errors (repro.errors is the canonical home; aliases stay importable
     # from each exception's historical module)
     "ReproError", "ChaseInterrupted", "CheckpointError",
-    "ResultIntegrityError",
     "StateBudgetExceeded", "ExtractionError",
     # fault tolerance
     "Budget", "ChaseCheckpoint",
-    "ParallelMatcher",
     # chase
     "Trigger", "triggers_on", "active_triggers_on", "is_active",
     "seminaive_triggers",

@@ -23,19 +23,17 @@ scan over ``(predicate, birth)``):
   primary key over all four columns) — the term-position index; a
   ``with_term_at`` lookup is a prefix scan joined back to ``atoms``.
 
-Pragmas: ``journal_mode=WAL`` (readers never block the writer — the
-parallel matcher's forked workers read while the owner is between
-rounds), ``synchronous=OFF`` (chase state is recomputable; a
-checkpoint, not the file, is the durability story), ``temp_store=MEMORY``.
-Connections run in autocommit mode: every write is visible to other
-connections immediately, which is what lets forked pool workers (fresh
-connections onto the same path) see the exact pre-fork state.
+Pragmas: ``journal_mode=WAL`` (readers never block the writer),
+``synchronous=OFF`` (chase state is recomputable; a checkpoint, not the
+file, is the durability story), ``temp_store=MEMORY``.  Connections run
+in autocommit mode: every write is visible to other connections (an
+attached instance's, say) immediately.
 
 Process/thread safety: one connection per ``(pid, thread)``, opened
-lazily — a forked pool worker or a service executor thread gets its own
-handle onto the same file.  Writes stay single-owner (the chase engine mutates from
-one thread at a time); concurrent *reads* from other threads/processes
-are safe under WAL.
+lazily — a service executor thread gets its own handle onto the same
+file.  Writes stay single-owner (the chase engine mutates from one
+thread at a time); concurrent *reads* from other threads/processes are
+safe under WAL.
 
 Pickling: :meth:`SQLiteInstance.__reduce__` ships only the path and the
 connection pragmas — the receiver attaches to the file instead of
@@ -161,7 +159,9 @@ class _SQLiteView:
         return iter(self._materialize())
 
     def __contains__(self, atom) -> bool:
-        return isinstance(atom, Atom) and atom in self._materialize()
+        # An atom equals its ``(predicate, terms)`` pair, so the pair tests
+        # too, as it does against a memory bucket.
+        return atom in self._materialize()
 
     def __repr__(self) -> str:
         return f"_SQLiteView({len(self)} atoms)"
@@ -173,7 +173,7 @@ class SQLiteInstance(Instance):
     ``atoms`` given (even an empty list) initializes the file *fresh* —
     the chase-engine path, which always seeds from a sorted atom list;
     ``atoms=None`` attaches to whatever the file already holds (the
-    pickle/worker path, also reachable via
+    unpickling path, also reachable via
     ``make_instance("sqlite", path=...)``).  ``path=None`` creates a
     private temporary file, removed again when the creating process drops
     the instance (:meth:`close`).
@@ -221,9 +221,8 @@ class SQLiteInstance(Instance):
     def _connection(self) -> sqlite3.Connection:
         """The calling ``(pid, thread)``'s connection, opened on first use.
 
-        Fork-inherited instances never reuse the parent's handle (the key
-        includes the pid), and executor threads each get their own — the
-        two sharing patterns :mod:`repro.chase.parallel` actually exercises.
+        A forked child never reuses its parent's handle (the key includes
+        the pid), and executor threads each get their own.
         """
         key = (os.getpid(), threading.get_ident())
         conn = self._connections.get(key)
@@ -258,7 +257,7 @@ class SQLiteInstance(Instance):
 
         ``remove=None`` removes the file iff this instance created it as a
         temporary (and only in the creating process — forked children and
-        attached workers never delete state from under the owner).
+        attached instances never delete state from under the owner).
 
         The ``os`` functions are bound as defaults so the ``__del__`` path
         still works during interpreter shutdown, after module globals are
@@ -299,7 +298,7 @@ class SQLiteInstance(Instance):
         return cls(None, path=path, synchronous=synchronous, timeout=timeout)
 
     def __reduce__(self):
-        # Path + pragmas only: the worker on the other side attaches to the
+        # Path + pragmas only: the receiver on the other side attaches to the
         # shared file instead of rebuilding from an atom-list snapshot.
         return (
             type(self)._attach,
@@ -370,9 +369,6 @@ class SQLiteInstance(Instance):
             "SELECT COUNT(*) FROM atoms WHERE predicate = ?",
             (predicate,),
         )
-
-    def index_position(self, predicate: str, position: int) -> None:
-        """A no-op: the ``buckets`` table indexes every position already."""
 
     def position_lookup(self, predicate: str, position: int):
         """The getter of ``(predicate, position)``: ``get(term, default)``

@@ -11,7 +11,7 @@ Derivations are byte-comparable across engines: trigger identity is the
 digest-determined ``(σ, h)`` pair (null names included), so two runs that
 apply the same logical steps record *equal* derivations — this is the
 object the CI equivalence gates diff when they demand "byte-identical
-derivations" between the FIFO, semi-naive, parallel, and resumed engines.
+derivations" between the FIFO, semi-naive, and resumed engines.
 """
 
 from __future__ import annotations

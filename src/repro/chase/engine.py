@@ -39,8 +39,8 @@ module owns the fast implementations of all three:
   pending batch, applies the still-active triggers in batch order, collects
   the added atoms as the instance's tracked delta
   (:meth:`repro.core.instance.Instance.track_delta`), and runs one batched
-  discovery pass (:func:`repro.chase.trigger.seminaive_triggers`) against
-  the delta's per-round index snapshot.  Discovery results are enqueued in
+  discovery pass (:meth:`ChaseEngine._discover`) against the delta's
+  per-round index snapshot.  Discovery results are enqueued in
   ``(birth, canonical)`` order, which replays the step-at-a-time engine's
   enqueue order exactly — round-based and step-based runs produce
   byte-identical instances, verdicts, and derivations.
@@ -65,7 +65,6 @@ from repro.core.homomorphism import match_atom
 from repro.core.instance import Delta, Instance
 from repro.core.terms import Term
 from repro.chase.derivation import Derivation
-from repro.chase.parallel import ParallelMatcher
 from repro.chase.plans import RuleTables, discovery_rows
 from repro.chase.trigger import (
     Trigger,
@@ -269,7 +268,6 @@ class ChaseEngine:
         tgds: Sequence[TGD],
         kind: str = "semi_naive",
         resume=None,
-        workers: int = 1,
         stats=None,
         prune: bool = False,
         backend=None,
@@ -286,16 +284,14 @@ class ChaseEngine:
         and the derivation log come from it, and the instance indexes and
         the witness cache are rebuilt from its atom list.
 
-        ``workers > 1`` fans each round's discovery out over a
-        :class:`repro.chase.parallel.ParallelMatcher`.  ``prune`` drops from
-        discovery the rules a
+        ``prune`` drops from discovery the rules a
         :class:`repro.termination.dependencies.RuleDependencyGraph` proves
         dead for the instance's predicates.  ``stats`` is an optional
         :class:`repro.obs.stats.ChaseStats` sink.  ``backend`` selects the
         instance storage (anything :meth:`repro.backends.BackendSpec.parse`
         accepts; None resolves the ``CHASE_BACKEND`` default, then memory).
-        None of the four changes a run: results are byte-identical across
-        worker counts, pruning, stats and backends.  :meth:`running` (or
+        None of the three changes a run: results are byte-identical across
+        pruning, stats and backends.  :meth:`running` (or
         :meth:`close`) is the matching teardown.
         """
         #: The caller's full rule list: checkpoints and null naming key off it.
@@ -313,13 +309,13 @@ class ChaseEngine:
                 atoms = database.sorted_atoms()
             else:
                 atoms = sorted(database, key=Atom.sort_key)
-            self._load(atoms, prune, backend, workers)
+            self._load(atoms, prune, backend)
             self._discover(_delta_of(atoms))
             if self.witnesses is not None:
                 self.derivation = Derivation(self.instance)
             return
         with trace.span("checkpoint.restore", atoms=len(resume.atoms)):
-            self._load(resume.atoms, prune, backend, workers)
+            self._load(resume.atoms, prune, backend)
             self.pending = _bind_rows(resume.pending, self.tgds)
             if resume.delta is not None:
                 self._round_delta = Delta._restore(*resume.delta)
@@ -343,7 +339,7 @@ class ChaseEngine:
             mid_round=resume.delta is not None,
         )
 
-    def _load(self, atoms: Sequence[Atom], prune: bool, backend, workers: int) -> None:
+    def _load(self, atoms: Sequence[Atom], prune: bool, backend) -> None:
         """The state both constructor paths share, over ``atoms`` in order."""
         self.instance = make_instance(backend, atoms=atoms)
         #: Discovery runs over the *live* rule subset.  Rules with a body
@@ -368,9 +364,6 @@ class ChaseEngine:
         self.witnesses: Optional[HeadWitnessIndex] = (
             None if self.kind == "oblivious" else HeadWitnessIndex(self._tables, self.instance)
         )
-        #: The round-discovery pool, None for serial discovery; its rows
-        #: index ``live`` as the serial rows do (see chase/parallel.py).
-        self.matcher = ParallelMatcher(self.live, workers) if workers > 1 else None
         self.pending: List[Trigger] = []
         #: The live delta of a round in progress.  Non-None between a budget
         #: cut and the call that completes the round — the suspended state a
@@ -401,8 +394,6 @@ class ChaseEngine:
         """Fold the engine's counters into its stats."""
         if self.stats is not None:
             self.stats.absorb_engine(self)
-            if self.matcher is not None:
-                self.stats.absorb_matcher(self.matcher)
 
     def mid_round(self) -> bool:
         """Is a budget-cut round suspended (delta live, discovery pending)?"""
@@ -414,18 +405,15 @@ class ChaseEngine:
         """Enqueue the triggers whose body image uses an atom of ``delta``.
 
         The engine's one discovery step: rows from the join plans of
-        :mod:`repro.chase.plans` (on a round pass possibly the matcher's
-        pool), :meth:`RuleTables.order`, :func:`triggers_of`, the worklist.
+        :mod:`repro.chase.plans`, :meth:`RuleTables.order`,
+        :func:`triggers_of`, the worklist.
         A round pass enqueues in ``(birth, canonical)`` order; every other
         batch (seeding, ``apply``, ``inject_atoms``) ignores births.
         """
         stats = self.stats
         if stats is not None:
             stamp = clock.perf_counter()
-        if round_pass and self.matcher is not None:
-            rows = self.matcher.rows(self.instance, delta)
-        else:
-            rows = discovery_rows(self._tables.discovery, self.instance, delta)
+        rows = discovery_rows(self._tables.discovery, self.instance, delta)
         if stats is not None:
             joined = clock.perf_counter()
             stats.discover_join_seconds += joined - stamp
@@ -550,11 +538,11 @@ class ChaseEngine:
         witness probe and takes a result memo only if one exists (it stores
         none).  (2) The atoms the round
         added are collected as the instance's tracked delta, and (3) one
-        batched semi-naive discovery pass (:func:`seminaive_triggers`)
-        enqueues the next round's triggers in ``(birth, canonical)`` order —
-        the exact order the per-application discovery of the step-at-a-time
-        engine would have produced, which keeps round-based runs
-        byte-identical to step-at-a-time runs.
+        batched semi-naive discovery pass (:meth:`_discover`) enqueues the
+        next round's triggers in ``(birth, canonical)`` order — the exact
+        order the per-application discovery of the step-at-a-time engine
+        would have produced, which keeps round-based runs byte-identical to
+        step-at-a-time runs.
 
         ``max_applications`` bounds the applications of this call (the
         caller's per-run step budget); ``max_atoms`` stops once the instance

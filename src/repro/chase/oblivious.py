@@ -60,7 +60,6 @@ def oblivious_chase(
     tgds: Sequence[TGD],
     max_atoms: int = 100_000,
     max_rounds: int = 10_000,
-    workers: int = 1,
     budget: Optional[Budget] = None,
     resume: Optional[ChaseCheckpoint] = None,
     stats=None,
@@ -73,10 +72,7 @@ def oblivious_chase(
     results.  A round applies the triggers discovered from the atoms of
     the previous round (the engine's pending batch).  The rounds run on
     :meth:`ChaseEngine.drive`, which also owns the ``max_rounds`` and
-    ``max_atoms`` ceilings and the round count.  With ``workers > 1``
-    each round's discovery pass fans out over a
-    :class:`repro.chase.parallel.ParallelMatcher` pool (byte-identical
-    rounds: the merge replays the serial order).
+    ``max_atoms`` ceilings and the round count.
 
     ``budget`` exhaustion raises :class:`repro.errors.ChaseInterrupted`
     with a resume checkpoint; ``resume`` continues one byte-identically
@@ -87,7 +83,7 @@ def oblivious_chase(
     across backends.
     """
     engine = ChaseEngine(
-        database, tgds, "oblivious", resume, workers, stats, prune, backend
+        database, tgds, "oblivious", resume, stats, prune, backend
     )
     applications = resume.applications if resume is not None else 0
     with engine.running():

@@ -76,10 +76,9 @@ latest delta atom of the body image — with ``birth = p``, the maximum
 delta position of its image.
 
 Plans emit compact rows ``(tgd_index, values, birth)``, ``values`` in
-:attr:`TGD.body_order`.  The serial pass (:func:`discovery_rows`) and the
-pool workers of :mod:`repro.chase.parallel` run the same ``plan.match``;
-both hand their rows to :meth:`RuleTables.order`, then to
-:func:`repro.chase.trigger.triggers_of`.
+:attr:`TGD.body_order`.  The discovery pass (:func:`discovery_rows`) runs
+each pair's ``plan.match`` and hands the rows to :meth:`RuleTables.order`,
+then to :func:`repro.chase.trigger.triggers_of`.
 
 The head side is compiled too: a :class:`HeadKernel` per TGD (cached as
 :meth:`repro.tgds.tgd.TGD.head_kernel`) reads the frontier tuple an atom
@@ -88,8 +87,8 @@ canonical key, all with getters and preformatted strings.
 
 Everything a chase needs of a rule *list* — the predicate table
 discovery walks, the rules' canonical ranks and the head-witness routing
-— is a :class:`RuleTables`.  Its owner (an engine, a matcher, a
-weakly-restricted or real-oblivious chase) takes it once, from
+— is a :class:`RuleTables`.  Its owner (an engine, a weakly-restricted
+or real-oblivious chase) takes it once, from
 :meth:`RuleTables.of`, and keeps it for every round; the next owner over
 the identical rule objects gets the same tables, so a caller that chases
 one rule list again and again builds them once.

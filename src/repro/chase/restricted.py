@@ -109,7 +109,6 @@ def restricted_chase(
     strategy: Union[str, StrategyFn] = "fifo",
     max_steps: int = 10_000,
     seed: Optional[int] = None,
-    workers: int = 1,
     budget: Optional[Budget] = None,
     resume: Optional[ChaseCheckpoint] = None,
     stats=None,
@@ -123,13 +122,6 @@ def restricted_chase(
     (the derivation is then a proper prefix).  Stale pending triggers are
     skipped before the cap binds, so a run that reaches its fixpoint at
     exactly ``max_steps`` reports ``terminated``.
-
-    ``workers`` only applies to ``strategy="semi_naive"``: with
-    ``workers > 1`` each round's discovery batch runs on a
-    :class:`repro.chase.parallel.ParallelMatcher` pool, with results —
-    instance, verdict, derivation — byte-identical to ``workers=1``.  The
-    step strategies discover serially: each application runs the join
-    plans over a one-atom delta, too little work to fan out.
 
     ``budget`` adds a :class:`repro.chase.checkpoint.Budget` envelope on
     top of ``max_steps``: exhaustion raises
@@ -155,7 +147,6 @@ def restricted_chase(
             database,
             tgds,
             max_steps=max_steps,
-            workers=workers,
             budget=budget,
             resume=resume,
             stats=stats,
@@ -171,7 +162,7 @@ def restricted_chase(
         )
     choose = _resolve_strategy(strategy, seed)
     engine = ChaseEngine(
-        database, tgds, f"restricted:{strategy}", resume, 1, stats, prune, backend
+        database, tgds, f"restricted:{strategy}", resume, stats, prune, backend
     )
     derivation = engine.derivation
     steps = len(derivation)
@@ -216,7 +207,6 @@ def seminaive_chase(
     database: Optional[Instance],
     tgds: Sequence[TGD],
     max_steps: int = 10_000,
-    workers: int = 1,
     budget: Optional[Budget] = None,
     resume: Optional[ChaseCheckpoint] = None,
     stats=None,
@@ -233,20 +223,13 @@ def seminaive_chase(
     ``rounds`` counts the rounds started, a round cut by ``max_steps``
     included.
 
-    With ``workers > 1`` the per-round discovery pass fans out over a
-    :class:`repro.chase.parallel.ParallelMatcher` fork pool (serial where
-    ``fork`` is missing or a pooled round fails); the merged batches replay
-    the serial order exactly, so the result stays byte-identical across worker counts.
-    (The test suite's fault injection, ``make test-chaos``, fails pooled
-    rounds on a seeded schedule and demands the same bytes back.)
-
     ``budget`` exhaustion raises :class:`repro.errors.ChaseInterrupted`
     with a resume checkpoint (round-boundary or mid-round); ``resume``
     continues such a checkpoint byte-identically — same instance insertion
     order, same derivation log, same verdict as the uninterrupted run.
     """
     engine = ChaseEngine(
-        database, tgds, "semi_naive", resume, workers, stats, prune, backend
+        database, tgds, "semi_naive", resume, stats, prune, backend
     )
     with engine.running():
         reason, _, _ = engine.drive(

@@ -285,8 +285,7 @@ def seminaive_triggers(
     :meth:`repro.chase.plans.RuleTables.order` orders the rows before
     :func:`triggers_of` builds the triggers.  Of several equal TGDs
     (equality ignores the rule name, as does :attr:`Trigger.key`) only the
-    first is matched.  :class:`repro.chase.parallel.ParallelMatcher`
-    computes the same list over a worker pool.
+    first is matched.
 
     Each call takes the rule list's :class:`repro.chase.plans.RuleTables`
     from :meth:`repro.chase.plans.RuleTables.of`; a caller that discovers

@@ -184,9 +184,7 @@ class Instance:
         #: predicate -> ``(position, term -> bucket)`` per indexed position,
         #: in indexing order: what ``add`` and ``discard`` maintain.
         self._indexed: Dict[str, Tuple[Tuple[int, Dict[Term, Dict[Atom, None]]], ...]] = {}
-        #: Serializes first-probe builds.  Per instance, not per process: a
-        #: process-wide lock held by one thread while another forks a pool
-        #: would stay locked forever in the forked workers.
+        #: Serializes first-probe builds across threads.
         self._index_lock = threading.Lock()
         self._delta: Optional[Delta] = None
         if atoms is not None:
@@ -200,8 +198,8 @@ class Instance:
         # engines rely on — is a function of the insertion sequence, so the
         # rebuilt instance is index-identical, not just set-equal.  A
         # mid-round delta is deliberately not carried across: a checkpoint
-        # records a cut round's delta itself, and pool workers inherit the
-        # round by fork, so a pickled instance is a whole-instance snapshot.
+        # records a cut round's delta itself, so a pickled instance is a
+        # whole-instance snapshot.
         return (type(self), (list(self._atoms),))
 
     # -- round-delta tracking (semi-naive evaluation) ----------------------
@@ -311,41 +309,33 @@ class Instance:
         insertion-ordered) of the atoms with ``term`` at ``position``, or
         ``default`` when there are none.  The getter keeps answering for
         the instance as it changes: ``add`` and ``discard`` update the
-        dict it is bound to.  On the first request for a position this
-        builds its buckets (:meth:`index_position`).  Callers must not
-        mutate a bucket.
+        dict it is bound to.  Callers must not mutate a bucket.
+
+        The first request for a position builds its buckets: one scan of
+        the insertion-ordered predicate bucket, so each bucket lists its
+        atoms in insertion order.  The buckets are complete before they
+        are published, and the position is marked only after they are, so
+        a concurrent reader sees a whole bucket or none.
         """
-        buckets = self._by_position.get((predicate, position))
-        if buckets is None:
-            self.index_position(predicate, position)
-            # Still absent for a position below 1, which no atom has.
-            buckets = self._by_position.get((predicate, position), _EMPTY)
-        return buckets.get
-
-    def index_position(self, predicate: str, position: int) -> None:
-        """Build the buckets of ``(predicate, position)``, then mark it indexed.
-
-        :meth:`position_lookup` calls this on a position's first request; a
-        caller about to fork probing workers calls it up front, so the
-        buckets are built once in the parent rather than once per worker.
-
-        One scan of the insertion-ordered predicate bucket, so each bucket
-        lists its atoms in insertion order.  The buckets are complete
-        before they are published, and the position is marked only after
-        they are, so a concurrent reader sees a whole bucket or none.
-        """
+        key = (predicate, position)
+        buckets = self._by_position.get(key)
+        if buckets is not None:
+            return buckets.get
         if position < 1:
-            return  # no atom has such a position; ``terms[position - 1]`` would wrap
+            # No atom has such a position; ``terms[position - 1]`` would wrap.
+            return _EMPTY.get
         with self._index_lock:
-            if (predicate, position) in self._by_position:
-                return
-            built: Dict[Term, Dict[Atom, None]] = {}
-            for atom in self._by_predicate.get(predicate, _EMPTY):
-                terms = atom.terms
-                if position <= len(terms):
-                    built.setdefault(terms[position - 1], {})[atom] = None
-            self._by_position[(predicate, position)] = built
-            self._indexed[predicate] = self._indexed.get(predicate, ()) + ((position, built),)
+            buckets = self._by_position.get(key)
+            if buckets is None:
+                buckets = {}
+                for atom in self._by_predicate.get(predicate, _EMPTY):
+                    terms = atom.terms
+                    if position <= len(terms):
+                        buckets.setdefault(terms[position - 1], {})[atom] = None
+                self._by_position[key] = buckets
+                indexed = self._indexed.get(predicate, ())
+                self._indexed[predicate] = indexed + ((position, buckets),)
+        return buckets.get
 
     def membership(self):
         """A container whose ``in`` answers ``in self``: the live atom dict,

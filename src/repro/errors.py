@@ -70,19 +70,6 @@ class CheckpointError(ReproError, ValueError):
     """A checkpoint cannot be restored (wrong TGD set, kind, or version)."""
 
 
-# -- parallel tier ----------------------------------------------------------
-
-
-class ResultIntegrityError(ReproError, RuntimeError):
-    """A parallel worker returned malformed rows (caught by validation).
-
-    Raised by the master-side row validation in
-    :mod:`repro.chase.parallel`; like any failure of a pooled round, it
-    makes the matcher recompute the round serially rather than merge
-    garbage.
-    """
-
-
 # -- service layer -----------------------------------------------------------
 
 

@@ -1,8 +1,7 @@
 """Zero-dependency observability: spans, stats, clocks, logging.
 
 The telemetry substrate every execution layer reports through (ROADMAP:
-chase-as-a-service p99s, resident-fleet parallel efficiency).  Four small
-modules, all stdlib-only:
+chase-as-a-service p99s).  Four small modules, all stdlib-only:
 
 * :mod:`repro.obs.trace` — ``span("round.discover")``-style tracing that
   emits Chrome trace-event JSON (``CHASE_TRACE=path`` or
@@ -10,9 +9,8 @@ modules, all stdlib-only:
   Perfetto;
 * :mod:`repro.obs.stats` — :class:`ChaseStats`, the per-run aggregate
   report and the only counter sink (rounds, trigger accounting, cache hit
-  rate, delta sizes, budget cuts, pool-fallback tallies, worker
-  busy-vs-wall efficiency), attached to a run or a service rather than
-  installed process-wide;
+  rate, delta sizes, budget cuts, the apply/discovery phase split),
+  attached to a run or a service rather than installed process-wide;
 * :mod:`repro.obs.clock` — the single monotonic clock source
   (:class:`FakeClock` injectable for tests, so budget/timer tests never
   sleep);

@@ -1,11 +1,11 @@
 """The single monotonic clock source behind every wall measurement.
 
-Budgets (:class:`repro.chase.checkpoint.Budget`), chaos delays, and the
-trace/stats timers all read time through this module instead of calling
-:mod:`time` directly.  That buys one thing: a test can :func:`set_clock` a
-:class:`FakeClock` and drive wall-clock budgets and injected delays
-*synchronously* — no sleeping, no flaky margins — while production code
-keeps the real monotonic clock.
+Budgets (:class:`repro.chase.checkpoint.Budget`) and the trace/stats
+timers all read time through this module instead of calling :mod:`time`
+directly.  That buys one thing: a test can :func:`set_clock` a
+:class:`FakeClock` and drive wall-clock budgets *synchronously* — no
+sleeping, no flaky margins — while production code keeps the real
+monotonic clock.
 
 ``monotonic()`` is the budget/deadline time base; ``perf_counter()`` the
 high-resolution span/stats time base; ``sleep()`` the only blocking wait.
@@ -35,8 +35,8 @@ class FakeClock(Clock):
     """A manually advanced clock for tests.
 
     ``sleep`` advances the clock instead of blocking (and records every
-    requested duration in :attr:`slept`), so code that waits — budget
-    deadlines, chaos ``delay_seconds`` — runs instantly
+    requested duration in :attr:`slept`), so code that waits on a budget
+    deadline runs instantly
     under test while still observing time pass.
     """
 

@@ -3,7 +3,7 @@
 ``PYTHONPATH=src python -m repro.obs.report BENCH_chase.json`` (or
 ``make stats``) prints a per-workload summary of the stats fields the
 bench harness embeds in its rows — rounds, trigger accounting, cache hit
-rate, delta shape, pool efficiency — next to each workload's headline
+rate, delta shape — next to each workload's headline
 speedup, so a trajectory diff answers "where did the time go" without
 replaying the run.
 
@@ -39,11 +39,6 @@ def _format_stats(stats: dict) -> str:
         parts.append(f"cache_hit={rate:.3f}")
     if stats.get("max_delta") is not None:
         parts.append(f"max_delta={stats['max_delta']}")
-    efficiency = stats.get("parallel_efficiency")
-    if efficiency is not None:
-        parts.append(f"pool_eff={efficiency:.2f}")
-    if stats.get("pool_fallbacks"):
-        parts.append(f"fallbacks={stats['pool_fallbacks']}")
     if stats.get("budget_cuts"):
         parts.append(f"cuts={stats['budget_cuts']}")
     return " ".join(parts) or "(no stats recorded)"
@@ -66,7 +61,6 @@ def print_report(report: dict, out=None) -> None:
     sections = (
         ("speedups", "speedup"),
         ("seminaive_speedups", "speedup"),
-        ("parallel_speedups", "speedup"),
         ("checkpoint_overheads", "overhead"),
         ("obs_overheads", "overhead"),
     )

@@ -4,10 +4,8 @@ One ``ChaseStats`` object rides through a chase (``stats=`` on
 ``restricted_chase``/``seminaive_chase``/``oblivious_chase``) or a decider
 run and accumulates the cost breakdown the serving/fleet ROADMAP items
 need: round and trigger accounting, per-TGD fire counts, witness-cache hit
-rate, per-round delta sizes and worklist depths, budget cuts, the parallel
-tier's serial-fallback tally, and worker busy-vs-wall efficiency (the
-worker-side timings ship back in the compact result rows and are merged
-master-side by :class:`repro.chase.parallel.ParallelMatcher`).
+rate, per-round delta sizes and worklist depths, budget cuts, and the
+apply/discovery phase split.
 
 The object is *passive*: engines write plain counters into it, so a run
 with stats attached is byte-identical to one without (enforced by
@@ -45,17 +43,10 @@ class ChaseStats:
         "cut_reasons",
         "checkpoints_captured",
         "checkpoints_restored",
-        "pool_fallbacks",
-        "rounds_parallel",
-        "rounds_serial",
-        "pool_workers",
-        "worker_busy_seconds",
-        "parallel_wall_seconds",
         "apply_seconds",
         "discover_join_seconds",
         "discover_materialize_seconds",
         "discover_order_seconds",
-        "merge_seconds",
         "wall_seconds",
         "suspects",
         "portfolio",
@@ -96,29 +87,15 @@ class ChaseStats:
         self.cut_reasons: List[str] = []
         self.checkpoints_captured = 0
         self.checkpoints_restored = 0
-        #: Pooled discovery rounds that failed and were recomputed serially
-        #: (each pins its run's matcher to the serial pass).
-        self.pool_fallbacks = 0
-        #: Discovery rounds that ran on the pool vs serially.
-        self.rounds_parallel = 0
-        self.rounds_serial = 0
-        #: Pool width of the matcher that fed this report (1 = serial).
-        self.pool_workers = 1
-        #: Sum of task durations (the master's own, and each child's shipped
-        #: back with its rows) vs the master-side wall of pooled rounds.
-        self.worker_busy_seconds = 0.0
-        self.parallel_wall_seconds = 0.0
-        #: Master-side phase accounting (only collected when stats ride
-        #: along — never on the bare hot path).  Discovery splits into its
-        #: layers: the join plans producing rows (serial or pooled), their
-        #: ``(birth, canonical)`` sort, and ordered rows -> Triggers plus
-        #: worklist append; :attr:`discover_seconds` is their sum.
+        #: Phase accounting (only collected when stats ride along — never
+        #: on the bare hot path).  Discovery splits into its layers: the
+        #: join plans producing rows, their ``(birth, canonical)`` sort,
+        #: and ordered rows -> Triggers plus worklist append;
+        #: :attr:`discover_seconds` is their sum.
         self.apply_seconds = 0.0
         self.discover_join_seconds = 0.0
         self.discover_materialize_seconds = 0.0
         self.discover_order_seconds = 0.0
-        #: Master-side wall concatenating pooled tasks' rows.
-        self.merge_seconds = 0.0
         #: Whole-run wall time as seen by the entry point.
         self.wall_seconds = 0.0
         #: Decider tier: one entry per divergence-suspect chase —
@@ -162,18 +139,6 @@ class ChaseStats:
             return None
         return self.cache_hits / self.cache_lookups
 
-    def parallel_efficiency(self) -> Optional[float]:
-        """Worker busy time over pool wall capacity (None without pool rounds).
-
-        1.0 means every worker was busy for the whole pooled-discovery
-        window; the resident-fleet ROADMAP item budgets against this.
-        """
-        if self.parallel_wall_seconds <= 0 or self.pool_workers <= 1:
-            return None
-        return self.worker_busy_seconds / (
-            self.parallel_wall_seconds * self.pool_workers
-        )
-
     # -- recording ---------------------------------------------------------
 
     def record_round(self, delta_size: int) -> None:
@@ -202,16 +167,6 @@ class ChaseStats:
         if witnesses is not None:
             self.cache_lookups += witnesses.lookups
             self.cache_hits += witnesses.hits
-
-    def absorb_matcher(self, matcher) -> None:
-        """Fold a matcher's pool counters in (call once, at run end)."""
-        self.pool_fallbacks += matcher.backend_fallbacks
-        self.rounds_parallel += matcher.rounds_parallel
-        self.rounds_serial += matcher.rounds_serial
-        self.pool_workers = max(self.pool_workers, matcher.workers)
-        self.worker_busy_seconds += matcher.busy_seconds
-        self.parallel_wall_seconds += matcher.pool_wall_seconds
-        self.merge_seconds += matcher.merge_seconds
 
     # -- reporting ---------------------------------------------------------
 
@@ -245,8 +200,6 @@ class ChaseStats:
             self.triggers_discovered,
             self.triggers_fired,
             self.triggers_vacuous,
-            self.worker_busy_seconds,
-            self.parallel_wall_seconds,
             self.sessions_opened,
             self.sessions_resumed,
             self.verdict_cache_hits,
@@ -275,13 +228,6 @@ class ChaseStats:
             "cut_reasons": list(self.cut_reasons),
             "checkpoints_captured": self.checkpoints_captured,
             "checkpoints_restored": self.checkpoints_restored,
-            "pool_fallbacks": self.pool_fallbacks,
-            "rounds_parallel": self.rounds_parallel,
-            "rounds_serial": self.rounds_serial,
-            "pool_workers": self.pool_workers,
-            "worker_busy_seconds": round(self.worker_busy_seconds, 6),
-            "parallel_wall_seconds": round(self.parallel_wall_seconds, 6),
-            "parallel_efficiency": self.parallel_efficiency(),
             "apply_seconds": round(self.apply_seconds, 6),
             "discover_seconds": round(self.discover_seconds, 6),
             "discover_join_seconds": round(self.discover_join_seconds, 6),
@@ -289,7 +235,6 @@ class ChaseStats:
                 self.discover_materialize_seconds, 6
             ),
             "discover_order_seconds": round(self.discover_order_seconds, 6),
-            "merge_seconds": round(self.merge_seconds, 6),
             "wall_seconds": round(self.wall_seconds, 6),
             "suspects": list(self.suspects),
             "portfolio": list(self.portfolio),
@@ -317,9 +262,6 @@ class ChaseStats:
                 f",materialize:{self.discover_materialize_seconds * 1e3:.3f}"
                 f",order:{self.discover_order_seconds * 1e3:.3f}"
             )
-        efficiency = self.parallel_efficiency()
-        if efficiency is not None:
-            parts.append(f"parallel_efficiency={efficiency:.3f}")
         if self.budget_cuts:
             parts.append(f"budget_cuts={self.budget_cuts}")
         if self.suspects:
@@ -356,12 +298,6 @@ BENCH_STATS_FIELDS = (
     "max_delta",
     "mean_delta",
     "budget_cuts",
-    "pool_fallbacks",
-    "rounds_parallel",
-    "pool_workers",
-    "worker_busy_seconds",
-    "parallel_wall_seconds",
-    "parallel_efficiency",
 )
 
 

@@ -12,10 +12,7 @@ Span names used across the engine (glossary in ``docs/OBSERVABILITY.md``):
 ====================  =====================================================
 ``chase.run``         one whole chase entry-point call
 ``round.apply``       one round's application sweep over the pending batch
-``round.discover``    one round's (serial or pooled) discovery pass
-``round.plan``        cutting the (tgd, pivot) × delta grid into tasks
-``round.exec``        draining the worker pool for one round
-``round.merge``       max-merging worker rows back into trigger order
+``round.discover``    one round's discovery pass
 ``decider.suspect``   one divergence-suspect chase + pump hunt
 ``checkpoint.capture``/``checkpoint.restore``  snapshot round-trips
 ====================  =====================================================

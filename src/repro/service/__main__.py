@@ -1,8 +1,8 @@
 """``python -m repro.service`` — boot the chase service.
 
 Also installed as the ``repro-serve`` console script.  Knobs mirror the
-service defaults: bind address, per-session chase workers, hard atom and
-round ceilings, and the default per-request wall envelope.
+service defaults: bind address, hard atom and round ceilings, the default
+per-request wall envelope, and the default storage backend.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=8080, help="bind port (0 = ephemeral)")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel chase workers per session round (1 = serial)",
-    )
     parser.add_argument(
         "--max-atoms",
         type=int,
@@ -65,7 +59,6 @@ def main(argv=None) -> int:
     run_server(
         host=args.host,
         port=args.port,
-        workers=args.workers,
         max_atoms=args.max_atoms,
         max_rounds=args.max_rounds,
         default_wall_seconds=args.wall_seconds,

@@ -5,8 +5,8 @@ TGD set alone — no database enters the question — so a termination verdict
 is perfectly shareable across every client that ships the same rule set.
 :class:`VerdictCache` realizes that sharing: entries are keyed by
 :func:`repro.tgds.tgd.tgd_set_digest`, the set-level extension of the
-digest-prefix identity guard that already protects checkpoint restore and
-matcher reuse (null invention depends on rule *names*, so the key is
+digest-prefix identity guard that already protects checkpoint restore
+(null invention depends on rule *names*, so the key is
 name-sensitive on purpose — two sets share a key exactly when they chase
 byte-identically).
 

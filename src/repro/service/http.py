@@ -24,12 +24,13 @@ reprs and are *output only* — chase-invented null names contain digest
 dots the fact grammar does not accept, which is intentional: invented
 nulls are the server's, clients talk in their own terms.
 
-The event loop never chases: session work runs in a thread pool
-(``loop.run_in_executor``) under each session's lock, so slow saturations
-block neither the accept loop nor each other.  Budget envelopes bound
-every request — a ``budget`` object in the payload, else the server's
-default wall cap — and a cut answers ``status: "timeout"`` with the
-session suspended and continuable, never a dropped connection.
+The event loop never chases and never waits on a session lock: every
+handler that takes one runs in a thread pool (``loop.run_in_executor``),
+so slow saturations block neither the accept loop nor each other.
+Budget envelopes bound every request — a ``budget`` object in the
+payload, else the server's default wall cap — and a cut answers
+``status: "timeout"`` with the session suspended and continuable, never
+a dropped connection.
 
 Errors follow :class:`repro.errors.ServiceError`: the carried status
 becomes the HTTP code and the message the JSON ``error`` body.  Each
@@ -267,10 +268,10 @@ class ChaseServer:
         return result
 
     async def _list_sessions(self, _payload) -> dict:
-        return {"sessions": self.service.list_sessions()}
+        return {"sessions": await self._run(self.service.list_sessions)}
 
     async def _session_info(self, _payload, session_id: str) -> dict:
-        return self.service.get(session_id).info()
+        return await self._run(self.service.get(session_id).info)
 
     async def _session_atoms(self, _payload, session_id: str) -> dict:
         session = self.service.get(session_id)
@@ -290,7 +291,7 @@ class ChaseServer:
         return result
 
     async def _delete_session(self, _payload, session_id: str) -> dict:
-        return self.service.delete(session_id)
+        return await self._run(self.service.delete, session_id)
 
     async def _analyze(self, payload: dict) -> dict:
         tgds = parse_tgd_payload(payload.get("tgds"))
@@ -370,8 +371,7 @@ def run_server(
     async def main():
         await server.start()
         print(
-            f"chase service listening on http://{server.host}:{server.port} "
-            f"(workers={server.service.workers})",
+            f"chase service listening on http://{server.host}:{server.port}",
             flush=True,
         )
         # Shut down through server.stop() on SIGINT/SIGTERM: open sessions

@@ -163,18 +163,17 @@ class ChaseSession:
         session_id: str,
         tgds: Sequence[TGD],
         base_facts: Iterable[Atom],
-        workers: int = 1,
         max_atoms: int = DEFAULT_MAX_ATOMS,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         backend=None,
     ):
         self._open(
-            session_id, tgds, workers, max_atoms, max_rounds, backend,
+            session_id, tgds, max_atoms, max_rounds, backend,
             database=Instance(base_facts),
         )
 
     def _open(
-        self, session_id, tgds, workers, max_atoms, max_rounds, backend,
+        self, session_id, tgds, max_atoms, max_rounds, backend,
         database=None, checkpoint=None,
     ) -> None:
         """The one field setup behind ``__init__`` and :meth:`from_checkpoint`."""
@@ -182,7 +181,6 @@ class ChaseSession:
         self.tgds = tuple(tgds)
         #: The verdict-cache key of this session's rule set.
         self.digest = tgd_set_digest(self.tgds)
-        self.workers = workers
         self.max_atoms = max_atoms
         self.max_rounds = max_rounds
         #: The resolved storage backend of this session's instance.
@@ -190,8 +188,7 @@ class ChaseSession:
         # Unpruned, witness-free: the oblivious closure (see module
         # docstring for why sessions must serve the confluent semantics).
         self.engine = ChaseEngine(
-            database, self.tgds, "oblivious", checkpoint, workers,
-            backend=self.backend,
+            database, self.tgds, "oblivious", checkpoint, backend=self.backend
         )
         #: Atom-producing applications, the same accounting
         #: ``oblivious_chase`` reports (rounds live on the engine).
@@ -214,7 +211,6 @@ class ChaseSession:
         session_id: str,
         tgds: Sequence[TGD],
         checkpoint: ChaseCheckpoint,
-        workers: int = 1,
         max_atoms: int = DEFAULT_MAX_ATOMS,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         backend=None,
@@ -226,7 +222,7 @@ class ChaseSession:
         """
         session = cls.__new__(cls)
         session._open(
-            session_id, tgds, workers, max_atoms, max_rounds, backend,
+            session_id, tgds, max_atoms, max_rounds, backend,
             checkpoint=checkpoint,
         )
         return session
@@ -308,7 +304,6 @@ class ChaseSession:
                 "applications": self.applications,
                 "facts_accepted": self.facts_accepted,
                 "increments": self.increments,
-                "workers": self.workers,
                 "backend": self.backend.describe(),
                 # Read off the engine, so a restored suspension reports too.
                 "suspended": bool(self.engine.pending) or self.engine.mid_round(),
@@ -344,7 +339,6 @@ class ChaseService:
 
     def __init__(
         self,
-        workers: int = 1,
         max_atoms: int = DEFAULT_MAX_ATOMS,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         default_wall_seconds: Optional[float] = DEFAULT_WALL_SECONDS,
@@ -352,7 +346,6 @@ class ChaseService:
         stats: Optional[ChaseStats] = None,
         backend=None,
     ):
-        self.workers = workers
         self.max_atoms = max_atoms
         self.max_rounds = max_rounds
         self.default_wall_seconds = default_wall_seconds
@@ -393,7 +386,6 @@ class ChaseService:
             session_id,
             tgds,
             [],
-            workers=self.workers,
             max_atoms=self.max_atoms,
             max_rounds=self.max_rounds,
             backend=spec,

@@ -79,7 +79,7 @@ class TGD:
     def __reduce__(self):
         # The immutable __setattr__ defeats default slot unpickling; rebuild
         # through __init__ (re-deriving the cached frontier/digest state) so
-        # TGDs can cross process-pool boundaries.
+        # TGDs pickle, as checkpoints need.
         return (type(self), (self.body, self.head, self.name))
 
     @staticmethod
@@ -115,8 +115,8 @@ class TGD:
     def body_order(self) -> Tuple[Variable, ...]:
         """The body variables in canonical (name) order.
 
-        Trigger keys and the parallel workers' compact rows list a body
-        binding in this order.
+        Trigger keys and the join plans' compact rows list a body binding
+        in this order.
         """
         return self._body_order
 
@@ -321,9 +321,9 @@ def tgd_set_digest(tgds: Sequence[TGD]) -> str:
     """A stable hex digest identifying an *ordered* TGD list.
 
     Hashes the concatenated :meth:`TGD.digest_prefix` values — the same
-    name-sensitive identity the trigger digests, checkpoint restore, and
-    matcher guards key off, so two sets share a digest exactly when they
-    would chase byte-identically (same rules, same names, same order).
+    name-sensitive identity the trigger digests and checkpoint restore
+    key off, so two sets share a digest exactly when they would chase
+    byte-identically (same rules, same names, same order).
     This is the memoization key of the service layer's verdict cache:
     termination is a property of the TGD set alone (the paper's
     all-instances framing), so one digest indexes the verdict for every

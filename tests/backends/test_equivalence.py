@@ -2,28 +2,24 @@
 
 The backend is storage, not semantics: every chase variant must produce a
 byte-identical run — instance, ``sorted_atoms`` serialization, derivation
-keys, round/application counts — on sqlite as on memory, serial and
-pooled.  Checkpoints captured on one backend must restore onto the other.
+keys, round/application counts — on sqlite as on memory.  Checkpoints
+captured on one backend must restore onto the other.
 """
-
-import os
 
 import pytest
 
-from repro.backends.spec import ENV_VAR
+from repro.backends.spec import ENV_VAR, make_instance
 from repro.backends.sqlite import SQLiteInstance
 from repro.chase.checkpoint import Budget, ChaseCheckpoint
 from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase, seminaive_chase
+from repro.core.parsing import parse_atoms
 from repro.errors import ChaseInterrupted
 from repro.guarded.decision import canonical_body_database
 from repro.termination.portfolio import TerminationPortfolio
 from repro.tgds.generators import GeneratorProfile, corpus
 from repro.tgds.tgd import parse_tgds
-
-#: Worker counts for the pooled arm (kept small: every case runs twice).
-WORKERS = [int(w) for w in os.environ.get("CHASE_EQUIV_WORKERS", "1,4").split(",")]
 
 PROFILE = GeneratorProfile(
     num_predicates=2, max_arity=2, num_tgds=3, existential_probability=0.8
@@ -61,15 +57,12 @@ class TestChaseEquivalence:
         ]
         identical(memory_run, sqlite_run)
 
-    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("case", range(0, len(CASES), 3))
-    def test_seminaive_pooled(self, case, workers):
+    def test_seminaive(self, case):
         _, tgds = CASES[case]
         database = canonical_body_database(tgds[0])
         memory_run = seminaive_chase(database, tgds, max_steps=200)
-        sqlite_run = seminaive_chase(
-            database, tgds, max_steps=200, workers=workers, backend="sqlite"
-        )
+        sqlite_run = seminaive_chase(database, tgds, max_steps=200, backend="sqlite")
         assert memory_run.rounds == sqlite_run.rounds
         identical(memory_run, sqlite_run)
 
@@ -106,6 +99,29 @@ class TestChaseEquivalence:
             assert memory_verdict.status == sqlite_verdict.status
             assert memory_verdict.method == sqlite_verdict.method
         assert memory_verdicts[-1].method == "guarded-replay"
+
+
+class TestBucketViews:
+    def test_views_answer_a_predicate_terms_pair_alike(self):
+        # An atom equals its ``(predicate, terms)`` pair, so a bucket view
+        # answers the pair as it answers the atom, on either backend.
+        atoms = parse_atoms("R(a,b), R(b,c), S(a,b)", data=True)
+        a = atoms[0].terms[0]
+        answers = {}
+        for backend in ("memory", "sqlite"):
+            instance = make_instance(backend, atoms=atoms)
+            try:
+                views = [instance.with_predicate("R"), instance.with_term_at("R", 1, a)]
+                answers[backend] = [
+                    ((atom.predicate, atom.terms) in view, atom in view)
+                    for view in views
+                    for atom in atoms
+                ]
+            finally:
+                getattr(instance, "close", lambda: None)()
+        hit, miss = (True, True), (False, False)
+        assert answers["memory"] == [hit, hit, miss, hit, miss, miss]
+        assert answers["sqlite"] == answers["memory"]
 
 
 DIVERGING = parse_tgds(["R(x,y) -> R(y,z)"])

@@ -12,15 +12,12 @@ from check_regression import gate, gc_tracked_violations, spread_lines  # noqa: 
 def make_report(
     indexed_speedup=30.0,
     seminaive_speedup=2.5,
-    parallel_speedup=2.0,
     checkpoint_overhead=1.05,
     obs_overhead=1.02,
     identical=True,
     seminaive_identical=True,
-    parallel_identical=True,
     checkpoint_identical=True,
     obs_identical=True,
-    cpu_count=8,
     portfolio_agreement=True,
     portfolio_settled=0.9,
     portfolio_speedup=20.0,
@@ -34,8 +31,6 @@ def make_report(
         "acceptance": {
             "threshold": 5.0,
             "seminaive_threshold": 2.0,
-            "parallel_threshold": 1.5,
-            "parallel_gate_min_cpus": 4,
             "checkpoint_overhead_threshold": 1.1,
             "obs_overhead_threshold": 1.05,
             "portfolio_settled_floor": 0.5,
@@ -97,17 +92,6 @@ def make_report(
                 "speedup": seminaive_speedup,
                 "identical_instances": seminaive_identical,
                 "identical_derivations": True,
-            }
-        ],
-        "parallel_speedups": [
-            {
-                "workload": "parallel_join",
-                "size": 64,
-                "speedup": parallel_speedup,
-                "identical_instances": parallel_identical,
-                "identical_derivations": True,
-                "workers": 4,
-                "cpu_count": cpu_count,
             }
         ],
         "checkpoint_overheads": [
@@ -198,37 +182,6 @@ def test_missing_seminaive_section_is_fatal():
 def test_margin_loosens_the_floor():
     assert gate(make_report(indexed_speedup=4.5), margin=1.0)
     assert gate(make_report(indexed_speedup=4.5), margin=0.8) == []
-
-
-def test_parallel_regression_caught_on_big_hosts():
-    failures = gate(make_report(parallel_speedup=1.1, cpu_count=8), margin=1.0)
-    assert any("parallel_join" in f and "below" in f for f in failures)
-
-
-def test_parallel_floor_not_enforced_on_small_hosts():
-    # A 1-CPU host cannot beat serial with a pool; the gate records a note
-    # instead of a failure (rows carry cpu_count for exactly this call).
-    failures = gate(make_report(parallel_speedup=0.9, cpu_count=1), margin=1.0)
-    assert not any(
-        "parallel" in f for f in failures if not f.startswith("note:")
-    )
-    assert any(f.startswith("note: parallel_join") for f in failures)
-
-
-def test_parallel_equivalence_fatal_even_on_small_hosts():
-    failures = gate(
-        make_report(parallel_identical=False, cpu_count=1), margin=1.0
-    )
-    assert any(
-        f.startswith("equivalence: parallel_join") for f in failures
-    )
-
-
-def test_missing_parallel_section_is_fatal():
-    report = make_report()
-    del report["parallel_speedups"]
-    failures = gate(report, margin=1.0)
-    assert any("no parallel_speedups" in f for f in failures)
 
 
 def test_checkpoint_overhead_regression_caught():

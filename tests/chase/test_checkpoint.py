@@ -6,9 +6,9 @@ mid-round — and resumed from its pickled checkpoint must finish
 byte-identically to the uninterrupted run: same instance (insertion order
 included), same derivation log, same verdict, same step/round counters.
 These tests enforce that property over the generator corpus for every cut
-depth (first round, second, middle, last) at 1 and 4 workers, and cover
-the guard rails: kind/digest/version validation, RNG-strategy rejection,
-and the deciders' ``TIMEOUT`` verdicts.
+depth (first round, second, middle, last), and cover the guard rails:
+kind/digest/version validation, RNG-strategy rejection, the deciders'
+``TIMEOUT`` verdicts, and the pickle formats a checkpoint is made of.
 """
 
 import pickle
@@ -17,14 +17,15 @@ from pathlib import Path
 import pytest
 
 from repro.core.atoms import Atom
-from repro.core.instance import Database
-from repro.core.terms import Constant
-from repro.chase import parallel
+from repro.core.instance import Database, Delta, Instance
+from repro.core.substitution import Substitution
+from repro.core.terms import Constant, Variable
 from repro.chase.checkpoint import CHECKPOINT_VERSION, Budget, ChaseCheckpoint
 from repro.chase.engine import ChaseEngine
 from repro.chase.multihead import example_b1_tgds, multihead_restricted_chase
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase, seminaive_chase
+from repro.chase.trigger import Trigger
 from repro.errors import ChaseInterrupted, CheckpointError, ReproError
 from repro.guarded.decision import candidate_databases, decide_guarded, scan_suspects
 from repro.termination.portfolio import TerminationPortfolio, decide
@@ -70,7 +71,7 @@ def assert_identical(cold, resumed):
     assert cold.rounds == resumed.rounds
 
 
-def interrupt_then_resume(database, tgds, budget, workers=1):
+def interrupt_then_resume(database, tgds, budget):
     """Run under ``budget``; on interrupt, resume the (pickled) checkpoint.
 
     Returns ``(result, interrupted)`` where ``interrupted`` says whether the
@@ -79,7 +80,7 @@ def interrupt_then_resume(database, tgds, budget, workers=1):
     try:
         return (
             seminaive_chase(
-                database, tgds, max_steps=MAX_STEPS, workers=workers, budget=budget
+                database, tgds, max_steps=MAX_STEPS, budget=budget
             ),
             False,
         )
@@ -89,7 +90,7 @@ def interrupt_then_resume(database, tgds, budget, workers=1):
         checkpoint = pickle.loads(pickle.dumps(error.checkpoint))
         return (
             seminaive_chase(
-                None, tgds, max_steps=MAX_STEPS, workers=workers, resume=checkpoint
+                None, tgds, max_steps=MAX_STEPS, resume=checkpoint
             ),
             True,
         )
@@ -98,10 +99,8 @@ def interrupt_then_resume(database, tgds, budget, workers=1):
 class TestResumeByteIdentical:
     """The tentpole property, over the generator corpus."""
 
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_round_boundary_cuts(self, family, workers, monkeypatch):
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+    def test_round_boundary_cuts(self, family):
         interrupted_somewhere = False
         multi_round_seen = False
         for tgds in corpus(family, 3, base_seed=1307, profile=PROFILE):
@@ -115,7 +114,7 @@ class TestResumeByteIdentical:
                 )
                 for k in cuts:
                     resumed, interrupted = interrupt_then_resume(
-                        database, tgds, Budget(max_rounds=k), workers=workers
+                        database, tgds, Budget(max_rounds=k)
                     )
                     interrupted_somewhere = interrupted_somewhere or interrupted
                     assert_identical(cold, resumed)
@@ -261,6 +260,71 @@ class TestResumeByteIdentical:
             None, DIVERGING_TGDS, max_steps=40, resume=excinfo.value.checkpoint
         )
         assert_identical(cold, resumed)
+
+
+#: A two-atom body: its pickle must carry the frontier order.
+JOIN_TGD = parse_tgds(["F(x,y), F(y,z) -> T(x,z)"])[0]
+
+
+class TestPickling:
+    """The pickle formats checkpoints and their rows ride on."""
+
+    def test_atom_round_trip(self):
+        atom = Atom("R", [Constant("a"), Constant("b")])
+        assert pickle.loads(pickle.dumps(atom)) == atom
+
+    def test_substitution_round_trip(self):
+        sub = Substitution({Variable("x"): Constant("a")})
+        assert pickle.loads(pickle.dumps(sub)) == sub
+
+    def test_tgd_round_trip(self):
+        tgd = JOIN_TGD
+        back = pickle.loads(pickle.dumps(tgd))
+        assert back == tgd and back.name == tgd.name
+        assert back.frontier_order == tgd.frontier_order
+
+    def test_trigger_round_trip_preserves_key_and_result(self):
+        tgd = CHAIN_TGDS[0]
+        trigger = Trigger(tgd, {Variable("x"): Constant("a"), Variable("y"): Constant("b")})
+        back = pickle.loads(pickle.dumps(trigger))
+        assert back.key == trigger.key
+        assert back.result() == trigger.result()
+        assert back.canonical_key == trigger.canonical_key
+
+    def test_instance_round_trip_preserves_insertion_order(self):
+        atoms = [Atom("R", [Constant(f"c{i}"), Constant("a")]) for i in (3, 1, 2)]
+        instance = Instance(atoms)
+        back = pickle.loads(pickle.dumps(instance))
+        assert list(back) == atoms
+        # Index buckets are rebuilt in the same (insertion) order.
+        assert list(back.with_term_at("R", 2, Constant("a"))) == atoms
+
+    def test_database_round_trip_stays_a_database(self):
+        db = chain_database(3)
+        back = pickle.loads(pickle.dumps(db))
+        assert isinstance(back, Database)
+        assert back.sorted_atoms() == db.sorted_atoms()
+
+    def test_delta_snapshot_round_trip(self):
+        # Deltas cross process boundaries only inside checkpoints, as an
+        # explicit snapshot (see chase/checkpoint.py).
+        instance = Instance()
+        delta = instance.track_delta()
+        atoms = [Atom("R", [Constant(f"c{i}")]) for i in range(3)]
+        for atom in atoms:
+            instance.add(atom)
+        instance.take_delta()
+        items, counter = pickle.loads(pickle.dumps((delta.snapshot(), len(delta))))
+        back = Delta._restore(items, counter)
+        assert back.atoms() == atoms
+        assert [back.positions()[a] for a in atoms] == [0, 1, 2]
+        assert list(back.with_predicate("R")) == atoms
+
+    def test_delta_snapshot_export(self):
+        delta = Delta()
+        atom = Atom("R", [Constant("a")])
+        delta.record(atom)
+        assert delta.snapshot() == [(atom, 0)]
 
 
 #: A version-3 blob written before triggers became tuples: a semi-naive

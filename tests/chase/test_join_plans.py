@@ -20,11 +20,9 @@ check the chain of generated functions a plan deeper than CPython's
 nested-block limit compiles into; rules renamed to awkward predicate and
 constant names check that no name reaches the generated source and that
 equal shapes share one kernel.  Instances come from the default backend,
-so the tier-1 ``CHASE_BACKEND=sqlite`` job runs the same checks on disk;
-the pool tests fan out at the widths in ``CHASE_EQUIV_WORKERS``.
+so the tier-1 ``CHASE_BACKEND=sqlite`` job runs the same checks on disk.
 """
 
-import os
 import random
 
 import pytest
@@ -33,10 +31,7 @@ from repro.backends import make_instance
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.terms import Constant, Variable
-from repro.chase import parallel
 from repro.chase.engine import ChaseEngine
-from repro.chase.oblivious import oblivious_chase
-from repro.chase.parallel import ParallelMatcher
 from repro.chase.plans import LOOPS_PER_FUNCTION, RuleTables, discovery_rows
 from repro.chase.restricted import exists_derivation_of_length, restricted_chase
 from repro.chase.trigger import new_triggers, seminaive_triggers
@@ -44,10 +39,6 @@ from repro.errors import SearchBudgetExceeded
 from repro.guarded.decision import candidate_databases
 from repro.tgds.generators import GeneratorProfile, corpus
 from repro.tgds.tgd import TGD, parse_tgds
-
-WORKERS = [
-    int(w) for w in os.environ.get("CHASE_EQUIV_WORKERS", "2,4").split(",")
-]
 
 NODES = [Constant(name) for name in "abcd"]
 x, y, z, w = (Variable(name) for name in "xyzw")
@@ -361,23 +352,6 @@ def test_plan_order_prefers_bound_positions():
     assert tgd.join_plans() is tgd.join_plans()
 
 
-@pytest.mark.parametrize("workers", WORKERS)
-def test_pool_runs_the_same_plans(workers, monkeypatch):
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
-    for seed in range(3):
-        for case in ("constants", "repeat_at_step", "self_joins", "equal_rules_renamed"):
-            tgds = CASES[case] + random_rules(seed)
-            instance, delta = random_round(seed, old=12, new=14)
-            try:
-                serial = seminaive_triggers(tgds, instance, delta)
-                matcher = ParallelMatcher(tgds, workers=workers)
-                fanned = matcher.discover(instance, delta)
-                assert matcher.rounds_parallel == 1
-                assert identity(fanned) == identity(serial)
-            finally:
-                close(instance)
-
-
 def engine_batches(tgds, seed_facts, injected, steps=12):
     """Seed an engine, inject ``injected``, then apply ``steps`` pending
     triggers in FIFO order; after each of the three, check the enqueued
@@ -564,31 +538,15 @@ def test_long_bodies_match_the_reference(old):
     assert {t.tgd.name for t in found} == {"chain25", "closed40"}
 
 
-@pytest.mark.parametrize("workers", WORKERS)
-def test_long_bodies_on_the_pool(workers, monkeypatch):
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
-    instance, delta = build_round(figure_eight(), 3)
-    try:
-        serial = seminaive_triggers(LONG, instance, delta)
-        matcher = ParallelMatcher(LONG, workers=workers)
-        fanned = matcher.discover(instance, delta)
-        assert matcher.rounds_parallel == 1
-        assert serial and identity(fanned) == identity(serial)
-    finally:
-        close(instance)
-
-
-@pytest.mark.parametrize("workers", [1] + WORKERS)
-def test_long_bodies_chase_semi_naive(workers, monkeypatch):
+def test_long_bodies_chase_semi_naive():
     # R arrives through a copy rule, so the long bodies join a delta of
     # atoms with distinct births in the second round.
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
     copy = TGD([Atom("E", [x, y])], R(x, y), name="copy")
     tgds = [copy] + LONG
     database = Instance(
         [Atom("E", atom.terms) if atom.predicate == "R" else atom for atom in figure_eight()]
     )
-    semi = restricted_chase(database, tgds, strategy="semi_naive", workers=workers)
+    semi = restricted_chase(database, tgds, strategy="semi_naive")
     fifo = restricted_chase(database, tgds, strategy="fifo")
     assert semi.terminated and semi.rounds == 2
     semi.derivation.validate(tgds, require_terminal=True)
@@ -659,7 +617,7 @@ def test_zero_arity_pivot_emits_empty_values():
 
 # -- exactly once, with no runtime dedup ------------------------------------
 
-#: The generator corpus' dense-existential profile (as the parallel suite's).
+#: The generator corpus' dense-existential profile (as the semi-naive suite's).
 PROFILE = GeneratorProfile(
     num_predicates=2, max_arity=2, num_tgds=3, existential_probability=0.8
 )
@@ -712,18 +670,6 @@ def test_no_key_enqueued_twice_seeding_steps_and_rounds(strategy, monkeypatch):
     log = EnqueueLog(monkeypatch)
     for tgds, database in corpus_runs():
         restricted_chase(database, tgds, strategy=strategy, max_steps=40, prune=False)
-    assert log.enqueued > 100
-
-
-@pytest.mark.parametrize("workers", WORKERS)
-def test_no_key_enqueued_twice_on_the_pool(workers, monkeypatch):
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
-    log = EnqueueLog(monkeypatch)
-    for tgds, database in corpus_runs()[::3]:
-        restricted_chase(
-            database, tgds, strategy="semi_naive", max_steps=40, workers=workers
-        )
-        oblivious_chase(database, tgds, max_atoms=200, max_rounds=4, workers=workers)
     assert log.enqueued > 100
 
 

@@ -5,17 +5,16 @@ workloads:
 
 * **passivity** — a chase with a ``ChaseStats`` sink attached produces a
   byte-identical run (instance, derivation, steps, verdict) to the bare
-  one, serial and pooled alike;
+  one;
 * **accuracy** — the filled stats satisfy their own invariants
   (``validate()`` is empty), agree with the result's headline numbers,
   and the spans/stats/log events land where the glossary says.
 
-Plus the FakeClock payoff: wall-clock budgets and chaos delays drive
-synchronously, with zero real sleeping.
+Plus the FakeClock payoff: wall-clock budgets drive synchronously, with
+zero real sleeping.
 """
 
 import json
-import logging
 
 import pytest
 
@@ -23,7 +22,6 @@ from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.parsing import parse_database
 from repro.core.terms import Constant
-from repro.chase import parallel
 from repro.chase.checkpoint import Budget
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
@@ -36,7 +34,6 @@ from repro.tgds.generators import GeneratorProfile, corpus
 from repro.tgds.tgd import parse_tgds
 
 from repro.guarded.decision import candidate_databases
-from tests.chase.chaos import ChaosMatcher, ChaosPolicy
 
 PROFILE = GeneratorProfile(
     num_predicates=2, max_arity=2, num_tgds=3, existential_probability=0.8
@@ -80,10 +77,8 @@ def fake_clock():
 class TestPassivity:
     """Stats attached changes not a single byte."""
 
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("family", ["linear", "guarded"])
-    def test_generator_corpus(self, workers, family, monkeypatch):
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+    def test_generator_corpus(self, family):
         for tgds in corpus(family, 2, base_seed=5, profile=PROFILE):
             for database in candidate_databases(tgds)[:2]:
                 for max_steps in (7, 30):
@@ -92,7 +87,6 @@ class TestPassivity:
                         tgds,
                         strategy="semi_naive",
                         max_steps=max_steps,
-                        workers=workers,
                     )
                     stats = ChaseStats()
                     observed = restricted_chase(
@@ -100,7 +94,6 @@ class TestPassivity:
                         tgds,
                         strategy="semi_naive",
                         max_steps=max_steps,
-                        workers=workers,
                         stats=stats,
                     )
                     assert_identical_runs(bare, observed)
@@ -217,25 +210,6 @@ class TestAccuracy:
         # fired <= discovered invariant holds across the seam too.
         assert resumed.triggers_fired <= resumed.triggers_discovered
 
-    def test_pool_rounds_and_efficiency(self, monkeypatch):
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
-        stats = ChaseStats()
-        result = restricted_chase(
-            ring_database(10),
-            JOIN_TGDS,
-            strategy="semi_naive",
-            workers=2,
-            stats=stats,
-        )
-        assert result.terminated
-        assert stats.pool_workers == 2
-        assert stats.rounds_parallel >= 1
-        assert stats.worker_busy_seconds >= 0
-        assert stats.parallel_wall_seconds > 0
-        efficiency = stats.parallel_efficiency()
-        assert efficiency is not None and efficiency >= 0
-        assert stats.validate() == []
-
     def test_decider_suspect_entries(self):
         from repro.guarded.decision import decide_guarded
 
@@ -290,25 +264,6 @@ class TestTraceSpans:
         names = {event["name"] for event in document["traceEvents"]}
         assert {"chase.run", "round.apply", "round.discover"} <= names
 
-    def test_pooled_run_emits_pool_spans(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
-        path = tmp_path / "trace.json"
-        trace.start_trace(str(path))
-        try:
-            restricted_chase(
-                ring_database(10),
-                JOIN_TGDS,
-                strategy="semi_naive",
-                workers=2,
-            )
-        finally:
-            trace.stop_trace()
-        names = {
-            event["name"]
-            for event in json.loads(path.read_text())["traceEvents"]
-        }
-        assert {"round.plan", "round.exec", "round.merge"} <= names
-
     def test_budget_cut_emits_instant(self, tmp_path):
         path = tmp_path / "trace.json"
         trace.start_trace(str(path))
@@ -352,37 +307,3 @@ class TestFakeClockIntegration:
             )
         assert excinfo.value.reason == "budget:wall"
         assert stats.cut_reasons == ["budget:wall"]
-
-    def test_chaos_delay_observable_without_sleeping(
-        self, fake_clock, caplog, monkeypatch
-    ):
-        from repro.chase.engine import ChaseEngine
-
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
-
-        engine = ChaseEngine(ring_database(8), JOIN_TGDS)
-        engine.instance.track_delta()
-        for trigger in engine.take_pending():
-            if engine.is_active(trigger):
-                atom = trigger.result()
-                if engine.instance.add(atom):
-                    engine.witnesses.note(atom)
-        delta = engine.instance.take_delta()
-        policy = ChaosPolicy(
-            seed=7, kill_rate=0.0, delay_rate=1.0, corrupt_rate=0.0,
-            delay_seconds=0.25,
-        )
-        matcher = ChaosMatcher(JOIN_TGDS, policy, workers=2)
-        with caplog.at_level(logging.DEBUG, logger="tests.chase.chaos"):
-            matcher.discover(engine.instance, delta)
-        assert matcher.faults["delay"] >= 1
-        # Every injected delay fast-forwarded the fake clock — no blocking.
-        assert fake_clock.slept.count(0.25) == matcher.faults["delay"]
-        injected = [
-            record for record in caplog.records
-            if getattr(record, "event", "") == "chaos.inject"
-        ]
-        assert injected
-        assert all(
-            record.event_fields["fault"] == "delay" for record in injected
-        )

@@ -9,7 +9,7 @@ order — including rules whose canonical leads are prefixes of one another
 and many same-birth rows of one rule.
 
 :class:`repro.chase.plans.RuleTables` is taken once by its owner (an
-engine, a matcher, a weakly-restricted chase) and kept for every round;
+engine, a weakly-restricted chase) and kept for every round;
 the next owner over the identical rule objects shares them
 (:meth:`RuleTables.of`).  The tables of an equal but distinct list (whose
 rule names may differ, and names feed the null digests) hold that list's

@@ -11,9 +11,12 @@ delta tracking, the batched ``seminaive_triggers`` discovery (set equality
 budget cuts.
 """
 
+import random
+
 import pytest
 
 from repro.core.atoms import Atom
+from repro.core.homomorphism import homomorphisms
 from repro.core.instance import Database, Delta, Instance
 from repro.core.parsing import parse_database
 from repro.core.terms import Constant
@@ -25,7 +28,13 @@ from repro.chase.multihead import (
 )
 from repro.chase.oblivious import oblivious_chase, satisfies_all
 from repro.chase.restricted import restricted_chase, seminaive_chase
-from repro.chase.trigger import new_triggers, seminaive_triggers, triggers_on
+from repro.chase.trigger import (
+    Trigger,
+    new_triggers,
+    seminaive_triggers,
+    triggers_of,
+    triggers_on,
+)
 from repro.chase.weakly_restricted import WeaklyRestrictedChase, extract_derivation
 from repro.guarded.decision import candidate_databases
 from repro.tgds.generators import GeneratorProfile, corpus
@@ -294,6 +303,60 @@ class TestSeminaiveDiscovery:
     def test_empty_delta(self):
         tgds = parse_tgds(["R(x,y) -> S(x)"])
         assert seminaive_triggers(tgds, Instance(), Delta()) == []
+
+
+#: Triangle and 4-cycle closing rules: every cycle through the delta is
+#: reachable from several pivots, which is what exactly-once must collapse.
+CYCLE_TGDS = parse_tgds(
+    [
+        "F(x,y), F(y,z), F(z,x) -> T(x,y,z)",
+        "F(x,y), F(y,z), F(z,w), F(w,x) -> Q(x,y,z,w)",
+    ]
+)
+
+
+def cycle_round(seed: int, nodes: int = 6, old: int = 8, new: int = 10):
+    """A random digraph (self-loops allowed): ``old`` edges, then a delta."""
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(nodes) for b in range(nodes)]
+    edges = [
+        Atom("F", [Constant(f"v{a}"), Constant(f"v{b}")])
+        for a, b in rng.sample(pairs, old + new)
+    ]
+    instance = Instance(edges[:old])
+    delta = instance.track_delta()
+    for edge in edges[old:]:
+        instance.add(edge)
+    instance.take_delta()
+    return instance, delta
+
+
+class TestExactlyOnceDiscovery:
+    """Each trigger surfaces at one pivot hit, already at its final birth."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_trigger_per_unique_trigger_at_max_birth(self, seed):
+        instance, delta = cycle_round(seed)
+        rows = []
+        for tgd_index, tgd in enumerate(CYCLE_TGDS):
+            for plan in tgd.join_plans():
+                bucket = delta.with_predicate(plan.predicate)
+                plan.match(bucket, instance, delta.positions(), tgd_index, rows)
+        # The join emits plain rows; Triggers come from triggers_of.
+        assert all(type(row) is tuple and len(row) == 3 for row in rows)
+        triggers = triggers_of(CYCLE_TGDS, rows)
+        keys = [trigger.key for trigger in triggers]
+        assert len(triggers) == len(rows) == len(set(keys))
+        expected = {
+            Trigger(tgd, h).key
+            for tgd in CYCLE_TGDS
+            for h in homomorphisms(tgd.body, instance)
+            if any(atom.apply(h) in delta for atom in tgd.body)
+        }
+        assert expected and set(keys) == expected
+        for (_, _, birth), trigger in zip(rows, triggers):
+            image = [atom for atom in trigger.body_image() if atom in delta]
+            assert birth == max(delta.positions()[atom] for atom in image)
 
 
 class TestRunRound:

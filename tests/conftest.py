@@ -2,21 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.core.parsing import parse_database
 from repro.tgds.tgd import parse_tgds
-from tests.chase.chaos import CHAOS_SEED_ENV, install_seeded_chaos
-
-
-@pytest.fixture(autouse=True)
-def seeded_chaos(monkeypatch):
-    """Under ``CHASE_CHAOS_SEED`` (``make test-chaos``), every chase engine
-    gets a ``ChaosMatcher`` drawing faults from the seed's schedule."""
-    if os.environ.get(CHAOS_SEED_ENV):
-        install_seeded_chaos(monkeypatch)
 
 
 @pytest.fixture

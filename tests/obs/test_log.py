@@ -33,16 +33,16 @@ class TestLogEvent:
     def test_attaches_structured_attributes(self, caplog):
         logger = get_logger("repro.obs.test")
         with caplog.at_level(logging.DEBUG, logger="repro.obs.test"):
-            log_event(logger, logging.DEBUG, "chaos.inject", fault="kill")
+            log_event(logger, logging.DEBUG, "checkpoint.restore", kind="oblivious")
         record = caplog.records[0]
-        assert record.event == "chaos.inject"
-        assert record.event_fields == {"fault": "kill"}
+        assert record.event == "checkpoint.restore"
+        assert record.event_fields == {"kind": "oblivious"}
 
     def test_no_fields_renders_bare_event(self, caplog):
         logger = get_logger("repro.obs.test")
         with caplog.at_level(logging.INFO, logger="repro.obs.test"):
-            log_event(logger, logging.INFO, "pool.spawned")
-        assert caplog.records[0].getMessage() == "pool.spawned"
+            log_event(logger, logging.INFO, "checkpoint.capture")
+        assert caplog.records[0].getMessage() == "checkpoint.capture"
 
     def test_disabled_level_short_circuits(self, caplog):
         logger = get_logger("repro.obs.test")

@@ -45,21 +45,6 @@ class TestDerived:
         assert stats.cache_misses == 6
         assert stats.cache_hit_rate() == 0.4
 
-    def test_parallel_efficiency_needs_pool_rounds(self):
-        stats = ChaseStats()
-        assert stats.parallel_efficiency() is None
-        stats.pool_workers = 4
-        stats.parallel_wall_seconds = 2.0
-        stats.worker_busy_seconds = 4.0
-        assert stats.parallel_efficiency() == 0.5
-
-    def test_serial_run_has_no_efficiency(self):
-        stats = ChaseStats()
-        stats.pool_workers = 1
-        stats.parallel_wall_seconds = 2.0
-        stats.worker_busy_seconds = 2.0
-        assert stats.parallel_efficiency() is None
-
 
 class TestValidate:
     def test_fresh_stats_are_valid(self):
@@ -207,24 +192,3 @@ class TestAbsorb:
         stats = ChaseStats()
         stats.absorb_engine(Engine())
         assert stats.cache_lookups == 0
-
-    def test_absorb_matcher_folds_pool_counters(self):
-        class Matcher:
-            backend_fallbacks = 1
-            rounds_parallel = 5
-            rounds_serial = 3
-            workers = 4
-            busy_seconds = 1.5
-            pool_wall_seconds = 0.5
-            merge_seconds = 0.25
-
-        stats = ChaseStats()
-        stats.absorb_matcher(Matcher())
-        assert stats.pool_fallbacks == 1
-        assert stats.rounds_parallel == 5 and stats.rounds_serial == 3
-        assert stats.pool_workers == 4
-        assert stats.worker_busy_seconds == 1.5
-        assert stats.parallel_wall_seconds == 0.5
-        assert stats.merge_seconds == 0.25
-        # Fault tallies belong to the test suite's chaos harness.
-        assert "faults" not in stats.as_dict()

@@ -11,6 +11,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -224,6 +225,66 @@ class TestSessionFlow:
         for t in threads:
             t.join()
         assert errors == []
+
+
+class SignallingLock:
+    """A session lock that says when a request starts waiting on it."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.waiting = threading.Event()
+
+    def __enter__(self):
+        self.waiting.set()
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+class TestLockedSessionStallsNoOtherRequest:
+    """A request that needs a busy session's lock waits off the event loop."""
+
+    @pytest.mark.parametrize(
+        "method, path",
+        [
+            ("GET", "/v1/sessions/{}"),
+            ("GET", "/v1/sessions"),
+            ("DELETE", "/v1/sessions/{}"),
+        ],
+    )
+    def test_healthz_answers_while_a_request_waits_on_the_lock(
+        self, server, method, path
+    ):
+        session_id = create_session(server)["session"]
+        session = server.service.get(session_id)
+        held = session.lock
+        session.lock = SignallingLock(held)
+        answers = []
+        waiter = threading.Thread(
+            target=lambda: answers.append(
+                request(server, method, path.format(session_id))
+            )
+        )
+        # Held as a running post holds it, for its whole wall budget.
+        held.acquire()
+        try:
+            waiter.start()
+            assert session.lock.waiting.wait(timeout=10)
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=2)
+            try:
+                started = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert (response.status, json.loads(response.read())) == (200, {"ok": True})
+                assert time.perf_counter() - started < 2
+            finally:
+                conn.close()
+        finally:
+            held.release()
+            waiter.join(timeout=30)
+        assert answers and answers[0][0] == 200
 
 
 class TestAnalyzeAndStatz:

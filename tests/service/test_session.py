@@ -5,7 +5,7 @@ posting facts to a warm session and letting it resume must leave the
 session byte-identical — canonical atom serialization, insertion order,
 termination verdict, application count (≥, exactly equal when the posted
 facts are underivable) — to a cold oblivious chase of all the facts at
-once, at 1 and 4 workers.  Plus the session lifecycle: budget-cut
+once.  Plus the session lifecycle: budget-cut
 suspension and continuation, checkpoint round-trips, store bookkeeping,
 and the stats counters the obs layer validates.
 """
@@ -18,7 +18,6 @@ import pytest
 from repro.core.instance import Instance
 from repro.core.parsing import parse_atoms
 from repro.core.terms import Null
-from repro.chase import parallel
 from repro.chase.checkpoint import Budget
 from repro.chase.oblivious import oblivious_chase
 from repro.errors import CheckpointError, ServiceError
@@ -49,8 +48,8 @@ CHAIN_TGDS = parse_tgds(
 )
 
 
-def make_session(tgds, facts, workers=1, **kwargs):
-    session = ChaseSession("t1", tgds, [], workers=workers, **kwargs)
+def make_session(tgds, facts, **kwargs):
+    session = ChaseSession("t1", tgds, [], **kwargs)
     result = session.post_facts(facts)
     assert result["status"] == "complete"
     return session
@@ -59,19 +58,15 @@ def make_session(tgds, facts, workers=1, **kwargs):
 class TestIncrementalEqualsCold:
     """The equivalence property, over the generator corpus."""
 
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_post_then_resume_equals_cold_union(self, family, workers, monkeypatch):
-        # Force pooled rounds even on tiny deltas so workers=4 really
-        # exercises the parallel path.
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_WORK", 0)
+    def test_post_then_resume_equals_cold_union(self, family):
         for tgds in corpus(family, 3, base_seed=1307, profile=PROFILE):
             databases = candidate_databases(tgds)
             if len(databases) < 2:
                 continue
             seed, extra = list(databases[0]), list(databases[1])
             session = ChaseSession(
-                "s", tgds, [], workers=workers, max_atoms=4000, max_rounds=200
+                "s", tgds, [], max_atoms=4000, max_rounds=200
             )
             try:
                 first = session.post_facts(seed)

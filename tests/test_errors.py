@@ -21,7 +21,6 @@ from repro.errors import (
     FairnessError,
     ParseError,
     ReproError,
-    ResultIntegrityError,
     SearchBudgetExceeded,
     StateBudgetExceeded,
 )
@@ -33,7 +32,6 @@ ALL_ERRORS = [
     ExtractionError,
     FairnessError,
     ParseError,
-    ResultIntegrityError,
     SearchBudgetExceeded,
     StateBudgetExceeded,
 ]
@@ -58,7 +56,6 @@ LEGACY_BASES = [
     (FairnessError, RuntimeError),
     (SearchBudgetExceeded, RuntimeError),
     (StateBudgetExceeded, RuntimeError),
-    (ResultIntegrityError, RuntimeError),
 ]
 
 
@@ -99,7 +96,6 @@ class TestHistoricalImportPaths:
             "ReproError",
             "ChaseInterrupted",
             "CheckpointError",
-            "ResultIntegrityError",
             "ParseError",
             "DerivationError",
             "FairnessError",
