@@ -18,7 +18,7 @@ Quickstart::
     verdict = TerminationPortfolio().analyze(tgds)
 """
 
-from repro.backends import BackendSpec, SQLiteInstance, make_instance
+from repro.backends import SQLiteInstance, make_instance
 from repro.core.atoms import Atom
 from repro.core.equality import EqualityType, LabeledEqualityType
 from repro.core.instance import Database, Instance
@@ -98,7 +98,7 @@ __all__ = [
     # core
     "Atom", "Constant", "Null", "Term", "Variable", "Schema", "Substitution",
     "Instance", "Database",
-    "BackendSpec", "SQLiteInstance", "make_instance",
+    "SQLiteInstance", "make_instance",
     "EqualityType",
     "LabeledEqualityType", "ConjunctiveQuery", "ParseError",
     "parse_atom", "parse_atoms", "parse_database", "parse_instance",

@@ -1,4 +1,4 @@
-"""Backend selection: one factory, one spec, every chase entry point.
+"""Backend selection: one validator, one factory, every chase entry point.
 
 Instances historically had exactly one implementation — the in-memory
 :class:`repro.core.instance.Instance` — so "which storage backend" was
@@ -6,16 +6,14 @@ never a question callers could ask.  The disk-backed
 :class:`repro.backends.sqlite.SQLiteInstance` makes it one, and this
 module is the single place the question is answered:
 
-* :class:`BackendSpec` — a frozen value object naming the backend
-  (``"memory"`` or ``"sqlite"``) plus its configuration (an on-disk
-  ``path`` and backend-specific ``options``).  Everything that accepts a
+* A backend is a name: one of :data:`BACKENDS`, or ``None`` for the
+  :data:`ENV_VAR` environment default.  Everything that accepts a
   ``backend=`` keyword — :class:`repro.chase.engine.ChaseEngine`, the
-  chase entry points, the deciders, the service layer — accepts anything
-  :meth:`BackendSpec.parse` understands: ``None`` (resolve the
-  :data:`ENV_VAR` environment default), a backend name string, a config
-  dict (the service's JSON payload shape), or a spec itself.
+  chase entry points, the deciders, the service layer — accepts exactly
+  what :func:`backend_name` accepts.  There is nothing to configure: an
+  sqlite instance always lives in a private temporary file it owns.
 
-* :func:`make_instance` — the factory that turns a spec into a live
+* :func:`make_instance` — the factory that turns a name into a live
   instance.  This is the supported construction path for *storage-backed*
   instances; building :class:`~repro.core.instance.Instance` directly
   still works everywhere but pins the caller to the memory backend.
@@ -28,8 +26,7 @@ call site; explicit ``backend=`` arguments always win over it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
@@ -40,113 +37,36 @@ BACKENDS = ("memory", "sqlite")
 #: Environment variable consulted when no explicit backend is given.
 ENV_VAR = "CHASE_BACKEND"
 
-#: Options each backend accepts (validated by :meth:`BackendSpec.parse`).
-_BACKEND_OPTIONS = {
-    "memory": frozenset(),
-    "sqlite": frozenset({"synchronous", "timeout"}),
-}
 
+def backend_name(backend=None) -> str:
+    """The backend name that ``backend`` selects.
 
-@dataclass(frozen=True)
-class BackendSpec:
-    """A validated, immutable description of one instance backend.
-
-    ``name`` is one of :data:`BACKENDS`; ``path`` is the on-disk location
-    for file-backed backends (None lets the backend pick a private
-    temporary file); ``options`` carries backend-specific keywords (for
-    sqlite: ``synchronous``, ``timeout``) forwarded verbatim to the
-    instance constructor.
+    ``None`` resolves the :data:`ENV_VAR` environment default (and falls
+    back to ``"memory"``); a string must be one of :data:`BACKENDS`.
+    Raises :class:`ValueError` on anything else.
     """
-
-    name: str = "memory"
-    path: Optional[str] = None
-    options: Dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.name not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.name!r} (expected one of {', '.join(BACKENDS)})"
-            )
-        if self.path is not None and not isinstance(self.path, str):
-            raise ValueError(f"backend path must be a string, got {self.path!r}")
-        if self.name == "memory" and self.path is not None:
-            raise ValueError("the memory backend takes no path")
-        allowed = _BACKEND_OPTIONS[self.name]
-        unknown = sorted(set(self.options) - allowed)
-        if unknown:
-            raise ValueError(
-                f"unknown {self.name} backend options: {', '.join(unknown)}"
-            )
-
-    @classmethod
-    def parse(cls, value=None) -> "BackendSpec":
-        """Normalize any accepted ``backend=`` value into a spec.
-
-        ``None`` resolves the :data:`ENV_VAR` environment default (and
-        falls back to ``"memory"``); a string names a backend; a dict may
-        carry ``name``/``backend``, ``path``, and option keys (the JSON
-        shape ``POST /v1/sessions`` accepts); a spec passes through.
-        Raises :class:`ValueError` on anything else.
-        """
-        if value is None:
-            value = os.environ.get(ENV_VAR) or "memory"
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            return cls(name=value)
-        if isinstance(value, dict):
-            payload = dict(value)
-            name = payload.pop("name", payload.pop("backend", "memory"))
-            if not isinstance(name, str):
-                raise ValueError(f"backend name must be a string, got {name!r}")
-            path = payload.pop("path", None)
-            return cls(name=name, path=path, options=payload)
+    if backend is None:
+        backend = os.environ.get(ENV_VAR) or "memory"
+    if not isinstance(backend, str) or backend not in BACKENDS:
         raise ValueError(
-            f"backend must be a name, dict, or BackendSpec, got {value!r}"
+            f"unknown backend {backend!r} (expected one of {', '.join(BACKENDS)})"
         )
-
-    def describe(self) -> str:
-        """A short human-readable form (``info()``/``/statz`` reporting)."""
-        if self.path is not None:
-            return f"{self.name}:{self.path}"
-        return self.name
+    return backend
 
 
-def resolve_backend(backend=None) -> BackendSpec:
-    """Alias for :meth:`BackendSpec.parse` (reads better at call sites)."""
-    return BackendSpec.parse(backend)
-
-
-def make_instance(
-    backend=None,
-    atoms: Optional[Iterable[Atom]] = None,
-    path: Optional[str] = None,
-    **options,
-) -> Instance:
+def make_instance(backend=None, atoms: Optional[Iterable[Atom]] = None) -> Instance:
     """Build an instance on the selected backend.
 
     The unified construction path the chase engines, the deciders, and the
-    service layer all use.  ``backend`` is anything
-    :meth:`BackendSpec.parse` accepts; ``path`` and keyword ``options``
-    override/extend the spec's own (convenience for direct callers, so
-    ``make_instance("sqlite", path="run.db")`` works without building a
-    spec first).
+    service layer all use.  ``backend`` is anything :func:`backend_name`
+    accepts.
 
     * ``"memory"`` — a plain :class:`repro.core.instance.Instance`.
-    * ``"sqlite"`` — a :class:`repro.backends.sqlite.SQLiteInstance`; with
-      ``atoms`` given the file is (re)initialized fresh, with ``atoms=None``
-      an existing file is attached as-is.
+    * ``"sqlite"`` — a :class:`repro.backends.sqlite.SQLiteInstance` in a
+      fresh private temporary file, removed by its ``close()``.
     """
-    spec = BackendSpec.parse(backend)
-    if path is not None or options:
-        merged = dict(spec.options)
-        merged.update(options)
-        spec = BackendSpec(
-            name=spec.name, path=path if path is not None else spec.path,
-            options=merged,
-        )
-    if spec.name == "memory":
+    if backend_name(backend) == "memory":
         return Instance(atoms)
     from repro.backends.sqlite import SQLiteInstance
 
-    return SQLiteInstance(atoms, path=spec.path, **spec.options)
+    return SQLiteInstance(atoms)

@@ -23,22 +23,28 @@ scan over ``(predicate, birth)``):
   primary key over all four columns) — the term-position index; a
   ``with_term_at`` lookup is a prefix scan joined back to ``atoms``.
 
-Pragmas: ``journal_mode=WAL`` (readers never block the writer),
+Lifecycle: every instance creates its own private temporary file
+(``chase-*.sqlite`` under the temp directory) and is the only thing that
+ever opens it; :meth:`SQLiteInstance.close` (or garbage collection)
+removes it again, together with its ``-wal``/``-shm`` side files.  No
+caller chooses a path, so no two instances share a file and none outlives
+its owner.
+
+Pragmas (fixed): ``journal_mode=WAL`` (readers never block the writer),
 ``synchronous=OFF`` (chase state is recomputable; a checkpoint, not the
 file, is the durability story), ``temp_store=MEMORY``.  Connections run
-in autocommit mode: every write is visible to other connections (an
-attached instance's, say) immediately.
+in autocommit mode: every write is visible to the instance's other
+connections immediately.
 
 Process/thread safety: one connection per ``(pid, thread)``, opened
 lazily — a service executor thread gets its own handle onto the same
 file.  Writes stay single-owner (the chase engine mutates from one
-thread at a time); concurrent *reads* from other threads/processes are
-safe under WAL.
+thread at a time); concurrent *reads* from other threads are safe under
+WAL.  Only the creating process removes the file.
 
-Pickling: :meth:`SQLiteInstance.__reduce__` ships only the path and the
-connection pragmas — the receiver attaches to the file instead of
-receiving a full atom-list snapshot, which keeps the pickle small for
-instances that no longer fit in one.
+Pickling: as the memory backend, the insertion-ordered atom list
+(:meth:`repro.core.instance.Instance.__reduce__`); the copy is a new
+instance in a temporary file of its own.
 """
 
 from __future__ import annotations
@@ -53,12 +59,9 @@ from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.terms import Constant, Null, Term
 
-#: Accepted values for the ``synchronous`` pragma option.
-_SYNCHRONOUS = ("OFF", "NORMAL", "FULL")
-
 _SCHEMA = (
     """
-    CREATE TABLE IF NOT EXISTS atoms (
+    CREATE TABLE atoms (
         birth INTEGER PRIMARY KEY,
         predicate TEXT NOT NULL,
         terms TEXT NOT NULL,
@@ -66,11 +69,11 @@ _SCHEMA = (
     )
     """,
     """
-    CREATE INDEX IF NOT EXISTS atoms_by_predicate
+    CREATE INDEX atoms_by_predicate
         ON atoms (predicate, birth)
     """,
     """
-    CREATE TABLE IF NOT EXISTS buckets (
+    CREATE TABLE buckets (
         predicate TEXT NOT NULL,
         position INTEGER NOT NULL,
         term TEXT NOT NULL,
@@ -170,48 +173,23 @@ class _SQLiteView:
 class SQLiteInstance(Instance):
     """An :class:`Instance` whose atom set and indexes live in SQLite.
 
-    ``atoms`` given (even an empty list) initializes the file *fresh* —
-    the chase-engine path, which always seeds from a sorted atom list;
-    ``atoms=None`` attaches to whatever the file already holds (the
-    unpickling path, also reachable via
-    ``make_instance("sqlite", path=...)``).  ``path=None`` creates a
-    private temporary file, removed again when the creating process drops
-    the instance (:meth:`close`).
+    Each instance creates a fresh private temporary file holding
+    ``atoms`` (in their order), removed again when the creating process
+    drops the instance (:meth:`close`).
     """
 
-    def __init__(
-        self,
-        atoms=None,
-        path: Optional[str] = None,
-        synchronous: str = "OFF",
-        timeout: float = 30.0,
-    ):
-        if synchronous not in _SYNCHRONOUS:
-            raise ValueError(
-                f"synchronous must be one of {_SYNCHRONOUS}, got {synchronous!r}"
-            )
-        if path is None:
-            handle, path = tempfile.mkstemp(prefix="chase-", suffix=".sqlite")
-            os.close(handle)
-            self._owns_path = True
-        else:
-            self._owns_path = False
-        self._path = path
-        self._synchronous = synchronous
-        self._timeout = float(timeout)
+    def __init__(self, atoms=None):
+        handle, self._path = tempfile.mkstemp(prefix="chase-", suffix=".sqlite")
+        os.close(handle)
         self._owner_pid = os.getpid()
         self._connections = {}
         self._conn_lock = threading.Lock()
         self._delta = None
+        self._len = 0
+        self._birth = 0
         conn = self._connection()
         for statement in _SCHEMA:
             conn.execute(statement)
-        if atoms is not None:
-            conn.execute("DELETE FROM buckets")
-            conn.execute("DELETE FROM atoms")
-        row = conn.execute("SELECT COUNT(*), COALESCE(MAX(birth), -1) FROM atoms").fetchone()
-        self._len, max_birth = row
-        self._birth = max_birth + 1
         if atoms is not None:
             for atom in atoms:
                 self.add(atom)
@@ -232,12 +210,12 @@ class SQLiteInstance(Instance):
                 if conn is None:
                     conn = sqlite3.connect(
                         self._path,
-                        timeout=self._timeout,
+                        timeout=30.0,
                         isolation_level=None,
                         check_same_thread=False,
                     )
                     conn.execute("PRAGMA journal_mode=WAL")
-                    conn.execute(f"PRAGMA synchronous={self._synchronous}")
+                    conn.execute("PRAGMA synchronous=OFF")
                     conn.execute("PRAGMA temp_store=MEMORY")
                     self._connections[key] = conn
         return conn
@@ -247,17 +225,10 @@ class SQLiteInstance(Instance):
         """The on-disk database file."""
         return self._path
 
-    def close(
-        self,
-        remove: Optional[bool] = None,
-        _getpid=os.getpid,
-        _unlink=os.unlink,
-    ) -> None:
-        """Close this process's connections; optionally remove the file.
-
-        ``remove=None`` removes the file iff this instance created it as a
-        temporary (and only in the creating process — forked children and
-        attached instances never delete state from under the owner).
+    def close(self, _getpid=os.getpid, _unlink=os.unlink) -> None:
+        """Close this process's connections and, in the creating process,
+        remove the file (a forked child never deletes it from under the
+        owner).
 
         The ``os`` functions are bound as defaults so the ``__del__`` path
         still works during interpreter shutdown, after module globals are
@@ -273,9 +244,7 @@ class SQLiteInstance(Instance):
                 except Exception:  # noqa: BLE001 - shutdown best effort
                     pass
                 del self._connections[key]
-        if remove is None:
-            remove = self._owns_path and pid == self._owner_pid
-        if remove:
+        if pid == self._owner_pid:
             for suffix in ("", "-wal", "-shm"):
                 try:
                     _unlink(self._path + suffix)
@@ -287,23 +256,6 @@ class SQLiteInstance(Instance):
             self.close()
         except Exception:  # noqa: BLE001 - interpreter-shutdown best effort
             pass
-
-    # -- pickling ------------------------------------------------------------
-
-    @classmethod
-    def _attach(
-        cls, path: str, synchronous: str = "OFF", timeout: float = 30.0
-    ) -> "SQLiteInstance":
-        """Attach to an existing database file (the unpickling path)."""
-        return cls(None, path=path, synchronous=synchronous, timeout=timeout)
-
-    def __reduce__(self):
-        # Path + pragmas only: the receiver on the other side attaches to the
-        # shared file instead of rebuilding from an atom-list snapshot.
-        return (
-            type(self)._attach,
-            (self._path, self._synchronous, self._timeout),
-        )
 
     # -- mutation ------------------------------------------------------------
 

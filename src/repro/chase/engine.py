@@ -288,8 +288,8 @@ class ChaseEngine:
         :class:`repro.termination.dependencies.RuleDependencyGraph` proves
         dead for the instance's predicates.  ``stats`` is an optional
         :class:`repro.obs.stats.ChaseStats` sink.  ``backend`` selects the
-        instance storage (anything :meth:`repro.backends.BackendSpec.parse`
-        accepts; None resolves the ``CHASE_BACKEND`` default, then memory).
+        instance storage: a name in :data:`repro.backends.BACKENDS`, or
+        None for the ``CHASE_BACKEND`` default, then memory.
         None of the three changes a run: results are byte-identical across
         pruning, stats and backends.  :meth:`running` (or
         :meth:`close`) is the matching teardown.

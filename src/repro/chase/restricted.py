@@ -137,10 +137,9 @@ def restricted_chase(
     populated).  Strictly passive: a run with stats attached is
     byte-identical to one without.
 
-    ``backend`` selects the instance storage backend (anything
-    :func:`repro.backends.BackendSpec.parse` accepts — ``"memory"``,
-    ``"sqlite"``, a config dict, or None for the ``CHASE_BACKEND``
-    environment default).  Results are byte-identical across backends.
+    ``backend`` selects the instance storage backend — ``"memory"``,
+    ``"sqlite"``, or None for the ``CHASE_BACKEND`` environment default.
+    Results are byte-identical across backends.
     """
     if strategy == "semi_naive":
         return seminaive_chase(

@@ -192,15 +192,15 @@ class Instance:
                 self.add(atom)
 
     def __reduce__(self):
-        # Pickle as the insertion-ordered atom list; __init__ re-derives the
-        # predicate buckets on the other side, and position buckets are
-        # rebuilt on demand.  Bucket iteration order — which the chase
-        # engines rely on — is a function of the insertion sequence, so the
-        # rebuilt instance is index-identical, not just set-equal.  A
-        # mid-round delta is deliberately not carried across: a checkpoint
-        # records a cut round's delta itself, so a pickled instance is a
-        # whole-instance snapshot.
-        return (type(self), (list(self._atoms),))
+        # Pickle as the insertion-ordered atom list, on every backend;
+        # __init__ re-derives the predicate buckets on the other side, and
+        # position buckets are rebuilt on demand.  Bucket iteration order —
+        # which the chase engines rely on — is a function of the insertion
+        # sequence, so the rebuilt instance is index-identical, not just
+        # set-equal.  A mid-round delta is deliberately not carried across:
+        # a checkpoint records a cut round's delta itself, so a pickled
+        # instance is a whole-instance snapshot.
+        return (type(self), (list(self),))
 
     # -- round-delta tracking (semi-naive evaluation) ----------------------
 

@@ -13,7 +13,7 @@ chase-as-a-service p99s).  Four small modules, all stdlib-only:
   attached to a run or a service rather than installed process-wide;
 * :mod:`repro.obs.clock` — the single monotonic clock source
   (:class:`FakeClock` injectable for tests, so budget/timer tests never
-  sleep);
+  wait on real time);
 * :mod:`repro.obs.log` — the shared ``repro.<pkg>.<mod>`` logger factory
   and the structured-event helper.
 

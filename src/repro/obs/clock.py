@@ -8,9 +8,8 @@ sleeping, no flaky margins — while production code keeps the real
 monotonic clock.
 
 ``monotonic()`` is the budget/deadline time base; ``perf_counter()`` the
-high-resolution span/stats time base; ``sleep()`` the only blocking wait.
-The module-level functions delegate to the current clock, so swapping the
-clock re-routes every caller at once.
+high-resolution span/stats time base.  The module-level functions delegate
+to the current clock, so swapping the clock re-routes every caller at once.
 """
 
 from __future__ import annotations
@@ -27,23 +26,16 @@ class Clock:
     def perf_counter(self) -> float:
         return time.perf_counter()
 
-    def sleep(self, seconds: float) -> None:
-        time.sleep(seconds)
-
 
 class FakeClock(Clock):
     """A manually advanced clock for tests.
 
-    ``sleep`` advances the clock instead of blocking (and records every
-    requested duration in :attr:`slept`), so code that waits on a budget
-    deadline runs instantly
-    under test while still observing time pass.
+    Time moves only through :meth:`advance`, so a budget deadline passes
+    the instant a test says it does.
     """
 
     def __init__(self, start: float = 0.0):
         self.now = float(start)
-        #: Every ``sleep`` duration requested, in order.
-        self.slept: list = []
 
     def monotonic(self) -> float:
         return self.now
@@ -51,12 +43,8 @@ class FakeClock(Clock):
     def perf_counter(self) -> float:
         return self.now
 
-    def sleep(self, seconds: float) -> None:
-        self.slept.append(seconds)
-        self.now += seconds
-
     def advance(self, seconds: float) -> None:
-        """Move time forward without anyone having slept."""
+        """Move time forward."""
         self.now += seconds
 
 
@@ -87,8 +75,3 @@ def monotonic() -> float:
 def perf_counter() -> float:
     """High-resolution seconds from the current clock (the span time base)."""
     return _CLOCK.perf_counter()
-
-
-def sleep(seconds: float) -> None:
-    """Wait on the current clock (a no-op fast-forward under FakeClock)."""
-    _CLOCK.sleep(seconds)

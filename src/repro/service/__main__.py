@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.backends import BACKENDS
 from repro.service.session import (
     DEFAULT_MAX_ATOMS,
     DEFAULT_MAX_ROUNDS,
@@ -44,13 +45,17 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend",
         default=None,
+        choices=BACKENDS,
         help=(
             "default instance storage backend for new sessions "
-            "(memory | sqlite; sessions may request their own). "
+            "(sessions may request their own). "
             "Unset, the CHASE_BACKEND environment variable applies."
         ),
     )
     args = parser.parse_args(argv)
+    for flag, value in (("--max-atoms", args.max_atoms), ("--max-rounds", args.max_rounds)):
+        if value < 0:
+            parser.error(f"{flag} must be non-negative, got {value}")
     if not args.wall_seconds >= 0:  # also refuses NaN
         parser.error(f"--wall-seconds must be non-negative, got {args.wall_seconds}")
 

@@ -46,7 +46,7 @@ import itertools
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.backends import BackendSpec
+from repro.backends import backend_name
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.parsing import parse_atoms
@@ -126,18 +126,18 @@ def parse_fact_payload(value, field: str = "facts") -> List[Atom]:
         raise ServiceError(f"malformed {field}: {error}") from error
 
 
-def parse_backend_payload(value, default=None) -> BackendSpec:
-    """Validate a request's ``backend`` field (string or config object).
+def parse_backend_payload(value, default=None) -> str:
+    """Validate a request's ``backend`` field: a backend name.
 
-    ``None`` falls back to ``default`` (the server-level backend, itself
-    already a parsed :class:`repro.backends.BackendSpec`).  Anything
-    :meth:`BackendSpec.parse` rejects is a client error (HTTP 400).
+    ``None`` falls back to ``default`` (the server-level backend name).
+    Anything :func:`repro.backends.backend_name` rejects — an unknown
+    name, an object, a number — is a client error (HTTP 400).
     """
-    if value is None:
-        return default if default is not None else BackendSpec.parse(None)
+    if value is None and default is not None:
+        return default
     try:
-        return BackendSpec.parse(value)
-    except (TypeError, ValueError) as error:
+        return backend_name(value)
+    except ValueError as error:
         raise ServiceError(f"invalid backend: {error}") from error
 
 
@@ -183,8 +183,8 @@ class ChaseSession:
         self.digest = tgd_set_digest(self.tgds)
         self.max_atoms = max_atoms
         self.max_rounds = max_rounds
-        #: The resolved storage backend of this session's instance.
-        self.backend = BackendSpec.parse(backend)
+        #: The storage backend name of this session's instance.
+        self.backend = backend_name(backend)
         # Unpruned, witness-free: the oblivious closure (see module
         # docstring for why sessions must serve the confluent semantics).
         self.engine = ChaseEngine(
@@ -304,7 +304,7 @@ class ChaseSession:
                 "applications": self.applications,
                 "facts_accepted": self.facts_accepted,
                 "increments": self.increments,
-                "backend": self.backend.describe(),
+                "backend": self.backend,
                 # Read off the engine, so a restored suspension reports too.
                 "suspended": bool(self.engine.pending) or self.engine.mid_round(),
                 "suspended_reason": self.suspended_reason,
@@ -349,9 +349,9 @@ class ChaseService:
         self.max_atoms = max_atoms
         self.max_rounds = max_rounds
         self.default_wall_seconds = default_wall_seconds
-        #: The default instance backend of new sessions (a per-request
+        #: The default instance backend name of new sessions (a per-request
         #: ``"backend"`` field overrides it session by session).
-        self.backend = BackendSpec.parse(backend)
+        self.backend = backend_name(backend)
         self.cache = cache if cache is not None else VerdictCache()
         self.stats = stats if stats is not None else ChaseStats("service")
         if not self.stats.kind:
@@ -377,9 +377,10 @@ class ChaseService:
         closed and nothing is registered.
 
         ``backend`` overrides the service-level instance backend for this
-        session only (anything :meth:`BackendSpec.parse` accepts).
+        session only (a backend name; anything else is a client error,
+        raised before a session id is allocated).
         """
-        spec = parse_backend_payload(backend, default=self.backend)
+        backend = parse_backend_payload(backend, default=self.backend)
         with self._lock:
             session_id = f"s{next(self._ids)}"
         session = ChaseSession(
@@ -388,7 +389,7 @@ class ChaseService:
             [],
             max_atoms=self.max_atoms,
             max_rounds=self.max_rounds,
-            backend=spec,
+            backend=backend,
         )
         try:
             result = session.post_facts(facts, budget=budget)
@@ -407,7 +408,7 @@ class ChaseService:
             raise ServiceError("service is closed", status=503)
         result["session"] = session_id
         result["digest"] = session.digest
-        result["backend"] = session.backend.describe()
+        result["backend"] = session.backend
         return result
 
     def get(self, session_id: str) -> ChaseSession:
@@ -500,8 +501,7 @@ class ChaseService:
             sessions = len(self.sessions)
             backends: Dict[str, int] = {}
             for session in self.sessions.values():
-                name = session.backend.name
-                backends[name] = backends.get(name, 0) + 1
+                backends[session.backend] = backends.get(session.backend, 0) + 1
         return {
             "sessions": sessions,
             "backends": backends,

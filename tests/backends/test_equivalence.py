@@ -6,6 +6,9 @@ keys, round/application counts — on sqlite as on memory.  Checkpoints
 captured on one backend must restore onto the other.
 """
 
+import os
+import pickle
+
 import pytest
 
 from repro.backends.spec import ENV_VAR, make_instance
@@ -14,6 +17,7 @@ from repro.chase.checkpoint import Budget, ChaseCheckpoint
 from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase, seminaive_chase
+from repro.core.instance import Instance
 from repro.core.parsing import parse_atoms
 from repro.errors import ChaseInterrupted
 from repro.guarded.decision import canonical_body_database
@@ -124,6 +128,34 @@ class TestBucketViews:
         assert answers["sqlite"] == answers["memory"]
 
 
+class TestPickleParity:
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_copy_outlives_its_original(self, backend):
+        # Both backends pickle their insertion-ordered atom list, so a copy
+        # unpickled after its original closed holds the same atoms in the
+        # same order, and an sqlite copy owns (and removes) a file of its own.
+        atoms = parse_atoms("R(a,b), S(b), R(b,c), R(a,b)", data=True)
+        original = make_instance(backend, atoms=atoms)
+        expected = list(original)
+        assert len(expected) == 3
+        blob = pickle.dumps(original)
+        getattr(original, "close", lambda: None)()
+        copy = pickle.loads(blob)
+        try:
+            assert type(copy) is type(original)
+            assert list(copy) == expected
+            assert copy.sorted_atoms() == Instance(expected).sorted_atoms()
+        finally:
+            getattr(copy, "close", lambda: None)()
+        if backend == "sqlite":
+            leftovers = [
+                copy.path + suffix
+                for suffix in ("", "-wal", "-shm")
+                if os.path.exists(copy.path + suffix)
+            ]
+            assert leftovers == []
+
+
 DIVERGING = parse_tgds(["R(x,y) -> R(y,z)"])
 
 
@@ -153,8 +185,6 @@ class TestCheckpointPortability:
         assert resumed.instance.sorted_atoms() == baseline.instance.sorted_atoms()
 
     def test_round_trip_through_serialization(self, tmp_path):
-        import pickle
-
         _, checkpoint = self.cut_run("sqlite")
         path = tmp_path / "cut.ckpt"
         path.write_bytes(pickle.dumps(checkpoint))

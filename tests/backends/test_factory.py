@@ -1,4 +1,8 @@
-"""The backend-selection API: ``BackendSpec`` parsing and ``make_instance``."""
+"""The backend-selection API: ``backend_name`` and ``make_instance``.
+
+A backend is a name (or None for the environment default): no path, no
+options, no config object.
+"""
 
 import os
 
@@ -7,8 +11,8 @@ import pytest
 from repro.backends import (
     BACKENDS,
     ENV_VAR,
-    BackendSpec,
     SQLiteInstance,
+    backend_name,
     make_instance,
 )
 from repro.core.atoms import Atom
@@ -21,51 +25,62 @@ def atom(p, *names):
 
 
 class TestBackendSpec:
+    """What a ``backend=`` value may be: one of ``BACKENDS`` or None."""
+
     def test_default_is_memory(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        assert BackendSpec().name == "memory"
-        assert BackendSpec.parse(None).name == "memory"
+        assert backend_name() == "memory"
+        assert backend_name(None) == "memory"
 
     def test_parse_string(self):
-        assert BackendSpec.parse("sqlite").name == "sqlite"
+        assert backend_name("sqlite") == "sqlite"
 
     def test_parse_dict(self):
-        spec = BackendSpec.parse({"name": "sqlite", "path": "/tmp/x.sqlite"})
-        assert spec.name == "sqlite"
-        assert spec.path == "/tmp/x.sqlite"
+        # A config object (a name plus a client-chosen path) is refused
+        # whole.
+        with pytest.raises(ValueError, match="unknown backend"):
+            backend_name({"name": "sqlite", "path": "/tmp/x.sqlite"})
+        with pytest.raises(ValueError, match="unknown backend"):
+            backend_name({"name": "sqlite"})
 
     def test_parse_dict_backend_alias(self):
-        assert BackendSpec.parse({"backend": "sqlite"}).name == "sqlite"
+        with pytest.raises(ValueError, match="unknown backend"):
+            backend_name({"backend": "sqlite"})
 
     def test_parse_passthrough(self):
-        spec = BackendSpec("sqlite")
-        assert BackendSpec.parse(spec) is spec
+        # A resolved name resolves to itself (the service passes its
+        # default through the same validator).
+        for name in BACKENDS:
+            assert backend_name(backend_name(name)) == name
 
     def test_parse_env_default(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "sqlite")
-        assert BackendSpec.parse(None).name == "sqlite"
+        assert backend_name(None) == "sqlite"
         monkeypatch.setenv(ENV_VAR, "")
-        assert BackendSpec.parse(None).name == "memory"
+        assert backend_name(None) == "memory"
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "sqlite")
-        assert BackendSpec.parse("memory").name == "memory"
+        assert backend_name("memory") == "memory"
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            BackendSpec.parse("lmdb")
+        for bad in ("lmdb", "", 7, ["sqlite"]):
+            with pytest.raises(ValueError, match="unknown backend"):
+                backend_name(bad)
 
     def test_memory_rejects_path(self):
-        with pytest.raises(ValueError, match="takes no path"):
-            BackendSpec("memory", path="/tmp/x.sqlite")
+        with pytest.raises(TypeError):
+            make_instance("memory", path="/tmp/x.sqlite")
+        with pytest.raises(ValueError, match="unknown backend"):
+            backend_name({"name": "memory", "path": "/tmp/x.sqlite"})
 
     def test_unknown_option(self):
-        with pytest.raises(ValueError, match="unknown sqlite backend option"):
-            BackendSpec.parse({"name": "sqlite", "bogus": 1})
-
-    def test_describe(self):
-        assert BackendSpec("memory").describe() == "memory"
-        assert "x.sqlite" in BackendSpec("sqlite", path="/tmp/x.sqlite").describe()
+        # No backend takes options, sqlite pragmas included.
+        for option in ("synchronous", "timeout", "bogus"):
+            with pytest.raises(TypeError):
+                make_instance("sqlite", **{option: 1})
+            with pytest.raises(TypeError):
+                SQLiteInstance([], **{option: 1})
 
     def test_backends_constant(self):
         assert set(BACKENDS) == {"memory", "sqlite"}
@@ -93,14 +108,20 @@ class TestMakeInstance:
         assert not os.path.exists(instance.path)
 
     def test_sqlite_explicit_path(self, tmp_path):
-        path = str(tmp_path / "chase.sqlite")
-        instance = make_instance("sqlite", atoms=[atom("R", "a")], path=path)
+        # A caller cannot choose the file: an sqlite instance always lives
+        # in a private temp file it creates, never at a given path.
+        path = tmp_path / "chase.sqlite"
+        with pytest.raises(TypeError):
+            make_instance("sqlite", atoms=[atom("R", "a")], path=str(path))
+        with pytest.raises(TypeError):
+            SQLiteInstance([atom("R", "a")], path=str(path))
+        assert not path.exists()
+        instance = make_instance("sqlite", atoms=[atom("R", "a")])
         try:
-            assert instance.path == path
+            assert os.path.dirname(instance.path) != str(tmp_path)
+            assert os.path.basename(instance.path).startswith("chase-")
         finally:
             instance.close()
-        # Explicit paths are the caller's: close() must not remove them.
-        assert os.path.exists(path)
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "sqlite")
@@ -113,9 +134,9 @@ class TestMakeInstance:
     def test_kwarg_validation(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_instance("lmdb")
-        with pytest.raises(ValueError, match="takes no path"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            make_instance({"name": "sqlite"})
+        with pytest.raises(TypeError):
             make_instance("memory", path="/tmp/x.sqlite")
-        with pytest.raises(ValueError, match="unknown sqlite backend option"):
-            make_instance("sqlite", bogus=True)
-        with pytest.raises(ValueError, match="synchronous"):
-            make_instance("sqlite", synchronous="SOMETIMES")
+        with pytest.raises(TypeError):
+            make_instance("sqlite", synchronous="OFF")

@@ -36,28 +36,12 @@ class TestFakeClock:
         assert fake.monotonic() == 2.5
         assert fake.perf_counter() == 2.5
 
-    def test_sleep_advances_instead_of_blocking(self):
-        fake = FakeClock()
-        start = time.perf_counter()
-        fake.sleep(60.0)
-        assert time.perf_counter() - start < 1.0  # did not actually sleep
-        assert fake.monotonic() == 60.0
-
-    def test_sleep_records_requested_durations(self):
-        fake = FakeClock()
-        fake.sleep(0.5)
-        fake.sleep(1.5)
-        assert fake.slept == [0.5, 1.5]
-
 
 class TestInstallation:
     def test_set_clock_returns_previous_and_reroutes(self, fake_clock):
         fake_clock.advance(42.0)
         assert clock.monotonic() == 42.0
         assert clock.perf_counter() == 42.0
-        clock.sleep(8.0)
-        assert clock.monotonic() == 50.0
-        assert fake_clock.slept == [8.0]
 
     def test_restore_goes_back_to_real_time(self):
         fake = FakeClock()

@@ -2,7 +2,8 @@
 
 Covers the per-request ``"backend"`` field on session create, the
 service-level default, per-session backend reporting in ``info()`` and
-``/statz``, rejection of invalid specs, and byte-identity of a
+``/statz``, rejection of anything but a backend name (an object naming a
+file included), and byte-identity of a
 sqlite-backed session's canonical serialization with a memory one.
 """
 
@@ -35,19 +36,18 @@ def make(tgds=CHAIN, facts="E(a,b)"):
 class TestParseBackendPayload:
     def test_none_defaults_to_memory(self, monkeypatch):
         monkeypatch.delenv("CHASE_BACKEND", raising=False)
-        assert parse_backend_payload(None).name == "memory"
+        assert parse_backend_payload(None) == "memory"
 
     def test_none_falls_back_to_service_default(self):
-        from repro.backends import BackendSpec
-
-        default = BackendSpec("sqlite")
-        assert parse_backend_payload(None, default=default) is default
+        assert parse_backend_payload(None, default="sqlite") == "sqlite"
 
     def test_string_and_dict(self):
-        assert parse_backend_payload("sqlite").name == "sqlite"
-        assert parse_backend_payload({"name": "sqlite"}).name == "sqlite"
+        # A name is the whole payload; a config object is refused.
+        assert parse_backend_payload("sqlite") == "sqlite"
+        with pytest.raises(ServiceError, match="invalid backend"):
+            parse_backend_payload({"name": "sqlite"})
 
-    @pytest.mark.parametrize("bad", ["lmdb", {"name": "sqlite", "bogus": 1}, 7])
+    @pytest.mark.parametrize("bad", ["lmdb", {"name": "sqlite", "path": "x.sqlite"}, 7])
     def test_invalid_is_service_error(self, bad):
         with pytest.raises(ServiceError, match="invalid backend"):
             parse_backend_payload(bad)
@@ -102,9 +102,12 @@ class TestServiceBackend:
         service = ChaseService()
         try:
             tgds, facts = make()
-            with pytest.raises(ServiceError, match="invalid backend"):
-                service.create_session(tgds, facts, backend="lmdb")
+            for bad in ("lmdb", {"name": "sqlite"}):
+                with pytest.raises(ServiceError, match="invalid backend"):
+                    service.create_session(tgds, facts, backend=bad)
             assert service.statz()["sessions"] == 0
+            # No session id was spent on the refused requests.
+            assert service.create_session(tgds, facts)["session"] == "s1"
         finally:
             service.close()
 
@@ -119,7 +122,7 @@ class TestServiceBackend:
                 "r1", tgds, checkpoint, backend="sqlite"
             )
             try:
-                assert restored.backend.name == "sqlite"
+                assert restored.backend == "sqlite"
                 assert restored.canonical_atoms() == session.canonical_atoms()
             finally:
                 restored.close()
@@ -281,6 +284,25 @@ class TestHTTPBackend:
         assert status == 200
         assert statz["backends"].get("sqlite", 0) >= 1
         request(server, "DELETE", f"/v1/sessions/{data['session']}")
+
+    def test_client_chosen_file_is_400_and_never_created(self, server, tmp_path):
+        path = tmp_path / "x.sqlite"
+        before = request(server, "GET", "/statz")[1]["sessions"]
+        status, data = request(
+            server,
+            "POST",
+            "/v1/sessions",
+            {
+                "tgds": CHAIN,
+                "facts": "E(a,b)",
+                "backend": {"name": "sqlite", "path": str(path)},
+            },
+        )
+        assert status == 400, data
+        assert "invalid backend" in data["error"]
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+        assert request(server, "GET", "/statz")[1]["sessions"] == before
 
     def test_invalid_backend_is_400(self, server):
         status, data = request(
