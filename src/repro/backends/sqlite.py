@@ -1,8 +1,8 @@
 """A disk-backed instance: the atom set and its indexes in SQLite.
 
 :class:`SQLiteInstance` conforms to the :class:`repro.core.instance.Instance`
-contract — same methods, same insertion-order semantics, same delta
-tracking — while keeping the atom set and the ``(predicate, position,
+contract — same methods, same insertion-order semantics, same births —
+while keeping the atom set and the ``(predicate, position,
 term)`` buckets in an on-disk SQLite file, so chases can grow past RAM.
 
 Schema
@@ -13,11 +13,12 @@ the per-predicate index share one table — a predicate bucket is a range
 scan over ``(predicate, birth)``):
 
 * ``atoms(birth INTEGER PRIMARY KEY, predicate TEXT, terms TEXT,
-  UNIQUE(predicate, terms))`` — ``birth`` is the monotone insertion
-  counter the memory backend gets for free from dict ordering; every
-  bucket query orders by it, which is what keeps iteration order (hence
-  derivations, null names, and ``sorted_atoms``) byte-identical across
-  backends.  ``terms`` is the length-prefixed ground-term encoding of
+  UNIQUE(predicate, terms))`` — ``birth`` is the atom's birth, the
+  monotone insertion counter the memory backend keeps as its atom dict's
+  values; every bucket query orders by it, which is what keeps iteration
+  order (hence derivations, null names, and ``sorted_atoms``)
+  byte-identical across backends.  The births getter and
+  ``born_since`` are queries on it.  ``terms`` is the length-prefixed ground-term encoding of
   :func:`encode_terms` (unambiguous for arbitrary term names).
 * ``buckets(predicate, position, term, birth)`` (``WITHOUT ROWID``,
   primary key over all four columns) — the term-position index; a
@@ -53,7 +54,7 @@ import os
 import sqlite3
 import tempfile
 import threading
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
@@ -116,6 +117,10 @@ def decode_terms(blob: str) -> List[Term]:
     return terms
 
 
+#: Entries :attr:`SQLiteInstance._seen` holds before it starts over.
+_SEEN = 4096
+
+
 class _SQLiteView:
     """A lazy, set-like bucket view (the ``KeysView`` stand-in).
 
@@ -139,12 +144,17 @@ class _SQLiteView:
 
     def _materialize(self) -> List[Atom]:
         if self._atoms is None:
-            cursor = self._instance._connection().execute(self._select, self._params)
-            self._atoms = [
-                Atom(predicate, decode_terms(blob))
-                for predicate, blob in cursor.fetchall()
-            ]
+            instance = self._instance
+            discards = instance._discards
+            rows = instance._connection().execute(self._select, self._params).fetchall()
+            self._atoms = [Atom(predicate, decode_terms(blob)) for _, predicate, blob in rows]
             self._len = len(self._atoms)
+            with instance._seen_lock:
+                # A discard since the query may have made a birth stale.
+                if instance._discards == discards:
+                    if len(instance._seen) > _SEEN:
+                        instance._seen.clear()
+                    instance._seen.update(zip(self._atoms, [row[0] for row in rows]))
         return self._atoms
 
     def __len__(self) -> int:
@@ -184,7 +194,15 @@ class SQLiteInstance(Instance):
         self._owner_pid = os.getpid()
         self._connections = {}
         self._conn_lock = threading.Lock()
-        self._delta = None
+        #: Births of atoms the bucket views decoded lately, which is where
+        #: the births getter's atoms come from: at most ``_SEEN`` entries.
+        #: A discard counts itself in ``_discards`` and drops its atom,
+        #: under ``_seen_lock``, and a view whose query preceded a discard
+        #: records nothing: an atom discarded and added again is born
+        #: again, and must not keep its old birth here.
+        self._seen = {}
+        self._discards = 0
+        self._seen_lock = threading.Lock()
         self._len = 0
         self._birth = 0
         conn = self._connection()
@@ -283,8 +301,6 @@ class SQLiteInstance(Instance):
                 for i, term in enumerate(atom.terms, start=1)
             ],
         )
-        if self._delta is not None:
-            self._delta.record(atom)
         return True
 
     def discard(self, atom: Atom) -> bool:
@@ -308,16 +324,52 @@ class SQLiteInstance(Instance):
             ],
         )
         self._len -= 1
-        if self._delta is not None:
-            self._delta.remove(atom)
+        with self._seen_lock:
+            self._discards += 1
+            self._seen.pop(atom, None)
         return True
+
+    # -- births --------------------------------------------------------------
+
+    def next_birth(self) -> int:
+        return self._birth
+
+    def births(self):
+        """The births getter: ``get(atom, default)`` answers from the
+        births the bucket views decoded lately (a plan walks the atoms of
+        a view it just read), else with one query on the ``(predicate,
+        terms)`` key."""
+        connection, seen = self._connection, self._seen
+
+        def get(atom, default=None):
+            birth = seen.get(atom)
+            if birth is not None:
+                return birth
+            predicate, terms = atom
+            row = connection().execute(
+                "SELECT birth FROM atoms WHERE predicate = ? AND terms = ?",
+                (predicate, encode_terms(terms)),
+            ).fetchone()
+            return default if row is None else row[0]
+
+        return get
+
+    def born_since(self, start: int) -> List[Tuple[Atom, int]]:
+        cursor = self._connection().execute(
+            "SELECT birth, predicate, terms FROM atoms WHERE birth >= ? ORDER BY birth",
+            (start,),
+        )
+        return [
+            (Atom(predicate, decode_terms(blob)), birth)
+            for birth, predicate, blob in cursor.fetchall()
+        ]
 
     # -- lookups -------------------------------------------------------------
 
     def with_predicate(self, predicate: str) -> _SQLiteView:
         return _SQLiteView(
             self,
-            "SELECT predicate, terms FROM atoms WHERE predicate = ? ORDER BY birth",
+            "SELECT birth, predicate, terms FROM atoms WHERE predicate = ? ORDER BY birth",
             "SELECT COUNT(*) FROM atoms WHERE predicate = ?",
             (predicate,),
         )
@@ -339,7 +391,7 @@ class SQLiteInstance(Instance):
         params = (predicate, position, encode_term(term))
         return _SQLiteView(
             self,
-            "SELECT a.predicate, a.terms FROM buckets b "
+            "SELECT a.birth, a.predicate, a.terms FROM buckets b "
             "JOIN atoms a ON a.birth = b.birth "
             "WHERE b.predicate = ? AND b.position = ? AND b.term = ? "
             "ORDER BY b.birth",

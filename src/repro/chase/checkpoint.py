@@ -13,18 +13,22 @@ resume") has two halves:
 * :class:`ChaseCheckpoint` — a picklable snapshot of everything a
   deterministic chase needs to continue byte-identically: the instance's
   insertion-ordered atom list (index-identical rebuild, like
-  ``Instance.__reduce__``), the pending worklist in order, a mid-round delta (atoms with birth positions plus the
-  insertion counter) when the cut fell inside a round, and the loop
-  counters (derivation steps, rounds, applications).  Everything else the
-  engine holds — the head-witness cache, the per-predicate indexes — is a
-  pure function of the instance and is rebuilt on restore.
+  ``Instance.__reduce__``), the pending worklist in order, the cut
+  round's delta when the cut fell inside a round, and the loop counters
+  (derivation steps, rounds, applications).  The delta is the atom list's
+  tail, so the version-3 layout's ``(atom, position)`` pairs and count
+  name nothing the list does not hold: restore reads the round's start
+  birth off the count and refuses pairs that are not that tail.
+  Everything else the engine holds — births, the head-witness cache, the
+  per-predicate indexes — is a pure function of the atom list and is
+  rebuilt on restore.
 
 Why resume is byte-identical: the semi-naive engines derive every ordering
 decision from (a) instance insertion order, (b) worklist order, and (c)
 per-trigger digest-based null invention.  (a) and (b) are restored exactly;
 (c) depends only on the TGD set, which :meth:`ChaseCheckpoint.check`
-verifies by digest prefix.  A checkpoint taken mid-round keeps the live
-delta (same birth counters), so the completed round's discovery pass sees
+verifies by digest prefix.  A checkpoint taken mid-round keeps the round's
+delta (the atom list's tail), so the completed round's discovery pass sees
 exactly the atoms — in exactly the order — an uninterrupted round would
 have seen.  Resuming is the engine constructor's job
 (``ChaseEngine(None, tgds, kind, resume=checkpoint)``): it calls
@@ -241,8 +245,9 @@ class ChaseCheckpoint:
         self.atoms = atoms
         #: The worklist, in order.
         self.pending = pending
-        #: ``(snapshot items, counter)`` of a live mid-round delta, or None
-        #: when the checkpoint sits on a round boundary.
+        #: ``([(atom, 0), …, (atom, k - 1)], k)``: the cut round's delta, the
+        #: last ``k`` atoms of :attr:`atoms` in order, or None when the
+        #: checkpoint sits on a round boundary.
         self.delta = delta
         #: The original database's atoms (rebuilds ``Derivation.initial``);
         #: None for derivation-free loops (oblivious).
@@ -290,14 +295,17 @@ class ChaseCheckpoint:
         """
         kind = kind if kind is not None else engine.kind
         derivation = engine.derivation
-        delta = engine._round_delta
+        delta = None
+        if engine._round_start is not None:
+            born = engine.instance.born_since(engine._round_start)
+            delta = ([(atom, i) for i, (atom, _) in enumerate(born)], len(born))
         with trace.span("checkpoint.capture", atoms=len(engine.instance)):
             checkpoint = cls(
                 kind=kind,
                 tgd_digests=[t.digest_prefix() for t in engine.tgds],
                 atoms=list(engine.instance),
                 pending=list(engine.pending),
-                delta=(delta.snapshot(), delta._counter) if delta is not None else None,
+                delta=delta,
                 initial_atoms=(
                     list(derivation.initial) if derivation is not None else None
                 ),
@@ -345,6 +353,27 @@ class ChaseCheckpoint:
                 "checkpoint was taken for a different TGD set "
                 "(digest prefixes differ)"
             )
+
+    def round_start(self) -> Optional[int]:
+        """The birth the cut round started at in the restored instance, or
+        None on a round boundary.
+
+        The restored instance gives the atom list births ``0..n-1``, so a
+        delta of ``k`` atoms starts at ``n - k``.  Raises
+        :class:`repro.errors.CheckpointError` unless the delta pairs are
+        exactly the list's last ``k`` atoms, in order, at ``0..k-1``.
+        """
+        if self.delta is None:
+            return None
+        items, count = self.delta
+        start = len(self.atoms) - count if type(count) is int else -1
+        if not 0 <= start <= len(self.atoms) or list(items) != [
+            (atom, i) for i, atom in enumerate(self.atoms[start:])
+        ]:
+            raise CheckpointError(
+                "checkpoint delta is not the tail of its atom list"
+            )
+        return start
 
     def restore_derivation(self) -> Derivation:
         """Rebuild the derivation log prefix recorded in this checkpoint."""

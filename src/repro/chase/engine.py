@@ -5,14 +5,16 @@ derivations, the weakly restricted rounds) bottoms out in the same three
 operations: discover triggers, decide activity, apply a trigger.  This
 module owns the fast implementations of all three:
 
-* :class:`HeadWitnessIndex` — the per-TGD *head-witness cache* that makes
-  ``is_active`` O(few).  For every atom added to the instance it records,
-  per TGD whose head matches the atom, the frontier-binding tuple the atom
-  witnesses, read off the atom by the TGD's compiled
-  :class:`repro.chase.plans.HeadKernel`.  A trigger is then active iff its
-  frontier tuple is absent.  Because chase steps only ever *add* atoms,
-  deactivation is monotone: a cache hit is permanent, and no entry ever
-  needs revalidation.  (The only consumer that removes atoms — the
+* :class:`HeadWitnessIndex` — Definition 3.1 activity in O(few).  A full
+  TGD's frontier is its whole head, so its trigger is active iff its
+  result atom ``result(σ,h)`` is not in the instance: one membership probe,
+  and nothing stored.  For every existential TGD the index records, per
+  atom added to the instance whose predicate its head has, the
+  frontier-binding tuple the atom witnesses, read off the atom by the
+  TGD's compiled :class:`repro.chase.plans.HeadKernel`; such a trigger is
+  active iff its frontier tuple is absent.  Because chase steps only ever
+  *add* atoms, deactivation is monotone: a hit is permanent, and no entry
+  ever needs revalidation.  (The only consumer that removes atoms — the
   derivation DFS — undoes additions in strict LIFO order, for which
   :meth:`HeadWitnessIndex.forget` reverts exactly the entries the mirrored
   :meth:`note` created.)
@@ -29,21 +31,24 @@ module owns the fast implementations of all three:
   without deep-copying the instance or its indexes.
 
 * One discovery kernel: every trigger the engine enqueues comes from the
-  compiled join plans of :mod:`repro.chase.plans`.  A round's batched pass
-  runs them over the round's delta; seeding, ``apply`` and
-  ``inject_atoms`` run them over a delta of just the atoms they added
-  (all seed atoms, one result atom, the injected atoms).
+  compiled join plans of :mod:`repro.chase.plans`, run over a *delta*:
+  the atoms born since a birth the engine noted
+  (:meth:`repro.core.instance.Instance.born_since`), which are the
+  instance's newest.  A round's batched pass runs them over the atoms the
+  round added; seeding, ``apply`` and ``inject_atoms`` over the atoms
+  they added (all seed atoms, one result atom, the injected atoms).  No
+  delta is recorded anywhere: a birth names where it starts.
 
 * :meth:`ChaseEngine.run_round` — the *semi-naive, set-at-a-time* evaluation
-  mode: instead of popping one trigger per step, a round drains the whole
-  pending batch, applies the still-active triggers in batch order, collects
-  the added atoms as the instance's tracked delta
-  (:meth:`repro.core.instance.Instance.track_delta`), and runs one batched
-  discovery pass (:meth:`ChaseEngine._discover`) against the delta's
-  per-round index snapshot.  Discovery results are enqueued in
-  ``(birth, canonical)`` order, which replays the step-at-a-time engine's
-  enqueue order exactly — round-based and step-based runs produce
-  byte-identical instances, verdicts, and derivations.
+  mode: instead of popping one trigger per step, a round notes the
+  instance's next birth, drains the whole pending batch, applies the
+  still-active triggers in batch order, reads the atoms born since the
+  noted birth off the instance once, and runs one batched discovery pass
+  (:meth:`ChaseEngine._discover`) over them.  Discovery results are
+  enqueued in ``(birth, canonical)`` order, which replays the
+  step-at-a-time engine's enqueue order exactly — round-based and
+  step-based runs produce byte-identical instances, verdicts, and
+  derivations.
 
 * :meth:`ChaseEngine.drive` — the one round driver: ``run_round`` to a
   fixpoint or the first limit.  ``seminaive_chase``, the semi-naive
@@ -57,21 +62,15 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.backends import make_instance
 from repro.core.atoms import Atom
-from repro.core.homomorphism import match_atom
-from repro.core.instance import Delta, Instance
+from repro.core.instance import Instance
 from repro.core.terms import Term
 from repro.chase.derivation import Derivation
 from repro.chase.plans import RuleTables, discovery_rows
-from repro.chase.trigger import (
-    Trigger,
-    in_canonical_order,
-    satisfies_head,
-    triggers_of,
-)
+from repro.chase.trigger import Trigger, in_canonical_order, triggers_of
 from repro.obs import clock, trace
 from repro.obs.log import get_logger, log_event
 from repro.tgds.tgd import TGD
@@ -98,21 +97,18 @@ def _bind_rows(triggers: Iterable[Trigger], tgds: Tuple[TGD, ...]) -> List[Trigg
     return rows
 
 
-def _delta_of(atoms: Iterable[Atom]) -> Delta:
-    """A delta of atoms already in the instance, born 0..n-1 in order."""
-    delta = Delta()
-    for atom in atoms:
-        delta.record(atom)
-    return delta
-
-
 class HeadWitnessIndex:
-    """Frontier-binding tuples whose head is already witnessed, per TGD.
+    """Is a trigger's head already witnessed (the trigger inactive)?
 
-    ``note(atom)`` extracts, for each TGD whose head predicate matches, the
-    unique frontier tuple the atom witnesses (if the head matches at all)
-    and records it.  ``witnessed(trigger)`` is then a set lookup — the
-    indexed replacement for the repeated ``satisfies_head`` scans.
+    A full TGD's frontier is its whole head, so ``result(σ,h)`` is the one
+    atom that can witness its trigger: ``witnessed`` tests it against the
+    instance, and the index keeps nothing for the rule.
+
+    For an existential TGD, ``note(atom)`` extracts the unique frontier
+    tuple the atom witnesses (if the head matches at all) and records it;
+    ``witnessed(trigger)`` is then a set lookup — the indexed replacement
+    for the repeated ``satisfies_head`` scans.  The owner notes every atom
+    it adds.
 
     Correctness: a candidate atom matches ``head(σ)`` under a partial
     frontier binding ``h|fr(σ)`` iff it matches under the empty binding
@@ -121,25 +117,26 @@ class HeadWitnessIndex:
     (existential) positions only carry internal consistency constraints.
     """
 
-    def __init__(self, tables: RuleTables, instance: Optional[Instance] = None):
+    def __init__(self, tables: RuleTables, instance: Instance):
         #: The owner's routing (:class:`repro.chase.plans.RuleTables`):
-        #: ``head predicate -> ((tgd, index, kernel), ...)``, equal TGDs
-        #: under the index of the first, whose witnessed set they share.
+        #: ``head predicate -> ((tgd, index, kernel), ...)`` over the
+        #: existential rules, equal TGDs under the index of the first, whose
+        #: witnessed set they share.
         self._routes = tables.heads
         self._firsts = tables.firsts
-        self._sets = {index: set() for index in self._firsts.values()}
+        self._sets = {
+            index: set() for routes in self._routes.values() for _, index, _ in routes
+        }
+        #: The instance's membership container: what witnesses a full rule.
+        self._atoms = instance.membership()
         #: Telemetry: probes answered / probes answered "already witnessed"
         #: (a hit deactivates a trigger — work the cache saved).  Plain
         #: ints, folded into :class:`repro.obs.stats.ChaseStats` at run end.
         self.lookups = 0
         self.hits = 0
-        if instance is not None:
+        if self._routes:
             for atom in instance:
                 self.note(atom)
-
-    def keys(self, tgd: TGD) -> Set[Tuple[Term, ...]]:
-        """The frontier tuples witnessed for ``tgd`` (shared by equal rules)."""
-        return self._sets[self._firsts[tgd]]
 
     def note(self, atom: Atom) -> List[Tuple[TGD, Tuple[Term, ...]]]:
         """Record every frontier tuple ``atom`` witnesses; returns new entries.
@@ -172,30 +169,15 @@ class HeadWitnessIndex:
         """Is the trigger's head already witnessed (i.e. the trigger inactive)?"""
         self.lookups += 1
         tgd, values = trigger
-        if tgd.head_kernel().frontier(values) in self._sets[self._firsts[tgd]]:
+        kernel = tgd.head_kernel()
+        if kernel.suffixes:
+            # Existential: its frontier tuple, against the noted ones.
+            hit = kernel.frontier(values) in self._sets[self._firsts[tgd]]
+        else:
+            hit = kernel.result(values) in self._atoms
+        if hit:
             self.hits += 1
-            return True
-        return False
-
-    def consistent_with(self, instance: Instance) -> bool:
-        """Brute-force audit: does the cache agree with ``satisfies_head``?
-
-        Used by property tests; quadratic, never called on hot paths.
-        """
-        for tgd, index in self._firsts.items():
-            cached = self._sets[index]
-            recomputed = set()
-            for atom in instance.with_predicate(tgd.head.predicate):
-                binding = match_atom(tgd.head, atom)
-                if binding is not None:
-                    recomputed.add(tuple(binding[v] for v in tgd.frontier_order))
-            if cached != recomputed:
-                return False
-            for key in cached:
-                frontier_binding = dict(zip(tgd.frontier_order, key))
-                if not satisfies_head(instance, tgd, frontier_binding):
-                    return False
-        return True
+        return hit
 
 
 class ApplyToken:
@@ -230,7 +212,7 @@ class RoundResult:
         #: Triggers the round's batched discovery enqueued, in enqueue order.
         self.discovered = discovered
         #: True iff a budget stopped the round early.  The unprocessed tail
-        #: is re-queued in order and the round's delta stays live: the next
+        #: is re-queued in order and the round's start stays noted: the next
         #: ``run_round`` call *continues the same logical round*, so callers
         #: may abort, checkpoint, or simply keep going — nothing is lost.
         self.cut = cut
@@ -280,7 +262,7 @@ class ChaseEngine:
         :attr:`derivation`.  ``resume`` is a
         :class:`repro.chase.checkpoint.ChaseCheckpoint` taken by a chase of
         the same kind over the same rule list (``database`` is then
-        ignored): the worklist, a cut round's live delta, the round count
+        ignored): the worklist, a cut round's start birth, the round count
         and the derivation log come from it, and the instance indexes and
         the witness cache are rebuilt from its atom list.
 
@@ -310,16 +292,15 @@ class ChaseEngine:
             else:
                 atoms = sorted(database, key=Atom.sort_key)
             self._load(atoms, prune, backend)
-            self._discover(_delta_of(atoms))
+            self._discover(0)
             if self.witnesses is not None:
                 self.derivation = Derivation(self.instance)
             return
+        start = resume.round_start()
         with trace.span("checkpoint.restore", atoms=len(resume.atoms)):
             self._load(resume.atoms, prune, backend)
             self.pending = _bind_rows(resume.pending, self.tgds)
-            if resume.delta is not None:
-                self._round_delta = Delta._restore(*resume.delta)
-                self.instance.resume_delta(self._round_delta)
+            self._round_start = start
             self.rounds = resume.rounds
             if self.witnesses is not None:
                 self.derivation = resume.restore_derivation()
@@ -336,7 +317,7 @@ class ChaseEngine:
             kind=kind,
             atoms=len(resume.atoms),
             pending=len(self.pending),
-            mid_round=resume.delta is not None,
+            mid_round=start is not None,
         )
 
     def _load(self, atoms: Sequence[Atom], prune: bool, backend) -> None:
@@ -365,10 +346,11 @@ class ChaseEngine:
             None if self.kind == "oblivious" else HeadWitnessIndex(self._tables, self.instance)
         )
         self.pending: List[Trigger] = []
-        #: The live delta of a round in progress.  Non-None between a budget
-        #: cut and the call that completes the round — the suspended state a
-        #: checkpoint carries and ``run_round`` continues from.
-        self._round_delta = None
+        #: The first birth of a round in progress: its delta is every atom
+        #: born since.  Non-None between a budget cut and the call that
+        #: completes the round — the suspended state a checkpoint carries
+        #: and ``run_round`` continues from.
+        self._round_start: Optional[int] = None
         #: Rounds :meth:`drive` started; a suspended round counts once.
         self.rounds = 0
         #: The derivation log :meth:`drive` appends to (None: oblivious).
@@ -396,13 +378,14 @@ class ChaseEngine:
             self.stats.absorb_engine(self)
 
     def mid_round(self) -> bool:
-        """Is a budget-cut round suspended (delta live, discovery pending)?"""
-        return self._round_delta is not None
+        """Is a budget-cut round suspended (start noted, discovery pending)?"""
+        return self._round_start is not None
 
     # -- worklist ----------------------------------------------------------
 
-    def _discover(self, delta: Delta, round_pass: bool = False) -> List[Trigger]:
-        """Enqueue the triggers whose body image uses an atom of ``delta``.
+    def _discover(self, start: int, round_pass: bool = False) -> List[Trigger]:
+        """Enqueue the triggers whose body image uses an atom born since
+        ``start``: the delta, read off the instance once.
 
         The engine's one discovery step: rows from the join plans of
         :mod:`repro.chase.plans`, :meth:`RuleTables.order`,
@@ -413,7 +396,8 @@ class ChaseEngine:
         stats = self.stats
         if stats is not None:
             stamp = clock.perf_counter()
-        rows = discovery_rows(self._tables.discovery, self.instance, delta)
+        born = self.instance.born_since(start)
+        rows = discovery_rows(self._tables.discovery, self.instance, born)
         if stats is not None:
             joined = clock.perf_counter()
             stats.discover_join_seconds += joined - stamp
@@ -466,14 +450,16 @@ class ChaseEngine:
         if stats is not None:
             stamp = clock.perf_counter()
         atom = trigger.result()
-        added = self.instance.add(atom)
+        instance = self.instance
+        start = instance.next_birth()
+        added = instance.add(atom)
         witness_entries: List[Tuple[TGD, Tuple[Term, ...]]] = []
         if added and self.witnesses is not None:
             witness_entries = self.witnesses.note(atom)
         if stats is not None:
             stats.apply_seconds += clock.perf_counter() - stamp
             stats.record_fired(trigger)
-        discovered = self._discover(_delta_of((atom,))) if added else []
+        discovered = self._discover(start) if added else []
         return ApplyToken(trigger, atom, added, witness_entries, discovered)
 
     # -- external facts ----------------------------------------------------
@@ -489,10 +475,10 @@ class ChaseEngine:
         At a round boundary the join plans run once over the new atoms as
         a delta, and the triggers they find are enqueued canonically
         sorted, as ``apply`` does for a derived atom.  Mid round (a budget
-        cut left the delta live) the atoms are recorded into the live
-        delta instead, so the round-completing discovery pass covers them
-        — either way every trigger touching the new atoms is found
-        exactly once.
+        cut suspended the round) the atoms are born into the round's delta
+        instead, so the round-completing discovery pass covers them —
+        either way every trigger touching the new atoms is found exactly
+        once.
 
         Requires the full rule set live: the engine's dependency-pruned
         subset (``prune=True``) is fixed from the *seed* instance's
@@ -506,6 +492,7 @@ class ChaseEngine:
                 "subset was fixed from the seed instance, and injected "
                 "atoms may revive pruned rules (build with prune=False)"
             )
+        start = self.instance.next_birth()
         added: List[Atom] = []
         for atom in atoms:
             if not atom.is_ground:
@@ -515,7 +502,7 @@ class ChaseEngine:
                 if self.witnesses is not None:
                     self.witnesses.note(atom)
         if added and not self.mid_round():
-            self._discover(_delta_of(added))
+            self._discover(start)
         return added
 
     # -- semi-naive rounds -------------------------------------------------
@@ -528,17 +515,18 @@ class ChaseEngine:
     ) -> RoundResult:
         """One set-at-a-time chase round over the whole pending batch.
 
-        Drains the worklist, then (1) walks the batch in its enqueue order,
-        re-checking each trigger's activity against the head-witness cache
-        *at application time* (earlier applications of the same round may
-        deactivate later batch members), before any limit, and applying the
-        still-active ones;
+        Notes the instance's next birth, drains the worklist, then (1) walks
+        the batch in its enqueue order, re-checking each trigger's activity
+        against the head-witness cache *at application time* (earlier
+        applications of the same round may deactivate later batch members),
+        before any limit, and applying the still-active ones;
         with the cache disabled (oblivious mode) every batch trigger is
         applied and set semantics deduplicates.  The walk inlines the
         witness probe and takes a result memo only if one exists (it stores
-        none).  (2) The atoms the round
-        added are collected as the instance's tracked delta, and (3) one
-        batched semi-naive discovery pass (:meth:`_discover`) enqueues the
+        none); a full rule's result atom is built once, for the probe and
+        the insert.  (2) The atoms born since the noted birth are the
+        round's delta, read off the instance once, and (3) one batched
+        semi-naive discovery pass (:meth:`_discover`) over them enqueues the
         next round's triggers in ``(birth, canonical)`` order — the exact
         order the per-application discovery of the step-at-a-time engine
         would have produced, which keeps round-based runs byte-identical to
@@ -550,38 +538,51 @@ class ChaseEngine:
         :class:`repro.chase.checkpoint.Budget` checked before every
         application (wall clock, cumulative applications, absolute atoms).
         A violation re-queues the unprocessed tail in order, skips
-        discovery, and sets ``cut`` — but the round's delta stays *live*:
-        the engine is suspended, not poisoned.  A later ``run_round``
-        continues the same logical round (same delta, same birth counters),
-        so the eventual discovery pass is byte-identical to an uncut
-        round's; :meth:`repro.chase.checkpoint.ChaseCheckpoint.capture` can
+        discovery, and sets ``cut`` — but the round's start birth stays
+        noted: the engine is suspended, not poisoned.  A later
+        ``run_round`` continues the same logical round (its delta runs from
+        the same birth), so the eventual discovery pass is byte-identical
+        to an uncut round's; :meth:`repro.chase.checkpoint.ChaseCheckpoint.capture` can
         snapshot the suspension for out-of-process resume.
         """
-        if self._round_delta is None:
-            self._round_delta = self.instance.track_delta()
-        delta = self._round_delta
-        start = len(delta)
+        instance = self.instance
+        if self._round_start is None:
+            self._round_start = instance.next_birth()
+        start = self._round_start
         stats = self.stats
         if stats is not None:
             stats.pending_depths.append(len(self.pending))
             stamp = clock.perf_counter()
         batch = self.take_pending()
         applied: List[Trigger] = []
+        added: List[Atom] = []
         vacuous = 0
         cut = False
         reason: Optional[str] = None
-        instance = self.instance
         witnesses = self.witnesses
+        routes = {}
         if witnesses is not None:
             # HeadWitnessIndex.witnessed, inlined.
             sets, firsts, note = witnesses._sets, witnesses._firsts, witnesses.note
+            routes, atoms = witnesses._routes, instance.membership()
         with trace.span("round.apply", batch=len(batch)):
             for index, trigger in enumerate(batch):
                 tgd, values = trigger
                 kernel = tgd.head_kernel()
-                if witnesses is not None and kernel.frontier(values) in sets[firsts[tgd]]:
-                    vacuous += 1
-                    continue
+                # A memo set earlier (say by the critical chase's nesting
+                # monitor) is reused; none is created here.
+                atom = trigger._result
+                if witnesses is not None:
+                    if kernel.suffixes:
+                        if kernel.frontier(values) in sets[firsts[tgd]]:
+                            vacuous += 1
+                            continue
+                    else:
+                        if atom is None:
+                            atom = kernel.result(values)
+                        if atom in atoms:
+                            vacuous += 1
+                            continue
                 if max_applications is not None and len(applied) >= max_applications:
                     self.pending = batch[index:] + self.pending
                     cut, reason = True, "max_applications"
@@ -592,13 +593,12 @@ class ChaseEngine:
                         self.pending = batch[index:] + self.pending
                         cut = True
                         break
-                # A memo set earlier (say by the critical chase's nesting
-                # monitor) is reused; none is created here.
-                atom = trigger._result
                 if atom is None:
                     atom = kernel.result(values)
-                if instance.add(atom) and witnesses is not None:
-                    note(atom)
+                if instance.add(atom):
+                    added.append(atom)
+                    if atom[0] in routes:
+                        note(atom)
                 applied.append(trigger)
                 if budget is not None:
                     budget.charge_application()
@@ -610,7 +610,6 @@ class ChaseEngine:
             # One probe per trigger the loop reached, a cut one included.
             witnesses.lookups += index + 1
             witnesses.hits += vacuous
-        added = delta.atoms()[start:]
         if stats is not None:
             stats.apply_seconds += clock.perf_counter() - stamp
             stats.triggers_vacuous += vacuous
@@ -633,18 +632,20 @@ class ChaseEngine:
             return RoundResult(
                 applied, added, [], cut=True, reason=reason, vacuous=vacuous
             )
+        # Every birth since the start went to an atom of the round's delta:
+        # a round discards nothing.
+        size = instance.next_birth() - start
         discovered: List[Trigger] = []
-        if delta:
-            # Discover while the delta is still attached: if discovery
+        if size:
+            # Discover while the round's start is still noted: if discovery
             # raises, the suspended state survives for a retry.
-            with trace.span("round.discover", delta=len(delta)):
-                discovered = self._discover(delta, round_pass=True)
+            with trace.span("round.discover", delta=size):
+                discovered = self._discover(start, round_pass=True)
         if stats is not None:
             # A cut-then-continued round tallies once, with the *whole*
             # round's delta, at the call that completes it.
-            stats.record_round(len(delta))
-        self.instance.take_delta()
-        self._round_delta = None
+            stats.record_round(size)
+        self._round_start = None
         return RoundResult(
             applied, added, discovered, cut=False, vacuous=vacuous
         )
@@ -667,7 +668,7 @@ class ChaseEngine:
         without it no atom outlives its round here (a disk-backed
         instance keeps only the current round's delta in memory).
         A limit never raises — the engine stays suspended
-        (tail re-queued, a cut round's delta live) and the next call goes
+        (tail re-queued, a cut round's start noted) and the next call goes
         on from there; what a cut *means* is the caller's business.
 
         Before every round (and every continuation of a cut one) the checks
@@ -686,8 +687,8 @@ class ChaseEngine:
         if budget is not None:
             budget.start()
         applied = added = 0
-        while self.pending or self._round_delta is not None:
-            starting = self._round_delta is None
+        while self.pending or self._round_start is not None:
+            starting = self._round_start is None
             if max_rounds is not None and starting and self.rounds >= max_rounds:
                 return "max_rounds", applied, added
             if max_atoms is not None and len(self.instance) > max_atoms:

@@ -22,37 +22,34 @@ it may probe (so those positions are indexed when the plan first runs,
 not when a loop first reaches them), and a loop probes with
 ``getter(term, E)``, ``E`` the shared empty bucket.
 
-Two shortcuts rest on the order of the instance.  A delta holds the
-instance's newest atoms, in birth order, so every bucket lists the atoms
-outside the delta first and the delta's after them by birth: the first
-candidate past a step's delta limit ends the walk (``break``).  And a
-body atom whose terms are all bound when the plan reaches it has one
-candidate, so it gets no loop and no getter: the plan builds its
-``(predicate, terms)`` pair, which equals the atom it names, tests it with
-one ``in`` against :meth:`repro.core.instance.Instance.membership`, then
-applies the delta limit.
+Two shortcuts rest on births (:mod:`repro.core.instance`).  Every
+bucket lists its atoms by increasing birth, and an atom outside the delta
+was born before every atom inside it, so the first candidate past a
+step's delta limit ends the walk (``break``).  And a body atom whose
+terms are all bound when the plan reaches it has one candidate, so it
+gets no loop and no position getter: the plan builds its ``(predicate,
+terms)`` pair, which equals the atom it names, and looks its birth up,
+one probe that also tests membership: an absent atom reads ``UNBORN``,
+past every limit.
 
 ``plan.source`` holds the generated text; for the pivot ``F(y,z)`` of
 ``F(x,y), F(y,z), F(z,x) -> T(x,y,z)``, ``print(tgd.join_plans()[1].source)``
 shows, abridged::
 
     def make(p1, p2):
-        def match(bucket, instance, positions, tgd_index, rows):
+        def match(bucket, instance, tgd_index, rows):
             lookup = instance.position_lookup
             q1_2 = lookup(p1, 2)
-            atoms = instance.membership()
             ...
-            for a0 in bucket:
+            get = instance.births()
+            for a0, birth in bucket:
                 ...
-                birth = positions[a0]
                 c1 = q1_2(v0, E)
                 for a1 in c1:
-                    if get(a1, -1) >= birth: break
+                    if get(a1) >= birth: break
                     ...
                     v2 = t1[0]
-                    a2 = (p2, (v1, v2))
-                    if a2 not in atoms: continue
-                    if get(a2, -1) > birth: continue
+                    if get((p2, (v1, v2)), UNBORN) > birth: continue
                     append((tgd_index, (v2, v0, v1), birth))
 
 Predicates and constants enter only as parameters of the generated
@@ -62,18 +59,16 @@ pattern of bound, repeated and fresh terms, in plan order — and a cache
 keyed by the shape generates and compiles each shape once: equal shapes
 share one code object.  CPython refuses more than 20 statically nested
 blocks, so a body longer than :data:`LOOPS_PER_FUNCTION` atoms continues
-in chained functions, each receiving the locals bound so far, the
-getters it and its successors probe and, when one of them needs it, the
-membership container.  The generated function receives
-the instance and the delta positions per call and captures neither.
+in chained functions, each receiving the locals bound so far and the
+getters it and its successors probe.  The generated function receives
+the instance per call and captures it nowhere.
 
-Exactly-once split: with the pivot bound to the delta atom at position
-``p``, body atoms *before* the pivot may bind only old atoms or delta
-atoms at positions ``< p`` (a *strict* step), and body atoms *after* it
-old atoms or delta atoms at positions ``<= p``.  A homomorphism therefore
-surfaces at exactly one pivot — the first body atom whose image is the
-latest delta atom of the body image — with ``birth = p``, the maximum
-delta position of its image.
+Exactly-once split: with the pivot bound to the delta atom born at ``p``,
+body atoms *before* the pivot may bind only atoms born before ``p`` (a
+*strict* step), and body atoms *after* it atoms born no later than ``p``.
+A homomorphism therefore surfaces at exactly one pivot — the first body
+atom whose image is the latest-born atom of the body image — with
+``birth = p``, the latest birth of its image.
 
 Plans emit compact rows ``(tgd_index, values, birth)``, ``values`` in
 :attr:`TGD.body_order`.  The discovery pass (:func:`discovery_rows`) runs
@@ -97,6 +92,7 @@ one rule list again and again builds them once.
 from __future__ import annotations
 
 import hashlib
+import sys
 from functools import cached_property, lru_cache
 from operator import is_, itemgetter
 from typing import Dict, List, Sequence, Tuple
@@ -139,6 +135,11 @@ _EMPTY = itemgetter(slice(0, 0))
 _NO_ATOMS: Dict = {}
 
 
+#: ``UNBORN`` of the generated code: the birth the births getter reports for
+#: an atom the instance does not hold, above every birth.
+UNBORN = sys.maxsize
+
+
 #: ``for`` loops one generated function nests at most.  CPython refuses
 #: more than 20 statically nested blocks, so a longer plan continues in a
 #: chained function that receives the locals bound so far.
@@ -151,7 +152,7 @@ def _kernel(shape: tuple) -> tuple:
     generated and compiled once, and plans of one shape share one code
     object per generated function."""
     source, positions = _source(*shape)
-    namespace: Dict = {"E": _NO_ATOMS}
+    namespace: Dict = {"E": _NO_ATOMS, "UNBORN": UNBORN}
     exec(compile(source, "<join plan>", "exec"), namespace)
     return source, namespace["make"], positions
 
@@ -167,18 +168,18 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
     constants ``k0``, ``k1``, … and the variables locals ``v0``, ``v1``, …
     in binding order, so no predicate or constant text enters the source.
     ``q<step>_<position>`` is the position getter a step probes and ``E``
-    the shared empty bucket it defaults to.  A step whose terms are all
-    bound walks no bucket: it asks ``atoms``, the instance's
-    :meth:`~repro.core.instance.Instance.membership`, for its one
-    candidate.
+    the shared empty bucket it defaults to; ``get`` is the instance's
+    :meth:`~repro.core.instance.Instance.births` getter.  A step whose
+    terms are all bound walks no bucket: it looks its one candidate's
+    birth up, ``UNBORN`` when the instance lacks it.
     """
     def name(code: int) -> str:
         return f"v{code}" if code >= 0 else f"k{~code}"
 
     # Per step, the ``(getter, index, term)`` of its bound positions:
     # constants (negative codes) and variables bound by earlier steps.  A
-    # step after the pivot whose terms are all bound probes membership
-    # instead, through no getter.
+    # step after the pivot whose terms are all bound looks its birth up
+    # instead, through no position getter.
     probes: List[list] = []
     whole: List[bool] = []
     bound = 0
@@ -194,17 +195,15 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
 
     bound = 0
     functions: List[list] = []
-    lines = ["def match(bucket, instance, positions, tgd_index, rows):"]
+    lines = ["def match(bucket, instance, tgd_index, rows):"]
     if any(probes[1:]):
         lines.append("    lookup = instance.position_lookup")
     for step in range(1, len(pattern)):
         for getter, index, _ in probes[step]:
             lines.append(f"    {getter} = lookup(p{step}, {index + 1})")
-    if any(whole):
-        lines.append("    atoms = instance.membership()")
     lines += [
         "    with_predicate = instance.with_predicate",
-        "    get = positions.get",
+        "    get = instance.births()",
         "    append = rows.append",
     ]
     indent, loops = "    ", 0
@@ -217,7 +216,6 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
             if loops == LOOPS_PER_FUNCTION:
                 params = ", ".join(
                     ["with_predicate", "get", "append", "tgd_index", "birth"]
-                    + (["atoms"] if any(whole[step:]) else [])
                     + [getter for later in probes[step:] for getter, _, _ in later]
                     + [f"v{code}" for code in range(bound)]
                 )
@@ -229,10 +227,9 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
             if whole[step]:
                 # Every term is bound, so the step has one candidate: the
                 # ``(predicate, terms)`` pair, which equals the atom it names.
+                # An absent atom is unborn, past every limit.
                 pair = ", ".join(name(code) for code in terms) + ("," if len(terms) == 1 else "")
-                lines.append(f"{indent}a{step} = (p{step}, ({pair}))")
-                lines.append(f"{indent}if a{step} not in atoms: {fail}")
-                lines.append(f"{indent}if get(a{step}, -1) {over}: {fail}")
+                lines.append(f"{indent}if get((p{step}, ({pair})), UNBORN) {over}: {fail}")
                 continue
             found = probes[step]
             if not found:
@@ -247,14 +244,15 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
                 if len(found) == 1:
                     # The one bound position is the probed bucket's key.
                     skip = index
-        lines.append(f"{indent}for a{step} in {f'c{step}' if step else 'bucket'}:")
+            lines.append(f"{indent}for a{step} in c{step}:")
+        else:
+            lines.append(f"{indent}for a0, birth in bucket:")
         indent += "    "
         loops += 1
         if step:
-            # Buckets list the atoms outside the delta first, then the
-            # delta's in birth order: the first atom past the limit ends
-            # the walk.
-            lines.append(f"{indent}if get(a{step}, -1) {over}: break")
+            # Buckets list their atoms by increasing birth: the first atom
+            # past the limit ends the walk.
+            lines.append(f"{indent}if get(a{step}) {over}: break")
         lines.append(f"{indent}t{step} = a{step}[1]")
         lines.append(f"{indent}if len(t{step}) != {len(terms)}: continue")
         fresh: Dict = {}
@@ -269,8 +267,6 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
         for code, index in fresh.items():
             lines.append(f"{indent}v{code} = t{step}[{index}]")
         bound += len(fresh)
-        if not step:
-            lines.append(f"{indent}birth = positions[a0]")
     row = ", ".join(name(code) for code in values) + ("," if len(values) == 1 else "")
     lines.append(f"{indent}append((tgd_index, ({row}), birth))")
     functions.append(lines)
@@ -288,13 +284,13 @@ def _source(pattern: tuple, values: tuple) -> Tuple[str, tuple]:
 class JoinPlan:
     """The compiled semi-naive join of one ``(tgd, pivot_index)`` pair.
 
-    ``match(bucket, instance, positions, tgd_index, rows)`` joins every
-    pivot atom of ``bucket`` into ``instance``: ``bucket`` holds delta
-    atoms under the pivot predicate (the whole per-predicate bucket or a
-    slice of it), ``positions`` is the delta's atom -> birth map.  It
-    appends one ``(tgd_index, values, birth)`` row per homomorphism whose
-    latest delta atom is a pivot atom of ``bucket``; no two rows share a
-    binding.  ``source`` is the generated factory ``match`` came from.
+    ``match(bucket, instance, tgd_index, rows)`` joins every pivot atom
+    of ``bucket`` into ``instance``: ``bucket`` holds the delta's
+    ``(atom, birth)`` pairs under the pivot predicate, in birth order (the
+    whole per-predicate group or a slice of it).  It appends one
+    ``(tgd_index, values, birth)`` row per homomorphism whose latest-born
+    atom is a pivot atom of ``bucket``; no two rows share a binding.
+    ``source`` is the generated factory ``match`` came from.
     """
 
     __slots__ = ("predicate", "order", "source", "match", "_predicates", "_positions")
@@ -336,7 +332,7 @@ class JoinPlan:
     def probes(self) -> Tuple[Tuple[str, int], ...]:
         """The ``(predicate, position)`` pairs ``match`` may probe: every
         bound position of every non-pivot step that walks a bucket (a step
-        whose terms are all bound tests membership instead).  ``match``
+        whose terms are all bound looks its birth up instead).  ``match``
         takes the position getter of each of them when it starts."""
         return tuple(
             (predicate, position)
@@ -429,8 +425,8 @@ class RuleTables:
     * :attr:`ranks` — the rank of every rule of the list, by list index:
       the integer order of the rules' canonical keys (:meth:`order`).
     * :attr:`heads` — the head-witness routing
-      (:class:`repro.chase.engine.HeadWitnessIndex`) over the
-      :attr:`firsts`.
+      (:class:`repro.chase.engine.HeadWitnessIndex`) over the existential
+      rules of :attr:`firsts`.
 
     The tables hold the list's rule objects and are shared only by the
     identical list: an equal list of other rule objects may name its rules
@@ -526,31 +522,38 @@ class RuleTables:
 
     @cached_property
     def heads(self) -> Dict[str, tuple]:
-        """``head predicate -> ((tgd, first index, kernel), ...)`` over
-        :attr:`firsts`."""
+        """``head predicate -> ((tgd, first index, kernel), ...)`` over the
+        existential rules of :attr:`firsts`.  A full rule's head is
+        witnessed by its result atom alone, which the instance answers."""
         heads: Dict[str, list] = {}
         for tgd, index in self.firsts.items():
-            heads.setdefault(tgd.head.predicate, []).append((tgd, index, tgd.head_kernel()))
+            if tgd.existential_variables:
+                heads.setdefault(tgd.head.predicate, []).append((tgd, index, tgd.head_kernel()))
         return {predicate: tuple(found) for predicate, found in heads.items()}
 
 
-def discovery_rows(table: DiscoveryTable, instance, delta) -> List[tuple]:
+def discovery_rows(table: DiscoveryTable, instance, born) -> List[tuple]:
     """Every row of one semi-naive discovery pass, serially.
 
-    Walks the delta's predicates through ``table`` (see
-    :attr:`RuleTables.discovery`), so rules whose body misses the delta cost
-    nothing.  Row order is unspecified; :meth:`RuleTables.order` fixes it.
-
-    ``delta`` must hold the instance's newest atoms, in birth order, as
-    every tracked delta does: the plans stop each bucket walk at the first
-    atom past the step's delta limit.
+    ``born`` is the delta: the ``(atom, birth)`` pairs of the instance's
+    newest atoms, in birth order, as :meth:`Instance.born_since
+    <repro.core.instance.Instance.born_since>` reads them.  The pass groups
+    them by predicate once and walks the groups through ``table`` (see
+    :attr:`RuleTables.discovery`), so rules whose body misses the delta
+    cost nothing.  Row order is unspecified; :meth:`RuleTables.order`
+    fixes it.
     """
+    groups: Dict[str, list] = {}
+    for item in born:
+        group = groups.get(item[0][0])
+        if group is None:
+            groups[item[0][0]] = [item]
+        else:
+            group.append(item)
     rows: List[tuple] = []
-    positions = delta.positions()
-    for predicate in delta.predicates():
+    for predicate, bucket in groups.items():
         entries = table.get(predicate)
         if entries:
-            bucket = delta.with_predicate(predicate)
             for tgd_index, _, plan in entries:
-                plan.match(bucket, instance, positions, tgd_index, rows)
+                plan.match(bucket, instance, tgd_index, rows)
     return rows

@@ -284,7 +284,8 @@ class RealObliviousChase(ChaseGraph):
         triggers: Dict[tuple, Tuple[int, Trigger, List[Atom]]] = {}
         triggers_by_image_atom: Dict[Atom, List[tuple]] = {}
         tables = RuleTables.of(self.tgds)
-        atom_index.track_delta()
+        # The first birth of the atoms the next discovery pass covers.
+        start = 0
 
         def add_node(
             atom: Atom, trigger: Optional[Trigger], parents: Tuple[int, ...], depth: int
@@ -300,12 +301,12 @@ class RealObliviousChase(ChaseGraph):
             return node_id
 
         def discover(first_round: bool) -> None:
-            delta = atom_index.take_delta()
-            atom_index.track_delta()
+            nonlocal start
             if first_round:
                 found = triggers_on(self.tgds, atom_index)
             else:
-                found = round_triggers(tables, atom_index, delta)
+                found = round_triggers(tables, atom_index, start)
+            start = atom_index.next_birth()
             for trigger in found:
                 if trigger.key not in triggers:
                     image = trigger.body_image()

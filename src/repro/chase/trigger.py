@@ -254,32 +254,26 @@ def in_canonical_order(triggers: List[Trigger], tables: RuleTables) -> List[Trig
 
 
 def seminaive_triggers(
-    tgds: Iterable[TGD], instance: Instance, delta
+    tgds: Iterable[TGD], instance: Instance, start: int
 ) -> List[Trigger]:
     """Set-at-a-time trigger discovery against a round delta.
 
-    The batched counterpart of per-atom :func:`new_triggers`: ``delta`` is a
-    :class:`repro.core.instance.Delta` (the atoms one round added, already
-    committed to ``instance``).  Each TGD body is rewritten semi-naively —
-    one body atom (the pivot) is bound to a delta atom through the delta's
-    per-predicate snapshot, the rest match against the full term-position
-    indexes — through the compiled join plans of :mod:`repro.chase.plans`,
-    reached from the delta's predicates, so rules the delta does not touch
-    cost nothing.
-
-    Precondition: the delta holds the instance's newest atoms, in birth
-    order — no atom outside it was added after one inside it.  Every
-    tracked delta does (:meth:`repro.core.instance.Instance.track_delta`),
-    and so does every delta the engine builds; the plans end a bucket walk
-    at the first atom past a step's delta limit on the strength of it.
+    The batched counterpart of per-atom :func:`new_triggers`: the delta is
+    every atom of ``instance`` born at or after the birth ``start``
+    (:meth:`repro.core.instance.Instance.born_since`), the newest atoms,
+    already committed.  Each TGD body is rewritten semi-naively — one body
+    atom (the pivot) is bound to a delta atom, the rest match against the
+    full term-position indexes — through the compiled join plans of
+    :mod:`repro.chase.plans`, reached from the delta's predicates, so
+    rules the delta does not touch cost nothing.
 
     The returned list is ordered by ``(birth, canonical_key)`` where
-    ``birth`` is the delta position of the *latest* body-image atom drawn
-    from the delta.  That is exactly the order in which the step-at-a-time
-    engine enqueues the same triggers: a trigger surfaces at the
-    application that completes its body image, and each per-application
-    batch is canonically sorted.  This is what keeps round-based runs
-    byte-identical to step-at-a-time runs.
+    ``birth`` is the birth of the *latest* body-image atom.  That is
+    exactly the order in which the step-at-a-time engine enqueues the same
+    triggers: a trigger surfaces at the application that completes its
+    body image, and each per-application batch is canonically sorted.
+    This is what keeps round-based runs byte-identical to step-at-a-time
+    runs.
 
     The plans surface each trigger once, already at that birth, and
     :meth:`repro.chase.plans.RuleTables.order` orders the rows before
@@ -292,14 +286,10 @@ def seminaive_triggers(
     round after round over one list keeps them and calls
     :func:`round_triggers`.
     """
-    if not delta:
-        return []
-    return round_triggers(RuleTables.of(tgds), instance, delta)
+    return round_triggers(RuleTables.of(tgds), instance, start)
 
 
-def round_triggers(tables: RuleTables, instance: Instance, delta) -> List[Trigger]:
+def round_triggers(tables: RuleTables, instance: Instance, start: int) -> List[Trigger]:
     """:func:`seminaive_triggers` over a rule list's kept ``tables``."""
-    if not delta:
-        return []
-    rows = discovery_rows(tables.discovery, instance, delta)
+    rows = discovery_rows(tables.discovery, instance, instance.born_since(start))
     return triggers_of(tables.tgds, tables.order(rows))

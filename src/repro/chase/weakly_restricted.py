@@ -102,7 +102,7 @@ class WeaklyRestrictedChase:
         self._applied: Set[tuple] = set()
         self._atom_view = Instance()
         self._occ_ids_by_atom: Dict[Atom, List[int]] = {}
-        self._witnesses = HeadWitnessIndex(self._tables)
+        self._witnesses = HeadWitnessIndex(self._tables, self._atom_view)
         self._triggers: Dict[tuple, Trigger] = {}
         #: Rounds committed so far, over every :meth:`run` call: the next
         #: round's occurrences carry ``round_index == rounds + 1``, so a run
@@ -195,14 +195,13 @@ class WeaklyRestrictedChase:
         return not self._active_triggers()
 
     def _commit(self, new_occurrences: Iterable[WROccurrence]) -> None:
-        delta = self._atom_view.track_delta()
+        start = self._atom_view.next_birth()
         for occ in new_occurrences:
             self.occurrences.append(occ)
             self._occ_ids_by_atom.setdefault(occ.atom, []).append(occ.occ_id)
             if self._atom_view.add(occ.atom):
                 self._witnesses.note(occ.atom)
-        self._atom_view.take_delta()
-        for trigger in round_triggers(self._tables, self._atom_view, delta):
+        for trigger in round_triggers(self._tables, self._atom_view, start):
             self._triggers.setdefault(trigger.key, trigger)
 
     def anchor_children(self) -> graphs.Graph:

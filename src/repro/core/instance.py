@@ -5,6 +5,20 @@ constants and nulls; a *database* is a finite set of facts (constants only).
 The multiset instances of Appendix C's weakly restricted chase are kept by
 :class:`repro.chase.weakly_restricted.WeaklyRestrictedChase` as occurrences.
 
+Births
+------
+
+Every atom is recorded once, in the atom dict, which maps it to its
+*birth*: a counter that ``add`` hands a new atom and never hands out
+again, a discarded atom's included.  Births therefore increase in
+insertion order, and the dict's order is the birth order.  A chase
+round's *delta* is no separate record: it is every atom born since the
+``next_birth()`` the round read when it started, which ``born_since``
+reads off the tail of the dict.  The join plans read births through one
+getter, :meth:`Instance.births`: an atom outside a delta was born before
+every atom inside it, so comparing births is all a plan's delta limits
+need (:mod:`repro.chase.plans`).
+
 Indexing
 --------
 
@@ -21,8 +35,8 @@ returns that dict's bound ``get``: the compiled join plans
 (:mod:`repro.chase.plans`) take it once per call and probe with
 ``get(term, empty)``, one C-level lookup.  ``with_term_at`` answers
 through the same getter and wraps the bucket in a set-like view.  A body
-atom whose terms are all bound needs no bucket: the plans test it with
-one ``in`` against ``membership()``, the atom dict itself.
+atom whose terms are all bound needs no bucket: the plans look its
+``(predicate, terms)`` pair up in the births getter.
 
 The index is demand-driven.  A ``(predicate, position)`` pair gets its
 buckets the first time a getter is asked for it (``with_term_at`` asks
@@ -32,14 +46,16 @@ predicate bucket, skipping atoms too short to have that position.  From
 then on ``add`` and ``discard`` maintain the positions already indexed,
 and no others.  Rules whose bodies are single atoms never probe, so a
 chase over them builds no position bucket at all.  ``copy`` carries the
-indexed positions; a pickled instance ships its atom list only.
+births and the indexed positions; a pickled instance ships its atom list
+only, and its births restart at 0 in the same order.
 
 All buckets are insertion-ordered (plain dicts), so iteration order is
 deterministic for a deterministic insertion sequence — the chase engines
-rely on this for reproducible derivations.  A lazy bucket has the order
-an eagerly maintained one would have had: the predicate bucket it is
-built from is in insertion order, and from then on ``add`` appends to
-both and ``discard`` removes from both.
+rely on this for reproducible derivations — and every bucket lists its
+atoms by increasing birth.  A lazy bucket has the order an eagerly
+maintained one would have had: the predicate bucket it is built from is
+in insertion order, and from then on ``add`` appends to both and
+``discard`` removes from both.
 
 Probes may come from several threads at once when a caller shares an
 instance between threads.  A position's buckets are built off to the
@@ -50,7 +66,8 @@ so a reader never sees a partial bucket.  Mutation stays single-threaded.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, Iterator, KeysView, Optional, Set, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterable, Iterator, KeysView, List, Optional, Set, Tuple
 
 from repro.core.atoms import Atom
 from repro.core.schema import Schema
@@ -59,103 +76,6 @@ from repro.core.terms import Constant, Null, Term
 #: Shared empty bucket; never mutated.  Handed out as a keys view, and as
 #: the default a position getter returns for a term it holds no bucket of.
 _EMPTY: Dict = {}
-
-
-class Delta:
-    """An insertion-ordered record of the atoms added during one chase round.
-
-    The semi-naive engines (:meth:`repro.chase.engine.ChaseEngine.run_round`)
-    ask the instance to *track* additions for the duration of a round, then
-    take the delta and match TGD bodies against it: at least one body atom
-    must be bound to a delta atom for a trigger to be new — the classic
-    semi-naive rewriting.  The delta therefore keeps its own per-round index
-    snapshot: a per-predicate bucket over just the round's atoms, far
-    smaller than the instance-wide buckets.
-
-    Each atom carries its *birth position* (a monotone insertion counter).
-    Round-based discovery uses it to reconstruct the exact step-at-a-time
-    enqueue order: a trigger becomes discoverable at the moment its last
-    body-image atom is added, so ordering a round's discoveries by
-    ``(max birth position of the image's delta atoms, canonical key)``
-    replays the per-application FIFO batches byte for byte.
-    """
-
-    __slots__ = ("_positions", "_by_predicate", "_counter")
-
-    def __init__(self):
-        self._positions: Dict[Atom, int] = {}
-        self._by_predicate: Dict[str, Dict[Atom, None]] = {}
-        self._counter = 0
-
-    def record(self, atom: Atom) -> None:
-        """Note one freshly added atom (called by ``Instance.add``)."""
-        if atom in self._positions:
-            return
-        self._positions[atom] = self._counter
-        self._counter += 1
-        self._by_predicate.setdefault(atom.predicate, {})[atom] = None
-
-    def remove(self, atom: Atom) -> None:
-        """Forget a recorded atom (mirrors ``Instance.discard``)."""
-        if self._positions.pop(atom, None) is None:
-            return
-        bucket = self._by_predicate.get(atom.predicate)
-        if bucket is not None:
-            bucket.pop(atom, None)
-            if not bucket:
-                del self._by_predicate[atom.predicate]
-
-    def positions(self) -> Dict[Atom, int]:
-        """Atom -> birth position within the round (insertion counter).
-
-        The live mapping; treat as read-only.
-        """
-        return self._positions
-
-    def snapshot(self) -> list:
-        """``(atom, birth position)`` pairs in insertion order.
-
-        What a :class:`repro.chase.checkpoint.ChaseCheckpoint` carries for
-        a suspended round; :meth:`_restore` rebuilds an identical delta
-        (per-predicate buckets re-derived, birth counters preserved).
-        """
-        return list(self._positions.items())
-
-    @classmethod
-    def _restore(cls, items, counter) -> "Delta":
-        delta = cls()
-        for atom, position in items:
-            delta._positions[atom] = position
-            delta._by_predicate.setdefault(atom.predicate, {})[atom] = None
-        delta._counter = counter
-        return delta
-
-    def atoms(self) -> list:
-        """The recorded atoms in insertion order."""
-        return list(self._positions)
-
-    def with_predicate(self, predicate: str) -> KeysView:
-        """The round's atoms under ``predicate`` (a set-like view)."""
-        return self._by_predicate.get(predicate, _EMPTY).keys()
-
-    def predicates(self) -> KeysView:
-        return self._by_predicate.keys()
-
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self._positions
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self._positions)
-
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def __bool__(self) -> bool:
-        return bool(self._positions)
-
-    def __repr__(self) -> str:
-        atoms = ", ".join(repr(a) for a in self._positions)
-        return f"Delta([{atoms}])"
 
 
 class Instance:
@@ -176,8 +96,11 @@ class Instance:
     """
 
     def __init__(self, atoms: Optional[Iterable[Atom]] = None):
-        # Every bucket is a dict used as an insertion-ordered set (values unused).
-        self._atoms: Dict[Atom, None] = {}
+        #: The birth log: atom -> birth, in insertion (hence birth) order.
+        self._atoms: Dict[Atom, int] = {}
+        #: The birth the next new atom takes; never handed out twice.
+        self._next = 0
+        # The other buckets are dicts used as insertion-ordered sets.
         self._by_predicate: Dict[str, Dict[Atom, None]] = {}
         #: (predicate, position) -> term -> bucket, for indexed positions.
         self._by_position: Dict[Tuple[str, int], Dict[Term, Dict[Atom, None]]] = {}
@@ -186,7 +109,6 @@ class Instance:
         self._indexed: Dict[str, Tuple[Tuple[int, Dict[Term, Dict[Atom, None]]], ...]] = {}
         #: Serializes first-probe builds across threads.
         self._index_lock = threading.Lock()
-        self._delta: Optional[Delta] = None
         if atoms is not None:
             for atom in atoms:
                 self.add(atom)
@@ -197,55 +119,51 @@ class Instance:
         # position buckets are rebuilt on demand.  Bucket iteration order —
         # which the chase engines rely on — is a function of the insertion
         # sequence, so the rebuilt instance is index-identical, not just
-        # set-equal.  A mid-round delta is deliberately not carried across:
-        # a checkpoint records a cut round's delta itself, so a pickled
-        # instance is a whole-instance snapshot.
+        # set-equal.  Births restart at 0 in the same order, so they compare
+        # as before; a checkpoint names a cut round's delta by its length.
         return (type(self), (list(self),))
 
-    # -- round-delta tracking (semi-naive evaluation) ----------------------
+    # -- births (semi-naive evaluation) ------------------------------------
 
-    def track_delta(self) -> Delta:
-        """Start recording additions into a fresh :class:`Delta`.
+    def next_birth(self) -> int:
+        """The birth the next new atom will take.  A delta is every atom
+        born since a birth read here (:meth:`born_since`)."""
+        return self._next
 
-        Any previous tracking is replaced.  ``add`` records each genuinely
-        new atom; ``discard`` removes it again.  The semi-naive engines call
-        this at the start of a round and :meth:`take_delta` at its end.
-        """
-        self._delta = Delta()
-        return self._delta
+    def births(self) -> Callable:
+        """The births getter: ``get(atom, default)`` is ``atom``'s birth, or
+        ``default`` when it is not in the instance.  An atom equals its
+        ``(predicate, terms)`` pair, so the pair answers too.  The join
+        plans take it once per call; it stays live as the instance changes."""
+        return self._atoms.get
 
-    def take_delta(self) -> Delta:
-        """Stop tracking and return the recorded delta."""
-        if self._delta is None:
-            raise RuntimeError("take_delta() without a preceding track_delta()")
-        delta = self._delta
-        self._delta = None
-        return delta
-
-    def resume_delta(self, delta: Delta) -> Delta:
-        """Continue recording into a restored :class:`Delta`.
-
-        The checkpoint-restore path: a budget cut can suspend a semi-naive
-        round mid-flight, and resuming byte-identically requires the round's
-        delta to keep its birth counters.  ``track_delta`` would start a
-        fresh counter; this re-attaches the carried one.
-        """
-        self._delta = delta
-        return delta
+    def born_since(self, start: int) -> List[Tuple[Atom, int]]:
+        """``(atom, birth)`` of every atom born at or after ``start``, in
+        birth order: the instance's newest atoms, read off the tail of the
+        birth log."""
+        # Births grow along the dict, so the delta is its tail: at most one
+        # item per birth since ``start``, fewer once atoms were discarded.
+        born = list(islice(reversed(self._atoms.items()), max(self._next - start, 0)))
+        born.reverse()
+        if born and born[0][1] < start:
+            born = [item for item in born if item[1] >= start]
+        return born
 
     def add(self, atom: Atom) -> bool:
-        """Insert ``atom``; returns True iff it was not already present."""
+        """Insert ``atom``; returns True iff it was not already present.
+
+        A new atom is born: it takes :meth:`next_birth`, above every birth
+        given out before, discarded atoms' included."""
         if not isinstance(atom, Atom):
             raise TypeError(f"instances contain atoms, got {atom!r}")
         if not atom.is_ground:
             raise ValueError(f"instances contain ground atoms only, got {atom}")
-        # One probe both tests membership and inserts: re-setting a present
-        # key keeps its place, so only the size tells a new atom.
-        atoms = self._atoms
-        size = len(atoms)
-        atoms[atom] = None
-        if len(atoms) == size:
+        # One probe both tests membership and inserts: a present atom keeps
+        # its older birth, so only a new one hands back this birth.
+        birth = self._next
+        if self._atoms.setdefault(atom, birth) is not birth:
             return False
+        self._next = birth + 1
         predicate, terms = atom
         self._by_predicate.setdefault(predicate, {})[atom] = None
         positions = self._indexed.get(predicate)
@@ -254,14 +172,6 @@ class Instance:
             for i, buckets in positions:
                 if i <= arity:
                     buckets.setdefault(terms[i - 1], {})[atom] = None
-        delta = self._delta
-        if delta is not None:
-            # ``Delta.record`` without its membership test: an atom new to
-            # the instance is not in its delta, since ``discard`` removes
-            # from both.
-            delta._positions[atom] = delta._counter
-            delta._counter += 1
-            delta._by_predicate.setdefault(predicate, {})[atom] = None
         return True
 
     def update(self, atoms: Iterable[Atom]) -> int:
@@ -269,7 +179,8 @@ class Instance:
         return sum(1 for atom in atoms if self.add(atom))
 
     def discard(self, atom: Atom) -> bool:
-        """Remove ``atom`` if present; returns True iff it was present."""
+        """Remove ``atom`` if present; returns True iff it was present.
+        Its birth is not given out again."""
         if atom not in self._atoms:
             return False
         del self._atoms[atom]
@@ -286,8 +197,6 @@ class Instance:
                 del position_bucket[atom]
                 if not position_bucket:
                     del buckets[term]
-        if self._delta is not None:
-            self._delta.remove(atom)
         return True
 
     def with_predicate(self, predicate: str) -> KeysView:
@@ -340,8 +249,8 @@ class Instance:
     def membership(self):
         """A container whose ``in`` answers ``in self``: the live atom dict,
         one C-level lookup per test.  An atom equals its ``(predicate,
-        terms)`` pair, so the pair tests too.  The join plans take it once
-        per call and test a step whose terms are all bound with it.
+        terms)`` pair, so the pair tests too.  The head-witness check of a
+        full rule takes it once and tests the trigger's result atom with it.
         Callers must not mutate it."""
         return self._atoms
 
@@ -378,11 +287,12 @@ class Instance:
     def copy(self) -> "Instance":
         """An independent copy of the same class, in the same insertion order.
 
-        Carries the indexed positions, so the clone probes as cheaply as
-        the original.
+        Carries the births and the indexed positions, so the clone probes
+        as cheaply as the original.
         """
         clone = type(self)()
         clone._atoms = dict(self._atoms)
+        clone._next = self._next
         clone._by_predicate = {p: dict(d) for p, d in self._by_predicate.items()}
         clone._by_position = {
             key: {term: dict(bucket) for term, bucket in buckets.items()}

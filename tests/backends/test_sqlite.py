@@ -2,7 +2,7 @@
 
 Every behaviour the chase kernel relies on — insertion-order iteration,
 ``(birth, canonical_key)``-stable ``sorted_atoms``, set semantics on
-``add``, the bucket index views, delta tracking, pickling as an atom
+``add``, the bucket index views, births, pickling as an atom
 list — is asserted against a memory :class:`Instance` built from the
 same operations.
 """
@@ -159,13 +159,54 @@ class TestContract:
         assert atom("S", "only-in-copy") not in sqlite
 
     def test_delta_tracking(self, pair):
+        # A delta is the atoms born since a birth, on both backends alike.
         memory, sqlite = pair
-        memory.track_delta()
-        sqlite.track_delta()
+        start = memory.next_birth()
+        assert sqlite.next_birth() == start
         for a in (atom("S", "d1"), atom("S", "d2")):
             memory.add(a)
             sqlite.add(a)
-        assert sqlite.take_delta().atoms() == memory.take_delta().atoms()
+        assert sqlite.born_since(start) == memory.born_since(start)
+        assert [birth for _, birth in memory.born_since(start)] == [start, start + 1]
+        memory_births, sqlite_births = memory.births(), sqlite.births()
+        for a in list(memory) + [atom("S", "absent")]:
+            assert sqlite_births(a, -1) == memory_births(a, -1)
+            assert sqlite_births((a.predicate, a.terms), -1) == memory_births(a, -1)
+
+    def test_a_discarded_atom_added_again_is_born_again(self, pair):
+        # The sqlite getter answers from the births its bucket views
+        # decoded; a discard must not leave the old birth there, even when
+        # a view's query ran before the discard and records after it.
+        _, sqlite = pair
+        first = SAMPLE[0]
+        get = sqlite.births()
+        assert list(sqlite.with_predicate("R"))[0] == first
+        assert get(first) == 0
+        assert sqlite.discard(first) and get(first, None) is None
+        assert sqlite.add(first)
+        assert get(first) == sqlite.next_birth() - 1 == len(SAMPLE)
+
+        view = sqlite.with_predicate("R")
+        connection = sqlite._connection
+
+        class Racing:
+            def execute(self, *query):
+                rows = connection().execute(*query).fetchall()
+                del sqlite._connection
+                sqlite.discard(first)
+                sqlite.add(first)
+                return Rows(rows)
+
+        class Rows:
+            def __init__(self, rows):
+                self.rows = rows
+
+            def fetchall(self):
+                return self.rows
+
+        sqlite._connection = Racing
+        assert first in list(view)
+        assert get(first) == sqlite.next_birth() - 1 == len(SAMPLE) + 1
 
 
 class TestPersistence:

@@ -1,18 +1,22 @@
-"""Every delta discovery joins against holds the instance's newest atoms.
+"""Every delta discovery joins is the suffix of the instance's birth log.
 
 The compiled join plans (:mod:`repro.chase.plans`) end a bucket walk at
-the first atom past the birth limit.  That is sound only because, in every
-bucket a plan walks, the atoms outside the delta come first and the
-delta's atoms follow in birth order.  These tests check that invariant at
-every discovery pass, walking every predicate bucket and every position
-bucket, for every source of a delta: a round's tracked delta, seeding,
-``apply``, ``inject_atoms`` at a round boundary and mid round, a
-mid-round checkpoint resume, and a DFS ``undo`` followed by a new
-``apply`` — on the memory and the sqlite backend.
+the first atom past the birth limit, and take an atom born before the
+delta's first birth for an old one.  That is sound only because births
+increase along every bucket a plan walks, and a delta is exactly the
+atoms born at or after its start.  These tests check both at every
+discovery pass, walking every predicate bucket and every position bucket,
+for every source of a delta: a round, seeding, ``apply``,
+``inject_atoms`` at a round boundary and mid round, a mid-round
+checkpoint resume, and a DFS ``undo`` followed by a new ``apply`` — on
+the memory and the sqlite backend.  Births are global and never handed
+out twice, so a ``discard`` out of LIFO order followed by an ``add``
+keeps them increasing too.
 """
 
 import pytest
 
+from repro.backends import make_instance
 from repro.chase import engine as engine_module
 from repro.chase.checkpoint import ChaseCheckpoint
 from repro.chase.engine import ChaseEngine
@@ -58,15 +62,18 @@ class Passes:
         self.passes = self.mixed = 0
         discovery_rows = engine_module.discovery_rows
 
-        def checked(table, instance, delta):
-            positions = delta.positions()
-            assert all(atom in instance for atom in delta)
+        def checked(table, instance, born):
+            assert born
+            get = instance.births()
+            start = born[0][1]
+            # The delta is the suffix of the birth log born since start.
+            assert [(atom, get(atom)) for atom in instance if get(atom) >= start] == born
             for bucket in buckets(instance):
-                births = [positions.get(atom, -1) for atom in bucket]
-                assert births == sorted(births), births
-                self.mixed += births[0] < 0 <= births[-1] if births else 0
+                births = [get(atom) for atom in bucket]
+                assert births == sorted(set(births)), births
+                self.mixed += births[0] < start <= births[-1] if births else 0
             self.passes += 1
-            return discovery_rows(table, instance, delta)
+            return discovery_rows(table, instance, born)
 
         monkeypatch.setattr(engine_module, "discovery_rows", checked)
 
@@ -156,3 +163,27 @@ def test_undo_then_apply(engines, passes):
     passes.reset()
     assert engine.apply(second).added
     assert passes.passes == 1 and passes.mixed
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_discard_out_of_order_then_add_is_born_above_every_live_atom(backend):
+    instance = make_instance(backend, atoms=DATABASE)
+    try:
+        get = instance.births()
+        # Not the newest atom: a discard out of LIFO order.
+        assert instance.discard(DATABASE[1])
+        assert get(DATABASE[1], None) is None
+        for atom in (INJECTED[0], DATABASE[1]):
+            live = max(get(other) for other in instance)
+            birth = instance.next_birth()
+            assert instance.add(atom)
+            assert get(atom) == birth > live
+            assert instance.born_since(birth) == [(atom, birth)]
+        # A present atom keeps its birth and takes none.
+        assert not instance.add(DATABASE[0])
+        assert instance.next_birth() == birth + 1
+        for bucket in buckets(instance):
+            births = [get(atom) for atom in bucket]
+            assert births == sorted(set(births)), births
+    finally:
+        getattr(instance, "close", lambda: None)()

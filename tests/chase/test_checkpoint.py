@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.atoms import Atom
-from repro.core.instance import Database, Delta, Instance
+from repro.core.instance import Database, Instance
 from repro.core.substitution import Substitution
 from repro.core.terms import Constant, Variable
 from repro.chase.checkpoint import CHECKPOINT_VERSION, Budget, ChaseCheckpoint
@@ -306,25 +306,30 @@ class TestPickling:
         assert back.sorted_atoms() == db.sorted_atoms()
 
     def test_delta_snapshot_round_trip(self):
-        # Deltas cross process boundaries only inside checkpoints, as an
-        # explicit snapshot (see chase/checkpoint.py).
-        instance = Instance()
-        delta = instance.track_delta()
-        atoms = [Atom("R", [Constant(f"c{i}")]) for i in range(3)]
-        for atom in atoms:
-            instance.add(atom)
-        instance.take_delta()
-        items, counter = pickle.loads(pickle.dumps((delta.snapshot(), len(delta))))
-        back = Delta._restore(items, counter)
-        assert back.atoms() == atoms
-        assert [back.positions()[a] for a in atoms] == [0, 1, 2]
-        assert list(back.with_predicate("R")) == atoms
+        # A cut round's delta crosses process boundaries only inside a
+        # checkpoint, as the tail of its atom list (see chase/checkpoint.py).
+        engine = ChaseEngine(chain_database(3), CHAIN_TGDS)
+        engine.drive(max_rounds=1)
+        start = engine.instance.next_birth()
+        assert engine.run_round(max_applications=2).cut
+        checkpoint = pickle.loads(pickle.dumps(ChaseCheckpoint.capture(engine)))
+        atoms = [atom for atom, _ in engine.instance.born_since(start)]
+        assert len(atoms) == 2 and checkpoint.atoms[-2:] == atoms
+        assert checkpoint.round_start() == len(checkpoint.atoms) - 2
+        back = ChaseEngine(None, CHAIN_TGDS, resume=checkpoint)
+        born = back.instance.born_since(back._round_start)
+        assert [atom for atom, _ in born] == atoms
+        n = len(checkpoint.atoms)
+        assert [birth for _, birth in born] == [n - 2, n - 1]
 
     def test_delta_snapshot_export(self):
-        delta = Delta()
-        atom = Atom("R", [Constant("a")])
-        delta.record(atom)
-        assert delta.snapshot() == [(atom, 0)]
+        engine = ChaseEngine(chain_database(3), CHAIN_TGDS)
+        engine.drive(max_rounds=1)
+        atom = engine.pending[0].result()
+        assert engine.run_round(max_applications=1).cut
+        assert ChaseCheckpoint.capture(engine).delta == ([(atom, 0)], 1)
+        engine.drive()
+        assert ChaseCheckpoint.capture(engine).delta is None
 
 
 #: A version-3 blob written before triggers became tuples: a semi-naive
@@ -355,6 +360,25 @@ class TestGoldenBlob:
             )
         blob = pickle.dumps(excinfo.value.checkpoint, protocol=4)
         assert blob == GOLDEN_BLOB.read_bytes()
+
+    @pytest.mark.parametrize("tamper", ["reorder", "renumber", "count", "not_tail"])
+    def test_a_delta_that_is_not_the_atom_lists_tail_is_refused(self, tamper):
+        checkpoint = pickle.loads(GOLDEN_BLOB.read_bytes())
+        items, count = checkpoint.delta
+        assert count == len(items) >= 2
+        assert checkpoint.round_start() == len(checkpoint.atoms) - count
+        if tamper == "reorder":
+            (first, i), (second, j) = items[:2]
+            items = [(second, i), (first, j)] + items[2:]
+        elif tamper == "renumber":
+            items = [(atom, i + 1) for atom, i in items]
+        elif tamper == "count":
+            count += 1
+        else:
+            items = [(checkpoint.atoms[i], i) for i in range(count)]
+        checkpoint.delta = (items, count)
+        with pytest.raises(CheckpointError, match="not the tail"):
+            seminaive_chase(None, CHAIN_TGDS, max_steps=MAX_STEPS, resume=checkpoint)
 
 
 class TestGuardRails:

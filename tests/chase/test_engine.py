@@ -6,6 +6,7 @@ discipline the derivation DFS relies on, and atom-for-atom equivalence of
 the indexed engines with the naive baselines on the benchmark workloads.
 """
 
+import gc
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.chase.restricted import (
 from repro.chase.trigger import is_active, new_triggers, triggers_on
 from repro.errors import CheckpointError
 from repro.tgds.tgd import parse_tgds
+from tests.chase.witness_audit import consistent_with
 
 CHAIN_TGDS = parse_tgds(
     [
@@ -68,7 +70,7 @@ class TestHeadWitnessIndex:
     def test_consistent_after_seeding(self, database, tgds):
         instance = Instance(database.atoms())
         index = HeadWitnessIndex(RuleTables(tgds), instance)
-        assert index.consistent_with(instance)
+        assert consistent_with(index, instance)
 
     @pytest.mark.parametrize("database,tgds", WORKLOADS)
     def test_consistent_throughout_a_chase(self, database, tgds):
@@ -80,7 +82,7 @@ class TestHeadWitnessIndex:
                 continue
             engine.apply(trigger)
             steps += 1
-            assert engine.witnesses.consistent_with(engine.instance)
+            assert consistent_with(engine.witnesses, engine.instance)
 
     @pytest.mark.parametrize("database,tgds", WORKLOADS)
     def test_agrees_with_bruteforce_is_active(self, database, tgds):
@@ -129,7 +131,7 @@ class TestApplyUndo:
         engine.pending.insert(0, trigger)
         assert engine.instance.atoms() == atoms_before
         assert [t.key for t in engine.pending] == pending_before
-        assert engine.witnesses.consistent_with(engine.instance)
+        assert consistent_with(engine.witnesses, engine.instance)
 
     def test_nested_undo_lifo(self):
         engine = ChaseEngine(chain_database(3), CHAIN_TGDS)
@@ -146,7 +148,56 @@ class TestApplyUndo:
             engine.pending.insert(0, trigger)
             assert engine.instance.atoms() == atoms
             assert [t.key for t in engine.pending] == pending
-            assert engine.witnesses.consistent_with(engine.instance)
+            assert consistent_with(engine.witnesses, engine.instance)
+
+
+def holders(atom):
+    """The dicts keyed by ``atom`` and the sets holding it, anywhere."""
+    return [
+        referrer
+        for referrer in gc.get_referrers(atom)
+        if isinstance(referrer, (dict, set)) and atom in referrer
+    ]
+
+
+class TestRecordedOnce:
+    """What one new atom and one applied trigger cost the engine."""
+
+    def test_a_round_atom_is_keyed_by_the_atom_dict_and_its_buckets(self):
+        # Cut mid round, when a recorded delta would be live: each atom the
+        # round added sits in the atom dict, its predicate bucket and one
+        # bucket per indexed position of its predicate, and nowhere else.
+        # The memory backend's dicts; the sqlite backend keeps its rows.
+        tgds = parse_tgds(["E(x,y) -> F(x,y)", "F(x,y), F(y,z) -> P(x,z)"])
+        engine = ChaseEngine(chain_database(4), tgds, backend="memory")
+        engine.drive(max_rounds=1)
+        start = engine.instance.next_birth()
+        result = engine.run_round(max_applications=2)
+        assert result.cut and engine.mid_round() and len(result.delta) == 2
+        indexed = dict(engine.instance._indexed)
+        for atom, birth in engine.instance.born_since(start):
+            assert engine.instance.births()(atom) == birth
+            expected = 2 + len(indexed.get(atom.predicate, ()))
+            assert len(holders(atom)) == expected, atom
+        assert indexed.get("F")
+
+    def test_applying_a_full_rule_trigger_adds_no_witness_entry(self):
+        tgds = parse_tgds(["E(x,y) -> F(x,y)", "F(x,y) -> G(y,w)"])
+        engine = ChaseEngine(chain_database(3), tgds)
+        sets = engine.witnesses._sets
+        assert len(sets) == 1  # the existential rule's only
+        while engine.pending:
+            trigger = engine.pending.pop(0)
+            if not engine.is_active(trigger):
+                continue
+            before = sum(map(len, sets.values()))
+            token = engine.apply(trigger)
+            grown = sum(map(len, sets.values())) - before
+            if trigger.tgd.existential_variables:
+                assert grown == len(token.witness_entries) == 1
+            else:
+                assert token.witness_entries == [] and grown == 0
+        assert consistent_with(engine.witnesses, engine.instance)
 
 
 class TestEquivalenceWithNaiveBaselines:

@@ -6,11 +6,13 @@ instantiates the head with digest-named nulls, and the canonical key
 orders triggers.  :class:`repro.chase.plans.HeadKernel` compiles all three
 once per TGD.  These tests hold it to the interpreted reference —
 ``tgd.head.apply`` with the nulls named from the digest payload,
-``repr(trigger.key)``, and ``match_atom`` /
-:meth:`HeadWitnessIndex.consistent_with` — on heads the corpus rarely
-produces: zero arity, a repeated variable, a single body variable (the
-one-element tuple repr), several existentials, ``%`` in names, and equal
-rules under different names (which share a witness set but not nulls).
+``repr(trigger.key)``, and ``match_atom`` / the witness audit of
+:mod:`tests.chase.witness_audit` — on heads the corpus rarely produces:
+zero arity, a repeated variable, a single body variable (the one-element
+tuple repr), several existentials, ``%`` in names, and equal rules under
+different names (which share a witness set but not nulls).  Only
+existential rules keep witness sets; a full rule's trigger is witnessed
+by its result atom in the instance.
 """
 
 import hashlib
@@ -26,7 +28,9 @@ from repro.core.terms import Constant, Null, Variable
 from repro.chase.engine import HeadWitnessIndex
 from repro.chase.plans import RuleTables
 from repro.chase.trigger import Trigger
+from repro.core.instance import Instance
 from repro.tgds.tgd import TGD
+from tests.chase.witness_audit import consistent_with, witness_keys
 
 x, y, z, w, v = (Variable(name) for name in "xyzwv")
 TERMS = [Constant(name) for name in "abc"] + [Null("n1"), Null("n2")]
@@ -144,8 +148,9 @@ def test_witness_index_matches_match_atom(case, seed):
     atoms = random_atoms(predicates, seed)
     instance = make_instance(None)
     try:
-        index = HeadWitnessIndex(RuleTables(tgds))
-        # Equal rules share one set, kept under the first of them.
+        index = HeadWitnessIndex(RuleTables(tgds), instance)
+        # Equal rules share one set, kept under the first of them; a full
+        # rule keeps none, and its note entries are none.
         reference = {tgd: set() for tgd in tgds}
         for atom in atoms:
             if not instance.add(atom):
@@ -155,15 +160,19 @@ def test_witness_index_matches_match_atom(case, seed):
                 key = reference_witness(tgd, atom)
                 if key is not None and key not in reference[tgd]:
                     reference[tgd].add(key)
-                    expected.append((tgd, key))
+                    if tgd.existential_variables:
+                        expected.append((tgd, key))
             assert index.note(atom) == expected
-        assert index.consistent_with(instance)
-        # Triggers whose result is in the instance are witnessed.
+        assert consistent_with(index, instance)
+        for tgd in reference:
+            if tgd.existential_variables:
+                assert witness_keys(index, tgd) == reference[tgd]
+        # Triggers whose result's frontier tuple is witnessed are witnessed.
         for tgd in tgds:
             for values in random_rows(tgd, seed):
                 trigger = Trigger.from_row(tgd, values)
                 assert index.witnessed(trigger) == (
-                    reference_witness(tgd, trigger.result()) in index.keys(tgd)
+                    reference_witness(tgd, trigger.result()) in reference[tgd]
                 )
     finally:
         closer = getattr(instance, "close", None)
@@ -177,9 +186,12 @@ def test_zero_arity_head_result_and_witness():
     assert trigger.result() == Atom("Q", [])
     assert trigger.frontier_tuple() == ()
     assert trigger.canonical_key == "(P(x) -> Q(), ((x, a),))"
-    index = HeadWitnessIndex(RuleTables([tgd]))
+    instance = Instance()
+    index = HeadWitnessIndex(RuleTables([tgd]), instance)
     assert not index.witnessed(trigger)
-    assert index.note(Atom("Q", [])) == [(tgd, ())]
+    # A full rule: the atom in the instance witnesses it, with no entry.
+    assert instance.add(Atom("Q", []))
+    assert index.note(Atom("Q", [])) == []
     assert index.witnessed(trigger)
 
 
@@ -195,12 +207,25 @@ def test_single_body_variable_canonical_key_is_a_one_tuple():
 def test_repeated_head_variable_checks_the_repeat():
     rep1, rep2, rep3 = CASES["repeated_head_variable"]
     a, b, c = TERMS[:3]
-    index = HeadWitnessIndex(RuleTables([rep1, rep2, rep3]))
-    assert index.note(Atom("R", [a, b, c])) == []
-    assert index.note(Atom("R", [a, b, a])) == [(rep2, (b,))]
-    assert index.note(Atom("R", [a, a, c])) == [(rep1, (a,))]
-    # rep2's (b,) is witnessed already, by R(a,b,a).
-    assert index.note(Atom("R", [b, b, b])) == [(rep1, (b,)), (rep3, (b,))]
+    instance = Instance()
+    index = HeadWitnessIndex(RuleTables([rep1, rep2, rep3]), instance)
+
+    def note(*terms):
+        atom = Atom("R", list(terms))
+        assert instance.add(atom)
+        return index.note(atom)
+
+    assert note(a, b, c) == []
+    assert note(a, b, a) == [(rep2, (b,))]
+    assert note(a, a, c) == [(rep1, (a,))]
+    # rep2's (b,) is witnessed already, by R(a,b,a); rep3 is full, so
+    # R(b,b,b) witnesses its trigger from the instance, with no entry.
+    three = Trigger.from_row(rep3, (b,))
+    assert not index.witnessed(three)
+    assert note(b, b, b) == [(rep1, (b,))]
+    assert index.witnessed(three)
+    assert not index.witnessed(Trigger.from_row(rep3, (a,)))
+    assert consistent_with(index, instance)
     result = Trigger.from_row(rep1, (a, b)).result()
     assert result.terms[0] == result.terms[1] == a
     assert isinstance(result.terms[2], Null)
@@ -223,8 +248,8 @@ def test_equal_rules_share_a_witness_set_but_not_nulls():
     two = Trigger.from_row(second, (a, b))
     assert one == two and one.canonical_key == two.canonical_key
     assert one.result() != two.result()  # the rule name feeds the digest
-    index = HeadWitnessIndex(RuleTables([first, second]))
-    assert index.keys(first) is index.keys(second)
+    index = HeadWitnessIndex(RuleTables([first, second]), Instance())
+    assert witness_keys(index, first) is witness_keys(index, second)
     assert index.note(one.result()) == [(first, (b,))]
     assert index.witnessed(two)
 

@@ -179,14 +179,13 @@ def random_atom(rng, predicate):
 
 
 def build_round(facts, old):
-    """``(instance, delta)``: the first ``old`` facts, then the rest as a
-    round's delta."""
+    """``(instance, start)``: the first ``old`` facts, then the rest as a
+    round's delta, the atoms born since ``start``."""
     instance = make_instance(None, atoms=facts[:old])
-    delta = instance.track_delta()
+    start = instance.next_birth()
     for atom in facts[old:]:
         instance.add(atom)
-    instance.take_delta()
-    return instance, delta
+    return instance, start
 
 
 def random_facts(seed, count):
@@ -214,7 +213,7 @@ def case_facts(case, seed, count):
 
 
 def random_round(seed, old=10, new=10):
-    """``(instance, delta)``: ``old`` random facts, then a delta of ``new``
+    """``(instance, start)``: ``old`` random facts, then a delta of ``new``
     more."""
     return build_round(random_facts(seed, old + new), old)
 
@@ -287,10 +286,11 @@ def assert_case_matches_reference(case, seed):
 
 
 def assert_round_matches_reference(tgds, facts, old):
-    instance, delta = build_round(facts, old)
+    instance, start = build_round(facts, old)
     try:
-        got = seminaive_triggers(tgds, instance, delta)
-        per_atom = {t.key for t in new_triggers(tgds, instance, delta.atoms())}
+        got = seminaive_triggers(tgds, instance, start)
+        delta = [atom for atom, _ in instance.born_since(start)]
+        per_atom = {t.key for t in new_triggers(tgds, instance, delta)}
         assert {t.key for t in got} == per_atom
         assert identity(got) == identity(step_replay(tgds, facts, old))
         return got
@@ -329,12 +329,13 @@ def test_random_bodies(seed):
 def test_delta_without_rule_predicates_discovers_nothing():
     instance = make_instance(None, atoms=[R(a, b)])
     try:
-        delta = instance.track_delta()
+        start = instance.next_birth()
         instance.add(Atom("V", [a, b]))
-        instance.take_delta()
+        born = instance.born_since(start)
+        assert len(born) == 1
         tgds = CASES["unused_delta_predicates"]
-        assert discovery_rows(RuleTables(tgds).discovery, instance, delta) == []
-        assert seminaive_triggers(tgds, instance, delta) == []
+        assert discovery_rows(RuleTables(tgds).discovery, instance, born) == []
+        assert seminaive_triggers(tgds, instance, start) == []
     finally:
         close(instance)
 
@@ -500,18 +501,20 @@ def fully_bound(tgd, plan):
 
 def test_fully_bound_steps_test_membership():
     # A step whose terms are all bound walks no bucket and takes no
-    # getter: it asks the instance for its one candidate.
+    # getter: one births lookup of its one candidate tests membership and
+    # the delta limit at once.
     probed = set()
     for case, tgds in CASES.items():
         for tgd in tgds + JOIN_RULES:
             for plan in tgd.join_plans():
                 steps, probes = fully_bound(tgd, plan)
                 assert plan.probes == probes
-                assert ("instance.membership()" in plan.source) == bool(steps)
+                assert "membership" not in plan.source
+                assert plan.source.count("get = instance.births()") == 1
+                assert plan.source.count(", UNBORN) ") == len(steps)
                 for step in steps:
                     assert f"for a{step} in" not in plan.source
-                    assert f"a{step} = (p{step}, (" in plan.source
-                    assert f"if a{step} not in atoms:" in plan.source
+                    assert f"if get((p{step}, (" in plan.source
                 if steps:
                     probed.add(case)
     assert {"constants_only", "zero_arity", "mixed_arities", "bound_past_chain"} <= probed
@@ -525,9 +528,7 @@ def test_fully_bound_step_opening_a_chained_function():
     # The probe opens ``part1``, outside any loop: failing returns.
     part = plan.source.split("def part1(")[1]
     assert "for " not in part
-    assert f"a{step} = (p{step}, (v{step}, v0))" in part
-    assert f"if a{step} not in atoms: return" in part
-    assert f"if get(a{step}, -1) > birth: return" in part
+    assert f"if get((p{step}, (v{step}, v0)), UNBORN) > birth: return" in part
     found = assert_round_matches_reference(CASES["bound_past_chain"], figure_eight(), 3)
     assert {t.tgd.name for t in found} == {"b1"}
 
@@ -607,7 +608,7 @@ def test_zero_arity_pivot_emits_empty_values():
         TGD([fired, R(x, y)], Atom("H", [x, w]), name="join"),
     ]
     rows = []
-    tgds[0].join_plans()[0].match([fired], Instance([fired]), {fired: 0}, 0, rows)
+    tgds[0].join_plans()[0].match([(fired, 0)], Instance([fired]), 0, rows)
     assert rows == [(0, (), 0)]
     found = assert_round_matches_reference(tgds, [R(a, b), R(b, a), fired], 1)
     assert [(t.tgd.name, t.values) for t in found] == [
@@ -646,8 +647,8 @@ class EnqueueLog:
         self.enqueued = self.undone = 0
         discover, undo = ChaseEngine._discover, ChaseEngine.undo
 
-        def recording_discover(engine, delta, round_pass=False):
-            batch = discover(engine, delta, round_pass)
+        def recording_discover(engine, start, round_pass=False):
+            batch = discover(engine, start, round_pass)
             keys = self.live.setdefault(engine, set())
             for trigger in batch:
                 assert trigger.key not in keys, f"enqueued twice: {trigger.canonical_key}"
@@ -685,8 +686,9 @@ def test_no_key_enqueued_twice_with_injected_atoms(monkeypatch):
         engine.inject_atoms(atoms[half:])
         engine.drive(max_atoms=300, max_rounds=5)
         engine.close()
-        # Mid round: a cut leaves the delta live and the injected atoms
-        # join it, so the round-completing pass covers them.
+        # Mid round: a cut leaves the round's start noted and the injected
+        # atoms are born into its delta, so the round-completing pass
+        # covers them.
         engine = ChaseEngine(atoms[:half], tgds, "oblivious")
         engine.run_round(max_applications=1)
         suspended += engine.mid_round()

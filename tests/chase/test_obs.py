@@ -20,9 +20,10 @@ import pytest
 
 from repro.core.atoms import Atom
 from repro.core.instance import Database
-from repro.core.parsing import parse_database
+from repro.core.parsing import parse_atoms, parse_database
 from repro.core.terms import Constant
 from repro.chase.checkpoint import Budget
+from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
 from repro.errors import ChaseInterrupted
@@ -233,6 +234,69 @@ class TestAccuracy:
         observed = decide(diverging, stats=ChaseStats())
         assert bare.status == observed.status
         assert bare.method == observed.method
+
+
+#: The chain rules: a full copy, an existential, and a full projection.
+CHAIN_TGDS = parse_tgds(["E(x,y) -> F(x,y)", "F(x,y) -> G(y,w)", "G(x,y) -> H(x)"])
+
+#: The birth-order suite's rules (tests/chase/test_birth_order.py): full
+#: joins whose heads the instance already holds, next to an existential.
+BIRTH_TGDS = parse_tgds([
+    "R(x,y), R(y,z) -> S(x,z)",
+    "S(x,y) -> R(y,w)",
+    "R(x,y), S(y,x) -> U(x)",
+    "U(x), R(x,y) -> R(y,x)",
+])
+
+
+class TestWitnessTelemetry:
+    """A full rule's membership probe is one cache lookup, and one hit when
+    its result atom is present: the counts match the runs that stored full
+    rules' frontier tuples."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("strategy", ["semi_naive", "fifo", "lifo"])
+    def test_chain_rules(self, strategy, backend):
+        database = Database(
+            Atom("E", [Constant(f"c{i}"), Constant(f"c{i + 1}")]) for i in range(6)
+        )
+        stats = ChaseStats()
+        result = restricted_chase(
+            database, CHAIN_TGDS, strategy=strategy, stats=stats, backend=backend
+        )
+        assert len(result.instance) == 24
+        getattr(result.instance, "close", lambda: None)()
+        counts = (stats.cache_lookups, stats.cache_hits, stats.triggers_vacuous)
+        assert counts == (18, 0, 0)
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_birth_order_rules(self, backend):
+        stats = ChaseStats()
+        engine = ChaseEngine(
+            parse_atoms("R(a,b), R(b,c), R(c,a), U(a)", data=True),
+            BIRTH_TGDS,
+            stats=stats,
+            backend=backend,
+        )
+        engine.drive(max_rounds=4, max_atoms=60)
+        engine.close()
+        getattr(engine.instance, "close", lambda: None)()
+        counts = (stats.cache_lookups, stats.cache_hits, stats.triggers_vacuous)
+        assert counts == (26, 12, 12)
+
+    def test_join_rules_leave_no_witness_entry(self):
+        # perfbench's chase_join rules: full rules only, so the index holds
+        # no set, while its probes still count.
+        tgds = parse_tgds([
+            "E(x,y) -> F(x,y)",
+            "F(x,y), F(y,z), F(z,x) -> T(x,y,z)",
+            "F(x,y), F(y,z), F(z,w), F(w,x) -> Q(x,y,z,w)",
+        ])
+        engine = ChaseEngine(ring_database(4), tgds)
+        engine.drive()
+        assert engine.witnesses._sets == {}
+        assert engine.witnesses.lookups > 0
+        assert engine.instance.with_predicate("Q")
 
 
 class TestStatsCounters:

@@ -6,7 +6,7 @@ verdict, same derivation (trigger for trigger).  These tests enforce that
 obligation on the generator corpus of ``tgds/generators.py`` (linear,
 guarded, sticky, weakly-acyclic families) plus the hand-written benchmark
 workloads, and cover the round kernel pieces individually: the instance's
-delta tracking, the batched ``seminaive_triggers`` discovery (set equality
+births (a delta is every atom born since a birth), the batched ``seminaive_triggers`` discovery (set equality
 *and* the FIFO-replaying ``(birth, canonical)`` order), and ``run_round``
 budget cuts.
 """
@@ -17,10 +17,11 @@ import pytest
 
 from repro.core.atoms import Atom
 from repro.core.homomorphism import homomorphisms
-from repro.core.instance import Database, Delta, Instance
+from repro.core.instance import Database, Instance
 from repro.core.parsing import parse_database
 from repro.core.terms import Constant
 from repro.chase.engine import ChaseEngine
+from repro.chase.plans import UNBORN
 from repro.chase.multihead import (
     active_multihead_triggers_on,
     example_b1_tgds,
@@ -181,61 +182,68 @@ class TestObliviousEquivalence:
 
 
 class TestDeltaTracking:
+    """A delta is the atoms born since a birth: the birth log's tail."""
+
     def test_records_additions_in_order(self):
         instance = Instance()
-        delta = instance.track_delta()
+        start = instance.next_birth()
         atoms = [Atom("R", [Constant("a"), Constant(chr(98 + i))]) for i in range(3)]
         for atom in atoms:
             instance.add(atom)
-        assert delta.atoms() == atoms
-        assert [delta.positions()[a] for a in atoms] == [0, 1, 2]
-        assert instance.take_delta() is delta
+        assert [atom for atom, _ in instance.born_since(start)] == atoms
+        assert [instance.births()(a) for a in atoms] == [0, 1, 2]
+        assert instance.born_since(start) == list(zip(atoms, [0, 1, 2]))
+        assert instance.next_birth() == 3
 
     def test_duplicates_and_discards(self):
         instance = Instance()
-        delta = instance.track_delta()
+        start = instance.next_birth()
         a = Atom("R", [Constant("a")])
         b = Atom("S", [Constant("b")])
         instance.add(a)
-        instance.add(a)  # duplicate: not re-recorded
+        assert not instance.add(a)  # duplicate: keeps its birth, takes none
         instance.add(b)
-        assert len(delta) == 2
+        assert len(instance.born_since(start)) == 2
         instance.discard(b)
-        assert delta.atoms() == [a]
-        assert list(delta.with_predicate("S")) == []
-        assert list(delta.with_predicate("R")) == [a]
-        instance.take_delta()
-        # After take_delta the instance stops recording.
+        assert instance.born_since(start) == [(a, 0)]
+        assert list(instance.with_predicate("S")) == []
+        assert list(instance.with_predicate("R")) == [a]
+        # Added again, b is born again, above every earlier birth.
         instance.add(b)
-        assert b not in delta
+        assert instance.born_since(start) == [(a, 0), (b, 2)]
+        assert instance.born_since(2) == [(b, 2)]
 
     def test_pre_tracking_atoms_not_recorded(self):
         instance = Instance([Atom("R", [Constant("a")])])
-        delta = instance.track_delta()
-        instance.take_delta()
-        assert not delta
+        assert instance.born_since(instance.next_birth()) == []
+        assert instance.born_since(0) == [(Atom("R", [Constant("a")]), 0)]
 
-    def test_take_without_track_raises(self):
-        with pytest.raises(RuntimeError):
-            Instance().take_delta()
-
-    def test_copy_does_not_inherit_tracking(self):
-        instance = Instance()
-        instance.track_delta()
-        clone = instance.copy()
-        with pytest.raises(RuntimeError):
-            clone.take_delta()
-        instance.take_delta()
-
-    def test_delta_standalone(self):
-        delta = Delta()
+    def test_absent_atom_is_unborn(self):
         a = Atom("R", [Constant("a")])
-        delta.record(a)
-        delta.record(a)
-        assert len(delta) == 1 and a in delta
-        delta.remove(a)
-        delta.remove(a)  # idempotent
-        assert not delta and list(delta) == []
+        instance = Instance([a])
+        get = instance.births()
+        assert get(a) == 0 and get(("R", a.terms)) == 0
+        assert get(Atom("R", [Constant("b")]), UNBORN) == UNBORN
+        assert get(Atom("S", [Constant("a")])) is None
+
+    def test_copy_keeps_births_apart(self):
+        instance = Instance([Atom("R", [Constant("a")])])
+        clone = instance.copy()
+        b = Atom("R", [Constant("b")])
+        clone.add(b)
+        assert clone.born_since(1) == [(b, 1)]
+        assert instance.next_birth() == 1 and instance.born_since(1) == []
+        instance.add(Atom("R", [Constant("c")]))
+        assert clone.next_birth() == 2 and clone.born_since(1) == [(b, 1)]
+
+    def test_births_are_never_reused(self):
+        a = Atom("R", [Constant("a")])
+        b = Atom("R", [Constant("b")])
+        instance = Instance([a, b])
+        assert instance.discard(b) and instance.discard(a)
+        assert not instance and instance.next_birth() == 2
+        instance.add(b)
+        assert instance.born_since(0) == [(b, 2)]
 
 
 class TestSeminaiveDiscovery:
@@ -254,17 +262,15 @@ class TestSeminaiveDiscovery:
         # Materialize one chase round's delta by hand.
         engine = ChaseEngine(database, tgds)
         batch = engine.take_pending()
-        delta = engine.instance.track_delta()
+        start = engine.instance.next_birth()
         for trigger in batch:
             if engine.is_active(trigger):
                 engine.instance.add(trigger.result())
-        engine.instance.take_delta()
+        delta = [atom for atom, _ in engine.instance.born_since(start)]
         if not delta:
             pytest.skip("round added nothing")
-        semi = {t.key for t in seminaive_triggers(tgds, engine.instance, delta)}
-        per_atom = {
-            t.key for t in new_triggers(tgds, engine.instance, delta.atoms())
-        }
+        semi = {t.key for t in seminaive_triggers(tgds, engine.instance, start)}
+        per_atom = {t.key for t in new_triggers(tgds, engine.instance, delta)}
         assert semi == per_atom
 
     @pytest.mark.parametrize("db_text,rules", CASES)
@@ -277,7 +283,7 @@ class TestSeminaiveDiscovery:
         engine = ChaseEngine(database, tgds)
         batch = engine.take_pending()
         partial = Instance(engine.instance.atoms())
-        delta = engine.instance.track_delta()
+        start = engine.instance.next_birth()
         expected = []
         seen = set()
         for trigger in batch:
@@ -296,13 +302,14 @@ class TestSeminaiveDiscovery:
                 )
                 seen.update(t.key for t in step_batch)
                 expected.extend(t.key for t in step_batch)
-        engine.instance.take_delta()
-        got = [t.key for t in seminaive_triggers(tgds, engine.instance, delta)]
+        got = [t.key for t in seminaive_triggers(tgds, engine.instance, start)]
         assert got == expected
 
     def test_empty_delta(self):
         tgds = parse_tgds(["R(x,y) -> S(x)"])
-        assert seminaive_triggers(tgds, Instance(), Delta()) == []
+        assert seminaive_triggers(tgds, Instance(), 0) == []
+        instance = Instance([Atom("R", [Constant("a"), Constant("b")])])
+        assert seminaive_triggers(tgds, instance, instance.next_birth()) == []
 
 
 #: Triangle and 4-cycle closing rules: every cycle through the delta is
@@ -324,11 +331,10 @@ def cycle_round(seed: int, nodes: int = 6, old: int = 8, new: int = 10):
         for a, b in rng.sample(pairs, old + new)
     ]
     instance = Instance(edges[:old])
-    delta = instance.track_delta()
+    start = instance.next_birth()
     for edge in edges[old:]:
         instance.add(edge)
-    instance.take_delta()
-    return instance, delta
+    return instance, instance.born_since(start)
 
 
 class TestExactlyOnceDiscovery:
@@ -336,12 +342,13 @@ class TestExactlyOnceDiscovery:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_one_trigger_per_unique_trigger_at_max_birth(self, seed):
-        instance, delta = cycle_round(seed)
+        instance, born = cycle_round(seed)
+        delta = dict(born)
         rows = []
         for tgd_index, tgd in enumerate(CYCLE_TGDS):
             for plan in tgd.join_plans():
-                bucket = delta.with_predicate(plan.predicate)
-                plan.match(bucket, instance, delta.positions(), tgd_index, rows)
+                bucket = [item for item in born if item[0].predicate == plan.predicate]
+                plan.match(bucket, instance, tgd_index, rows)
         # The join emits plain rows; Triggers come from triggers_of.
         assert all(type(row) is tuple and len(row) == 3 for row in rows)
         triggers = triggers_of(CYCLE_TGDS, rows)
@@ -356,7 +363,7 @@ class TestExactlyOnceDiscovery:
         assert expected and set(keys) == expected
         for (_, _, birth), trigger in zip(rows, triggers):
             image = [atom for atom in trigger.body_image() if atom in delta]
-            assert birth == max(delta.positions()[atom] for atom in image)
+            assert birth == max(delta[atom] for atom in image)
 
 
 class TestRunRound:

@@ -306,12 +306,14 @@ class TestAddHashes:
         instance = Instance([Atom("R", [Constant("a"), Constant("b")])])
         for position in probed:
             instance.with_term_at("R", position, Constant("a"))
-        instance.track_delta()
+        # A new atom is hashed into the birth log, its predicate bucket and
+        # one bucket per indexed position: no delta records it again.
+        start = instance.next_birth()
         atom = CountingAtom("R", [Constant("b"), Constant("c")])
         monkeypatch.setattr(CountingAtom, "hashes", 0)
         assert instance.add(atom)
-        assert CountingAtom.hashes == 4 + len(probed)
+        assert CountingAtom.hashes == 2 + len(probed)
         CountingAtom.hashes = 0
         assert not instance.add(atom)
         assert CountingAtom.hashes == 1
-        assert atom in instance.take_delta()
+        assert instance.born_since(start) == [(atom, start)]
