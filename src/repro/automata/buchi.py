@@ -114,9 +114,6 @@ class BuchiAutomaton:
     def reachable_states(self) -> Set[Hashable]:
         return set(self.explore())
 
-    def accepting_states(self) -> Set[Hashable]:
-        return {s for s in self.explore() if self.is_accepting(s)}
-
     def is_empty(self) -> bool:
         """L(A) = ∅?  (No reachable cycle through an accepting state.)"""
         return self.find_lasso() is None

@@ -13,13 +13,16 @@ the per-predicate index share one table — a predicate bucket is a range
 scan over ``(predicate, birth)``):
 
 * ``atoms(birth INTEGER PRIMARY KEY, predicate TEXT, terms TEXT,
-  UNIQUE(predicate, terms))`` — ``birth`` is the atom's birth, the
-  monotone insertion counter the memory backend keeps as its atom dict's
+  UNIQUE(predicate, terms))`` — ``birth`` is the atom's birth, its
+  insertion position, as the memory backend keeps it in its atom dict's
   values; every bucket query orders by it, which is what keeps iteration
   order (hence derivations, null names, and ``sorted_atoms``)
   byte-identical across backends.  The births getter and
-  ``born_since`` are queries on it.  ``terms`` is the length-prefixed ground-term encoding of
-  :func:`encode_terms` (unambiguous for arbitrary term names).
+  ``born_since`` are queries on it.  Rows are only ever inserted, never
+  deleted: instances only grow, so the births are ``0 .. len - 1`` and
+  one counter is both the size and the next birth.  ``terms`` is the
+  length-prefixed ground-term encoding of :func:`encode_terms`
+  (unambiguous for arbitrary term names).
 * ``buckets(predicate, position, term, birth)`` (``WITHOUT ROWID``,
   primary key over all four columns) — the term-position index; a
   ``with_term_at`` lookup is a prefix scan joined back to ``atoms``.
@@ -145,16 +148,13 @@ class _SQLiteView:
     def _materialize(self) -> List[Atom]:
         if self._atoms is None:
             instance = self._instance
-            discards = instance._discards
             rows = instance._connection().execute(self._select, self._params).fetchall()
             self._atoms = [Atom(predicate, decode_terms(blob)) for _, predicate, blob in rows]
             self._len = len(self._atoms)
             with instance._seen_lock:
-                # A discard since the query may have made a birth stale.
-                if instance._discards == discards:
-                    if len(instance._seen) > _SEEN:
-                        instance._seen.clear()
-                    instance._seen.update(zip(self._atoms, [row[0] for row in rows]))
+                if len(instance._seen) > _SEEN:
+                    instance._seen.clear()
+                instance._seen.update(zip(self._atoms, [row[0] for row in rows]))
         return self._atoms
 
     def __len__(self) -> int:
@@ -196,15 +196,11 @@ class SQLiteInstance(Instance):
         self._conn_lock = threading.Lock()
         #: Births of atoms the bucket views decoded lately, which is where
         #: the births getter's atoms come from: at most ``_SEEN`` entries.
-        #: A discard counts itself in ``_discards`` and drops its atom,
-        #: under ``_seen_lock``, and a view whose query preceded a discard
-        #: records nothing: an atom discarded and added again is born
-        #: again, and must not keep its old birth here.
+        #: An atom's birth never changes, so an entry never goes stale.
         self._seen = {}
-        self._discards = 0
         self._seen_lock = threading.Lock()
+        #: The atom count, which is also the next birth.
         self._len = 0
-        self._birth = 0
         conn = self._connection()
         for statement in _SCHEMA:
             conn.execute(statement)
@@ -286,12 +282,11 @@ class SQLiteInstance(Instance):
         before = conn.total_changes
         conn.execute(
             "INSERT OR IGNORE INTO atoms (birth, predicate, terms) VALUES (?, ?, ?)",
-            (self._birth, atom.predicate, encode_terms(atom.terms)),
+            (self._len, atom.predicate, encode_terms(atom.terms)),
         )
         if conn.total_changes == before:
             return False
-        birth = self._birth
-        self._birth += 1
+        birth = self._len
         self._len += 1
         conn.executemany(
             "INSERT OR IGNORE INTO buckets (predicate, position, term, birth) "
@@ -303,36 +298,10 @@ class SQLiteInstance(Instance):
         )
         return True
 
-    def discard(self, atom: Atom) -> bool:
-        if not isinstance(atom, Atom) or not atom.is_ground:
-            return False
-        conn = self._connection()
-        row = conn.execute(
-            "SELECT birth FROM atoms WHERE predicate = ? AND terms = ?",
-            (atom.predicate, encode_terms(atom.terms)),
-        ).fetchone()
-        if row is None:
-            return False
-        birth = row[0]
-        conn.execute("DELETE FROM atoms WHERE birth = ?", (birth,))
-        conn.executemany(
-            "DELETE FROM buckets WHERE predicate = ? AND position = ? "
-            "AND term = ? AND birth = ?",
-            [
-                (atom.predicate, i, encode_term(term), birth)
-                for i, term in enumerate(atom.terms, start=1)
-            ],
-        )
-        self._len -= 1
-        with self._seen_lock:
-            self._discards += 1
-            self._seen.pop(atom, None)
-        return True
-
     # -- births --------------------------------------------------------------
 
     def next_birth(self) -> int:
-        return self._birth
+        return self._len
 
     def births(self):
         """The births getter: ``get(atom, default)`` answers from the
@@ -448,10 +417,11 @@ class SQLiteInstance(Instance):
     def copy(self) -> Instance:
         """An in-memory copy (insertion order preserved).
 
-        Copies are working scratch state (``Derivation`` replays, test
-        fixtures), not a second persistence root — duplicating the file
-        would couple two engines to one path.  The memory copy compares
-        equal and iterates identically.
+        Copies are working scratch state (``Derivation`` replays, engine
+        forks, test fixtures), not a second persistence root — duplicating
+        the file would couple two engines to one path.  The memory copy
+        compares equal, iterates identically, and gives every atom the same
+        birth.
         """
         return Instance(self)
 

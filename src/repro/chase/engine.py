@@ -14,10 +14,7 @@ module owns the fast implementations of all three:
   TGD's compiled :class:`repro.chase.plans.HeadKernel`; such a trigger is
   active iff its frontier tuple is absent.  Because chase steps only ever
   *add* atoms, deactivation is monotone: a hit is permanent, and no entry
-  ever needs revalidation.  (The only consumer that removes atoms — the
-  derivation DFS — undoes additions in strict LIFO order, for which
-  :meth:`HeadWitnessIndex.forget` reverts exactly the entries the mirrored
-  :meth:`note` created.)
+  ever needs revalidation or removal.
 
 * :class:`ChaseEngine` — instance + witness cache + a trigger worklist.
   Discovery surfaces every trigger exactly once (the join plans' delta
@@ -26,9 +23,10 @@ module owns the fast implementations of all three:
   insertion-ordered (list position is the monotone insertion counter), so
   no caller ever re-sorts trigger lists with string keys.  ``apply`` adds the
   result atom, feeds the witness cache, and discovers the triggers the new
-  atom enables; it returns an :class:`ApplyToken` that ``undo`` can revert,
-  which is what lets the derivation DFS explore alternative orderings
-  without deep-copying the instance or its indexes.
+  atom enables.  :meth:`ChaseEngine.fork` copies an engine's state into
+  one that shares nothing mutable with it: the derivation search
+  (:func:`repro.chase.restricted.exists_derivation_of_length`) explores
+  each alternative step on a fork, so no step is ever reverted.
 
 * One discovery kernel: every trigger the engine enqueues comes from the
   compiled join plans of :mod:`repro.chase.plans`, run over a *delta*:
@@ -67,7 +65,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.backends import make_instance
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
-from repro.core.terms import Term
 from repro.chase.derivation import Derivation
 from repro.chase.plans import RuleTables, discovery_rows
 from repro.chase.trigger import Trigger, in_canonical_order, triggers_of
@@ -119,13 +116,13 @@ class HeadWitnessIndex:
 
     def __init__(self, tables: RuleTables, instance: Instance):
         #: The owner's routing (:class:`repro.chase.plans.RuleTables`):
-        #: ``head predicate -> ((tgd, index, kernel), ...)`` over the
-        #: existential rules, equal TGDs under the index of the first, whose
-        #: witnessed set they share.
+        #: ``head predicate -> ((index, kernel), ...)`` over the existential
+        #: rules, equal TGDs under the index of the first, whose witnessed
+        #: set they share.
         self._routes = tables.heads
         self._firsts = tables.firsts
         self._sets = {
-            index: set() for routes in self._routes.values() for _, index, _ in routes
+            index: set() for routes in self._routes.values() for index, _ in routes
         }
         #: The instance's membership container: what witnesses a full rule.
         self._atoms = instance.membership()
@@ -138,32 +135,28 @@ class HeadWitnessIndex:
             for atom in instance:
                 self.note(atom)
 
-    def note(self, atom: Atom) -> List[Tuple[TGD, Tuple[Term, ...]]]:
-        """Record every frontier tuple ``atom`` witnesses; returns new entries.
-
-        The returned list is the undo token for :meth:`forget`.
-        """
-        added: List[Tuple[TGD, Tuple[Term, ...]]] = []
+    def note(self, atom: Atom) -> None:
+        """Record every frontier tuple ``atom`` witnesses."""
         predicate, terms = atom
         sets = self._sets
-        for tgd, index, kernel in self._routes.get(predicate, ()):
+        for index, kernel in self._routes.get(predicate, ()):
             if len(terms) != kernel.arity:
                 continue
             twins = kernel.twins
             if twins is not None and twins[0](terms) != twins[1](terms):
                 continue
-            key = kernel.witness(terms)
-            bucket = sets[index]
-            if key not in bucket:
-                bucket.add(key)
-                added.append((tgd, key))
-        return added
+            sets[index].add(kernel.witness(terms))
 
-    def forget(self, entries: Iterable[Tuple[TGD, Tuple[Term, ...]]]) -> None:
-        """Revert entries a :meth:`note` call created (LIFO undo only)."""
-        sets, firsts = self._sets, self._firsts
-        for tgd, key in entries:
-            sets[firsts[tgd]].discard(key)
+    def copy(self, instance: Instance) -> "HeadWitnessIndex":
+        """This index over ``instance``, a copy of its own instance: the
+        witnessed sets copied, the membership test ``instance``'s, and the
+        counters at zero."""
+        clone = object.__new__(HeadWitnessIndex)
+        clone.__dict__ = dict(self.__dict__)
+        clone._sets = {index: set(keys) for index, keys in self._sets.items()}
+        clone._atoms = instance.membership()
+        clone.lookups = clone.hits = 0
+        return clone
 
     def witnessed(self, trigger: Trigger) -> bool:
         """Is the trigger's head already witnessed (i.e. the trigger inactive)?"""
@@ -178,21 +171,6 @@ class HeadWitnessIndex:
         if hit:
             self.hits += 1
         return hit
-
-
-class ApplyToken:
-    """Everything one ``ChaseEngine.apply`` changed, for ``undo``."""
-
-    __slots__ = ("trigger", "atom", "added", "witness_entries", "discovered")
-
-    def __init__(self, trigger, atom, added, witness_entries, discovered):
-        self.trigger = trigger
-        self.atom = atom
-        #: True iff the result atom was new to the instance.
-        self.added = added
-        self.witness_entries = witness_entries
-        #: Triggers enqueued by this application, in enqueue order.
-        self.discovered = discovered
 
 
 class RoundResult:
@@ -439,12 +417,11 @@ class ChaseEngine:
 
     # -- application -------------------------------------------------------
 
-    def apply(self, trigger: Trigger) -> ApplyToken:
+    def apply(self, trigger: Trigger) -> bool:
         """Apply a trigger: add its result, feed indexes, discover triggers.
 
         The caller owns removing the trigger from ``pending`` (engines pop
-        by strategy index; the DFS pops and later re-inserts).  Returns an
-        :class:`ApplyToken` that :meth:`undo` can revert.
+        by strategy index).  Returns True iff the result atom was new.
         """
         stats = self.stats
         if stats is not None:
@@ -453,14 +430,34 @@ class ChaseEngine:
         instance = self.instance
         start = instance.next_birth()
         added = instance.add(atom)
-        witness_entries: List[Tuple[TGD, Tuple[Term, ...]]] = []
         if added and self.witnesses is not None:
-            witness_entries = self.witnesses.note(atom)
+            self.witnesses.note(atom)
         if stats is not None:
             stats.apply_seconds += clock.perf_counter() - stamp
             stats.record_fired(trigger)
-        discovered = self._discover(start) if added else []
-        return ApplyToken(trigger, atom, added, witness_entries, discovered)
+        if added:
+            self._discover(start)
+        return added
+
+    def fork(self) -> "ChaseEngine":
+        """An engine in this one's state that shares nothing mutable with it.
+
+        Its instance is a memory copy (:meth:`Instance.copy`, on either
+        backend), its worklist a copy of ``pending``, and its witness sets
+        copies bound to the copy's membership test.  It keeps no derivation
+        and no stats.  Instances only grow, so a search that wants to try
+        another step from this state tries it on a fork.
+        """
+        # A shallow copy (without copy.copy's reduce protocol, which costs a
+        # search more than the instance copy); the mutable parts follow.
+        fork = object.__new__(ChaseEngine)
+        fork.__dict__ = dict(self.__dict__)
+        fork.instance = self.instance.copy()
+        if self.witnesses is not None:
+            fork.witnesses = self.witnesses.copy(fork.instance)
+        fork.pending = list(self.pending)
+        fork.derivation = fork.stats = None
+        return fork
 
     # -- external facts ----------------------------------------------------
 
@@ -632,8 +629,7 @@ class ChaseEngine:
             return RoundResult(
                 applied, added, [], cut=True, reason=reason, vacuous=vacuous
             )
-        # Every birth since the start went to an atom of the round's delta:
-        # a round discards nothing.
+        # Every birth since the start went to an atom of the round's delta.
         size = instance.next_birth() - start
         discovered: List[Trigger] = []
         if size:
@@ -723,25 +719,3 @@ class ChaseEngine:
             if budget is not None:
                 budget.charge_round()
         return None, applied, added
-
-    def undo(self, token: ApplyToken) -> None:
-        """Revert one :meth:`apply` (strict LIFO discipline).
-
-        Removes the discovered triggers from the tail of ``pending``, the
-        witness entries the atom created, and the atom itself.  The applied
-        trigger is *not* re-inserted into ``pending``; the caller that
-        popped it re-inserts it at its original position.
-        """
-        if self.stats is not None:
-            self.stats.undos += 1
-        if not token.added:
-            return
-        if token.discovered:
-            del self.pending[-len(token.discovered):]
-        if self.witnesses is not None:
-            self.witnesses.forget(token.witness_entries)
-        self.instance.discard(token.atom)
-
-    def state_key(self) -> frozenset:
-        """A hashable key for the current atom set (DFS memoization)."""
-        return frozenset(self.instance)

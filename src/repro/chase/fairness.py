@@ -170,8 +170,3 @@ def make_fair(
             f"{max_rounds} rounds"
         )
     return current
-
-
-def is_fair_on_prefix(derivation: Derivation, tgds: Sequence[TGD]) -> bool:
-    """Finite-horizon fairness: no trigger stays active through the prefix."""
-    return derivation.is_fair_prefix(tgds)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.atoms import Atom
@@ -24,7 +25,8 @@ from repro.core.instance import Instance
 from repro.core.substitution import Substitution
 from repro.core.terms import Null, Term
 from repro.chase.checkpoint import Budget
-from repro.errors import ChaseInterrupted, SearchBudgetExceeded
+from repro.chase.restricted import _search
+from repro.errors import ChaseInterrupted
 from repro.tgds.tgd import MultiHeadTGD
 
 
@@ -248,35 +250,25 @@ def multihead_exists_derivation_of_length(
     Returns the trigger sequence or None when every derivation is shorter
     (exhaustively verified within ``max_nodes`` states); raises
     :class:`repro.errors.SearchBudgetExceeded` when the node budget is
-    exhausted first.
+    exhausted first.  The search is :func:`repro.chase.restricted._search`;
+    a child state is a copy of its parent's instance with the trigger's
+    head atoms added.
     """
-    budget = [max_nodes]
-    failed_at: Dict[frozenset, int] = {}
 
-    def dfs(instance: Instance, steps: List[MultiHeadTrigger]):
-        if len(steps) >= length:
-            return list(steps)
-        if budget[0] <= 0:
-            raise SearchBudgetExceeded(
-                f"explored {max_nodes} states without an answer"
-            )
-        budget[0] -= 1
-        state = frozenset(instance.atoms())
-        if failed_at.get(state, -1) >= len(steps):
-            return None
+    def children(instance: Instance, key: frozenset):
         for trigger in active_multihead_triggers_on(tgds, instance):
-            extended = instance.copy()
-            for atom in trigger.results():
-                extended.add(atom)
-            steps.append(trigger)
-            found = dfs(extended, steps)
-            if found is not None:
-                return found
-            steps.pop()
-        failed_at[state] = max(failed_at.get(state, -1), len(steps))
-        return None
+            results = trigger.results()
+            yield trigger, key.union(results), partial(_extended, instance, results)
 
-    return dfs(Instance(database), [])
+    root = Instance(database)
+    return _search(root, frozenset(root), children, length, max_nodes)
+
+
+def _extended(instance: Instance, atoms: Iterable[Atom]) -> Instance:
+    """A copy of ``instance`` with ``atoms`` added."""
+    extended = instance.copy()
+    extended.update(atoms)
+    return extended
 
 
 def example_b1_tgds() -> List[MultiHeadTGD]:

@@ -522,13 +522,13 @@ class RuleTables:
 
     @cached_property
     def heads(self) -> Dict[str, tuple]:
-        """``head predicate -> ((tgd, first index, kernel), ...)`` over the
+        """``head predicate -> ((first index, kernel), ...)`` over the
         existential rules of :attr:`firsts`.  A full rule's head is
         witnessed by its result atom alone, which the instance answers."""
         heads: Dict[str, list] = {}
         for tgd, index in self.firsts.items():
             if tgd.existential_variables:
-                heads.setdefault(tgd.head.predicate, []).append((tgd, index, tgd.head_kernel()))
+                heads.setdefault(tgd.head.predicate, []).append((index, tgd.head_kernel()))
         return {predicate: tuple(found) for predicate, found in heads.items()}
 
 

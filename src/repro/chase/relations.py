@@ -41,11 +41,6 @@ def stops_atom(stopper: Atom, stopped: Atom, frontier_terms: Iterable[Term]) -> 
     return match_atom(stopped, stopper, frozen=frozenset(frontier_terms)) is not None
 
 
-def stops_result(stopper: Atom, trigger: Trigger) -> bool:
-    """Does ``stopper ≺s result(σ, h)`` for the given trigger?"""
-    return stops_atom(stopper, trigger.result(), trigger.result_frontier_terms())
-
-
 def stoppers_in(instance: Instance, trigger: Trigger) -> List[Atom]:
     """All atoms of ``instance`` that stop ``result(σ,h)``."""
     result = trigger.result()

@@ -37,6 +37,7 @@ assessor proves can never fire; pruned and unpruned runs are byte-identical
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.core.instance import Instance
@@ -278,15 +279,63 @@ def restricted_chase_naive(
     return ChaseResult(instance, derivation, terminated=leftover is None, steps=steps)
 
 
-def chase_terminates(
-    database: Instance,
-    tgds: Sequence[TGD],
-    strategy: Union[str, StrategyFn] = "fifo",
-    max_steps: int = 10_000,
-    seed: Optional[int] = None,
-) -> bool:
-    """Convenience wrapper: did this particular derivation reach a fixpoint?"""
-    return restricted_chase(database, tgds, strategy, max_steps, seed).terminated
+def _search(root, key, children, length: int, max_nodes: int) -> Optional[list]:
+    """The memoized depth-first search over trigger choices both derivation
+    searches run (this module's and
+    :func:`repro.chase.multihead.multihead_exists_derivation_of_length`).
+
+    ``root`` is the start state and ``key`` its atom set, frozen.
+    ``children(state, key)`` yields, for every trigger active in ``state``
+    and in the order to try them, ``(trigger, child_key, build)``: the key
+    of the state the trigger leads to, and a call that builds that state.
+    A node builds its state only once it passes the length, budget and
+    memo checks, so a leaf or a pruned node costs no copy.
+
+    Returns the triggers of the first path of ``length`` steps, or None
+    when every path is shorter (exhaustively, within ``max_nodes`` explored
+    nodes); raises :class:`SearchBudgetExceeded` when the node budget runs
+    out first.
+    """
+    budget = max_nodes
+    steps: list = []
+    # key -> deepest depth at which the state was explored and failed.
+    # A revisit at depth k can only succeed if the longest continuation from
+    # the state is >= length - k, which a failure at depth k' >= k already
+    # rules out; shallower failures rule out nothing, so only the max depth
+    # is remembered.  (An active trigger always adds a new atom, so states
+    # grow strictly along a path and no path revisits a state.)
+    failed_at: dict = {}
+
+    def dfs(build, key):
+        nonlocal budget
+        depth = len(steps)
+        if depth >= length:
+            return list(steps)
+        if budget <= 0:
+            raise SearchBudgetExceeded(
+                f"explored {max_nodes} states without an answer"
+            )
+        budget -= 1
+        if failed_at.get(key, -1) >= depth:
+            return None
+        for trigger, child_key, child_build in children(build(), key):
+            steps.append(trigger)
+            found = dfs(child_build, child_key)
+            steps.pop()
+            if found is not None:
+                return found
+        failed_at[key] = max(failed_at.get(key, -1), depth)
+        return None
+
+    return dfs(lambda: root, key)
+
+
+def _stepped(engine: ChaseEngine, trigger: Trigger) -> ChaseEngine:
+    """A fork of ``engine`` with ``trigger`` taken off its worklist and applied."""
+    child = engine.fork()
+    del child.pending[engine.pending.index(trigger)]
+    child.apply(trigger)
+    return child
 
 
 def exists_derivation_of_length(
@@ -303,47 +352,18 @@ def exists_derivation_of_length(
     every derivation is shorter.  Raises ``SearchBudgetExceeded`` when the
     node budget is hit without an answer.
 
-    The DFS runs on a single :class:`ChaseEngine`: each branch applies a
-    trigger and, on backtracking, reverts it via the engine's undo token —
-    no per-node copies of the atom set or its indexes, and no per-node
-    re-enumeration of triggers.
+    A state is a :class:`ChaseEngine` in memory, as the deciders' scratch
+    chases are: a child applies one active pending trigger on a fork of
+    its parent (:meth:`ChaseEngine.fork`), so no step is ever reverted and
+    no trigger re-enumerated.
     """
-    engine = ChaseEngine(database, tgds)
-    budget = [max_nodes]
-    # state -> deepest depth at which the state was explored and failed.
-    # A revisit at depth k can only succeed if the longest continuation from
-    # the state is >= length - k, which a failure at depth k' >= k already
-    # rules out; shallower failures rule out nothing, so only the max depth
-    # is remembered.  (An active trigger always adds a new atom, so states
-    # grow strictly along a path and no path revisits a state.)
-    failed_at: dict = {}
 
-    def dfs(steps: List[Trigger]) -> Optional[List[Trigger]]:
-        if len(steps) >= length:
-            return list(steps)
-        if budget[0] <= 0:
-            raise SearchBudgetExceeded(
-                f"explored {max_nodes} states without an answer"
-            )
-        budget[0] -= 1
-        state = engine.state_key()
-        if failed_at.get(state, -1) >= len(steps):
-            return None
+    def children(engine: ChaseEngine, key: frozenset):
         for trigger in engine.active_pending():
-            index = engine.pending.index(trigger)
-            engine.pending.pop(index)
-            token = engine.apply(trigger)
-            steps.append(trigger)
-            found = dfs(steps)
-            steps.pop()
-            engine.undo(token)
-            engine.pending.insert(index, trigger)
-            if found is not None:
-                return found
-        failed_at[state] = max(failed_at.get(state, -1), len(steps))
-        return None
+            yield trigger, key | {trigger.result()}, partial(_stepped, engine, trigger)
 
-    found = dfs([])
+    engine = ChaseEngine(database, tgds, backend="memory")
+    found = _search(engine, frozenset(engine.instance), children, length, max_nodes)
     if found is None:
         return None
     return Derivation(Instance(database), found)

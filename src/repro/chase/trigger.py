@@ -184,13 +184,6 @@ def is_active(trigger: Trigger, instance: Instance) -> bool:
     return not satisfies_head(instance, trigger.tgd, trigger.frontier_binding())
 
 
-def apply_trigger(instance: Instance, trigger: Trigger) -> Atom:
-    """``I⟨σ,h⟩J``: add ``result(σ,h)`` to the instance; returns the atom."""
-    atom = trigger.result()
-    instance.add(atom)
-    return atom
-
-
 def triggers_on(tgds: Iterable[TGD], instance: Instance) -> Iterator[Trigger]:
     """All triggers for ``T`` on ``I`` (active or not), deduplicated."""
     seen: Set[tuple] = set()

@@ -8,16 +8,17 @@ The multiset instances of Appendix C's weakly restricted chase are kept by
 Births
 ------
 
+Instances only grow: a chase step adds atoms and never removes one
+(Section 3.2: ``I0 ⊆ I1 ⊆ ...``), so no instance has a removal path.
 Every atom is recorded once, in the atom dict, which maps it to its
-*birth*: a counter that ``add`` hands a new atom and never hands out
-again, a discarded atom's included.  Births therefore increase in
-insertion order, and the dict's order is the birth order.  A chase
-round's *delta* is no separate record: it is every atom born since the
-``next_birth()`` the round read when it started, which ``born_since``
-reads off the tail of the dict.  The join plans read births through one
-getter, :meth:`Instance.births`: an atom outside a delta was born before
-every atom inside it, so comparing births is all a plan's delta limits
-need (:mod:`repro.chase.plans`).
+*birth*: its insertion position.  Births therefore increase in insertion
+order, the dict's order is the birth order, and ``next_birth()`` is
+``len(instance)``.  A chase round's *delta* is no separate record: it is
+every atom born since the ``next_birth()`` the round read when it
+started, which ``born_since`` reads off the tail of the dict.  The join
+plans read births through one getter, :meth:`Instance.births`: an atom
+outside a delta was born before every atom inside it, so comparing
+births is all a plan's delta limits need (:mod:`repro.chase.plans`).
 
 Indexing
 --------
@@ -25,7 +26,7 @@ Indexing
 Instances keep two inverted indexes:
 
 * a per-predicate index (``with_predicate``), maintained by every
-  ``add``/``discard``, and
+  ``add``, and
 * a term-position index ``(predicate, position, term) → atoms``
   (positions 1-based as in the paper's ``(R, i)``), built on demand.
 
@@ -43,19 +44,18 @@ buckets the first time a getter is asked for it (``with_term_at`` asks
 on every call; a join plan asks for every position it may probe when it
 starts, before it knows whether it will reach them): one scan of the
 predicate bucket, skipping atoms too short to have that position.  From
-then on ``add`` and ``discard`` maintain the positions already indexed,
-and no others.  Rules whose bodies are single atoms never probe, so a
-chase over them builds no position bucket at all.  ``copy`` carries the
+then on ``add`` maintains the positions already indexed, and no others.
+Rules whose bodies are single atoms never probe, so a chase over them
+builds no position bucket at all.  ``copy`` carries the
 births and the indexed positions; a pickled instance ships its atom list
-only, and its births restart at 0 in the same order.
+only, and re-adding it in order gives every atom its birth again.
 
 All buckets are insertion-ordered (plain dicts), so iteration order is
 deterministic for a deterministic insertion sequence — the chase engines
 rely on this for reproducible derivations — and every bucket lists its
 atoms by increasing birth.  A lazy bucket has the order an eagerly
 maintained one would have had: the predicate bucket it is built from is
-in insertion order, and from then on ``add`` appends to both and
-``discard`` removes from both.
+in insertion order, and from then on ``add`` appends to both.
 
 Probes may come from several threads at once when a caller shares an
 instance between threads.  A position's buckets are built off to the
@@ -98,14 +98,12 @@ class Instance:
     def __init__(self, atoms: Optional[Iterable[Atom]] = None):
         #: The birth log: atom -> birth, in insertion (hence birth) order.
         self._atoms: Dict[Atom, int] = {}
-        #: The birth the next new atom takes; never handed out twice.
-        self._next = 0
         # The other buckets are dicts used as insertion-ordered sets.
         self._by_predicate: Dict[str, Dict[Atom, None]] = {}
         #: (predicate, position) -> term -> bucket, for indexed positions.
         self._by_position: Dict[Tuple[str, int], Dict[Term, Dict[Atom, None]]] = {}
         #: predicate -> ``(position, term -> bucket)`` per indexed position,
-        #: in indexing order: what ``add`` and ``discard`` maintain.
+        #: in indexing order: what ``add`` maintains.
         self._indexed: Dict[str, Tuple[Tuple[int, Dict[Term, Dict[Atom, None]]], ...]] = {}
         #: Serializes first-probe builds across threads.
         self._index_lock = threading.Lock()
@@ -119,16 +117,16 @@ class Instance:
         # position buckets are rebuilt on demand.  Bucket iteration order —
         # which the chase engines rely on — is a function of the insertion
         # sequence, so the rebuilt instance is index-identical, not just
-        # set-equal.  Births restart at 0 in the same order, so they compare
-        # as before; a checkpoint names a cut round's delta by its length.
+        # set-equal.  Births are insertion positions, so every atom gets its
+        # birth back; a checkpoint names a cut round's delta by its length.
         return (type(self), (list(self),))
 
     # -- births (semi-naive evaluation) ------------------------------------
 
     def next_birth(self) -> int:
-        """The birth the next new atom will take.  A delta is every atom
-        born since a birth read here (:meth:`born_since`)."""
-        return self._next
+        """The birth the next new atom will take: ``len(self)``.  A delta is
+        every atom born since a birth read here (:meth:`born_since`)."""
+        return len(self._atoms)
 
     def births(self) -> Callable:
         """The births getter: ``get(atom, default)`` is ``atom``'s birth, or
@@ -141,29 +139,26 @@ class Instance:
         """``(atom, birth)`` of every atom born at or after ``start``, in
         birth order: the instance's newest atoms, read off the tail of the
         birth log."""
-        # Births grow along the dict, so the delta is its tail: at most one
-        # item per birth since ``start``, fewer once atoms were discarded.
-        born = list(islice(reversed(self._atoms.items()), max(self._next - start, 0)))
+        # A birth is an insertion position, so the delta is the dict's tail.
+        born = list(islice(reversed(self._atoms.items()), max(len(self._atoms) - start, 0)))
         born.reverse()
-        if born and born[0][1] < start:
-            born = [item for item in born if item[1] >= start]
         return born
 
     def add(self, atom: Atom) -> bool:
         """Insert ``atom``; returns True iff it was not already present.
 
-        A new atom is born: it takes :meth:`next_birth`, above every birth
-        given out before, discarded atoms' included."""
+        A new atom is born: it takes :meth:`next_birth`, its insertion
+        position."""
         if not isinstance(atom, Atom):
             raise TypeError(f"instances contain atoms, got {atom!r}")
         if not atom.is_ground:
             raise ValueError(f"instances contain ground atoms only, got {atom}")
         # One probe both tests membership and inserts: a present atom keeps
         # its older birth, so only a new one hands back this birth.
-        birth = self._next
-        if self._atoms.setdefault(atom, birth) is not birth:
+        atoms = self._atoms
+        birth = len(atoms)
+        if atoms.setdefault(atom, birth) is not birth:
             return False
-        self._next = birth + 1
         predicate, terms = atom
         self._by_predicate.setdefault(predicate, {})[atom] = None
         positions = self._indexed.get(predicate)
@@ -177,27 +172,6 @@ class Instance:
     def update(self, atoms: Iterable[Atom]) -> int:
         """Insert many atoms; returns how many were new."""
         return sum(1 for atom in atoms if self.add(atom))
-
-    def discard(self, atom: Atom) -> bool:
-        """Remove ``atom`` if present; returns True iff it was present.
-        Its birth is not given out again."""
-        if atom not in self._atoms:
-            return False
-        del self._atoms[atom]
-        bucket = self._by_predicate.get(atom.predicate)
-        if bucket is not None:
-            bucket.pop(atom, None)
-            if not bucket:
-                del self._by_predicate[atom.predicate]
-        terms = atom.terms
-        for i, buckets in self._indexed.get(atom.predicate, ()):
-            if i <= len(terms):
-                term = terms[i - 1]
-                position_bucket = buckets[term]
-                del position_bucket[atom]
-                if not position_bucket:
-                    del buckets[term]
-        return True
 
     def with_predicate(self, predicate: str) -> KeysView:
         """All atoms whose predicate is ``predicate`` (a set-like view)."""
@@ -217,8 +191,7 @@ class Instance:
         ``get(term, default)`` returns the live bucket (a dict of atoms,
         insertion-ordered) of the atoms with ``term`` at ``position``, or
         ``default`` when there are none.  The getter keeps answering for
-        the instance as it changes: ``add`` and ``discard`` update the
-        dict it is bound to.  Callers must not mutate a bucket.
+        the instance as it grows: ``add`` updates the dict it is bound to.  Callers must not mutate a bucket.
 
         The first request for a position builds its buckets: one scan of
         the insertion-ordered predicate bucket, so each bucket lists its
@@ -292,7 +265,6 @@ class Instance:
         """
         clone = type(self)()
         clone._atoms = dict(self._atoms)
-        clone._next = self._next
         clone._by_predicate = {p: dict(d) for p, d in self._by_predicate.items()}
         clone._by_position = {
             key: {term: dict(bucket) for term, bucket in buckets.items()}

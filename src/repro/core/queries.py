@@ -36,10 +36,6 @@ class ConjunctiveQuery:
         name, answer_vars, body = parse_query_parts(text)
         return ConjunctiveQuery(name, answer_vars, body)
 
-    @property
-    def is_boolean(self) -> bool:
-        return not self.answer_vars
-
     def variables(self) -> Set[Variable]:
         return {v for atom in self.body for v in atom.variables()}
 

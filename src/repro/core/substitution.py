@@ -117,10 +117,6 @@ class Substitution:
         """The atom with every argument rewritten."""
         return atom.apply(self._map)
 
-    def apply_to_atoms(self, atoms: Iterable[Atom]) -> list:
-        """Rewrite a collection of atoms (preserving order)."""
-        return [self.apply_to_atom(a) for a in atoms]
-
     def agrees_with(self, other: "Substitution") -> bool:
         """True iff the two substitutions coincide on shared domain terms."""
         small, large = (

@@ -33,7 +33,6 @@ class ChaseStats:
         "triggers_discovered",
         "triggers_fired",
         "triggers_vacuous",
-        "undos",
         "per_tgd_fired",
         "cache_lookups",
         "cache_hits",
@@ -71,8 +70,6 @@ class ChaseStats:
         #: Triggers processed but skipped as inactive — discovered work
         #: that a head witness made vacuous before application.
         self.triggers_vacuous = 0
-        #: ``ChaseEngine.undo`` calls (derivation-DFS backtracking).
-        self.undos = 0
         #: Fired applications per TGD name.
         self.per_tgd_fired: Dict[str, int] = {}
         #: Head-witness cache probes / probes answered "already witnessed".
@@ -216,7 +213,6 @@ class ChaseStats:
             "triggers_discovered": self.triggers_discovered,
             "triggers_fired": self.triggers_fired,
             "triggers_vacuous": self.triggers_vacuous,
-            "undos": self.undos,
             "per_tgd_fired": dict(self.per_tgd_fired),
             "cache_lookups": self.cache_lookups,
             "cache_hits": self.cache_hits,

@@ -106,14 +106,6 @@ class TestContract:
         with pytest.raises(TypeError):
             sqlite.add("R(a,b)")
 
-    def test_discard(self, pair):
-        memory, sqlite = pair
-        assert sqlite.discard(SAMPLE[1])
-        assert not sqlite.discard(SAMPLE[1])
-        memory.discard(SAMPLE[1])
-        assert list(sqlite) == list(memory)
-        assert list(sqlite.with_predicate("R")) == list(memory.with_predicate("R"))
-
     def test_with_predicate(self, pair):
         memory, sqlite = pair
         for predicate in ("R", "S", "T", "missing"):
@@ -172,41 +164,6 @@ class TestContract:
         for a in list(memory) + [atom("S", "absent")]:
             assert sqlite_births(a, -1) == memory_births(a, -1)
             assert sqlite_births((a.predicate, a.terms), -1) == memory_births(a, -1)
-
-    def test_a_discarded_atom_added_again_is_born_again(self, pair):
-        # The sqlite getter answers from the births its bucket views
-        # decoded; a discard must not leave the old birth there, even when
-        # a view's query ran before the discard and records after it.
-        _, sqlite = pair
-        first = SAMPLE[0]
-        get = sqlite.births()
-        assert list(sqlite.with_predicate("R"))[0] == first
-        assert get(first) == 0
-        assert sqlite.discard(first) and get(first, None) is None
-        assert sqlite.add(first)
-        assert get(first) == sqlite.next_birth() - 1 == len(SAMPLE)
-
-        view = sqlite.with_predicate("R")
-        connection = sqlite._connection
-
-        class Racing:
-            def execute(self, *query):
-                rows = connection().execute(*query).fetchall()
-                del sqlite._connection
-                sqlite.discard(first)
-                sqlite.add(first)
-                return Rows(rows)
-
-        class Rows:
-            def __init__(self, rows):
-                self.rows = rows
-
-            def fetchall(self):
-                return self.rows
-
-        sqlite._connection = Racing
-        assert first in list(view)
-        assert get(first) == sqlite.next_birth() - 1 == len(SAMPLE) + 1
 
 
 class TestPersistence:

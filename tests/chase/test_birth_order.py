@@ -8,10 +8,10 @@ atoms born at or after its start.  These tests check both at every
 discovery pass, walking every predicate bucket and every position bucket,
 for every source of a delta: a round, seeding, ``apply``,
 ``inject_atoms`` at a round boundary and mid round, a mid-round
-checkpoint resume, and a DFS ``undo`` followed by a new ``apply`` — on
-the memory and the sqlite backend.  Births are global and never handed
-out twice, so a ``discard`` out of LIFO order followed by an ``add``
-keeps them increasing too.
+checkpoint resume, and an ``apply`` on a fork and then on its parent —
+on the memory and the sqlite backend.  Instances only grow, so a birth
+is an insertion position: ``next_birth() == len(instance)`` at every
+pass.
 """
 
 import pytest
@@ -66,6 +66,7 @@ class Passes:
             assert born
             get = instance.births()
             start = born[0][1]
+            assert instance.next_birth() == len(instance)
             # The delta is the suffix of the birth log born since start.
             assert [(atom, get(atom)) for atom in instance if get(atom) >= start] == born
             for bucket in buckets(instance):
@@ -117,7 +118,7 @@ def test_rounds(engines, passes):
 def test_apply(engines, passes):
     engine = engines()
     passes.reset()
-    added = sum(engine.apply(engine.pending.pop(0)).added for _ in range(8))
+    added = sum(engine.apply(engine.pending.pop(0)) for _ in range(8))
     assert added >= 4 and passes.passes == added and passes.mixed
 
 
@@ -152,36 +153,38 @@ def test_mid_round_checkpoint_resume(engines, passes):
     assert passes.passes >= 1 and passes.mixed
 
 
-def test_undo_then_apply(engines, passes):
+def test_apply_on_a_fork_then_on_its_parent(engines, passes):
     engine = engines()
     for _ in range(3):
         engine.apply(engine.pending.pop(0))
     first, second = engine.pending.pop(0), engine.pending.pop(0)
-    token = engine.apply(first)
-    assert token.added
-    engine.undo(token)
+    fork = engine.fork()
     passes.reset()
-    assert engine.apply(second).added
+    assert fork.apply(first)
     assert passes.passes == 1 and passes.mixed
+    passes.reset()
+    assert engine.apply(second)
+    assert passes.passes == 1 and passes.mixed
+    assert first.result() in fork.instance and first.result() not in engine.instance
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_discard_out_of_order_then_add_is_born_above_every_live_atom(backend):
+def test_births_are_insertion_positions(backend):
     instance = make_instance(backend, atoms=DATABASE)
     try:
         get = instance.births()
-        # Not the newest atom: a discard out of LIFO order.
-        assert instance.discard(DATABASE[1])
-        assert get(DATABASE[1], None) is None
-        for atom in (INJECTED[0], DATABASE[1]):
-            live = max(get(other) for other in instance)
+        assert instance.next_birth() == len(instance) == len(DATABASE)
+        assert [get(atom) for atom in instance] == list(range(len(DATABASE)))
+        for atom in INJECTED:
             birth = instance.next_birth()
+            assert birth == len(instance)
             assert instance.add(atom)
-            assert get(atom) == birth > live
+            assert get(atom) == birth > max(get(other) for other in DATABASE)
             assert instance.born_since(birth) == [(atom, birth)]
         # A present atom keeps its birth and takes none.
         assert not instance.add(DATABASE[0])
-        assert instance.next_birth() == birth + 1
+        assert get(DATABASE[0]) == 0
+        assert instance.next_birth() == birth + 1 == len(instance)
         for bucket in buckets(instance):
             births = [get(atom) for atom in bucket]
             assert births == sorted(set(births)), births

@@ -1,12 +1,13 @@
 """Tests for the shared chase kernel (repro.chase.engine).
 
 Covers the head-witness cache (consistency with brute-force
-``satisfies_head`` recomputation, monotone deactivation), the apply/undo
-discipline the derivation DFS relies on, and atom-for-atom equivalence of
-the indexed engines with the naive baselines on the benchmark workloads.
+``satisfies_head`` recomputation, monotone deactivation), the forks the
+derivation search explores on, and atom-for-atom equivalence of the
+indexed engines with the naive baselines on the benchmark workloads.
 """
 
 import gc
+import tempfile
 
 import pytest
 
@@ -114,41 +115,95 @@ class TestHeadWitnessIndex:
                 steps += 1
 
 
-class TestApplyUndo:
-    def test_undo_restores_engine_state(self):
-        database = parse_database("R(a,b), S(b,c)")
-        tgds = parse_tgds(
-            ["S(x,y) -> T(x)", "R(x,y), T(y) -> P(x,y)", "P(x,y) -> P(y,z)"]
-        )
-        engine = ChaseEngine(database, tgds)
-        atoms_before = engine.instance.atoms()
-        pending_before = [t.key for t in engine.pending]
-        trigger = engine.pending.pop(0)
-        token = engine.apply(trigger)
-        assert token.added
-        assert engine.instance.atoms() != atoms_before
-        engine.undo(token)
-        engine.pending.insert(0, trigger)
-        assert engine.instance.atoms() == atoms_before
-        assert [t.key for t in engine.pending] == pending_before
-        assert consistent_with(engine.witnesses, engine.instance)
+def engine_state(engine):
+    """Everything of ``engine`` a fork must leave alone: atoms with their
+    births, predicate and position buckets, the pending keys, and the
+    witnessed sets."""
+    instance = engine.instance
+    get = instance.births()
+    atoms = list(instance)
+    terms = {term for atom in atoms for term in atom.terms}
+    buckets = {}
+    for predicate in sorted(instance.predicates()):
+        buckets[predicate] = list(instance.with_predicate(predicate))
+        arity = max(len(atom.terms) for atom in atoms if atom.predicate == predicate)
+        for position in range(1, arity + 1):
+            for term in terms:
+                bucket = list(instance.with_term_at(predicate, position, term))
+                if bucket:
+                    buckets[predicate, position, term] = bucket
+    witnessed = {index: set(keys) for index, keys in engine.witnesses._sets.items()}
+    return (
+        [(atom, get(atom)) for atom in atoms],
+        instance.next_birth(),
+        buckets,
+        [t.key for t in engine.pending],
+        witnessed,
+    )
 
-    def test_nested_undo_lifo(self):
+
+def active_trigger(engine):
+    """The first active pending trigger, taken off the worklist."""
+    trigger = engine.active_pending()[0]
+    engine.pending.remove(trigger)
+    return trigger
+
+
+class TestFork:
+    """``ChaseEngine.fork``: a copy that shares nothing mutable."""
+
+    WORKLOAD = (
+        parse_database("R(a,b), S(b,c)"),
+        parse_tgds(["S(x,y) -> T(x)", "R(x,y), T(y) -> P(x,y)", "P(x,y) -> P(y,z)"]),
+    )
+
+    def test_apply_on_a_fork_leaves_the_parent_untouched(self):
+        engine = ChaseEngine(*self.WORKLOAD)
+        before = engine_state(engine)
+        fork = engine.fork()
+        assert fork.derivation is None and fork.stats is None
+        trigger = active_trigger(fork)
+        assert fork.apply(trigger)
+        assert trigger.result() in fork.instance
+        assert trigger.result() not in engine.instance
+        assert engine_state(engine) == before
+        assert consistent_with(engine.witnesses, engine.instance)
+        assert consistent_with(fork.witnesses, fork.instance)
+
+    def test_nested_forks_leave_every_ancestor_untouched(self):
         engine = ChaseEngine(chain_database(3), CHAIN_TGDS)
-        snapshots = []
-        tokens = []
+        lineage = [(engine, engine_state(engine))]
         for _ in range(3):
-            snapshots.append((engine.instance.atoms(), [t.key for t in engine.pending]))
-            trigger = engine.pending.pop(0)
-            tokens.append((trigger, engine.apply(trigger)))
-        for (trigger, token), (atoms, pending) in zip(
-            reversed(tokens), reversed(snapshots)
-        ):
-            engine.undo(token)
-            engine.pending.insert(0, trigger)
-            assert engine.instance.atoms() == atoms
-            assert [t.key for t in engine.pending] == pending
-            assert consistent_with(engine.witnesses, engine.instance)
+            fork = lineage[-1][0].fork()
+            fork.apply(active_trigger(fork))
+            lineage.append((fork, engine_state(fork)))
+        for ancestor, state in lineage:
+            assert engine_state(ancestor) == state
+            assert consistent_with(ancestor.witnesses, ancestor.instance)
+        # Each fork's atoms extend its parent's by exactly one new atom.
+        sizes = [len(ancestor.instance) for ancestor, _ in lineage]
+        assert sizes == list(range(sizes[0], sizes[0] + 4))
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_a_fork_is_memory_scratch_on_either_backend(
+        self, backend, tmp_path, monkeypatch
+    ):
+        # SQLiteInstance files go to the temp directory; a fork must add
+        # none, and closing the parent must leave none behind.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        engine = ChaseEngine(*self.WORKLOAD, backend=backend)
+        before = engine_state(engine)
+        files = sorted(tmp_path.glob("chase-*.sqlite"))
+        assert len(files) == (backend == "sqlite")
+        fork = engine.fork()
+        assert type(fork.instance) is Instance
+        for _ in range(6):
+            fork.apply(active_trigger(fork))
+        assert len(fork.instance) > len(engine.instance)
+        assert engine_state(engine) == before
+        assert sorted(tmp_path.glob("chase-*.sqlite")) == files
+        getattr(engine.instance, "close", lambda: None)()
+        assert list(tmp_path.glob("chase-*.sqlite*")) == []
 
 
 def holders(atom):
@@ -191,12 +246,9 @@ class TestRecordedOnce:
             if not engine.is_active(trigger):
                 continue
             before = sum(map(len, sets.values()))
-            token = engine.apply(trigger)
+            assert engine.apply(trigger)
             grown = sum(map(len, sets.values())) - before
-            if trigger.tgd.existential_variables:
-                assert grown == len(token.witness_entries) == 1
-            else:
-                assert token.witness_entries == [] and grown == 0
+            assert grown == (1 if trigger.tgd.existential_variables else 0)
         assert consistent_with(engine.witnesses, engine.instance)
 
 
@@ -267,9 +319,9 @@ class TestDerivationSearchOnEngine:
         found.validate(tgds)
 
     def test_search_leaves_no_stale_state(self):
-        # After a full (failed) exhaustive search the DFS must have undone
-        # every application — exercised indirectly: two searches in a row
-        # return the same answer.
+        # The search explores on forks of its root engine, so a full
+        # (failed) exhaustive search changes nothing a later search sees:
+        # two searches in a row return the same answer.
         database = parse_database("R(a,b)")
         tgds = parse_tgds(["R(x,y) -> R(y,x)"])
         assert exists_derivation_of_length(database, tgds, 3) is None

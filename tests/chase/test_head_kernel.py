@@ -150,19 +150,20 @@ def test_witness_index_matches_match_atom(case, seed):
     try:
         index = HeadWitnessIndex(RuleTables(tgds), instance)
         # Equal rules share one set, kept under the first of them; a full
-        # rule keeps none, and its note entries are none.
+        # rule keeps none.  Every note grows the sets by exactly the new
+        # frontier tuples the atom witnesses.
         reference = {tgd: set() for tgd in tgds}
         for atom in atoms:
             if not instance.add(atom):
                 continue
-            expected = []
             for tgd in reference:
                 key = reference_witness(tgd, atom)
-                if key is not None and key not in reference[tgd]:
+                if key is not None:
                     reference[tgd].add(key)
-                    if tgd.existential_variables:
-                        expected.append((tgd, key))
-            assert index.note(atom) == expected
+            index.note(atom)
+            for tgd in reference:
+                if tgd.existential_variables:
+                    assert witness_keys(index, tgd) == reference[tgd]
         assert consistent_with(index, instance)
         for tgd in reference:
             if tgd.existential_variables:
@@ -191,7 +192,8 @@ def test_zero_arity_head_result_and_witness():
     assert not index.witnessed(trigger)
     # A full rule: the atom in the instance witnesses it, with no entry.
     assert instance.add(Atom("Q", []))
-    assert index.note(Atom("Q", [])) == []
+    index.note(Atom("Q", []))
+    assert index._sets == {}
     assert index.witnessed(trigger)
 
 
@@ -211,9 +213,16 @@ def test_repeated_head_variable_checks_the_repeat():
     index = HeadWitnessIndex(RuleTables([rep1, rep2, rep3]), instance)
 
     def note(*terms):
+        """Add and note ``R(terms)``; the witness entries the note created."""
         atom = Atom("R", list(terms))
         assert instance.add(atom)
-        return index.note(atom)
+        before = {tgd: set(witness_keys(index, tgd)) for tgd in (rep1, rep2)}
+        index.note(atom)
+        return [
+            (tgd, key)
+            for tgd in (rep1, rep2)
+            for key in witness_keys(index, tgd) - before[tgd]
+        ]
 
     assert note(a, b, c) == []
     assert note(a, b, a) == [(rep2, (b,))]
@@ -250,7 +259,8 @@ def test_equal_rules_share_a_witness_set_but_not_nulls():
     assert one.result() != two.result()  # the rule name feeds the digest
     index = HeadWitnessIndex(RuleTables([first, second]), Instance())
     assert witness_keys(index, first) is witness_keys(index, second)
-    assert index.note(one.result()) == [(first, (b,))]
+    index.note(one.result())
+    assert witness_keys(index, first) == {(b,)}
     assert index.witnessed(two)
 
 

@@ -379,11 +379,10 @@ def engine_batches(tgds, seed_facts, injected, steps=12):
         for _ in range(steps):
             if not engine.pending:
                 break
-            token = engine.apply(engine.pending.pop(0))
-            assert engine.pending[len(engine.pending) - len(token.discovered):] == (
-                token.discovered
-            )
-            check(token.discovered, [token.atom] if token.added else [])
+            trigger = engine.pending.pop(0)
+            before = len(engine.pending)
+            added = engine.apply(trigger)
+            check(engine.pending[before:], [trigger.result()] if added else [])
         return batches
     finally:
         close(engine.instance)
@@ -639,13 +638,14 @@ def corpus_runs():
 
 
 class EnqueueLog:
-    """Every trigger key each engine enqueues, minus those ``undo`` takes
-    back; a key enqueued while still live fails the test on the spot."""
+    """Every trigger key each engine enqueues, a fork's starting from its
+    parent's; a key enqueued while still live fails the test on the spot."""
 
     def __init__(self, monkeypatch):
         self.live = {}
-        self.enqueued = self.undone = 0
-        discover, undo = ChaseEngine._discover, ChaseEngine.undo
+        self.enqueued = self.forks = self.enqueued_on_forks = 0
+        forks = set()
+        discover, fork = ChaseEngine._discover, ChaseEngine.fork
 
         def recording_discover(engine, start, round_pass=False):
             batch = discover(engine, start, round_pass)
@@ -654,16 +654,19 @@ class EnqueueLog:
                 assert trigger.key not in keys, f"enqueued twice: {trigger.canonical_key}"
                 keys.add(trigger.key)
             self.enqueued += len(batch)
+            if engine in forks:
+                self.enqueued_on_forks += len(batch)
             return batch
 
-        def recording_undo(engine, token):
-            if token.added:
-                self.live[engine].difference_update(t.key for t in token.discovered)
-                self.undone += len(token.discovered)
-            undo(engine, token)
+        def recording_fork(engine):
+            child = fork(engine)
+            self.live[child] = set(self.live[engine])
+            forks.add(child)
+            self.forks += 1
+            return child
 
         monkeypatch.setattr(ChaseEngine, "_discover", recording_discover)
-        monkeypatch.setattr(ChaseEngine, "undo", recording_undo)
+        monkeypatch.setattr(ChaseEngine, "fork", recording_fork)
 
 
 @pytest.mark.parametrize("strategy", ["fifo", "lifo", "semi_naive"])
@@ -698,12 +701,13 @@ def test_no_key_enqueued_twice_with_injected_atoms(monkeypatch):
     assert suspended and log.enqueued > 100
 
 
-def test_no_key_enqueued_twice_across_dfs_undo(monkeypatch):
+def test_no_key_enqueued_twice_across_search_forks(monkeypatch):
     log = EnqueueLog(monkeypatch)
     for tgds, database in corpus_runs():
         try:
             exists_derivation_of_length(database, tgds, 8, max_nodes=60)
         except SearchBudgetExceeded:
             pass
-    # Re-applying after an undo re-discovers what the undo took back.
-    assert log.undone > 0 and log.enqueued > log.undone
+    # Sibling forks each discover from their own step, on top of the keys
+    # their parent had already enqueued.
+    assert log.forks > 0 and log.enqueued_on_forks > 0

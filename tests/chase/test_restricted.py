@@ -6,7 +6,6 @@ from repro.core.parsing import parse_database
 from repro.chase.restricted import (
     SearchBudgetExceeded,
     all_derivations_terminate,
-    chase_terminates,
     exists_derivation_of_length,
     restricted_chase,
     restricted_chase_naive,
@@ -55,9 +54,6 @@ class TestBasicRuns:
         assert result.terminated
         assert result.steps == reference.steps == 1
         assert len(result.instance) == len(reference.instance) == 3
-
-    def test_chase_terminates_helper(self, intro_tgds, intro_database):
-        assert chase_terminates(intro_database, intro_tgds)
 
 
 class TestStrategies:

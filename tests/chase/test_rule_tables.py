@@ -244,7 +244,7 @@ def test_equal_but_distinct_rule_lists_keep_their_own_rules():
         for tgd_index, pivot_index, plan in entries:
             assert plan is second[tgd_index].join_plans()[pivot_index]
     for routes in tables.heads.values():
-        assert all(any(tgd is rule for rule in second) for tgd, _, _ in routes)
+        assert all(any(kernel is rule.head_kernel() for rule in second) for _, kernel in routes)
     database = parse_database("E(a,b)")
     ours = restricted_chase(database, second, strategy="semi_naive", prune=False)
     theirs = restricted_chase(database, first, strategy="semi_naive", prune=False)

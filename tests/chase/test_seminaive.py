@@ -195,7 +195,7 @@ class TestDeltaTracking:
         assert instance.born_since(start) == list(zip(atoms, [0, 1, 2]))
         assert instance.next_birth() == 3
 
-    def test_duplicates_and_discards(self):
+    def test_duplicates_take_no_birth(self):
         instance = Instance()
         start = instance.next_birth()
         a = Atom("R", [Constant("a")])
@@ -203,15 +203,10 @@ class TestDeltaTracking:
         instance.add(a)
         assert not instance.add(a)  # duplicate: keeps its birth, takes none
         instance.add(b)
-        assert len(instance.born_since(start)) == 2
-        instance.discard(b)
-        assert instance.born_since(start) == [(a, 0)]
-        assert list(instance.with_predicate("S")) == []
+        assert instance.born_since(start) == [(a, 0), (b, 1)]
+        assert instance.born_since(1) == [(b, 1)]
+        assert list(instance.with_predicate("S")) == [b]
         assert list(instance.with_predicate("R")) == [a]
-        # Added again, b is born again, above every earlier birth.
-        instance.add(b)
-        assert instance.born_since(start) == [(a, 0), (b, 2)]
-        assert instance.born_since(2) == [(b, 2)]
 
     def test_pre_tracking_atoms_not_recorded(self):
         instance = Instance([Atom("R", [Constant("a")])])
@@ -235,15 +230,6 @@ class TestDeltaTracking:
         assert instance.next_birth() == 1 and instance.born_since(1) == []
         instance.add(Atom("R", [Constant("c")]))
         assert clone.next_birth() == 2 and clone.born_since(1) == [(b, 1)]
-
-    def test_births_are_never_reused(self):
-        a = Atom("R", [Constant("a")])
-        b = Atom("R", [Constant("b")])
-        instance = Instance([a, b])
-        assert instance.discard(b) and instance.discard(a)
-        assert not instance and instance.next_birth() == 2
-        instance.add(b)
-        assert instance.born_since(0) == [(b, 2)]
 
 
 class TestSeminaiveDiscovery:

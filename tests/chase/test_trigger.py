@@ -13,7 +13,6 @@ from repro.chase.plans import HeadKernel
 from repro.chase.trigger import (
     Trigger,
     active_triggers_on,
-    apply_trigger,
     is_active,
     new_triggers,
     satisfies_head,
@@ -132,12 +131,6 @@ class TestEnumeration:
         tgds = [TGD.parse("R(x,y) -> S(x)")]
         inst = parse_instance("R(a,b)")
         assert list(new_triggers(tgds, inst, [])) == []
-
-    def test_apply_trigger(self):
-        inst = parse_instance("R(a,b)")
-        t = trig("R(x,y) -> S(x)", x=A, y=B)
-        atom = apply_trigger(inst, t)
-        assert atom in inst
 
 
 #: ``pickle.dumps(Trigger.from_row(s2, (a, b)), protocol=4)`` for ``s2`` of

@@ -34,13 +34,6 @@ class TestInstance:
         inst = Instance([fact("a")])
         assert inst.update([fact("a"), fact("b")]) == 1
 
-    def test_discard(self):
-        inst = Instance([fact("a")])
-        assert inst.discard(fact("a"))
-        assert not inst.discard(fact("a"))
-        assert fact("a") not in inst
-        assert inst.with_predicate("R") == set()
-
     def test_predicate_index(self):
         inst = Instance([fact("a"), fact("b", pred="S")])
         assert inst.with_predicate("R") == {fact("a")}

@@ -4,7 +4,7 @@
 probe of that position and maintains only indexed positions afterwards.
 These tests hold it to an eagerly maintained reference index, kept here
 as the oracle: same bucket contents, same bucket order, across add,
-discard, probe, ``copy`` and pickle round-trips.  They also check that
+probe, ``copy`` and pickle round-trips.  They also check that
 concurrent first probes only ever see complete buckets, and that a chase
 whose rule bodies are single atoms builds no position bucket at all.
 The position getter (``position_lookup``) is held to the same oracle on
@@ -34,7 +34,7 @@ TERMS = [Constant(f"c{i}") for i in range(4)] + [Null(f"n{i}") for i in range(3)
 
 
 class EagerIndex:
-    """Reference term-position index, maintained on every add and discard."""
+    """Reference term-position index, maintained on every add."""
 
     def __init__(self):
         self.atoms = {}
@@ -46,16 +46,6 @@ class EagerIndex:
         self.atoms[atom] = None
         for i, term in enumerate(atom.terms, start=1):
             self.by_position.setdefault((atom.predicate, i, term), {})[atom] = None
-
-    def discard(self, atom):
-        if atom not in self.atoms:
-            return
-        del self.atoms[atom]
-        for i, term in enumerate(atom.terms, start=1):
-            key = (atom.predicate, i, term)
-            del self.by_position[key][atom]
-            if not self.by_position[key]:
-                del self.by_position[key]
 
     def bucket(self, predicate, position, term):
         return list(self.by_position.get((predicate, position, term), ()))
@@ -80,8 +70,8 @@ def indexed_positions(instance):
 def assert_built_buckets_match(instance, reference):
     """Every bucket ``instance`` holds equals the oracle's, in order, and
     every oracle bucket at an indexed position is held — checked on the
-    private state, so the check itself indexes nothing.  ``add`` and
-    ``discard`` maintain the very term maps the getters are bound to."""
+    private state, so the check itself indexes nothing.  ``add`` maintains
+    the very term maps the getters are bound to."""
     indexed = {(p, i) for p, positions in indexed_positions(instance).items() for i in positions}
     assert set(instance._by_position) == indexed
     for predicate, pairs in instance._indexed.items():
@@ -110,14 +100,10 @@ class TestAgainstEagerOracle:
         instance, reference = Instance(), EagerIndex()
         for _ in range(400):
             roll = rng.random()
-            if roll < 0.45:
+            if roll < 0.6:
                 atom = rng.choice(pool)
                 instance.add(atom)
                 reference.add(atom)
-            elif roll < 0.65:
-                atom = rng.choice(pool)
-                instance.discard(atom)
-                reference.discard(atom)
             elif roll < 0.9:
                 predicate, position = rng.choice(POSITIONS)
                 term = rng.choice(TERMS)
@@ -252,13 +238,16 @@ class TestPositionGetter:
         pool = [random_atom(rng) for _ in range(30)]
         instance, reference = empty, EagerIndex()
         for step in range(120):
-            atom = rng.choice(pool)
             if rng.random() < 0.65:
+                atom = rng.choice(pool)
                 instance.add(atom)
                 reference.add(atom)
             else:
-                instance.discard(atom)
-                reference.discard(atom)
+                # A probe indexes its position: later adds must keep it.
+                predicate, position = rng.choice(GETTER_POSITIONS)
+                term = rng.choice(GETTER_TERMS)
+                got = list(instance.position_lookup(predicate, position)(term, EMPTY))
+                assert got == reference.bucket(predicate, position, term)
             if step % 20 == 19:
                 assert_getters_match(instance, reference)
         assert_getters_match(instance, reference)
@@ -271,9 +260,6 @@ class TestPositionGetter:
             atom = random_atom(rng)
             instance.add(atom)
             reference.add(atom)
-        for atom in list(reference.atoms)[::3]:
-            instance.discard(atom)
-            reference.discard(atom)
         assert_getters_match(instance, reference, getters)
 
     def test_empty_answers(self, empty):
